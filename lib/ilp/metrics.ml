@@ -5,6 +5,8 @@ type counter =
   | C_lp_solves
   | C_lp_pivots
   | C_lp_bound_flips
+  | C_lp_dual_stalls
+  | C_lp_primal_restarts
   | C_ftran_solves
   | C_ftran_hyper
   | C_btran_solves
@@ -34,6 +36,8 @@ let counter_name = function
   | C_lp_solves -> "lp_solves"
   | C_lp_pivots -> "lp_pivots"
   | C_lp_bound_flips -> "lp_bound_flips"
+  | C_lp_dual_stalls -> "lp_dual_stalls"
+  | C_lp_primal_restarts -> "lp_primal_restarts"
   | C_ftran_solves -> "ftran_solves"
   | C_ftran_hyper -> "ftran_hyper"
   | C_btran_solves -> "btran_solves"
@@ -71,6 +75,8 @@ let all_counters =
     C_lp_solves;
     C_lp_pivots;
     C_lp_bound_flips;
+    C_lp_dual_stalls;
+    C_lp_primal_restarts;
     C_ftran_solves;
     C_ftran_hyper;
     C_btran_solves;
@@ -106,23 +112,25 @@ let counter_index = function
   | C_lp_solves -> 3
   | C_lp_pivots -> 4
   | C_lp_bound_flips -> 5
-  | C_ftran_solves -> 6
-  | C_ftran_hyper -> 7
-  | C_btran_solves -> 8
-  | C_btran_hyper -> 9
-  | C_lu_factorizations -> 10
-  | C_lu_refactorizations -> 11
-  | C_lu_probes -> 12
-  | C_cut_rounds -> 13
-  | C_cuts_separated -> 14
-  | C_prop_runs -> 15
-  | C_prop_fixings -> 16
-  | C_heur_runs -> 17
-  | C_heur_incumbents -> 18
-  | C_pool_steals -> 19
-  | C_pool_handoffs -> 20
-  | C_pool_hungry_polls -> 21
-  | C_trace_dropped_events -> 22
+  | C_lp_dual_stalls -> 6
+  | C_lp_primal_restarts -> 7
+  | C_ftran_solves -> 8
+  | C_ftran_hyper -> 9
+  | C_btran_solves -> 10
+  | C_btran_hyper -> 11
+  | C_lu_factorizations -> 12
+  | C_lu_refactorizations -> 13
+  | C_lu_probes -> 14
+  | C_cut_rounds -> 15
+  | C_cuts_separated -> 16
+  | C_prop_runs -> 17
+  | C_prop_fixings -> 18
+  | C_heur_runs -> 19
+  | C_heur_incumbents -> 20
+  | C_pool_steals -> 21
+  | C_pool_handoffs -> 22
+  | C_pool_hungry_polls -> 23
+  | C_trace_dropped_events -> 24
 
 let gauge_index = function
   | G_open_nodes -> 0

@@ -35,6 +35,8 @@ type stats = {
   btran_seconds : float;
   pivots : int;
   bound_flips : int;
+  dual_stalls : int;
+  primal_restarts : int;
   minor_words : float;
   major_words : float;
   compactions : int;
@@ -53,6 +55,8 @@ let empty_stats =
     btran_seconds = 0.;
     pivots = 0;
     bound_flips = 0;
+    dual_stalls = 0;
+    primal_restarts = 0;
     minor_words = 0.;
     major_words = 0.;
     compactions = 0;
@@ -71,6 +75,8 @@ let add_stats a b =
     btran_seconds = a.btran_seconds +. b.btran_seconds;
     pivots = a.pivots + b.pivots;
     bound_flips = a.bound_flips + b.bound_flips;
+    dual_stalls = a.dual_stalls + b.dual_stalls;
+    primal_restarts = a.primal_restarts + b.primal_restarts;
     minor_words = a.minor_words +. b.minor_words;
     major_words = a.major_words +. b.major_words;
     compactions = a.compactions + b.compactions;
@@ -80,10 +86,12 @@ let pp_stats ppf s =
   Format.fprintf ppf
     "factorizations=%d fill=%d etas=%d refactors(eta/numeric/residual)=%d/%d/%d \
      factor=%.3fs ftran=%.3fs btran=%.3fs pivots=%d flips=%d \
-     gc(minor/major)=%.0f/%.0fw compactions=%d"
+     dual-stalls=%d primal-restarts=%d gc(minor/major)=%.0f/%.0fw \
+     compactions=%d"
     s.factorizations s.fill s.etas s.refactor_eta s.refactor_numeric
     s.refactor_residual s.factor_time_s s.ftran_seconds s.btran_seconds
-    s.pivots s.bound_flips s.minor_words s.major_words s.compactions
+    s.pivots s.bound_flips s.dual_stalls s.primal_restarts s.minor_words
+    s.major_words s.compactions
 
 type vstat = Basic | At_lower | At_upper | Free_zero
 
@@ -158,12 +166,15 @@ type state = {
   mutable alpha_stamp : int;
   dj : float array;  (* reduced costs, maintained incrementally (devex) *)
   dvx_w : float array;  (* devex reference weights *)
+  dvx_row : float array;  (* dual devex weights, per basis slot *)
   bp_col : int array;  (* dual ratio-test breakpoints: columns *)
   bp_ratio : float array;  (* matching |dj/alpha| ratios *)
   cand : int array;  (* partial-pricing candidate list *)
   mutable ncand : int;
   mutable total_pivots : int;
   mutable bound_flips : int;  (* bound flips without a basis change *)
+  mutable dual_stalls : int;  (* dual reopts that hit the dual cap *)
+  mutable primal_restarts : int;  (* singular-basis cold restarts *)
   mutable refactors : int;
   mutable bland : bool;  (* anti-cycling mode *)
   mutable degen_streak : int;
@@ -255,6 +266,8 @@ let stats st =
     btran_seconds = st.t_btran;
     pivots = st.total_pivots;
     bound_flips = st.bound_flips;
+    dual_stalls = st.dual_stalls;
+    primal_restarts = st.primal_restarts;
     minor_words = st.gc_minor;
     major_words = st.gc_major;
     compactions = st.gc_compactions;
@@ -390,12 +403,15 @@ let create ?(backend = Sparse_lu) ?(pricing = Devex) ?lu_rule lp =
     alpha_stamp = 0;
     dj = Array.make ncols 0.;
     dvx_w = Array.make ncols 1.;
+    dvx_row = Array.make m 1.;
     bp_col = Array.make ncols 0;
     bp_ratio = Array.make ncols 0.;
     cand = Array.make (Int.max 16 (ncols / 10)) 0;
     ncand = 0;
     total_pivots = 0;
     bound_flips = 0;
+    dual_stalls = 0;
+    primal_restarts = 0;
     refactors = 0;
     bland = false;
     degen_streak = 0;
@@ -1506,6 +1522,49 @@ let most_violated_row st =
   done;
   !best
 
+(* Dual devex row choice: the slot maximizing infeasibility^2 / weight,
+   where the weights track the squared norms of the B^-1 rows relative
+   to the reference basis the dual loop started from (Forrest &
+   Goldfarb 1992). Dantzig's largest violation favours rows whose B^-1
+   row is long, i.e. steps that move the duals little. *)
+let devex_violated_row st =
+  let best = ref None and best_v = ref 0. in
+  for i = 0 to st.m - 1 do
+    let k = st.basis.(i) in
+    let above = st.xb.(i) -. st.ub.(k) and below = st.lb.(k) -. st.xb.(i) in
+    let v = Float.max above below in
+    if v > ftol then begin
+      let score = v *. v /. st.dvx_row.(i) in
+      if score > !best_v then begin
+        best := Some (i, above > below);
+        best_v := score
+      end
+    end
+  done;
+  !best
+
+(* Dual devex update for a pivot on slot r with transformed entering
+   column w (alpha_r = w.(r)): every other slot's weight grows to at
+   least (w_i / alpha_r)^2 times the leaving slot's weight. *)
+let update_dual_devex st r alpha_r =
+  let wr = st.dvx_row.(r) in
+  let bump i =
+    if i <> r then begin
+      let q = st.w.(i) /. alpha_r in
+      let v = q *. q *. wr in
+      if v > st.dvx_row.(i) then st.dvx_row.(i) <- v
+    end
+  in
+  if st.wpat_n < 0 then
+    for i = 0 to st.m - 1 do
+      bump i
+    done
+  else
+    for t = 0 to st.wpat_n - 1 do
+      bump st.wpat.(t)
+    done;
+  st.dvx_row.(r) <- Float.max (wr /. (alpha_r *. alpha_r)) 1.
+
 (* Is nonbasic column j an eligible entering candidate for repairing a
    basic value that is [above] its bound, given its pivot-row
    coefficient? (Shared by both dual loops.) *)
@@ -1643,22 +1702,24 @@ let rec sort_bp st lo hi =
     sort_bp st !i hi
   end
 
-(* The devex-era dual loop: one hyper-sparse btran builds the pivot row
-   through the CSR mirror, entering candidates come from the
-   incrementally maintained dj (no per-column dot products), and the
-   ratio test is bound-flipping: breakpoints are walked in ratio order
-   and every boxed candidate whose flip leaves the row still infeasible
-   jumps to its other bound without a basis change — all flips applied
-   in one batched ftran. On 0-1 models this replaces long chains of
-   degenerate basis exchanges with a single pivot. *)
+(* The devex-era dual loop: the leaving row by dual devex weights, one
+   hyper-sparse btran builds the pivot row through the CSR mirror,
+   entering candidates come from the incrementally maintained dj (no
+   per-column dot products), and the ratio test is bound-flipping:
+   breakpoints are walked in ratio order and every boxed candidate whose
+   flip leaves the row still infeasible jumps to its other bound without
+   a basis change — all flips applied in one batched ftran. On 0-1
+   models this replaces long chains of degenerate basis exchanges with a
+   single pivot. *)
 let dual_loop_bfrt st max_iters =
   let iters = ref 0 in
   let outcome = ref None in
   recompute_dj st st.cost;
+  Array.fill st.dvx_row 0 st.m 1.;
   while !outcome = None do
     if !iters >= max_iters then outcome := Some `Stalled
     else
-      match most_violated_row st with
+      match devex_violated_row st with
       | None -> outcome := Some `Primal_feasible
       | Some (r, above) ->
         (* No eligible entering column: primal infeasible — unless
@@ -1700,27 +1761,44 @@ let dual_loop_bfrt st max_iters =
               (if above then st.xb.(r) -. st.ub.(k)
                else st.lb.(k) -. st.xb.(r))
           in
-          let chosen = ref (-1) and nflip = ref 0 in
+          (* the breakpoint where the slope turns *)
+          let turn = ref (-1) in
           let t = ref 0 in
-          while !chosen < 0 && !t < !nbp do
+          while !turn < 0 && !t < !nbp do
             let j = st.bp_col.(!t) in
             let a = Float.abs st.alpha.(j) in
             let span = st.ub.(j) -. st.lb.(j) in
             if Float.is_finite span && !rem -. (a *. span) > ftol then begin
               rem := !rem -. (a *. span);
-              nflip := !t + 1;
               incr t
             end
-            else chosen := j
+            else turn := !t
           done;
-          if !chosen < 0 then
+          if !turn < 0 then
             (* Every breakpoint was exhausted with the row still
                infeasible: the dual is unbounded, i.e. the primal is
                infeasible. No flips were applied, so the certificate
                below describes the untouched basis and statuses. *)
             infeasible_here ()
           else begin
-            let j = !chosen in
+            (* Harris pass over the tie at the turning ratio rc: every
+               breakpoint within dtol of rc reaches dj = 0 at the step,
+               so flipping it buys no dual progress and only moves the
+               primal. Flip the breakpoints strictly below the tie;
+               enter the tied one with the largest |alpha|. *)
+            let rc = st.bp_ratio.(!turn) in
+            let nflip = ref !turn in
+            while !nflip > 0 && st.bp_ratio.(!nflip - 1) >= rc -. dtol do
+              decr nflip
+            done;
+            let j = ref st.bp_col.(!turn) in
+            let t = ref !nflip in
+            while !t < !nbp && st.bp_ratio.(!t) <= rc +. dtol do
+              let p = st.bp_col.(!t) in
+              if Float.abs st.alpha.(p) > Float.abs st.alpha.(!j) then j := p;
+              incr t
+            done;
+            let j = !j in
             (* apply the passed-through flips as one batch:
                xb -= B^-1 (sum of dv_p * A_p) with a single solve *)
             if !nflip > 0 then begin
@@ -1760,6 +1838,7 @@ let dual_loop_bfrt st max_iters =
                  nonbasic, so they were updated like the rest) *)
               update_dj_devex st ~q:j ~leaving:k ~alpha_rq:alpha_rj
                 ~update_weights:false;
+              update_dual_devex st r alpha_rj;
               update_xb_step st theta;
               update_factor st r;
               st.basis.(r) <- j;
@@ -1888,6 +1967,10 @@ let install_basis st b =
 
 let primal_core ~max_iters st = primal_guarded ~max_iters ~attempt:0 st
 
+let count_primal_restart st =
+  st.primal_restarts <- st.primal_restarts + 1;
+  if Metrics.active st.ms then Metrics.incr st.ms Metrics.C_lp_primal_restarts
+
 (* Internal fallbacks below call [primal_core] directly so a traced
    [dual_reopt] reports one event covering the whole re-optimization
    (including any primal restart); pivots are measured as the
@@ -1904,6 +1987,7 @@ let dual_reopt_core ~max_iters st =
   with
   | exception Singular_basis ->
     Log.warn (fun f -> f "singular basis in warm start; primal restart");
+    count_primal_restart st;
     primal_core ~max_iters st
   | `Infeasible (r, above), it ->
     (* Row r of B^-1 (negated when the violation is below the lower
@@ -1915,8 +1999,12 @@ let dual_reopt_core ~max_iters st =
     let row = farkas_witness st ray in
     let res = mk_result st Infeasible ~iterations:it in
     { res with farkas = Some { ray; row } }
-  | `Stalled, _ ->
-    Log.debug (fun f -> f "dual re-optimization stalled; primal restart");
+  | `Stalled, it ->
+    Log.info (fun f ->
+        f "dual re-optimization stalled after %d iterations (m=%d); primal \
+           restart" it st.m);
+    st.dual_stalls <- st.dual_stalls + 1;
+    if Metrics.active st.ms then Metrics.incr st.ms Metrics.C_lp_dual_stalls;
     primal_core ~max_iters st
   | `Primal_feasible, it1 -> (
     (* The dual loop restored primal feasibility; a primal clean-up pass
@@ -1925,6 +2013,7 @@ let dual_reopt_core ~max_iters st =
     match primal_loop st st.cost (max_iters - it1) with
     | exception Singular_basis ->
       Log.warn (fun f -> f "singular basis in clean-up; primal restart");
+      count_primal_restart st;
       primal_core ~max_iters st
     | status, it2 ->
     (match status with

@@ -106,7 +106,9 @@ type pricing =
       (** Devex reference-weight pricing over incrementally maintained
           reduced costs (default). Each basis change updates the whole
           reduced-cost row from one hyper-sparse [btran] and one CSR
-          pass; the dual loop uses a bound-flipping ratio test. An
+          pass; the dual loop picks the leaving row by dual devex
+          weights and uses a bound-flipping ratio test with a Harris
+          pass over ties at the final ratio. An
           optimal or unbounded verdict is only declared after a
           from-scratch recomputation confirms it. *)
 
@@ -136,6 +138,13 @@ type stats = {
           tests that sent the entering column to its opposite bound,
           and the candidates a bound-flipping dual ratio test passed
           through. Not included in [pivots]. *)
+  dual_stalls : int;
+      (** {!dual_reopt} calls whose dual loop hit its [1000 + 30 m]
+          iteration cap and restarted with a cold primal solve. *)
+  primal_restarts : int;
+      (** {!dual_reopt} calls that hit a singular basis (on the warm
+          start or in the primal clean-up) and restarted with a cold
+          primal solve. *)
   minor_words : float;
       (** [Gc.quick_stat] minor-heap words allocated inside
           {!primal}/{!dual_reopt} calls on this engine — the hot path's
@@ -202,7 +211,8 @@ val set_metrics : state -> Metrics.shard -> unit
 (** Routes engine counters to a {!Metrics} shard: per-solve
     [C_lp_solves]/[C_lp_pivots]/[C_lp_bound_flips] (measured as the
     same deltas as the trace events, so final-snapshot totals equal
-    the engine counters exactly), hyper-sparse FTRAN/BTRAN hit
+    the engine counters exactly), the [C_lp_dual_stalls] and
+    [C_lp_primal_restarts] fallbacks counted in {!stats}, hyper-sparse FTRAN/BTRAN hit
     counters on the pattern-capable kernels, factorization and
     refactorization counts, and the factor-time and LP-solve-time
     histograms. The default is {!Metrics.null_shard} (one branch per

@@ -284,6 +284,12 @@ let check_final_snapshot_exact ~jobs () =
   Alcotest.(check int)
     "flips exact" stats.Bb.lp_stats.Ilp.Simplex.bound_flips
     (M.counter_value s M.C_lp_bound_flips);
+  Alcotest.(check int)
+    "dual stalls exact" stats.Bb.lp_stats.Ilp.Simplex.dual_stalls
+    (M.counter_value s M.C_lp_dual_stalls);
+  Alcotest.(check int)
+    "primal restarts exact" stats.Bb.lp_stats.Ilp.Simplex.primal_restarts
+    (M.counter_value s M.C_lp_primal_restarts);
   Alcotest.(check int) "incumbents exact" stats.Bb.incumbents
     (M.counter_value s M.C_incumbents);
   let h = M.hist_value s M.H_factor_seconds in

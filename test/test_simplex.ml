@@ -217,6 +217,183 @@ let prop_warm_start_agrees =
         !ok
       end)
 
+(* Dual-degenerate 0-1 relaxations, shaped like the partitioning
+   models: [0, 1] boxes, mostly zero costs, and equality rows anchored
+   at a random 0-1 point (so the root is feasible). Most reduced costs
+   are 0 at any basis, so a warm dual ratio test meets many breakpoints
+   tied at ratio 0. *)
+let make_degen_lp seed ~n ~m =
+  let rng = Taskgraph.Prng.create seed in
+  let lp = Lp.create () in
+  let vars = Array.init n (fun _ -> Lp.add_var lp ~ub:1. Lp.Continuous) in
+  let x0 = Array.init n (fun _ -> if Taskgraph.Prng.bool rng 0.5 then 1. else 0.) in
+  for _ = 1 to m do
+    let terms =
+      Array.to_list vars
+      |> List.filter_map (fun v ->
+             if Taskgraph.Prng.bool rng 0.4 then
+               Some (Float.of_int (Taskgraph.Prng.int_in rng (-1) 2), v)
+             else None)
+      |> List.filter (fun (c, _) -> c <> 0.)
+    in
+    if terms <> [] then begin
+      let act =
+        List.fold_left
+          (fun acc ((c : float), (v : Lp.var)) -> acc +. (c *. x0.((v :> int))))
+          0. terms
+      in
+      ignore (Lp.add_constr lp terms Lp.Eq act)
+    end
+  done;
+  (* costs only where x0 is 0: the optimum is 0, as on the paper-tree
+     cell, so the duals are 0 and every zero-cost column prices at 0 *)
+  let obj =
+    Array.to_list vars
+    |> List.filter_map (fun (v : Lp.var) ->
+           if x0.((v :> int)) = 0. && Taskgraph.Prng.bool rng 0.3 then
+             Some (Float.of_int (Taskgraph.Prng.int_in rng 1 3), v)
+           else None)
+  in
+  Lp.set_objective lp obj;
+  lp
+
+(* The breakpoints tied at ratio 0 in the first dual ratio test after
+   branching basic slot [slot] of the snapshotted basis away from its
+   value ([above]: fixed below it). Only that slot turns infeasible, so
+   the test prices row [slot] of B^-1 (rho) against the reduced costs
+   c - y A; rho and y come from dense solves with B^T. *)
+let zero_ratio_ties (s : Sx.snapshot) ~slot ~above =
+  let m = s.Sx.s_m in
+  let col j =
+    let a = Array.make m 0. in
+    Ilp.Sparse.Csc.iter_col s.Sx.s_mat j (fun i v -> a.(i) <- v);
+    a
+  in
+  (* row k of B^T is basic column k of A *)
+  let bt = Array.map col s.Sx.s_basis in
+  let solve_bt rhs =
+    let a = Array.map Array.copy bt and b = Array.copy rhs in
+    for k = 0 to m - 1 do
+      let p = ref k in
+      for i = k + 1 to m - 1 do
+        if Float.abs a.(i).(k) > Float.abs a.(!p).(k) then p := i
+      done;
+      let ra = a.(k) and rb = b.(k) in
+      a.(k) <- a.(!p);
+      b.(k) <- b.(!p);
+      a.(!p) <- ra;
+      b.(!p) <- rb;
+      for i = k + 1 to m - 1 do
+        let f = a.(i).(k) /. a.(k).(k) in
+        for c = k to m - 1 do
+          a.(i).(c) <- a.(i).(c) -. (f *. a.(k).(c))
+        done;
+        b.(i) <- b.(i) -. (f *. b.(k))
+      done
+    done;
+    let x = Array.make m 0. in
+    for k = m - 1 downto 0 do
+      let acc = ref b.(k) in
+      for c = k + 1 to m - 1 do
+        acc := !acc -. (a.(k).(c) *. x.(c))
+      done;
+      x.(k) <- !acc /. a.(k).(k)
+    done;
+    x
+  in
+  let rho = solve_bt (Array.init m (fun i -> if i = slot then 1. else 0.)) in
+  let y = solve_bt (Array.map (fun k -> s.Sx.s_cost.(k)) s.Sx.s_basis) in
+  let dot u v = Array.fold_left ( +. ) 0. (Array.map2 ( *. ) u v) in
+  let ties = ref 0 in
+  Array.iteri
+    (fun j stat ->
+      if stat <> Sx.Basic && s.Sx.s_lb.(j) < s.Sx.s_ub.(j) then begin
+        let a = col j in
+        let alpha = dot rho a and d = s.Sx.s_cost.(j) -. dot y a in
+        (* eligibility as in the engine's dual ratio test *)
+        let toward = if above then alpha else -.alpha in
+        let eligible =
+          match stat with
+          | Sx.At_lower -> toward > 1e-9
+          | Sx.At_upper -> toward < -1e-9
+          | Sx.Free_zero -> Float.abs alpha > 1e-9
+          | Sx.Basic -> false
+        in
+        if eligible && Float.abs (d /. alpha) <= 1e-9 then incr ties
+      end)
+    s.Sx.s_stat;
+  !ties
+
+let test_degenerate_generator_ties () =
+  (* [make_degen_lp] is only a degenerate stress test if branching meets
+     ties at ratio 0: at each root optimum, branch the first basic
+     structural column and count the draws whose first dual ratio test
+     has two or more zero-ratio breakpoints. *)
+  let n = 24 and tied = ref 0 in
+  for seed = 0 to 39 do
+    let st = Sx.create (make_degen_lp seed ~n ~m:12) in
+    let r0 = Sx.primal st in
+    let s = Sx.snapshot st in
+    let slot = ref (-1) in
+    Array.iteri
+      (fun i k -> if !slot < 0 && k < n then slot := i)
+      s.Sx.s_basis;
+    if r0.Sx.status = Sx.Optimal && !slot >= 0 then begin
+      let above = r0.Sx.x.(s.Sx.s_basis.(!slot)) > 0.5 in
+      if zero_ratio_ties s ~slot:!slot ~above >= 2 then incr tied
+    end
+  done;
+  (* 17 of the 40 at the time of writing *)
+  if !tied < 10 then
+    Alcotest.failf "only %d of 40 branchings tie at ratio 0" !tied
+
+(* Branching-like warm starts on [make_degen_lp]: fix a few columns to
+   0 or 1 (keeping earlier fixes), dual-reoptimize, and compare with a
+   fresh primal solve of the same box. The dual loop must never hit its
+   iteration cap. *)
+let prop_degenerate_warm_start_agrees =
+  QCheck.Test.make
+    ~name:"degenerate 0-1 dual_reopt agrees with fresh primal, no stall"
+    ~count:100
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let n = 24 in
+      let lp = make_degen_lp seed ~n ~m:12 in
+      let st = Sx.create lp in
+      let r0 = Sx.primal st in
+      if r0.Sx.status <> Sx.Optimal then false
+      else begin
+        let rng = Taskgraph.Prng.create (seed + 13) in
+        let ok = ref true in
+        let last = ref r0 in
+        for _round = 1 to 6 do
+          (* branch a column away from its current value *)
+          for _ = 1 to 2 do
+            let j = Taskgraph.Prng.int rng n in
+            let fix =
+              if !last.Sx.status = Sx.Optimal then
+                if !last.Sx.x.(j) > 0.5 then 0. else 1.
+              else Float.of_int (Taskgraph.Prng.int rng 2)
+            in
+            Sx.set_var_bounds st j ~lb:fix ~ub:fix
+          done;
+          let warm = Sx.dual_reopt st in
+          last := warm;
+          let lp2 = Lp.copy lp in
+          for j = 0 to n - 1 do
+            let lb, ub = Sx.get_var_bounds st j in
+            Lp.set_bounds lp2 (Lp.var_of_int lp2 j) ~lb ~ub
+          done;
+          let fresh = Sx.solve lp2 in
+          (match (warm.Sx.status, fresh.Sx.status) with
+           | Sx.Optimal, Sx.Optimal ->
+             if Float.abs (warm.Sx.obj -. fresh.Sx.obj) > 1e-6 then ok := false
+           | Sx.Infeasible, Sx.Infeasible -> ()
+           | _, _ -> ok := false)
+        done;
+        !ok && (Sx.stats st).Sx.dual_stalls = 0
+      end)
+
 (* Mixed-sense random LPs: equalities and >= rows anchored at a known
    feasible point, plus occasional negative lower bounds. *)
 let make_rand_mixed seed ~n ~m =
@@ -623,6 +800,32 @@ let test_stale_basis_reopt () =
   if warm.Sx.status = Sx.Optimal then
     Alcotest.(check (float 1e-7)) "same objective" cold.Sx.obj warm.Sx.obj
 
+let test_dual_stall_counted () =
+  (* With no iteration budget the dual loop stalls at once and falls
+     back to a primal restart: the fallback is counted in the engine
+     stats and mirrored to the metrics shard. *)
+  let lp = Lp.create () in
+  let x = Lp.add_var lp ~ub:4. Lp.Continuous in
+  let y = Lp.add_var lp ~ub:4. Lp.Continuous in
+  ignore (Lp.add_constr lp [ (1., x); (1., y) ] Lp.Le 5.);
+  Lp.set_objective lp ~maximize:true [ (2., x); (1., y) ];
+  let st = Sx.create lp in
+  let m = Ilp.Metrics.create () in
+  Sx.set_metrics st (Ilp.Metrics.main m);
+  ignore (Sx.primal st);
+  Alcotest.(check int) "no stall yet" 0 (Sx.stats st).Sx.dual_stalls;
+  Sx.set_var_bounds st (x :> int) ~lb:0. ~ub:1.;
+  ignore (Sx.dual_reopt ~max_iters:0 st);
+  Alcotest.(check int) "stall counted" 1 (Sx.stats st).Sx.dual_stalls;
+  Alcotest.(check int) "no singular restart" 0 (Sx.stats st).Sx.primal_restarts;
+  Alcotest.(check int) "stall mirrored" 1
+    (Ilp.Metrics.counter_value (Ilp.Metrics.snapshot m)
+       Ilp.Metrics.C_lp_dual_stalls);
+  let r = Sx.dual_reopt st in
+  Alcotest.(check bool) "then optimal" true (r.Sx.status = Sx.Optimal);
+  check_float "obj" 6. (user_obj lp r);
+  Alcotest.(check int) "still one stall" 1 (Sx.stats st).Sx.dual_stalls
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "simplex"
@@ -651,15 +854,20 @@ let () =
             test_entering_column_flip;
           Alcotest.test_case "BFRT exhaustion certifies infeasibility" `Quick
             test_bfrt_exhaustion_is_infeasible;
+          Alcotest.test_case "degenerate generator ties at ratio 0" `Quick
+            test_degenerate_generator_ties;
         ] );
       ( "basis-shipping",
         [
           Alcotest.test_case "mismatched basis falls back" `Quick
             test_basis_mismatch_falls_back;
           Alcotest.test_case "stale basis reopt" `Quick test_stale_basis_reopt;
+          Alcotest.test_case "dual stall counted" `Quick
+            test_dual_stall_counted;
         ] );
       ( "properties",
         [ qt prop_feasible_and_dominates; qt prop_warm_start_agrees;
+          qt prop_degenerate_warm_start_agrees;
           qt prop_mixed_senses; qt prop_dense_sparse_agree;
           qt prop_dense_sparse_warm_agree; qt prop_pricing_rules_agree;
           qt prop_devex_01_warm_parity; qt prop_lp_bound_below_milp;

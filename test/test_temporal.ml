@@ -142,6 +142,22 @@ let test_latency_relaxation_monotone () =
   | `No, _ -> Alcotest.fail "L=2 expected feasible"
   | `Unknown, _ | _, `Unknown -> () (* inconclusive under load *)
 
+let test_paper1_warm_dual_no_stall () =
+  (* Graph 1 at N=2, L=4 (2+2+1, C=70, Ms=30) branches into a fully
+     dual-degenerate warm node LP: every dual ratio is 0. Flipping the
+     breakpoints tied at the final ratio used to swing the primal
+     infeasibility by orders of magnitude, so the dual loop ran into its
+     1000 + 30 m cap (31,554 pivots) and restarted cold. *)
+  let spec = mk ~ams:(2, 2, 1) ~cap:70 ~ms:30 ~l:4 ~n:2 (Ex.paper_graph 1) in
+  let r = Solver.solve (F.build spec) in
+  (match r.Solver.outcome with
+   | Solver.Feasible sol -> Alcotest.(check int) "cost 0" 0 sol.Sol.comm_cost
+   | o -> Alcotest.failf "unexpected %a" Solver.pp_outcome o);
+  let lp = r.Solver.stats.Ilp.Branch_bound.lp_stats in
+  Alcotest.(check int) "dual stalls" 0 lp.Ilp.Simplex.dual_stalls;
+  if lp.Ilp.Simplex.pivots > 2000 then
+    Alcotest.failf "%d pivots, expected <= 2000" lp.Ilp.Simplex.pivots
+
 (* ---------------- Options equivalence ---------------- *)
 
 let optimal_cost_with options spec =
@@ -603,6 +619,8 @@ let () =
             test_diamond_memory_forces_merge;
           Alcotest.test_case "latency monotone" `Slow
             test_latency_relaxation_monotone;
+          Alcotest.test_case "paper1 warm dual no stall" `Quick
+            test_paper1_warm_dual_no_stall;
         ] );
       ( "equivalences",
         [

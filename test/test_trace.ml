@@ -246,14 +246,18 @@ let test_chrome_roundtrip () =
    only compare pretty-printed events) and make sure the checker is
    happy with a factorization-only stream. *)
 let test_lu_factor_roundtrip () =
-  let t = Trace.create () in
-  let w = Trace.main t in
-  (* keep dt below the emit timestamp: the chrome codec stores the
-     event start as [ts - dt] clamped at zero, so an oversized dt would
-     push the reconstructed timestamps out of order *)
-  Trace.emit w (Trace.Lu_factor { m = 37; fill = 245; probes = 112; dt = 3.25e-7 });
-  Trace.emit w (Trace.Lu_factor { m = 1; fill = 1; probes = 0; dt = 0. });
-  let records = Trace.collect t in
+  (* Explicit timestamps, well above dt: the chrome codec stores the
+     event start as [ts - dt] clamped at zero, so a record stamped
+     within dt of the tracer's creation would come back with its start
+     moved and the stream out of order. *)
+  let record seq ts ev = { Trace.dom = 0; dname = "main"; seq; ts; ev } in
+  let records =
+    [|
+      record 0 1e-3
+        (Trace.Lu_factor { m = 37; fill = 245; probes = 112; dt = 3.25e-7 });
+      record 1 2e-3 (Trace.Lu_factor { m = 1; fill = 1; probes = 0; dt = 0. });
+    |]
+  in
   List.iter
     (fun (name, sink) ->
       with_temp_file (fun path ->
