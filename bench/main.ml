@@ -332,57 +332,7 @@ let ablation () =
     points
 
 (* ------------------------------------------------------------------ *)
-(* Dense vs sparse simplex backend                                      *)
-(* ------------------------------------------------------------------ *)
-
-let sparse () =
-  section
-    "LP backend: dense basis inverse vs sparse LU + eta file\n\
-     (production model: tightened Glover + step cuts, paper branching,\n\
-     scheduler completion; both backends explore the same B&B tree\n\
-     under an identical node budget, so the wall-clock ratio isolates\n\
-     the LP engine)";
-  let node_budget = 120 in
-  let points =
-    [
-      (* the larger Table-4 design points, graph 6 = 10 tasks / 72 ops *)
-      (2, 4, (3, 2, 2), 1);
-      (3, 3, (2, 2, 2), 1);
-      (4, 2, (2, 2, 2), 1);
-      (5, 2, (2, 2, 2), 1);
-      (6, 3, (2, 2, 2), 0);
-      (6, 2, (2, 2, 2), 1);
-    ]
-  in
-  Format.printf
-    " %-6s %-3s %-3s | %-9s %-5s %-8s | %-9s %-5s %-8s | %-7s | per-node LP work (sparse)@."
-    "graph" "N" "L" "dense(s)" "nodes" "pivots" "sparse(s)" "nodes" "pivots"
-    "speedup";
-  List.iter
-    (fun (gno, n, ams, l) ->
-      let g = Ex.paper_graph gno in
-      let run backend =
-        let vars = F.build ~options:F.default_options (spec_of g ~ams ~n ~l) in
-        let t0 = Unix.gettimeofday () in
-        let report =
-          Solver.solve ~time_limit:!time_limit ~max_nodes:node_budget
-            ~lp_backend:backend vars
-        in
-        (Unix.gettimeofday () -. t0, report.Solver.stats)
-      in
-      let td, sd = run Ilp.Simplex.Dense in
-      let ts, ss = run Ilp.Simplex.Sparse_lu in
-      let lps = ss.Ilp.Branch_bound.lp_stats in
-      Format.printf
-        " %-6d %-3d %-3d | %-9.2f %-5d %-8d | %-9.2f %-5d %-8d | %-7.2f | %a@."
-        gno n l td sd.Ilp.Branch_bound.nodes sd.Ilp.Branch_bound.pivots ts
-        ss.Ilp.Branch_bound.nodes ss.Ilp.Branch_bound.pivots (td /. ts)
-        Ilp.Simplex.pp_stats lps)
-    points
-
-
-(* ------------------------------------------------------------------ *)
-(* LP engine: devex + bound-flipping ratio test vs partial pricing      *)
+(* LP engine: cold root relaxations and full solves                     *)
 (* ------------------------------------------------------------------ *)
 
 type lp_row = {
@@ -391,17 +341,11 @@ type lp_row = {
   lp_l : int;
   lp_vars : int;
   lp_constrs : int;
-  lp_partial_s : float;
-  lp_partial_pivots : int;
   lp_devex_s : float;
   lp_devex_pivots : int;
   lp_devex_flips : int;
-  lp_root_speedup : float;
   lp_bucket_factor_s : float;
   lp_bucket_factors : int;
-  lp_legacy_factor_s : float;
-  lp_legacy_factors : int;
-  lp_factor_speedup : float;
   lp_solve_s : float;
   lp_solved : bool;
   lp_result : string;
@@ -411,11 +355,10 @@ let lp_rows : lp_row list ref = ref []
 
 let lp_bench ~quick () =
   section
-    "LP engine: devex pricing + bound-flipping dual ratio test vs the\n\
-     partial-pricing baseline (root relaxation of the tightened model at\n\
-     the Table 4 design points, sparse LU backend for both; the full-solve\n\
-     column runs the production search under the devex default --\n\
-     docs/PERFORMANCE.md explains the knobs)";
+    "LP engine: cold root relaxation of the tightened model at the Table 4\n\
+     design points (devex pricing, bound-flipping dual ratio test, bucket\n\
+     LU) with its factorization time, and the production search on the\n\
+     same cell -- docs/PERFORMANCE.md explains the engine";
   let reps = if quick then 1 else 3 in
   let budget = if quick then Float.min 30. !time_limit else !time_limit in
   let max_iters = 200_000 in
@@ -430,10 +373,9 @@ let lp_bench ~quick () =
     ]
   in
   Format.printf
-    " %-6s %-3s %-3s | %-5s %-6s | %-10s %-7s | %-10s %-7s %-6s | %-7s | %-13s | full solve (devex)@."
-    "graph" "N" "L" "Var" "Const" "partial(s)" "pivots" "devex(s)" "pivots"
-    "flips" "speedup" "LU bkt/leg";
-  let ratios = ref [] in
+    " %-6s %-3s %-3s | %-5s %-6s | %-10s %-7s %-6s | %-10s %-6s | full solve@."
+    "graph" "N" "L" "Var" "Const" "root(s)" "pivots" "flips" "factor(s)"
+    "count";
   List.iter
     (fun (gno, n, ams, l) ->
       let g = Ex.paper_graph gno in
@@ -445,55 +387,29 @@ let lp_bench ~quick () =
         Array.sort compare a;
         a.(Array.length a / 2)
       in
-      (* cold root solves, medians over [reps]; pivots and flips are
-         deterministic per pricing rule so the last rep's counters are
-         the counters *)
-      let root pricing =
-        let pivots = ref 0 and flips = ref 0 in
-        let times =
-          List.init reps (fun _ ->
-              let st = Ilp.Simplex.create ~pricing lp in
-              let t0 = Unix.gettimeofday () in
-              let r = Ilp.Simplex.primal ~max_iters st in
-              let dt = Unix.gettimeofday () -. t0 in
-              (match r.Ilp.Simplex.status with
-               | Ilp.Simplex.Optimal | Ilp.Simplex.Infeasible -> ()
-               | _ -> Format.printf "  (graph %d root hit the pivot budget)@." gno);
-              pivots := r.Ilp.Simplex.iterations;
-              flips := Ilp.Simplex.bound_flips st;
-              dt)
-        in
-        (median times, !pivots, !flips)
+      (* cold root solves, medians over [reps]; pivots, flips and
+         factorization counts are deterministic, so the last rep's
+         counters are the counters *)
+      let pivots = ref 0 and flips = ref 0 and factors = ref 0 in
+      let runs =
+        List.init reps (fun _ ->
+            let st = Ilp.Simplex.create lp in
+            let t0 = Unix.gettimeofday () in
+            let r = Ilp.Simplex.primal ~max_iters st in
+            let dt = Unix.gettimeofday () -. t0 in
+            (match r.Ilp.Simplex.status with
+             | Ilp.Simplex.Optimal | Ilp.Simplex.Infeasible -> ()
+             | _ -> Format.printf "  (graph %d root hit the pivot budget)@." gno);
+            let s = Ilp.Simplex.stats st in
+            pivots := r.Ilp.Simplex.iterations;
+            flips := Ilp.Simplex.bound_flips st;
+            factors := s.Ilp.Simplex.factorizations;
+            (dt, s.Ilp.Simplex.factor_time_s))
       in
-      let tp, pp_pivots, _ = root Ilp.Simplex.Partial in
-      let td, dv_pivots, dv_flips = root Ilp.Simplex.Devex in
-      let speedup = tp /. td in
-      ratios := speedup :: !ratios;
-      (* the factorization kernel under each LU pivot search: same devex
-         root solves, accumulated Lu.factor wall time and count from the
-         engine's own statistics; per-factorization averages are compared
-         (counts differ — the bucket rule refactorizes on a shorter eta
-         cadence, see docs/PERFORMANCE.md) *)
-      let root_factor rule =
-        let runs =
-          List.init reps (fun _ ->
-              let st =
-                Ilp.Simplex.create ~pricing:Ilp.Simplex.Devex ~lu_rule:rule lp
-              in
-              ignore (Ilp.Simplex.primal ~max_iters st);
-              let s = Ilp.Simplex.stats st in
-              (s.Ilp.Simplex.factor_time_s, s.Ilp.Simplex.factorizations))
-        in
-        (median (List.map fst runs), snd (List.hd runs))
-      in
-      let bk_s, bk_n = root_factor Ilp.Lu.Bucket in
-      let lg_s, lg_n = root_factor Ilp.Lu.Legacy in
-      let factor_speedup =
-        (lg_s /. float_of_int (Int.max 1 lg_n))
-        /. (bk_s /. float_of_int (Int.max 1 bk_n))
-      in
-      (* the production search under the devex default: does the Table 4
-         cell close inside the budget? *)
+      let td = median (List.map fst runs) in
+      let factor_s = median (List.map snd runs) in
+      (* the production search: does the Table 4 cell close inside the
+         budget? *)
       let vars2 = F.build ~options:F.tightened_options spec in
       let t0 = Unix.gettimeofday () in
       let report = Solver.solve ~time_limit:budget vars2 in
@@ -510,56 +426,34 @@ let lp_bench ~quick () =
           lp_graph = gno; lp_n = n; lp_l = l;
           lp_vars = Temporal.Vars.num_vars vars;
           lp_constrs = Temporal.Vars.num_constrs vars;
-          lp_partial_s = tp; lp_partial_pivots = pp_pivots;
-          lp_devex_s = td; lp_devex_pivots = dv_pivots;
-          lp_devex_flips = dv_flips; lp_root_speedup = speedup;
-          lp_bucket_factor_s = bk_s; lp_bucket_factors = bk_n;
-          lp_legacy_factor_s = lg_s; lp_legacy_factors = lg_n;
-          lp_factor_speedup = factor_speedup;
+          lp_devex_s = td; lp_devex_pivots = !pivots;
+          lp_devex_flips = !flips;
+          lp_bucket_factor_s = factor_s; lp_bucket_factors = !factors;
           lp_solve_s = solve_s; lp_solved = solved; lp_result = result;
         }
         :: !lp_rows;
       Format.printf
-        " %-6d %-3d %-3d | %-5d %-6d | %-10.4f %-7d | %-10.4f %-7d %-6d | %-7.2f | factor x%-5.1f | %.2fs %s@."
+        " %-6d %-3d %-3d | %-5d %-6d | %-10.4f %-7d %-6d | %-10.4f %-6d | %.2fs %s@."
         gno n l
         (Temporal.Vars.num_vars vars)
         (Temporal.Vars.num_constrs vars)
-        tp pp_pivots td dv_pivots dv_flips speedup factor_speedup solve_s
-        result)
-    points;
-  let geomean =
-    exp
-      (List.fold_left (fun acc r -> acc +. log r) 0. !ratios
-      /. float_of_int (List.length !ratios))
-  in
-  Format.printf "@.root-LP geometric-mean speedup (partial -> devex): %.2fx@."
-    geomean
+        td !pivots !flips factor_s !factors solve_s result)
+    points
 
 let write_lp_json path =
   let oc = open_out path in
   let row r =
     Printf.sprintf
       "    { \"graph\": %d, \"n\": %d, \"l\": %d, \"vars\": %d, \
-       \"constrs\": %d, \"partial_root_s\": %.6f, \
-       \"partial_pivots\": %d, \"devex_root_s\": %.6f, \
+       \"constrs\": %d, \"devex_root_s\": %.6f, \
        \"devex_pivots\": %d, \"devex_flips\": %d, \
-       \"root_speedup\": %.3f, \"bucket_factor_time_s\": %.6f, \
-       \"bucket_factorizations\": %d, \"legacy_factor_time_s\": %.6f, \
-       \"legacy_factorizations\": %d, \"factor_speedup\": %.3f, \
-       \"solve_s\": %.3f, \"solved\": %b, \
-       \"result\": %S }"
-      r.lp_graph r.lp_n r.lp_l r.lp_vars r.lp_constrs r.lp_partial_s
-      r.lp_partial_pivots r.lp_devex_s r.lp_devex_pivots r.lp_devex_flips
-      r.lp_root_speedup r.lp_bucket_factor_s r.lp_bucket_factors
-      r.lp_legacy_factor_s r.lp_legacy_factors r.lp_factor_speedup
-      r.lp_solve_s r.lp_solved r.lp_result
+       \"bucket_factor_time_s\": %.6f, \"bucket_factorizations\": %d, \
+       \"solve_s\": %.3f, \"solved\": %b, \"result\": %S }"
+      r.lp_graph r.lp_n r.lp_l r.lp_vars r.lp_constrs r.lp_devex_s
+      r.lp_devex_pivots r.lp_devex_flips r.lp_bucket_factor_s
+      r.lp_bucket_factors r.lp_solve_s r.lp_solved r.lp_result
   in
   let rows = List.rev !lp_rows in
-  let geomean =
-    exp
-      (List.fold_left (fun acc r -> acc +. log r.lp_root_speedup) 0. rows
-      /. float_of_int (List.length rows))
-  in
   Printf.fprintf oc
     "{\n\
     \  \"host\": {\n\
@@ -569,10 +463,9 @@ let write_lp_json path =
     \    \"os_type\": %S,\n\
     \    \"backend\": \"sparse_lu\"\n\
     \  },\n\
-    \  \"root_geomean_speedup\": %.3f,\n\
     \  \"lp\": [\n%s\n  ]\n}\n"
     (Domain.recommended_domain_count ())
-    Sys.ocaml_version Sys.word_size Sys.os_type geomean
+    Sys.ocaml_version Sys.word_size Sys.os_type
     (String.concat ",\n" (List.map row rows));
   close_out oc;
   Format.printf "@.json report written to %s@." path
@@ -1422,7 +1315,6 @@ let () =
   if want "table2" then table12 ~tighten:true ();
   if want "table4" then table4 ();
   if want "ablation" then ablation ();
-  if want "sparse" then sparse ();
   if want "lp" then lp_bench ~quick ();
   if want "parallel" then parallel ~quick ();
   if want "nodes" then nodes_bench ~quick ();

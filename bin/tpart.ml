@@ -339,38 +339,6 @@ let certify_arg =
            certified, 1 refuted, 2 uncertifiable — overriding the usual \
            outcome codes. See docs/VERIFICATION.md.")
 
-let pricing_arg =
-  let pricing_conv =
-    Arg.enum
-      [ ("devex", Ilp.Simplex.Devex); ("partial", Ilp.Simplex.Partial) ]
-  in
-  Arg.(
-    value
-    & opt pricing_conv Ilp.Simplex.Devex
-    & info [ "pricing" ] ~docv:"RULE"
-        ~doc:
-          "Simplex pricing rule for the LP relaxations: $(b,devex) \
-           (default) prices with devex reference weights over \
-           incrementally maintained reduced costs and batches bound \
-           flips in the dual ratio test; $(b,partial) is the \
-           partial-pricing Dantzig baseline. See docs/PERFORMANCE.md.")
-
-let lu_arg =
-  let lu_conv =
-    Arg.enum [ ("bucket", Ilp.Lu.Bucket); ("legacy", Ilp.Lu.Legacy) ]
-  in
-  Arg.(
-    value
-    & opt (some lu_conv) None
-    & info [ "lu" ] ~docv:"RULE"
-        ~doc:
-          "LU pivot search of the sparse basis factorizations: \
-           $(b,bucket) searches Suhl-Suhl count buckets (the fast \
-           path), $(b,legacy) rescans the active submatrix per step \
-           (the historical order). Default: follow the pricing rule — \
-           $(b,bucket) under $(b,devex), $(b,legacy) under \
-           $(b,partial). See docs/PERFORMANCE.md (Factorization).")
-
 let trace_out =
   Arg.(
     value
@@ -593,7 +561,7 @@ let solve_cmd =
   let run g a m s capacity alpha scratch latency partitions time_limit strategy
       no_tighten no_step_cuts fortet dot lp_out report_wanted lint
       stats_wanted jobs deterministic rc_fixing propagate cuts heuristics
-      heur_cadence heur_dive_depth certify lp_pricing lp_lu json trace
+      heur_cadence heur_dive_depth certify json trace
       metrics_out prometheus_out metrics_interval progress =
     let allocation = Hls.Component.ams (a, m, s) in
     let options =
@@ -656,7 +624,7 @@ let solve_cmd =
       Temporal.Pipeline.run ~options ~strategy ~time_limit
         ?num_partitions:partitions ~lint ~jobs ~deterministic ~rc_fixing
         ~propagate ~cuts ~heuristics ~heur_cadence ~heur_dive_depth ~certify
-        ~lp_pricing ?lp_lu ~tracer ~metrics ~graph:g
+        ~tracer ~metrics ~graph:g
         ~allocation ?capacity ~alpha ~scratch ~latency_relax:latency ()
     in
     (* Stop sampling before any post-processing: the final snapshot is
@@ -807,9 +775,8 @@ let solve_cmd =
       $ no_step_cuts $ fortet $ dot_out $ lp_out $ report_flag $ lint_flag
       $ stats_flag $ jobs_arg $ deterministic_flag $ rc_fix_flag
       $ propagate_flag $ cuts_flag $ heuristics_flag $ heur_cadence_arg
-      $ heur_dive_depth_arg $ certify_arg
-      $ pricing_arg $ lu_arg $ solve_json_flag $ trace_out $ metrics_out
-      $ prometheus_out $ metrics_interval $ progress_flag)
+      $ heur_dive_depth_arg $ certify_arg $ solve_json_flag $ trace_out
+      $ metrics_out $ prometheus_out $ metrics_interval $ progress_flag)
 
 (* ---------------- analyze command ---------------- *)
 
@@ -1238,12 +1205,11 @@ let explore_cmd =
   let n_max =
     Arg.(value & opt int 3 & info [ "n-max" ] ~docv:"N" ~doc:"Largest partition bound to sweep.")
   in
-  let run g a m s capacity alpha scratch time_limit l_max n_max jobs
-      lp_pricing lp_lu =
+  let run g a m s capacity alpha scratch time_limit l_max n_max jobs =
     let allocation = Hls.Component.ams (a, m, s) in
     let points =
-      Temporal.Explore.sweep ~time_limit_per_point:time_limit ~jobs
-        ~lp_pricing ?lp_lu ~graph:g ~allocation ?capacity ~alpha ~scratch
+      Temporal.Explore.sweep ~time_limit_per_point:time_limit ~jobs ~graph:g
+        ~allocation ?capacity ~alpha ~scratch
         ~latency_range:(0, l_max) ~partition_range:(1, n_max) ()
     in
     Format.printf "%a" Temporal.Explore.pp_table points;
@@ -1257,7 +1223,7 @@ let explore_cmd =
        ~doc:"Sweep (L, N) design points and print the trade-off frontier.")
     Term.(
       const run $ graph_arg $ adders $ muls $ subs $ capacity $ alpha $ scratch
-      $ time_limit $ l_max $ n_max $ jobs_arg $ pricing_arg $ lu_arg)
+      $ time_limit $ l_max $ n_max $ jobs_arg)
 
 let () =
   let doc = "optimal temporal partitioning and synthesis for reconfigurable architectures" in

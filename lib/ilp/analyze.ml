@@ -309,11 +309,11 @@ let analyze ?(cond_limit = 1e8) lp =
    static sweep: it solves the LP relaxation once and re-checks the
    verdict in exact rational arithmetic ({!Certify}), optionally
    shrinking an infeasibility to an irreducible subsystem ({!Iis}). *)
-let certificate_diagnostics ?tol ?backend ?(iis = false) lp =
+let certificate_diagnostics ?tol ?(iis = false) lp =
   let diag ?row severity code message =
     { severity; code; message; row; var = None }
   in
-  let _res, cert = Certify.check_lp ?tol ?backend lp in
+  let _res, cert = Certify.check_lp ?tol lp in
   match (cert.Certify.verdict, cert.Certify.detail) with
   | Certify.Certified, Certify.Farkas_proof { witness_row; support; _ } ->
     let head =
@@ -323,7 +323,7 @@ let certificate_diagnostics ?tol ?backend ?(iis = false) lp =
     in
     if not iis then [ head ]
     else begin
-      match Iis.extract ?tol ?backend lp with
+      match Iis.extract ?tol lp with
       | Iis.Iis r ->
         head
         :: List.map

@@ -84,7 +84,7 @@ val analyze : ?cond_limit:float -> Lp.t -> report
     bound arithmetic, an all-zero objective. *)
 
 val certificate_diagnostics :
-  ?tol:float -> ?backend:Simplex.backend -> ?iis:bool -> Lp.t -> diagnostic list
+  ?tol:float -> ?iis:bool -> Lp.t -> diagnostic list
 (** The certificate diagnostic family — the one check that solves
     rather than sweeps. The LP relaxation is solved once and its
     verdict re-checked in exact rational arithmetic ({!Certify}):

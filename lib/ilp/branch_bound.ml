@@ -29,9 +29,6 @@ type options = {
   node_hook :
     (lp_solution:float array -> is_fixed:(int -> bool) -> hook_result) option;
   check_model : bool;
-  lp_backend : Simplex.backend;
-  lp_pricing : Simplex.pricing;
-  lp_lu : Lu.pivot_rule option;
   jobs : int;
   deterministic : bool;
   rc_fixing : bool;
@@ -62,9 +59,6 @@ let default_options =
     warm_start = true;
     node_hook = None;
     check_model = false;
-    lp_backend = Simplex.Sparse_lu;
-    lp_pricing = Simplex.Partial;
-    lp_lu = None;
     jobs = 1;
     deterministic = false;
     rc_fixing = false;
@@ -874,9 +868,7 @@ let run_heuristics ctx ~node_no ~depth ~lb ~ub x =
     | Some h -> h
     | None ->
       let h =
-        Heuristics.create ~backend:env.opts.lp_backend
-          ~pricing:env.opts.lp_pricing ?lu_rule:env.opts.lp_lu ~trace:ctx.tw
-          ~metrics:ctx.msh env.lp
+        Heuristics.create ~trace:ctx.tw ~metrics:ctx.msh env.lp
       in
       ctx.heur <- Some h;
       h
@@ -1268,7 +1260,7 @@ let cut_and_branch opts lp t0 tw msh =
     !continue_ && !rounds < opts.cut_rounds
     && Mono.elapsed_since t0 <= cut_budget
   do
-    let res = Simplex.solve ~backend:opts.lp_backend ~pricing:opts.lp_pricing ?lu_rule:opts.lp_lu (with_cuts !active) in
+    let res = Simplex.solve (with_cuts !active) in
     if res.Simplex.status <> Simplex.Optimal then continue_ := false
     else if
       List.for_all
@@ -1399,7 +1391,7 @@ let root_node =
 
 let solve_sequential env =
   let opts = env.opts in
-  let st = Simplex.create ~backend:opts.lp_backend ~pricing:opts.lp_pricing ?lu_rule:opts.lp_lu env.lp in
+  let st = Simplex.create env.lp in
   let tw = Trace.main opts.tracer in
   Simplex.set_trace st tw;
   let msh = Metrics.main opts.metrics in
@@ -1529,7 +1521,7 @@ type wret = {
 let solve_parallel env =
   let opts = env.opts in
   let jobs = opts.jobs in
-  let st0 = Simplex.create ~backend:opts.lp_backend ~pricing:opts.lp_pricing ?lu_rule:opts.lp_lu env.lp in
+  let st0 = Simplex.create env.lp in
   let tw0 = Trace.main opts.tracer in
   Simplex.set_trace st0 tw0;
   let msh0 = Metrics.main opts.metrics in
@@ -1662,7 +1654,7 @@ let solve_parallel env =
     let my_seeds = deal wi in
     let local : node Pool.Deque.t = locals.(wi) in
     List.iter (Pool.Deque.push local) (List.rev my_seeds);
-    let st = Simplex.create ~backend:opts.lp_backend ~pricing:opts.lp_pricing ?lu_rule:opts.lp_lu env.lp in
+    let st = Simplex.create env.lp in
     (* Registered from inside the spawned domain: this domain is the
        buffer's single writer for the whole search. *)
     let tw =

@@ -78,24 +78,6 @@ type options = {
       (** Run {!Analyze.assert_clean} on the model before searching
           (default off): {!solve} then raises [Invalid_argument] instead
           of silently branching on a structurally broken model. *)
-  lp_backend : Simplex.backend;
-      (** Basis representation used by the node LP solver (default
-          {!Simplex.Sparse_lu}). *)
-  lp_pricing : Simplex.pricing;
-      (** Pricing rule of the node LP solver. The default is
-          {!Simplex.Partial}: {!default_options} preserves the
-          historical search node for node (same pivots, same
-          relaxation vertices, same branching), which regression tests
-          pin. {!Simplex.Devex} is markedly faster on the paper models
-          and is what the {!Temporal} layer and the CLI select by
-          default — see docs/PERFORMANCE.md. *)
-  lp_lu : Lu.pivot_rule option;
-      (** LU pivot search of the node LP solver's sparse factorization.
-          [None] (the default) follows the pricing mode exactly as
-          {!Simplex.create} does: [Partial] engines keep {!Lu.Legacy}
-          (the frozen node-count fixtures pin the legacy pivot order),
-          [Devex] engines use {!Lu.Bucket}. Set explicitly to compare
-          the two factorization paths on identical searches. *)
   jobs : int;
       (** Worker domains for the tree search (default [1]). [jobs = 1]
           is the exact historical sequential search — same node counts,

@@ -444,8 +444,8 @@ let check ?(tol = 1e-6) (s : Simplex.snapshot) (r : Simplex.result) =
       uncertifiable
         (No_certificate "iteration-limit results carry no optimality claim")
 
-let check_lp ?tol ?backend lp =
-  let st = Simplex.create ?backend lp in
+let check_lp ?tol lp =
+  let st = Simplex.create lp in
   let r = Simplex.primal st in
   let snap = Simplex.snapshot st in
   (r, check ?tol snap r)

@@ -77,7 +77,7 @@ val check : ?tol:float -> Simplex.snapshot -> Simplex.result -> t
     {!Uncertifiable} from {!Refuted} on material violations; the exact
     values in the {!detail} are unaffected by it. *)
 
-val check_lp : ?tol:float -> ?backend:Simplex.backend -> Lp.t -> Simplex.result * t
+val check_lp : ?tol:float -> Lp.t -> Simplex.result * t
 (** One-shot: solve the LP relaxation fresh and certify the outcome.
     Used for stand-alone Farkas certificates of infeasible models. *)
 

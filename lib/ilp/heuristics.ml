@@ -10,9 +10,6 @@ type t = {
   obj : float array;  (* minimization-oriented *)
   root_lb : float array;
   root_ub : float array;
-  backend : Simplex.backend;
-  pricing : Simplex.pricing;
-  lu_rule : Lu.pivot_rule option;  (* None: follow the pricing default *)
   trace : Trace.writer;
   (* Heuristic activity is counted through the dedicated C_heur_*
      counters only; the private engine below gets no metrics shard, so
@@ -23,8 +20,7 @@ type t = {
   mutable eng_fresh : bool;  (* no usable basis on the engine yet *)
 }
 
-let create ?(backend = Simplex.Sparse_lu) ?(pricing = Simplex.Devex) ?lu_rule
-    ?(trace = Trace.null_writer) ?(metrics = Metrics.null_shard) lp =
+let create ?(trace = Trace.null_writer) ?(metrics = Metrics.null_shard) lp =
   let n = Lp.num_vars lp in
   let ivars =
     List.map (fun (v : Lp.var) -> (v :> int)) (Lp.integer_vars lp)
@@ -39,9 +35,6 @@ let create ?(backend = Simplex.Sparse_lu) ?(pricing = Simplex.Devex) ?lu_rule
     obj = Lp.objective lp;
     root_lb = Array.init n (fun j -> Lp.var_lb lp (Lp.var_of_int lp j));
     root_ub = Array.init n (fun j -> Lp.var_ub lp (Lp.var_of_int lp j));
-    backend;
-    pricing;
-    lu_rule;
     trace;
     metrics;
     eng = None;
@@ -56,10 +49,7 @@ let engine t =
   match t.eng with
   | Some st -> st
   | None ->
-    let st =
-      Simplex.create ~backend:t.backend ~pricing:t.pricing
-        ?lu_rule:t.lu_rule t.lp
-    in
+    let st = Simplex.create t.lp in
     Simplex.set_trace st t.trace;
     t.eng <- Some st;
     st

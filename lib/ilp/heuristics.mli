@@ -23,16 +23,12 @@
 type t
 
 val create :
-  ?backend:Simplex.backend ->
-  ?pricing:Simplex.pricing ->
-  ?lu_rule:Lu.pivot_rule ->
   ?trace:Trace.writer ->
   ?metrics:Metrics.shard ->
   Lp.t ->
   t
 (** Prepares heuristic state for the model. Cheap: the private simplex
-    engine is only built on the first {!dive}. [lu_rule] forwards to
-    {!Simplex.create} (omitted: the pricing-mode default). [trace]
+    engine is only built on the first {!dive}. [trace]
     routes the private engine's LP-solve events (default
     {!Trace.null_writer}). [metrics] receives only the heuristic-level
     counters ({!Metrics.C_heur_runs} per {!round_and_repair}/{!dive}

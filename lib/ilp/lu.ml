@@ -78,8 +78,6 @@ let check_owner lu op =
          lu.owner
          (Domain.self () :> int))
 
-type pivot_rule = Legacy | Bucket
-
 (* Bucket-path candidate budget: once any acceptable pivot is in hand,
    the search stops probing after this many threshold-passing candidates
    per elimination step. Together with the count-ordered buckets and the
@@ -87,116 +85,6 @@ type pivot_rule = Legacy | Bucket
    of the active submatrix size; the cap is generous enough that on the
    paper-graph bases it almost never binds before the exact exit does. *)
 let max_probes = 200
-
-(* The legacy pivot path: active submatrix as dual hash maps (per-slot
-   row->value columns and per-row slot sets). The pivot order this
-   produces is iteration-order-sensitive, and the frozen node-count
-   fixtures pin it under [Partial] pricing — every scan below must stay
-   bit-exact. [probes] counts threshold-passing candidate evaluations
-   (observation only; it cannot change the selection). *)
-let factor_legacy (a : Sparse.Csc.mat) (basis : int array) m lp_row u_q u_diag
-    l_idx l_val u_idx u_val fill probes =
-  let cols : (int, float) Hashtbl.t array =
-    Array.init m (fun _ -> Hashtbl.create 8)
-  in
-  let rows : (int, unit) Hashtbl.t array =
-    Array.init m (fun _ -> Hashtbl.create 8)
-  in
-  for j = 0 to m - 1 do
-    Sparse.Csc.iter_col a basis.(j) (fun i v ->
-        Hashtbl.replace cols.(j) i v;
-        Hashtbl.replace rows.(i) j ())
-  done;
-  let col_active = Array.make m true in
-  for step = 0 to m - 1 do
-    (* Threshold Markowitz: among entries no smaller than [tau] times
-       their column's max, minimize (col_nnz-1)*(row_nnz-1); stop early
-       on a zero-cost (singleton-extending) pivot. *)
-    let best_cost = ref max_int and best_mag = ref 0. in
-    let best = ref None in
-    (try
-       for j = 0 to m - 1 do
-         if col_active.(j) && Hashtbl.length cols.(j) > 0 then begin
-           let cnt_j = Hashtbl.length cols.(j) in
-           let colmax =
-             Hashtbl.fold
-               (fun _ v acc -> Float.max (Float.abs v) acc)
-               cols.(j) 0.
-           in
-           if colmax >= abs_tol then begin
-             Hashtbl.iter
-               (fun i v ->
-                 let av = Float.abs v in
-                 if av >= tau *. colmax && av >= abs_tol then begin
-                   incr probes;
-                   let cost = (cnt_j - 1) * (Hashtbl.length rows.(i) - 1) in
-                   if
-                     cost < !best_cost
-                     || (cost = !best_cost && av > !best_mag)
-                   then begin
-                     best_cost := cost;
-                     best_mag := av;
-                     best := Some (i, j, v)
-                   end
-                 end)
-               cols.(j);
-             if !best_cost = 0 then raise Exit
-           end
-         end
-       done
-     with Exit -> ());
-    match !best with
-    | None -> raise Singular
-    | Some (p, q, v) ->
-      lp_row.(step) <- p;
-      u_q.(step) <- q;
-      u_diag.(step) <- v;
-      (* harvest the L column and U row *)
-      let lent = ref [] in
-      Hashtbl.iter
-        (fun r w -> if r <> p then lent := (r, w /. v) :: !lent)
-        cols.(q);
-      let uent = ref [] in
-      Hashtbl.iter
-        (fun c () ->
-          if c <> q then
-            match Hashtbl.find_opt cols.(c) p with
-            | Some w -> uent := (c, w) :: !uent
-            | None -> assert false)
-        rows.(p);
-      (* detach the pivot column and row from the active structure *)
-      Hashtbl.iter (fun r _ -> Hashtbl.remove rows.(r) q) cols.(q);
-      Hashtbl.iter (fun c () -> Hashtbl.remove cols.(c) p) rows.(p);
-      Hashtbl.reset cols.(q);
-      Hashtbl.reset rows.(p);
-      col_active.(q) <- false;
-      (* rank-1 Schur-complement update with fill-in *)
-      List.iter
-        (fun (r, l) ->
-          List.iter
-            (fun (c, u) ->
-              let delta = -.l *. u in
-              match Hashtbl.find_opt cols.(c) r with
-              | Some old ->
-                let nv = old +. delta in
-                if Float.abs nv <= drop_tol then begin
-                  Hashtbl.remove cols.(c) r;
-                  Hashtbl.remove rows.(r) c
-                end
-                else Hashtbl.replace cols.(c) r nv
-              | None ->
-                if Float.abs delta > drop_tol then begin
-                  Hashtbl.replace cols.(c) r delta;
-                  Hashtbl.replace rows.(r) c ()
-                end)
-            !uent)
-        !lent;
-      l_idx.(step) <- Array.of_list (List.map fst !lent);
-      l_val.(step) <- Array.of_list (List.map snd !lent);
-      u_idx.(step) <- Array.of_list (List.map fst !uent);
-      u_val.(step) <- Array.of_list (List.map snd !uent);
-      fill := !fill + List.length !lent + List.length !uent
-  done
 
 (* Entry arena for the bucket pivot path: the active submatrix lives in
    parallel arrays of (row, col, value) triples threaded onto two
@@ -226,9 +114,7 @@ type arena = {
    beat the best cost found: after both count-[<= k-1] bucket families
    have been scanned, any unseen entry has column {e and} row count
    [>= k], i.e. cost [>= (k-1)^2]. Eliminations splice the pivot row and
-   column out and apply the rank-1 update in O(entries touched). The
-   pivot order differs from [factor_legacy] (by design — both satisfy
-   the same threshold test against [tau]). *)
+   column out and apply the rank-1 update in O(entries touched). *)
 let factor_bucket (a : Sparse.Csc.mat) (basis : int array) m lp_row u_q u_diag
     l_idx l_val u_idx u_val fill probes =
   let nnz = ref 0 in
@@ -570,7 +456,7 @@ let factor_bucket (a : Sparse.Csc.mat) (basis : int array) m lp_row u_q u_diag
   done
 
 let factor ?(trace = Trace.null_writer) ?(metrics = Metrics.null_shard)
-    ?(rule = Bucket) (a : Sparse.Csc.mat) (basis : int array) =
+    (a : Sparse.Csc.mat) (basis : int array) =
   let t_start = if Trace.active trace then Mono.now () else 0. in
   let m = Array.length basis in
   if a.Sparse.Csc.nrows <> m then invalid_arg "Lu.factor: dimension mismatch";
@@ -580,13 +466,8 @@ let factor ?(trace = Trace.null_writer) ?(metrics = Metrics.null_shard)
   let u_idx = Array.make m [||] and u_val = Array.make m [||] in
   let fill = ref m in
   let probes = ref 0 in
-  (match rule with
-  | Legacy ->
-    factor_legacy a basis m lp_row u_q u_diag l_idx l_val u_idx u_val fill
-      probes
-  | Bucket ->
-    factor_bucket a basis m lp_row u_q u_diag l_idx l_val u_idx u_val fill
-      probes);
+  factor_bucket a basis m lp_row u_q u_diag l_idx l_val u_idx u_val fill
+    probes;
   if Trace.active trace then
     Trace.emit trace
       (Trace.Lu_factor

@@ -34,36 +34,20 @@ exception Singular
     [>= 1e-11]) remains, or {!update} was given a pivot below that
     threshold. *)
 
-type pivot_rule =
-  | Legacy
-      (** The historical pivot search: per-step rescan of the active
-          submatrix's hash tables — O(m x active nnz) per step. Its
-          pivot order is iteration-order-sensitive and is pinned by the
-          frozen node-count fixtures (under [Partial] pricing), so this
-          path is preserved bit-exactly. *)
-  | Bucket
-      (** Suhl-Suhl-style count buckets over doubly-linked row/column
-          lists: the Markowitz search visits only the lowest-count
-          buckets (early exit once no unseen candidate can have cost
-          below [(k-1)^2], bounded candidate probes) and eliminations
-          splice in O(entries touched). Same threshold test (factor
-          [tau] of the column max), different — typically ~10x faster —
-          search; the pivot {e order} generally differs from
-          {!Legacy}. *)
-
 val factor :
   ?trace:Trace.writer ->
   ?metrics:Metrics.shard ->
-  ?rule:pivot_rule ->
   Sparse.Csc.mat ->
   int array ->
   t
 (** [factor a basis] factorizes the [m x m] basis matrix, where
     [m = Array.length basis] and each [basis.(j)] names a column of
-    [a]. The eta file starts empty. [rule] selects the pivot search
-    (default {!Bucket}); both rules accept exactly the same bases
-    (identical threshold and singularity tests) but generally produce
-    different pivot orders. Raises {!Singular}; raises
+    [a]. The eta file starts empty. The pivot search keeps the active
+    columns and rows in Suhl-Suhl-style count buckets over doubly-linked
+    lists: it visits only the lowest-count buckets (early exit once no
+    unseen candidate can have cost below [(k-1)^2], bounded candidate
+    probes) and eliminations splice in O(entries touched). Raises
+    {!Singular}; raises
     [Invalid_argument] when [a]'s row dimension differs from [m].
     When [trace] is an active writer a {!Trace.Lu_factor} event (basis
     dimension, fill, pivot-search probes, wall time) is emitted on

@@ -21,7 +21,6 @@ type result = {
 }
 
 type backend = Dense | Sparse_lu
-type pricing = Partial | Devex
 
 type stats = {
   factorizations : int;
@@ -138,8 +137,6 @@ type state = {
   ncols : int;  (* nstruct + m slacks + m artificials *)
   mat : Sparse.Csc.mat;  (* all columns, CSC *)
   csr : Sparse.Csr.mat;  (* row-major mirror, for pivot-row pricing *)
-  pricing : pricing;
-  lu_rule : Lu.pivot_rule;  (* pivot search of the sparse factorization *)
   lb : float array;
   ub : float array;
   cost : float array;  (* phase-II minimization costs *)
@@ -169,8 +166,6 @@ type state = {
   dvx_row : float array;  (* dual devex weights, per basis slot *)
   bp_col : int array;  (* dual ratio-test breakpoints: columns *)
   bp_ratio : float array;  (* matching |dj/alpha| ratios *)
-  cand : int array;  (* partial-pricing candidate list *)
-  mutable ncand : int;
   mutable total_pivots : int;
   mutable bound_flips : int;  (* bound flips without a basis change *)
   mutable dual_stalls : int;  (* dual reopts that hit the dual cap *)
@@ -204,28 +199,15 @@ let dtol = 1e-7 (* dual feasibility / pricing *)
 let ptol = 1e-9 (* smallest acceptable pivot *)
 let degen_switch = 60 (* degenerate pivots before switching to Bland *)
 let refactor_period = 400 (* dense: pivots between basis re-inversions *)
-let eta_limit = 64 (* sparse: eta-file length triggering refactorization *)
 
-(* Devex-mode refactorization cadence. The trace-driven tuning in
-   docs/PERFORMANCE.md balances the two costs on the paper models: a
-   fresh Markowitz factorization costs ~F seconds while applying one
-   more eta to every solve costs ~c seconds, so the optimal refresh
-   interval is about sqrt(2F/c) — measured at 100-130 etas on the
-   Table 4 roots, an order of magnitude past the historical limit of
-   64 (which the Partial baseline keeps). The entry-count guard stops
-   pathologically dense eta files from outgrowing the factorization
-   they patch. *)
-let devex_eta_limit = 128
-let devex_eta_fill = 16
-
-(* Bucket-LU refactorization cadence. The bucket pivot search cuts the
-   factorization cost F by roughly an order of magnitude while the
-   per-eta solve overhead c is unchanged, so the sqrt(2F/c) optimum
-   shrinks by ~sqrt(10): with F ~ 0.012 s and c ~ 17 us on the graph-2
-   root the optimum is ~40 etas. Applies whenever the engine's LU rule
-   is [Bucket]; [Legacy] engines keep their pricing-matched historical
-   cadences above. *)
+(* Sparse refactorization cadence. A fresh factorization costs ~F
+   seconds while applying one more eta to every solve costs ~c seconds,
+   so the optimal refresh interval is about sqrt(2F/c): with
+   F ~ 0.012 s and c ~ 17 us on the graph-2 root that is ~40 etas (see
+   docs/PERFORMANCE.md). The entry-count guard stops pathologically
+   dense eta files from outgrowing the factorization they patch. *)
 let bucket_eta_limit = 40
+let devex_eta_fill = 16
 let res_tol = 1e-6 (* basic-solution residual triggering refactorization *)
 let devex_reset = 1e8 (* weight bound triggering a reference-frame reset *)
 
@@ -248,10 +230,6 @@ let num_structural st = st.nstruct
 let total_pivots st = st.total_pivots
 let bound_flips st = st.bound_flips
 let refactorizations st = st.refactors
-
-let backend st = match st.repr with Rdense _ -> Dense | Rsparse _ -> Sparse_lu
-let pricing st = st.pricing
-let lu_rule st = st.lu_rule
 
 let stats st =
   {
@@ -301,17 +279,7 @@ let emit_refactor st trigger =
     Trace.emit st.trace (Trace.Lu_refactor { trigger; etas })
   end
 
-let create ?(backend = Sparse_lu) ?(pricing = Devex) ?lu_rule lp =
-  (* The LU pivot rule defaults per pricing mode, mirroring how the
-     pricing switch itself gates history: [Partial] engines are the
-     bit-exact legacy baseline (the frozen node-count fixtures pin the
-     legacy pivot order), so they keep [Lu.Legacy]; [Devex] engines get
-     the bucket search. An explicit [lu_rule] overrides either way. *)
-  let lu_rule =
-    match lu_rule with
-    | Some r -> r
-    | None -> ( match pricing with Devex -> Lu.Bucket | Partial -> Lu.Legacy)
-  in
+let create ?(backend = Sparse_lu) lp =
   let m = Lp.num_constrs lp in
   let nstruct = Lp.num_vars lp in
   let ncols = nstruct + m + m in
@@ -376,8 +344,6 @@ let create ?(backend = Sparse_lu) ?(pricing = Devex) ?lu_rule lp =
     ncols;
     mat;
     csr = Sparse.Csr.of_csc mat;
-    pricing;
-    lu_rule;
     lb;
     ub;
     cost;
@@ -406,8 +372,6 @@ let create ?(backend = Sparse_lu) ?(pricing = Devex) ?lu_rule lp =
     dvx_row = Array.make m 1.;
     bp_col = Array.make ncols 0;
     bp_ratio = Array.make ncols 0.;
-    cand = Array.make (Int.max 16 (ncols / 10)) 0;
-    ncand = 0;
     total_pivots = 0;
     bound_flips = 0;
     dual_stalls = 0;
@@ -535,7 +499,7 @@ let fresh_factor st =
     done
   | Rsparse box -> (
     match
-      Lu.factor ~trace:st.trace ~metrics:st.ms ~rule:st.lu_rule st.mat st.basis
+      Lu.factor ~trace:st.trace ~metrics:st.ms st.mat st.basis
     with
     | lu ->
       box.lu <- Some lu;
@@ -781,24 +745,13 @@ let update_factor st r =
    length bound catches long chains of sparse etas, while the stored
    entry count (against the factorization's own fill) catches few but
    dense etas — dragging an eta file heavier than a fresh factorization
-   through every solve is never worth it. {!Partial} keeps the
-   historical schedule (pinned by the frozen node-count regressions);
-   {!Devex} runs the measured cadence (see [devex_eta_limit]). *)
+   through every solve is never worth it (see [bucket_eta_limit]). *)
 let due_refresh st =
   match st.repr with
   | Rdense _ -> st.pivots_since_refactor >= refactor_period
-  | Rsparse { lu = Some lu } -> (
-    match st.lu_rule with
-    | Lu.Bucket ->
-      (* factorizations are ~10x cheaper: refresh much earlier (see
-         [bucket_eta_limit]); the dense-eta guard still applies *)
-      Lu.eta_count lu >= bucket_eta_limit
-      || Lu.eta_nnz lu > devex_eta_fill * Lu.fill lu
-    | Lu.Legacy ->
-      if st.pricing = Partial then Lu.eta_count lu >= eta_limit
-      else
-        Lu.eta_count lu >= devex_eta_limit
-        || Lu.eta_nnz lu > devex_eta_fill * Lu.fill lu)
+  | Rsparse { lu = Some lu } ->
+    Lu.eta_count lu >= bucket_eta_limit
+    || Lu.eta_nnz lu > devex_eta_fill * Lu.fill lu
   | Rsparse { lu = None } -> false
 
 let objective_value st costs =
@@ -917,100 +870,10 @@ let farkas_witness st ray =
 (* Pricing                                                               *)
 (* -------------------------------------------------------------------- *)
 
+(* Devex pricing over incrementally maintained reduced costs and
+   reference weights. *)
+
 type price_choice = { pc_col : int; pc_d : float }
-
-let price_score st costs j =
-  let d = reduced_cost st costs j in
-  let score =
-    match st.stat.(j) with
-    | At_lower -> -.d
-    | At_upper -> d
-    | Free_zero -> Float.abs d
-    | Basic -> 0.
-  in
-  (d, score)
-
-(* Bland's rule: first eligible column by index (anti-cycling). *)
-let price_bland st costs =
-  let best = ref None in
-  (try
-     for j = 0 to st.ncols - 1 do
-       if st.stat.(j) <> Basic && not (is_fixed st j) then begin
-         let d, score = price_score st costs j in
-         if score > dtol then begin
-           best := Some { pc_col = j; pc_d = d };
-           raise Exit
-         end
-       end
-     done
-   with Exit -> ());
-  !best
-
-(* Major pricing pass: scan every column, return the best candidate and
-   rebuild the candidate list with the highest-scoring columns. *)
-let price_major st costs =
-  let best = ref None and best_score = ref dtol in
-  let cands = ref [] and ncands = ref 0 in
-  for j = 0 to st.ncols - 1 do
-    if st.stat.(j) <> Basic && not (is_fixed st j) then begin
-      let d, score = price_score st costs j in
-      if score > dtol then begin
-        cands := (score, j) :: !cands;
-        incr ncands;
-        if score > !best_score then begin
-          best := Some { pc_col = j; pc_d = d };
-          best_score := score
-        end
-      end
-    end
-  done;
-  let cap = Array.length st.cand in
-  let picked =
-    if !ncands <= cap then !cands
-    else
-      (* keep only the highest-scoring columns *)
-      let sorted =
-        List.sort (fun (a, _) (b, _) -> Float.compare b a) !cands
-      in
-      List.filteri (fun i _ -> i < cap) sorted
-  in
-  st.ncand <- 0;
-  List.iter
-    (fun (_, j) ->
-      st.cand.(st.ncand) <- j;
-      st.ncand <- st.ncand + 1)
-    picked;
-  !best
-
-(* Partial pricing: price only the candidate list (minor pass), falling
-   back to a full scan when the list runs dry. Optimality is only ever
-   declared by a full scan. *)
-let price st costs =
-  compute_y st costs;
-  if st.bland then price_bland st costs
-  else begin
-    let best = ref None and best_score = ref dtol in
-    let nkeep = ref 0 in
-    for idx = 0 to st.ncand - 1 do
-      let j = st.cand.(idx) in
-      if st.stat.(j) <> Basic && not (is_fixed st j) then begin
-        let d, score = price_score st costs j in
-        if score > dtol then begin
-          st.cand.(!nkeep) <- j;
-          incr nkeep;
-          if score > !best_score then begin
-            best := Some { pc_col = j; pc_d = d };
-            best_score := score
-          end
-        end
-      end
-    done;
-    st.ncand <- !nkeep;
-    match !best with Some _ as b -> b | None -> price_major st costs
-  end
-
-(* ----- Devex: incrementally maintained reduced costs and reference
-   weights ----- *)
 
 (* Recompute the full reduced-cost array from scratch (one btran plus
    one pass over the matrix). Called at loop entry, after every
@@ -1050,9 +913,9 @@ let price_devex st =
   done;
   !best
 
-(* Bland's rule over the maintained dj (the devex loops recompute dj
-   every iteration while in anti-cycling mode, so these are exact). *)
-let price_bland_dj st =
+(* Bland's rule over the maintained dj (the loops recompute dj every
+   iteration while in anti-cycling mode, so these are exact). *)
+let price_bland st =
   let best = ref None in
   (try
      for j = 0 to st.ncols - 1 do
@@ -1146,12 +1009,8 @@ let ratio_test st j sigma =
     end
   in
   (* Rows outside w's pattern hold exact zeros and can never pass the
-     pivot tolerance, so the pattern scan is exhaustive. Partial pricing
-     nevertheless scans in dense row order: near-tie resolution then
-     matches the historical engine exactly (pattern order would pick a
-     different row among equal pivots), which the frozen node-count
-     regressions pin down. *)
-  if st.wpat_n < 0 || st.pricing = Partial then
+     pivot tolerance, so the pattern scan is exhaustive. *)
+  if st.wpat_n < 0 then
     for i = 0 to st.m - 1 do
       consider i
     done
@@ -1163,10 +1022,10 @@ let ratio_test st j sigma =
     if Float.is_finite !best_t then Flip !best_t else Unbounded_dir
   else Pivot { row = !best_row; step = !best_t; to_upper = !best_to_upper }
 
-(* Shared post-pivot bookkeeping for the primal loops: basis exchange,
-   status flips, counters, periodic refresh, degeneracy tracking.
-   Returns [true] when the refresh refactorized (the devex loop must
-   then recompute dj). *)
+(* Post-pivot bookkeeping for the primal loop: basis exchange, status
+   flips, counters, periodic refresh, degeneracy tracking. Returns
+   [true] when the refresh refactorized (the loop must then recompute
+   dj). *)
 let primal_pivot_bookkeeping st ~j ~r ~leaving ~to_upper ~entering_value ~t =
   update_factor st r;
   st.basis.(r) <- j;
@@ -1196,66 +1055,13 @@ let primal_pivot_bookkeeping st ~j ~r ~leaving ~to_upper ~entering_value ~t =
   end;
   refreshed
 
-(* One primal phase over the given cost vector with the legacy
-   partial-pricing rule (Dantzig over a candidate list). Returns the
-   phase status. *)
-let primal_loop_partial st costs max_iters =
-  let iters = ref 0 in
-  let outcome = ref None in
-  while !outcome = None do
-    if !iters >= max_iters then outcome := Some Iter_limit
-    else
-      match price st costs with
-      | None -> outcome := Some Optimal
-      | Some { pc_col = j; pc_d = d } ->
-        let sigma =
-          match st.stat.(j) with
-          | At_lower -> 1.
-          | At_upper -> -1.
-          | Free_zero -> if d < 0. then 1. else -1.
-          | Basic -> assert false
-        in
-        ftran_col st j;
-        (match ratio_test st j sigma with
-         | Unbounded_dir -> outcome := Some Unbounded
-         | Flip t ->
-           update_xb_step st (sigma *. t);
-           st.stat.(j) <-
-             (match st.stat.(j) with
-              | At_lower -> At_upper
-              | At_upper -> At_lower
-              | Free_zero | Basic -> assert false);
-           incr iters;
-           st.bound_flips <- st.bound_flips + 1
-         | Pivot { row = r; step = t; to_upper } ->
-           let entering_value = nb_value st j +. (sigma *. t) in
-           update_xb_step st (sigma *. t);
-           let leaving = st.basis.(r) in
-           (* Numerical safeguard: degenerate tiny pivots can poison the
-              factorization. *)
-           if Float.abs st.w.(r) < ptol then begin
-             st.rf_numeric <- st.rf_numeric + 1;
-             emit_refactor st Trace.Rf_numeric;
-             refactor st
-             (* retry this iteration with a clean factorization *)
-           end
-           else begin
-             let _refreshed : bool =
-               primal_pivot_bookkeeping st ~j ~r ~leaving ~to_upper
-                 ~entering_value ~t
-             in
-             incr iters
-           end)
-  done;
-  (Option.get !outcome, !iters)
-
 (* One primal phase under devex pricing. dj is maintained
    incrementally from the pivot row (one hyper-sparse btran and one
    CSR pass per basis change); optimality and unboundedness are only
    declared after a from-scratch dj recomputation confirms them, so
    incremental drift can cost extra iterations but never a wrong
    verdict. *)
-let primal_loop_devex st costs max_iters =
+let primal_loop st costs max_iters =
   let iters = ref 0 in
   let outcome = ref None in
   recompute_dj st costs;
@@ -1270,7 +1076,7 @@ let primal_loop_devex st costs max_iters =
     if !iters >= max_iters then outcome := Some Iter_limit
     else begin
       if st.bland && not !fresh then refresh_dj ();
-      match if st.bland then price_bland_dj st else price_devex st with
+      match if st.bland then price_bland st else price_devex st with
       | None -> if !fresh then outcome := Some Optimal else refresh_dj ()
       | Some { pc_col = j; pc_d = d } ->
         let sigma =
@@ -1323,11 +1129,6 @@ let primal_loop_devex st costs max_iters =
   done;
   (Option.get !outcome, !iters)
 
-let primal_loop st costs max_iters =
-  match st.pricing with
-  | Partial -> primal_loop_partial st costs max_iters
-  | Devex -> primal_loop_devex st costs max_iters
-
 (* -------------------------------------------------------------------- *)
 (* Full primal solve from a fresh slack basis                             *)
 (* -------------------------------------------------------------------- *)
@@ -1363,7 +1164,6 @@ let reset_to_slack_basis st =
   st.bland <- false;
   st.degen_streak <- 0;
   st.pivots_since_refactor <- 0;
-  st.ncand <- 0;
   compute_xb st
 
 let rec primal_guarded ~max_iters ~attempt st =
@@ -1421,7 +1221,6 @@ and primal_once ~max_iters st =
   done;
   (* the artificial and slack columns of a row are the same unit vector,
      so swapping them leaves the factorized basis matrix unchanged *)
-  st.ncand <- 0;
   let iters1 = ref 0 in
   let feasible = ref true in
   if !need_phase1 then begin
@@ -1454,8 +1253,7 @@ and primal_once ~max_iters st =
         st.lb.(a) <- 0.;
         st.ub.(a) <- 0.;
         if st.stat.(a) <> Basic then st.stat.(a) <- At_lower
-      done;
-      st.ncand <- 0
+      done
   end;
   if (not !feasible) && !iters1 >= max_iters then
     mk_result st Iter_limit ~iterations:!iters1
@@ -1472,7 +1270,6 @@ and primal_once ~max_iters st =
     { r with farkas = Some { ray; row } }
   end
   else begin
-    st.ncand <- 0;
     let status, it2 = primal_loop st st.cost (max_iters - !iters1) in
     mk_result st status ~iterations:(!iters1 + it2)
   end
@@ -1505,22 +1302,6 @@ let revalidate_nonbasic st =
       | Free_zero | Basic -> ()
     end
   done
-
-let most_violated_row st =
-  let best = ref None and best_v = ref ftol in
-  for i = 0 to st.m - 1 do
-    let k = st.basis.(i) in
-    let above = st.xb.(i) -. st.ub.(k) and below = st.lb.(k) -. st.xb.(i) in
-    if above > !best_v then begin
-      best := Some (i, true);
-      best_v := above
-    end
-    else if below > !best_v then begin
-      best := Some (i, false);
-      best_v := below
-    end
-  done;
-  !best
 
 (* Dual devex row choice: the slot maximizing infeasibility^2 / weight,
    where the weights track the squared norms of the B^-1 rows relative
@@ -1567,7 +1348,7 @@ let update_dual_devex st r alpha_r =
 
 (* Is nonbasic column j an eligible entering candidate for repairing a
    basic value that is [above] its bound, given its pivot-row
-   coefficient? (Shared by both dual loops.) *)
+   coefficient? *)
 let dual_eligible st j alpha above =
   if above then
     match st.stat.(j) with
@@ -1581,90 +1362,6 @@ let dual_eligible st j alpha above =
     | At_upper -> alpha > ptol
     | Free_zero -> Float.abs alpha > ptol
     | Basic -> false
-
-(* The legacy dual loop (pricing = Partial): recomputes the duals every
-   iteration and prices the entering column with a dense dot product
-   per nonbasic column. Kept verbatim as the comparison baseline — and
-   so that [Partial] reproduces the historical engine pivot for
-   pivot. *)
-let dual_loop_classic st max_iters =
-  let iters = ref 0 in
-  let outcome = ref None in
-  while !outcome = None do
-    if !iters >= max_iters then outcome := Some `Stalled
-    else
-      match most_violated_row st with
-      | None -> outcome := Some `Primal_feasible
-      | Some (r, above) -> (
-        compute_y st st.cost;
-        let rho = dual_row st r in
-        let best = ref None and best_ratio = ref Float.infinity in
-        let best_alpha = ref 0. in
-        for j = 0 to st.ncols - 1 do
-          if st.stat.(j) <> Basic && not (is_fixed st j) then begin
-            let alpha = Sparse.Csc.dot_col_dense st.mat j rho in
-            if dual_eligible st j alpha above then begin
-              let d = reduced_cost st st.cost j in
-              let ratio = Float.abs (d /. alpha) in
-              if
-                ratio < !best_ratio -. 1e-12
-                || (ratio < !best_ratio +. 1e-12
-                    && Float.abs alpha > Float.abs !best_alpha)
-              then begin
-                best := Some j;
-                best_ratio := ratio;
-                best_alpha := alpha
-              end
-            end
-          end
-        done;
-        match !best with
-        | None ->
-          (* No direction can repair the violated row: the current
-             nonbasic values already extremize the basic value, so the
-             problem is primal infeasible. Accumulated update error can
-             fake this certificate, so re-derive it from a fresh
-             factorization before trusting it. *)
-          if st.pivots_since_refactor > 0 then begin
-            st.rf_numeric <- st.rf_numeric + 1;
-            emit_refactor st Trace.Rf_numeric;
-            refactor st;
-            incr iters
-          end
-          else outcome := Some (`Infeasible (r, above))
-        | Some j ->
-          let k = st.basis.(r) in
-          let bound = if above then st.ub.(k) else st.lb.(k) in
-          ftran_col st j;
-          let alpha = st.w.(r) in
-          if Float.abs alpha < ptol then begin
-            st.rf_numeric <- st.rf_numeric + 1;
-            emit_refactor st Trace.Rf_numeric;
-            refactor st;
-            incr iters (* retry after refactorization *)
-          end
-          else begin
-            let theta = (st.xb.(r) -. bound) /. alpha in
-            let entering_value = nb_value st j +. theta in
-            update_xb_step st theta;
-            update_factor st r;
-            st.basis.(r) <- j;
-            st.pos.(j) <- r;
-            st.pos.(k) <- -1;
-            st.stat.(j) <- Basic;
-            st.stat.(k) <- (if above then At_upper else At_lower);
-            st.xb.(r) <- entering_value;
-            incr iters;
-            st.total_pivots <- st.total_pivots + 1;
-            st.pivots_since_refactor <- st.pivots_since_refactor + 1;
-            if due_refresh st then begin
-              st.rf_eta <- st.rf_eta + 1;
-              emit_refactor st Trace.Rf_eta;
-              refactor st
-            end
-          end)
-  done;
-  (Option.get !outcome, !iters)
 
 (* In-place quicksort of the breakpoint arrays by ratio (ascending),
    Hoare partition with median-of-three (the ratios of a warm restart
@@ -1702,7 +1399,7 @@ let rec sort_bp st lo hi =
     sort_bp st !i hi
   end
 
-(* The devex-era dual loop: the leaving row by dual devex weights, one
+(* The dual loop: the leaving row by dual devex weights, one
    hyper-sparse btran builds the pivot row through the CSR mirror,
    entering candidates come from the incrementally maintained dj (no
    per-column dot products), and the ratio test is bound-flipping:
@@ -1711,7 +1408,7 @@ let rec sort_bp st lo hi =
    a basis change — all flips applied in one batched ftran. On 0-1
    models this replaces long chains of degenerate basis exchanges with a
    single pivot. *)
-let dual_loop_bfrt st max_iters =
+let dual_loop st max_iters =
   let iters = ref 0 in
   let outcome = ref None in
   recompute_dj st st.cost;
@@ -1862,11 +1559,6 @@ let dual_loop_bfrt st max_iters =
   done;
   (Option.get !outcome, !iters)
 
-let dual_loop st max_iters =
-  match st.pricing with
-  | Partial -> dual_loop_classic st max_iters
-  | Devex -> dual_loop_bfrt st max_iters
-
 let snapshot st =
   check_owner st "snapshot";
   (* The sparse pivot order only describes the current basis when the
@@ -1949,7 +1641,6 @@ let install_basis st b =
     st.bland <- false;
     st.degen_streak <- 0;
     st.pivots_since_refactor <- 0;
-    st.ncand <- 0;
     st.last_inf <- None;
     reset_devex_weights st;
     (match st.repr with Rsparse box -> box.lu <- None | Rdense _ -> ());
@@ -1980,7 +1671,6 @@ let dual_reopt_core ~max_iters st =
   match
     (st.last_inf <- None;
      revalidate_nonbasic st;
-     st.ncand <- 0;
      compute_xb st;
      let dual_cap = Int.min max_iters (1000 + (30 * st.m)) in
      dual_loop st dual_cap)
@@ -2080,5 +1770,4 @@ let dual_reopt ?(max_iters = 200_000) st =
       (dual_reopt_core ~max_iters st)
   end
 
-let solve ?backend ?pricing ?lu_rule ?max_iters lp =
-  primal ?max_iters (create ?backend ?pricing ?lu_rule lp)
+let solve ?backend ?max_iters lp = primal ?max_iters (create ?backend lp)

@@ -9,8 +9,9 @@
       Markowitz-pivoted LU factorization with a product-form eta file
       ({!Lu}), refactorized when the eta file grows past a bound or a
       residual check fails;
-    - the legacy {e dense} backend maintains an explicit basis inverse
-      with product-form row updates, kept as a cross-check and baseline.
+    - the {e dense} backend maintains an explicit basis inverse with
+      product-form row updates, kept as the reference implementation
+      the sparse backend is tested against.
 
     Common machinery, independent of the backend:
 
@@ -18,17 +19,18 @@
       which keeps the row count equal to the number of constraints;
     - phase I uses one-signed artificial variables minimizing total
       infeasibility;
-    - two pricing rules (see {!pricing}): the default {!Devex}
-      maintains reduced costs incrementally and prices with devex
-      reference weights, paired with a bound-flipping dual ratio test;
-      the legacy {!Partial} is Dantzig pricing over a partial-pricing
-      candidate list. Both declare optimality only from a full
-      fresh-cost scan, and both switch to Bland's rule under
-      degeneracy (anti-cycling);
+    - devex reference-weight pricing over incrementally maintained
+      reduced costs: each basis change updates the whole reduced-cost
+      row from one hyper-sparse [btran] and one CSR pass. An optimal or
+      unbounded verdict is only declared after a from-scratch
+      recomputation confirms it, and pricing switches to Bland's rule
+      under degeneracy (anti-cycling);
     - a dual-simplex re-optimization loop supports warm starts after
       bound changes, which is what {!Branch_bound} uses between nodes.
-      Under {!Devex} it batches bound flips of boxed candidates into
-      one solve instead of pivoting through them (see docs/PERFORMANCE.md).
+      It picks the leaving row by dual devex weights and uses a
+      bound-flipping ratio test with a Harris pass over ties at the
+      final ratio, batching bound flips of boxed candidates into one
+      solve instead of pivoting through them (see docs/PERFORMANCE.md).
 
     A {!state} owns all solver storage and is {b bound to the domain
     that created it}: the engine is stamped with the creating domain's
@@ -92,25 +94,8 @@ type result = {
 }
 
 type backend =
-  | Dense  (** Explicit dense basis inverse (legacy baseline). *)
+  | Dense  (** Explicit dense basis inverse (test reference). *)
   | Sparse_lu  (** Sparse LU + eta file (default). *)
-
-type pricing =
-  | Partial
-      (** Dantzig pricing over a partial-pricing candidate list, with
-          per-iteration dual recomputation; the dual loop prices every
-          nonbasic column with a dense dot product. Reproduces the
-          historical engine pivot for pivot — the comparison baseline
-          for [bench lp]. *)
-  | Devex
-      (** Devex reference-weight pricing over incrementally maintained
-          reduced costs (default). Each basis change updates the whole
-          reduced-cost row from one hyper-sparse [btran] and one CSR
-          pass; the dual loop picks the leaving row by dual devex
-          weights and uses a bound-flipping ratio test with a Harris
-          pass over ties at the final ratio. An
-          optimal or unbounded verdict is only declared after a
-          from-scratch recomputation confirms it. *)
 
 type stats = {
   factorizations : int;  (** Fresh basis factorizations / re-inversions. *)
@@ -165,23 +150,11 @@ val pp_stats : Format.formatter -> stats -> unit
 
 type state
 
-val create :
-  ?backend:backend -> ?pricing:pricing -> ?lu_rule:Lu.pivot_rule -> Lp.t -> state
-(** Builds solver storage for the model (default backend {!Sparse_lu},
-    default pricing {!Devex}). [lu_rule] selects the sparse
-    factorization's pivot search (see {!Lu.pivot_rule}); when omitted it
-    follows the pricing mode — [Devex] engines use [Lu.Bucket], while
-    [Partial] engines keep [Lu.Legacy] so the historical pivot order
-    (and with it the frozen node-count fixtures) is preserved
-    bit-exactly. Later mutations of the [Lp.t] are not observed except
-    through {!set_var_bounds}. The returned engine is owned by the
-    calling domain (see the module preamble). *)
-
-val backend : state -> backend
-val pricing : state -> pricing
-
-val lu_rule : state -> Lu.pivot_rule
-(** The LU pivot rule the engine resolved at {!create} time. *)
+val create : ?backend:backend -> Lp.t -> state
+(** Builds solver storage for the model (default backend {!Sparse_lu}).
+    Later mutations of the [Lp.t] are not observed except through
+    {!set_var_bounds}. The returned engine is owned by the calling
+    domain (see the module preamble). *)
 
 val stats : state -> stats
 (** Cumulative statistics across all solves on this state. *)
@@ -230,13 +203,7 @@ val dual_reopt : ?max_iters:int -> state -> result
     the warm start goes numerically bad. Calling it on a fresh state is
     valid and equivalent to {!primal}. *)
 
-val solve :
-  ?backend:backend ->
-  ?pricing:pricing ->
-  ?lu_rule:Lu.pivot_rule ->
-  ?max_iters:int ->
-  Lp.t ->
-  result
+val solve : ?backend:backend -> ?max_iters:int -> Lp.t -> result
 (** [solve lp] is [primal (create lp)]: one-shot LP relaxation solve. *)
 
 (** {1 Warm-start basis shipping} — consumed by {!Branch_bound}. *)

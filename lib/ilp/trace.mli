@@ -83,7 +83,7 @@ type event =
           dimension, [fill] the stored entries of L + U, [probes] the
           number of threshold-passing candidates the Markowitz pivot
           search evaluated over the whole factorization (the cost the
-          [Bucket] rule bounds — see {!Lu.pivot_rule}). Streams written
+          bucket search bounds — see {!Lu.factor}). Streams written
           before these fields existed decode with [m = 0] and
           [probes = 0]. *)
   | Lu_refactor of { trigger : refactor_trigger; etas : int }

@@ -6,7 +6,7 @@ type point = {
 }
 
 let sweep ?options ?strategy ?(time_limit_per_point = 120.) ?(jobs = 1)
-    ?lp_pricing ?lp_lu ~graph ~allocation ?capacity ?alpha ?scratch
+    ~graph ~allocation ?capacity ?alpha ?scratch
     ~latency_range:(l_lo, l_hi) ~partition_range:(n_lo, n_hi) () =
   if l_lo < 0 || l_hi < l_lo then invalid_arg "Explore.sweep: latency range";
   if n_lo < 1 || n_hi < n_lo then invalid_arg "Explore.sweep: partition range";
@@ -29,8 +29,7 @@ let sweep ?options ?strategy ?(time_limit_per_point = 120.) ?(jobs = 1)
     let vars = Formulation.build ?options spec in
     let t0 = Ilp.Mono.now () in
     let report =
-      Solver.solve ?strategy ?lp_pricing ?lp_lu
-        ~time_limit:time_limit_per_point vars
+      Solver.solve ?strategy ~time_limit:time_limit_per_point vars
     in
     let seconds = Ilp.Mono.elapsed_since t0 in
     let outcome =

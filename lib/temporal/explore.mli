@@ -18,8 +18,6 @@ val sweep :
   ?strategy:Branching.strategy ->
   ?time_limit_per_point:float ->
   ?jobs:int ->
-  ?lp_pricing:Ilp.Simplex.pricing ->
-  ?lp_lu:Ilp.Lu.pivot_rule ->
   graph:Taskgraph.Graph.t ->
   allocation:Hls.Component.allocation ->
   ?capacity:int ->
@@ -34,9 +32,7 @@ val sweep :
     120 s. [jobs] (default 1) solves that many design points
     concurrently, one worker domain per point — each point's own tree
     search stays sequential, and the per-point time limit is unchanged.
-    [lp_pricing] and [lp_lu] forward to {!Solver.solve} (defaults
-    {!Ilp.Simplex.Devex} pricing with the {!Ilp.Lu.Bucket} pivot
-    search). Raises [Invalid_argument] when [jobs < 1]. *)
+    Raises [Invalid_argument] when [jobs < 1]. *)
 
 val pareto : point list -> point list
 (** The non-dominated optimal points: a point dominates another when it

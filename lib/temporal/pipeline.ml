@@ -10,7 +10,7 @@ type result = {
 
 let run ?options ?strategy ?time_limit ?max_nodes ?num_partitions ?lint ?jobs
     ?deterministic ?rc_fixing ?propagate ?cuts ?heuristics ?heur_cadence
-    ?heur_dive_depth ?certify ?lp_pricing ?lp_lu
+    ?heur_dive_depth ?certify
     ?(tracer = Ilp.Trace.disabled) ?(metrics = Ilp.Metrics.disabled)
     ~graph ~allocation ?capacity ?alpha ?scratch ?latency_relax () =
   let tw = Ilp.Trace.main tracer in
@@ -73,7 +73,7 @@ let run ?options ?strategy ?time_limit ?max_nodes ?num_partitions ?lint ?jobs
   let report =
     Solver.solve ?strategy ?time_limit ?max_nodes ?lint ?jobs ?deterministic
       ?rc_fixing ?propagate ?cuts ?heuristics ?heur_cadence ?heur_dive_depth
-      ?certify ?lp_pricing ?lp_lu ~tracer ~metrics ?lint_options:options vars
+      ?certify ~tracer ~metrics ?lint_options:options vars
   in
   log "solve: %s (%d nodes, %.2fs)"
     (Format.asprintf "%a" Solver.pp_outcome report.Solver.outcome)

@@ -35,8 +35,6 @@ val run :
   ?heur_cadence:int ->
   ?heur_dive_depth:int ->
   ?certify:Ilp.Branch_bound.certify_level ->
-  ?lp_pricing:Ilp.Simplex.pricing ->
-  ?lp_lu:Ilp.Lu.pivot_rule ->
   ?tracer:Ilp.Trace.t ->
   ?metrics:Ilp.Metrics.t ->
   graph:Taskgraph.Graph.t ->
@@ -60,10 +58,7 @@ val run :
     turns on exact rational certification of LP verdicts (see
     {!Solver.solve} and docs/VERIFICATION.md); when any check ran, the
     stage log gains a [certify:] line with the verdict counts.
-    [lp_pricing] selects the simplex pricing rule (default
-    {!Ilp.Simplex.Devex}; [Partial] is the historical baseline — see
-    docs/PERFORMANCE.md); [lp_lu] the LU pivot search of the node LP
-    factorizations (default: follow the pricing mode). [tracer]
+    [tracer]
     records structured events across the flow — estimate / formulate /
     presolve phase spans plus the full solver taxonomy — for export
     through {!Ilp.Trace_export} (see [docs/OBSERVABILITY.md]).

@@ -11,7 +11,13 @@ type t = {
   partition_of : int array;  (** task -> partition, 1-based. *)
   op_step : int array;  (** operation -> control step, 1-based. *)
   op_fu : int array;  (** operation -> instance id. *)
-  comm_cost : int;  (** Objective (eq. 14): total crossing bandwidth. *)
+  comm_cost : int;
+      (** Design cost: the bandwidth of every edge whose tasks sit in
+          different partitions, charged {e once per edge} — the
+          definition {!Enumerate} optimizes too. Eq. 14, the model's
+          objective ({!Solver.report}[.objective]), charges an edge once
+          per partition boundary it spans, [bw * (p(t2) - p(t1))], so
+          the two differ whenever an edge skips a partition. *)
   partitions_used : int;  (** Number of non-empty partitions. *)
 }
 
@@ -21,7 +27,9 @@ val extract : Vars.t -> float array -> t
     {!Ilp.Branch_bound.solve}). *)
 
 val comm_cost_of_partition : Spec.t -> int array -> int
-(** Objective value implied by a task-to-partition map alone. *)
+(** Design cost ({!t}[.comm_cost]: once per crossing edge) implied by
+    a task-to-partition map alone. Not eq. 14's objective, which
+    charges once per spanned boundary. *)
 
 val memory_peak : Spec.t -> int array -> int
 (** Maximum scratch-memory demand over partition boundaries [2..N]

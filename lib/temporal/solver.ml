@@ -179,8 +179,7 @@ let solve ?(strategy = Branching.Paper) ?(value_order = Bb.One_first)
     ?(node_order = Bb.Depth_first) ?(time_limit = Float.infinity)
     ?(max_nodes = max_int) ?(validate = true) ?(scheduler_completion = true)
     ?(presolve = true) ?(lint = false) ?lint_options
-    ?(lp_backend = Ilp.Simplex.Sparse_lu) ?(lp_pricing = Ilp.Simplex.Devex)
-    ?lp_lu ?(jobs = 1) ?(deterministic = false)
+    ?(jobs = 1) ?(deterministic = false)
     ?(rc_fixing = false) ?(propagate = false) ?(cuts = false)
     ?(heuristics = false) ?heur_cadence ?heur_dive_depth
     ?(certify = Bb.Cert_off) ?(tracer = Ilp.Trace.disabled)
@@ -197,9 +196,6 @@ let solve ?(strategy = Branching.Paper) ?(value_order = Bb.One_first)
       integral_objective = true;
       node_hook =
         (if scheduler_completion then Some (scheduler_hook vars) else None);
-      lp_backend;
-      lp_pricing;
-      lp_lu;
       jobs;
       deterministic;
       rc_fixing;
@@ -235,7 +231,7 @@ let solve ?(strategy = Branching.Paper) ?(value_order = Bb.One_first)
            for a checkable artifact, re-derive infeasibility as an
            exact Farkas certificate of the ORIGINAL model's LP
            relaxation (so its row indices need no mapping). *)
-        let _res, cert = Ilp.Certify.check_lp ~backend:lp_backend vars.Vars.lp in
+        let _res, cert = Ilp.Certify.check_lp vars.Vars.lp in
         ( Bb.Infeasible,
           {
             Bb.empty_stats with

@@ -18,7 +18,12 @@ type report = {
   vars : int;  (** Model size: variables (the paper's "Var" column). *)
   constrs : int;  (** Model size: constraints ("Const" column). *)
   stats : Ilp.Branch_bound.stats;
-  objective : float option;  (** Optimal objective when [Feasible]. *)
+  objective : float option;
+      (** Optimal model objective when [Feasible]: eq. 14, which
+          charges an edge's bandwidth once per partition boundary it
+          spans, [sum bw * (p(t2) - p(t1))]. This can exceed the
+          design's {!Solution.t}[.comm_cost], which charges it once per
+          crossing edge. *)
 }
 
 val solve :
@@ -32,9 +37,6 @@ val solve :
   ?presolve:bool ->
   ?lint:bool ->
   ?lint_options:Formulation.options ->
-  ?lp_backend:Ilp.Simplex.backend ->
-  ?lp_pricing:Ilp.Simplex.pricing ->
-  ?lp_lu:Ilp.Lu.pivot_rule ->
   ?jobs:int ->
   ?deterministic:bool ->
   ?rc_fixing:bool ->
@@ -71,18 +73,6 @@ val solve :
     [presolve] (default on) runs {!Ilp.Presolve} before branch and
     bound: rows drop and bounds tighten while variable indices — and the
     reported model sizes — stay those of the paper's formulation.
-
-    [lp_backend] selects the simplex basis representation for node
-    relaxations (default {!Ilp.Simplex.Sparse_lu}); the dense baseline
-    is kept for cross-checks and benchmarking. [lp_pricing] selects
-    the pricing rule (default {!Ilp.Simplex.Devex} — note this differs
-    from {!Ilp.Branch_bound.default_options}, whose {!Ilp.Simplex.Partial}
-    default is pinned by historical node-count regressions; devex with
-    the bound-flipping dual ratio test is the fast path on the paper
-    models, see docs/PERFORMANCE.md). [lp_lu] selects the sparse LU
-    pivot search (see {!Ilp.Lu.pivot_rule}); omitted it follows the
-    pricing mode ({!Ilp.Lu.Bucket} under devex — the fast default —
-    and {!Ilp.Lu.Legacy} under partial pricing).
 
     [jobs] (default [1]) runs the branch-and-bound tree search on that
     many worker domains, each with its own simplex engine; [jobs = 1]

@@ -336,10 +336,8 @@ let prop_infeasible_farkas_certified =
       | _ -> false)
 
 (* Regression: the root relaxation of all six paper evaluation graphs
-   must still certify exactly under the default (devex) pricing — the
-   devex/bound-flip engine may reach a different optimal basis than the
-   historical one, but every basis it reports has to survive rational
-   re-derivation. Table 4 design points, C = 70, Ms = 30. *)
+   must certify exactly — every basis the engine reports has to survive
+   rational re-derivation. Table 4 design points, C = 70, Ms = 30. *)
 let test_paper_graphs_root_certify () =
   List.iter
     (fun (gno, n, l) ->

@@ -225,103 +225,74 @@ let test_fill_reported () =
   Alcotest.(check bool) "fill at least m" true (Lu.fill lu >= m);
   Alcotest.(check int) "size" m (Lu.size lu)
 
-(* ---------------- Bucket vs Legacy parity ---------------- *)
+(* ---------------- singular verdicts and backward error ---------------- *)
 
-(* Random square matrix, optionally made pathological: the two pivot
-   searches share one threshold test and one singularity test, so on any
-   basis they must agree on accept/reject, and on acceptance both
-   factorizations must solve the same system to a small residual (their
-   pivot ORDERS are allowed to differ — and usually do). *)
+(* Random square matrix, optionally made pathological. Returns the
+   matrix and whether it is exactly rank-deficient: the factorization
+   must reject those with [Singular], and every basis it accepts must
+   solve its system to a small backward error. *)
 let matrix_of_case seed pathology =
   let rng = Prng.create seed in
   let m = 2 + Prng.int rng 14 in
   let a = random_matrix rng m in
-  (match pathology with
-   | 0 -> () (* plain random sparse, comfortably nonsingular *)
-   | 1 ->
-     (* duplicate column: exactly rank-deficient when j <> k *)
-     let j = Prng.int rng m and k = Prng.int rng m in
-     if j <> k then
-       for i = 0 to m - 1 do
-         a.(i).(j) <- a.(i).(k)
-       done
-   | 2 ->
-     (* ill-conditioned: one column scaled nine orders down, still
-        above the absolute pivot tolerance *)
-     let j = Prng.int rng m in
-     for i = 0 to m - 1 do
-       a.(i).(j) <- a.(i).(j) *. 1e-9
-     done
-   | _ ->
-     (* exactly zero column *)
-     let j = Prng.int rng m in
-     for i = 0 to m - 1 do
-       a.(i).(j) <- 0.
-     done);
-  a
+  let deficient =
+    match pathology with
+    | 0 -> false (* plain random sparse, comfortably nonsingular *)
+    | 1 ->
+      (* duplicate column: exactly rank-deficient when j <> k *)
+      let j = Prng.int rng m and k = Prng.int rng m in
+      if j <> k then
+        for i = 0 to m - 1 do
+          a.(i).(j) <- a.(i).(k)
+        done;
+      j <> k
+    | 2 ->
+      (* ill-conditioned: one column scaled nine orders down, still
+         above the absolute pivot tolerance *)
+      let j = Prng.int rng m in
+      for i = 0 to m - 1 do
+        a.(i).(j) <- a.(i).(j) *. 1e-9
+      done;
+      false
+    | _ ->
+      (* exactly zero column *)
+      let j = Prng.int rng m in
+      for i = 0 to m - 1 do
+        a.(i).(j) <- 0.
+      done;
+      true
+  in
+  (a, deficient)
 
-let factor_verdict rule a =
+let verdict_prop (seed, pathology) =
+  let a, deficient = matrix_of_case seed pathology in
   let m = Array.length a in
-  match Lu.factor ~rule (csc_of_dense a) (identity_basis m) with
-  | lu -> `Ok lu
-  | exception Lu.Singular -> `Singular
-
-let parity_prop (seed, pathology) =
-  let a = matrix_of_case seed pathology in
-  match (factor_verdict Lu.Legacy a, factor_verdict Lu.Bucket a) with
-  | `Singular, `Singular -> true
-  | `Ok _, `Singular ->
-    QCheck.Test.fail_report "legacy accepted, bucket rejected"
-  | `Singular, `Ok _ ->
-    QCheck.Test.fail_report "bucket accepted, legacy rejected"
-  | `Ok lu_legacy, `Ok lu_bucket ->
-    let m = Array.length a in
-    let mat = csc_of_dense a in
-    let basis = identity_basis m in
+  let mat = csc_of_dense a in
+  let basis = identity_basis m in
+  match Lu.factor mat basis with
+  | exception Lu.Singular -> true
+  | _ when deficient ->
+    QCheck.Test.fail_report "rank-deficient basis accepted"
+  | lu ->
     let rng = Prng.create (seed lxor 0x5bf0) in
     let b0 = Array.init m (fun _ -> Prng.float rng -. 0.5) in
     (* backward error, relative to the matrix scale: forward error is
        legitimately amplified on the ill-conditioned cases *)
-    let residual lu =
-      let x = Array.copy b0 in
-      Lu.ftran lu x;
-      max_abs_diff b0 (apply mat basis x)
-    in
+    let x = Array.copy b0 in
+    Lu.ftran lu x;
     let scale =
       Array.fold_left
         (Array.fold_left (fun acc v -> Float.max acc (Float.abs v)))
         1. a
     in
-    let rl = residual lu_legacy /. scale
-    and rb = residual lu_bucket /. scale in
-    if rl > 1e-6 || rb > 1e-6 then
-      QCheck.Test.fail_reportf "residual too large: legacy %g bucket %g" rl rb
+    let r = max_abs_diff b0 (apply mat basis x) /. scale in
+    if r > 1e-6 then QCheck.Test.fail_reportf "residual too large: %g" r
     else true
 
-let qcheck_parity =
-  QCheck.Test.make ~count:300 ~name:"bucket/legacy verdict and residual parity"
+let qcheck_verdict =
+  QCheck.Test.make ~count:300 ~name:"singular verdict and residual"
     QCheck.(pair (int_range 1 1_000_000) (int_range 0 3))
-    parity_prop
-
-(* The Legacy search order is load-bearing: the frozen node-count
-   fixtures (test_branch_bound, Partial pricing) pin the exact pivot
-   sequence. This regression freezes it on one fixed basis so any
-   accidental behavior change in the legacy path fails here, with a
-   message naming the cause, rather than as an opaque node-count drift. *)
-let test_legacy_pivot_order_pinned () =
-  let a =
-    [|
-      [| 4.5; 0.; -2.; 0.; 1. |];
-      [| 0.; 4.1; 0.; 3.; 0. |];
-      [| -1.; 0.; 4.9; 0.; 0. |];
-      [| 0.; 2.; 0.; 4.2; -3. |];
-      [| 1.; 0.; 0.; 0.; 4.8 |];
-    |]
-  in
-  let lu = Lu.factor ~rule:Lu.Legacy (csc_of_dense a) (identity_basis 5) in
-  let expected = [| (2, 2); (1, 1); (3, 3); (4, 4); (0, 0) |] in
-  Alcotest.(check (array (pair int int)))
-    "legacy pivot order is frozen" expected (Lu.pivot_order lu)
+    verdict_prop
 
 let () =
   Alcotest.run "lu"
@@ -345,10 +316,5 @@ let () =
           Alcotest.test_case "singular update pivot" `Quick
             test_update_singular_pivot;
         ] );
-      ( "pivot-rules",
-        [
-          QCheck_alcotest.to_alcotest qcheck_parity;
-          Alcotest.test_case "legacy pivot order pinned" `Quick
-            test_legacy_pivot_order_pinned;
-        ] );
+      ("pivot-search", [ QCheck_alcotest.to_alcotest qcheck_verdict ]);
     ]

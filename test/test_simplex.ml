@@ -539,7 +539,7 @@ let prop_lp_bound_below_milp =
       | _ -> false)
 
 
-(* ---------------- pricing rules and bound flips ---------------- *)
+(* ---------------- bound flips ---------------- *)
 
 (* Hand-built 0-1 model where the dual bound-flipping ratio test
    provably flips: one equality row
@@ -648,24 +648,6 @@ let make_rand_01 seed ~n ~m =
     |> List.map (fun v -> (Float.of_int (Taskgraph.Prng.int_in rng (-3) 5), v)));
   lp
 
-let prop_pricing_rules_agree =
-  QCheck.Test.make ~name:"devex and partial pricing agree (both backends)"
-    ~count:120
-    QCheck.(int_bound 100_000)
-    (fun seed ->
-      let lp, _ = make_rand_mixed seed ~n:8 ~m:9 in
-      let reference = Sx.solve ~pricing:Sx.Partial lp in
-      List.for_all
-        (fun (backend, pricing) ->
-          let r = Sx.solve ~backend ~pricing lp in
-          r.Sx.status = reference.Sx.status
-          &&
-          match r.Sx.status with
-          | Sx.Optimal -> Float.abs (r.Sx.obj -. reference.Sx.obj) <= 1e-7
-          | Sx.Infeasible | Sx.Unbounded | Sx.Iter_limit -> true)
-        [ (Sx.Dense, Sx.Devex); (Sx.Sparse_lu, Sx.Devex);
-          (Sx.Dense, Sx.Partial); (Sx.Sparse_lu, Sx.Partial) ])
-
 let prop_devex_01_warm_parity =
   QCheck.Test.make
     ~name:"devex bound flips: dense/sparse/fresh agree on warm 0-1 models"
@@ -719,42 +701,39 @@ let prop_shipped_basis_reaches_optimum =
      engine, export its basis, install it into a DIFFERENT engine of
      the same model, tighten some bounds (the child's branching fixes)
      and dual-reoptimize. The result must match a cold solve of the
-     child bounds — under both pricing rules. *)
+     child bounds. *)
   QCheck.Test.make
     ~name:"warm start from a shipped basis matches the cold optimum"
     ~count:100
     QCheck.(int_bound 100_000)
     (fun seed ->
-      List.for_all
-        (fun pricing ->
-          let lp = make_rand_01 seed ~n:8 ~m:6 in
-          let parent = Sx.create ~pricing lp in
-          let r0 = Sx.primal parent in
-          if r0.Sx.status <> Sx.Optimal then true (* covered elsewhere *)
-          else begin
-            let b = Sx.export_basis parent in
-            let thief = Sx.create ~pricing lp in
-            if not (Sx.install_basis thief b) then false
-            else begin
-              let rng = Taskgraph.Prng.create (seed + 13) in
-              let lp2 = Lp.copy lp in
-              for j = 0 to 7 do
-                if Taskgraph.Prng.bool rng 0.4 then begin
-                  let fix = Float.of_int (Taskgraph.Prng.int rng 2) in
-                  Sx.set_var_bounds thief j ~lb:fix ~ub:fix;
-                  Lp.set_bounds lp2 (Lp.var_of_int lp2 j) ~lb:fix ~ub:fix
-                end
-              done;
-              let warm = Sx.dual_reopt thief in
-              let cold = Sx.solve lp2 in
-              match (warm.Sx.status, cold.Sx.status) with
-              | Sx.Optimal, Sx.Optimal ->
-                Float.abs (warm.Sx.obj -. cold.Sx.obj) <= 1e-7
-              | Sx.Infeasible, Sx.Infeasible -> true
-              | _, _ -> false
+      let lp = make_rand_01 seed ~n:8 ~m:6 in
+      let parent = Sx.create lp in
+      let r0 = Sx.primal parent in
+      if r0.Sx.status <> Sx.Optimal then true (* covered elsewhere *)
+      else begin
+        let b = Sx.export_basis parent in
+        let thief = Sx.create lp in
+        if not (Sx.install_basis thief b) then false
+        else begin
+          let rng = Taskgraph.Prng.create (seed + 13) in
+          let lp2 = Lp.copy lp in
+          for j = 0 to 7 do
+            if Taskgraph.Prng.bool rng 0.4 then begin
+              let fix = Float.of_int (Taskgraph.Prng.int rng 2) in
+              Sx.set_var_bounds thief j ~lb:fix ~ub:fix;
+              Lp.set_bounds lp2 (Lp.var_of_int lp2 j) ~lb:fix ~ub:fix
             end
-          end)
-        [ Sx.Devex; Sx.Partial ])
+          done;
+          let warm = Sx.dual_reopt thief in
+          let cold = Sx.solve lp2 in
+          match (warm.Sx.status, cold.Sx.status) with
+          | Sx.Optimal, Sx.Optimal ->
+            Float.abs (warm.Sx.obj -. cold.Sx.obj) <= 1e-7
+          | Sx.Infeasible, Sx.Infeasible -> true
+          | _, _ -> false
+        end
+      end)
 
 let test_basis_mismatch_falls_back () =
   (* A basis exported from a model of different dimensions must be
@@ -869,7 +848,7 @@ let () =
         [ qt prop_feasible_and_dominates; qt prop_warm_start_agrees;
           qt prop_degenerate_warm_start_agrees;
           qt prop_mixed_senses; qt prop_dense_sparse_agree;
-          qt prop_dense_sparse_warm_agree; qt prop_pricing_rules_agree;
+          qt prop_dense_sparse_warm_agree;
           qt prop_devex_01_warm_parity; qt prop_lp_bound_below_milp;
           qt prop_shipped_basis_reaches_optimum ] );
     ]

@@ -158,6 +158,34 @@ let test_paper1_warm_dual_no_stall () =
   if lp.Ilp.Simplex.pivots > 2000 then
     Alcotest.failf "%d pivots, expected <= 2000" lp.Ilp.Simplex.pivots
 
+(* Two cost definitions, kept apart on purpose. Eq. 14 charges an
+   edge's bandwidth once per partition boundary it spans, so the
+   solver's objective is sum bw * (p(t2) - p(t1)); the design's
+   [comm_cost] (and [Enumerate]) charges it once per crossing edge.
+   Three tasks in a chain of partitions 1, 2, 3 with edges 0->1:5,
+   0->2:4, 1->2:3: the 0->2 edge spans two boundaries, so the objective
+   is 5 + 2*4 + 3 = 16 while the design cost is 12. *)
+let test_objective_vs_design_cost () =
+  let g =
+    Taskgraph.Generator.generate
+      (Taskgraph.Generator.default ~tasks:3 ~ops:3 ~seed:995017054)
+  in
+  let spec = mk ~cap:45 ~ms:100 ~l:2 ~n:3 g in
+  let r = Solver.solve (F.build spec) in
+  match (r.Solver.outcome, r.Solver.objective) with
+  | Solver.Feasible sol, Some obj ->
+    let p = sol.Sol.partition_of in
+    let spanned =
+      List.fold_left
+        (fun acc (t1, t2, bw) -> acc + (bw * (p.(t2) - p.(t1))))
+        0 (G.task_edges g)
+    in
+    Alcotest.(check (float 1e-6)) "objective is eq. 14" (Float.of_int spanned)
+      obj;
+    Alcotest.(check int) "objective" 16 spanned;
+    Alcotest.(check int) "design cost" 12 sol.Sol.comm_cost
+  | o, _ -> Alcotest.failf "unexpected %a" Solver.pp_outcome o
+
 (* ---------------- Options equivalence ---------------- *)
 
 let optimal_cost_with options spec =
@@ -621,6 +649,8 @@ let () =
             test_latency_relaxation_monotone;
           Alcotest.test_case "paper1 warm dual no stall" `Quick
             test_paper1_warm_dual_no_stall;
+          Alcotest.test_case "objective vs design cost" `Quick
+            test_objective_vs_design_cost;
         ] );
       ( "equivalences",
         [
