@@ -19,13 +19,18 @@
     caller's concern ({!Simplex} refactorizes on an eta-length bound and
     on residual checks).
 
+    A [t] is also a reusable workspace: {!refactor} refills it in place
+    and {!update} appends to its eta file, so once a basis of a given
+    shape has been factored and updated, neither allocates, and neither
+    do the solves. {!Simplex} keeps one workspace per engine.
+
     {b Single-domain ownership is enforced, not advisory}: solves share
     one internal scratch buffer and a mutable eta file, so a [t] is
-    stamped with the id of the domain that ran {!factor}, and
-    {!ftran}/{!btran}/{!update} raise [Invalid_argument] when called
-    from any other domain. Parallel search gives each worker domain its
-    own {!Simplex} engine (hence its own [t]); see
-    [Branch_bound.options.jobs]. *)
+    stamped with the id of the domain that created it ({!create} or
+    {!factor}), and {!refactor}/{!ftran}/{!btran}/{!update} raise
+    [Invalid_argument] when called from any other domain. Parallel
+    search gives each worker domain its own {!Simplex} engine (hence its
+    own [t]); see [Branch_bound.options.jobs]. *)
 
 type t
 
@@ -52,7 +57,30 @@ val factor :
     When [trace] is an active writer a {!Trace.Lu_factor} event (basis
     dimension, fill, pivot-search probes, wall time) is emitted on
     completion; when [metrics] is an active shard the probe count is
-    added to {!Metrics.C_lu_probes}. *)
+    added to {!Metrics.C_lu_probes}. Equivalent to {!refactor} into a
+    fresh {!create}[ m]. *)
+
+val create : int -> t
+(** [create m] is an empty workspace for [m x m] bases, owned by the
+    calling domain. It holds no factorization until {!refactor}: solves
+    and updates on it are meaningless before then. *)
+
+val refactor :
+  ?trace:Trace.writer ->
+  ?metrics:Metrics.shard ->
+  t ->
+  Sparse.Csc.mat ->
+  int array ->
+  unit
+(** [refactor lu a basis] is {!factor}[ a basis] computed into [lu]'s
+    storage: it discards [lu]'s factorization and eta file and performs
+    exactly the same floating-point operations as a fresh {!factor}, so
+    every later solve is bit-identical to one on a fresh factorization.
+    Storage grows (to twice what is needed) only when the basis needs
+    more room than any earlier one. Raises {!Singular} like {!factor}, leaving [lu]
+    without a factorization until the next successful call; raises
+    [Invalid_argument] when [basis] or [a]'s row dimension is not
+    {!size}[ lu], or from a domain other than the creating one. *)
 
 val ftran : t -> float array -> unit
 (** [ftran lu b] solves [B x = b] in place: on entry [b] is a dense
@@ -71,22 +99,28 @@ val ftran_sparse : t -> float array -> int array -> int -> int
     side: [b] is dense but its nonzeros are exactly the rows
     [pat.(0 .. n-1)] (every other entry must be [0.]). The solve visits
     only the elimination steps reachable from those rows
-    (Gilbert-Peierls reachability over the factor's dependency graph,
-    processed in elimination order through a step heap), so its cost is
-    proportional to the solution's support, not to [m].
+    (Gilbert-Peierls reachability over the factor's dependency graph:
+    the reached steps are stamped, then visited by one sweep in
+    elimination order), so its cost is proportional to the span of the
+    steps it reaches rather than to [m] plus the factor's fill. The
+    result equals {!ftran}'s entry by entry (an exact zero may differ
+    in sign): the steps it skips would only have added exact zeros.
 
     Returns [c >= 0]: the solution's nonzeros are among the slots
-    [pat.(0 .. c-1)] (the pattern is conservative — listed entries may
-    hold exact zeros — but complete). Returns [-1] when the input was
-    too dense for the sparse sweep to win; the solve then fell through
-    to the dense {!ftran} kernel and no pattern is available. [pat]
-    must have length at least [m]. *)
+    [pat.(0 .. c-1)], each listed once (the pattern is conservative —
+    listed entries may hold exact zeros — but complete). The slots of
+    the triangular solve come first, in decreasing elimination-step
+    order, followed by any slots the eta file added. Returns [-1] when
+    the input was too dense for the sparse sweep to win; the solve then
+    fell through to the dense {!ftran} kernel and no pattern is
+    available. [pat] must have length at least [m]. *)
 
 val btran_sparse : t -> float array -> int array -> int -> int
 (** [btran_sparse lu c pat n] is {!btran} for a sparse slot-indexed
     input with nonzeros [pat.(0 .. n-1)]; same contract as
     {!ftran_sparse}. On a non-negative return the result's nonzero rows
-    are among [pat.(0 .. c-1)]. The unit-vector right-hand sides of
+    are among [pat.(0 .. c-1)], each listed once, in decreasing
+    elimination-step order. The unit-vector right-hand sides of
     dual pricing ([B^T rho = e_r]) are the main beneficiary. *)
 
 val update : t -> w:float array -> r:int -> unit

@@ -32,6 +32,7 @@ type stats = {
   factor_time_s : float;
   ftran_seconds : float;
   btran_seconds : float;
+  update_seconds : float;
   pivots : int;
   bound_flips : int;
   dual_stalls : int;
@@ -52,6 +53,7 @@ let empty_stats =
     factor_time_s = 0.;
     ftran_seconds = 0.;
     btran_seconds = 0.;
+    update_seconds = 0.;
     pivots = 0;
     bound_flips = 0;
     dual_stalls = 0;
@@ -72,6 +74,7 @@ let add_stats a b =
     factor_time_s = a.factor_time_s +. b.factor_time_s;
     ftran_seconds = a.ftran_seconds +. b.ftran_seconds;
     btran_seconds = a.btran_seconds +. b.btran_seconds;
+    update_seconds = a.update_seconds +. b.update_seconds;
     pivots = a.pivots + b.pivots;
     bound_flips = a.bound_flips + b.bound_flips;
     dual_stalls = a.dual_stalls + b.dual_stalls;
@@ -84,13 +87,13 @@ let add_stats a b =
 let pp_stats ppf s =
   Format.fprintf ppf
     "factorizations=%d fill=%d etas=%d refactors(eta/numeric/residual)=%d/%d/%d \
-     factor=%.3fs ftran=%.3fs btran=%.3fs pivots=%d flips=%d \
+     factor=%.3fs ftran=%.3fs btran=%.3fs update=%.3fs pivots=%d flips=%d \
      dual-stalls=%d primal-restarts=%d gc(minor/major)=%.0f/%.0fw \
      compactions=%d"
     s.factorizations s.fill s.etas s.refactor_eta s.refactor_numeric
     s.refactor_residual s.factor_time_s s.ftran_seconds s.btran_seconds
-    s.pivots s.bound_flips s.dual_stalls s.primal_restarts s.minor_words
-    s.major_words s.compactions
+    s.update_seconds s.pivots s.bound_flips s.dual_stalls s.primal_restarts
+    s.minor_words s.major_words s.compactions
 
 type vstat = Basic | At_lower | At_upper | Free_zero
 
@@ -123,8 +126,10 @@ type snapshot = {
 
 (* Basis representation: a dense explicit inverse maintained by
    product-form row operations, or a sparse LU factorization with an
-   eta file (see {!Lu}). *)
-type lu_box = { mutable lu : Lu.t option }
+   eta file (see {!Lu}). The LU workspace lives as long as the engine
+   and every factorization refills it in place; [valid] says whether it
+   currently holds a factorization of the basis. *)
+type lu_box = { lu : Lu.t; mutable valid : bool }
 
 type repr =
   | Rdense of float array array  (* binv: dense m x m basis inverse *)
@@ -184,6 +189,7 @@ type state = {
   mutable t_factor : float;
   mutable t_ftran : float;
   mutable t_btran : float;
+  mutable t_update : float;
   mutable last_inf : infeasibility option;
   mutable trace : Trace.writer;
   mutable ms : Metrics.shard;
@@ -242,6 +248,7 @@ let stats st =
     factor_time_s = st.t_factor;
     ftran_seconds = st.t_ftran;
     btran_seconds = st.t_btran;
+    update_seconds = st.t_update;
     pivots = st.total_pivots;
     bound_flips = st.bound_flips;
     dual_stalls = st.dual_stalls;
@@ -273,8 +280,8 @@ let emit_refactor st trigger =
   if Trace.active st.trace then begin
     let etas =
       match st.repr with
-      | Rsparse { lu = Some lu } -> Lu.eta_count lu
-      | Rsparse { lu = None } | Rdense _ -> 0
+      | Rsparse { lu; valid = true } -> Lu.eta_count lu
+      | Rsparse { valid = false; _ } | Rdense _ -> 0
     in
     Trace.emit st.trace (Trace.Lu_refactor { trigger; etas })
   end
@@ -334,7 +341,7 @@ let create ?(backend = Sparse_lu) lp =
              let r = Array.make m 0. in
              r.(i) <- 1.;
              r))
-    | Sparse_lu -> Rsparse { lu = None }
+    | Sparse_lu -> Rsparse { lu = Lu.create m; valid = false }
   in
   let mat = Sparse.Csc.of_columns ~nrows:m cols in
   {
@@ -389,6 +396,7 @@ let create ?(backend = Sparse_lu) lp =
     t_factor = 0.;
     t_ftran = 0.;
     t_btran = 0.;
+    t_update = 0.;
     last_inf = None;
     trace = Trace.null_writer;
     ms = Metrics.null_shard;
@@ -498,20 +506,18 @@ let fresh_factor st =
       done
     done
   | Rsparse box -> (
+    box.valid <- false;
     match
-      Lu.factor ~trace:st.trace ~metrics:st.ms st.mat st.basis
+      Lu.refactor ~trace:st.trace ~metrics:st.ms box.lu st.mat st.basis
     with
-    | lu ->
-      box.lu <- Some lu;
-      st.last_fill <- Lu.fill lu
+    | () ->
+      box.valid <- true;
+      st.last_fill <- Lu.fill box.lu
     | exception Lu.Singular -> raise Singular_basis)
 
 let lu_of st box =
-  match box.lu with
-  | Some lu -> lu
-  | None ->
-    fresh_factor st;
-    Option.get box.lu
+  if not box.valid then fresh_factor st;
+  box.lu
 
 (* Zero out the previous transformed column, touching only its recorded
    nonzeros when a pattern is available. *)
@@ -722,10 +728,12 @@ let build_alpha st rho =
   st.alpha_n <- !n
 
 (* Apply the basis-exchange update for an entering column whose
-   transformed column is in st.w, pivoting in slot r. *)
+   transformed column is in st.w, pivoting in slot r. Timed into
+   [t_update] (reported as [stats.update_seconds]). *)
 let update_factor st r =
   match st.repr with
   | Rdense binv ->
+    let t0 = now () in
     let piv = st.w.(r) in
     Vec.scale (1. /. piv) binv.(r);
     for i = 0 to st.m - 1 do
@@ -733,12 +741,19 @@ let update_factor st r =
         let f = st.w.(i) in
         if f <> 0. then Vec.axpy ~alpha:(-.f) ~x:binv.(r) ~y:binv.(i)
       end
-    done
-  | Rsparse box -> (
+    done;
+    st.t_update <- st.t_update +. (now () -. t0)
+  | Rsparse box ->
     let lu = lu_of st box in
-    match Lu.update lu ~w:st.w ~r with
-    | () -> st.n_etas <- st.n_etas + 1
-    | exception Lu.Singular -> raise Singular_basis)
+    let t0 = now () in
+    let ok =
+      match Lu.update lu ~w:st.w ~r with
+      | () -> true
+      | exception Lu.Singular -> false
+    in
+    st.t_update <- st.t_update +. (now () -. t0);
+    if not ok then raise Singular_basis;
+    st.n_etas <- st.n_etas + 1
 
 (* Has the representation accumulated enough updates to warrant a
    periodic refresh? The sparse trigger is two-sided: the eta-file
@@ -749,10 +764,10 @@ let update_factor st r =
 let due_refresh st =
   match st.repr with
   | Rdense _ -> st.pivots_since_refactor >= refactor_period
-  | Rsparse { lu = Some lu } ->
+  | Rsparse { lu; valid = true } ->
     Lu.eta_count lu >= bucket_eta_limit
     || Lu.eta_nnz lu > devex_eta_fill * Lu.fill lu
-  | Rsparse { lu = None } -> false
+  | Rsparse { valid = false; _ } -> false
 
 let objective_value st costs =
   let acc = ref 0. in
@@ -1159,7 +1174,7 @@ let reset_to_slack_basis st =
    | Rsparse box ->
      (* the slack basis is a permutation-free identity: factor it fresh
         (cheap: every column is a singleton) *)
-     box.lu <- None;
+     box.valid <- false;
      fresh_factor st);
   st.bland <- false;
   st.degen_streak <- 0;
@@ -1568,14 +1583,13 @@ let snapshot st =
   let pivot_order =
     match st.repr with
     | Rdense _ -> None
+    | Rsparse box when not box.valid -> None
+    | Rsparse box when Lu.eta_count box.lu = 0 ->
+      Some (Lu.pivot_order box.lu)
     | Rsparse box -> (
-      match box.lu with
-      | Some lu when Lu.eta_count lu = 0 -> Some (Lu.pivot_order lu)
-      | None -> None
-      | Some _ -> (
-        match refactor st with
-        | () -> Option.map Lu.pivot_order box.lu
-        | exception Singular_basis -> None))
+      match refactor st with
+      | () -> Some (Lu.pivot_order box.lu)
+      | exception Singular_basis -> None)
   in
   {
     s_m = st.m;
@@ -1643,7 +1657,7 @@ let install_basis st b =
     st.pivots_since_refactor <- 0;
     st.last_inf <- None;
     reset_devex_weights st;
-    (match st.repr with Rsparse box -> box.lu <- None | Rdense _ -> ());
+    (match st.repr with Rsparse box -> box.valid <- false | Rdense _ -> ());
     !ok
     &&
     match
@@ -1652,7 +1666,7 @@ let install_basis st b =
     with
     | () -> true
     | exception Singular_basis ->
-      (match st.repr with Rsparse box -> box.lu <- None | Rdense _ -> ());
+      (match st.repr with Rsparse box -> box.valid <- false | Rdense _ -> ());
       false
   end
 

@@ -117,6 +117,9 @@ type stats = {
           factor-vs-solve split visible without a trace. *)
   ftran_seconds : float;  (** Wall time spent in forward solves. *)
   btran_seconds : float;  (** Wall time spent in transposed solves. *)
+  update_seconds : float;
+      (** Wall time spent appending basis-exchange updates (the eta
+          file under the sparse backend). *)
   pivots : int;  (** Cumulative basis-changing simplex pivots. *)
   bound_flips : int;
       (** Cumulative bound flips applied without a basis change: ratio
