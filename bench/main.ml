@@ -601,16 +601,13 @@ type nodes_row = {
   nd_cost : int option;
   nd_rc_fixed : int;
   nd_prop_fixings : int;
-  nd_cover : int;
-  nd_clique : int;
-  nd_pc : int;
 }
 
 let nodes_rows : nodes_row list ref = ref []
 
 let nodes_bench ~quick () =
   section
-    "Node deductions: reduced-cost fixing, propagation, cuts, pseudo-cost\n\
+    "Node deductions: reduced-cost fixing and propagation\n\
      (production model, scheduler-completion hook OFF so the search tree\n\
      is the object under measurement; per-run wall-clock budget. The\n\
      'base' rows are the paper-faithful default; see docs/SOLVER.md)";
@@ -635,33 +632,25 @@ let nodes_bench ~quick () =
   in
   let configs =
     [
-      ("base", false, false, false, false);
-      ("+rcfix", true, false, false, false);
-      ("+propagate", false, true, false, false);
-      ("+cuts", false, false, true, false);
-      ("+pseudocost", false, false, false, true);
-      ("full", true, true, true, true);
+      ("base", false, false);
+      ("+rcfix", true, false);
+      ("+propagate", false, true);
+      ("+rcfix+propagate", true, true);
     ]
   in
-  Format.printf
-    " %-6s %-3s %-3s %-11s | %-7s %-10s | %-7s %-8s %-11s %-7s | %s@." "graph"
-    "N" "L" "config" "nodes" "runtime(s)" "rcfix" "propfix" "cover/cliq" "pcbr"
-    "result";
+  Format.printf " %-6s %-3s %-3s %-16s | %-7s %-10s | %-7s %-8s | %s@." "graph"
+    "N" "L" "config" "nodes" "runtime(s)" "rcfix" "propfix" "result";
   let base_total = ref 0 and full_total = ref 0 in
   List.iter
     (fun (gno, n, ams, l) ->
       let g = Ex.paper_graph gno in
       List.iter
-        (fun (cname, rc, prop, cuts, pc) ->
-          let strategy =
-            if pc then Temporal.Branching.Pseudocost
-            else Temporal.Branching.Paper
-          in
+        (fun (cname, rc, prop) ->
           let vars = F.build (spec_of g ~ams ~n ~l) in
           let t0 = Unix.gettimeofday () in
           let report =
-            Solver.solve ~strategy ~scheduler_completion:false
-              ~time_limit:budget ~rc_fixing:rc ~propagate:prop ~cuts vars
+            Solver.solve ~scheduler_completion:false ~time_limit:budget
+              ~rc_fixing:rc ~propagate:prop vars
           in
           let seconds = Unix.gettimeofday () -. t0 in
           let stats = report.Solver.stats in
@@ -674,7 +663,7 @@ let nodes_bench ~quick () =
             | Solver.Timed_out _ -> (false, None)
           in
           if cname = "base" then base_total := !base_total + nodes;
-          if cname = "full" then full_total := !full_total + nodes;
+          if rc && prop then full_total := !full_total + nodes;
           nodes_rows :=
             {
               nd_graph = gno; nd_n = n; nd_l = l; nd_config = cname;
@@ -682,18 +671,11 @@ let nodes_bench ~quick () =
               nd_cost = cost;
               nd_rc_fixed = d.Ilp.Branch_bound.rc_fixed;
               nd_prop_fixings = d.Ilp.Branch_bound.prop_fixings;
-              nd_cover = d.Ilp.Branch_bound.cover_cuts.Ilp.Branch_bound.cf_separated;
-              nd_clique = d.Ilp.Branch_bound.clique_cuts.Ilp.Branch_bound.cf_separated;
-              nd_pc = d.Ilp.Branch_bound.pc_branchings;
             }
             :: !nodes_rows;
-          Format.printf
-            " %-6d %-3d %-3d %-11s | %-7d %-10.2f | %-7d %-8d %4d/%-6d %-7d | %s@."
+          Format.printf " %-6d %-3d %-3d %-16s | %-7d %-10.2f | %-7d %-8d | %s@."
             gno n l cname nodes seconds d.Ilp.Branch_bound.rc_fixed
             d.Ilp.Branch_bound.prop_fixings
-            d.Ilp.Branch_bound.cover_cuts.Ilp.Branch_bound.cf_separated
-            d.Ilp.Branch_bound.clique_cuts.Ilp.Branch_bound.cf_separated
-            d.Ilp.Branch_bound.pc_branchings
             (match report.Solver.outcome with
              | Solver.Feasible sol -> Printf.sprintf "cost %d" sol.Sol.comm_cost
              | Solver.Infeasible_model -> "infeasible"
@@ -702,7 +684,7 @@ let nodes_bench ~quick () =
     points;
   if !base_total > 0 then
     Format.printf
-      "@.total nodes: base %d, full deduction stack %d (%.0f%% reduction)@."
+      "@.total nodes: base %d, rc-fix + propagation %d (%.0f%% reduction)@."
       !base_total !full_total
       (100. *. (1. -. (float_of_int !full_total /. float_of_int !base_total)))
 
@@ -712,11 +694,10 @@ let write_nodes_json path =
     Printf.sprintf
       "    { \"graph\": %d, \"n\": %d, \"l\": %d, \"config\": %S, \
        \"seconds\": %.3f, \"nodes\": %d, \"solved\": %b, \"cost\": %s, \
-       \"rc_fixed\": %d, \"prop_fixings\": %d, \"cover_cuts\": %d, \
-       \"clique_cuts\": %d, \"pc_branchings\": %d }"
+       \"rc_fixed\": %d, \"prop_fixings\": %d }"
       r.nd_graph r.nd_n r.nd_l r.nd_config r.nd_seconds r.nd_nodes r.nd_solved
       (match r.nd_cost with Some c -> string_of_int c | None -> "null")
-      r.nd_rc_fixed r.nd_prop_fixings r.nd_cover r.nd_clique r.nd_pc
+      r.nd_rc_fixed r.nd_prop_fixings
   in
   Printf.fprintf oc
     "{\n\

@@ -96,17 +96,15 @@ let strategy =
     Arg.enum
       [ ("paper", Temporal.Branching.Paper);
         ("most-fractional", Temporal.Branching.Most_fractional);
-        ("first-fractional", Temporal.Branching.First_fractional);
-        ("pseudocost", Temporal.Branching.Pseudocost) ]
+        ("first-fractional", Temporal.Branching.First_fractional) ]
   in
   Arg.(
     value
     & opt strategy_conv Temporal.Branching.Paper
     & info [ "strategy"; "branching" ] ~docv:"RULE"
         ~doc:
-          "Branching rule: $(b,paper), $(b,most-fractional), \
-           $(b,first-fractional) or $(b,pseudocost) (reliability \
-           branching seeded by the paper rule).")
+          "Branching rule: $(b,paper), $(b,most-fractional) or \
+           $(b,first-fractional).")
 
 let no_tighten =
   Arg.(value & flag & info [ "no-tighten" ] ~doc:"Drop the Section 6 tightening cuts (eqs. 28-32).")
@@ -262,50 +260,7 @@ let propagate_flag =
     & info [ "propagate" ]
         ~doc:
           "Per-node domain propagation: cascade each branching decision \
-           through the touched rows (and the cut pool) before solving \
-           the node LP.")
-
-let cuts_flag =
-  Arg.(
-    value
-    & flag
-    & info [ "cuts" ]
-        ~doc:
-          "Root cut-and-branch: separate lifted cover cuts (knapsack \
-           rows) and clique cuts (one-hot rows) to strengthen every \
-           node relaxation.")
-
-let heuristics_flag =
-  Arg.(
-    value
-    & flag
-    & info [ "heuristics" ]
-        ~doc:
-          "Primal heuristics: LP rounding with feasibility repair and \
-           depth-bounded diving, at the root and on a node cadence. \
-           Finds incumbents before the tree search does (entries in \
-           the --json incumbent timeline are tagged with their \
-           source); never changes the proven optimum.")
-
-let heur_cadence_arg =
-  Arg.(
-    value
-    & opt int Ilp.Branch_bound.default_options.Ilp.Branch_bound.heur_cadence
-    & info [ "heur-cadence" ] ~docv:"NODES"
-        ~doc:
-          "With --heuristics, re-run the primal pass every $(docv) \
-           processed nodes (0 = root only).")
-
-let heur_dive_depth_arg =
-  Arg.(
-    value
-    & opt int
-        Ilp.Branch_bound.default_options.Ilp.Branch_bound.heur_dive_depth
-    & info [ "heur-dive-depth" ] ~docv:"LEVELS"
-        ~doc:
-          "With --heuristics, bound the dive at $(docv) variable \
-           fixings; deeper dives reach integrality more often on \
-           large models but each level pays one dual reoptimization.")
+           through the touched rows before solving the node LP.")
 
 let solve_json_flag =
   Arg.(
@@ -458,10 +413,6 @@ let print_table rows =
       rows
 
 let print_deductions (d : Ilp.Branch_bound.deduction_stats) =
-  let fam (f : Ilp.Branch_bound.cut_family_stats) =
-    Printf.sprintf "%d/%d/%d" f.Ilp.Branch_bound.cf_separated
-      f.Ilp.Branch_bound.cf_active f.Ilp.Branch_bound.cf_evicted
-  in
   print_string "deductions:\n";
   print_table
     [
@@ -469,11 +420,7 @@ let print_deductions (d : Ilp.Branch_bound.deduction_stats) =
       [ "rc-fixed"; string_of_int d.Ilp.Branch_bound.rc_fixed ];
       [ "prop-fixings"; string_of_int d.Ilp.Branch_bound.prop_fixings ];
       [ "prop-prunes"; string_of_int d.Ilp.Branch_bound.prop_prunes ];
-      [ "prop-local-hits"; string_of_int d.Ilp.Branch_bound.prop_local_hits ];
-      [ "cut-rounds"; string_of_int d.Ilp.Branch_bound.cut_rounds_run ];
-      [ "cover-cuts"; fam d.Ilp.Branch_bound.cover_cuts ];
-      [ "clique-cuts"; fam d.Ilp.Branch_bound.clique_cuts ];
-      [ "pc-branchings"; string_of_int d.Ilp.Branch_bound.pc_branchings ];
+      [ "prop-time"; Printf.sprintf "%.3fs" d.Ilp.Branch_bound.prop_seconds ];
     ]
 
 let print_workers elapsed (workers : Ilp.Branch_bound.worker_stats array) =
@@ -518,28 +465,18 @@ let json_of_result ?certification ~time_limit result =
       ("timeout", string_of_int sol.Temporal.Solution.comm_cost)
     | Temporal.Solver.Timed_out None -> ("timeout", "null")
   in
-  let fam (f : Ilp.Branch_bound.cut_family_stats) =
-    Printf.sprintf
-      "{\"separated\": %d, \"active\": %d, \"evicted\": %d}"
-      f.Ilp.Branch_bound.cf_separated f.Ilp.Branch_bound.cf_active
-      f.Ilp.Branch_bound.cf_evicted
-  in
   Printf.sprintf
     "{\"outcome\": \"%s\", \"comm_cost\": %s, \"vars\": %d, \"constrs\": \
      %d, \"nodes\": %d, \"incumbents\": %d, \"max_depth\": %d, \
      \"deductions\": {\"rc_fixed\": %d, \"prop_fixings\": %d, \
-     \"prop_prunes\": %d, \"prop_local_hits\": %d, \"cut_rounds\": %d, \
-     \"cover\": %s, \"clique\": %s, \"pc_branchings\": %d}, \
+     \"prop_prunes\": %d, \"prop_seconds\": %s}, \
      \"timeline\": %s, \"bound_timeline\": %s, \"elapsed\": %s, \
      \"time_limit\": %s, \"time_limit_hit\": %b%s}"
     outcome comm r.Temporal.Solver.vars r.Temporal.Solver.constrs
     s.Ilp.Branch_bound.nodes s.Ilp.Branch_bound.incumbents
     s.Ilp.Branch_bound.max_depth d.Ilp.Branch_bound.rc_fixed
     d.Ilp.Branch_bound.prop_fixings d.Ilp.Branch_bound.prop_prunes
-    d.Ilp.Branch_bound.prop_local_hits d.Ilp.Branch_bound.cut_rounds_run
-    (fam d.Ilp.Branch_bound.cover_cuts)
-    (fam d.Ilp.Branch_bound.clique_cuts)
-    d.Ilp.Branch_bound.pc_branchings
+    (Ilp.Json.to_string (Ilp.Json.Num d.Ilp.Branch_bound.prop_seconds))
     (Ilp.Json.to_string (Temporal.Report.incumbent_timeline s))
     (Ilp.Json.to_string (Temporal.Report.bound_timeline s))
     (Ilp.Json.to_string (Ilp.Json.Num s.Ilp.Branch_bound.elapsed))
@@ -560,8 +497,7 @@ let json_of_result ?certification ~time_limit result =
 let solve_cmd =
   let run g a m s capacity alpha scratch latency partitions time_limit strategy
       no_tighten no_step_cuts fortet dot lp_out report_wanted lint
-      stats_wanted jobs deterministic rc_fixing propagate cuts heuristics
-      heur_cadence heur_dive_depth certify json trace
+      stats_wanted jobs deterministic rc_fixing propagate certify json trace
       metrics_out prometheus_out metrics_interval progress =
     let allocation = Hls.Component.ams (a, m, s) in
     let options =
@@ -623,8 +559,7 @@ let solve_cmd =
     let result =
       Temporal.Pipeline.run ~options ~strategy ~time_limit
         ?num_partitions:partitions ~lint ~jobs ~deterministic ~rc_fixing
-        ~propagate ~cuts ~heuristics ~heur_cadence ~heur_dive_depth ~certify
-        ~tracer ~metrics ~graph:g
+        ~propagate ~certify ~tracer ~metrics ~graph:g
         ~allocation ?capacity ~alpha ~scratch ~latency_relax:latency ()
     in
     (* Stop sampling before any post-processing: the final snapshot is
@@ -774,8 +709,7 @@ let solve_cmd =
       $ latency $ partitions $ time_limit $ strategy $ no_tighten
       $ no_step_cuts $ fortet $ dot_out $ lp_out $ report_flag $ lint_flag
       $ stats_flag $ jobs_arg $ deterministic_flag $ rc_fix_flag
-      $ propagate_flag $ cuts_flag $ heuristics_flag $ heur_cadence_arg
-      $ heur_dive_depth_arg $ certify_arg $ solve_json_flag $ trace_out
+      $ propagate_flag $ certify_arg $ solve_json_flag $ trace_out
       $ metrics_out $ prometheus_out $ metrics_interval $ progress_flag)
 
 (* ---------------- analyze command ---------------- *)

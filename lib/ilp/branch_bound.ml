@@ -33,14 +33,6 @@ type options = {
   deterministic : bool;
   rc_fixing : bool;
   propagate : bool;
-  cuts : bool;
-  cut_rounds : int;
-  cut_max_age : int;
-  pseudocost : bool;
-  pc_reliability : int;
-  heuristics : bool;
-  heur_cadence : int;
-  heur_dive_depth : int;
   certify_level : certify_level;
   tracer : Trace.t;
   metrics : Metrics.t;
@@ -63,14 +55,6 @@ let default_options =
     deterministic = false;
     rc_fixing = false;
     propagate = false;
-    cuts = false;
-    cut_rounds = 8;
-    cut_max_age = 3;
-    pseudocost = false;
-    pc_reliability = 1;
-    heuristics = false;
-    heur_cadence = 256;
-    heur_dive_depth = 50;
     certify_level = Cert_off;
     tracer = Trace.disabled;
     metrics = Metrics.disabled;
@@ -106,41 +90,19 @@ let pp_worker_stats ppf w =
     "nodes=%d incumbents=%d steals=%d handoffs=%d idle=%.3fs pivots=%d"
     w.w_nodes w.w_incumbents w.w_steals w.w_handoffs w.w_idle w.w_pivots
 
-type cut_family_stats = { cf_separated : int; cf_active : int; cf_evicted : int }
-
 type deduction_stats = {
   rc_fixed : int;
   prop_fixings : int;
   prop_prunes : int;
-  prop_local_hits : int;
-  cut_rounds_run : int;
-  cover_cuts : cut_family_stats;
-  clique_cuts : cut_family_stats;
-  pc_branchings : int;
+  prop_seconds : float;
 }
 
-let zero_family = { cf_separated = 0; cf_active = 0; cf_evicted = 0 }
-
 let empty_deductions =
-  {
-    rc_fixed = 0;
-    prop_fixings = 0;
-    prop_prunes = 0;
-    prop_local_hits = 0;
-    cut_rounds_run = 0;
-    cover_cuts = zero_family;
-    clique_cuts = zero_family;
-    pc_branchings = 0;
-  }
+  { rc_fixed = 0; prop_fixings = 0; prop_prunes = 0; prop_seconds = 0. }
 
 let pp_deductions ppf d =
-  Format.fprintf ppf
-    "rc_fixed=%d prop_fixings=%d prop_prunes=%d prop_local_hits=%d \
-     cut_rounds=%d cover=%d/%d/%d clique=%d/%d/%d pc_branchings=%d"
-    d.rc_fixed d.prop_fixings d.prop_prunes d.prop_local_hits d.cut_rounds_run
-    d.cover_cuts.cf_separated d.cover_cuts.cf_active d.cover_cuts.cf_evicted
-    d.clique_cuts.cf_separated d.clique_cuts.cf_active
-    d.clique_cuts.cf_evicted d.pc_branchings
+  Format.fprintf ppf "rc_fixed=%d prop_fixings=%d prop_prunes=%d prop_time=%.3fs"
+    d.rc_fixed d.prop_fixings d.prop_prunes d.prop_seconds
 
 type certification_stats = {
   cert_checked : int;
@@ -210,15 +172,12 @@ let fractionality v =
    lower bound before the node itself is solved. [fresh] counts the
    entries at the head of [fixes] added when the node was created (the
    branching decision plus inherited deductions): those variables seed
-   the node's incremental propagation. [br] records the branching step
-   that created the node (variable, up direction, fractional distance)
-   for the pseudo-cost tables. *)
+   the node's incremental propagation. *)
 type node = {
   fixes : (int * float * float) list;
   depth : int;
   n_bound : float;
   fresh : int;
-  br : (int * bool * float) option;
   parent : int;
       (* processed id of the creating node (-1 for the root); ids are
          assigned by [ctx.bump] at evaluation time, so this is only
@@ -306,55 +265,28 @@ end
 
 (* Node-deduction state shared by every search context of one solve.
    The counters are atomics (workers bump them concurrently); the
-   propagation kernel and the cut pool are read-only after setup. The
-   root reduced-cost snapshot is only touched by the driver that owns
-   the root arrays (sequential search, or the seeding phase), before
-   any worker domain exists. *)
+   propagation kernel is read-only after setup. The root reduced-cost
+   snapshot is only touched by the driver that owns the root arrays
+   (sequential search, or the seeding phase), before any worker domain
+   exists. *)
 type dstate = {
-  d_prop : Propagate.t option;  (* rows + pool cuts, for node propagation *)
-  d_cuts : (Cuts.pool * int * int * int) option;
-      (* pool, rounds run, active cover cuts, active clique cuts *)
+  d_prop : Propagate.t option;  (* model rows, for node propagation *)
   d_rc_fixed : int Atomic.t;
   d_prop_fixings : int Atomic.t;
   d_prop_prunes : int Atomic.t;
-  d_prop_local : int Atomic.t;
-  d_pc_branchings : int Atomic.t;
   mutable d_root_rc : (float * float array) option;
       (* root LP objective and reduced costs, for incumbent-driven
          re-fixing of the root bounds *)
   mutable d_rc_cutoff : float;  (* cutoff the root fixing last used *)
 }
 
-let deduction_totals ded =
-  let pool_s =
-    Option.map (fun (pool, _, _, _) -> Cuts.pool_stats pool) ded.d_cuts
-  in
+(* [prop_seconds] is the sum of the contexts' [k_prop_seconds]. *)
+let deduction_totals ded ~prop_seconds =
   {
     rc_fixed = Atomic.get ded.d_rc_fixed;
     prop_fixings = Atomic.get ded.d_prop_fixings;
     prop_prunes = Atomic.get ded.d_prop_prunes;
-    prop_local_hits = Atomic.get ded.d_prop_local;
-    cut_rounds_run =
-      (match ded.d_cuts with Some (_, r, _, _) -> r | None -> 0);
-    cover_cuts =
-      (match (pool_s, ded.d_cuts) with
-       | Some s, Some (_, _, ac, _) ->
-         {
-           cf_separated = s.Cuts.separated_cover;
-           cf_active = ac;
-           cf_evicted = s.Cuts.evicted_cover;
-         }
-       | _ -> zero_family);
-    clique_cuts =
-      (match (pool_s, ded.d_cuts) with
-       | Some s, Some (_, _, _, aq) ->
-         {
-           cf_separated = s.Cuts.separated_clique;
-           cf_active = aq;
-           cf_evicted = s.Cuts.evicted_clique;
-         }
-       | _ -> zero_family);
-    pc_branchings = Atomic.get ded.d_pc_branchings;
+    prop_seconds;
   }
 
 (* Certification counters, bumped concurrently by workers. The root
@@ -463,33 +395,17 @@ type ctx = {
   mutable last_basis : Simplex.basis option;
       (* the basis most recently exported from [st]: a child carrying it
          physically needs no reinstall (the engine is already there) *)
-  mutable heur : Heuristics.t option;  (* lazily-built private engine *)
   mutable first_solve : bool;
   mutable local_best : float;
   mutable k_nodes : int;
   mutable k_incumbents : int;
   mutable k_max_depth : int;
   mutable k_root_obj : float;
-  (* Pseudo-cost tables, context-local: each worker learns from its own
-     subtree, so deterministic-mode node counts cannot depend on
-     cross-domain timing. Empty arrays when pseudo-cost is off. *)
-  pc_up_sum : float array;
-  pc_up_cnt : int array;
-  pc_down_sum : float array;
-  pc_down_cnt : int array;
+  mutable k_prop_seconds : float;  (* wall time inside [Propagate.run] *)
 }
-
-let pc_tables env =
-  if env.opts.pseudocost then
-    ( Array.make env.nvars 0.,
-      Array.make env.nvars 0,
-      Array.make env.nvars 0.,
-      Array.make env.nvars 0 )
-  else ([||], [||], [||], [||])
 
 let make_ctx env ~inc ~st ~push ~tw ~msh ~det ~set_root ~bump ~ship
     ~local_best =
-  let pc_up_sum, pc_up_cnt, pc_down_sum, pc_down_cnt = pc_tables env in
   {
     env;
     inc;
@@ -510,17 +426,13 @@ let make_ctx env ~inc ~st ~push ~tw ~msh ~det ~set_root ~bump ~ship
     applied = [];
     n_applied = 0;
     last_basis = None;
-    heur = None;
     first_solve = true;
     local_best;
     k_nodes = 0;
     k_incumbents = 0;
     k_max_depth = 0;
     k_root_obj = Float.nan;
-    pc_up_sum;
-    pc_up_cnt;
-    pc_down_sum;
-    pc_down_cnt;
+    k_prop_seconds = 0.;
   }
 
 (* Move the engine's bounds from the previously processed node's fix
@@ -602,26 +514,7 @@ let cutoff ctx =
 let is_integral env x =
   List.for_all (fun j -> fractionality x.(j) <= env.opts.int_tol) env.int_vars
 
-(* Record one observed LP degradation from branching [node.br]: the
-   per-unit objective increase feeds the pseudo-cost average of the
-   branched variable in the branching direction. *)
-let pc_observe ctx node obj =
-  match node.br with
-  | Some (j, up, dist) when ctx.env.opts.pseudocost ->
-    let degr = Float.max 0. (obj -. node.n_bound) in
-    let unit = degr /. Float.max dist 1e-6 in
-    if up then begin
-      ctx.pc_up_sum.(j) <- ctx.pc_up_sum.(j) +. unit;
-      ctx.pc_up_cnt.(j) <- ctx.pc_up_cnt.(j) + 1
-    end
-    else begin
-      ctx.pc_down_sum.(j) <- ctx.pc_down_sum.(j) +. unit;
-      ctx.pc_down_cnt.(j) <- ctx.pc_down_cnt.(j) + 1
-    end
-  | _ -> ()
-
-let choose_branch ctx x ~is_fixed =
-  let env = ctx.env in
+let choose_branch env x ~is_fixed =
   let fallback () =
     let best_j = ref (-1) and best_f = ref env.opts.int_tol in
     List.iter
@@ -634,56 +527,16 @@ let choose_branch ctx x ~is_fixed =
       env.int_vars;
     if !best_j < 0 then None else Some !best_j
   in
-  let structured () =
-    match env.opts.branch_rule with
-    | None -> fallback ()
-    | Some rule -> (
-      (* A custom rule may branch on an unfixed variable even when it is
-         integral in the relaxation — fixing it still partitions the
-         search space, and problem-specific hooks can then resolve the
-         fully-fixed subtrees combinatorially. *)
-      match rule ~lp_solution:x ~is_fixed with
-      | Some j when not (is_fixed j) -> Some j
-      | Some _ | None -> fallback ())
-  in
-  if not env.opts.pseudocost then structured ()
-  else begin
-    (* Reliability branching: among the fractional candidates whose
-       pseudo-cost averages have enough observations in both directions,
-       pick the largest product score. Until a candidate qualifies the
-       structured rule (the paper's y -> u order) decides, which is what
-       initializes the tables in the first place. *)
-    let r = Int.max 1 env.opts.pc_reliability in
-    let best_j = ref (-1) and best_s = ref Float.neg_infinity in
-    List.iter
-      (fun j ->
-        let f = x.(j) -. Float.floor x.(j) in
-        if
-          fractionality x.(j) > env.opts.int_tol
-          && (not (is_fixed j))
-          && ctx.pc_up_cnt.(j) >= r
-          && ctx.pc_down_cnt.(j) >= r
-        then begin
-          let up =
-            ctx.pc_up_sum.(j)
-            /. Float.of_int ctx.pc_up_cnt.(j)
-            *. (1. -. f)
-          and down =
-            ctx.pc_down_sum.(j) /. Float.of_int ctx.pc_down_cnt.(j) *. f
-          in
-          let s = Float.max up 1e-6 *. Float.max down 1e-6 in
-          if s > !best_s +. 1e-12 then begin
-            best_s := s;
-            best_j := j
-          end
-        end)
-      env.int_vars;
-    if !best_j >= 0 then begin
-      Atomic.incr ctx.env.ded.d_pc_branchings;
-      Some !best_j
-    end
-    else structured ()
-  end
+  match env.opts.branch_rule with
+  | None -> fallback ()
+  | Some rule -> (
+    (* A custom rule may branch on an unfixed variable even when it is
+       integral in the relaxation — fixing it still partitions the search
+       space, and problem-specific hooks can then resolve the fully-fixed
+       subtrees combinatorially. *)
+    match rule ~lp_solution:x ~is_fixed with
+    | Some j when not (is_fixed j) -> Some j
+    | Some _ | None -> fallback ())
 
 (* Install an incumbent; must be called with [inc.user_lock] held.
    Returns whether the global best actually improved (a concurrent
@@ -721,7 +574,7 @@ let locked_install ?(locked = false) ctx ~node_no ~source obj x ~callback =
 (* Full acceptance path: feasibility-checked, fires [on_incumbent].
    [locked] marks calls made from inside [run_hook], which already
    holds the user lock (it is not reentrant). [source] tags where the
-   candidate came from (search, hook, or a primal heuristic). *)
+   candidate came from (search or hook). *)
 let accept_incumbent ?(locked = false) ?(source = Trace.Src_search) ctx
     ~node_no ~depth x =
   let obj =
@@ -856,37 +709,6 @@ let certify_node ctx ~nno res =
          { node = nno; verdict; kind = Certify.kind_name cert.Certify.detail; dt })
   end
 
-(* Primal heuristics pass: cheap rounding + repair first, then a
-   depth-bounded dive on the context's private heuristic engine.
-   Candidates go through [accept_incumbent], so they are re-checked
-   against the original model before installation — heuristic bugs can
-   waste time but never corrupt the search. *)
-let run_heuristics ctx ~node_no ~depth ~lb ~ub x =
-  let env = ctx.env in
-  let h =
-    match ctx.heur with
-    | Some h -> h
-    | None ->
-      let h =
-        Heuristics.create ~trace:ctx.tw ~metrics:ctx.msh env.lp
-      in
-      ctx.heur <- Some h;
-      h
-  in
-  if Trace.active ctx.tw then Trace.emit ctx.tw (Trace.Span_begin "heuristics");
-  (match Heuristics.round_and_repair h ~int_tol:env.opts.int_tol ~x () with
-   | Some rx ->
-     accept_incumbent ~source:Trace.Src_round ctx ~node_no ~depth rx
-   | None -> ());
-  (match
-     Heuristics.dive h ~lb ~ub ~x ~int_tol:env.opts.int_tol
-       ~max_depth:env.opts.heur_dive_depth ~cutoff:(cutoff ctx)
-       ~deadline:env.deadline ()
-   with
-   | Some dx -> accept_incumbent ~source:Trace.Src_dive ctx ~node_no ~depth dx
-   | None -> ());
-  if Trace.active ctx.tw then Trace.emit ctx.tw (Trace.Span_end "heuristics")
-
 (* Evaluate one node on [ctx]'s engine: bound setup, domain
    propagation, (warm) LP solve, hook, incumbent tests, reduced-cost
    fixing, branching. Drivers decide what a step result means for the
@@ -936,11 +758,11 @@ let process_node ctx node =
     end
   in
   (* Per-node propagation: cascade the fresh bound changes through the
-     rows touching them (pool cuts ride along as local rows) before
-     paying for any LP pivot. A conflict prunes the node outright. *)
+     rows touching them before paying for any LP pivot. A conflict
+     prunes the node outright. *)
   let propagation =
     match env.ded.d_prop with
-    | Some prop when opts.propagate -> (
+    | Some prop -> (
       let seeds =
         if node.fresh = 0 then None
         else
@@ -948,22 +770,22 @@ let process_node ctx node =
             (List.filteri (fun i _ -> i < node.fresh) node.fixes
             |> List.map (fun (j, _, _) -> j))
       in
-      match
+      let t = Mono.now () in
+      let out =
         Propagate.run prop ~lb ~ub ?seeds ~trace:ctx.tw ~metrics:ctx.msh ()
-      with
+      in
+      ctx.k_prop_seconds <- ctx.k_prop_seconds +. Mono.elapsed_since t;
+      match out with
       | Propagate.Ok d ->
         if d.Propagate.fixes <> [] then
           ignore
             (Atomic.fetch_and_add env.ded.d_prop_fixings
                (List.length d.Propagate.fixes));
-        if d.Propagate.local_hits > 0 then
-          ignore
-            (Atomic.fetch_and_add env.ded.d_prop_local d.Propagate.local_hits);
         Some d.Propagate.fixes
       | Propagate.Empty_domain _ | Propagate.Conflict _ ->
         Atomic.incr env.ded.d_prop_prunes;
         None)
-    | _ -> Some []
+    | None -> Some []
   in
   match propagation with
   | None ->
@@ -1061,7 +883,6 @@ let process_node ctx node =
          if res.Simplex.status = Simplex.Iter_limit then 1e-5 else 0.
        in
        let obj = res.Simplex.obj -. margin and x = res.Simplex.x in
-       pc_observe ctx node obj;
        let is_fixed j = ub.(j) -. lb.(j) <= 1e-9 in
        let hook_says_prune =
          run_hook ctx ~node_no:nno ~depth:node.depth x ~is_fixed
@@ -1121,15 +942,7 @@ let process_node ctx node =
              opts.rc_fixing && ctx.set_root && node.fixes = []
              && Array.length res.Simplex.dj > 0
            then env.ded.d_root_rc <- Some (obj, Array.copy res.Simplex.dj);
-           (* Primal heuristics: always at the root (first incumbent
-              before any branching), then on the node cadence. *)
-           if
-             opts.heuristics
-             && (node.depth = 0
-                || (opts.heur_cadence > 0
-                   && ctx.k_nodes mod opts.heur_cadence = 0))
-           then run_heuristics ctx ~node_no:nno ~depth:node.depth ~lb ~ub x;
-           match choose_branch ctx x ~is_fixed with
+           match choose_branch env x ~is_fixed with
            | None ->
              (* All integer variables integral within a looser tolerance
                 than is_integral used: accept as incumbent. *)
@@ -1154,13 +967,12 @@ let process_node ctx node =
                end
                else None
              in
-             let child ~br lo hi =
+             let child lo hi =
                {
                  fixes = ((j, lo, hi) :: deduced) @ node.fixes;
                  depth = node.depth + 1;
                  n_bound = obj;
                  fresh = nfresh;
-                 br;
                  parent = nno;
                  n_basis = ship_b;
                }
@@ -1172,32 +984,22 @@ let process_node ctx node =
                    reproduce the parent. *)
                 let vi = Float.round v in
                 let others =
-                  (if vi -. 1. >= lo_j then [ child ~br:None lo_j (vi -. 1.) ]
-                   else [])
-                  @
-                  if vi +. 1. <= hi_j then [ child ~br:None (vi +. 1.) hi_j ]
-                  else []
+                  (if vi -. 1. >= lo_j then [ child lo_j (vi -. 1.) ] else [])
+                  @ if vi +. 1. <= hi_j then [ child (vi +. 1.) hi_j ] else []
                 in
                 match opts.node_order with
                 | Depth_first ->
                   (* push the fixed child last so the dive continues
                      through the current relaxation's value *)
                   List.iter ctx.push others;
-                  ctx.push (child ~br:None vi vi)
+                  ctx.push (child vi vi)
                 | Best_bound ->
-                  ctx.push (child ~br:None vi vi);
+                  ctx.push (child vi vi);
                   List.iter ctx.push others
               end
               else begin
-                let down =
-                  child
-                    ~br:(Some (j, false, v -. Float.floor v))
-                    lo_j (Float.floor v)
-                and up =
-                  child
-                    ~br:(Some (j, true, Float.ceil v -. v))
-                    (Float.ceil v) hi_j
-                in
+                let down = child lo_j (Float.floor v)
+                and up = child (Float.ceil v) hi_j in
                 match (opts.node_order, opts.value_order) with
                 | Depth_first, One_first ->
                   (* stack: push the preferred child last so it pops
@@ -1220,124 +1022,15 @@ let process_node ctx node =
          end
        end)
 
-(* Root cut-and-branch: alternate LP solves with cover/clique
-   separation, keeping violated cuts as extra [<=] rows. The CSC matrix
-   is immutable, so each round rebuilds the strengthened LP — cheap at
-   the root, and the reason pool cuts reach search nodes only as
-   propagation rows. Active cuts slack at the current optimum age; past
-   [cut_max_age] they are evicted so the relaxation stays small (they
-   remain in the pool). Separation order and everything else here is a
-   deterministic function of the model. *)
-let max_cuts_per_round = 32
-
-let cut_and_branch opts lp t0 tw msh =
-  let pool = Cuts.create_pool () in
-  (* Root cutting must leave time for the search: cap the loop at a
-     quarter of the time limit so a large model's LP re-solves cannot
-     consume the whole budget before the first node is processed. *)
-  let cut_budget = 0.25 *. opts.time_limit in
-  let int_vars =
-    List.map (fun (v : Lp.var) -> (v :> int)) (Lp.integer_vars lp)
-  in
-  let with_cuts active =
-    let out = Lp.copy lp in
-    List.iter
-      (fun (c : Cuts.cut) ->
-        ignore
-          (Lp.add_constr out ~name:c.Cuts.name
-             (Array.to_list
-                (Array.mapi
-                   (fun k j -> (c.Cuts.coef.(k), Lp.var_of_int out j))
-                   c.Cuts.idx))
-             Lp.Le c.Cuts.rhs))
-      active;
-    out
-  in
-  let active = ref [] in
-  let rounds = ref 0 in
-  let continue_ = ref true in
-  while
-    !continue_ && !rounds < opts.cut_rounds
-    && Mono.elapsed_since t0 <= cut_budget
-  do
-    let res = Simplex.solve (with_cuts !active) in
-    if res.Simplex.status <> Simplex.Optimal then continue_ := false
-    else if
-      List.for_all
-        (fun j -> fractionality res.Simplex.x.(j) <= opts.int_tol)
-        int_vars
-    then continue_ := false
-    else begin
-      let keep, evict =
-        List.partition
-          (fun (c : Cuts.cut) ->
-            if Cuts.violation c res.Simplex.x < -1e-7 then
-              c.Cuts.age <- c.Cuts.age + 1
-            else c.Cuts.age <- 0;
-            c.Cuts.age <= opts.cut_max_age)
-          !active
-      in
-      if evict <> [] then Cuts.note_evicted pool evict;
-      active := keep;
-      let fresh =
-        Cuts.pool_add pool
-          (List.map snd
-             (Cuts.separate ~trace:tw ~metrics:msh lp ~x:res.Simplex.x))
-      in
-      if fresh = [] then continue_ := false
-      else begin
-        active :=
-          !active @ List.filteri (fun i _ -> i < max_cuts_per_round) fresh;
-        incr rounds;
-        if Metrics.active msh then Metrics.incr msh Metrics.C_cut_rounds;
-        if Trace.active tw then
-          Trace.emit tw
-            (Trace.Cut_round
-               {
-                 round = !rounds;
-                 separated = List.length fresh;
-                 active = List.length !active;
-                 evicted = List.length evict;
-               })
-      end
-    end
-  done;
-  (with_cuts !active, pool, !active, !rounds)
-
-let make_env options lp t0 ~cuts_info =
+let make_env options lp t0 =
   let n = Lp.num_vars lp in
-  let prop =
-    if options.propagate then begin
-      let extra =
-        match cuts_info with
-        | None -> []
-        | Some (pool, active, _) ->
-          let active_names = List.map (fun c -> c.Cuts.name) active in
-          Cuts.pool_snapshot pool
-          |> List.filter (fun c -> not (List.mem c.Cuts.name active_names))
-          |> List.map Cuts.to_propagate_row
-      in
-      Some (Propagate.of_lp ~extra lp)
-    end
-    else None
-  in
   let ded =
     {
-      d_prop = prop;
-      d_cuts =
-        (match cuts_info with
-         | None -> None
-         | Some (pool, active, rounds) ->
-           let count fam =
-             List.length
-               (List.filter (fun c -> c.Cuts.family = fam) active)
-           in
-           Some (pool, rounds, count Cuts.Cover, count Cuts.Clique));
+      d_prop =
+        (if options.propagate then Some (Propagate.of_lp lp) else None);
       d_rc_fixed = Atomic.make 0;
       d_prop_fixings = Atomic.make 0;
       d_prop_prunes = Atomic.make 0;
-      d_prop_local = Atomic.make 0;
-      d_pc_branchings = Atomic.make 0;
       d_root_rc = None;
       d_rc_cutoff = Float.infinity;
     }
@@ -1381,7 +1074,6 @@ let root_node =
     depth = 0;
     n_bound = Float.neg_infinity;
     fresh = 0;
-    br = None;
     parent = -1;
     n_basis = None;
   }
@@ -1493,7 +1185,8 @@ let solve_sequential env =
       root_obj = ctx.k_root_obj;
       lp_stats = Simplex.stats st;
       workers = [||];
-      deductions = deduction_totals env.ded;
+      deductions =
+        deduction_totals env.ded ~prop_seconds:ctx.k_prop_seconds;
       certification = certification_totals env.cert;
       timeline = Array.of_list (List.rev inc.timeline);
       bound_timeline = Array.of_list (List.rev inc.bounds);
@@ -1515,6 +1208,7 @@ type wret = {
   r_lp : Simplex.stats;
   r_piv : int;
   r_maxd : int;
+  r_prop_s : float;
   r_open : float;  (* min bound over this worker's leftover open nodes *)
 }
 
@@ -1664,9 +1358,6 @@ let solve_parallel env =
     let msh = Metrics.make_shard opts.metrics in
     Simplex.set_metrics st msh;
     let steals = ref 0 and handoffs = ref 0 and idle = ref 0. in
-    (* Worker-private pseudo-cost tables (built by [make_ctx]): no
-       sharing, no timing dependence — deterministic-mode node counts
-       stay reproducible. *)
     let ctx =
       make_ctx env ~inc ~st
         ~push:(fun nd -> Pool.Deque.push local nd)
@@ -1766,6 +1457,7 @@ let solve_parallel env =
       r_lp = Simplex.stats st;
       r_piv = Simplex.total_pivots st;
       r_maxd = ctx.k_max_depth;
+      r_prop_s = ctx.k_prop_seconds;
       r_open;
     }
   in
@@ -1782,6 +1474,7 @@ let solve_parallel env =
             r_lp = Simplex.empty_stats;
             r_piv = 0;
             r_maxd = 0;
+            r_prop_s = 0.;
             r_open = Float.infinity;
           })
   in
@@ -1815,6 +1508,11 @@ let solve_parallel env =
     Array.fold_left (fun acc r -> Int.max acc r.r_maxd) seed_ctx.k_max_depth
       rets
   in
+  let prop_seconds =
+    Array.fold_left
+      (fun acc r -> acc +. r.r_prop_s)
+      seed_ctx.k_prop_seconds rets
+  in
   let outcome =
     match Atomic.get stop_flag with
     | 2 -> Unbounded
@@ -1837,7 +1535,7 @@ let solve_parallel env =
       root_obj = seed_ctx.k_root_obj;
       lp_stats;
       workers = Array.map (fun r -> r.r_ws) rets;
-      deductions = deduction_totals env.ded;
+      deductions = deduction_totals env.ded ~prop_seconds;
       certification = certification_totals env.cert;
       timeline = Array.of_list (List.rev inc.timeline);
       bound_timeline = Array.of_list (List.rev inc.bounds);
@@ -1852,28 +1550,9 @@ let solve ?(options = default_options) lp =
   if Metrics.enabled options.metrics then
     Metrics.set_gauge options.metrics Metrics.G_workers
       (Float.of_int options.jobs);
-  (* Root cut-and-branch runs on the calling domain before any search
-     state exists; the search then operates on the strengthened model.
-     The pool is shared read-only with every worker through the
-     propagation kernel. *)
-  let lp, cuts_info =
-    if options.cuts then begin
-      let tw = Trace.main options.tracer in
-      if Trace.active tw then Trace.emit tw (Trace.Span_begin "cuts");
-      let lp', pool, active, rounds =
-        cut_and_branch options lp t0 tw (Metrics.main options.metrics)
-      in
-      if Trace.active tw then Trace.emit tw (Trace.Span_end "cuts");
-      Log.info (fun f ->
-          f "cut-and-branch: %d rounds, %d active cuts" rounds
-            (List.length active));
-      (lp', Some (pool, active, rounds))
-    end
-    else (lp, None)
-  in
-  if options.jobs = 1 then solve_sequential (make_env options lp t0 ~cuts_info)
+  if options.jobs = 1 then solve_sequential (make_env options lp t0)
   else
     (* Workers run depth-first off the shared frontier; a global
        best-bound order cannot be maintained across domains. *)
     solve_parallel
-      (make_env { options with node_order = Depth_first } lp t0 ~cuts_info)
+      (make_env { options with node_order = Depth_first } lp t0)

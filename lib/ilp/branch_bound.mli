@@ -100,10 +100,11 @@ type options = {
           ([stats.nodes] is stable run to run) at the price of weaker
           pruning. The reported optimum is unchanged either way; only
           which of several equally-optimal solutions is returned may
-          differ. The node-deduction machinery preserves this contract:
-          cut separation runs once, sequentially, before any domain is
-          spawned, and pseudo-cost tables are worker-local. Default
-          [false]. *)
+          differ. The node deductions preserve this contract: root
+          reduced-cost re-fixing runs only before any domain is
+          spawned, and node reduced-cost fixing and propagation read
+          nothing but the node's own LP and bounds and the context's
+          own cutoff. Default [false]. *)
   rc_fixing : bool;
       (** Reduced-cost fixing (default off). After every certified node
           LP solve, any unfixed 0-1 variable whose reduced cost alone
@@ -120,47 +121,6 @@ type options = {
           that created the node, before any LP pivot. A propagation
           conflict prunes the node without touching the LP; deduced
           fixings are inherited by the node's children. *)
-  cuts : bool;
-      (** Root cut-and-branch (default off). Separates lifted cover
-          cuts from knapsack rows and clique cuts from the one-hot
-          (GUB) rows at the root relaxation for up to [cut_rounds]
-          rounds; surviving cuts strengthen the LP every node solves,
-          and the full pool additionally reaches each node as local
-          propagation rows when [propagate] is also on. *)
-  cut_rounds : int;
-      (** Root separation rounds when [cuts] (default 8). Rounds also
-          stop once a quarter of [time_limit] has elapsed, so root
-          cutting on a large model cannot starve the search itself. *)
-  cut_max_age : int;
-      (** Consecutive rounds a cut may stay slack before being evicted
-          from the active LP (default 3). Evicted cuts remain in the
-          pool. *)
-  pseudocost : bool;
-      (** Reliability (pseudo-cost) branching (default off). Branching
-          degradations observed from parent-to-child LP objectives feed
-          per-variable, per-direction averages; once a fractional
-          candidate has [pc_reliability] observations both ways, the
-          largest product score picks the branching variable. Until
-          then the configured [branch_rule] (the paper's y -> u order)
-          decides. Tables are context-local (per worker). *)
-  pc_reliability : int;
-      (** Observations per direction before a variable's pseudo-costs
-          are trusted (default 1). *)
-  heuristics : bool;
-      (** Primal heuristics (default off). Runs {!Heuristics} at the
-          root node and then every [heur_cadence] nodes per search
-          context: LP rounding + feasibility repair (pure arithmetic)
-          followed by depth-bounded fractional diving on a private
-          simplex engine. Candidate solutions pass through the normal
-          acceptance path (exact feasibility re-check against the
-          original model), and installed incumbents are tagged with
-          their source in {!stats.timeline} and
-          {!Trace.Incumbent} events. *)
-  heur_cadence : int;
-      (** Nodes between heuristic runs within one search context
-          (default 256); [0] restricts heuristics to the root. *)
-  heur_dive_depth : int;
-      (** Maximum variables fixed by one heuristic dive (default 50). *)
   certify_level : certify_level;
       (** Exact a-posteriori certification of node LP verdicts with
           {!Certify} (default {!Cert_off}). Each selected node's final
@@ -172,14 +132,14 @@ type options = {
           observes, it does not steer). The root certificate itself is
           kept in {!certification_stats.root_certificate}. Note the
           certificates apply to the model the search actually solves:
-          after presolve and/or root cuts, row indices are in that
+          after presolve, row indices are in that
           model's coordinates. *)
   tracer : Trace.t;
       (** Structured tracing (default {!Trace.disabled}, costing one
           branch per instrumentation site). When enabled, the search
           records node open/close events (with parent ids and close
-          reasons), LP solves, LU (re)factorizations, propagation runs,
-          cut separation and incumbents into per-domain single-writer
+          reasons), LP solves, LU (re)factorizations, propagation runs
+          and incumbents into per-domain single-writer
           buffers: the sequential driver and the parallel seeding phase
           write to the tracer's ["main"] track, and each worker domain
           registers its own ["worker i"] track from inside its domain.
@@ -190,16 +150,14 @@ type options = {
           one branch per instrumentation site). When enabled, the
           search counts nodes, incumbents, certified verdicts, LP
           solves/pivots/flips, hyper-sparse solve rates,
-          (re)factorizations, cut/propagation/heuristic activity and
-          pool traffic into per-domain single-writer shards — the
+          (re)factorizations, propagation activity and pool traffic into per-domain single-writer shards — the
           sequential driver and the seeding phase write the registry's
           main shard, each worker registers its own from inside its
           domain — and publishes gauges (open nodes, pool depth, best
           dual bound, incumbent objective, worker count) for the
           snapshot poller. The final {!Metrics.snapshot} after {!solve}
           returns agrees exactly with {!stats}: node, pivot and
-          factorization totals are equal (heuristic engines' private
-          pivots are excluded from both). Enabling metrics also drives
+          factorization totals are equal. Enabling metrics also drives
           the sampled part of {!stats.bound_timeline} for [jobs > 1]. *)
 }
 
@@ -228,28 +186,20 @@ type worker_stats = {
 val pp_worker_stats : Format.formatter -> worker_stats -> unit
 (** One-line [key=value] rendering. *)
 
-type cut_family_stats = {
-  cf_separated : int;  (** Cuts of this family ever added to the pool. *)
-  cf_active : int;  (** Cuts in the final strengthened LP. *)
-  cf_evicted : int;  (** Cuts aged out of the active LP. *)
-}
-
 type deduction_stats = {
   rc_fixed : int;  (** Variables fixed by reduced cost (nodes + root). *)
   prop_fixings : int;  (** Bound fixings deduced by node propagation. *)
   prop_prunes : int;  (** Nodes pruned by propagation before any pivot. *)
-  prop_local_hits : int;
-      (** Propagation deductions that fired on a pool-cut (local) row. *)
-  cut_rounds_run : int;  (** Root separation rounds actually executed. *)
-  cover_cuts : cut_family_stats;
-  clique_cuts : cut_family_stats;
-  pc_branchings : int;  (** Branchings decided by pseudo-cost score. *)
+  prop_seconds : float;
+      (** Wall-clock seconds spent in node propagation, summed over the
+          search contexts (the sequential driver, or the seeding phase
+          plus every worker when [jobs > 1]). *)
 }
 
 val empty_deductions : deduction_stats
 
 val pp_deductions : Format.formatter -> deduction_stats -> unit
-(** One-line [key=value] rendering ([family=sep/active/evicted]). *)
+(** One-line [key=value] rendering. *)
 
 type certification_stats = {
   cert_checked : int;  (** Node LP verdicts certified exactly. *)
@@ -296,8 +246,8 @@ type stats = {
       (** The incumbent timeline: one [(elapsed seconds, objective,
           node id, source)] entry per improving incumbent, in
           installation order. The last entry's objective equals the
-          final incumbent objective; [source] says whether the search,
-          the completion hook, or a primal heuristic found it. *)
+          final incumbent objective; [source] says whether the search
+          or the completion hook found it. *)
   bound_timeline : (float * float) array;
       (** The dual-bound timeline, mirroring [timeline]: one
           [(elapsed seconds, bound)] entry per recorded improvement of

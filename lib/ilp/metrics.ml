@@ -14,12 +14,8 @@ type counter =
   | C_lu_factorizations
   | C_lu_refactorizations
   | C_lu_probes
-  | C_cut_rounds
-  | C_cuts_separated
   | C_prop_runs
   | C_prop_fixings
-  | C_heur_runs
-  | C_heur_incumbents
   | C_pool_steals
   | C_pool_handoffs
   | C_pool_hungry_polls
@@ -45,12 +41,8 @@ let counter_name = function
   | C_lu_factorizations -> "lu_factorizations"
   | C_lu_refactorizations -> "lu_refactorizations"
   | C_lu_probes -> "lu_probes"
-  | C_cut_rounds -> "cut_rounds"
-  | C_cuts_separated -> "cuts_separated"
   | C_prop_runs -> "prop_runs"
   | C_prop_fixings -> "prop_fixings"
-  | C_heur_runs -> "heur_runs"
-  | C_heur_incumbents -> "heur_incumbents"
   | C_pool_steals -> "pool_steals"
   | C_pool_handoffs -> "pool_handoffs"
   | C_pool_hungry_polls -> "pool_hungry_polls"
@@ -84,12 +76,8 @@ let all_counters =
     C_lu_factorizations;
     C_lu_refactorizations;
     C_lu_probes;
-    C_cut_rounds;
-    C_cuts_separated;
     C_prop_runs;
     C_prop_fixings;
-    C_heur_runs;
-    C_heur_incumbents;
     C_pool_steals;
     C_pool_handoffs;
     C_pool_hungry_polls;
@@ -121,16 +109,12 @@ let counter_index = function
   | C_lu_factorizations -> 12
   | C_lu_refactorizations -> 13
   | C_lu_probes -> 14
-  | C_cut_rounds -> 15
-  | C_cuts_separated -> 16
-  | C_prop_runs -> 17
-  | C_prop_fixings -> 18
-  | C_heur_runs -> 19
-  | C_heur_incumbents -> 20
-  | C_pool_steals -> 21
-  | C_pool_handoffs -> 22
-  | C_pool_hungry_polls -> 23
-  | C_trace_dropped_events -> 24
+  | C_prop_runs -> 15
+  | C_prop_fixings -> 16
+  | C_pool_steals -> 17
+  | C_pool_handoffs -> 18
+  | C_pool_hungry_polls -> 19
+  | C_trace_dropped_events -> 20
 
 let gauge_index = function
   | G_open_nodes -> 0

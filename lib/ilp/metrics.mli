@@ -55,12 +55,8 @@ type counter =
   | C_lu_factorizations  (** fresh basis factorizations *)
   | C_lu_refactorizations  (** refactorizations (eta/numeric/residual) *)
   | C_lu_probes  (** candidate entries examined by the LU pivot search *)
-  | C_cut_rounds  (** root cut-and-branch rounds *)
-  | C_cuts_separated  (** violated cuts found by separation *)
   | C_prop_runs  (** per-node propagation runs *)
   | C_prop_fixings  (** variables fixed by propagation *)
-  | C_heur_runs  (** primal-heuristic passes (round-and-repair, dive) *)
-  | C_heur_incumbents  (** candidate incumbents produced by heuristics *)
   | C_pool_steals  (** nodes taken from the shared pool *)
   | C_pool_handoffs  (** nodes donated to the shared pool *)
   | C_pool_hungry_polls  (** hungry-pool polls by workers *)

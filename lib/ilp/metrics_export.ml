@@ -431,11 +431,8 @@ module Summary = struct
       (c Metrics.C_lu_factorizations)
       (c Metrics.C_lu_refactorizations)
       (c Metrics.C_lu_probes);
-    Format.fprintf ppf "deductions     cut_rounds=%d cuts=%d prop_runs=%d prop_fixings=%d@,"
-      (c Metrics.C_cut_rounds) (c Metrics.C_cuts_separated)
+    Format.fprintf ppf "deductions     prop_runs=%d prop_fixings=%d@,"
       (c Metrics.C_prop_runs) (c Metrics.C_prop_fixings);
-    Format.fprintf ppf "heuristics     runs=%d incumbents=%d@,"
-      (c Metrics.C_heur_runs) (c Metrics.C_heur_incumbents);
     Format.fprintf ppf "pool           steals=%d handoffs=%d hungry_polls=%d depth=%s@,"
       (c Metrics.C_pool_steals) (c Metrics.C_pool_handoffs)
       (c Metrics.C_pool_hungry_polls)

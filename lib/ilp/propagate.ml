@@ -16,7 +16,6 @@ type row = {
   coef : float array;
   sense : Lp.sense;
   rhs : float;
-  local : bool;
   name : string;
 }
 
@@ -27,7 +26,7 @@ type t = {
   nvars : int;
 }
 
-let make_row ?(local = false) ~name terms sense rhs =
+let make_row ~name terms sense rhs =
   let terms = List.filter (fun (c, _) -> Float.abs c > tol) terms in
   let n = List.length terms in
   let idx = Array.make n 0 and coef = Array.make n 0. in
@@ -36,9 +35,9 @@ let make_row ?(local = false) ~name terms sense rhs =
       idx.(k) <- j;
       coef.(k) <- c)
     terms;
-  { idx; coef; sense; rhs; local; name }
+  { idx; coef; sense; rhs; name }
 
-let of_lp ?(extra = []) lp =
+let of_lp lp =
   let nvars = Lp.num_vars lp in
   let rows = ref [] in
   Lp.iter_rows lp (fun i terms sense rhs ->
@@ -47,7 +46,7 @@ let of_lp ?(extra = []) lp =
           (List.map (fun (c, v) -> (c, (v : Lp.var :> int))) terms)
           sense rhs
         :: !rows);
-  let rows = Array.of_list (List.rev_append !rows extra) in
+  let rows = Array.of_list (List.rev !rows) in
   let counts = Array.make nvars 0 in
   Array.iter
     (fun r -> Array.iter (fun j -> counts.(j) <- counts.(j) + 1) r.idx)
@@ -162,7 +161,6 @@ let step t ri ~lb ~ub ~on_change =
 
 type deductions = {
   fixes : (int * float * float) list;
-  local_hits : int;
   steps : int;
 }
 
@@ -190,22 +188,18 @@ let run t ~lb ~ub ?seeds ?max_steps ?(trace = Trace.null_writer)
    | Some vs -> List.iter (fun j -> Array.iter enqueue t.var_rows.(j)) vs);
   let changed = Array.make t.nvars false in
   let order = ref [] in
-  let local_hits = ref 0 in
   let steps = ref 0 in
   try
     while (not (Queue.is_empty queue)) && !steps < max_steps do
       let ri = Queue.pop queue in
       in_queue.(ri) <- false;
       incr steps;
-      let moved_any = ref false in
       step t ri ~lb ~ub ~on_change:(fun j ->
-          moved_any := true;
           if not changed.(j) then begin
             changed.(j) <- true;
             order := j :: !order
           end;
-          Array.iter enqueue t.var_rows.(j));
-      if !moved_any && t.rows.(ri).local then incr local_hits
+          Array.iter enqueue t.var_rows.(j))
     done;
     let fixes = List.rev_map (fun j -> (j, lb.(j), ub.(j))) !order in
     if Metrics.active metrics then begin
@@ -215,25 +209,14 @@ let run t ~lb ~ub ?seeds ?max_steps ?(trace = Trace.null_writer)
     if Trace.active trace then
       Trace.emit trace
         (Trace.Prop_run
-           {
-             steps = !steps;
-             fixings = List.length fixes;
-             local_hits = !local_hits;
-             conflict = false;
-           });
-    Ok { fixes; local_hits = !local_hits; steps = !steps }
+           { steps = !steps; fixings = List.length fixes; conflict = false });
+    Ok { fixes; steps = !steps }
   with
   | (Empty _ | Conflict_row _) as e ->
     if Metrics.active metrics then Metrics.incr metrics Metrics.C_prop_runs;
     if Trace.active trace then
       Trace.emit trace
-        (Trace.Prop_run
-           {
-             steps = !steps;
-             fixings = 0;
-             local_hits = !local_hits;
-             conflict = true;
-           });
+        (Trace.Prop_run { steps = !steps; fixings = 0; conflict = true });
     (match e with
      | Empty j -> Empty_domain j
      | Conflict_row name -> Conflict name

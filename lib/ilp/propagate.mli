@@ -19,24 +19,15 @@ type row = {
   coef : float array;
   sense : Lp.sense;
   rhs : float;
-  local : bool;
-      (** Marks rows that are not part of the model proper — cut-pool
-          rows activated locally at search nodes. Deductions made from
-          them are counted separately ({!deductions.local_hits}). *)
   name : string;  (** For conflict reporting. *)
 }
 
 type t
 
-val make_row :
-  ?local:bool -> name:string -> (float * int) list -> Lp.sense -> float -> row
-(** Builds a row from (coefficient, variable-index) terms; terms with a
-    negligible coefficient are dropped. *)
-
-val of_lp : ?extra:row list -> Lp.t -> t
+val of_lp : Lp.t -> t
 (** Captures every row of the model (in row order, so conflict names
-    match {!Lp.row_name}) followed by [extra] rows (e.g. pool cuts),
-    and builds the variable->rows adjacency once. *)
+    match {!Lp.row_name}) and builds the variable->rows adjacency
+    once. *)
 
 val num_rows : t -> int
 
@@ -65,7 +56,6 @@ type deductions = {
       (** Final bounds of every variable that moved, in first-moved
           order — suitable for appending to a branch-and-bound node's
           fix list. *)
-  local_hits : int;  (** Deduction steps that fired on a [local] row. *)
   steps : int;  (** Row evaluations performed. *)
 }
 

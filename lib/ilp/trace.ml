@@ -12,7 +12,7 @@ type close_reason =
   | Numeric
 
 type cert_verdict = Cert_certified | Cert_refuted | Cert_uncertifiable
-type incumbent_source = Src_search | Src_hook | Src_round | Src_dive
+type incumbent_source = Src_search | Src_hook
 
 type event =
   | Node_open of { id : int; parent : int; depth : int; bound : float }
@@ -28,9 +28,7 @@ type event =
     }
   | Lu_factor of { m : int; fill : int; probes : int; dt : float }
   | Lu_refactor of { trigger : refactor_trigger; etas : int }
-  | Cut_sep of { family : string; found : int; best_violation : float }
-  | Cut_round of { round : int; separated : int; active : int; evicted : int }
-  | Prop_run of { steps : int; fixings : int; local_hits : int; conflict : bool }
+  | Prop_run of { steps : int; fixings : int; conflict : bool }
   | Incumbent of { node : int; obj : float; source : incumbent_source }
   | Cert_check of { node : int; verdict : cert_verdict; kind : string; dt : float }
   | Span_begin of string
@@ -200,14 +198,10 @@ let cert_verdict_name = function
 let incumbent_source_name = function
   | Src_search -> "search"
   | Src_hook -> "hook"
-  | Src_round -> "round"
-  | Src_dive -> "dive"
 
 let incumbent_source_of_name = function
   | "search" -> Some Src_search
   | "hook" -> Some Src_hook
-  | "round" -> Some Src_round
-  | "dive" -> Some Src_dive
   | _ -> None
 
 let reason_name = function
@@ -238,15 +232,9 @@ let pp_event ppf = function
   | Lu_refactor { trigger; etas } ->
     Format.fprintf ppf "lu_refactor trigger=%s etas=%d" (trigger_name trigger)
       etas
-  | Cut_sep { family; found; best_violation } ->
-    Format.fprintf ppf "cut_sep family=%s found=%d best_violation=%g" family
-      found best_violation
-  | Cut_round { round; separated; active; evicted } ->
-    Format.fprintf ppf "cut_round round=%d separated=%d active=%d evicted=%d"
-      round separated active evicted
-  | Prop_run { steps; fixings; local_hits; conflict } ->
-    Format.fprintf ppf "prop_run steps=%d fixings=%d local_hits=%d conflict=%b"
-      steps fixings local_hits conflict
+  | Prop_run { steps; fixings; conflict } ->
+    Format.fprintf ppf "prop_run steps=%d fixings=%d conflict=%b" steps fixings
+      conflict
   | Incumbent { node; obj; source } ->
     Format.fprintf ppf "incumbent node=%d obj=%g source=%s" node obj
       (incumbent_source_name source)

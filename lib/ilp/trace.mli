@@ -51,8 +51,6 @@ type cert_verdict = Cert_certified | Cert_refuted | Cert_uncertifiable
 type incumbent_source =
   | Src_search  (** The tree search hit an integral LP optimum. *)
   | Src_hook  (** A problem-specific completion hook built the solution. *)
-  | Src_round  (** Primal heuristics: LP rounding + feasibility repair. *)
-  | Src_dive  (** Primal heuristics: depth-bounded diving. *)
       (** Where an installed incumbent came from (also surfaced in the
           incumbent timeline of {!Branch_bound} stats and JSON reports). *)
 
@@ -89,16 +87,11 @@ type event =
   | Lu_refactor of { trigger : refactor_trigger; etas : int }
       (** A refactorization was triggered; [etas] is the eta-file length
           discarded. *)
-  | Cut_sep of { family : string; found : int; best_violation : float }
-      (** One separation call for one cut family at the root. *)
-  | Cut_round of { round : int; separated : int; active : int; evicted : int }
-      (** One root cut-and-branch round completed. *)
-  | Prop_run of { steps : int; fixings : int; local_hits : int; conflict : bool }
+  | Prop_run of { steps : int; fixings : int; conflict : bool }
       (** One per-node propagation run ([steps] row evaluations). *)
   | Incumbent of { node : int; obj : float; source : incumbent_source }
       (** An improving incumbent was installed. [source] says who found
-          it: the search itself, the completion hook, or one of the
-          primal heuristics. *)
+          it: the search itself or the completion hook. *)
   | Cert_check of { node : int; verdict : cert_verdict; kind : string; dt : float }
       (** One exact certification of a node LP verdict: [node] is the
           processed node id (0 when certifying outside the search),

@@ -63,27 +63,11 @@ let record_to_json (r : Trace.record) =
         ("trigger", Json.Str (Trace.trigger_name trigger));
         ("etas", inum etas);
       ]
-    | Cut_sep { family; found; best_violation } ->
-      [
-        ("type", Json.Str "cut_sep");
-        ("family", Json.Str family);
-        ("found", inum found);
-        ("best_violation", num best_violation);
-      ]
-    | Cut_round { round; separated; active; evicted } ->
-      [
-        ("type", Json.Str "cut_round");
-        ("round", inum round);
-        ("separated", inum separated);
-        ("active", inum active);
-        ("evicted", inum evicted);
-      ]
-    | Prop_run { steps; fixings; local_hits; conflict } ->
+    | Prop_run { steps; fixings; conflict } ->
       [
         ("type", Json.Str "prop_run");
         ("steps", inum steps);
         ("fixings", inum fixings);
-        ("local_hits", inum local_hits);
         ("conflict", Json.Bool conflict);
       ]
     | Incumbent { node; obj; source } ->
@@ -235,27 +219,11 @@ let event_of_json j =
   | "lu_refactor" ->
     Lu_refactor
       { trigger = trigger_of_name (req_str j "trigger"); etas = req_int j "etas" }
-  | "cut_sep" ->
-    Cut_sep
-      {
-        family = req_str j "family";
-        found = req_int j "found";
-        best_violation = req_num j "best_violation";
-      }
-  | "cut_round" ->
-    Cut_round
-      {
-        round = req_int j "round";
-        separated = req_int j "separated";
-        active = req_int j "active";
-        evicted = req_int j "evicted";
-      }
   | "prop_run" ->
     Prop_run
       {
         steps = req_int j "steps";
         fixings = req_int j "fixings";
-        local_hits = req_int j "local_hits";
         conflict = req_bool j "conflict";
       }
   | "incumbent" ->
@@ -381,27 +349,11 @@ let chrome_event (r : Trace.record) =
   | Lu_refactor { trigger; etas } ->
     instant ~cat:"lp" "lu_refactor"
       [ ("trigger", Json.Str (Trace.trigger_name trigger)); ("etas", inum etas) ]
-  | Cut_sep { family; found; best_violation } ->
-    instant ~cat:"cuts" "cut_sep"
-      [
-        ("family", Json.Str family);
-        ("found", inum found);
-        ("best_violation", num best_violation);
-      ]
-  | Cut_round { round; separated; active; evicted } ->
-    instant ~cat:"cuts" "cut_round"
-      [
-        ("round", inum round);
-        ("separated", inum separated);
-        ("active", inum active);
-        ("evicted", inum evicted);
-      ]
-  | Prop_run { steps; fixings; local_hits; conflict } ->
+  | Prop_run { steps; fixings; conflict } ->
     instant ~cat:"propagation" "prop_run"
       [
         ("steps", inum steps);
         ("fixings", inum fixings);
-        ("local_hits", inum local_hits);
         ("conflict", Json.Bool conflict);
       ]
   | Incumbent { node; obj; source } ->
@@ -583,30 +535,12 @@ let load_chrome j =
                       trigger = trigger_of_name (req_str args "trigger");
                       etas = req_int args "etas";
                     } )
-              | "cut_sep", _ ->
-                ( ts_us /. 1e6,
-                  Cut_sep
-                    {
-                      family = req_str args "family";
-                      found = req_int args "found";
-                      best_violation = req_num args "best_violation";
-                    } )
-              | "cut_round", _ ->
-                ( ts_us /. 1e6,
-                  Cut_round
-                    {
-                      round = req_int args "round";
-                      separated = req_int args "separated";
-                      active = req_int args "active";
-                      evicted = req_int args "evicted";
-                    } )
               | "prop_run", _ ->
                 ( ts_us /. 1e6,
                   Prop_run
                     {
                       steps = req_int args "steps";
                       fixings = req_int args "fixings";
-                      local_hits = req_int args "local_hits";
                       conflict = req_bool args "conflict";
                     } )
               | "incumbent", _ ->
@@ -832,8 +766,6 @@ module Summary = struct
     lp_seconds : float;
     lu_factors : int;
     lu_refactors : (string * int) list;
-    cut_rounds : int;
-    cuts_separated : int;
     prop_runs : int;
     prop_fixings : int;
     prop_conflicts : int;
@@ -863,8 +795,6 @@ module Summary = struct
     mutable a_lp_seconds : float;
     mutable a_lu_factors : int;
     a_lu_refactors : (string, int) Hashtbl.t;
-    mutable a_cut_rounds : int;
-    mutable a_cuts_separated : int;
     mutable a_prop_runs : int;
     mutable a_prop_fixings : int;
     mutable a_prop_conflicts : int;
@@ -894,8 +824,6 @@ module Summary = struct
       a_lp_seconds = 0.;
       a_lu_factors = 0;
       a_lu_refactors = Hashtbl.create 4;
-      a_cut_rounds = 0;
-      a_cuts_separated = 0;
       a_prop_runs = 0;
       a_prop_fixings = 0;
       a_prop_conflicts = 0;
@@ -973,9 +901,6 @@ module Summary = struct
     | Lu_factor _ -> acc.a_lu_factors <- acc.a_lu_factors + 1
     | Lu_refactor { trigger; _ } ->
       bump acc.a_lu_refactors (Trace.trigger_name trigger) 1
-    | Cut_sep { found; _ } ->
-      acc.a_cuts_separated <- acc.a_cuts_separated + found
-    | Cut_round _ -> acc.a_cut_rounds <- acc.a_cut_rounds + 1
     | Prop_run { fixings; conflict; _ } ->
       acc.a_prop_runs <- acc.a_prop_runs + 1;
       acc.a_prop_fixings <- acc.a_prop_fixings + fixings;
@@ -1028,8 +953,6 @@ module Summary = struct
       lp_seconds = acc.a_lp_seconds;
       lu_factors = acc.a_lu_factors;
       lu_refactors = sorted_tbl acc.a_lu_refactors;
-      cut_rounds = acc.a_cut_rounds;
-      cuts_separated = acc.a_cuts_separated;
       prop_runs = acc.a_prop_runs;
       prop_fixings = acc.a_prop_fixings;
       prop_conflicts = acc.a_prop_conflicts;
@@ -1081,7 +1004,6 @@ module Summary = struct
       t.lp_pivots t.lp_flips t.lp_seconds;
     line "lu            factors=%d refactors: %a@." t.lu_factors pp_assoc
       t.lu_refactors;
-    line "cuts          rounds=%d separated=%d@." t.cut_rounds t.cuts_separated;
     line "propagation   runs=%d fixings=%d conflicts=%d@." t.prop_runs
       t.prop_fixings t.prop_conflicts;
     if t.cert_checks > 0 then
@@ -1145,12 +1067,6 @@ module Summary = struct
               ( "refactors",
                 Json.Obj (List.map (fun (k, v) -> (k, inum v)) t.lu_refactors)
               );
-            ] );
-        ( "cuts",
-          Json.Obj
-            [
-              ("rounds", inum t.cut_rounds);
-              ("separated", inum t.cuts_separated);
             ] );
         ( "propagation",
           Json.Obj

@@ -98,8 +98,6 @@ module Summary : sig
     lp_seconds : float;
     lu_factors : int;
     lu_refactors : (string * int) list;  (** Per trigger. *)
-    cut_rounds : int;
-    cuts_separated : int;
     prop_runs : int;
     prop_fixings : int;
     prop_conflicts : int;

@@ -38,7 +38,7 @@ type direction = Lower_better | Higher_better | Informational
 
 (* Benchmarks measure effort spent reaching the same answer, so less
    time / fewer nodes is better; [speedup] ratios invert. Structural
-   counts (fill, etas, steals, cuts separated, …) shift legitimately
+   counts (fill, etas, steals, fixings, …) shift legitimately
    with algorithmic changes and are reported but never flagged. *)
 let classify field =
   if contains field "speedup" then (Higher_better, true)

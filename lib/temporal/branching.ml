@@ -1,4 +1,4 @@
-type strategy = Paper | Most_fractional | First_fractional | Pseudocost
+type strategy = Paper | Most_fractional | First_fractional
 
 let tol = 1e-6
 
@@ -28,7 +28,7 @@ let paper_order vars =
 
 let rule strategy vars =
   match strategy with
-  | Paper | Pseudocost ->
+  | Paper ->
     let ys, us = paper_order vars in
     fun ~lp_solution ~is_fixed ->
       (* resolve the partitioning variables completely — fixing an
@@ -54,4 +54,3 @@ let pp_strategy ppf = function
   | Paper -> Format.pp_print_string ppf "paper"
   | Most_fractional -> Format.pp_print_string ppf "most-fractional"
   | First_fractional -> Format.pp_print_string ppf "first-fractional"
-  | Pseudocost -> Format.pp_print_string ppf "pseudocost"

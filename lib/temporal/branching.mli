@@ -16,19 +16,10 @@ type strategy =
           of Tables 1-2. *)
   | First_fractional
       (** Lowest-index fractional integer variable (Bland-like). *)
-  | Pseudocost
-      (** Reliability (pseudo-cost) branching in {!Ilp.Branch_bound}:
-          observed LP degradations rank the fractional candidates, and
-          the paper's y -> u order decides until the tables are
-          initialized (so early nodes match [Paper] exactly). *)
 
 val rule : strategy -> Vars.t -> Ilp.Branch_bound.branch_rule
 (** Builds the branch rule for a model. [Most_fractional] returns the
     always-fallback rule; [Paper] scans [y] in priority order then [u];
-    [First_fractional] scans variables in creation order; [Pseudocost]
-    returns the [Paper] rule (the solver's pseudo-cost scores take
-    precedence once reliable — enable it with
-    {!Ilp.Branch_bound.options.pseudocost}, which {!Solver.solve} does
-    automatically for this strategy). *)
+    [First_fractional] scans variables in creation order. *)
 
 val pp_strategy : Format.formatter -> strategy -> unit

@@ -30,10 +30,6 @@ val run :
   ?deterministic:bool ->
   ?rc_fixing:bool ->
   ?propagate:bool ->
-  ?cuts:bool ->
-  ?heuristics:bool ->
-  ?heur_cadence:int ->
-  ?heur_dive_depth:int ->
   ?certify:Ilp.Branch_bound.certify_level ->
   ?tracer:Ilp.Trace.t ->
   ?metrics:Ilp.Metrics.t ->
@@ -51,10 +47,8 @@ val run :
     bound). [lint], [jobs] and [deterministic] forward to
     {!Solver.solve}: lint analyzes and audits the formulated model,
     failing fast on error-level findings; [jobs] runs the solve stage
-    on that many worker domains. [rc_fixing], [propagate] and [cuts]
-    enable the solver's node deductions (all default off).
-    [heuristics] (with [heur_cadence] / [heur_dive_depth]) enables the
-    primal heuristic pass at the root and on a node cadence. [certify]
+    on that many worker domains. [rc_fixing] and [propagate] enable
+    the solver's node deductions (both default off). [certify]
     turns on exact rational certification of LP verdicts (see
     {!Solver.solve} and docs/VERIFICATION.md); when any check ran, the
     stage log gains a [certify:] line with the verdict counts.

@@ -33,7 +33,7 @@ val incumbent_timeline : Ilp.Branch_bound.stats -> Ilp.Json.t
     [{"t": seconds, "obj": objective, "node": id, "source": name}]
     objects, in installation order — the convergence series of the
     search, embedded in [tpart solve --json] reports. [source] is one
-    of ["search"], ["hook"], ["round"], ["dive"] (see
+    of ["search"] or ["hook"] (see
     {!Ilp.Trace.incumbent_source_name}). *)
 
 val bound_timeline : Ilp.Branch_bound.stats -> Ilp.Json.t

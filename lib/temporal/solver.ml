@@ -180,9 +180,7 @@ let solve ?(strategy = Branching.Paper) ?(value_order = Bb.One_first)
     ?(max_nodes = max_int) ?(validate = true) ?(scheduler_completion = true)
     ?(presolve = true) ?(lint = false) ?lint_options
     ?(jobs = 1) ?(deterministic = false)
-    ?(rc_fixing = false) ?(propagate = false) ?(cuts = false)
-    ?(heuristics = false) ?heur_cadence ?heur_dive_depth
-    ?(certify = Bb.Cert_off) ?(tracer = Ilp.Trace.disabled)
+    ?(rc_fixing = false) ?(propagate = false) ?(certify = Bb.Cert_off) ?(tracer = Ilp.Trace.disabled)
     ?(metrics = Ilp.Metrics.disabled) vars =
   if lint then lint_or_fail ?options:lint_options vars;
   let options =
@@ -200,14 +198,6 @@ let solve ?(strategy = Branching.Paper) ?(value_order = Bb.One_first)
       deterministic;
       rc_fixing;
       propagate;
-      cuts;
-      heuristics;
-      heur_cadence =
-        Option.value heur_cadence ~default:Bb.default_options.Bb.heur_cadence;
-      heur_dive_depth =
-        Option.value heur_dive_depth
-          ~default:Bb.default_options.Bb.heur_dive_depth;
-      pseudocost = strategy = Branching.Pseudocost;
       certify_level = certify;
       tracer;
       metrics;
@@ -256,11 +246,9 @@ let solve ?(strategy = Branching.Paper) ?(value_order = Bb.One_first)
         let outcome, stats = Bb.solve ~options reduced in
         (* Certificates computed on the reduced model carry reduced-row
            indices; translate them back to the formulation's rows via
-           the presolve row map. Rows past the map (root cuts appended
-           by cut-and-branch) have no original counterpart and keep
-           their index. *)
+           the presolve row map. *)
         let row_map = pstats.Ilp.Presolve.row_map in
-        let remap k = if k < Array.length row_map then row_map.(k) else k in
+        let remap k = row_map.(k) in
         let certification =
           match stats.Bb.certification.Bb.root_certificate with
           | Some cert ->

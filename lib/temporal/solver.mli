@@ -41,10 +41,6 @@ val solve :
   ?deterministic:bool ->
   ?rc_fixing:bool ->
   ?propagate:bool ->
-  ?cuts:bool ->
-  ?heuristics:bool ->
-  ?heur_cadence:int ->
-  ?heur_dive_depth:int ->
   ?certify:Ilp.Branch_bound.certify_level ->
   ?tracer:Ilp.Trace.t ->
   ?metrics:Ilp.Metrics.t ->
@@ -82,21 +78,11 @@ val solve :
     hooks are serialized by the solver, so its internal memo table is
     never accessed concurrently. See {!Ilp.Branch_bound.options}.
 
-    [rc_fixing], [propagate] and [cuts] (all default off, preserving
-    the paper-faithful search node for node) enable the solver's node
-    deductions: reduced-cost fixing, per-node domain propagation, and
-    root cut-and-branch with a shared cut pool. Choosing the
-    {!Branching.Pseudocost} strategy additionally turns on reliability
-    branching inside the solver. See {!Ilp.Branch_bound.options} and
-    the "Node deductions" section of [docs/SOLVER.md].
-
-    [heuristics] (default off) runs the {!Ilp.Heuristics} primal pass
-    — LP rounding + repair and depth-bounded diving — at the root and
-    every [heur_cadence] nodes (defaults from
-    {!Ilp.Branch_bound.default_options}); [heur_dive_depth] bounds one
-    dive. Installed incumbents carry their source in the report
-    timeline. Heuristics never change the proven optimum, only how
-    early an incumbent appears.
+    [rc_fixing] and [propagate] (both default off, preserving the
+    paper-faithful search node for node) enable the solver's node
+    deductions: reduced-cost fixing and per-node domain propagation.
+    See {!Ilp.Branch_bound.options} and the "Node deductions" section
+    of [docs/SOLVER.md].
 
     [certify] (default {!Ilp.Branch_bound.Cert_off}) turns on exact
     rational certification of LP verdicts inside the search; counters

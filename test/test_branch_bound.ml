@@ -216,8 +216,8 @@ let prop_warm_equals_cold =
 
 (* -------- historical default-config behavior -------- *)
 
-(* The node-deduction options (rc_fixing / propagate / cuts /
-   pseudocost) must be invisible when off: the default configuration
+(* The node-deduction options (rc_fixing / propagate) must be
+   invisible when off: the default configuration
    reproduces the same search tree node for node. The counts are those
    of the single LP engine (devex pricing, bound-flipping dual ratio
    test, bucket LU); a change here means the default search or the node
@@ -246,9 +246,27 @@ let test_default_deductions_idle () =
     Alcotest.(check int) "rc fixings" 0 d.Bb.rc_fixed;
     Alcotest.(check int) "propagation fixings" 0 d.Bb.prop_fixings;
     Alcotest.(check int) "propagation prunes" 0 d.Bb.prop_prunes;
-    Alcotest.(check int) "cut rounds" 0 d.Bb.cut_rounds_run;
-    Alcotest.(check int) "pc branchings" 0 d.Bb.pc_branchings
+    Alcotest.(check (float 0.)) "propagation time" 0. d.Bb.prop_seconds
   | o, _ -> Alcotest.failf "unexpected %a" Bb.pp_outcome o
+
+(* -------- incumbent sources -------- *)
+
+let test_search_tag_by_default () =
+  (* without a node hook every incumbent comes from the tree search,
+     and the timeline says so *)
+  let lp, _ =
+    knapsack
+      (Array.init 12 (fun i -> Float.of_int (7 + (i mod 5))))
+      (Array.init 12 (fun i -> Float.of_int (3 + (i mod 7))))
+      17.
+  in
+  let _, stats = Bb.solve lp in
+  Alcotest.(check bool) "timeline nonempty" true
+    (Array.length stats.Bb.timeline > 0);
+  Array.iter
+    (fun (_, _, _, src) ->
+      Alcotest.(check bool) "search tag" true (src = Ilp.Trace.Src_search))
+    stats.Bb.timeline
 
 (* -------- parallel search (jobs > 1) -------- *)
 
@@ -392,6 +410,11 @@ let () =
             test_default_node_counts_frozen;
           Alcotest.test_case "deduction counters idle by default" `Quick
             test_default_deductions_idle;
+        ] );
+      ( "search",
+        [
+          Alcotest.test_case "search tag by default" `Quick
+            test_search_tag_by_default;
         ] );
       ( "parallel",
         [

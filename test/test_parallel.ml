@@ -74,16 +74,14 @@ let test_deterministic_mode () =
     b.Solver.stats.Ilp.Branch_bound.nodes
 
 let test_deterministic_mode_with_deductions () =
-  (* the full deduction stack must stay inside the deterministic
-     contract: cut separation runs sequentially before the workers
-     spawn, pseudo-cost tables are worker-local, and propagation /
-     reduced-cost fixes depend only on the node — so repeated runs give
-     identical node counts and verdicts. *)
+  (* both deductions must stay inside the deterministic contract:
+     propagation and reduced-cost fixes depend only on the node and the
+     worker's own cutoff, and root re-fixing runs before the workers
+     spawn — so repeated runs give identical node counts and verdicts. *)
   let spec = mk ~n:2 ~l:1 (Ex.figure1 ()) in
   let solve () =
     Solver.solve ~scheduler_completion:false ~jobs:3 ~deterministic:true
-      ~strategy:Temporal.Branching.Pseudocost ~rc_fixing:true ~propagate:true
-      ~cuts:true (F.build spec)
+      ~rc_fixing:true ~propagate:true (F.build spec)
   in
   let a = solve () and b = solve () in
   Alcotest.(check bool) "same verdict" true (objective_of a = objective_of b);
@@ -104,19 +102,19 @@ let test_deterministic_mode_with_deductions () =
   Alcotest.(check bool) "same verdict as plain solve" true
     (objective_of a = objective_of plain)
 
-let test_heuristics_parallel_verdict () =
-  (* heuristics on, hook off, across worker counts: the primal pass
-     must never change the verdict, and the parallel run must terminate
-     through the pool latch with heuristic-enabled workers *)
+let test_deductions_parallel_verdict () =
+  (* reduced-cost fixing and propagation on, hook off, across worker
+     counts: pool-fed workers fix and propagate against the shared
+     incumbent, and must reach the sequential verdict *)
   let spec = mk ~n:2 ~l:1 (Ex.figure1 ()) in
   let solve jobs =
     objective_of
-      (Solver.solve ~scheduler_completion:false ~heuristics:true ~jobs
-         (F.build spec))
+      (Solver.solve ~scheduler_completion:false ~rc_fixing:true
+         ~propagate:true ~jobs (F.build spec))
   in
   let seq = solve 1 and par = solve 4 in
   if seq <> par then
-    Alcotest.failf "heuristics: jobs=1 gives %s but jobs=4 gives %s"
+    Alcotest.failf "deductions: jobs=1 gives %s but jobs=4 gives %s"
       (pp_verdict seq) (pp_verdict par)
 
 let test_parallel_terminates_solved () =
@@ -189,8 +187,8 @@ let () =
             test_deterministic_mode_with_deductions;
           Alcotest.test_case "worker stats shape" `Quick
             test_worker_stats_shape;
-          Alcotest.test_case "heuristics, parallel verdict" `Quick
-            test_heuristics_parallel_verdict;
+          Alcotest.test_case "deductions, parallel verdict" `Quick
+            test_deductions_parallel_verdict;
           Alcotest.test_case "terminates solved" `Quick
             test_parallel_terminates_solved;
         ] );

@@ -135,7 +135,7 @@ let prop_presolve_preserves_optimum =
    model must be feasible for the ORIGINAL model variable by variable,
    and score the same there (optima need not be unique, so vectors are
    compared through the original model, not bitwise). The same shape is
-   applied to propagation and cuts in test_propagate.ml / test_cuts.ml. *)
+   applied to the node deductions in test_propagate.ml. *)
 let prop_presolve_preserves_solutions =
   QCheck.Test.make
     ~name:"presolved solutions stay feasible and optimal per variable"

@@ -83,29 +83,8 @@ let test_seeded_cascade () =
     Alcotest.(check int) "two deduced fixes" 2 (List.length d.Pr.fixes)
   | Pr.Empty_domain _ | Pr.Conflict _ -> Alcotest.fail "unexpected infeasible"
 
-let test_local_row_hits () =
-  (* a pool cut attached as an extra local row produces a deduction
-     counted in [local_hits]. *)
-  let lp = Lp.create () in
-  let x = Lp.add_var lp Lp.Binary in
-  let y = Lp.add_var lp Lp.Binary in
-  ignore (Lp.add_constr lp [ (1., x); (1., y) ] Lp.Le 2.);
-  let cut =
-    Pr.make_row ~local:true ~name:"clique_c1"
-      [ (1., (x : Lp.var :> int)); (1., (y : Lp.var :> int)) ]
-      Lp.Le 1.
-  in
-  let prop = Pr.of_lp ~extra:[ cut ] lp in
-  let lb, ub = binary_bounds lp in
-  lb.((x : Lp.var :> int)) <- 1.;
-  match Pr.run prop ~lb ~ub ~seeds:[ (x : Lp.var :> int) ] () with
-  | Pr.Ok d ->
-    check_float "y forced off by the cut" 0. ub.((y : Lp.var :> int));
-    Alcotest.(check bool) "local hit counted" true (d.Pr.local_hits >= 1)
-  | Pr.Empty_domain _ | Pr.Conflict _ -> Alcotest.fail "unexpected infeasible"
-
-(* Same random-model family as test_presolve.ml: presolve, propagation
-   and the cut machinery are all audited against one generator. *)
+(* Same random-model family as test_presolve.ml: presolve and
+   propagation are audited against one generator. *)
 let make_rand_binary seed ~n ~m =
   let rng = Taskgraph.Prng.create seed in
   let lp = Lp.create () in
@@ -172,8 +151,6 @@ let prop_full_stack_preserves_optimum =
       Bb.default_options with
       Bb.rc_fixing = true;
       propagate = true;
-      cuts = true;
-      pseudocost = true;
     }
 
 let prop_propagation_never_cuts_feasible_points =
@@ -218,7 +195,6 @@ let () =
           Alcotest.test_case "conflict" `Quick test_conflict;
           Alcotest.test_case "empty domain" `Quick test_empty_domain;
           Alcotest.test_case "seeded cascade" `Quick test_seeded_cascade;
-          Alcotest.test_case "local rows" `Quick test_local_row_hits;
         ] );
       ( "properties",
         [
