@@ -421,6 +421,8 @@ let print_deductions (d : Ilp.Branch_bound.deduction_stats) =
       [ "prop-fixings"; string_of_int d.Ilp.Branch_bound.prop_fixings ];
       [ "prop-prunes"; string_of_int d.Ilp.Branch_bound.prop_prunes ];
       [ "prop-time"; Printf.sprintf "%.3fs" d.Ilp.Branch_bound.prop_seconds ];
+      [ "hook-calls"; string_of_int d.Ilp.Branch_bound.hook_calls ];
+      [ "hook-time"; Printf.sprintf "%.3fs" d.Ilp.Branch_bound.hook_seconds ];
     ]
 
 let print_workers elapsed (workers : Ilp.Branch_bound.worker_stats array) =
@@ -469,7 +471,8 @@ let json_of_result ?certification ~time_limit result =
     "{\"outcome\": \"%s\", \"comm_cost\": %s, \"vars\": %d, \"constrs\": \
      %d, \"nodes\": %d, \"incumbents\": %d, \"max_depth\": %d, \
      \"deductions\": {\"rc_fixed\": %d, \"prop_fixings\": %d, \
-     \"prop_prunes\": %d, \"prop_seconds\": %s}, \
+     \"prop_prunes\": %d, \"prop_seconds\": %s, \"hook_calls\": %d, \
+     \"hook_seconds\": %s}, \
      \"timeline\": %s, \"bound_timeline\": %s, \"elapsed\": %s, \
      \"time_limit\": %s, \"time_limit_hit\": %b%s}"
     outcome comm r.Temporal.Solver.vars r.Temporal.Solver.constrs
@@ -477,6 +480,8 @@ let json_of_result ?certification ~time_limit result =
     s.Ilp.Branch_bound.max_depth d.Ilp.Branch_bound.rc_fixed
     d.Ilp.Branch_bound.prop_fixings d.Ilp.Branch_bound.prop_prunes
     (Ilp.Json.to_string (Ilp.Json.Num d.Ilp.Branch_bound.prop_seconds))
+    d.Ilp.Branch_bound.hook_calls
+    (Ilp.Json.to_string (Ilp.Json.Num d.Ilp.Branch_bound.hook_seconds))
     (Ilp.Json.to_string (Temporal.Report.incumbent_timeline s))
     (Ilp.Json.to_string (Temporal.Report.bound_timeline s))
     (Ilp.Json.to_string (Ilp.Json.Num s.Ilp.Branch_bound.elapsed))

@@ -95,14 +95,26 @@ type deduction_stats = {
   prop_fixings : int;
   prop_prunes : int;
   prop_seconds : float;
+  hook_calls : int;
+  hook_seconds : float;
 }
 
 let empty_deductions =
-  { rc_fixed = 0; prop_fixings = 0; prop_prunes = 0; prop_seconds = 0. }
+  {
+    rc_fixed = 0;
+    prop_fixings = 0;
+    prop_prunes = 0;
+    prop_seconds = 0.;
+    hook_calls = 0;
+    hook_seconds = 0.;
+  }
 
 let pp_deductions ppf d =
-  Format.fprintf ppf "rc_fixed=%d prop_fixings=%d prop_prunes=%d prop_time=%.3fs"
-    d.rc_fixed d.prop_fixings d.prop_prunes d.prop_seconds
+  Format.fprintf ppf
+    "rc_fixed=%d prop_fixings=%d prop_prunes=%d prop_time=%.3fs \
+     hook_calls=%d hook_time=%.3fs"
+    d.rc_fixed d.prop_fixings d.prop_prunes d.prop_seconds d.hook_calls
+    d.hook_seconds
 
 type certification_stats = {
   cert_checked : int;
@@ -280,13 +292,15 @@ type dstate = {
   mutable d_rc_cutoff : float;  (* cutoff the root fixing last used *)
 }
 
-(* [prop_seconds] is the sum of the contexts' [k_prop_seconds]. *)
-let deduction_totals ded ~prop_seconds =
+(* The time and hook-call figures are sums over the search contexts. *)
+let deduction_totals ded ~prop_seconds ~hook_calls ~hook_seconds =
   {
     rc_fixed = Atomic.get ded.d_rc_fixed;
     prop_fixings = Atomic.get ded.d_prop_fixings;
     prop_prunes = Atomic.get ded.d_prop_prunes;
     prop_seconds;
+    hook_calls;
+    hook_seconds;
   }
 
 (* Certification counters, bumped concurrently by workers. The root
@@ -402,6 +416,8 @@ type ctx = {
   mutable k_max_depth : int;
   mutable k_root_obj : float;
   mutable k_prop_seconds : float;  (* wall time inside [Propagate.run] *)
+  mutable k_hook_calls : int;
+  mutable k_hook_seconds : float;  (* wall time inside the node hook *)
 }
 
 let make_ctx env ~inc ~st ~push ~tw ~msh ~det ~set_root ~bump ~ship
@@ -433,6 +449,8 @@ let make_ctx env ~inc ~st ~push ~tw ~msh ~det ~set_root ~bump ~ship
     k_max_depth = 0;
     k_root_obj = Float.nan;
     k_prop_seconds = 0.;
+    k_hook_calls = 0;
+    k_hook_seconds = 0.;
   }
 
 (* Move the engine's bounds from the previously processed node's fix
@@ -614,13 +632,18 @@ let accept_loose ctx ~node_no obj x =
 (* Node hook: a problem-specific completion heuristic may inject a full
    incumbent and/or prune this subtree. The whole hook invocation runs
    under the user lock, so hooks and incumbent callbacks are mutually
-   serialized across workers. *)
+   serialized across workers; the hook's time is taken inside the lock,
+   so waiting for it does not count. *)
 let run_hook ctx ~node_no ~depth x ~is_fixed =
   match ctx.env.opts.node_hook with
   | None -> false
   | Some hook ->
     Mutex.protect ctx.inc.user_lock (fun () ->
-        match hook ~lp_solution:x ~is_fixed with
+        let t = Mono.now () in
+        let r = hook ~lp_solution:x ~is_fixed in
+        ctx.k_hook_calls <- ctx.k_hook_calls + 1;
+        ctx.k_hook_seconds <- ctx.k_hook_seconds +. Mono.elapsed_since t;
+        match r with
         | Hook_none -> false
         | Hook_incumbent v ->
           accept_incumbent ~locked:true ~source:Trace.Src_hook ctx ~node_no
@@ -1186,7 +1209,8 @@ let solve_sequential env =
       lp_stats = Simplex.stats st;
       workers = [||];
       deductions =
-        deduction_totals env.ded ~prop_seconds:ctx.k_prop_seconds;
+        deduction_totals env.ded ~prop_seconds:ctx.k_prop_seconds
+          ~hook_calls:ctx.k_hook_calls ~hook_seconds:ctx.k_hook_seconds;
       certification = certification_totals env.cert;
       timeline = Array.of_list (List.rev inc.timeline);
       bound_timeline = Array.of_list (List.rev inc.bounds);
@@ -1209,6 +1233,8 @@ type wret = {
   r_piv : int;
   r_maxd : int;
   r_prop_s : float;
+  r_hook_calls : int;
+  r_hook_s : float;
   r_open : float;  (* min bound over this worker's leftover open nodes *)
 }
 
@@ -1458,6 +1484,8 @@ let solve_parallel env =
       r_piv = Simplex.total_pivots st;
       r_maxd = ctx.k_max_depth;
       r_prop_s = ctx.k_prop_seconds;
+      r_hook_calls = ctx.k_hook_calls;
+      r_hook_s = ctx.k_hook_seconds;
       r_open;
     }
   in
@@ -1475,6 +1503,8 @@ let solve_parallel env =
             r_piv = 0;
             r_maxd = 0;
             r_prop_s = 0.;
+            r_hook_calls = 0;
+            r_hook_s = 0.;
             r_open = Float.infinity;
           })
   in
@@ -1508,10 +1538,13 @@ let solve_parallel env =
     Array.fold_left (fun acc r -> Int.max acc r.r_maxd) seed_ctx.k_max_depth
       rets
   in
-  let prop_seconds =
+  let sum init f = Array.fold_left (fun acc r -> acc +. f r) init rets in
+  let prop_seconds = sum seed_ctx.k_prop_seconds (fun r -> r.r_prop_s) in
+  let hook_seconds = sum seed_ctx.k_hook_seconds (fun r -> r.r_hook_s) in
+  let hook_calls =
     Array.fold_left
-      (fun acc r -> acc +. r.r_prop_s)
-      seed_ctx.k_prop_seconds rets
+      (fun acc r -> acc + r.r_hook_calls)
+      seed_ctx.k_hook_calls rets
   in
   let outcome =
     match Atomic.get stop_flag with
@@ -1535,7 +1568,8 @@ let solve_parallel env =
       root_obj = seed_ctx.k_root_obj;
       lp_stats;
       workers = Array.map (fun r -> r.r_ws) rets;
-      deductions = deduction_totals env.ded ~prop_seconds;
+      deductions =
+        deduction_totals env.ded ~prop_seconds ~hook_calls ~hook_seconds;
       certification = certification_totals env.cert;
       timeline = Array.of_list (List.rev inc.timeline);
       bound_timeline = Array.of_list (List.rev inc.bounds);

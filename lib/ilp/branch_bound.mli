@@ -194,6 +194,13 @@ type deduction_stats = {
       (** Wall-clock seconds spent in node propagation, summed over the
           search contexts (the sequential driver, or the seeding phase
           plus every worker when [jobs > 1]). *)
+  hook_calls : int;
+      (** Calls of [options.node_hook], summed over the search contexts
+          like [prop_seconds]. *)
+  hook_seconds : float;
+      (** Wall-clock seconds spent inside [options.node_hook], timed
+          under the lock that serializes hook calls (waiting for the
+          lock does not count) and summed like [prop_seconds]. *)
 }
 
 val empty_deductions : deduction_stats
@@ -238,7 +245,7 @@ type stats = {
           for [jobs = 1]. *)
   deductions : deduction_stats;
       (** Node-deduction counters (all zero when the corresponding
-          options are off). *)
+          options are off) and the node hook's calls and time. *)
   certification : certification_stats;
       (** Exact-certification counters (all zero, no certificate, when
           [certify_level = Cert_off]). *)

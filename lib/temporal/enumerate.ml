@@ -47,19 +47,8 @@ let assignments spec ~max_assignments =
 let steps_lower_bound spec part =
   let g = spec.Spec.graph in
   let np = spec.Spec.num_partitions in
-  let insts = Spec.instances spec in
   let budget = Float.of_int spec.Spec.capacity /. spec.Spec.alpha in
-  (* group the allocation by unit kind: (fg, capable-op-kinds, count) *)
-  let groups = Hashtbl.create 8 in
-  Array.iter
-    (fun inst ->
-      let key = inst.C.inst_kind.C.fu_name in
-      Hashtbl.replace groups key
-        (match Hashtbl.find_opt groups key with
-         | Some (k, n) -> (k, n + 1)
-         | None -> (inst.C.inst_kind, 1)))
-    insts;
-  let groups = Hashtbl.fold (fun _ v acc -> v :: acc) groups [] in
+  let groups = Spec.unit_groups spec in
   let total = ref 0 in
   let infeasible = ref false in
   for p = 1 to np do
@@ -139,135 +128,146 @@ exception Backtrack_budget
    consistent since a predecessor's ALAP is strictly smaller than its
    successor's), and every placement is forward-checked against the
    windows of the direct successors, which prunes most dead branches
-   immediately. *)
-let try_schedule ?(max_backtracks = max_int) spec part =
-  let backtracks = ref 0 in
+   immediately. Per operation, issue steps are tried in increasing
+   order and capable units in increasing instance id.
+
+   Every lookup the search repeats is read from a flat table built
+   once per call (or once per spec, in [Spec]); steps claimed by a
+   placement are recorded on a preallocated stack and released from it
+   on backtrack. The wall clock is read every 4096 backtracks, and a
+   passed [deadline] aborts the search like an exhausted budget. *)
+let try_schedule ?(max_backtracks = max_int) ?(deadline = Float.infinity) spec
+    part =
   let g = spec.Spec.graph in
+  let n = G.num_ops g in
   let ns = Spec.num_steps spec in
   let nf = Spec.num_instances spec in
-  let insts = Spec.instances spec in
+  let np = spec.Spec.num_partitions in
   let order =
-    List.sort
-      (fun a b ->
-        let sa = spec.Spec.schedule.Hls.Schedule.alap
-        and sp = spec.Spec.schedule.Hls.Schedule.asap in
-        match compare sa.(a) sa.(b) with
-        | 0 -> (match compare sp.(a) sp.(b) with 0 -> compare a b | c -> c)
-        | c -> c)
-      (Taskgraph.Topo.op_order g)
+    let sa = spec.Spec.schedule.Hls.Schedule.alap
+    and sp = spec.Spec.schedule.Hls.Schedule.asap in
+    Array.of_list
+      (List.sort
+         (fun a b ->
+           match compare sa.(a) sa.(b) with
+           | 0 -> (match compare sp.(a) sp.(b) with 0 -> compare a b | c -> c)
+           | c -> c)
+         (Taskgraph.Topo.op_order g))
   in
-  let step = Array.make (G.num_ops g) 0 in
-  let fu = Array.make (G.num_ops g) (-1) in
-  let busy = Array.make_matrix (ns + 1) nf false in
+  let win_lo = Array.init n (fun i -> fst (Spec.window spec i)) in
+  let win_hi = Array.init n (fun i -> snd (Spec.window spec i)) in
+  (* forward check: placing i so that its result is ready at [r] leaves
+     every direct successor a non-empty window iff [r <= ready_max.(i)] *)
+  let ready_max =
+    Array.init n (fun i ->
+        List.fold_left (fun m sc -> Int.min m win_hi.(sc)) max_int
+          (G.op_succs g i))
+  in
+  let preds = Array.init n (G.op_preds g) in
+  let capable = Array.init n (Spec.fu_of_op spec) in
+  let op_part = Array.init n (fun i -> part.(G.op_task g i)) in
+  let lat = Array.init nf (Spec.instance_latency spec) in
+  let span = Array.init nf (Spec.busy_span spec) in
+  let fg = Array.init nf (Spec.fg_of_instance spec) in
+  let step = Array.make n 0 in
+  let fu = Array.make n (-1) in
+  (* [busy] is indexed by step and unit, [fu_used] by partition and
+     unit, both at [row * nf + k] *)
+  let busy = Array.make ((ns + 1) * nf) false in
   let owner = Array.make (ns + 1) 0 (* 0 = unclaimed *) in
-  let fu_used = Array.make_matrix (spec.Spec.num_partitions + 1) nf false in
-  let fg_used = Array.make (spec.Spec.num_partitions + 1) 0 in
+  let fu_used = Array.make ((np + 1) * nf) false in
+  let fg_used = Array.make (np + 1) 0 in
+  (* steps claimed by the live placements; a step is claimed at most once *)
+  let claimed = Array.make (ns + 1) 0 in
+  let top = ref 0 in
+  let backtracks = ref 0 in
+  let alpha = spec.Spec.alpha in
   let cap = Float.of_int spec.Spec.capacity in
-  let rec place = function
-    | [] -> true
-    | i :: rest ->
-      let p = part.(G.op_task g i) in
-      let lo, hi = Spec.window spec i in
-      (* predecessors' results must be ready: issue >= step + latency *)
-      let lo =
-        List.fold_left
-          (fun m pr ->
-            Int.max m (step.(pr) + Spec.instance_latency spec fu.(pr)))
-          lo (G.op_preds g i)
-      in
-      (* forward check: placing i so that its result lands after j must
-         leave every direct successor a non-empty window *)
-      let succs_ok ready =
-        List.for_all
-          (fun sc ->
-            let _, hi_s = Spec.window spec sc in
-            ready <= hi_s)
-          (G.op_succs g i)
-      in
-      let rec try_step j =
-        if j > hi then false
-        else begin
-          let rec try_fu k =
-            if k >= nf then false
-            else if not (C.can_execute insts.(k).C.inst_kind (G.op_kind g i))
-            then try_fu (k + 1)
-            else begin
-              let lat = Spec.instance_latency spec k in
-              let span = Spec.busy_span spec k in
-              let fits =
-                j + lat - 1 <= ns
-                && succs_ok (j + lat)
-                (* unit free over its busy span *)
-                && (let free = ref true in
-                    for j' = j to j + span - 1 do
-                      if busy.(j').(k) then free := false
-                    done;
-                    !free)
-                (* all occupied steps claimable by partition p *)
-                && (let ok = ref true in
-                    for j' = j to j + lat - 1 do
-                      if owner.(j') <> 0 && owner.(j') <> p then ok := false
-                    done;
-                    !ok)
-              in
-              if not fits then try_fu (k + 1)
-              else begin
-                let newly_used = not fu_used.(p).(k) in
-                let fg_delta =
-                  if newly_used then insts.(k).C.inst_kind.C.fg else 0
-                in
-                if
-                  spec.Spec.alpha *. Float.of_int (fg_used.(p) + fg_delta)
-                  > cap +. 1e-9
-                then try_fu (k + 1)
-                else begin
-                  let claimed = ref [] in
-                  for j' = j to j + lat - 1 do
-                    if owner.(j') = 0 then begin
-                      owner.(j') <- p;
-                      claimed := j' :: !claimed
-                    end
-                  done;
-                  for j' = j to j + span - 1 do
-                    busy.(j').(k) <- true
-                  done;
-                  if newly_used then begin
-                    fu_used.(p).(k) <- true;
-                    fg_used.(p) <- fg_used.(p) + fg_delta
-                  end;
-                  step.(i) <- j;
-                  fu.(i) <- k;
-                  if place rest then true
-                  else begin
-                    incr backtracks;
-                    if !backtracks > max_backtracks then raise Backtrack_budget;
-                    for j' = j to j + span - 1 do
-                      busy.(j').(k) <- false
-                    done;
-                    List.iter (fun j' -> owner.(j') <- 0) !claimed;
-                    if newly_used then begin
-                      fu_used.(p).(k) <- false;
-                      fg_used.(p) <- fg_used.(p) - fg_delta
-                    end;
-                    step.(i) <- 0;
-                    fu.(i) <- -1;
-                    try_fu (k + 1)
-                  end
-                end
-              end
-            end
-          in
-          if try_fu 0 then true else try_step (j + 1)
-        end
-      in
-      try_step lo
+  (* unit k is free over its busy span [j, last] *)
+  let rec unit_free k j last =
+    j > last || ((not busy.((j * nf) + k)) && unit_free k (j + 1) last)
   in
-  if place order then Some (Array.copy step, Array.copy fu) else None
+  (* every step of [j, last] is unowned or already owned by partition p *)
+  let rec claimable p j last =
+    j > last || ((owner.(j) = 0 || owner.(j) = p) && claimable p (j + 1) last)
+  in
+  let rec place idx =
+    idx = n
+    ||
+    let i = order.(idx) in
+    (* predecessors' results must be ready: issue >= step + latency *)
+    let lo =
+      List.fold_left
+        (fun m pr -> Int.max m (step.(pr) + lat.(fu.(pr))))
+        win_lo.(i) preds.(i)
+    in
+    try_step idx i op_part.(i) lo
+  and try_step idx i p j =
+    j <= win_hi.(i) && (try_fu idx i p j capable.(i) || try_step idx i p (j + 1))
+  and try_fu idx i p j = function
+    | [] -> false
+    | k :: rest ->
+      let fits =
+        j + lat.(k) - 1 <= ns
+        && j + lat.(k) <= ready_max.(i)
+        && unit_free k j (j + span.(k) - 1)
+        && claimable p j (j + lat.(k) - 1)
+      in
+      if not fits then try_fu idx i p j rest
+      else begin
+        let newly_used = not fu_used.((p * nf) + k) in
+        let fg_delta = if newly_used then fg.(k) else 0 in
+        if alpha *. Float.of_int (fg_used.(p) + fg_delta) > cap +. 1e-9 then
+          try_fu idx i p j rest
+        else begin
+          let base = !top in
+          for j' = j to j + lat.(k) - 1 do
+            if owner.(j') = 0 then begin
+              owner.(j') <- p;
+              claimed.(!top) <- j';
+              incr top
+            end
+          done;
+          for j' = j to j + span.(k) - 1 do
+            busy.((j' * nf) + k) <- true
+          done;
+          if newly_used then begin
+            fu_used.((p * nf) + k) <- true;
+            fg_used.(p) <- fg_used.(p) + fg_delta
+          end;
+          step.(i) <- j;
+          fu.(i) <- k;
+          place (idx + 1)
+          || begin
+            incr backtracks;
+            if
+              !backtracks > max_backtracks
+              || (!backtracks land 4095 = 0 && Ilp.Mono.now () > deadline)
+            then raise Backtrack_budget;
+            for j' = j to j + span.(k) - 1 do
+              busy.((j' * nf) + k) <- false
+            done;
+            while !top > base do
+              decr top;
+              owner.(claimed.(!top)) <- 0
+            done;
+            if newly_used then begin
+              fu_used.((p * nf) + k) <- false;
+              fg_used.(p) <- fg_used.(p) - fg_delta
+            end;
+            step.(i) <- 0;
+            fu.(i) <- -1;
+            try_fu idx i p j rest
+          end
+        end
+      end
+  in
+  if place 0 then Some (step, fu) else None
 
-let schedule_for_partition ?max_backtracks spec part =
+let schedule_for_partition ?max_backtracks ?deadline spec part =
   if steps_lower_bound spec part > Spec.num_steps spec then `Infeasible
   else
-    match try_schedule ?max_backtracks spec part with
+    match try_schedule ?max_backtracks ?deadline spec part with
     | Some (step, fu) -> `Schedule (step, fu)
     | None -> `Infeasible
     | exception Backtrack_budget -> `Gave_up

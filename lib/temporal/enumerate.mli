@@ -29,6 +29,7 @@ val steps_lower_bound : Spec.t -> int array -> int
 
 val schedule_for_partition :
   ?max_backtracks:int ->
+  ?deadline:float ->
   Spec.t ->
   int array ->
   [ `Schedule of int array * int array | `Infeasible | `Gave_up ]
@@ -37,4 +38,6 @@ val schedule_for_partition :
     exclusivity, per-partition capacity and control-step ownership.
     [`Infeasible] is a proof that no schedule exists for this map;
     [`Gave_up] means the backtrack budget was exhausted (default:
-    unlimited). Used as the branch-and-bound completion heuristic. *)
+    unlimited) or the search ran past [deadline], an absolute
+    {!Ilp.Mono.now} time (default: none), which is checked every 4096
+    backtracks. Used as the branch-and-bound completion heuristic. *)

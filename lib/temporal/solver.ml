@@ -19,8 +19,10 @@ type report = {
    either completes it into a full design — an incumbent — or proves no
    completion exists. When the y variables are furthermore FIXED by the
    node's bounds, the whole subtree is resolved either way and can be
-   pruned. Results are memoized per partition map. *)
-let scheduler_hook vars =
+   pruned. Results are memoized per partition map. The scheduler gives
+   up at [deadline] (absolute [Ilp.Mono] time), like on an exhausted
+   backtrack budget. *)
+let scheduler_hook ~deadline vars =
   let spec = vars.Vars.spec in
   let g = spec.Spec.graph in
   let nt = Taskgraph.Graph.num_tasks g in
@@ -111,7 +113,8 @@ let scheduler_hook vars =
                 if all_y_fixed then 5_000_000 else 300_000
               in
               match
-                Enumerate.schedule_for_partition ~max_backtracks spec part
+                Enumerate.schedule_for_partition ~max_backtracks ~deadline
+                  spec part
               with
               | `Schedule (op_step, op_fu) ->
                 let module S = Set.Make (Int) in
@@ -182,6 +185,7 @@ let solve ?(strategy = Branching.Paper) ?(value_order = Bb.One_first)
     ?(jobs = 1) ?(deterministic = false)
     ?(rc_fixing = false) ?(propagate = false) ?(certify = Bb.Cert_off) ?(tracer = Ilp.Trace.disabled)
     ?(metrics = Ilp.Metrics.disabled) vars =
+  let deadline = Ilp.Mono.now () +. time_limit in
   if lint then lint_or_fail ?options:lint_options vars;
   let options =
     {
@@ -193,7 +197,8 @@ let solve ?(strategy = Branching.Paper) ?(value_order = Bb.One_first)
       max_nodes;
       integral_objective = true;
       node_hook =
-        (if scheduler_completion then Some (scheduler_hook vars) else None);
+        (if scheduler_completion then Some (scheduler_hook ~deadline vars)
+         else None);
       jobs;
       deterministic;
       rc_fixing;

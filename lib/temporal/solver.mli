@@ -64,7 +64,10 @@ val solve :
     completed (or refuted) combinatorially instead of by further LP
     branching. It never changes optimality — eq. 14's objective depends
     only on the partition map — but typically collapses the search tree
-    by orders of magnitude; ablated in the benchmarks.
+    by orders of magnitude; ablated in the benchmarks. The hook's
+    scheduler honours [time_limit]: it checks the clock every 4096
+    backtracks and gives up once the limit, counted from the start of
+    [solve], has passed (see {!Enumerate.schedule_for_partition}).
 
     [presolve] (default on) runs {!Ilp.Presolve} before branch and
     bound: rows drop and bounds tighten while variable indices — and the

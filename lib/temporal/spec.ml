@@ -1,6 +1,16 @@
 module G = Taskgraph.Graph
 module C = Hls.Component
 
+type tables = {
+  insts : C.instance array;
+  inst_latency : int array;
+  inst_span : int array;
+  inst_fg : int array;
+  inst_pipelined : bool array;
+  op_fus : int list array;
+  unit_groups : (C.fu_kind * int) list;
+}
+
 type t = {
   graph : G.t;
   allocation : C.allocation;
@@ -10,6 +20,7 @@ type t = {
   latency_relax : int;
   num_partitions : int;
   schedule : Hls.Schedule.t;
+  tables : tables;
 }
 
 let make ~graph ~allocation ?capacity ?(alpha = 0.7) ?(scratch = 64)
@@ -29,18 +40,38 @@ let make ~graph ~allocation ?capacity ?(alpha = 0.7) ?(scratch = 64)
       (* Non-binding default: the whole allocation fits one partition. *)
       1 + Float.to_int (Float.ceil (alpha *. Float.of_int (C.total_fg allocation)))
   in
+  let insts = C.instances allocation in
+  let nf = Array.length insts in
+  let kind k = insts.(k).C.inst_kind in
+  let inst_latency = Array.init nf (fun k -> (kind k).C.latency) in
+  let inst_pipelined = Array.init nf (fun k -> (kind k).C.pipelined) in
+  (* Steps during which instance [k] is busy with an operation issued
+     at [j]: just [j] for a pipelined unit, the full latency otherwise. *)
+  let inst_span =
+    Array.init nf (fun k -> if inst_pipelined.(k) then 1 else inst_latency.(k))
+  in
+  let op_fus =
+    Array.init (G.num_ops graph) (fun i ->
+        let op = G.op_kind graph i in
+        List.filter
+          (fun k -> C.can_execute (kind k) op)
+          (List.init nf Fun.id))
+  in
   (* Mobility windows use the optimistic (minimum) latency over the
      capable units, so every binding's true window is contained in the
      model's window superset. *)
-  let insts = C.instances allocation in
   let min_latency i =
-    let kind = G.op_kind graph i in
-    Array.fold_left
-      (fun acc inst ->
-        if C.can_execute inst.C.inst_kind kind then
-          Int.min acc inst.C.inst_kind.C.latency
-        else acc)
-      max_int insts
+    List.fold_left (fun acc k -> Int.min acc inst_latency.(k)) max_int op_fus.(i)
+  in
+  (* The allocation's unit kinds with their instance counts, entries
+     that share a kind name merged. *)
+  let unit_groups =
+    List.map
+      (fun name ->
+        let same = List.filter (fun (fu, _) -> fu.C.fu_name = name) allocation in
+        (fst (List.hd same), List.fold_left (fun n (_, m) -> n + m) 0 same))
+      (List.sort_uniq String.compare
+         (List.map (fun (fu, _) -> fu.C.fu_name) allocation))
   in
   {
     graph;
@@ -51,18 +82,21 @@ let make ~graph ~allocation ?capacity ?(alpha = 0.7) ?(scratch = 64)
     latency_relax;
     num_partitions;
     schedule = Hls.Schedule.compute_weighted ~latency:min_latency graph;
+    tables =
+      {
+        insts;
+        inst_latency;
+        inst_span;
+        inst_fg = Array.init nf (fun k -> (kind k).C.fg);
+        inst_pipelined;
+        op_fus;
+        unit_groups;
+      };
   }
 
-let instances spec = C.instances spec.allocation
+let instances spec = spec.tables.insts
 
-let fu_of_op spec i =
-  let kind = G.op_kind spec.graph i in
-  let insts = instances spec in
-  let acc = ref [] in
-  for k = Array.length insts - 1 downto 0 do
-    if C.can_execute insts.(k).C.inst_kind kind then acc := k :: !acc
-  done;
-  !acc
+let fu_of_op spec i = spec.tables.op_fus.(i)
 
 let ops_of_fu spec k =
   let insts = instances spec in
@@ -79,18 +113,17 @@ let window spec i =
 let num_steps spec =
   Hls.Schedule.num_steps spec.schedule ~relax:spec.latency_relax
 
-let num_instances spec = Array.length (instances spec)
+let num_instances spec = Array.length spec.tables.insts
 
-let fg_of_instance spec k = (instances spec).(k).C.inst_kind.C.fg
+let fg_of_instance spec k = spec.tables.inst_fg.(k)
 
-let instance_latency spec k = (instances spec).(k).C.inst_kind.C.latency
+let instance_latency spec k = spec.tables.inst_latency.(k)
 
-let instance_pipelined spec k = (instances spec).(k).C.inst_kind.C.pipelined
+let instance_pipelined spec k = spec.tables.inst_pipelined.(k)
 
-(* Steps during which instance [k] is busy with an operation issued at
-   [j]: just [j] for a pipelined unit, the full latency otherwise. *)
-let busy_span spec k =
-  if instance_pipelined spec k then 1 else instance_latency spec k
+let busy_span spec k = spec.tables.inst_span.(k)
+
+let unit_groups spec = spec.tables.unit_groups
 
 let pp ppf spec =
   Format.fprintf ppf

@@ -7,6 +7,14 @@
     scratch memory size [Ms], the latency relaxation [L] and the upper
     bound [N] on the number of temporal partitions. *)
 
+type tables
+(** Lookup tables derived from the allocation, built once by {!make}:
+    the instance array, each instance's latency, busy span, [FG] and
+    pipelined flag, each operation's capable instances and the
+    allocation's unit kinds with their counts. [Spec.t] is private, so
+    {!make} is its only constructor and the tables cannot go stale. The
+    accessors below read them in O(1). *)
+
 type t = private {
   graph : Taskgraph.Graph.t;
   allocation : Hls.Component.allocation;  (** The exploration set [F]. *)
@@ -16,6 +24,7 @@ type t = private {
   latency_relax : int;  (** Relaxation [L] over the maximum ALAP. *)
   num_partitions : int;  (** Partition upper bound [N] (>= 1). *)
   schedule : Hls.Schedule.t;  (** Precomputed ASAP/ALAP (Figure 2 flow). *)
+  tables : tables;
 }
 
 val make :
@@ -36,11 +45,13 @@ val make :
     or a parameter is negative. *)
 
 val instances : t -> Hls.Component.instance array
-(** The concrete functional units of [F], by instance id. *)
+(** The concrete functional units of [F], by instance id. The array is
+    the one the spec's tables share, not a copy: read it, never write
+    to it. *)
 
 val fu_of_op : t -> Taskgraph.Graph.op_id -> int list
-(** The paper's [Fu(i)]: instance ids able to execute operation [i].
-    Never empty. *)
+(** The paper's [Fu(i)]: instance ids able to execute operation [i], in
+    ascending order. Never empty. *)
 
 val ops_of_fu : t -> int -> Taskgraph.Graph.op_id list
 (** The paper's [Fu^-1(k)]: operations executable on instance [k]. *)
@@ -66,5 +77,9 @@ val instance_pipelined : t -> int -> bool
 val busy_span : t -> int -> int
 (** Steps instance [k] stays busy per operation: [1] when pipelined,
     its latency otherwise. *)
+
+val unit_groups : t -> (Hls.Component.fu_kind * int) list
+(** The allocation's unit kinds with their total instance counts, one
+    entry per kind name. *)
 
 val pp : Format.formatter -> t -> unit

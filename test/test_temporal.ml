@@ -622,6 +622,156 @@ let test_lower_bound_never_exceeds_schedulable () =
         [ 0; 1; 2; nt - 1 ])
     specs
 
+(* ---------------- exact completion scheduler ---------------- *)
+
+(* Graph 1 at its paper allocation (2+2+1), C = 70, Ms = 30, N = 2,
+   L = 4: the completion hook schedules every task in partition 1. *)
+let paper1_n2l4 () =
+  ( mk ~ams:(2, 2, 1) ~cap:70 ~ms:30 ~l:4 ~n:2 (Ex.paper_graph 1),
+    [| 1; 1; 1; 1; 1 |] )
+
+(* The scheduler's visit order (ops by ALAP, steps ascending, units by
+   instance id) fixes the first schedule found and the backtracks spent
+   reaching it; any change to either moves the hook's give-up boundary
+   and with it, possibly, the incumbents. *)
+let test_scheduler_order_pinned () =
+  let spec, part = paper1_n2l4 () in
+  let backtracks = 29_955 in
+  (match Enum.schedule_for_partition ~max_backtracks:backtracks spec part with
+   | `Schedule (step, fu) ->
+     Alcotest.(check (array int)) "op_step"
+       [| 1; 2; 10; 2; 3; 4; 5; 1; 6; 3; 7; 7; 11; 4; 5; 8; 6; 9; 9; 13; 10; 12 |]
+       step;
+     Alcotest.(check (array int)) "op_fu"
+       [| 2; 2; 0; 0; 2; 0; 2; 0; 2; 0; 0; 2; 0; 2; 0; 0; 0; 4; 0; 0; 4; 0 |]
+       fu
+   | `Infeasible | `Gave_up -> Alcotest.fail "expected a schedule");
+  match
+    Enum.schedule_for_partition ~max_backtracks:(backtracks - 1) spec part
+  with
+  | `Gave_up -> ()
+  | `Schedule _ | `Infeasible -> Alcotest.fail "expected a give-up"
+
+let test_scheduler_deadline () =
+  let spec, part = paper1_n2l4 () in
+  (* the map needs thousands of backtracks, so the clock is read *)
+  (match
+     Enum.schedule_for_partition ~deadline:(Ilp.Mono.now () -. 1.) spec part
+   with
+   | `Gave_up -> ()
+   | `Schedule _ | `Infeasible -> Alcotest.fail "expected a give-up");
+  match Enum.schedule_for_partition spec part with
+  | `Schedule _ -> ()
+  | `Infeasible | `Gave_up -> Alcotest.fail "expected a schedule"
+
+(* Allocations that mix shared, pipelined multicycle and blocking
+   multicycle units, so every cached table has entries to get wrong. *)
+let rand_mixed_spec seed =
+  let rng = Taskgraph.Prng.create seed in
+  let tasks = Taskgraph.Prng.int_in rng 2 4 in
+  let ops = tasks + Taskgraph.Prng.int_in rng 0 4 in
+  let g =
+    Taskgraph.Generator.generate (Taskgraph.Generator.default ~tasks ~ops ~seed)
+  in
+  let unit name = C.find C.default_library name in
+  let count () = Taskgraph.Prng.int_in rng 1 2 in
+  let allocation =
+    match Taskgraph.Prng.int rng 3 with
+    | 0 ->
+      [ (unit "add16", count ()); (unit "mul16", count ());
+        (unit "sub16", count ()) ]
+    | 1 -> [ (unit "alu16", count ()); (unit "mul16p2", count ()) ]
+    | _ ->
+      [ (unit "add16", 1); (unit "mul16seq", count ()); (unit "alu16", 1);
+        (unit "mul16", 1) ]
+  in
+  Spec.make ~graph:g ~allocation
+    ~capacity:(List.nth [ 45; 90; 300 ] (Taskgraph.Prng.int rng 3))
+    ~scratch:(List.nth [ 2; 5; 100 ] (Taskgraph.Prng.int rng 3))
+    ~latency_relax:(Taskgraph.Prng.int_in rng 0 2)
+    ~num_partitions:(Taskgraph.Prng.int_in rng 1 3)
+    ()
+
+let prop_spec_tables_and_schedules =
+  QCheck.Test.make
+    ~name:"spec tables match the allocation; schedules validate" ~count:60
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let spec = rand_mixed_spec seed in
+      let g = spec.Spec.graph in
+      let insts = C.instances spec.Spec.allocation in
+      let nf = Array.length insts in
+      let tables_ok =
+        Spec.instances spec = insts
+        && Spec.num_instances spec = nf
+        && List.for_all
+             (fun k ->
+               let kind = insts.(k).C.inst_kind in
+               Spec.instance_latency spec k = kind.C.latency
+               && Spec.instance_pipelined spec k = kind.C.pipelined
+               && Spec.busy_span spec k
+                  = (if kind.C.pipelined then 1 else kind.C.latency)
+               && Spec.fg_of_instance spec k = kind.C.fg)
+             (List.init nf Fun.id)
+        && List.for_all
+             (fun i ->
+               Spec.fu_of_op spec i
+               = List.filter
+                   (fun k -> C.can_execute insts.(k).C.inst_kind (G.op_kind g i))
+                   (List.init nf Fun.id))
+             (List.init (G.num_ops g) Fun.id)
+        && List.for_all
+             (fun (fu, n) ->
+               n
+               = Array.fold_left
+                   (fun m inst ->
+                     if inst.C.inst_kind.C.fu_name = fu.C.fu_name then m + 1
+                     else m)
+                   0 insts)
+             (Spec.unit_groups spec)
+        && List.fold_left (fun m (_, n) -> m + n) 0 (Spec.unit_groups spec) = nf
+      in
+      (* every task-to-partition map *)
+      let nt = G.num_tasks g and np = spec.Spec.num_partitions in
+      let part = Array.make nt 1 in
+      let schedules_ok = ref true in
+      let rec each t =
+        if t = nt then begin
+          match
+            Enum.schedule_for_partition ~max_backtracks:100_000 spec part
+          with
+          | `Schedule (op_step, op_fu) ->
+            let sol =
+              {
+                Sol.partition_of = Array.copy part;
+                op_step;
+                op_fu;
+                comm_cost = Sol.comm_cost_of_partition spec part;
+                partitions_used =
+                  List.length (List.sort_uniq compare (Array.to_list part));
+              }
+            in
+            (* the scheduler sees the map alone: order and memory are
+               the caller's to check *)
+            let order_ok =
+              List.for_all (fun (t1, t2, _) -> part.(t1) <= part.(t2))
+                (G.task_edges g)
+            in
+            if
+              order_ok && Sol.memory_peak spec part <= spec.Spec.scratch
+              && Sol.validate spec sol <> Ok ()
+            then schedules_ok := false
+          | `Infeasible | `Gave_up -> ()
+        end
+        else
+          for p = 1 to np do
+            part.(t) <- p;
+            each (t + 1)
+          done
+      in
+      each 0;
+      tables_ok && !schedules_ok)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "temporal"
@@ -705,6 +855,14 @@ let () =
           Alcotest.test_case "uncoverable" `Quick test_lower_bound_uncoverable;
           Alcotest.test_case "sound vs scheduler" `Quick
             test_lower_bound_never_exceeds_schedulable;
+        ] );
+      ( "scheduler",
+        [
+          Alcotest.test_case "paper1 search order pinned" `Quick
+            test_scheduler_order_pinned;
+          Alcotest.test_case "expired deadline gives up" `Quick
+            test_scheduler_deadline;
+          qt prop_spec_tables_and_schedules;
         ] );
       ( "extensions",
         [
