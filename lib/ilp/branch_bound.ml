@@ -2,10 +2,6 @@ let src = Logs.Src.create "ilp.bb" ~doc:"Branch and bound"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type value_order = One_first | Zero_first
-
-type node_order = Depth_first | Best_bound
-
 type branch_rule = lp_solution:float array -> is_fixed:(int -> bool) -> int option
 
 type hook_result =
@@ -20,8 +16,6 @@ type options = {
   max_nodes : int;
   time_limit : float;
   branch_rule : branch_rule option;
-  value_order : value_order;
-  node_order : node_order;
   integral_objective : bool;
   int_tol : float;
   on_incumbent : (float -> float array -> unit) option;
@@ -43,8 +37,6 @@ let default_options =
     max_nodes = max_int;
     time_limit = Float.infinity;
     branch_rule = None;
-    value_order = One_first;
-    node_order = Depth_first;
     integral_objective = false;
     int_tol = 1e-6;
     on_incumbent = None;
@@ -195,11 +187,9 @@ type node = {
          assigned by [ctx.bump] at evaluation time, so this is only
          meaningful for tree reconstruction from the trace *)
   n_basis : Simplex.basis option;
-      (* the parent's optimal basis, shipped with the node in pool mode
-         so a stealing worker warm-starts its dual simplex instead of
-         cold-solving; [None] on the sequential path (the engine already
-         sits on a useful basis there). Shared physically between
-         siblings. *)
+      (* the parent's optimal basis, which the node's dual simplex
+         warm-starts from on whichever context pops it; [None] only at
+         the root. Shared physically between siblings. *)
 }
 
 let pp_outcome ppf = function
@@ -210,70 +200,6 @@ let pp_outcome ppf = function
     Format.fprintf ppf "limit reached (incumbent = %g, bound = %g)" obj bound
   | Limit_reached { best = None; bound } ->
     Format.fprintf ppf "limit reached (no incumbent, bound = %g)" bound
-
-(* Simple binary min-heap on (key, node) for best-bound search. *)
-module Heap = struct
-  type 'a t = { mutable data : (float * 'a) array; mutable size : int }
-
-  let create () = { data = [||]; size = 0 }
-
-  let push h key v =
-    if h.size = Array.length h.data then begin
-      let ncap = Int.max 16 (2 * h.size) in
-      let d = Array.make ncap (key, v) in
-      Array.blit h.data 0 d 0 h.size;
-      h.data <- d
-    end;
-    h.data.(h.size) <- (key, v);
-    let i = ref h.size in
-    h.size <- h.size + 1;
-    let continue = ref true in
-    while !continue && !i > 0 do
-      let p = (!i - 1) / 2 in
-      if fst h.data.(!i) < fst h.data.(p) then begin
-        let t = h.data.(!i) in
-        h.data.(!i) <- h.data.(p);
-        h.data.(p) <- t;
-        i := p
-      end
-      else continue := false
-    done
-
-  let pop h =
-    if h.size = 0 then None
-    else begin
-      let top = h.data.(0) in
-      h.size <- h.size - 1;
-      if h.size > 0 then begin
-        h.data.(0) <- h.data.(h.size);
-        let i = ref 0 in
-        let continue = ref true in
-        while !continue do
-          let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-          let smallest = ref !i in
-          if l < h.size && fst h.data.(l) < fst h.data.(!smallest) then
-            smallest := l;
-          if r < h.size && fst h.data.(r) < fst h.data.(!smallest) then
-            smallest := r;
-          if !smallest <> !i then begin
-            let t = h.data.(!i) in
-            h.data.(!i) <- h.data.(!smallest);
-            h.data.(!smallest) <- t;
-            i := !smallest
-          end
-          else continue := false
-        done
-      end;
-      Some top
-    end
-
-  let fold f init h =
-    let acc = ref init in
-    for i = 0 to h.size - 1 do
-      acc := f !acc (fst h.data.(i))
-    done;
-    !acc
-end
 
 (* Node-deduction state shared by every search context of one solve.
    The counters are atomics (workers bump them concurrently); the
@@ -397,18 +323,17 @@ type ctx = {
   det : bool;
   set_root : bool;  (* this context solves the root relaxation *)
   bump : unit -> int;  (* global node counter; returns the new total *)
-  delta : bool;
-      (* bound-delta node application: on unless a deduction pass
-         (propagation, reduced-cost fixing) mutates node bounds outside
-         the fix path, which the delta bookkeeping cannot see *)
-  ship : bool;  (* export bases after node solves and attach to children *)
-  cur_lb : float array;  (* mirror of the engine's bounds under [delta] *)
+  cur_lb : float array;  (* mirror of the engine's bounds; only [move_to]
+                            and [refix_root] write it *)
   cur_ub : float array;
+  prop_lb : float array;  (* scratch bounds node propagation runs on *)
+  prop_ub : float array;
   mutable applied : applied list;  (* fixings currently applied, newest first *)
   mutable n_applied : int;
   mutable last_basis : Simplex.basis option;
-      (* the basis most recently exported from [st]: a child carrying it
-         physically needs no reinstall (the engine is already there) *)
+      (* the basis just exported from [st], until the next solve moves
+         the engine off it: a child carrying it physically needs no
+         reinstall (the engine is already there) *)
   mutable first_solve : bool;
   mutable local_best : float;
   mutable k_nodes : int;
@@ -420,8 +345,13 @@ type ctx = {
   mutable k_hook_seconds : float;  (* wall time inside the node hook *)
 }
 
-let make_ctx env ~inc ~st ~push ~tw ~msh ~det ~set_root ~bump ~ship
-    ~local_best =
+let make_ctx env ~inc ~st ~push ~tw ~msh ~det ~set_root ~bump ~local_best =
+  (* The engine starts from the model's bounds; the root bounds may
+     already be tightened by reduced-cost fixing (a worker built after
+     the seeding phase), so the mirror and the engine start from them. *)
+  for j = 0 to env.nvars - 1 do
+    Simplex.set_var_bounds st j ~lb:env.root_lb.(j) ~ub:env.root_ub.(j)
+  done;
   {
     env;
     inc;
@@ -432,13 +362,10 @@ let make_ctx env ~inc ~st ~push ~tw ~msh ~det ~set_root ~bump ~ship
     det;
     set_root;
     bump;
-    (* Propagation and reduced-cost fixing tighten node bounds outside
-       the fix path; the delta bookkeeping cannot see those writes, so
-       such configurations keep the historical full-copy path. *)
-    delta = not (env.opts.propagate || env.opts.rc_fixing);
-    ship;
     cur_lb = Array.copy env.root_lb;
     cur_ub = Array.copy env.root_ub;
+    prop_lb = Array.copy env.root_lb;
+    prop_ub = Array.copy env.root_ub;
     applied = [];
     n_applied = 0;
     last_basis = None;
@@ -662,9 +589,11 @@ type step =
 
 (* Re-run root reduced-cost fixing against an improved incumbent: pure
    arithmetic on the root duals saved by the root solve, mutating the
-   root bound arrays in place. Only called from single-domain drivers
-   (the sequential search and the parallel seeding phase), never
-   concurrently with worker domains. *)
+   root bound arrays in place. The context's applied path is undone
+   first (its entries restore pre-fixing root bounds), then the fixed
+   root bounds go into the mirror and the engine. Only called from
+   single-domain drivers (the sequential search and the parallel
+   seeding phase), never concurrently with worker domains. *)
 let refix_root ctx =
   let env = ctx.env in
   if env.opts.rc_fixing then
@@ -674,7 +603,7 @@ let refix_root ctx =
       let c = cutoff ctx in
       if c < env.ded.d_rc_cutoff -. 1e-12 then begin
         env.ded.d_rc_cutoff <- c;
-        let n = ref 0 in
+        let fixed = ref [] in
         List.iter
           (fun j ->
             let lo = env.root_lb.(j) and hi = env.root_ub.(j) in
@@ -682,17 +611,26 @@ let refix_root ctx =
               let d = dj.(j) in
               if d > 1e-9 && robj +. d >= c +. 1e-9 then begin
                 env.root_ub.(j) <- lo;
-                incr n
+                fixed := j :: !fixed
               end
               else if d < -1e-9 && robj -. d >= c +. 1e-9 then begin
                 env.root_lb.(j) <- hi;
-                incr n
+                fixed := j :: !fixed
               end
             end)
           env.int_vars;
-        if !n > 0 then begin
-          ignore (Atomic.fetch_and_add env.ded.d_rc_fixed !n);
-          Log.debug (fun f -> f "root reduced-cost fixing: %d variables" !n)
+        if !fixed <> [] then begin
+          move_to ctx [];
+          List.iter
+            (fun j ->
+              let lb = env.root_lb.(j) and ub = env.root_ub.(j) in
+              ctx.cur_lb.(j) <- lb;
+              ctx.cur_ub.(j) <- ub;
+              Simplex.set_var_bounds ctx.st j ~lb ~ub)
+            !fixed;
+          let n = List.length !fixed in
+          ignore (Atomic.fetch_and_add env.ded.d_rc_fixed n);
+          Log.debug (fun f -> f "root reduced-cost fixing: %d variables" n)
         end
       end
 
@@ -759,30 +697,16 @@ let process_node ctx node =
       Trace.emit ctx.tw (Trace.Node_close { id = nno; obj; reason });
     step
   in
-  (* The node's bounds. In delta mode [move_to] edits the engine and the
-     mirrored arrays in place — O(path difference to the previous node),
-     no per-node allocation. The legacy path rebuilds from the root
-     bounds (root bounds may shrink under rc-fixing, which is exactly
-     when delta mode is disabled): most recent fix first, so apply in
-     reverse. *)
-  let lb, ub =
-    if ctx.delta then begin
-      move_to ctx node.fixes;
-      (ctx.cur_lb, ctx.cur_ub)
-    end
-    else begin
-      let lb = Array.copy env.root_lb and ub = Array.copy env.root_ub in
-      List.iter
-        (fun (j, lo, hi) ->
-          lb.(j) <- lo;
-          ub.(j) <- hi)
-        (List.rev node.fixes);
-      (lb, ub)
-    end
-  in
+  (* The node's bounds: [move_to] edits the engine and the mirrored
+     arrays in place — O(path difference to the previous node), no
+     per-node allocation. Every deduction below extends the applied path
+     the same way, so [lb]/[ub] always mirror the engine. *)
+  move_to ctx node.fixes;
+  let lb = ctx.cur_lb and ub = ctx.cur_ub in
   (* Per-node propagation: cascade the fresh bound changes through the
-     rows touching them before paying for any LP pivot. A conflict
-     prunes the node outright. *)
+     rows touching them before paying for any LP pivot. It runs on
+     scratch copies, so a conflicting run's partial writes need no
+     undo; a conflict prunes the node outright. *)
   let propagation =
     match env.ded.d_prop with
     | Some prop -> (
@@ -794,8 +718,11 @@ let process_node ctx node =
             |> List.map (fun (j, _, _) -> j))
       in
       let t = Mono.now () in
+      Array.blit lb 0 ctx.prop_lb 0 env.nvars;
+      Array.blit ub 0 ctx.prop_ub 0 env.nvars;
       let out =
-        Propagate.run prop ~lb ~ub ?seeds ~trace:ctx.tw ~metrics:ctx.msh ()
+        Propagate.run prop ~lb:ctx.prop_lb ~ub:ctx.prop_ub ?seeds
+          ~trace:ctx.tw ~metrics:ctx.msh ()
       in
       ctx.k_prop_seconds <- ctx.k_prop_seconds +. Mono.elapsed_since t;
       match out with
@@ -815,31 +742,22 @@ let process_node ctx node =
     Log.debug (fun f -> f "node %d pruned by propagation" nno);
     close Trace.Prop_pruned ~obj:Float.nan Step_ok
   | Some prop_fixes ->
-    (* Delta mode already synced the engine bounds inside [move_to];
-       the legacy path pays the full O(nvars) rewrite. *)
-    if not ctx.delta then
-      for j = 0 to env.nvars - 1 do
-        Simplex.set_var_bounds ctx.st j ~lb:lb.(j) ~ub:ub.(j)
-      done;
-    (* Warm-start shipping: a stolen node carries its parent's optimal
+    (* The propagated bounds extend the node's path. *)
+    let path = prop_fixes @ node.fixes in
+    move_to ctx path;
+    (* Warm start: every node but the root carries its parent's optimal
        basis. Install it unless the engine is already there (the DFS
        fast path: the first child popped after branching finds
-       [last_basis] physically equal to its own). A failed install
-       leaves the engine unspecified — fall back to a cold solve. *)
-    (match node.n_basis with
-     | Some b
-       when opts.warm_start
-            && (ctx.first_solve
-               ||
-               match ctx.last_basis with
-               | Some cur -> not (cur == b)
-               | None -> true) ->
-       if Simplex.install_basis ctx.st b then begin
-         ctx.last_basis <- Some b;
-         ctx.first_solve <- false
-       end
+       [last_basis] physically equal to its own); a backtracked sibling
+       or a stolen node reinstalls it. A failed install leaves the
+       engine unspecified — fall back to a cold solve. *)
+    (match (node.n_basis, ctx.last_basis) with
+     | Some b, Some cur when cur == b -> ()
+     | Some b, _ when opts.warm_start ->
+       if Simplex.install_basis ctx.st b then ctx.first_solve <- false
        else begin
-         ctx.last_basis <- None;
+         Log.warn (fun f ->
+             f "node %d: parent basis install failed; solving cold" nno);
          ctx.first_solve <- true
        end
      | _ -> ());
@@ -848,6 +766,7 @@ let process_node ctx node =
       else Simplex.dual_reopt ctx.st
     in
     ctx.first_solve <- false;
+    ctx.last_basis <- None;
     let res =
       match res.Simplex.status with
       | Simplex.Iter_limit ->
@@ -941,14 +860,10 @@ let process_node ctx node =
                    let span = ub.(j) -. lb.(j) in
                    if span > 1e-9 && span <= 1. +. 1e-9 then begin
                      let d = res.Simplex.dj.(j) in
-                     if d > 1e-9 && obj +. d >= c +. 1e-9 then begin
-                       ub.(j) <- lb.(j);
+                     if d > 1e-9 && obj +. d >= c +. 1e-9 then
                        acc := (j, lb.(j), lb.(j)) :: !acc
-                     end
-                     else if d < -1e-9 && obj -. d >= c +. 1e-9 then begin
-                       lb.(j) <- ub.(j);
+                     else if d < -1e-9 && obj -. d >= c +. 1e-9 then
                        acc := (j, ub.(j), ub.(j)) :: !acc
-                     end
                    end)
                  env.int_vars;
                if !acc <> [] then
@@ -959,6 +874,10 @@ let process_node ctx node =
              end
              else []
            in
+           (* The fixings extend the path before branching, so
+              [is_fixed] and the branching bounds see them. *)
+           let path = rc_fixes @ path in
+           move_to ctx path;
            (* Save the root duals once so incumbent improvements can
               re-fix at the root later ({!refix_root}). *)
            if
@@ -975,29 +894,21 @@ let process_node ctx node =
              let v = x.(j) in
              (* Current node bounds for j (deductions included). *)
              let lo_j = lb.(j) and hi_j = ub.(j) in
-             let deduced = rc_fixes @ prop_fixes in
-             let nfresh = 1 + List.length deduced in
-             (* Ship this node's optimal basis with the children (pool
-                mode only): a worker that steals one warm-starts its
-                dual simplex from here instead of a cold slack basis.
-                Both children share the same physical basis, so the DFS
-                fast path can skip the install. *)
-             let ship_b =
-               if ctx.ship then begin
-                 let b = Simplex.export_basis ctx.st in
-                 ctx.last_basis <- Some b;
-                 Some b
-               end
-               else None
-             in
+             let nfresh = 1 + List.length rc_fixes + List.length prop_fixes in
+             (* Ship this node's optimal basis with the children: each
+                warm-starts its dual simplex from here, whichever
+                context pops it. Both children share the same physical
+                basis, so the DFS fast path can skip the install. *)
+             let b = Simplex.export_basis ctx.st in
+             ctx.last_basis <- Some b;
              let child lo hi =
                {
-                 fixes = ((j, lo, hi) :: deduced) @ node.fixes;
+                 fixes = (j, lo, hi) :: path;
                  depth = node.depth + 1;
                  n_bound = obj;
                  fresh = nfresh;
                  parent = nno;
-                 n_basis = ship_b;
+                 n_basis = Some b;
                }
              in
              (if fractionality v <= opts.int_tol then begin
@@ -1006,38 +917,17 @@ let process_node ctx node =
                    the complement interval(s) — floor/ceil would
                    reproduce the parent. *)
                 let vi = Float.round v in
-                let others =
-                  (if vi -. 1. >= lo_j then [ child lo_j (vi -. 1.) ] else [])
-                  @ if vi +. 1. <= hi_j then [ child (vi +. 1.) hi_j ] else []
-                in
-                match opts.node_order with
-                | Depth_first ->
-                  (* push the fixed child last so the dive continues
-                     through the current relaxation's value *)
-                  List.iter ctx.push others;
-                  ctx.push (child vi vi)
-                | Best_bound ->
-                  ctx.push (child vi vi);
-                  List.iter ctx.push others
+                if vi -. 1. >= lo_j then ctx.push (child lo_j (vi -. 1.));
+                if vi +. 1. <= hi_j then ctx.push (child (vi +. 1.) hi_j);
+                (* push the fixed child last so the dive continues
+                   through the current relaxation's value *)
+                ctx.push (child vi vi)
               end
               else begin
-                let down = child lo_j (Float.floor v)
-                and up = child (Float.ceil v) hi_j in
-                match (opts.node_order, opts.value_order) with
-                | Depth_first, One_first ->
-                  (* stack: push the preferred child last so it pops
-                     first *)
-                  ctx.push down;
-                  ctx.push up
-                | Depth_first, Zero_first ->
-                  ctx.push up;
-                  ctx.push down
-                | Best_bound, One_first ->
-                  ctx.push up;
-                  ctx.push down
-                | Best_bound, Zero_first ->
-                  ctx.push down;
-                  ctx.push up
+                (* stack: push the up (value-1) child last so it pops
+                   first *)
+                ctx.push (child lo_j (Float.floor v));
+                ctx.push (child (Float.ceil v) hi_j)
               end);
              close
                (Trace.Branched { var = j; frac = fractionality v })
@@ -1102,7 +992,7 @@ let root_node =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Sequential driver (jobs = 1): the historical search, node for node. *)
+(* Sequential driver (jobs = 1). *)
 
 let solve_sequential env =
   let opts = env.opts in
@@ -1115,49 +1005,37 @@ let solve_sequential env =
   let inc = new_incumbent () in
   let nodes = ref 0 in
   let stack : node list ref = ref [] in
-  let heap : node Heap.t = Heap.create () in
-  let push node =
-    match opts.node_order with
-    | Depth_first -> stack := node :: !stack
-    | Best_bound -> Heap.push heap node.n_bound node
-  in
+  let push node = stack := node :: !stack in
   let pop () =
-    match opts.node_order with
-    | Depth_first -> (
-      match !stack with
-      | [] -> None
-      | node :: rest ->
-        stack := rest;
-        Some node)
-    | Best_bound -> Option.map snd (Heap.pop heap)
+    match !stack with
+    | [] -> None
+    | node :: rest ->
+      stack := rest;
+      Some node
   in
   (* Best lower bound among open nodes (for the Limit_reached report). *)
   let open_bound () =
-    let from_stack =
-      List.fold_left (fun acc nd -> Float.min acc nd.n_bound) Float.infinity
-        !stack
-    in
-    let from_heap = Heap.fold Float.min Float.infinity heap in
-    Float.min from_stack from_heap
+    List.fold_left (fun acc nd -> Float.min acc nd.n_bound) Float.infinity
+      !stack
   in
   let ctx =
     make_ctx env ~inc ~st ~push ~tw ~msh ~det:false ~set_root:true
       ~bump:(fun () ->
         incr nodes;
         !nodes)
-      ~ship:false ~local_best:Float.infinity
+      ~local_best:Float.infinity
   in
   (* Open-node gauge for the metrics sampler: racy reads of the stack
-     and heap sizes from the snapshotting domain (immutable list spine,
-     word-sized heap counter — stale but well-defined). [polling] fences
-     the closure off once the solve returns, so a later snapshot cannot
-     clobber gauges the caller publishes from the outcome. *)
+     from the snapshotting domain (immutable list spine — stale but
+     well-defined). [polling] fences the closure off once the solve
+     returns, so a later snapshot cannot clobber gauges the caller
+     publishes from the outcome. *)
   let polling = ref true in
   if Metrics.enabled opts.metrics then
     Metrics.on_snapshot opts.metrics (fun () ->
         if !polling then
           Metrics.set_gauge opts.metrics Metrics.G_open_nodes
-            (Float.of_int (List.length !stack + heap.Heap.size)));
+            (Float.of_int (List.length !stack)));
   push root_node;
   if Trace.active tw then Trace.emit tw (Trace.Span_begin "search");
   let result = ref None in
@@ -1262,7 +1140,7 @@ let solve_parallel env =
     make_ctx env ~inc ~st:st0
       ~push:(fun nd -> Pool.Deque.push seed_dq nd)
       ~tw:tw0 ~msh:msh0 ~det:false ~set_root:true ~bump
-      ~ship:(not opts.deterministic) ~local_best:Float.infinity
+      ~local_best:Float.infinity
   in
   Pool.Deque.push seed_dq root_node;
   if Trace.active tw0 then Trace.emit tw0 (Trace.Span_begin "seed");
@@ -1388,7 +1266,6 @@ let solve_parallel env =
       make_ctx env ~inc ~st
         ~push:(fun nd -> Pool.Deque.push local nd)
         ~tw ~msh ~det:opts.deterministic ~set_root:false ~bump
-        ~ship:(not opts.deterministic)
         ~local_best:
           (if opts.deterministic then det_best0 else Float.infinity)
     in
@@ -1584,9 +1461,5 @@ let solve ?(options = default_options) lp =
   if Metrics.enabled options.metrics then
     Metrics.set_gauge options.metrics Metrics.G_workers
       (Float.of_int options.jobs);
-  if options.jobs = 1 then solve_sequential (make_env options lp t0)
-  else
-    (* Workers run depth-first off the shared frontier; a global
-       best-bound order cannot be maintained across domains. *)
-    solve_parallel
-      (make_env { options with node_order = Depth_first } lp t0)
+  let env = make_env options lp t0 in
+  if options.jobs = 1 then solve_sequential env else solve_parallel env

@@ -1,24 +1,16 @@
 (** Branch and bound for mixed 0-1 / integer linear programs.
 
-    Drives {!Simplex} over a tree of bound-fixing decisions. Child nodes
-    are evaluated with warm-started dual re-optimization, exploiting the
-    fact that dual feasibility of a simplex basis does not depend on
-    variable bounds.
+    Drives {!Simplex} over a tree of bound-fixing decisions, depth first
+    with the [>= ceil] child (for binaries: [= 1]) explored first — the
+    reproduced paper's search order. Every node is evaluated the same
+    way: its bounds are applied to the engine as a delta against the
+    previous node's path, and its LP is dual re-optimized from its
+    parent's optimal basis, which stays dual feasible because dual
+    feasibility of a simplex basis does not depend on variable bounds.
 
-    The branching variable choice and the branch value order are
-    pluggable, which is what the reproduced paper's Section 8 heuristic
-    (branch on [y_tp] in topological priority order, value 1 first; then
-    on [u_pk]) requires. *)
-
-type value_order =
-  | One_first  (** Explore the [>= ceil] (for binaries: [= 1]) child first. *)
-  | Zero_first
-
-type node_order =
-  | Depth_first
-      (** Stack-based DFS; cheapest warm starts, finds incumbents early.
-          This is what the paper's solver does. *)
-  | Best_bound  (** Explore the node with the smallest LP bound first. *)
+    The branching variable choice is pluggable, which is what the
+    paper's Section 8 heuristic (branch on [y_tp] in topological
+    priority order; then on [u_pk]) requires. *)
 
 type branch_rule = lp_solution:float array -> is_fixed:(int -> bool) -> int option
 (** A branching rule receives the node's LP solution (indexed by
@@ -54,8 +46,6 @@ type options = {
   max_nodes : int;
   time_limit : float;  (** Wall-clock seconds; [infinity] disables. *)
   branch_rule : branch_rule option;
-  value_order : value_order;
-  node_order : node_order;
   integral_objective : bool;
       (** Set when every integer solution has an integral objective
           value; enables the stronger [ceil] pruning cutoff. *)
@@ -63,8 +53,12 @@ type options = {
   on_incumbent : (float -> float array -> unit) option;
       (** Called on every improving incumbent. *)
   warm_start : bool;
-      (** Evaluate nodes with dual re-optimization from the previous
-          basis (default). Disable to solve every node from scratch —
+      (** Evaluate nodes with dual re-optimization from the parent's
+          optimal basis (default). When the engine is not already on
+          that basis — a backtracked sibling, a stolen node — it is
+          reinstalled first; a failed install is counted in
+          {!Simplex.stats}[.install_fallbacks], logged, and the node is
+          solved cold. Disable to solve every node from scratch —
           slower, used as a numerical cross-check. *)
   node_hook :
     (lp_solution:float array -> is_fixed:(int -> bool) -> hook_result) option;
@@ -80,15 +74,14 @@ type options = {
           of silently branching on a structurally broken model. *)
   jobs : int;
       (** Worker domains for the tree search (default [1]). [jobs = 1]
-          is the exact historical sequential search — same node counts,
-          same visit order. With [jobs > 1] the search first seeds a
+          is the sequential search: reproducible node counts and visit
+          order. With [jobs > 1] the search first seeds a
           frontier sequentially, then spawns [jobs] domains, each with
           its {e own} {!Simplex} engine (ownership is enforced, see
           {!Simplex}), running depth-first on a private deque and
           sharing work through a common pool. The incumbent is shared:
           a lock-free best objective for pruning plus a locked solution
-          slot. [node_order] is coerced to {!Depth_first} when
-          [jobs > 1]; [max_nodes] becomes a soft target (workers may
+          slot. [max_nodes] becomes a soft target (workers may
           overshoot by up to one node each). {!solve} raises
           [Invalid_argument] when [jobs < 1]. *)
   deterministic : bool;
@@ -162,7 +155,7 @@ type options = {
 }
 
 val default_options : options
-(** DFS, value 1 first, most-fractional branching, no limits. *)
+(** Most-fractional branching, warm starts, no limits. *)
 
 type outcome =
   | Optimal of { obj : float; x : float array }

@@ -37,6 +37,8 @@ type stats = {
   bound_flips : int;
   dual_stalls : int;
   primal_restarts : int;
+  basis_installs : int;
+  install_fallbacks : int;
   minor_words : float;
   major_words : float;
   compactions : int;
@@ -58,6 +60,8 @@ let empty_stats =
     bound_flips = 0;
     dual_stalls = 0;
     primal_restarts = 0;
+    basis_installs = 0;
+    install_fallbacks = 0;
     minor_words = 0.;
     major_words = 0.;
     compactions = 0;
@@ -79,6 +83,8 @@ let add_stats a b =
     bound_flips = a.bound_flips + b.bound_flips;
     dual_stalls = a.dual_stalls + b.dual_stalls;
     primal_restarts = a.primal_restarts + b.primal_restarts;
+    basis_installs = a.basis_installs + b.basis_installs;
+    install_fallbacks = a.install_fallbacks + b.install_fallbacks;
     minor_words = a.minor_words +. b.minor_words;
     major_words = a.major_words +. b.major_words;
     compactions = a.compactions + b.compactions;
@@ -88,12 +94,12 @@ let pp_stats ppf s =
   Format.fprintf ppf
     "factorizations=%d fill=%d etas=%d refactors(eta/numeric/residual)=%d/%d/%d \
      factor=%.3fs ftran=%.3fs btran=%.3fs update=%.3fs pivots=%d flips=%d \
-     dual-stalls=%d primal-restarts=%d gc(minor/major)=%.0f/%.0fw \
-     compactions=%d"
+     dual-stalls=%d primal-restarts=%d installs=%d install-fallbacks=%d \
+     gc(minor/major)=%.0f/%.0fw compactions=%d"
     s.factorizations s.fill s.etas s.refactor_eta s.refactor_numeric
     s.refactor_residual s.factor_time_s s.ftran_seconds s.btran_seconds
     s.update_seconds s.pivots s.bound_flips s.dual_stalls s.primal_restarts
-    s.minor_words s.major_words s.compactions
+    s.basis_installs s.install_fallbacks s.minor_words s.major_words s.compactions
 
 type vstat = Basic | At_lower | At_upper | Free_zero
 
@@ -175,6 +181,8 @@ type state = {
   mutable bound_flips : int;  (* bound flips without a basis change *)
   mutable dual_stalls : int;  (* dual reopts that hit the dual cap *)
   mutable primal_restarts : int;  (* singular-basis cold restarts *)
+  mutable basis_installs : int;  (* [install_basis] calls *)
+  mutable install_fallbacks : int;  (* ... that failed *)
   mutable refactors : int;
   mutable bland : bool;  (* anti-cycling mode *)
   mutable degen_streak : int;
@@ -253,6 +261,8 @@ let stats st =
     bound_flips = st.bound_flips;
     dual_stalls = st.dual_stalls;
     primal_restarts = st.primal_restarts;
+    basis_installs = st.basis_installs;
+    install_fallbacks = st.install_fallbacks;
     minor_words = st.gc_minor;
     major_words = st.gc_major;
     compactions = st.gc_compactions;
@@ -383,6 +393,8 @@ let create ?(backend = Sparse_lu) lp =
     bound_flips = 0;
     dual_stalls = 0;
     primal_restarts = 0;
+    basis_installs = 0;
+    install_fallbacks = 0;
     refactors = 0;
     bland = false;
     degen_streak = 0;
@@ -1625,8 +1637,7 @@ let export_basis st =
     b_stat = Array.copy st.stat;
   }
 
-let install_basis st b =
-  check_owner st "install_basis";
+let install_basis_core st b =
   if b.b_m <> st.m || b.b_ncols <> st.ncols then false
   else begin
     Array.blit b.b_basis 0 st.basis 0 st.m;
@@ -1669,6 +1680,13 @@ let install_basis st b =
       (match st.repr with Rsparse box -> box.valid <- false | Rdense _ -> ());
       false
   end
+
+let install_basis st b =
+  check_owner st "install_basis";
+  st.basis_installs <- st.basis_installs + 1;
+  let ok = install_basis_core st b in
+  if not ok then st.install_fallbacks <- st.install_fallbacks + 1;
+  ok
 
 let primal_core ~max_iters st = primal_guarded ~max_iters ~attempt:0 st
 

@@ -133,6 +133,10 @@ type stats = {
       (** {!dual_reopt} calls that hit a singular basis (on the warm
           start or in the primal clean-up) and restarted with a cold
           primal solve. *)
+  basis_installs : int;  (** {!install_basis} calls. *)
+  install_fallbacks : int;
+      (** {!install_basis} calls that returned [false], leaving the
+          caller to solve cold. *)
   minor_words : float;
       (** [Gc.quick_stat] minor-heap words allocated inside
           {!primal}/{!dual_reopt} calls on this engine — the hot path's
@@ -215,9 +219,9 @@ type basis
 (** A compact description of a basis: the slot->column header plus the
     status of every column — no factorization, no bounds, no variable
     values. A few kilobytes on the paper models, immutable after
-    {!export_basis} and safe to share across domains, so parallel
-    branch and bound can attach one to every pooled node and a stealing
-    worker can warm-start from it instead of paying a cold solve. *)
+    {!export_basis} and safe to share across domains, so branch and
+    bound can attach its parent's basis to every node and whichever
+    search context pops the node warm-starts from it. *)
 
 val export_basis : state -> basis
 (** Captures the engine's current basis header. Unlike {!snapshot} this
@@ -233,8 +237,9 @@ val install_basis : state -> basis -> bool
     basic column), or is numerically singular; the engine's basis is
     then unspecified and the caller must recover with a cold {!primal}
     (which resets to the slack basis — {!dual_reopt} also survives,
-    through its internal primal fallback). Owner-only, like every other
-    entry point. *)
+    through its internal primal fallback). Every call is counted in
+    {!stats}[.basis_installs], every [false] in
+    [install_fallbacks]. Owner-only, like every other entry point. *)
 
 (** {1 Exact-certification support} — consumed by {!Certify}. *)
 

@@ -178,8 +178,7 @@ let lint_or_fail ?options vars =
          (if List.length issues = 1 then "" else "s")
          (String.concat "\n" issues))
 
-let solve ?(strategy = Branching.Paper) ?(value_order = Bb.One_first)
-    ?(node_order = Bb.Depth_first) ?(time_limit = Float.infinity)
+let solve ?(strategy = Branching.Paper) ?(time_limit = Float.infinity)
     ?(max_nodes = max_int) ?(validate = true) ?(scheduler_completion = true)
     ?(presolve = true) ?(lint = false) ?lint_options
     ?(jobs = 1) ?(deterministic = false)
@@ -191,8 +190,6 @@ let solve ?(strategy = Branching.Paper) ?(value_order = Bb.One_first)
     {
       Bb.default_options with
       Bb.branch_rule = Some (Branching.rule strategy vars);
-      value_order;
-      node_order;
       time_limit;
       max_nodes;
       integral_objective = true;

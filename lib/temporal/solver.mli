@@ -1,9 +1,10 @@
 (** End-to-end solve of a formulated model.
 
-    Thin orchestration over {!Ilp.Branch_bound}: installs the chosen
-    branching strategy and the paper's value-1-first exploration order,
-    enables integral-objective pruning (bandwidths are integers), and
-    turns the raw solver vector into a validated {!Solution.t}. *)
+    Thin orchestration over {!Ilp.Branch_bound} (whose search is the
+    paper's depth-first, value-1-first order): installs the chosen
+    branching strategy, enables integral-objective pruning (bandwidths
+    are integers), and turns the raw solver vector into a validated
+    {!Solution.t}. *)
 
 type outcome =
   | Feasible of Solution.t  (** Proven optimal. *)
@@ -28,8 +29,6 @@ type report = {
 
 val solve :
   ?strategy:Branching.strategy ->
-  ?value_order:Ilp.Branch_bound.value_order ->
-  ?node_order:Ilp.Branch_bound.node_order ->
   ?time_limit:float ->
   ?max_nodes:int ->
   ?validate:bool ->
@@ -46,7 +45,7 @@ val solve :
   ?metrics:Ilp.Metrics.t ->
   Vars.t ->
   report
-(** Defaults: paper branching, value 1 first, depth-first, no limits,
+(** Defaults: paper branching, no limits,
     [validate = true], [scheduler_completion = true]. When [validate] is
     set and the extracted optimal solution fails {!Solution.validate},
     raises [Failure] — this is the safety net wired through every test

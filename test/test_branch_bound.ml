@@ -1,6 +1,6 @@
 (* Tests for the MILP branch and bound: hand-checked knapsacks,
    exhaustive cross-checks on random small binary models, and the
-   behavior of limits, orders and custom branch rules. *)
+   behavior of limits and custom branch rules. *)
 
 module Lp = Ilp.Lp
 module Bb = Ilp.Branch_bound
@@ -85,26 +85,6 @@ let test_node_limit () =
        with these weights it is not *)
     Alcotest.fail "expected node limit"
   | o, _ -> Alcotest.failf "unexpected %a" Bb.pp_outcome o
-
-let test_value_orders_agree () =
-  let lp, _ = knapsack [| 9.; 7.; 5.; 3. |] [| 4.; 3.; 2.; 1. |] 6. in
-  let solve order =
-    let options = { Bb.default_options with Bb.value_order = order } in
-    match Bb.solve ~options lp with
-    | Bb.Optimal { obj; _ }, _ -> user_obj lp obj
-    | o, _ -> Alcotest.failf "unexpected %a" Bb.pp_outcome o
-  in
-  check_float "one-first = zero-first" (solve Bb.One_first) (solve Bb.Zero_first)
-
-let test_node_orders_agree () =
-  let lp, _ = knapsack [| 9.; 7.; 5.; 3.; 8. |] [| 4.; 3.; 2.; 1.; 3. |] 7. in
-  let solve order =
-    let options = { Bb.default_options with Bb.node_order = order } in
-    match Bb.solve ~options lp with
-    | Bb.Optimal { obj; _ }, _ -> user_obj lp obj
-    | o, _ -> Alcotest.failf "unexpected %a" Bb.pp_outcome o
-  in
-  check_float "dfs = best-bound" (solve Bb.Depth_first) (solve Bb.Best_bound)
 
 let test_custom_branch_rule () =
   (* a rule may pick an unfixed variable even when integral; once the
@@ -216,26 +196,60 @@ let prop_warm_equals_cold =
 
 (* -------- historical default-config behavior -------- *)
 
-(* The node-deduction options (rc_fixing / propagate) must be
-   invisible when off: the default configuration
-   reproduces the same search tree node for node. The counts are those
-   of the single LP engine (devex pricing, bound-flipping dual ratio
-   test, bucket LU); a change here means the default search or the node
-   LPs' vertices drifted. The objectives are the true optima and must
-   never change. *)
+(* Every configuration runs the same node path (bound deltas, parent
+   basis warm starts), so the node counts of the default search and of
+   each deduction configuration are pinned. The counts are those of the
+   single LP engine (devex pricing, bound-flipping dual ratio test,
+   bucket LU); a change here means the search or the node LPs'
+   vertices drifted. The objectives are the true optima and must never
+   change. *)
 let test_default_node_counts_frozen () =
   List.iter
-    (fun (seed, nodes, obj) ->
-      let lp = make_rand_binary seed ~n:16 ~m:12 in
-      match Bb.solve lp with
-      | Bb.Optimal { obj = o; _ }, stats ->
-        Alcotest.(check int)
-          (Printf.sprintf "seed %d node count" seed)
-          nodes stats.Bb.nodes;
-        check_float (Printf.sprintf "seed %d objective" seed) obj
-          (user_obj lp o)
-      | o, _ -> Alcotest.failf "seed %d: unexpected %a" seed Bb.pp_outcome o)
-    [ (21, 45, 1.); (25, 43, 10.); (33, 41, 5.); (59, 73, 20.) ]
+    (fun (config, options, rows) ->
+      List.iter
+        (fun (seed, nodes, obj) ->
+          let lp = make_rand_binary seed ~n:16 ~m:12 in
+          match Bb.solve ~options lp with
+          | Bb.Optimal { obj = o; _ }, stats ->
+            Alcotest.(check int)
+              (Printf.sprintf "%s seed %d node count" config seed)
+              nodes stats.Bb.nodes;
+            check_float
+              (Printf.sprintf "%s seed %d objective" config seed)
+              obj (user_obj lp o)
+          | o, _ ->
+            Alcotest.failf "%s seed %d: unexpected %a" config seed
+              Bb.pp_outcome o)
+        rows)
+    [
+      ( "default",
+        Bb.default_options,
+        [ (21, 35, 1.); (25, 41, 10.); (33, 41, 5.); (59, 71, 20.) ] );
+      ( "rc_fixing",
+        { Bb.default_options with Bb.rc_fixing = true },
+        [ (21, 35, 1.); (25, 41, 10.); (33, 27, 5.); (59, 51, 20.) ] );
+      ( "propagate",
+        { Bb.default_options with Bb.propagate = true },
+        [ (21, 31, 1.); (25, 17, 10.); (33, 23, 5.); (59, 39, 20.) ] );
+      ( "rc_fixing+propagate",
+        { Bb.default_options with Bb.rc_fixing = true; propagate = true },
+        [ (21, 25, 1.); (25, 17, 10.); (33, 17, 5.); (59, 19, 20.) ] );
+    ]
+
+(* A backtracking sequential search reinstalls the parent's basis for
+   every backtracked sibling; no install may fail, and the warm search
+   must reach the cold search's optimum. *)
+let test_sibling_basis_installs () =
+  let lp = make_rand_binary 21 ~n:16 ~m:12 in
+  let solve warm_start =
+    match Bb.solve ~options:{ Bb.default_options with Bb.warm_start } lp with
+    | Bb.Optimal { obj; _ }, stats -> (obj, stats.Bb.lp_stats)
+    | o, _ -> Alcotest.failf "unexpected %a" Bb.pp_outcome o
+  in
+  let warm, lps = solve true and cold, _ = solve false in
+  Alcotest.(check bool) "basis installs" true (lps.Ilp.Simplex.basis_installs > 0);
+  Alcotest.(check int) "install fallbacks" 0 lps.Ilp.Simplex.install_fallbacks;
+  check_float "warm optimum = cold optimum" cold warm
 
 let test_default_deductions_idle () =
   (* with everything off, no deduction counter may move *)
@@ -395,9 +409,6 @@ let () =
           Alcotest.test_case "integrality gap" `Quick test_integrality_gap;
           Alcotest.test_case "general integer" `Quick test_general_integer;
           Alcotest.test_case "node limit" `Quick test_node_limit;
-          Alcotest.test_case "value orders agree" `Quick
-            test_value_orders_agree;
-          Alcotest.test_case "node orders agree" `Quick test_node_orders_agree;
           Alcotest.test_case "custom branch rule" `Quick
             test_custom_branch_rule;
           Alcotest.test_case "incumbent callback" `Quick
@@ -408,6 +419,8 @@ let () =
         [
           Alcotest.test_case "default node counts frozen" `Quick
             test_default_node_counts_frozen;
+          Alcotest.test_case "sibling basis installs" `Quick
+            test_sibling_basis_installs;
           Alcotest.test_case "deduction counters idle by default" `Quick
             test_default_deductions_idle;
         ] );

@@ -115,19 +115,16 @@ let objective_value lp x =
   Lp.obj_sign lp *. !acc
 
 (* The deduction-stack counterpart of presolve's preservation property:
-   solving with a deduction option on must reach the same optimum as the
-   paper-faithful default, and its solution vector must be feasible for
-   the ORIGINAL model with the same per-variable objective value
-   (optima need not be unique, so vectors are compared through the
-   model, not bitwise). *)
-let prop_solve_preserved ~name opts =
-  QCheck.Test.make ~name ~count:80
-    QCheck.(int_bound 1_000_000)
-    (fun seed ->
-      let lp = make_rand_binary seed ~n:10 ~m:8 in
-      let base = Bb.solve lp in
-      let dedu = Bb.solve ~options:opts lp in
-      match (base, dedu) with
+   solving with each deduction configuration in [configs] must reach the
+   same optimum as the paper-faithful default, and its solution vector
+   must be feasible for the ORIGINAL model with the same per-variable
+   objective value (optima need not be unique, so vectors are compared
+   through the model, not bitwise). *)
+let solve_preserved lp configs =
+  let base = Bb.solve lp in
+  List.for_all
+    (fun opts ->
+      match (base, Bb.solve ~options:opts lp) with
       | (Bb.Optimal { obj = a; x = xa }, _), (Bb.Optimal { obj = b; x = xb }, _)
         ->
         Float.abs (a -. b) <= 1e-6
@@ -136,22 +133,44 @@ let prop_solve_preserved ~name opts =
         && Float.abs (objective_value lp xa -. objective_value lp xb) <= 1e-6
       | (Bb.Infeasible, _), (Bb.Infeasible, _) -> true
       | _ -> false)
+    configs
+
+let prop_solve_preserved ~name configs =
+  QCheck.Test.make ~name ~count:80
+    QCheck.(int_bound 1_000_000)
+    (fun seed -> solve_preserved (make_rand_binary seed ~n:10 ~m:8) configs)
 
 let prop_propagate_preserves_optimum =
   prop_solve_preserved ~name:"propagation preserves the MILP optimum"
-    { Bb.default_options with Bb.propagate = true }
+    [ { Bb.default_options with Bb.propagate = true } ]
 
 let prop_rc_fixing_preserves_optimum =
   prop_solve_preserved ~name:"reduced-cost fixing preserves the MILP optimum"
-    { Bb.default_options with Bb.rc_fixing = true }
+    [ { Bb.default_options with Bb.rc_fixing = true } ]
+
+(* At jobs 2 the seeding phase may re-fix root bounds before the
+   workers build their engines; the deterministic deal makes such runs
+   reproducible. *)
+let full_stack =
+  let full = { Bb.default_options with Bb.rc_fixing = true; propagate = true } in
+  [ full; { full with Bb.jobs = 2; deterministic = true } ]
 
 let prop_full_stack_preserves_optimum =
   prop_solve_preserved ~name:"full deduction stack preserves the MILP optimum"
-    {
-      Bb.default_options with
-      Bb.rc_fixing = true;
-      propagate = true;
-    }
+    full_stack
+
+(* Two instances whose seeding phase re-fixes root bounds and then
+   spawns workers that branch on the re-fixed variables: a worker engine
+   that kept the model's bounds instead of the root bounds would solve
+   LPs looser than its bound mirror and branch on a fixed variable. *)
+let test_mirror_across_worker_spawn () =
+  List.iter
+    (fun seed ->
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d optimum" seed)
+        true
+        (solve_preserved (make_rand_binary seed ~n:14 ~m:10) full_stack))
+    [ 6; 21 ]
 
 let prop_propagation_never_cuts_feasible_points =
   QCheck.Test.make ~name:"root propagation keeps every feasible binary point"
@@ -195,6 +214,8 @@ let () =
           Alcotest.test_case "conflict" `Quick test_conflict;
           Alcotest.test_case "empty domain" `Quick test_empty_domain;
           Alcotest.test_case "seeded cascade" `Quick test_seeded_cascade;
+          Alcotest.test_case "mirror across worker spawn" `Quick
+            test_mirror_across_worker_spawn;
         ] );
       ( "properties",
         [

@@ -747,6 +747,9 @@ let test_basis_mismatch_falls_back () =
   let eng = Sx.create lp_small in
   Alcotest.(check bool) "mismatched basis rejected" false
     (Sx.install_basis eng b);
+  let stats = Sx.stats eng in
+  Alcotest.(check (pair int int)) "install and fallback counted" (1, 1)
+    (stats.Sx.basis_installs, stats.Sx.install_fallbacks);
   let r = Sx.primal eng in
   Alcotest.(check bool) "engine recovers with a cold solve" true
     (r.Sx.status = Sx.Optimal);
