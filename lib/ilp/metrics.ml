@@ -7,6 +7,7 @@ type counter =
   | C_lp_bound_flips
   | C_lp_dual_stalls
   | C_lp_primal_restarts
+  | C_lp_cold_primal
   | C_ftran_solves
   | C_ftran_hyper
   | C_btran_solves
@@ -34,6 +35,7 @@ let counter_name = function
   | C_lp_bound_flips -> "lp_bound_flips"
   | C_lp_dual_stalls -> "lp_dual_stalls"
   | C_lp_primal_restarts -> "lp_primal_restarts"
+  | C_lp_cold_primal -> "lp_cold_primal"
   | C_ftran_solves -> "ftran_solves"
   | C_ftran_hyper -> "ftran_hyper"
   | C_btran_solves -> "btran_solves"
@@ -69,6 +71,7 @@ let all_counters =
     C_lp_bound_flips;
     C_lp_dual_stalls;
     C_lp_primal_restarts;
+    C_lp_cold_primal;
     C_ftran_solves;
     C_ftran_hyper;
     C_btran_solves;
@@ -102,19 +105,20 @@ let counter_index = function
   | C_lp_bound_flips -> 5
   | C_lp_dual_stalls -> 6
   | C_lp_primal_restarts -> 7
-  | C_ftran_solves -> 8
-  | C_ftran_hyper -> 9
-  | C_btran_solves -> 10
-  | C_btran_hyper -> 11
-  | C_lu_factorizations -> 12
-  | C_lu_refactorizations -> 13
-  | C_lu_probes -> 14
-  | C_prop_runs -> 15
-  | C_prop_fixings -> 16
-  | C_pool_steals -> 17
-  | C_pool_handoffs -> 18
-  | C_pool_hungry_polls -> 19
-  | C_trace_dropped_events -> 20
+  | C_lp_cold_primal -> 8
+  | C_ftran_solves -> 9
+  | C_ftran_hyper -> 10
+  | C_btran_solves -> 11
+  | C_btran_hyper -> 12
+  | C_lu_factorizations -> 13
+  | C_lu_refactorizations -> 14
+  | C_lu_probes -> 15
+  | C_prop_runs -> 16
+  | C_prop_fixings -> 17
+  | C_pool_steals -> 18
+  | C_pool_handoffs -> 19
+  | C_pool_hungry_polls -> 20
+  | C_trace_dropped_events -> 21
 
 let gauge_index = function
   | G_open_nodes -> 0

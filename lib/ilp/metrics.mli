@@ -45,9 +45,13 @@ type counter =
   | C_lp_solves  (** top-level [Simplex.primal]/[dual_reopt] calls *)
   | C_lp_pivots  (** simplex basis changes *)
   | C_lp_bound_flips  (** bound flips without a basis change *)
-  | C_lp_dual_stalls  (** dual reopts that hit the dual cap *)
+  | C_lp_dual_stalls  (** dual loops (cold or warm) that hit the dual cap *)
   | C_lp_primal_restarts
-      (** singular-basis cold restarts inside a dual reopt *)
+      (** singular-basis restarts inside a dual loop or its clean-up *)
+  | C_lp_cold_primal
+      (** solves that ran primal phase I/II: models without a dual
+          feasible slack start, and every dual stall or singular-basis
+          fallback *)
   | C_ftran_solves  (** pattern-capable FTRANs (entering column) *)
   | C_ftran_hyper  (** of those, solved hyper-sparsely *)
   | C_btran_solves  (** pattern-capable BTRANs (dual pricing row) *)

@@ -37,6 +37,7 @@ type stats = {
   bound_flips : int;
   dual_stalls : int;
   primal_restarts : int;
+  cold_primal : int;
   basis_installs : int;
   install_fallbacks : int;
   minor_words : float;
@@ -60,6 +61,7 @@ let empty_stats =
     bound_flips = 0;
     dual_stalls = 0;
     primal_restarts = 0;
+    cold_primal = 0;
     basis_installs = 0;
     install_fallbacks = 0;
     minor_words = 0.;
@@ -83,6 +85,7 @@ let add_stats a b =
     bound_flips = a.bound_flips + b.bound_flips;
     dual_stalls = a.dual_stalls + b.dual_stalls;
     primal_restarts = a.primal_restarts + b.primal_restarts;
+    cold_primal = a.cold_primal + b.cold_primal;
     basis_installs = a.basis_installs + b.basis_installs;
     install_fallbacks = a.install_fallbacks + b.install_fallbacks;
     minor_words = a.minor_words +. b.minor_words;
@@ -94,12 +97,13 @@ let pp_stats ppf s =
   Format.fprintf ppf
     "factorizations=%d fill=%d etas=%d refactors(eta/numeric/residual)=%d/%d/%d \
      factor=%.3fs ftran=%.3fs btran=%.3fs update=%.3fs pivots=%d flips=%d \
-     dual-stalls=%d primal-restarts=%d installs=%d install-fallbacks=%d \
-     gc(minor/major)=%.0f/%.0fw compactions=%d"
+     dual-stalls=%d primal-restarts=%d cold-primal=%d installs=%d \
+     install-fallbacks=%d gc(minor/major)=%.0f/%.0fw compactions=%d"
     s.factorizations s.fill s.etas s.refactor_eta s.refactor_numeric
     s.refactor_residual s.factor_time_s s.ftran_seconds s.btran_seconds
     s.update_seconds s.pivots s.bound_flips s.dual_stalls s.primal_restarts
-    s.basis_installs s.install_fallbacks s.minor_words s.major_words s.compactions
+    s.cold_primal s.basis_installs s.install_fallbacks s.minor_words
+    s.major_words s.compactions
 
 type vstat = Basic | At_lower | At_upper | Free_zero
 
@@ -179,8 +183,9 @@ type state = {
   bp_ratio : float array;  (* matching |dj/alpha| ratios *)
   mutable total_pivots : int;
   mutable bound_flips : int;  (* bound flips without a basis change *)
-  mutable dual_stalls : int;  (* dual reopts that hit the dual cap *)
-  mutable primal_restarts : int;  (* singular-basis cold restarts *)
+  mutable dual_stalls : int;  (* dual loops that hit the dual cap *)
+  mutable primal_restarts : int;  (* singular-basis fallbacks to phase I *)
+  mutable cold_primal : int;  (* solves that ran primal phase I/II *)
   mutable basis_installs : int;  (* [install_basis] calls *)
   mutable install_fallbacks : int;  (* ... that failed *)
   mutable refactors : int;
@@ -261,6 +266,7 @@ let stats st =
     bound_flips = st.bound_flips;
     dual_stalls = st.dual_stalls;
     primal_restarts = st.primal_restarts;
+    cold_primal = st.cold_primal;
     basis_installs = st.basis_installs;
     install_fallbacks = st.install_fallbacks;
     minor_words = st.gc_minor;
@@ -393,6 +399,7 @@ let create ?(backend = Sparse_lu) lp =
     bound_flips = 0;
     dual_stalls = 0;
     primal_restarts = 0;
+    cold_primal = 0;
     basis_installs = 0;
     install_fallbacks = 0;
     refactors = 0;
@@ -1160,9 +1167,10 @@ let primal_loop st costs max_iters =
 (* Full primal solve from a fresh slack basis                             *)
 (* -------------------------------------------------------------------- *)
 
-let reset_to_slack_basis st =
+(* The slack basis, each structural column nonbasic at [place j]. *)
+let reset_to_slack_basis st ~place =
   for j = 0 to st.nstruct - 1 do
-    st.stat.(j) <- default_stat st j;
+    st.stat.(j) <- place j;
     st.pos.(j) <- -1
   done;
   for i = 0 to st.m - 1 do
@@ -1214,7 +1222,7 @@ let rec primal_guarded ~max_iters ~attempt st =
 
 and primal_once ~max_iters st =
   st.last_inf <- None;
-  reset_to_slack_basis st;
+  reset_to_slack_basis st ~place:(default_stat st);
   (* Install artificials on rows whose slack value violates slack bounds. *)
   let phase1_cost = Array.make st.ncols 0. in
   let need_phase1 = ref false in
@@ -1688,29 +1696,37 @@ let install_basis st b =
   if not ok then st.install_fallbacks <- st.install_fallbacks + 1;
   ok
 
-let primal_core ~max_iters st = primal_guarded ~max_iters ~attempt:0 st
-
 let count_primal_restart st =
   st.primal_restarts <- st.primal_restarts + 1;
   if Metrics.active st.ms then Metrics.incr st.ms Metrics.C_lp_primal_restarts
 
-(* Internal fallbacks below call [primal_core] directly so a traced
-   [dual_reopt] reports one event covering the whole re-optimization
-   (including any primal restart); pivots are measured as the
-   [total_pivots] delta, so summed event pivots equal the engine's
-   pivot counter exactly. *)
-let dual_reopt_core ~max_iters st =
+(* Primal phase I/II from the slack basis, counted on every entry: a
+   cold model the dual start cannot take, or a fallback from either
+   dual path. Phase I never calls back into the dual loop, so the
+   fallbacks below cannot cycle. *)
+let phase1_solve ~max_iters st =
+  st.cold_primal <- st.cold_primal + 1;
+  if Metrics.active st.ms then Metrics.incr st.ms Metrics.C_lp_cold_primal;
+  primal_guarded ~max_iters ~attempt:0 st
+
+(* The dual loop under the [1000 + 30 m] cap from the basis [start]
+   leaves behind, then a primal clean-up pass; [what] names the solve
+   in the logs. A stall or a singular basis falls back to
+   [phase1_solve]. Internal fallbacks stay inside the caller's traced
+   [primal]/[dual_reopt], so one event covers the whole solve; pivots
+   are measured as the [total_pivots] delta, so summed event pivots
+   equal the engine's pivot counter exactly. *)
+let dual_solve ~what ~max_iters ~start st =
   match
     (st.last_inf <- None;
-     revalidate_nonbasic st;
-     compute_xb st;
+     start ();
      let dual_cap = Int.min max_iters (1000 + (30 * st.m)) in
      dual_loop st dual_cap)
   with
   | exception Singular_basis ->
-    Log.warn (fun f -> f "singular basis in warm start; primal restart");
+    Log.warn (fun f -> f "singular basis in %s; primal restart" what);
     count_primal_restart st;
-    primal_core ~max_iters st
+    phase1_solve ~max_iters st
   | `Infeasible (r, above), it ->
     (* Row r of B^-1 (negated when the violation is below the lower
        bound) is the Farkas ray: the violated basic value already sits
@@ -1723,25 +1739,58 @@ let dual_reopt_core ~max_iters st =
     { res with farkas = Some { ray; row } }
   | `Stalled, it ->
     Log.info (fun f ->
-        f "dual re-optimization stalled after %d iterations (m=%d); primal \
-           restart" it st.m);
+        f "%s stalled after %d iterations (m=%d); primal restart" what it st.m);
     st.dual_stalls <- st.dual_stalls + 1;
     if Metrics.active st.ms then Metrics.incr st.ms Metrics.C_lp_dual_stalls;
-    primal_core ~max_iters st
+    phase1_solve ~max_iters st
   | `Primal_feasible, it1 -> (
     (* The dual loop restored primal feasibility; a primal clean-up pass
-       certifies optimality (the warm basis may not be dual feasible,
+       certifies optimality (a warm basis may not be dual feasible,
        e.g. after a nonbasic column was snapped to its other bound). *)
     match primal_loop st st.cost (max_iters - it1) with
     | exception Singular_basis ->
       Log.warn (fun f -> f "singular basis in clean-up; primal restart");
       count_primal_restart st;
-      primal_core ~max_iters st
+      phase1_solve ~max_iters st
     | status, it2 ->
     (match status with
      | Optimal | Unbounded | Iter_limit ->
        mk_result st status ~iterations:(it1 + it2)
      | Infeasible -> assert false (* primal_loop never returns Infeasible *)))
+
+let dual_reopt_core ~max_iters st =
+  dual_solve ~what:"dual re-optimization" ~max_iters st ~start:(fun () ->
+      revalidate_nonbasic st;
+      compute_xb st)
+
+(* The bound a structural column's cost sign asks for. Under the slack
+   basis y = 0, so dj = c_j: a column at lower with c_j > 0 or at upper
+   with c_j < 0 prices dual feasible, and a zero-cost column does at
+   either bound. *)
+let cost_side_stat st j =
+  let c = st.cost.(j) in
+  if c > 0. then At_lower else if c < 0. then At_upper else default_stat st j
+
+(* Is every structural column's cost-side bound finite? Then the slack
+   basis with [cost_side_stat] is a dual feasible start. *)
+let dual_start_eligible st =
+  let bounded j =
+    match cost_side_stat st j with
+    | At_lower -> Float.is_finite st.lb.(j)
+    | At_upper -> Float.is_finite st.ub.(j)
+    | Free_zero | Basic -> false
+  in
+  let rec go j = j >= st.nstruct || (bounded j && go (j + 1)) in
+  go 0
+
+(* Cold solve: the dual loop from the dual feasible slack basis when
+   every column is boxed on its cost side (the 0-1 relaxations this
+   engine targets always are), else primal phase I/II. *)
+let cold_core ~max_iters st =
+  if dual_start_eligible st then
+    dual_solve ~what:"cold dual solve" ~max_iters st ~start:(fun () ->
+        reset_to_slack_basis st ~place:(cost_side_stat st))
+  else phase1_solve ~max_iters st
 
 let emit_lp_solve st kind ~pivots0 ~flips0 ~t0 (r : result) =
   let dt = now () -. t0 in
@@ -1782,12 +1831,12 @@ let primal ?(max_iters = 200_000) st =
   check_owner st "primal";
   with_gc_accounting st @@ fun () ->
   if not (Trace.active st.trace || Metrics.active st.ms) then
-    primal_core ~max_iters st
+    cold_core ~max_iters st
   else begin
     let t0 = now () and pivots0 = st.total_pivots in
     let flips0 = st.bound_flips in
     emit_lp_solve st Trace.Lp_primal ~pivots0 ~flips0 ~t0
-      (primal_core ~max_iters st)
+      (cold_core ~max_iters st)
   end
 
 let dual_reopt ?(max_iters = 200_000) st =

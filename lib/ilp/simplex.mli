@@ -17,20 +17,24 @@
 
     - variable bounds are handled implicitly (no explicit bound rows),
       which keeps the row count equal to the number of constraints;
-    - phase I uses one-signed artificial variables minimizing total
-      infeasibility;
+    - a cold solve ({!primal}) starts from the slack basis with every
+      structural column at the bound its cost sign asks for, which is
+      dual feasible on boxed models, and runs the dual loop below;
+      primal phase I (one-signed artificial variables minimizing total
+      infeasibility) runs only for models without that start and as a
+      counted fallback;
     - devex reference-weight pricing over incrementally maintained
       reduced costs: each basis change updates the whole reduced-cost
       row from one hyper-sparse [btran] and one CSR pass. An optimal or
       unbounded verdict is only declared after a from-scratch
       recomputation confirms it, and pricing switches to Bland's rule
       under degeneracy (anti-cycling);
-    - a dual-simplex re-optimization loop supports warm starts after
-      bound changes, which is what {!Branch_bound} uses between nodes.
-      It picks the leaving row by dual devex weights and uses a
-      bound-flipping ratio test with a Harris pass over ties at the
-      final ratio, batching bound flips of boxed candidates into one
-      solve instead of pivoting through them (see docs/PERFORMANCE.md).
+    - a dual-simplex loop serves cold solves and the warm starts after
+      bound changes that {!Branch_bound} uses between nodes. It picks
+      the leaving row by dual devex weights and uses a bound-flipping
+      ratio test with a Harris pass over ties at the final ratio,
+      batching bound flips of boxed candidates into one solve instead
+      of pivoting through them (see docs/PERFORMANCE.md).
 
     A {!state} owns all solver storage and is {b bound to the domain
     that created it}: the engine is stamped with the creating domain's
@@ -127,12 +131,19 @@ type stats = {
           and the candidates a bound-flipping dual ratio test passed
           through. Not included in [pivots]. *)
   dual_stalls : int;
-      (** {!dual_reopt} calls whose dual loop hit its [1000 + 30 m]
-          iteration cap and restarted with a cold primal solve. *)
+      (** Dual loops, cold ({!primal}) or warm ({!dual_reopt}), that hit
+          their [1000 + 30 m] iteration cap and fell back to primal
+          phase I/II. *)
   primal_restarts : int;
-      (** {!dual_reopt} calls that hit a singular basis (on the warm
-          start or in the primal clean-up) and restarted with a cold
-          primal solve. *)
+      (** Dual solves, cold or warm, that hit a singular basis (at the
+          start, in the dual loop or in the primal clean-up) and fell
+          back to primal phase I/II. *)
+  cold_primal : int;
+      (** Solves that ran primal phase I/II: cold solves of models whose
+          slack basis is not dual feasible (a column unbounded on its
+          cost side), plus every fallback counted in [dual_stalls] and
+          [primal_restarts]. [0] on the 0-1 relaxations of this
+          project. *)
   basis_installs : int;  (** {!install_basis} calls. *)
   install_fallbacks : int;
       (** {!install_basis} calls that returned [false], leaving the
@@ -191,27 +202,38 @@ val set_metrics : state -> Metrics.shard -> unit
 (** Routes engine counters to a {!Metrics} shard: per-solve
     [C_lp_solves]/[C_lp_pivots]/[C_lp_bound_flips] (measured as the
     same deltas as the trace events, so final-snapshot totals equal
-    the engine counters exactly), the [C_lp_dual_stalls] and
-    [C_lp_primal_restarts] fallbacks counted in {!stats}, hyper-sparse FTRAN/BTRAN hit
+    the engine counters exactly), the [C_lp_dual_stalls],
+    [C_lp_primal_restarts] and [C_lp_cold_primal] fallbacks counted in
+    {!stats}, hyper-sparse FTRAN/BTRAN hit
     counters on the pattern-capable kernels, factorization and
     refactorization counts, and the factor-time and LP-solve-time
     histograms. The default is {!Metrics.null_shard} (one branch per
     site). The shard must belong to the engine's owning domain. *)
 
 val primal : ?max_iters:int -> state -> result
-(** Full primal solve from a fresh slack basis (phase I + phase II).
-    Always safe to call. *)
+(** Cold solve from a fresh slack basis, whatever the engine's current
+    basis. When every structural column has a finite bound on the side
+    its cost sign asks for (lower for [c_j > 0], upper for [c_j < 0],
+    either for [c_j = 0]), each column starts at that bound: the slack
+    basis is then dual feasible, and the bound-flipping dual loop of
+    {!dual_reopt} plus its primal clean-up solves the LP. Otherwise —
+    and as the fallback after a dual stall or a singular basis — it
+    runs primal phase I/II, counted in {!stats}[.cold_primal]. An
+    infeasible verdict of the dual start carries an
+    {!Inf_dual_row} certificate. Always safe to call. *)
 
 val dual_reopt : ?max_iters:int -> state -> result
 (** Re-optimizes from the current basis after bound changes. Intended
     for warm starts: typically needs few pivots. Internally restores
     primal feasibility with a dual-simplex loop, then runs a primal
-    clean-up pass to guarantee optimality; falls back to {!primal} when
-    the warm start goes numerically bad. Calling it on a fresh state is
-    valid and equivalent to {!primal}. *)
+    clean-up pass to guarantee optimality; falls back to primal phase
+    I/II from the slack basis when the dual loop stalls or the basis
+    goes singular. Calling it on a fresh state is valid. *)
 
 val solve : ?backend:backend -> ?max_iters:int -> Lp.t -> result
-(** [solve lp] is [primal (create lp)]: one-shot LP relaxation solve. *)
+(** [solve lp] is [primal (create lp)]: one-shot cold solve — dual
+    simplex from the slack basis when every column is boxed on its cost
+    side, else phase I/II. *)
 
 (** {1 Warm-start basis shipping} — consumed by {!Branch_bound}. *)
 
@@ -254,9 +276,12 @@ type infeasibility =
       (** Phase I ended with positive total infeasibility; the payload
           is the phase-I cost vector (±1 on the artificials that
           opened), from which the exact dual ray is re-derived as
-          [B^-T c1_B]. *)
+          [B^-T c1_B]. Only a solve that ran phase I (see
+          {!stats}[.cold_primal]) ends here; a cold solve from the dual
+          start ends in {!Inf_dual_row}. *)
   | Inf_dual_row of { row : int; above : bool }
-      (** Dual simplex found basic slot [row] out of bounds ([above]
+      (** Dual simplex (a warm {!dual_reopt} or a cold {!primal} from
+          the dual start) found basic slot [row] out of bounds ([above]
           its upper or below its lower bound) with no eligible entering
           column; the exact ray is [±(B^-T e_row)]. *)
 

@@ -224,10 +224,10 @@ let test_default_node_counts_frozen () =
     [
       ( "default",
         Bb.default_options,
-        [ (21, 35, 1.); (25, 41, 10.); (33, 41, 5.); (59, 71, 20.) ] );
+        [ (21, 35, 1.); (25, 41, 10.); (33, 41, 5.); (59, 75, 20.) ] );
       ( "rc_fixing",
         { Bb.default_options with Bb.rc_fixing = true },
-        [ (21, 35, 1.); (25, 41, 10.); (33, 27, 5.); (59, 51, 20.) ] );
+        [ (21, 35, 1.); (25, 41, 10.); (33, 27, 5.); (59, 55, 20.) ] );
       ( "propagate",
         { Bb.default_options with Bb.propagate = true },
         [ (21, 31, 1.); (25, 17, 10.); (33, 23, 5.); (59, 39, 20.) ] );

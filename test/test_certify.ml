@@ -335,6 +335,101 @@ let prop_infeasible_farkas_certified =
           c.C.verdict = C.Certified && R.sign gap > 0 && support <> []
       | _ -> false)
 
+(* Random LPs with mixed rows whose columns all have a finite bound on
+   the side their cost asks for, so the cold solve starts from the dual
+   feasible slack basis. Most columns are boxed; about one in four has
+   that one bound only (e.g. [x <= u] for a column the maximization
+   rewards), which a start at the wrong bound could not take. Rows are
+   anchored at a point of the domain, except that about one in four has
+   its right-hand side pushed away from it, which makes a share of the
+   models infeasible. *)
+let make_cost_side_lp seed ~n ~m =
+  let rng = Taskgraph.Prng.create seed in
+  let lp = Lp.create () in
+  let obj = Array.init n (fun _ -> Float.of_int (Taskgraph.Prng.int_in rng (-3) 3)) in
+  let x0 = Array.make n 0. in
+  let vars =
+    Array.init n (fun j ->
+        let lb, ub =
+          if Taskgraph.Prng.bool rng 0.25 then begin
+            let b = Float.of_int (Taskgraph.Prng.int_in rng (-2) 3) in
+            (* maximizing: a positive coefficient wants x large *)
+            if obj.(j) > 0. then (Float.neg_infinity, b) else (b, Float.infinity)
+          end
+          else if Taskgraph.Prng.bool rng 0.2 then (-3., 4.)
+          else (0., 5.)
+        in
+        let lo = if Float.is_finite lb then lb else ub -. 5. in
+        let hi = if Float.is_finite ub then ub else lb +. 5. in
+        x0.(j) <- lo +. (Taskgraph.Prng.float rng *. (hi -. lo));
+        Lp.add_var lp ~lb ~ub Lp.Continuous)
+  in
+  for _ = 1 to m do
+    let terms =
+      Array.to_list vars
+      |> List.filter_map (fun v ->
+             if Taskgraph.Prng.bool rng 0.5 then
+               Some (Float.of_int (Taskgraph.Prng.int_in rng (-3) 4), v)
+             else None)
+      |> List.filter (fun (c, _) -> c <> 0.)
+    in
+    if terms <> [] then begin
+      let act = Lp.eval_linear terms x0 in
+      let push =
+        if Taskgraph.Prng.bool rng 0.25 then
+          Float.of_int (Taskgraph.Prng.int_in rng (-12) 12)
+        else 0.
+      in
+      match Taskgraph.Prng.int rng 3 with
+      | 0 -> ignore (Lp.add_constr lp terms Lp.Le (act +. push +. 0.5))
+      | 1 -> ignore (Lp.add_constr lp terms Lp.Ge (act +. push -. 0.5))
+      | _ -> ignore (Lp.add_constr lp terms Lp.Eq (act +. push))
+    end
+  done;
+  Lp.set_objective lp ~maximize:true
+    (Array.to_list (Array.mapi (fun j v -> (obj.(j), v)) vars));
+  lp
+
+(* Every cold verdict on such a model comes from the dual start: an
+   optimum certifies exactly and an infeasible verdict certifies
+   through its [Inf_dual_row] ray. A free zero-cost column in no row
+   changes neither the optimum nor feasibility but forces primal phase
+   I/II, so the phase-I solve of that twin is an oracle independent of
+   the dual start. *)
+let prop_cold_verdicts_certified =
+  QCheck.Test.make
+    ~name:"cold dual-start verdicts certify and match phase I" ~count:150
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let lp = make_cost_side_lp seed ~n:7 ~m:7 in
+      let twin = Lp.copy lp in
+      ignore
+        (Lp.add_var twin ~lb:Float.neg_infinity ~ub:Float.infinity
+           Lp.Continuous);
+      List.for_all
+        (fun backend ->
+          let st = Sx.create ~backend lp in
+          let r = Sx.primal st in
+          let snap = Sx.snapshot st in
+          let c = C.check snap r in
+          let st1 = Sx.create ~backend twin in
+          let r1 = Sx.primal st1 in
+          (Sx.stats st).Sx.cold_primal = 0
+          && (Sx.stats st1).Sx.cold_primal = 1
+          && r.Sx.status = r1.Sx.status
+          && c.C.verdict = C.Certified
+          &&
+          match r.Sx.status with
+          | Sx.Optimal ->
+            Float.abs (r.Sx.obj -. r1.Sx.obj)
+            <= 1e-6 *. (1. +. Float.abs r1.Sx.obj)
+          | Sx.Infeasible -> (
+            match snap.Sx.s_infeasibility with
+            | Some (Sx.Inf_dual_row _) -> true
+            | Some (Sx.Inf_phase1 _) | None -> false)
+          | Sx.Unbounded | Sx.Iter_limit -> false)
+        [ Sx.Dense; Sx.Sparse_lu ])
+
 (* Regression: the root relaxation of all six paper evaluation graphs
    must certify exactly — every basis the engine reports has to survive
    rational re-derivation. Table 4 design points, C = 70, Ms = 30. *)
@@ -393,5 +488,6 @@ let () =
           qt prop_dense_backend_certifies;
           qt prop_corrupted_refuted;
           qt prop_infeasible_farkas_certified;
+          qt prop_cold_verdicts_certified;
         ] );
     ]

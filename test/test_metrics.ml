@@ -290,6 +290,9 @@ let check_final_snapshot_exact ~jobs () =
   Alcotest.(check int)
     "primal restarts exact" stats.Bb.lp_stats.Ilp.Simplex.primal_restarts
     (M.counter_value s M.C_lp_primal_restarts);
+  Alcotest.(check int)
+    "cold primal exact" stats.Bb.lp_stats.Ilp.Simplex.cold_primal
+    (M.counter_value s M.C_lp_cold_primal);
   Alcotest.(check int) "incumbents exact" stats.Bb.incumbents
     (M.counter_value s M.C_incumbents);
   let h = M.hist_value s M.H_factor_seconds in

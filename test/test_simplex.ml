@@ -583,21 +583,46 @@ let test_bfrt_flips_to_optimum () =
   let fresh = Sx.solve lp2 in
   check_float "fresh agrees" (user_obj lp2 fresh) (user_obj lp warm)
 
-let test_entering_column_flip () =
-  (* maximize x1 + x2 under x1 + x2 <= 5, x in [0,1]^2: both columns hit
-     their opposite bound before any row blocks, so the ratio test
-     reports flips and the basis never changes. *)
+(* maximize x1 + x2 under x1 + x2 <= 5, x in [0,1]^2, optionally with a
+   free zero-cost column [z] in no row. [z] has no finite bound, so the
+   slack basis cannot start dual feasible and the cold solve takes
+   primal phase I/II. *)
+let entering_flip_model ~free_column =
   let lp = Lp.create () in
   let x1 = Lp.add_var lp ~ub:1. Lp.Continuous in
   let x2 = Lp.add_var lp ~ub:1. Lp.Continuous in
+  if free_column then
+    ignore
+      (Lp.add_var lp ~lb:Float.neg_infinity ~ub:Float.infinity Lp.Continuous);
   ignore (Lp.add_constr lp [ (1., x1); (1., x2) ] Lp.Le 5.);
   Lp.set_objective lp ~maximize:true [ (1., x1); (1., x2) ];
+  lp
+
+let test_entering_column_flip () =
+  (* Through phase I/II both columns hit their opposite bound before any
+     row blocks, so the ratio test reports flips and the basis never
+     changes. *)
+  let lp = entering_flip_model ~free_column:true in
   let st = Sx.create lp in
   let r = Sx.primal st in
   Alcotest.(check bool) "optimal" true (r.Sx.status = Sx.Optimal);
   check_float "obj" 2. (user_obj lp r);
   Alcotest.(check bool) "flips counted" true (Sx.bound_flips st >= 2);
-  Alcotest.(check int) "no pivot needed" 0 (Sx.total_pivots st)
+  Alcotest.(check int) "no pivot needed" 0 (Sx.total_pivots st);
+  Alcotest.(check int) "took phase I" 1 (Sx.stats st).Sx.cold_primal
+
+let test_cost_side_start () =
+  (* Without the free column every column is boxed: the cold solve
+     starts both columns at the upper bound their negative
+     (minimization) cost asks for, which is already optimal. *)
+  let lp = entering_flip_model ~free_column:false in
+  let st = Sx.create lp in
+  let r = Sx.primal st in
+  Alcotest.(check bool) "optimal" true (r.Sx.status = Sx.Optimal);
+  check_float "obj" 2. (user_obj lp r);
+  Alcotest.(check int) "no pivot needed" 0 (Sx.total_pivots st);
+  Alcotest.(check int) "no flip needed" 0 (Sx.bound_flips st);
+  Alcotest.(check int) "no phase I" 0 (Sx.stats st).Sx.cold_primal
 
 let test_bfrt_exhaustion_is_infeasible () =
   (* After fixing every nonbasic column, the violated row cannot be
@@ -808,6 +833,32 @@ let test_dual_stall_counted () =
   check_float "obj" 6. (user_obj lp r);
   Alcotest.(check int) "still one stall" 1 (Sx.stats st).Sx.dual_stalls
 
+let test_cold_dual_stall_falls_back () =
+  (* A one-iteration budget stalls the cold dual loop on a degenerate
+     0-1 model whose slack start violates its equality rows. The
+     fallback is primal phase I, counted as a stall and as a phase-I
+     solve; it never returns to the dual start. *)
+  let lp = make_degen_lp 0 ~n:24 ~m:12 in
+  let st = Sx.create lp in
+  let m = Ilp.Metrics.create () in
+  Sx.set_metrics st (Ilp.Metrics.main m);
+  let capped = Sx.primal ~max_iters:1 st in
+  Alcotest.(check bool) "capped solve gives up" true
+    (capped.Sx.status = Sx.Iter_limit);
+  let stats = Sx.stats st in
+  Alcotest.(check int) "stall counted" 1 stats.Sx.dual_stalls;
+  Alcotest.(check int) "phase I counted" 1 stats.Sx.cold_primal;
+  Alcotest.(check int) "no singular restart" 0 stats.Sx.primal_restarts;
+  Alcotest.(check int) "phase I mirrored" 1
+    (Ilp.Metrics.counter_value (Ilp.Metrics.snapshot m)
+       Ilp.Metrics.C_lp_cold_primal);
+  let r = Sx.primal st in
+  Alcotest.(check bool) "then optimal" true (r.Sx.status = Sx.Optimal);
+  check_float "obj" 0. r.Sx.obj;
+  let stats = Sx.stats st in
+  Alcotest.(check (pair int int)) "uncapped solve takes the dual start"
+    (1, 1) (stats.Sx.dual_stalls, stats.Sx.cold_primal)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "simplex"
@@ -834,6 +885,8 @@ let () =
             test_bfrt_flips_to_optimum;
           Alcotest.test_case "entering column flips without pivot" `Quick
             test_entering_column_flip;
+          Alcotest.test_case "cost-side start needs no pivot" `Quick
+            test_cost_side_start;
           Alcotest.test_case "BFRT exhaustion certifies infeasibility" `Quick
             test_bfrt_exhaustion_is_infeasible;
           Alcotest.test_case "degenerate generator ties at ratio 0" `Quick
@@ -846,6 +899,8 @@ let () =
           Alcotest.test_case "stale basis reopt" `Quick test_stale_basis_reopt;
           Alcotest.test_case "dual stall counted" `Quick
             test_dual_stall_counted;
+          Alcotest.test_case "cold dual stall falls back to phase I" `Quick
+            test_cold_dual_stall_falls_back;
         ] );
       ( "properties",
         [ qt prop_feasible_and_dominates; qt prop_warm_start_agrees;
