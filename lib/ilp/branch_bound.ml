@@ -113,6 +113,7 @@ type certification_stats = {
   cert_certified : int;
   cert_refuted : int;
   cert_uncertifiable : int;
+  cert_seconds : float;
   root_certificate : Certify.t option;
 }
 
@@ -122,12 +123,15 @@ let empty_certification =
     cert_certified = 0;
     cert_refuted = 0;
     cert_uncertifiable = 0;
+    cert_seconds = 0.;
     root_certificate = None;
   }
 
 let pp_certification ppf c =
-  Format.fprintf ppf "checked=%d certified=%d refuted=%d uncertifiable=%d"
-    c.cert_checked c.cert_certified c.cert_refuted c.cert_uncertifiable;
+  Format.fprintf ppf
+    "checked=%d certified=%d refuted=%d uncertifiable=%d time=%.3fs"
+    c.cert_checked c.cert_certified c.cert_refuted c.cert_uncertifiable
+    c.cert_seconds;
   match c.root_certificate with
   | Some cert -> Format.fprintf ppf " root=%a" Certify.pp cert
   | None -> ()
@@ -238,8 +242,14 @@ type cstate = {
   c_certified : int Atomic.t;
   c_refuted : int Atomic.t;
   c_uncertifiable : int Atomic.t;
+  c_seconds : float Atomic.t;
   mutable c_root : Certify.t option;
 }
+
+let rec add_seconds cs dt =
+  let cur = Atomic.get cs.c_seconds in
+  if not (Atomic.compare_and_set cs.c_seconds cur (cur +. dt)) then
+    add_seconds cs dt
 
 let certification_totals cs =
   {
@@ -247,6 +257,7 @@ let certification_totals cs =
     cert_certified = Atomic.get cs.c_certified;
     cert_refuted = Atomic.get cs.c_refuted;
     cert_uncertifiable = Atomic.get cs.c_uncertifiable;
+    cert_seconds = Atomic.get cs.c_seconds;
     root_certificate = cs.c_root;
   }
 
@@ -646,6 +657,7 @@ let certify_node ctx ~nno res =
   let dt = Mono.elapsed_since t in
   let cs = ctx.env.cert in
   Atomic.incr cs.c_checked;
+  add_seconds cs dt;
   (match cert.Certify.verdict with
    | Certify.Certified ->
      Atomic.incr cs.c_certified;
@@ -966,6 +978,7 @@ let make_env options lp t0 =
         c_certified = Atomic.make 0;
         c_refuted = Atomic.make 0;
         c_uncertifiable = Atomic.make 0;
+        c_seconds = Atomic.make 0.;
         c_root = None;
       };
   }

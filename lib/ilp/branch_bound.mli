@@ -210,6 +210,9 @@ type certification_stats = {
   cert_uncertifiable : int;
       (** Nothing provable either way (singular basis in rationals,
           dual gap above tolerance, missing witness). *)
+  cert_seconds : float;
+      (** Wall time spent in the exact checks (snapshot and
+          {!Certify.check}), summed over the search contexts. *)
   root_certificate : Certify.t option;
       (** The root relaxation's certificate, whenever the level
           includes the root and the root LP was solved. *)
@@ -218,7 +221,8 @@ type certification_stats = {
 val empty_certification : certification_stats
 
 val pp_certification : Format.formatter -> certification_stats -> unit
-(** One-line [key=value] rendering plus the root verdict when kept. *)
+(** One-line [key=value] rendering ([time=] in seconds) plus the root
+    verdict when kept. *)
 
 type stats = {
   nodes : int;  (** LP relaxations solved. *)

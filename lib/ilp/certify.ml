@@ -28,14 +28,8 @@ let refuted d = { verdict = Refuted; detail = d }
 let uncertifiable d = { verdict = Uncertifiable; detail = d }
 
 (* ------------------------------------------------------------------ *)
-(* Rational sparse LU of the basis matrix.
-
-   Replays the float kernel's recorded (row, slot) elimination order
-   when the snapshot carries one — the float factorization already
-   proved those pivots structurally sound, so the exact replay does no
-   searching — and falls back to a Markowitz-style greedy choice for
-   any step where the recorded pivot has become exactly zero (or when
-   there is no recorded order, e.g. under the dense backend). *)
+(* Rational sparse LU of the basis nucleus, with a Markowitz-style
+   greedy pivot choice at every step. *)
 
 exception Singular
 
@@ -48,9 +42,22 @@ type rlu = {
   r_u : (int * Rat.t) array array;  (* step -> pivot-row entries, by slot *)
 }
 
-let rlu_factor ~m ~(col : int -> (int * Rat.t) list) ~order =
+let rlu_factor ~m ~(col : int -> (int * Rat.t) list) =
   let cols = Array.init m (fun _ -> Hashtbl.create 8) in
   let row_slots = Array.init m (fun _ -> Hashtbl.create 8) in
+  let slot_active = Array.make m true in
+  (* Lazy bucket queues: [by_count.(c)] holds the columns that had [c]
+     active entries when last changed, [row_single] the rows that had
+     one. [pick] re-checks whatever it pops; eliminated rows and
+     columns are emptied or inactive, so a stale entry never passes. *)
+  let by_count = Array.make (m + 1) [] and row_single = ref [] in
+  let note_col q =
+    let c = Hashtbl.length cols.(q) in
+    by_count.(c) <- q :: by_count.(c)
+  in
+  let note_row r =
+    if Hashtbl.length row_slots.(r) = 1 then row_single := r :: !row_single
+  in
   let set_entry q r v =
     if Rat.is_zero v then begin
       Hashtbl.remove cols.(q) r;
@@ -59,49 +66,55 @@ let rlu_factor ~m ~(col : int -> (int * Rat.t) list) ~order =
     else begin
       Hashtbl.replace cols.(q) r v;
       Hashtbl.replace row_slots.(r) q ()
-    end
+    end;
+    note_col q;
+    note_row r
   in
   for q = 0 to m - 1 do
-    List.iter (fun (r, v) -> set_entry q r v) (col q)
+    List.iter (fun (r, v) -> set_entry q r v) (col q);
+    note_col q
   done;
-  let slot_active = Array.make m true and row_active = Array.make m true in
   let prow = Array.make m 0 and pslot = Array.make m 0 in
   let diag = Array.make m Rat.zero in
   let lent = Array.make m [||] and uent = Array.make m [||] in
-  let pick_greedy () =
-    let best = ref None and best_cost = ref max_int in
-    for q = 0 to m - 1 do
-      if slot_active.(q) then
+  let rec row_singleton () =
+    match !row_single with
+    | [] -> None
+    | r :: rest ->
+        row_single := rest;
+        if Hashtbl.length row_slots.(r) = 1 then Some r else row_singleton ()
+  in
+  let rec shortest c =
+    match by_count.(c) with
+    | [] -> shortest (c + 1)
+    | q :: rest ->
+        by_count.(c) <- rest;
+        if slot_active.(q) && Hashtbl.length cols.(q) = c then (q, c)
+        else shortest c
+  in
+  (* Markowitz choice: a row singleton (no fill), else the row of
+     fewest entries within a shortest column (a column singleton makes
+     no fill either). An active column with no entry left makes B
+     singular. *)
+  let pick () =
+    match row_singleton () with
+    | Some r -> (r, Hashtbl.fold (fun q () _ -> q) row_slots.(r) (-1))
+    | None ->
+        let q, c = shortest 0 in
+        if c = 0 then raise Singular;
+        let best = ref (-1) and best_len = ref max_int in
         Hashtbl.iter
           (fun r _ ->
-            let cost =
-              (Hashtbl.length cols.(q) - 1)
-              * (Hashtbl.length row_slots.(r) - 1)
-            in
-            if cost < !best_cost then begin
-              best_cost := cost;
-              best := Some (r, q)
+            let len = Hashtbl.length row_slots.(r) in
+            if len < !best_len then begin
+              best_len := len;
+              best := r
             end)
-          cols.(q)
-    done;
-    match !best with Some rq -> rq | None -> raise Singular
+          cols.(q);
+        (!best, q)
   in
   for k = 0 to m - 1 do
-    let p, q =
-      let recorded =
-        match order with
-        | Some o when k < Array.length o ->
-            let p, q = o.(k) in
-            if
-              p >= 0 && p < m && q >= 0 && q < m && row_active.(p)
-              && slot_active.(q)
-              && Hashtbl.mem cols.(q) p
-            then Some (p, q)
-            else None
-        | _ -> None
-      in
-      match recorded with Some pq -> pq | None -> pick_greedy ()
-    in
+    let p, q = pick () in
     let piv = Hashtbl.find cols.(q) p in
     let ls =
       Hashtbl.fold
@@ -124,12 +137,19 @@ let rlu_factor ~m ~(col : int -> (int * Rat.t) list) ~order =
     lent.(k) <- Array.of_list ls;
     uent.(k) <- Array.of_list us;
     (* detach the pivot row and column from the active matrix *)
-    Hashtbl.iter (fun r _ -> Hashtbl.remove row_slots.(r) q) cols.(q);
-    Hashtbl.reset cols.(q);
-    Hashtbl.iter (fun c () -> Hashtbl.remove cols.(c) p) row_slots.(p);
-    Hashtbl.reset row_slots.(p);
     slot_active.(q) <- false;
-    row_active.(p) <- false;
+    Hashtbl.reset row_slots.(p);
+    Hashtbl.iter
+      (fun r _ ->
+        Hashtbl.remove row_slots.(r) q;
+        note_row r)
+      cols.(q);
+    Hashtbl.reset cols.(q);
+    List.iter
+      (fun (c, _) ->
+        Hashtbl.remove cols.(c) p;
+        note_col c)
+      us;
     (* exact Schur-complement update of the remaining active block *)
     List.iter
       (fun (r, l) ->
@@ -193,18 +213,105 @@ let rlu_btran lu c =
   y
 
 (* ------------------------------------------------------------------ *)
-(* Exact views of the snapshot. *)
+(* Exact basis solves on the nucleus.
 
-let rat_col mat j =
-  let acc = ref [] in
-  Sparse.Csc.iter_col mat j (fun r v ->
-      if v <> 0. then acc := (r, Rat.of_float v) :: !acc);
-  !acc
+   Slack and artificial columns are unit vectors (see
+   {!Simplex.snapshot}), so with the basic slots split into unit slots
+   U and structural slots S, and the rows into those a unit slot covers
+   (R_U) and the rest (R_N), the basis is
+
+     B = [ A(R_U,S)  I ]
+         [ A(R_N,S)  0 ]
+
+   and only the structural nucleus A(R_N,S) needs an LU: B x = b is
+   A(R_N,S) x_S = b(R_N), then x_u = b_r - A(r,S) x_S for the unit slot
+   u of row r; B^T y = c is y_r = c_u, then
+   A(R_N,S)^T y(R_N) = c_S - A(R_U,S)^T y(R_U). A row covered twice
+   makes B singular. *)
+
+type basis_lu = {
+  b_unit : int array;  (* row -> unit slot covering it, or -1 *)
+  b_slots : int array;  (* nucleus position -> structural slot *)
+  b_rows : int array;  (* nucleus position -> uncovered row *)
+  b_lu : rlu;  (* LU of the nucleus, in nucleus positions *)
+}
 
 let factor_basis (s : Simplex.snapshot) =
-  rlu_factor ~m:s.s_m
-    ~col:(fun k -> rat_col s.s_mat s.s_basis.(k))
-    ~order:s.s_pivot_order
+  let m = s.s_m in
+  let unit = Array.make m (-1) and slots = ref [] in
+  for k = m - 1 downto 0 do
+    let j = s.s_basis.(k) in
+    if j < s.s_nstruct then slots := k :: !slots
+    else begin
+      let r = (j - s.s_nstruct) mod m in
+      if unit.(r) >= 0 then raise Singular;
+      unit.(r) <- k
+    end
+  done;
+  let slots = Array.of_list !slots in
+  let rows = Array.make (Array.length slots) 0 in
+  let pos = Array.make m (-1) and n = ref 0 in
+  for r = 0 to m - 1 do
+    if unit.(r) < 0 then begin
+      rows.(!n) <- r;
+      pos.(r) <- !n;
+      incr n
+    end
+  done;
+  let col q =
+    let acc = ref [] in
+    Sparse.Csc.iter_col s.s_mat s.s_basis.(slots.(q)) (fun r v ->
+        if v <> 0. && pos.(r) >= 0 then
+          acc := (pos.(r), Rat.of_float v) :: !acc);
+    !acc
+  in
+  {
+    b_unit = unit;
+    b_slots = slots;
+    b_rows = rows;
+    b_lu = rlu_factor ~m:(Array.length slots) ~col;
+  }
+
+(* Solve B x = b: b indexed by row, result indexed by slot. *)
+let basis_ftran (s : Simplex.snapshot) f b =
+  let xn = rlu_ftran f.b_lu (Array.map (fun r -> b.(r)) f.b_rows) in
+  let x = Array.make s.s_m Rat.zero and w = Array.copy b in
+  Array.iteri
+    (fun q v ->
+      x.(f.b_slots.(q)) <- v;
+      if not (Rat.is_zero v) then
+        Sparse.Csc.iter_col s.s_mat s.s_basis.(f.b_slots.(q)) (fun r a ->
+            if a <> 0. && f.b_unit.(r) >= 0 then
+              w.(r) <- Rat.sub w.(r) (Rat.mul (Rat.of_float a) v)))
+    xn;
+  Array.iteri (fun r k -> if k >= 0 then x.(k) <- w.(r)) f.b_unit;
+  x
+
+(* a_j . y over the rows where y is nonzero: only those coefficients
+   are converted *)
+let col_dot (s : Simplex.snapshot) j y =
+  let acc = ref Rat.zero in
+  Sparse.Csc.iter_col s.s_mat j (fun i a ->
+      if a <> 0. && not (Rat.is_zero y.(i)) then
+        acc := Rat.add !acc (Rat.mul (Rat.of_float a) y.(i)));
+  !acc
+
+(* Solve B^T y = c: c indexed by slot, result indexed by row. y is
+   still zero off the covered rows when the nucleus right-hand side
+   c_S - A(R_U,S)^T y(R_U) is formed. *)
+let basis_btran (s : Simplex.snapshot) f c =
+  let y = Array.make s.s_m Rat.zero in
+  Array.iteri (fun r k -> if k >= 0 then y.(r) <- c.(k)) f.b_unit;
+  let cn =
+    Array.map (fun k -> Rat.sub c.(k) (col_dot s s.s_basis.(k) y)) f.b_slots
+  in
+  Array.iteri (fun p v -> y.(f.b_rows.(p)) <- v) (rlu_btran f.b_lu cn);
+  y
+
+let basis_solve s ~rhs ~cost =
+  match factor_basis s with
+  | exception Singular -> None
+  | f -> Some (basis_ftran s f rhs, basis_btran s f cost)
 
 (* Effective certification bounds of column [j]: artificial columns
    (everything past the structural + slack block) are fixed at zero —
@@ -248,18 +355,19 @@ let check_optimal ~tol (s : Simplex.snapshot) (r : Simplex.result) =
           match hi with Some u -> xval.(j) <- u | None -> infinite_rest ())
     done;
     (* exact basic values: B x_B = b - N x_N *)
-    let rhs = Array.map Rat.of_float s.s_rhs in
+    let b_exact = Array.map Rat.of_float s.s_rhs in
+    let rhs = Array.copy b_exact in
     for j = 0 to ncols - 1 do
       if s.s_stat.(j) <> Simplex.Basic && not (Rat.is_zero xval.(j)) then
-        List.iter
-          (fun (i, a) -> rhs.(i) <- Rat.sub rhs.(i) (Rat.mul a xval.(j)))
-          (rat_col s.s_mat j)
+        Sparse.Csc.iter_col s.s_mat j (fun i a ->
+            if a <> 0. then
+              rhs.(i) <- Rat.sub rhs.(i) (Rat.mul (Rat.of_float a) xval.(j)))
     done;
     let lu =
       try factor_basis s
       with Singular -> raise (Bail (uncertifiable Singular_basis))
     in
-    let xb = rlu_ftran lu rhs in
+    let xb = basis_ftran s lu rhs in
     Array.iteri (fun k v -> xval.(s.s_basis.(k)) <- v) xb;
     (* exact primal feasibility: the rows hold by construction, so only
        bound feasibility of the basic values is at stake *)
@@ -309,21 +417,15 @@ let check_optimal ~tol (s : Simplex.snapshot) (r : Simplex.result) =
        L(y) = y.b + sum over nonbasic j of min over [l,u] of d_j x_j;
        basic columns price to zero exactly because y solves B^T y = c_B *)
     let cb = Array.init m (fun k -> Rat.of_float s.s_cost.(s.s_basis.(k))) in
-    let y = rlu_btran lu cb in
-    let l_bound = ref (Rat.zero) in
-    let b_exact = Array.map Rat.of_float s.s_rhs in
+    let y = basis_btran s lu cb in
+    let l_bound = ref Rat.zero in
     for i = 0 to m - 1 do
       if not (Rat.is_zero y.(i)) then
         l_bound := Rat.add !l_bound (Rat.mul y.(i) b_exact.(i))
     done;
     for j = 0 to ncols - 1 do
       if s.s_stat.(j) <> Simplex.Basic then begin
-        let d =
-          List.fold_left
-            (fun acc (i, a) -> Rat.sub acc (Rat.mul a y.(i)))
-            (Rat.of_float s.s_cost.(j))
-            (rat_col s.s_mat j)
-        in
+        let d = Rat.sub (Rat.of_float s.s_cost.(j)) (col_dot s j y) in
         let sg = Rat.sign d in
         if sg <> 0 then begin
           let lo, hi = eff_bounds s j in
@@ -366,18 +468,16 @@ let check_infeasible ~tol:_ (s : Simplex.snapshot) (r : Simplex.result) =
       match factor_basis s with
       | exception Singular -> uncertifiable Singular_basis
       | lu ->
-          let y =
+          let cb =
             match w with
             | Simplex.Inf_phase1 c1 ->
-                let cb =
-                  Array.init m (fun k -> Rat.of_float c1.(s.s_basis.(k)))
-                in
-                rlu_btran lu cb
+                Array.init m (fun k -> Rat.of_float c1.(s.s_basis.(k)))
             | Simplex.Inf_dual_row { row; above } ->
                 let e = Array.make m Rat.zero in
                 e.(row) <- (if above then Rat.one else Rat.minus_one);
-                rlu_btran lu e
+                e
           in
+          let y = basis_btran s lu cb in
           let real_cols = s.s_nstruct + m in
           let exception Unbounded_side in
           let gap =
@@ -389,11 +489,7 @@ let check_infeasible ~tol:_ (s : Simplex.snapshot) (r : Simplex.result) =
                     Rat.add !acc (Rat.mul y.(i) (Rat.of_float s.s_rhs.(i)))
               done;
               for j = 0 to real_cols - 1 do
-                let z =
-                  List.fold_left
-                    (fun zz (i, a) -> Rat.add zz (Rat.mul a y.(i)))
-                    Rat.zero (rat_col s.s_mat j)
-                in
+                let z = col_dot s j y in
                 let sg = Rat.sign z in
                 if sg <> 0 then
                   let pick b =

@@ -6,10 +6,9 @@
     re-derived in exact rational arithmetic ({!Rat}):
 
     - {b Optimal}: the basic system [B x_B = b - N x_N] is re-solved
-      exactly (replaying the float LU's pivot order when the snapshot
-      carries one), primal feasibility of the basic values is checked
-      against the bounds exactly, and the exact simplex multipliers
-      [y = B^-T c_B] give the Lagrangian dual bound
+      exactly ({!basis_solve}), primal feasibility of the basic values
+      is checked against the bounds exactly, and the exact simplex
+      multipliers [y = B^-T c_B] give the Lagrangian dual bound
       [L(y) = y.b + sum_j min over the bound interval of (c_j - y.a_j) x_j].
       The gap [c.x - L(y)] is precisely the complementary-slackness
       residual: it is [0] exactly iff the basis is exactly optimal.
@@ -17,6 +16,11 @@
       is re-derived exactly as a Farkas ray [y] and checked as
       [y.b > max over the box of y.Ax] — a proof no feasible point
       exists, independent of any floating-point computation.
+
+    The cost follows the certificate, not the model: only the
+    structural nucleus of the basis is factorized, and the sums over
+    columns ([y.a_j] in the dual bound and the Farkas check) convert a
+    coefficient only where it meets a nonzero [y_i].
 
     Every check classifies as {!Certified}, {!Refuted} (the claim is
     wrong by more than the tolerance — e.g. a corrupted solution), or
@@ -76,6 +80,19 @@ val check : ?tol:float -> Simplex.snapshot -> Simplex.result -> t
     from {!Uncertifiable} on near-zero exact residuals, and
     {!Uncertifiable} from {!Refuted} on material violations; the exact
     values in the {!detail} are unaffected by it. *)
+
+val basis_solve :
+  Simplex.snapshot ->
+  rhs:Rat.t array ->
+  cost:Rat.t array ->
+  (Rat.t array * Rat.t array) option
+(** The exact basis solve both checks run on: [Some (x, y)] with
+    [B x = rhs] ([rhs] by row, [x] by basis slot) and [B^T y = cost]
+    ([cost] by slot, [y] by row), for the basis matrix [B] of the
+    snapshot; [None] when [B] is exactly singular. Slack and artificial
+    slots fix their row directly, so only the structural nucleus (the
+    structural slots against the rows no slack or artificial slot
+    covers) is factorized. *)
 
 val check_lp : ?tol:float -> Lp.t -> Simplex.result * t
 (** One-shot: solve the LP relaxation fresh and certify the outcome.

@@ -139,11 +139,9 @@ val size : t -> int
 val pivot_order : t -> (int * int) array
 (** The elimination history: entry [k] is [(row, slot)] — step [k]
     eliminated constraint row [row] against basis slot [slot]. This is
-    the Markowitz order actually used by the floating-point
-    factorization; {!Certify} replays it for the exact rational
-    re-factorization of the same basis, so the exact solve inherits the
-    sparsity the float analysis already paid for. Only meaningful for
-    the basis as of {!factor} (the eta file is not reflected). *)
+    the Markowitz order actually used by the factorization. Only
+    meaningful for the basis as of {!factor} (the eta file is not
+    reflected). *)
 
 val eta_count : t -> int
 (** Number of etas appended since {!factor} (identity exchanges are

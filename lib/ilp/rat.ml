@@ -26,13 +26,20 @@ let norm (a : nat) =
   done;
   if !n = Array.length a then a else Array.sub a 0 !n
 
+(* v >= 0; a native int has at most 62 bits, so at most three limbs *)
 let nat_of_int v =
-  (* v >= 0 *)
   if v = 0 then nat_zero
-  else begin
-    let rec limbs v = if v = 0 then [] else (v land mask) :: limbs (v lsr base_bits) in
-    Array.of_list (limbs v)
-  end
+  else if v < base then [| v |]
+  else if v lsr base_bits < base then [| v land mask; v lsr base_bits |]
+  else
+    [| v land mask; (v lsr base_bits) land mask; v lsr (2 * base_bits) |]
+
+(* value of a natural of at most two limbs (< 2^60) as a native int *)
+let nat_to_int (a : nat) =
+  match Array.length a with
+  | 0 -> 0
+  | 1 -> a.(0)
+  | _ -> (a.(1) lsl base_bits) lor a.(0)
 
 let nat_cmp (a : nat) (b : nat) =
   let la = Array.length a and lb = Array.length b in
@@ -221,8 +228,17 @@ let nat_divmod (u : nat) (v : nat) =
     (norm q, nat_shr_small r shift)
   end
 
+let rec int_gcd a b = if b = 0 then a else int_gcd b (a mod b)
+
+(* Euclid over Knuth division until both sides fit in a native int
+   (two limbs), then a native loop: a remainder shrinks below the
+   divisor, so a multi-limb gcd reaches the native loop within a step
+   or two. *)
 let rec nat_gcd a b =
-  if nat_is_zero b then a else nat_gcd b (snd (nat_divmod a b))
+  if nat_is_zero b then a
+  else if Array.length a <= 2 && Array.length b <= 2 then
+    nat_of_int (int_gcd (nat_to_int a) (nat_to_int b))
+  else nat_gcd b (snd (nat_divmod a b))
 
 (* exact division, callers guarantee divisibility *)
 let nat_divexact a b =
@@ -236,13 +252,8 @@ let nat_to_string (a : nat) =
     (* peel 9 decimal digits at a time; 10^9 exceeds the limb base so
        the chunk divisor goes through the full division *)
     let chunk_nat = nat_of_int 1_000_000_000 in
-    let small (x : nat) =
-      (* value below 10^9: at most two limbs *)
-      match Array.length x with
-      | 0 -> 0
-      | 1 -> x.(0)
-      | _ -> (x.(1) lsl base_bits) lor x.(0)
-    in
+    (* every chunk is below 10^9: at most two limbs *)
+    let small = nat_to_int in
     let parts = ref [] in
     let cur = ref a in
     while not (nat_is_zero !cur) do
@@ -274,11 +285,14 @@ let zero = { sgn = 0; num = nat_zero; den = nat_one }
 let one = { sgn = 1; num = nat_one; den = nat_one }
 let minus_one = { sgn = -1; num = nat_one; den = nat_one }
 
+let nat_is_one (a : nat) = Array.length a = 1 && a.(0) = 1
+
 let make sgn num den =
   if nat_is_zero num then zero
+  else if nat_is_one den || nat_is_one num then { sgn; num; den }
   else begin
     let g = nat_gcd num den in
-    if nat_cmp g nat_one = 0 then { sgn; num; den }
+    if nat_is_one g then { sgn; num; den }
     else { sgn; num = nat_divexact num g; den = nat_divexact den g }
   end
 
@@ -303,11 +317,15 @@ let of_float f =
   else begin
     let sgn = if f > 0. then 1 else -1 in
     let m, e = Float.frexp (Float.abs f) in
-    (* m in [0.5, 1): m * 2^53 is an exact 53-bit integer *)
-    let mant = Int64.to_int (Int64.of_float (Float.ldexp m 53)) in
-    let exp = e - 53 in
-    if exp >= 0 then make sgn (nat_shl (nat_of_int mant) exp) nat_one
-    else make sgn (nat_of_int mant) (nat_shl nat_one (-exp))
+    (* m in [0.5, 1): m * 2^53 is an exact 53-bit integer. Shifting it
+       until it is odd leaves an odd numerator over a power of two,
+       which is already in lowest terms: no gcd. *)
+    let rec odd mant exp =
+      if mant land 1 = 0 then odd (mant lsr 1) (exp + 1) else (mant, exp)
+    in
+    let mant, exp = odd (Float.to_int (Float.ldexp m 53)) (e - 53) in
+    if exp >= 0 then { sgn; num = nat_shl (nat_of_int mant) exp; den = nat_one }
+    else { sgn; num = nat_of_int mant; den = nat_shl nat_one (-exp) }
   end
 
 let neg a = if a.sgn = 0 then a else { a with sgn = -a.sgn }
@@ -379,7 +397,7 @@ let to_float a =
 
 let to_string a =
   let s = if a.sgn < 0 then "-" else "" in
-  if nat_cmp a.den nat_one = 0 then s ^ nat_to_string a.num
+  if nat_is_one a.den then s ^ nat_to_string a.num
   else s ^ nat_to_string a.num ^ "/" ^ nat_to_string a.den
 
 let pp ppf a = Format.pp_print_string ppf (to_string a)

@@ -118,8 +118,7 @@ type infeasibility =
 
 (* A self-contained copy of everything an exact a-posteriori check
    needs: the internal model (columns = structural + slack +
-   artificial), the final basis and nonbasic statuses, and the float
-   LU's pivot order when available. *)
+   artificial) and the final basis and nonbasic statuses. *)
 type snapshot = {
   s_m : int;
   s_nstruct : int;
@@ -131,7 +130,6 @@ type snapshot = {
   s_rhs : float array;
   s_cost : float array;
   s_infeasibility : infeasibility option;
-  s_pivot_order : (int * int) array option;
 }
 
 (* Basis representation: a dense explicit inverse maintained by
@@ -1596,21 +1594,6 @@ let dual_loop st max_iters =
 
 let snapshot st =
   check_owner st "snapshot";
-  (* The sparse pivot order only describes the current basis when the
-     eta file is empty: refresh the factorization first. A singular
-     basis leaves the order out — the exact check then picks its own
-     pivots. *)
-  let pivot_order =
-    match st.repr with
-    | Rdense _ -> None
-    | Rsparse box when not box.valid -> None
-    | Rsparse box when Lu.eta_count box.lu = 0 ->
-      Some (Lu.pivot_order box.lu)
-    | Rsparse box -> (
-      match refactor st with
-      | () -> Some (Lu.pivot_order box.lu)
-      | exception Singular_basis -> None)
-  in
   {
     s_m = st.m;
     s_nstruct = st.nstruct;
@@ -1622,7 +1605,6 @@ let snapshot st =
     s_rhs = Array.copy st.rhs;
     s_cost = Array.copy st.cost;
     s_infeasibility = st.last_inf;
-    s_pivot_order = pivot_order;
   }
 
 (* -------------------------------------------------------------------- *)

@@ -289,8 +289,11 @@ type snapshot = {
   s_m : int;  (** Rows. *)
   s_nstruct : int;  (** Structural columns. *)
   s_mat : Sparse.Csc.mat;
-      (** All columns (structural, slack, artificial), shared with the
-          engine — immutable after {!create}. *)
+      (** All columns, shared with the engine — immutable after
+          {!create}: the [s_nstruct] structural columns, then the slack
+          of each row [i] (column [s_nstruct + i]) and its artificial
+          (column [s_nstruct + s_m + i]). Slack and artificial columns
+          are both the unit vector of their row. *)
   s_basis : int array;  (** Slot -> basic column (copy). *)
   s_stat : vstat array;  (** Status of every column (copy). *)
   s_lb : float array;  (** Lower bounds, all columns (copy). *)
@@ -299,19 +302,15 @@ type snapshot = {
   s_cost : float array;  (** Phase-II minimization costs (copy). *)
   s_infeasibility : infeasibility option;
       (** Set when the engine's last verdict was {!Infeasible}. *)
-  s_pivot_order : (int * int) array option;
-      (** The sparse LU's [(row, slot)] elimination order for the
-          snapshotted basis ([None] under the dense backend or on a
-          singular refresh). *)
 }
 
 val snapshot : state -> snapshot
 (** Captures the engine's current basis for exact a-posteriori
     verification. Call it immediately after the solve whose result is
     being certified — later solves or bound changes move the basis.
-    With the sparse backend this may refresh the factorization (so the
-    recorded pivot order describes exactly the snapshotted basis).
-    Owner-only, like every other entry point. *)
+    It copies arrays only and leaves the engine (its factorization
+    included) as it was, so taking a snapshot never changes a later
+    solve. Owner-only, like every other entry point. *)
 
 val total_pivots : state -> int
 (** Cumulative basis-changing pivot count across all solves on this

@@ -223,7 +223,9 @@ let solve ?(strategy = Branching.Paper) ?(time_limit = Float.infinity)
            for a checkable artifact, re-derive infeasibility as an
            exact Farkas certificate of the ORIGINAL model's LP
            relaxation (so its row indices need no mapping). *)
+        let t = Ilp.Mono.now () in
         let _res, cert = Ilp.Certify.check_lp vars.Vars.lp in
+        let cert_seconds = Ilp.Mono.elapsed_since t in
         ( Bb.Infeasible,
           {
             Bb.empty_stats with
@@ -240,6 +242,7 @@ let solve ?(strategy = Branching.Paper) ?(time_limit = Float.infinity)
                   (if cert.Ilp.Certify.verdict = Ilp.Certify.Uncertifiable
                    then 1
                    else 0);
+                cert_seconds;
                 root_certificate = Some cert;
               };
           } )

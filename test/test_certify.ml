@@ -90,6 +90,22 @@ let test_uncertifiable_iter_limit () =
     Alcotest.(check int) "exit code" 2 (C.exit_code c.C.verdict)
   end
 
+(* The slack (column nstruct + i) and the artificial (nstruct + m + i)
+   of one row are the same unit vector: a basis holding both is
+   singular, however the rest of it looks. *)
+let test_double_cover_singular () =
+  let lp, _, _ = basic_max () in
+  let r, snap = solve_snap lp in
+  let n = snap.Sx.s_nstruct and m = snap.Sx.s_m in
+  let snap = { snap with Sx.s_basis = [| n; n + m |] } in
+  let c = C.check snap r in
+  Alcotest.(check bool) "uncertifiable" true (c.C.verdict = C.Uncertifiable);
+  Alcotest.(check bool) "singular basis" true
+    (c.C.detail = C.Singular_basis);
+  Alcotest.(check bool) "no solve" true
+    (C.basis_solve snap ~rhs:(Array.make m R.one) ~cost:(Array.make m R.one)
+     = None)
+
 let contains ~affix s =
   let n = String.length affix and ls = String.length s in
   let rec go i = i + n <= ls && (String.sub s i n = affix || go (i + 1)) in
@@ -186,6 +202,36 @@ let test_bb_certify_levels () =
   (* identical search under observation: node counts must not move *)
   Alcotest.(check int) "certification does not steer" off.Bb.nodes
     all.Bb.nodes
+
+(* Certification only reads the engine: graph 1 at (N=2, L=3) takes
+   the same nodes and pivots to the same optimum at every level, and
+   every node it checks certifies. *)
+let test_certify_does_not_steer () =
+  let spec =
+    Temporal.Spec.make ~graph:(Taskgraph.Examples.paper_graph 1)
+      ~allocation:(Hls.Component.ams (2, 2, 1))
+      ~capacity:70 ~scratch:30 ~latency_relax:3 ~num_partitions:2 ()
+  in
+  let run certify =
+    let report =
+      Temporal.Solver.solve ~certify (Temporal.Formulation.build spec)
+    in
+    let st = report.Temporal.Solver.stats in
+    ( report.Temporal.Solver.objective,
+      st.Bb.nodes,
+      st.Bb.pivots,
+      st.Bb.certification )
+  in
+  let obj, nodes, pivots, _ = run Bb.Cert_off in
+  List.iter
+    (fun (name, level) ->
+      let obj', nodes', pivots', c = run level in
+      Alcotest.(check (option (float 0.))) (name ^ " objective") obj obj';
+      Alcotest.(check int) (name ^ " nodes") nodes nodes';
+      Alcotest.(check int) (name ^ " pivots") pivots pivots';
+      Alcotest.(check int) (name ^ " all certified") c.Bb.cert_checked
+        c.Bb.cert_certified)
+    [ ("root", Bb.Cert_root); ("all", Bb.Cert_all) ]
 
 let test_certificate_diagnostics () =
   let module A = Ilp.Analyze in
@@ -297,10 +343,7 @@ let prop_dense_backend_certifies =
       let lp, _ = make_rand_mixed seed ~n:6 ~m:6 in
       let r, snap = solve_snap ~backend:Sx.Dense lp in
       if r.Sx.status <> Sx.Optimal then false
-      else begin
-        let c = C.check snap r in
-        snap.Sx.s_pivot_order = None && c.C.verdict = C.Certified
-      end)
+      else (C.check snap r).C.verdict = C.Certified)
 
 let prop_corrupted_refuted =
   QCheck.Test.make ~name:"corrupted objectives are refuted" ~count:120
@@ -430,6 +473,105 @@ let prop_cold_verdicts_certified =
           | Sx.Unbounded | Sx.Iter_limit -> false)
         [ Sx.Dense; Sx.Sparse_lu ])
 
+(* Random bases over a random integer matrix: k structural slots, the
+   other m - k slots slacks or artificials of distinct rows (in one
+   case in ten two of them cover the same row), in shuffled slot
+   order. [basis_solve] must answer exactly when B is nonsingular —
+   decided here by dense rational elimination — and its x and y must
+   satisfy B x = b and B^T y = c when multiplied back exactly. *)
+let dense_singular b =
+  let m = Array.length b in
+  let a = Array.map Array.copy b in
+  let singular = ref false in
+  for k = 0 to m - 1 do
+    if not !singular then
+      let rows = List.init (m - k) (fun i -> k + i) in
+      match List.find_opt (fun i -> not (R.is_zero a.(i).(k))) rows with
+      | None -> singular := true
+      | Some p ->
+        let t = a.(k) in
+        a.(k) <- a.(p);
+        a.(p) <- t;
+        for i = k + 1 to m - 1 do
+          let f = R.div a.(i).(k) a.(k).(k) in
+          if not (R.is_zero f) then
+            for j = k to m - 1 do
+              a.(i).(j) <- R.sub a.(i).(j) (R.mul f a.(k).(j))
+            done
+        done
+  done;
+  !singular
+
+let prop_basis_solve_exact =
+  QCheck.Test.make ~name:"nucleus basis solve is exact on mixed random bases"
+    ~count:300
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng = Taskgraph.Prng.create seed in
+      let n = 2 + Taskgraph.Prng.int rng 5 in
+      let m = 2 + Taskgraph.Prng.int rng 5 in
+      let lp = Lp.create () in
+      let vars = Array.init n (fun _ -> Lp.add_var lp ~ub:5. Lp.Continuous) in
+      for i = 0 to m - 1 do
+        let terms =
+          Array.to_list vars
+          |> List.filter_map (fun v ->
+                 let c = Taskgraph.Prng.int_in rng (-3) 3 in
+                 if c <> 0 && Taskgraph.Prng.bool rng 0.6 then
+                   Some (Float.of_int c, v)
+                 else None)
+        in
+        let terms = if terms = [] then [ (1., vars.(i mod n)) ] else terms in
+        ignore (Lp.add_constr lp terms Lp.Le 1.)
+      done;
+      let snap = Sx.snapshot (Sx.create lp) in
+      let shuffle a =
+        for i = Array.length a - 1 downto 1 do
+          let j = Taskgraph.Prng.int rng (i + 1) in
+          let t = a.(i) in
+          a.(i) <- a.(j);
+          a.(j) <- t
+        done;
+        a
+      in
+      let k = Taskgraph.Prng.int rng (1 + Int.min n m) in
+      let structural = Array.sub (shuffle (Array.init n Fun.id)) 0 k in
+      let rows = Array.sub (shuffle (Array.init m Fun.id)) 0 (m - k) in
+      if m - k >= 2 && Taskgraph.Prng.bool rng 0.1 then rows.(0) <- rows.(1);
+      let units =
+        Array.map
+          (fun r -> if Taskgraph.Prng.bool rng 0.5 then n + r else n + m + r)
+          rows
+      in
+      let basis = shuffle (Array.append structural units) in
+      let snap = { snap with Sx.s_basis = basis } in
+      let bmat = Array.make_matrix m m R.zero in
+      Array.iteri
+        (fun q j ->
+          Ilp.Sparse.Csc.iter_col snap.Sx.s_mat j (fun i v ->
+              bmat.(i).(q) <- R.of_float v))
+        basis;
+      let small () =
+        R.of_ints
+          (Taskgraph.Prng.int_in rng (-9) 9)
+          (1 + Taskgraph.Prng.int rng 4)
+      in
+      let rhs = Array.init m (fun _ -> small ()) in
+      let cost = Array.init m (fun _ -> small ()) in
+      let dot f = Array.fold_left R.add R.zero (Array.init m f) in
+      match C.basis_solve snap ~rhs ~cost with
+      | None -> dense_singular bmat
+      | Some (x, y) ->
+        (not (dense_singular bmat))
+        && List.for_all
+             (fun i ->
+               R.equal (dot (fun q -> R.mul bmat.(i).(q) x.(q))) rhs.(i))
+             (List.init m Fun.id)
+        && List.for_all
+             (fun q ->
+               R.equal (dot (fun i -> R.mul bmat.(i).(q) y.(i))) cost.(q))
+             (List.init m Fun.id))
+
 (* Regression: the root relaxation of all six paper evaluation graphs
    must certify exactly — every basis the engine reports has to survive
    rational re-derivation. Table 4 design points, C = 70, Ms = 30. *)
@@ -468,6 +610,8 @@ let () =
             test_refuted_bound_violation;
           Alcotest.test_case "iter-limit uncertifiable" `Quick
             test_uncertifiable_iter_limit;
+          Alcotest.test_case "row covered twice is singular" `Quick
+            test_double_cover_singular;
           Alcotest.test_case "map_rows and json" `Quick test_map_rows_and_json;
           Alcotest.test_case "iis extraction" `Quick test_iis_extraction;
           Alcotest.test_case "iis on feasible model" `Quick
@@ -477,6 +621,8 @@ let () =
         [
           Alcotest.test_case "branch-and-bound certify levels" `Quick
             test_bb_certify_levels;
+          Alcotest.test_case "certification does not steer the search"
+            `Quick test_certify_does_not_steer;
           Alcotest.test_case "certificate diagnostics" `Quick
             test_certificate_diagnostics;
           Alcotest.test_case "paper graphs root-certify under devex" `Slow
@@ -489,5 +635,6 @@ let () =
           qt prop_corrupted_refuted;
           qt prop_infeasible_farkas_certified;
           qt prop_cold_verdicts_certified;
+          qt prop_basis_solve_exact;
         ] );
     ]

@@ -109,6 +109,91 @@ let prop_compare_consistent =
       let c = R.compare (R.of_float a) (R.of_float b) in
       if a < b then c < 0 else if a > b then c > 0 else c = 0)
 
+(* 2^k by repeated squaring through the general multiply *)
+let rec pow2 k =
+  if k = 0 then R.one
+  else
+    let h = pow2 (k / 2) in
+    let h2 = R.mul h h in
+    if k land 1 = 1 then R.mul h2 (R.of_int 2) else h2
+
+(* The value of a finite double read off its IEEE fields, reduced by
+   the general division: (-1)^s * mant / 2^k (or mant * 2^-k). *)
+let of_float_by_fields f =
+  let bits = Int64.bits_of_float f in
+  let field = Int64.to_int (Int64.shift_right_logical bits 52) land 0x7ff in
+  let frac = Int64.to_int (Int64.logand bits 0xF_FFFF_FFFF_FFFFL) in
+  let mant, exp =
+    if field = 0 then (frac, -1074) else (frac lor (1 lsl 52), field - 1075)
+  in
+  let v =
+    if exp >= 0 then R.mul (R.of_int mant) (pow2 exp)
+    else R.div (R.of_int mant) (pow2 (-exp))
+  in
+  if Int64.compare bits 0L < 0 then R.neg v else v
+
+(* every finite double: random sign, exponent field (subnormals and the
+   largest exponents included) and 52 fraction bits *)
+let any_double_gen =
+  QCheck.Gen.(
+    let* sign = bool in
+    let* field = int_range 0 2046 in
+    let* hi = int_bound (1 lsl 26 - 1) in
+    let* lo = int_bound (1 lsl 26 - 1) in
+    let top = (if sign then 1 lsl 11 else 0) lor field in
+    let bits =
+      Int64.logor
+        (Int64.shift_left (Int64.of_int top) 52)
+        (Int64.of_int ((hi lsl 26) lor lo))
+    in
+    return (Int64.float_of_bits bits))
+
+let same_value f =
+  let a = R.of_float f and b = of_float_by_fields f in
+  R.equal a b && R.to_string a = R.to_string b
+
+let test_of_float_fields () =
+  List.iter
+    (fun f ->
+      Alcotest.(check bool) (Printf.sprintf "%h" f) true (same_value f))
+    [
+      1.; -1.; 0.75; 3.; 1024.; 0.1; Float.succ 0.; Float.pred Float.min_float;
+      Float.min_float; Float.max_float; -.Float.max_float; Float.epsilon;
+    ]
+
+let prop_of_float_fields =
+  QCheck.Test.make
+    ~name:"of_float is the reduced odd mantissa over a power of two"
+    ~count:500
+    (QCheck.make ~print:(Printf.sprintf "%h") any_double_gen)
+    (fun f -> f = 0. || same_value f)
+
+let rec int_gcd a b = if b = 0 then a else int_gcd b (a mod b)
+
+(* Pairs p = a g, q = b g within a few thousand of 2^30 (one limb on
+   one side of the boundary, two on the other) and of 2^60. The
+   reduced form must be (p/G)/(q/G) whether the gcd starts on native
+   ints (of_ints) or on four-limb values first cut down by long
+   division (the same fraction scaled by a 2^62-sized factor). *)
+let prop_gcd_paths_agree =
+  QCheck.Test.make ~name:"native and multi-limb gcd agree around 2^30 and 2^60"
+    ~count:500
+    QCheck.(
+      quad (int_range 1 4096) (int_range (-4000) 4000) (int_range (-4000) 4000)
+        bool)
+    (fun (g, da, db, big) ->
+      let around = if big then 1 lsl 60 else 1 lsl 30 in
+      let p = (around + da) / g * g and q = (around + db) / g * g in
+      let d = int_gcd p q in
+      let expected =
+        if q / d = 1 then string_of_int (p / d)
+        else Printf.sprintf "%d/%d" (p / d) (q / d)
+      in
+      let k = R.of_int ((1 lsl 61) + 12345) in
+      let scaled = R.div (R.mul (R.of_int p) k) (R.mul (R.of_int q) k) in
+      R.to_string (R.of_ints p q) = expected
+      && R.to_string scaled = expected)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "rat"
@@ -118,6 +203,8 @@ let () =
           Alcotest.test_case "basics" `Quick test_basics;
           Alcotest.test_case "big values" `Quick test_big_values;
           Alcotest.test_case "of_float edges" `Quick test_of_float_edges;
+          Alcotest.test_case "of_float from IEEE fields" `Quick
+            test_of_float_fields;
         ] );
       ( "properties",
         [
@@ -126,5 +213,7 @@ let () =
           qt prop_field_laws;
           qt prop_division_exact;
           qt prop_compare_consistent;
+          qt prop_of_float_fields;
+          qt prop_gcd_paths_agree;
         ] );
     ]
