@@ -906,162 +906,6 @@ let write_trace_json path =
     Format.printf "@.json report written to %s@." path
 
 (* ------------------------------------------------------------------ *)
-(* Metrics overhead: disabled guard vs live sampled registry            *)
-(* ------------------------------------------------------------------ *)
-
-type metrics_result = {
-  m_instance : string;
-  m_runs : int;
-  m_interval_s : float;
-  m_disabled_s : float;
-  m_enabled_s : float;
-  m_nodes : int;
-  m_snapshots : int;
-  m_guard_ns : float;
-  m_incr_ns : float;
-  m_observe_ns : float;
-}
-
-let metrics_result : metrics_result option ref = ref None
-
-let metrics_bench ~quick () =
-  section
-    "Metrics: cost of the Ilp.Metrics layer on a representative solve\n\
-     (mixer graph, N=3 L=1 C=100, sequential, deterministic tree; the\n\
-     disabled registry executes one predictable branch per site, the\n\
-     enabled run also carries a 50 ms background sampling domain)";
-  let reps = if quick then 3 else 5 in
-  let interval = 0.05 in
-  let spec = spec_of ~cap:100 (Ex.mixer ()) ~ams:(2, 2, 1) ~n:3 ~l:1 in
-  let solve_once metrics =
-    let vars = F.build ~options:F.tightened_options spec in
-    let t0 = Unix.gettimeofday () in
-    let report = Solver.solve ~metrics ~time_limit:!time_limit vars in
-    (Unix.gettimeofday () -. t0, report.Solver.stats.Ilp.Branch_bound.nodes)
-  in
-  let median xs =
-    let a = Array.of_list xs in
-    Array.sort compare a;
-    a.(Array.length a / 2)
-  in
-  (* interleave the two configurations: back-to-back pairs see the same
-     machine state, so the ratio is meaningful even when absolute times
-     drift between repetitions *)
-  ignore (solve_once Ilp.Metrics.disabled);
-  let disabled_times = ref [] in
-  let enabled_times = ref [] and nodes = ref 0 and snaps = ref 0 in
-  for _ = 1 to reps do
-    disabled_times := fst (solve_once Ilp.Metrics.disabled) :: !disabled_times;
-    let m = Ilp.Metrics.create () in
-    let count = ref 0 in
-    let smp =
-      Ilp.Metrics_export.start ~interval m ~on_sample:(fun _ -> incr count)
-    in
-    let s, n = solve_once m in
-    ignore (Ilp.Metrics_export.stop smp);
-    enabled_times := s :: !enabled_times;
-    nodes := n;
-    snaps := !count + 1
-  done;
-  let disabled = median !disabled_times in
-  let enabled = median !enabled_times in
-  (* per-site micro costs: the disabled guard is one pattern match on an
-     immediate, the live incr/observe bump a shard cell *)
-  let guard_iters = 50_000_000 in
-  let guard_ns =
-    let sh = Ilp.Metrics.null_shard in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to guard_iters do
-      if Ilp.Metrics.active (Sys.opaque_identity sh) then
-        Ilp.Metrics.incr sh Ilp.Metrics.C_lp_pivots
-    done;
-    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int guard_iters
-  in
-  let incr_iters = 50_000_000 in
-  let live = Ilp.Metrics.create () in
-  let incr_ns =
-    let sh = Ilp.Metrics.main live in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to incr_iters do
-      if Ilp.Metrics.active (Sys.opaque_identity sh) then
-        Ilp.Metrics.incr sh Ilp.Metrics.C_lp_pivots
-    done;
-    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int incr_iters
-  in
-  let observe_iters = 10_000_000 in
-  let observe_ns =
-    let sh = Ilp.Metrics.main live in
-    let t0 = Unix.gettimeofday () in
-    for i = 1 to observe_iters do
-      if Ilp.Metrics.active (Sys.opaque_identity sh) then
-        Ilp.Metrics.observe sh Ilp.Metrics.H_lp_seconds
-          (1e-6 *. float_of_int (i land 1023))
-    done;
-    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int observe_iters
-  in
-  let overhead = 100. *. ((enabled /. disabled) -. 1.) in
-  Format.printf " %-22s | %-10s | %-7s | %s@." "configuration" "runtime(s)"
-    "nodes" "snapshots";
-  Format.printf " %-22s | %-10.3f | %-7d | %s@." "metrics disabled" disabled
-    !nodes "-";
-  Format.printf " %-22s | %-10.3f | %-7d | %d@." "metrics + 50ms sampler"
-    enabled !nodes !snaps;
-  Format.printf "@.enabled sampling overhead: %+.1f%% wall-clock@." overhead;
-  Format.printf "disabled guard: %.1f ns/site@." guard_ns;
-  Format.printf "live incr: %.1f ns/site, live observe: %.1f ns/site@." incr_ns
-    observe_ns;
-  metrics_result :=
-    Some
-      {
-        m_instance = "mixer N=3 L=1 C=100";
-        m_runs = reps;
-        m_interval_s = interval;
-        m_disabled_s = disabled;
-        m_enabled_s = enabled;
-        m_nodes = !nodes;
-        m_snapshots = !snaps;
-        m_guard_ns = guard_ns;
-        m_incr_ns = incr_ns;
-        m_observe_ns = observe_ns;
-      }
-
-let write_metrics_json path =
-  match !metrics_result with
-  | None -> ()
-  | Some r ->
-    let oc = open_out path in
-    Printf.fprintf oc
-      "{\n\
-      \  \"host\": {\n\
-      \    \"cores\": %d,\n\
-      \    \"ocaml\": %S,\n\
-      \    \"word_size\": %d,\n\
-      \    \"os_type\": %S,\n\
-      \    \"backend\": \"sparse_lu\"\n\
-      \  },\n\
-      \  \"metrics\": {\n\
-      \    \"instance\": %S,\n\
-      \    \"runs\": %d,\n\
-      \    \"sampler_interval_s\": %.2f,\n\
-      \    \"disabled_median_s\": %.4f,\n\
-      \    \"enabled_median_s\": %.4f,\n\
-      \    \"enabled_overhead_pct\": %.2f,\n\
-      \    \"nodes\": %d,\n\
-      \    \"snapshots\": %d,\n\
-      \    \"guard_ns_per_site\": %.2f,\n\
-      \    \"incr_ns_per_site\": %.2f,\n\
-      \    \"observe_ns_per_site\": %.2f\n\
-      \  }\n\
-       }\n"
-      (Domain.recommended_domain_count ())
-      Sys.ocaml_version Sys.word_size Sys.os_type r.m_instance r.m_runs
-      r.m_interval_s r.m_disabled_s r.m_enabled_s
-      (100. *. ((r.m_enabled_s /. r.m_disabled_s) -. 1.))
-      r.m_nodes r.m_snapshots r.m_guard_ns r.m_incr_ns r.m_observe_ns;
-    close_out oc;
-    Format.printf "@.json report written to %s@." path
-
-(* ------------------------------------------------------------------ *)
 (* Lint: static analysis + formulation audit timings                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -1306,7 +1150,6 @@ let () =
   if want "parallel" then parallel ~quick ();
   if want "nodes" then nodes_bench ~quick ();
   if want "trace" then trace_bench ~quick ();
-  if want "metrics" then metrics_bench ~quick ();
   if want "certify" then certify_bench ~quick ();
   if want "lint" then lint ();
   if want "micro" then micro ();
@@ -1330,16 +1173,9 @@ let () =
         write_trace_json
           (if wrote_lp || wrote_parallel || wrote_nodes then sub "_trace"
            else path);
-      let wrote_metrics = !metrics_result <> None in
-      if wrote_metrics then
-        write_metrics_json
-          (if wrote_lp || wrote_parallel || wrote_nodes || wrote_trace then
-             sub "_metrics"
-           else path);
       if !cert_rows <> [] then
         write_certify_json
-          (if wrote_lp || wrote_parallel || wrote_nodes || wrote_trace
-              || wrote_metrics then
+          (if wrote_lp || wrote_parallel || wrote_nodes || wrote_trace then
              sub "_certify"
            else path))
     json_path;

@@ -422,8 +422,48 @@ let print_deductions (d : Ilp.Branch_bound.deduction_stats) =
       [ "prop-prunes"; string_of_int d.Ilp.Branch_bound.prop_prunes ];
       [ "prop-time"; Printf.sprintf "%.3fs" d.Ilp.Branch_bound.prop_seconds ];
       [ "hook-calls"; string_of_int d.Ilp.Branch_bound.hook_calls ];
+      [ "hook-give-ups"; string_of_int d.Ilp.Branch_bound.hook_give_ups ];
       [ "hook-time"; Printf.sprintf "%.3fs" d.Ilp.Branch_bound.hook_seconds ];
     ]
+
+(* Per-node LP distribution: all nodes, then each close reason. *)
+let print_node_lps (rows : Ilp.Metrics.node_lp_row array) =
+  if Array.length rows > 0 then begin
+    print_string "node-lps:\n";
+    print_table
+      ([ "reason"; "nodes"; "pivots"; "p50"; "p90"; "max"; "lp-time" ]
+      :: List.map
+           (fun (r : Ilp.Metrics.node_lp_row) ->
+             Ilp.Metrics.
+               [
+                 r.nl_reason;
+                 string_of_int r.nl_nodes;
+                 string_of_int r.nl_pivots;
+                 string_of_int r.nl_p50;
+                 string_of_int r.nl_p90;
+                 string_of_int r.nl_max;
+                 Printf.sprintf "%.3fs" r.nl_seconds;
+               ])
+           (Array.to_list rows))
+  end
+
+let json_of_node_lps (rows : Ilp.Metrics.node_lp_row array) =
+  let n x = Ilp.Json.Num (float_of_int x) in
+  Ilp.Json.Arr
+    (List.map
+       (fun (r : Ilp.Metrics.node_lp_row) ->
+         Ilp.Metrics.(
+           Ilp.Json.Obj
+             [
+               ("reason", Ilp.Json.Str r.nl_reason);
+               ("nodes", n r.nl_nodes);
+               ("pivots", n r.nl_pivots);
+               ("p50", n r.nl_p50);
+               ("p90", n r.nl_p90);
+               ("max", n r.nl_max);
+               ("seconds", Ilp.Json.Num r.nl_seconds);
+             ]))
+       (Array.to_list rows))
 
 let print_workers elapsed (workers : Ilp.Branch_bound.worker_stats array) =
   if Array.length workers > 0 then begin
@@ -472,7 +512,7 @@ let json_of_result ?certification ~time_limit result =
      %d, \"nodes\": %d, \"incumbents\": %d, \"max_depth\": %d, \
      \"deductions\": {\"rc_fixed\": %d, \"prop_fixings\": %d, \
      \"prop_prunes\": %d, \"prop_seconds\": %s, \"hook_calls\": %d, \
-     \"hook_seconds\": %s}, \
+     \"hook_give_ups\": %d, \"hook_seconds\": %s}, \"node_lps\": %s, \
      \"timeline\": %s, \"bound_timeline\": %s, \"elapsed\": %s, \
      \"time_limit\": %s, \"time_limit_hit\": %b%s}"
     outcome comm r.Temporal.Solver.vars r.Temporal.Solver.constrs
@@ -480,8 +520,9 @@ let json_of_result ?certification ~time_limit result =
     s.Ilp.Branch_bound.max_depth d.Ilp.Branch_bound.rc_fixed
     d.Ilp.Branch_bound.prop_fixings d.Ilp.Branch_bound.prop_prunes
     (Ilp.Json.to_string (Ilp.Json.Num d.Ilp.Branch_bound.prop_seconds))
-    d.Ilp.Branch_bound.hook_calls
+    d.Ilp.Branch_bound.hook_calls d.Ilp.Branch_bound.hook_give_ups
     (Ilp.Json.to_string (Ilp.Json.Num d.Ilp.Branch_bound.hook_seconds))
+    (Ilp.Json.to_string (json_of_node_lps s.Ilp.Branch_bound.node_lps))
     (Ilp.Json.to_string (Temporal.Report.incumbent_timeline s))
     (Ilp.Json.to_string (Temporal.Report.bound_timeline s))
     (Ilp.Json.to_string (Ilp.Json.Num s.Ilp.Branch_bound.elapsed))
@@ -520,19 +561,24 @@ let solve_cmd =
       | Some _ -> Ilp.Trace.create ()
       | None -> Ilp.Trace.disabled
     in
-    (* Any of the three telemetry outputs needs a live registry; the
-       sampler domain drives them all from the same snapshot stream. *)
+    (* Any of the three telemetry outputs needs the solve to count into
+       a registry of ours (it uses a private one otherwise); the sampler
+       thread drives them all from the same snapshot stream. *)
     let metrics =
       if metrics_out <> None || prometheus_out <> None || progress then
-        Ilp.Metrics.create ()
-      else Ilp.Metrics.disabled
+        Some (Ilp.Metrics.create ())
+      else None
     in
-    if Ilp.Metrics.enabled metrics && trace <> None then
-      (* Polled, not hot-path: the tracer's drop count only moves when a
-         ring buffer wraps, so it is published at snapshot time. *)
-      Ilp.Metrics.on_snapshot metrics (fun () ->
-          Ilp.Metrics.set_shared metrics Ilp.Metrics.C_trace_dropped_events
-            (Ilp.Trace.dropped tracer));
+    Option.iter
+      (fun m ->
+        if trace <> None then
+          (* Polled, not hot-path: the tracer's drop count only moves
+             when a ring buffer wraps, so it is published at snapshot
+             time. *)
+          Ilp.Metrics.on_snapshot m (fun () ->
+              Ilp.Metrics.set_shared m Ilp.Metrics.C_trace_dropped_events
+                (Ilp.Trace.dropped tracer)))
+      metrics;
     let metrics_oc = Option.map open_out metrics_out in
     let n_snapshots = ref 0 in
     let prev_snap = ref Ilp.Metrics.empty_snapshot in
@@ -553,18 +599,18 @@ let solve_cmd =
       else Printf.eprintf "%s\n%!" line
     in
     let sampler =
-      if Ilp.Metrics.enabled metrics then
-        Some
-          (Ilp.Metrics_export.start ~interval:metrics_interval metrics
-             ~on_sample:(fun snap ->
-               let snap = emit snap in
-               if progress then show_progress snap))
-      else None
+      Option.map
+        (fun m ->
+          Ilp.Metrics_export.start ~interval:metrics_interval m
+            ~on_sample:(fun snap ->
+              let snap = emit snap in
+              if progress then show_progress snap))
+        metrics
     in
     let result =
       Temporal.Pipeline.run ~options ~strategy ~time_limit
         ?num_partitions:partitions ~lint ~jobs ~deterministic ~rc_fixing
-        ~propagate ~certify ~tracer ~metrics ~graph:g
+        ~propagate ~certify ~tracer ?metrics ~graph:g
         ~allocation ?capacity ~alpha ~scratch ~latency_relax:latency ()
     in
     (* Stop sampling before any post-processing: the final snapshot is
@@ -631,6 +677,7 @@ let solve_cmd =
       Format.printf "lp-stats: %a@." Ilp.Simplex.pp_stats
         stats.Ilp.Branch_bound.lp_stats;
       print_deductions stats.Ilp.Branch_bound.deductions;
+      print_node_lps stats.Ilp.Branch_bound.node_lps;
       print_workers stats.Ilp.Branch_bound.elapsed
         stats.Ilp.Branch_bound.workers
     end;

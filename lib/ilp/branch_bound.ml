@@ -9,6 +9,7 @@ type hook_result =
   | Hook_incumbent of float array
   | Hook_prune
   | Hook_incumbent_and_prune of float array
+  | Hook_gave_up
 
 type certify_level = Cert_off | Cert_root | Cert_incumbents | Cert_all
 
@@ -29,7 +30,7 @@ type options = {
   propagate : bool;
   certify_level : certify_level;
   tracer : Trace.t;
-  metrics : Metrics.t;
+  metrics : Metrics.t option;
 }
 
 let default_options =
@@ -49,7 +50,7 @@ let default_options =
     propagate = false;
     certify_level = Cert_off;
     tracer = Trace.disabled;
-    metrics = Metrics.disabled;
+    metrics = None;
   }
 
 type outcome =
@@ -67,14 +68,16 @@ type worker_stats = {
   w_pivots : int;
 }
 
-let zero_worker =
+(* The stats records below are views of a {!Metrics} snapshot. *)
+let worker_of s =
+  let c = Metrics.counter_value s in
   {
-    w_nodes = 0;
-    w_incumbents = 0;
-    w_steals = 0;
-    w_handoffs = 0;
-    w_idle = 0.;
-    w_pivots = 0;
+    w_nodes = c C_nodes;
+    w_incumbents = c C_incumbents;
+    w_steals = c C_pool_steals;
+    w_handoffs = c C_pool_handoffs;
+    w_idle = Metrics.sum_value s S_pool_idle_seconds;
+    w_pivots = c C_lp_pivots;
   }
 
 let pp_worker_stats ppf w =
@@ -88,25 +91,30 @@ type deduction_stats = {
   prop_prunes : int;
   prop_seconds : float;
   hook_calls : int;
+  hook_give_ups : int;
   hook_seconds : float;
 }
 
-let empty_deductions =
+let deductions_of s =
+  let c = Metrics.counter_value s and f = Metrics.sum_value s in
   {
-    rc_fixed = 0;
-    prop_fixings = 0;
-    prop_prunes = 0;
-    prop_seconds = 0.;
-    hook_calls = 0;
-    hook_seconds = 0.;
+    rc_fixed = c C_rc_fixed;
+    prop_fixings = c C_prop_fixings;
+    prop_prunes = c C_prop_prunes;
+    prop_seconds = f S_prop_seconds;
+    hook_calls = c C_hook_calls;
+    hook_give_ups = c C_hook_give_ups;
+    hook_seconds = f S_hook_seconds;
   }
+
+let empty_deductions = deductions_of Metrics.empty_snapshot
 
 let pp_deductions ppf d =
   Format.fprintf ppf
     "rc_fixed=%d prop_fixings=%d prop_prunes=%d prop_time=%.3fs \
-     hook_calls=%d hook_time=%.3fs"
+     hook_calls=%d hook_give_ups=%d hook_time=%.3fs"
     d.rc_fixed d.prop_fixings d.prop_prunes d.prop_seconds d.hook_calls
-    d.hook_seconds
+    d.hook_give_ups d.hook_seconds
 
 type certification_stats = {
   cert_checked : int;
@@ -117,15 +125,33 @@ type certification_stats = {
   root_certificate : Certify.t option;
 }
 
-let empty_certification =
+let certification_of s root_certificate =
+  let c = Metrics.counter_value s in
   {
-    cert_checked = 0;
-    cert_certified = 0;
-    cert_refuted = 0;
-    cert_uncertifiable = 0;
-    cert_seconds = 0.;
-    root_certificate = None;
+    cert_checked = c C_cert_checked;
+    cert_certified = c C_certified_nodes;
+    cert_refuted = c C_cert_refuted;
+    cert_uncertifiable = c C_cert_uncertifiable;
+    cert_seconds = Metrics.sum_value s S_cert_seconds;
+    root_certificate;
   }
+
+let empty_certification = certification_of Metrics.empty_snapshot None
+
+(* One exact check's tallies, into the checking context's shard. *)
+let count_check sh (cert : Certify.t) dt =
+  Metrics.incr sh C_cert_checked;
+  Metrics.add_sum sh S_cert_seconds dt;
+  Metrics.incr sh
+    (match cert.verdict with
+     | Certify.Certified -> C_certified_nodes
+     | Certify.Refuted -> C_cert_refuted
+     | Certify.Uncertifiable -> C_cert_uncertifiable)
+
+let single_check cert ~seconds =
+  let sh = Metrics.make_shard () in
+  count_check sh cert seconds;
+  certification_of (Metrics.merge [ sh ]) (Some cert)
 
 let pp_certification ppf c =
   Format.fprintf ppf
@@ -147,6 +173,7 @@ type stats = {
   workers : worker_stats array;
   deductions : deduction_stats;
   certification : certification_stats;
+  node_lps : Metrics.node_lp_row array;
   timeline : (float * float * int * Trace.incumbent_source) array;
   bound_timeline : (float * float) array;
       (* (elapsed, best proven dual bound) of each improvement of the
@@ -163,10 +190,11 @@ let empty_stats =
     max_depth = 0;
     elapsed = 0.;
     root_obj = Float.nan;
-    lp_stats = Simplex.empty_stats;
+    lp_stats = Simplex.stats_of_snapshot Metrics.empty_snapshot;
     workers = [||];
     deductions = empty_deductions;
     certification = empty_certification;
+    node_lps = [||];
     timeline = [||];
     bound_timeline = [||];
   }
@@ -205,63 +233,13 @@ let pp_outcome ppf = function
   | Limit_reached { best = None; bound } ->
     Format.fprintf ppf "limit reached (no incumbent, bound = %g)" bound
 
-(* Node-deduction state shared by every search context of one solve.
-   The counters are atomics (workers bump them concurrently); the
-   propagation kernel is read-only after setup. The root reduced-cost
-   snapshot is only touched by the driver that owns the root arrays
-   (sequential search, or the seeding phase), before any worker domain
-   exists. *)
-type dstate = {
-  d_prop : Propagate.t option;  (* model rows, for node propagation *)
-  d_rc_fixed : int Atomic.t;
-  d_prop_fixings : int Atomic.t;
-  d_prop_prunes : int Atomic.t;
-  mutable d_root_rc : (float * float array) option;
-      (* root LP objective and reduced costs, for incumbent-driven
-         re-fixing of the root bounds *)
-  mutable d_rc_cutoff : float;  (* cutoff the root fixing last used *)
-}
-
-(* The time and hook-call figures are sums over the search contexts. *)
-let deduction_totals ded ~prop_seconds ~hook_calls ~hook_seconds =
-  {
-    rc_fixed = Atomic.get ded.d_rc_fixed;
-    prop_fixings = Atomic.get ded.d_prop_fixings;
-    prop_prunes = Atomic.get ded.d_prop_prunes;
-    prop_seconds;
-    hook_calls;
-    hook_seconds;
-  }
-
-(* Certification counters, bumped concurrently by workers. The root
-   certificate slot is only written while the root node is processed —
-   on the sequential driver or the seeding phase, before any worker
-   domain exists — and only read after every domain has joined. *)
-type cstate = {
-  c_checked : int Atomic.t;
-  c_certified : int Atomic.t;
-  c_refuted : int Atomic.t;
-  c_uncertifiable : int Atomic.t;
-  c_seconds : float Atomic.t;
-  mutable c_root : Certify.t option;
-}
-
-let rec add_seconds cs dt =
-  let cur = Atomic.get cs.c_seconds in
-  if not (Atomic.compare_and_set cs.c_seconds cur (cur +. dt)) then
-    add_seconds cs dt
-
-let certification_totals cs =
-  {
-    cert_checked = Atomic.get cs.c_checked;
-    cert_certified = Atomic.get cs.c_certified;
-    cert_refuted = Atomic.get cs.c_refuted;
-    cert_uncertifiable = Atomic.get cs.c_uncertifiable;
-    cert_seconds = Atomic.get cs.c_seconds;
-    root_certificate = cs.c_root;
-  }
-
-(* Problem data shared (read-only) by every search context. *)
+(* Problem data shared by every search context. The propagation kernel
+   is read-only after setup. The root reduced-cost snapshot and the
+   root certificate are only written by the driver that owns the root
+   (sequential search, or the seeding phase) before any worker domain
+   exists, and the certificate is only read after every domain joined.
+   Tallies live in the contexts' and engines' shards, registered with
+   [reg]. *)
 type env = {
   opts : options;
   lp : Lp.t;
@@ -272,8 +250,13 @@ type env = {
   root_ub : float array;
   t0 : float;
   deadline : float;  (* absolute [Mono] time; [infinity] when unlimited *)
-  ded : dstate;
-  cert : cstate;
+  reg : Metrics.t;  (* the caller's registry, or a private one *)
+  d_prop : Propagate.t option;  (* model rows, for node propagation *)
+  mutable d_root_rc : (float * float array) option;
+      (* root LP objective and reduced costs, for incumbent-driven
+         re-fixing of the root bounds *)
+  mutable d_rc_cutoff : float;  (* cutoff the root fixing last used *)
+  mutable root_cert : Certify.t option;
 }
 
 (* The shared incumbent. [best_obj] is read lock-free on the pruning
@@ -284,7 +267,6 @@ type incumbent = {
   best_obj : float Atomic.t;  (* [infinity] while no incumbent exists *)
   user_lock : Mutex.t;
   mutable best : (float * float array) option;
-  mutable n_incumbents : int;
   mutable timeline : (float * float * int * Trace.incumbent_source) list;
       (* (elapsed, objective, node id, source) of each improving
          install, newest first; guarded by [user_lock] *)
@@ -301,7 +283,6 @@ let new_incumbent () =
     best_obj = Atomic.make Float.infinity;
     user_lock = Mutex.create ();
     best = None;
-    n_incumbents = 0;
     timeline = [];
     bounds = [];
     last_bound = Float.neg_infinity;
@@ -321,7 +302,7 @@ type applied = {
 }
 
 (* One search context per driving domain: its own simplex engine, its
-   own push target, its own counters. [det] switches pruning to the
+   own push target, its own shard. [det] switches pruning to the
    context-local bound [local_best] so node counts cannot depend on
    cross-domain timing. *)
 type ctx = {
@@ -330,7 +311,7 @@ type ctx = {
   st : Simplex.state;
   push : node -> unit;
   tw : Trace.writer;  (* this context's single-writer trace buffer *)
-  msh : Metrics.shard;  (* this context's single-writer metrics shard *)
+  msh : Metrics.shard;  (* this context's tallies and node-LP samples *)
   det : bool;
   set_root : bool;  (* this context solves the root relaxation *)
   bump : unit -> int;  (* global node counter; returns the new total *)
@@ -347,16 +328,15 @@ type ctx = {
          reinstall (the engine is already there) *)
   mutable first_solve : bool;
   mutable local_best : float;
-  mutable k_nodes : int;
-  mutable k_incumbents : int;
   mutable k_max_depth : int;
   mutable k_root_obj : float;
-  mutable k_prop_seconds : float;  (* wall time inside [Propagate.run] *)
-  mutable k_hook_calls : int;
-  mutable k_hook_seconds : float;  (* wall time inside the node hook *)
 }
 
-let make_ctx env ~inc ~st ~push ~tw ~msh ~det ~set_root ~bump ~local_best =
+(* Call from the domain that drives the context: the engine and both
+   buffers belong to it. *)
+let make_ctx env ~inc ~push ~tw ~det ~set_root ~bump ~local_best =
+  let st = Simplex.create ~metrics:env.reg env.lp in
+  Simplex.set_trace st tw;
   (* The engine starts from the model's bounds; the root bounds may
      already be tightened by reduced-cost fixing (a worker built after
      the seeding phase), so the mirror and the engine start from them. *)
@@ -369,7 +349,7 @@ let make_ctx env ~inc ~st ~push ~tw ~msh ~det ~set_root ~bump ~local_best =
     st;
     push;
     tw;
-    msh;
+    msh = Metrics.make_shard ~registry:env.reg ();
     det;
     set_root;
     bump;
@@ -382,14 +362,12 @@ let make_ctx env ~inc ~st ~push ~tw ~msh ~det ~set_root ~bump ~local_best =
     last_basis = None;
     first_solve = true;
     local_best;
-    k_nodes = 0;
-    k_incumbents = 0;
     k_max_depth = 0;
     k_root_obj = Float.nan;
-    k_prop_seconds = 0.;
-    k_hook_calls = 0;
-    k_hook_seconds = 0.;
   }
+
+(* Is [ctx] processing the root node right now? *)
+let at_root ctx = ctx.set_root && Metrics.count ctx.msh C_nodes = 1
 
 (* Move the engine's bounds from the previously processed node's fix
    path to [fixes]: undo applied entries down to the two paths' common
@@ -451,14 +429,13 @@ let best_seen ctx =
    staleness is fine (a stale bound is a weaker, still-valid one), an
    optimistic bound is not. The racy [last_bound] pre-check keeps the
    no-progress case lock-free. *)
-let note_bound inc metrics ~t0 b =
+let note_bound inc env b =
   if Float.is_finite b && b > inc.last_bound +. 1e-9 then
     Mutex.protect inc.user_lock (fun () ->
         if b > inc.last_bound +. 1e-9 then begin
           inc.last_bound <- b;
-          inc.bounds <- (Mono.elapsed_since t0, b) :: inc.bounds;
-          if Metrics.enabled metrics then
-            Metrics.set_gauge metrics Metrics.G_best_bound b
+          inc.bounds <- (Mono.elapsed_since env.t0, b) :: inc.bounds;
+          Metrics.set_gauge env.reg G_best_bound b
         end)
 
 (* Pruning cutoff given the current incumbent ([infinity] when none —
@@ -505,13 +482,10 @@ let install ctx ~node_no ~source obj x ~callback =
   if improves then begin
     inc.best <- Some (obj, Array.copy x);
     Atomic.set inc.best_obj obj;
-    inc.n_incumbents <- inc.n_incumbents + 1;
     inc.timeline <-
       (Mono.elapsed_since ctx.env.t0, obj, node_no, source) :: inc.timeline;
-    if Metrics.active ctx.msh then
-      Metrics.incr ctx.msh Metrics.C_incumbents;
-    if Metrics.enabled ctx.env.opts.metrics then
-      Metrics.set_gauge ctx.env.opts.metrics Metrics.G_incumbent_obj obj;
+    Metrics.incr ctx.msh C_incumbents;
+    Metrics.set_gauge ctx.env.reg G_incumbent_obj obj;
     if Trace.active ctx.tw then
       Trace.emit ctx.tw (Trace.Incumbent { node = node_no; obj; source });
     if callback then
@@ -543,12 +517,10 @@ let accept_incumbent ?(locked = false) ?(source = Trace.Src_search) ctx
     if Feas_check.is_feasible ~tol:1e-5 ctx.env.lp x then begin
       if ctx.det && obj < ctx.local_best then ctx.local_best <- obj;
       if locked_install ~locked ctx ~node_no ~source obj x ~callback:true
-      then begin
-        ctx.k_incumbents <- ctx.k_incumbents + 1;
+      then
         Log.info (fun f ->
             f "incumbent %g at node %d depth %d (%s)" obj node_no depth
               (Trace.incumbent_source_name source))
-      end
     end
     else
       Log.warn (fun f ->
@@ -561,10 +533,9 @@ let accept_incumbent ?(locked = false) ?(source = Trace.Src_search) ctx
 let accept_loose ctx ~node_no obj x =
   if obj < best_seen ctx -. 1e-9 then begin
     if ctx.det && obj < ctx.local_best then ctx.local_best <- obj;
-    if
-      locked_install ctx ~node_no ~source:Trace.Src_search obj x
-        ~callback:false
-    then ctx.k_incumbents <- ctx.k_incumbents + 1
+    ignore
+      (locked_install ctx ~node_no ~source:Trace.Src_search obj x
+         ~callback:false)
   end
 
 (* Node hook: a problem-specific completion heuristic may inject a full
@@ -579,10 +550,13 @@ let run_hook ctx ~node_no ~depth x ~is_fixed =
     Mutex.protect ctx.inc.user_lock (fun () ->
         let t = Mono.now () in
         let r = hook ~lp_solution:x ~is_fixed in
-        ctx.k_hook_calls <- ctx.k_hook_calls + 1;
-        ctx.k_hook_seconds <- ctx.k_hook_seconds +. Mono.elapsed_since t;
+        Metrics.incr ctx.msh C_hook_calls;
+        Metrics.add_sum ctx.msh S_hook_seconds (Mono.elapsed_since t);
         match r with
         | Hook_none -> false
+        | Hook_gave_up ->
+          Metrics.incr ctx.msh C_hook_give_ups;
+          false
         | Hook_incumbent v ->
           accept_incumbent ~locked:true ~source:Trace.Src_hook ctx ~node_no
             ~depth v;
@@ -608,12 +582,12 @@ type step =
 let refix_root ctx =
   let env = ctx.env in
   if env.opts.rc_fixing then
-    match env.ded.d_root_rc with
+    match env.d_root_rc with
     | None -> ()
     | Some (robj, dj) ->
       let c = cutoff ctx in
-      if c < env.ded.d_rc_cutoff -. 1e-12 then begin
-        env.ded.d_rc_cutoff <- c;
+      if c < env.d_rc_cutoff -. 1e-12 then begin
+        env.d_rc_cutoff <- c;
         let fixed = ref [] in
         List.iter
           (fun j ->
@@ -640,7 +614,7 @@ let refix_root ctx =
               Simplex.set_var_bounds ctx.st j ~lb ~ub)
             !fixed;
           let n = List.length !fixed in
-          ignore (Atomic.fetch_and_add env.ded.d_rc_fixed n);
+          Metrics.add ctx.msh C_rc_fixed n;
           Log.debug (fun f -> f "root reduced-cost fixing: %d variables" n)
         end
       end
@@ -655,21 +629,12 @@ let certify_node ctx ~nno res =
   let snap = Simplex.snapshot ctx.st in
   let cert = Certify.check snap res in
   let dt = Mono.elapsed_since t in
-  let cs = ctx.env.cert in
-  Atomic.incr cs.c_checked;
-  add_seconds cs dt;
-  (match cert.Certify.verdict with
-   | Certify.Certified ->
-     Atomic.incr cs.c_certified;
-     if Metrics.active ctx.msh then
-       Metrics.incr ctx.msh Metrics.C_certified_nodes
-   | Certify.Refuted ->
-     Atomic.incr cs.c_refuted;
-     Log.warn (fun f ->
-         f "node %d LP verdict refuted by exact check: %s" nno
-           (Certify.describe cert))
-   | Certify.Uncertifiable -> Atomic.incr cs.c_uncertifiable);
-  if ctx.set_root && ctx.k_nodes = 1 then cs.c_root <- Some cert;
+  count_check ctx.msh cert dt;
+  if cert.Certify.verdict = Certify.Refuted then
+    Log.warn (fun f ->
+        f "node %d LP verdict refuted by exact check: %s" nno
+          (Certify.describe cert));
+  if at_root ctx then ctx.env.root_cert <- Some cert;
   if Trace.active ctx.tw then begin
     let verdict =
       match cert.Certify.verdict with
@@ -690,8 +655,7 @@ let process_node ctx node =
   let env = ctx.env in
   let opts = env.opts in
   let nno = ctx.bump () in
-  ctx.k_nodes <- ctx.k_nodes + 1;
-  if Metrics.active ctx.msh then Metrics.incr ctx.msh Metrics.C_nodes;
+  Metrics.incr ctx.msh C_nodes;
   if node.depth > ctx.k_max_depth then ctx.k_max_depth <- node.depth;
   if Trace.active ctx.tw then
     Trace.emit ctx.tw
@@ -702,9 +666,14 @@ let process_node ctx node =
            depth = node.depth;
            bound = node.n_bound;
          });
-  (* Every exit path below closes the node with its reason; [obj] is the
-     node LP objective, [nan] when the LP never produced one. *)
+  (* Every exit path below closes the node with its reason and records
+     its LP sample; [obj] is the node LP objective, [nan] when the LP
+     never produced one. *)
+  let pivots0 = Simplex.total_pivots ctx.st and lp_seconds = ref 0. in
   let close reason ~obj step =
+    Metrics.node_lp ctx.msh reason
+      ~pivots:(Simplex.total_pivots ctx.st - pivots0)
+      ~seconds:!lp_seconds;
     if Trace.active ctx.tw then
       Trace.emit ctx.tw (Trace.Node_close { id = nno; obj; reason });
     step
@@ -720,7 +689,7 @@ let process_node ctx node =
      scratch copies, so a conflicting run's partial writes need no
      undo; a conflict prunes the node outright. *)
   let propagation =
-    match env.ded.d_prop with
+    match env.d_prop with
     | Some prop -> (
       let seeds =
         if node.fresh = 0 then None
@@ -736,16 +705,11 @@ let process_node ctx node =
         Propagate.run prop ~lb:ctx.prop_lb ~ub:ctx.prop_ub ?seeds
           ~trace:ctx.tw ~metrics:ctx.msh ()
       in
-      ctx.k_prop_seconds <- ctx.k_prop_seconds +. Mono.elapsed_since t;
+      Metrics.add_sum ctx.msh S_prop_seconds (Mono.elapsed_since t);
       match out with
-      | Propagate.Ok d ->
-        if d.Propagate.fixes <> [] then
-          ignore
-            (Atomic.fetch_and_add env.ded.d_prop_fixings
-               (List.length d.Propagate.fixes));
-        Some d.Propagate.fixes
+      | Propagate.Ok d -> Some d.Propagate.fixes
       | Propagate.Empty_domain _ | Propagate.Conflict _ ->
-        Atomic.incr env.ded.d_prop_prunes;
+        Metrics.incr ctx.msh C_prop_prunes;
         None)
     | None -> Some []
   in
@@ -773,6 +737,7 @@ let process_node ctx node =
          ctx.first_solve <- true
        end
      | _ -> ());
+    let t_lp = Mono.now () in
     let res =
       if ctx.first_solve || not opts.warm_start then Simplex.primal ctx.st
       else Simplex.dual_reopt ctx.st
@@ -786,7 +751,8 @@ let process_node ctx node =
         Simplex.primal ctx.st
       | _ -> res
     in
-    if ctx.set_root && ctx.k_nodes = 1 then
+    lp_seconds := Mono.elapsed_since t_lp;
+    if at_root ctx then
       ctx.k_root_obj <-
         (match res.Simplex.status with
          | Simplex.Optimal -> res.Simplex.obj
@@ -796,15 +762,14 @@ let process_node ctx node =
     (match opts.certify_level with
      | Cert_off -> ()
      | Cert_all -> certify_node ctx ~nno res
-     | Cert_root ->
-       if ctx.set_root && ctx.k_nodes = 1 then certify_node ctx ~nno res
+     | Cert_root -> if at_root ctx then certify_node ctx ~nno res
      | Cert_incumbents ->
        let integral_opt =
          match res.Simplex.status with
          | Simplex.Optimal -> is_integral env res.Simplex.x
          | _ -> false
        in
-       if (ctx.set_root && ctx.k_nodes = 1) || integral_opt then
+       if at_root ctx || integral_opt then
          certify_node ctx ~nno res);
     (* A limit-hit relaxation is still usable when its residual norms
        certify the basic solution is primal and dual feasible within
@@ -878,10 +843,7 @@ let process_node ctx node =
                        acc := (j, ub.(j), ub.(j)) :: !acc
                    end)
                  env.int_vars;
-               if !acc <> [] then
-                 ignore
-                   (Atomic.fetch_and_add env.ded.d_rc_fixed
-                      (List.length !acc));
+               Metrics.add ctx.msh C_rc_fixed (List.length !acc);
                !acc
              end
              else []
@@ -895,7 +857,7 @@ let process_node ctx node =
            if
              opts.rc_fixing && ctx.set_root && node.fixes = []
              && Array.length res.Simplex.dj > 0
-           then env.ded.d_root_rc <- Some (obj, Array.copy res.Simplex.dj);
+           then env.d_root_rc <- Some (obj, Array.copy res.Simplex.dj);
            match choose_branch env x ~is_fixed with
            | None ->
              (* All integer variables integral within a looser tolerance
@@ -949,17 +911,6 @@ let process_node ctx node =
 
 let make_env options lp t0 =
   let n = Lp.num_vars lp in
-  let ded =
-    {
-      d_prop =
-        (if options.propagate then Some (Propagate.of_lp lp) else None);
-      d_rc_fixed = Atomic.make 0;
-      d_prop_fixings = Atomic.make 0;
-      d_prop_prunes = Atomic.make 0;
-      d_root_rc = None;
-      d_rc_cutoff = Float.infinity;
-    }
-  in
   {
     opts = options;
     lp;
@@ -971,16 +922,12 @@ let make_env options lp t0 =
     root_ub = Array.init n (fun j -> Lp.var_ub lp (Lp.var_of_int lp j));
     t0;
     deadline = t0 +. options.time_limit;
-    ded;
-    cert =
-      {
-        c_checked = Atomic.make 0;
-        c_certified = Atomic.make 0;
-        c_refuted = Atomic.make 0;
-        c_uncertifiable = Atomic.make 0;
-        c_seconds = Atomic.make 0.;
-        c_root = None;
-      };
+    reg =
+      (match options.metrics with Some r -> r | None -> Metrics.create ());
+    d_prop = (if options.propagate then Some (Propagate.of_lp lp) else None);
+    d_root_rc = None;
+    d_rc_cutoff = Float.infinity;
+    root_cert = None;
   }
 
 let finitize b = if Float.is_finite b then b else Float.neg_infinity
@@ -1004,17 +951,48 @@ let root_node =
     n_basis = None;
   }
 
+let shards ctx = [ ctx.msh; Simplex.shard ctx.st ]
+
+(* The statistics of a finished search: one snapshot of its contexts'
+   and engines' shards, taken after every worker joined. [driver] is
+   the context that solved the root; [workers] the worker contexts
+   ([None] for a worker that never ran). *)
+let finish env inc outcome ~driver ~workers =
+  note_bound inc env (outcome_bound outcome);
+  let ctxs = driver :: List.filter_map Fun.id (Array.to_list workers) in
+  let s = Metrics.merge (List.concat_map shards ctxs) in
+  let c = Metrics.counter_value s in
+  let fold f init = List.fold_left (fun acc ctx -> f acc ctx) init ctxs in
+  {
+    nodes = c C_nodes;
+    incumbents = c C_incumbents;
+    pivots = c C_lp_pivots;
+    max_depth = fold (fun d ctx -> Int.max d ctx.k_max_depth) 0;
+    elapsed = Mono.elapsed_since env.t0;
+    root_obj = driver.k_root_obj;
+    lp_stats =
+      Simplex.stats_of_snapshot
+        ~fill:(fold (fun m ctx -> Int.max m (Simplex.fill ctx.st)) 0)
+        s;
+    workers =
+      Array.map
+        (function
+          | Some w -> worker_of (Metrics.merge (shards w))
+          | None -> worker_of Metrics.empty_snapshot)
+        workers;
+    deductions = deductions_of s;
+    certification = certification_of s env.root_cert;
+    node_lps = Metrics.node_lp_table (List.map (fun ctx -> ctx.msh) ctxs);
+    timeline = Array.of_list (List.rev inc.timeline);
+    bound_timeline = Array.of_list (List.rev inc.bounds);
+  }
+
 (* ------------------------------------------------------------------ *)
 (* Sequential driver (jobs = 1). *)
 
 let solve_sequential env =
   let opts = env.opts in
-  let st = Simplex.create env.lp in
   let tw = Trace.main opts.tracer in
-  Simplex.set_trace st tw;
-  let msh = Metrics.main opts.metrics in
-  Simplex.set_metrics st msh;
-  let pivots0 = Simplex.total_pivots st in
   let inc = new_incumbent () in
   let nodes = ref 0 in
   let stack : node list ref = ref [] in
@@ -1032,7 +1010,7 @@ let solve_sequential env =
       !stack
   in
   let ctx =
-    make_ctx env ~inc ~st ~push ~tw ~msh ~det:false ~set_root:true
+    make_ctx env ~inc ~push ~tw ~det:false ~set_root:true
       ~bump:(fun () ->
         incr nodes;
         !nodes)
@@ -1044,11 +1022,10 @@ let solve_sequential env =
      returns, so a later snapshot cannot clobber gauges the caller
      publishes from the outcome. *)
   let polling = ref true in
-  if Metrics.enabled opts.metrics then
-    Metrics.on_snapshot opts.metrics (fun () ->
-        if !polling then
-          Metrics.set_gauge opts.metrics Metrics.G_open_nodes
-            (Float.of_int (List.length !stack)));
+  Metrics.on_snapshot env.reg (fun () ->
+      if !polling then
+        Metrics.set_gauge env.reg G_open_nodes
+          (Float.of_int (List.length !stack)));
   push root_node;
   if Trace.active tw then Trace.emit tw (Trace.Span_begin "search");
   let result = ref None in
@@ -1072,8 +1049,7 @@ let solve_sequential env =
          bound is the min over the remaining frontier and this node.
          [open_bound] walks the frontier, so sample on a cadence. *)
       if !nodes land 31 = 0 then
-        note_bound inc opts.metrics ~t0:env.t0
-          (Float.min (open_bound ()) node.n_bound);
+        note_bound inc env (Float.min (open_bound ()) node.n_bound);
       if !nodes >= opts.max_nodes || Mono.now () > env.deadline then
         result := Some (limit node)
       else if node.n_bound >= cutoff ctx then () (* pruned by bound *)
@@ -1088,56 +1064,21 @@ let solve_sequential env =
   if Trace.active tw then Trace.emit tw (Trace.Span_end "search");
   polling := false;
   let outcome = Option.get !result in
-  note_bound inc opts.metrics ~t0:env.t0 (outcome_bound outcome);
-  let stats =
-    {
-      nodes = !nodes;
-      incumbents = inc.n_incumbents;
-      pivots = Simplex.total_pivots st - pivots0;
-      max_depth = ctx.k_max_depth;
-      elapsed = Mono.elapsed_since env.t0;
-      root_obj = ctx.k_root_obj;
-      lp_stats = Simplex.stats st;
-      workers = [||];
-      deductions =
-        deduction_totals env.ded ~prop_seconds:ctx.k_prop_seconds
-          ~hook_calls:ctx.k_hook_calls ~hook_seconds:ctx.k_hook_seconds;
-      certification = certification_totals env.cert;
-      timeline = Array.of_list (List.rev inc.timeline);
-      bound_timeline = Array.of_list (List.rev inc.bounds);
-    }
-  in
-  (outcome, stats)
+  (outcome, finish env inc outcome ~driver:ctx ~workers:[||])
 
 (* ------------------------------------------------------------------ *)
 (* Parallel driver (jobs > 1). Phase 1 seeds a frontier sequentially on
-   the caller's engine; phase 2 spawns one domain per worker, each with
-   its own simplex engine, running depth-first on a private deque and
-   donating shallow subtrees through the shared pool when it runs
-   hungry. Deterministic mode skips the pool: seeds are dealt
-   round-robin and pruning uses only context-local bounds, so node
-   counts cannot depend on cross-domain timing. *)
-
-type wret = {
-  r_ws : worker_stats;
-  r_lp : Simplex.stats;
-  r_piv : int;
-  r_maxd : int;
-  r_prop_s : float;
-  r_hook_calls : int;
-  r_hook_s : float;
-  r_open : float;  (* min bound over this worker's leftover open nodes *)
-}
+   the caller's domain; phase 2 spawns one domain per worker, each with
+   its own search context and simplex engine, running depth-first on a
+   private deque and donating shallow subtrees through the shared pool
+   when it runs hungry. Deterministic mode skips the pool: seeds are
+   dealt round-robin and pruning uses only context-local bounds, so
+   node counts cannot depend on cross-domain timing. *)
 
 let solve_parallel env =
   let opts = env.opts in
   let jobs = opts.jobs in
-  let st0 = Simplex.create env.lp in
   let tw0 = Trace.main opts.tracer in
-  Simplex.set_trace st0 tw0;
-  let msh0 = Metrics.main opts.metrics in
-  Simplex.set_metrics st0 msh0;
-  let pivots0 = Simplex.total_pivots st0 in
   let inc = new_incumbent () in
   let nodes = Atomic.make 0 in
   let bump () = Atomic.fetch_and_add nodes 1 + 1 in
@@ -1150,10 +1091,9 @@ let solve_parallel env =
   (* Phase 1: depth-first seeding until the frontier can feed the crew. *)
   let seed_dq : node Pool.Deque.t = Pool.Deque.create () in
   let seed_ctx =
-    make_ctx env ~inc ~st:st0
+    make_ctx env ~inc
       ~push:(fun nd -> Pool.Deque.push seed_dq nd)
-      ~tw:tw0 ~msh:msh0 ~det:false ~set_root:true ~bump
-      ~local_best:Float.infinity
+      ~tw:tw0 ~det:false ~set_root:true ~bump ~local_best:Float.infinity
   in
   Pool.Deque.push seed_dq root_node;
   if Trace.active tw0 then Trace.emit tw0 (Trace.Span_begin "seed");
@@ -1165,7 +1105,7 @@ let solve_parallel env =
   let seed_cap = 8 * jobs in
   while
     Atomic.get stop_flag = 0
-    && seed_ctx.k_nodes < seed_cap
+    && Metrics.count seed_ctx.msh C_nodes < seed_cap
     &&
     let l = Pool.Deque.length seed_dq in
     l > 0 && l < target
@@ -1205,13 +1145,15 @@ let solve_parallel env =
   (* Worker deques are allocated on the spawning domain so the metrics
      poll below can sample their lengths; each deque is still written
      only by its worker. [mirrors.(wi)] is worker [wi]'s published lower
-     bound on everything it holds (deque + node in hand): refreshed at
-     the top of [handle] — children pushed later bound at least the
-     processed node's objective, so the published value stays valid (if
+     bound on everything it holds (deque + node in hand), kept only when
+     the caller's registry may be sampled: refreshed at the top of
+     [handle] — children pushed later bound at least the processed
+     node's objective, so the published value stays valid (if
      stale-low) until the next refresh. Deterministic mode deals seeds
      before the workers start, so mirrors begin at each deal's min;
      pool-fed workers start empty ([infinity] — the pool fold covers
      the seeds). *)
+  let sampled = Option.is_some opts.metrics in
   let locals = Array.init jobs (fun _ -> Pool.Deque.create ()) in
   let deal wi =
     if opts.deterministic then List.filteri (fun i _ -> i mod jobs = wi) seeds
@@ -1232,58 +1174,45 @@ let solve_parallel env =
      entry (from the outcome) is authoritative. [polling] fences the
      closures off once the solve returns. *)
   let polling = ref true in
-  if Metrics.enabled opts.metrics then
-    Metrics.on_snapshot opts.metrics (fun () ->
-        if !polling then begin
-          let in_pool = match pool with Some p -> Pool.queued p | None -> 0 in
-          let open_n =
-            Array.fold_left
-              (fun acc d -> acc + Pool.Deque.length d)
-              in_pool locals
-          in
-          Metrics.set_gauge opts.metrics Metrics.G_open_nodes
-            (Float.of_int open_n);
-          if Option.is_some pool then
-            Metrics.set_gauge opts.metrics Metrics.G_pool_depth
-              (Float.of_int in_pool);
-          let b =
-            Array.fold_left
-              (fun acc m -> Float.min acc (Atomic.get m))
-              Float.infinity mirrors
-          in
-          let b =
-            match pool with
-            | Some p ->
-              Pool.fold
-                (fun acc (nd : node) -> Float.min acc nd.n_bound)
-                b p
-            | None -> b
-          in
-          note_bound inc opts.metrics ~t0:env.t0 b
-        end);
+  Metrics.on_snapshot env.reg (fun () ->
+      if !polling then begin
+        let in_pool = match pool with Some p -> Pool.queued p | None -> 0 in
+        let open_n =
+          Array.fold_left (fun acc d -> acc + Pool.Deque.length d) in_pool locals
+        in
+        Metrics.set_gauge env.reg G_open_nodes (Float.of_int open_n);
+        if Option.is_some pool then
+          Metrics.set_gauge env.reg G_pool_depth (Float.of_int in_pool);
+        let b =
+          Array.fold_left
+            (fun acc m -> Float.min acc (Atomic.get m))
+            Float.infinity mirrors
+        in
+        let b =
+          match pool with
+          | Some p ->
+            Pool.fold (fun acc (nd : node) -> Float.min acc nd.n_bound) b p
+          | None -> b
+        in
+        note_bound inc env b
+      end);
   let worker wi () =
     let my_seeds = deal wi in
     let local : node Pool.Deque.t = locals.(wi) in
     List.iter (Pool.Deque.push local) (List.rev my_seeds);
-    let st = Simplex.create env.lp in
     (* Registered from inside the spawned domain: this domain is the
-       buffer's single writer for the whole search. *)
-    let tw =
-      Trace.make_writer opts.tracer (Printf.sprintf "worker %d" wi)
-    in
-    Simplex.set_trace st tw;
-    let msh = Metrics.make_shard opts.metrics in
-    Simplex.set_metrics st msh;
-    let steals = ref 0 and handoffs = ref 0 and idle = ref 0. in
+       buffers' single writer for the whole search. *)
+    let tw = Trace.make_writer opts.tracer (Printf.sprintf "worker %d" wi) in
     let ctx =
-      make_ctx env ~inc ~st
+      make_ctx env ~inc
         ~push:(fun nd -> Pool.Deque.push local nd)
-        ~tw ~msh ~det:opts.deterministic ~set_root:false ~bump
+        ~tw ~det:opts.deterministic ~set_root:false ~bump
         ~local_best:
           (if opts.deterministic then det_best0 else Float.infinity)
     in
+    let msh = ctx.msh in
     let handle node =
-      if Metrics.active msh then
+      if sampled then
         Atomic.set mirrors.(wi)
           (Pool.Deque.fold
              (fun acc (nd : node) -> Float.min acc nd.n_bound)
@@ -1300,17 +1229,14 @@ let solve_parallel env =
         | Step_ok -> (
           match pool with
           | Some p when Pool.Deque.length local > 1 ->
-            if Metrics.active msh then
-              Metrics.incr msh Metrics.C_pool_hungry_polls;
+            Metrics.incr msh C_pool_hungry_polls;
             if Pool.hungry p then (
               (* donate the bottom of the deque: the shallowest,
                  largest open subtree this worker holds *)
               match Pool.Deque.pop_bottom local with
               | Some nd ->
                 Pool.push p nd;
-                incr handoffs;
-                if Metrics.active msh then
-                  Metrics.incr msh Metrics.C_pool_handoffs
+                Metrics.incr msh C_pool_handoffs
               | None -> ())
           | _ -> ())
         | Step_unbounded ->
@@ -1333,20 +1259,17 @@ let solve_parallel env =
           | None -> () (* deterministic: private work is all there is *)
           | Some p -> (
             (* Nothing held locally while blocked in [take]. *)
-            if Metrics.active msh then
-              Atomic.set mirrors.(wi) Float.infinity;
+            if sampled then Atomic.set mirrors.(wi) Float.infinity;
             let t = Mono.now () in
-            match Pool.take p with
-            | None -> idle := !idle +. Mono.elapsed_since t
+            let taken = Pool.take p in
+            Metrics.add_sum msh S_pool_idle_seconds (Mono.elapsed_since t);
+            match taken with
+            | None -> ()
             | Some node ->
               (* Publish the stolen node's bound before anything else:
                  it left the pool's fold when [take] removed it. *)
-              if Metrics.active msh then
-                Atomic.set mirrors.(wi) node.n_bound;
-              idle := !idle +. Mono.elapsed_since t;
-              incr steals;
-              if Metrics.active msh then
-                Metrics.incr msh Metrics.C_pool_steals;
+              if sampled then Atomic.set mirrors.(wi) node.n_bound;
+              Metrics.incr msh C_pool_steals;
               handle node;
               drive ()))
     in
@@ -1357,46 +1280,15 @@ let solve_parallel env =
        flag_stop 3;
        Option.iter Pool.stop pool);
     if Trace.active tw then Trace.emit tw (Trace.Span_end "worker");
-    let r_open =
-      Pool.Deque.fold (fun acc nd -> Float.min acc nd.n_bound) Float.infinity local
-    in
-    {
-      r_ws =
-        {
-          w_nodes = ctx.k_nodes;
-          w_incumbents = ctx.k_incumbents;
-          w_steals = !steals;
-          w_handoffs = !handoffs;
-          w_idle = !idle;
-          w_pivots = Simplex.total_pivots st;
-        };
-      r_lp = Simplex.stats st;
-      r_piv = Simplex.total_pivots st;
-      r_maxd = ctx.k_max_depth;
-      r_prop_s = ctx.k_prop_seconds;
-      r_hook_calls = ctx.k_hook_calls;
-      r_hook_s = ctx.k_hook_seconds;
-      r_open;
-    }
+    ( ctx,
+      Pool.Deque.fold (fun acc nd -> Float.min acc nd.n_bound) Float.infinity
+        local )
   in
   let rets =
-    if spawn_workers then begin
-      let domains = Array.init jobs (fun wi -> Domain.spawn (worker wi)) in
-      Array.map Domain.join domains
-    end
-    else
-      (* the search ended (or hit a limit) during seeding *)
-      Array.init jobs (fun _ ->
-          {
-            r_ws = zero_worker;
-            r_lp = Simplex.empty_stats;
-            r_piv = 0;
-            r_maxd = 0;
-            r_prop_s = 0.;
-            r_hook_calls = 0;
-            r_hook_s = 0.;
-            r_open = Float.infinity;
-          })
+    if spawn_workers then
+      Array.map Domain.join
+        (Array.init jobs (fun wi -> Domain.spawn (worker wi)))
+    else [||] (* the search ended (or hit a limit) during seeding *)
   in
   (match Atomic.get failure with Some e -> raise e | None -> ());
   (* Best bound over everything still open: leftover pool items, the
@@ -1412,30 +1304,7 @@ let solve_parallel env =
      if not spawn_workers then
        open_acc :=
          Pool.Deque.fold (fun acc nd -> Float.min acc nd.n_bound) !open_acc seed_dq);
-  Array.iter (fun r -> open_acc := Float.min !open_acc r.r_open) rets;
-  let lp_stats =
-    Array.fold_left
-      (fun acc r -> Simplex.add_stats acc r.r_lp)
-      (Simplex.stats st0) rets
-  in
-  let pivots =
-    Array.fold_left
-      (fun acc r -> acc + r.r_piv)
-      (Simplex.total_pivots st0 - pivots0)
-      rets
-  in
-  let max_depth =
-    Array.fold_left (fun acc r -> Int.max acc r.r_maxd) seed_ctx.k_max_depth
-      rets
-  in
-  let sum init f = Array.fold_left (fun acc r -> acc +. f r) init rets in
-  let prop_seconds = sum seed_ctx.k_prop_seconds (fun r -> r.r_prop_s) in
-  let hook_seconds = sum seed_ctx.k_hook_seconds (fun r -> r.r_hook_s) in
-  let hook_calls =
-    Array.fold_left
-      (fun acc r -> acc + r.r_hook_calls)
-      seed_ctx.k_hook_calls rets
-  in
+  Array.iter (fun (_, o) -> open_acc := Float.min !open_acc o) rets;
   let outcome =
     match Atomic.get stop_flag with
     | 2 -> Unbounded
@@ -1447,32 +1316,15 @@ let solve_parallel env =
       Limit_reached { best = inc.best; bound = finitize !open_acc }
   in
   polling := false;
-  note_bound inc opts.metrics ~t0:env.t0 (outcome_bound outcome);
-  let stats =
-    {
-      nodes = Atomic.get nodes;
-      incumbents = inc.n_incumbents;
-      pivots;
-      max_depth;
-      elapsed = Mono.elapsed_since env.t0;
-      root_obj = seed_ctx.k_root_obj;
-      lp_stats;
-      workers = Array.map (fun r -> r.r_ws) rets;
-      deductions =
-        deduction_totals env.ded ~prop_seconds ~hook_calls ~hook_seconds;
-      certification = certification_totals env.cert;
-      timeline = Array.of_list (List.rev inc.timeline);
-      bound_timeline = Array.of_list (List.rev inc.bounds);
-    }
+  let workers =
+    if spawn_workers then Array.map (fun (w, _) -> Some w) rets
+    else Array.make jobs None
   in
-  (outcome, stats)
+  (outcome, finish env inc outcome ~driver:seed_ctx ~workers)
 
 let solve ?(options = default_options) lp =
   if options.jobs < 1 then invalid_arg "Branch_bound.solve: jobs < 1";
   if options.check_model then Analyze.assert_clean lp;
-  let t0 = Mono.now () in
-  if Metrics.enabled options.metrics then
-    Metrics.set_gauge options.metrics Metrics.G_workers
-      (Float.of_int options.jobs);
-  let env = make_env options lp t0 in
+  let env = make_env options lp (Mono.now ()) in
+  Metrics.set_gauge env.reg G_workers (Float.of_int options.jobs);
   if options.jobs = 1 then solve_sequential env else solve_parallel env

@@ -29,6 +29,11 @@ type hook_result =
           re-verified against the model before acceptance). *)
   | Hook_prune  (** Discard this subtree: no better solution lies below. *)
   | Hook_incumbent_and_prune of float array
+  | Hook_gave_up
+      (** The hook could not decide within its budget or deadline. Acts
+          like [Hook_none], and is counted in
+          {!deduction_stats.hook_give_ups}, so a hook that degrades
+          never does so silently. *)
 
 type certify_level =
   | Cert_off  (** No exact checking (default). *)
@@ -138,20 +143,21 @@ type options = {
           registers its own ["worker i"] track from inside its domain.
           Collect with {!Trace.collect} after {!solve} returns and
           export through {!Trace_export}. *)
-  metrics : Metrics.t;
-      (** Live metrics registry (default {!Metrics.disabled}, costing
-          one branch per instrumentation site). When enabled, the
-          search counts nodes, incumbents, certified verdicts, LP
-          solves/pivots/flips, hyper-sparse solve rates,
-          (re)factorizations, propagation activity and pool traffic into per-domain single-writer shards — the
-          sequential driver and the seeding phase write the registry's
-          main shard, each worker registers its own from inside its
-          domain — and publishes gauges (open nodes, pool depth, best
-          dual bound, incumbent objective, worker count) for the
-          snapshot poller. The final {!Metrics.snapshot} after {!solve}
-          returns agrees exactly with {!stats}: node, pivot and
-          factorization totals are equal. Enabling metrics also drives
-          the sampled part of {!stats.bound_timeline} for [jobs > 1]. *)
+  metrics : Metrics.t option;
+      (** A registry to count into (default [None]: the solve uses a
+          private one). Every tally of the search — nodes, incumbents,
+          LP work, deductions, hook calls, certification, pool traffic
+          — is written once, into the per-domain single-writer shard of
+          the search context or simplex engine that did the work: the
+          sequential driver, the seeding phase and each worker (from
+          inside its domain) own one context and one engine each. The
+          solve also publishes gauges (open nodes, pool depth, best
+          dual bound, incumbent objective, worker count) for a snapshot
+          poller. {!stats} is a view of one snapshot of the solve's
+          shards taken after the workers joined, so with a registry of
+          its own the caller's final {!Metrics.snapshot} equals it
+          exactly. A caller's registry also drives the sampled part of
+          {!stats.bound_timeline} for [jobs > 1]. *)
 }
 
 val default_options : options
@@ -175,6 +181,7 @@ type worker_stats = {
   w_idle : float;  (** Seconds spent blocked waiting for work. *)
   w_pivots : int;  (** Simplex pivots on this worker's engine. *)
 }
+(** A view of the worker's context and engine shards. *)
 
 val pp_worker_stats : Format.formatter -> worker_stats -> unit
 (** One-line [key=value] rendering. *)
@@ -190,6 +197,7 @@ type deduction_stats = {
   hook_calls : int;
       (** Calls of [options.node_hook], summed over the search contexts
           like [prop_seconds]. *)
+  hook_give_ups : int;  (** Of those, calls that returned {!Hook_gave_up}. *)
   hook_seconds : float;
       (** Wall-clock seconds spent inside [options.node_hook], timed
           under the lock that serializes hook calls (waiting for the
@@ -220,6 +228,11 @@ type certification_stats = {
 
 val empty_certification : certification_stats
 
+val single_check : Certify.t -> seconds:float -> certification_stats
+(** The statistics of one exact check taken outside the search (e.g.
+    of a model presolve proved infeasible), counted like the search
+    counts its own. *)
+
 val pp_certification : Format.formatter -> certification_stats -> unit
 (** One-line [key=value] rendering ([time=] in seconds) plus the root
     verdict when kept. *)
@@ -235,7 +248,8 @@ type stats = {
       (** LP-engine counters accumulated over every node relaxation
           (factorizations, eta updates, refactorization triggers,
           FTRAN/BTRAN time); summed across the seeding engine and every
-          worker engine when [jobs > 1]. *)
+          worker engine when [jobs > 1], where [fill] is the largest
+          engine's. *)
   workers : worker_stats array;
       (** One row per worker domain when [jobs > 1] (all-zero rows when
           the search already finished during sequential seeding); empty
@@ -246,6 +260,13 @@ type stats = {
   certification : certification_stats;
       (** Exact-certification counters (all zero, no certificate, when
           [certify_level = Cert_off]). *)
+  node_lps : Metrics.node_lp_row array;
+      (** The per-node LP distribution: for all nodes, then for each
+          close reason that occurred, the node count, pivot sum,
+          nearest-rank p50/p90/max of per-node pivots and LP seconds
+          ({!Metrics.node_lp_table}). A node's pivots and seconds cover
+          its LP solves only (a pivot-limit restart included); a node
+          pruned by propagation records zero. *)
   timeline : (float * float * int * Trace.incumbent_source) array;
       (** The incumbent timeline: one [(elapsed seconds, objective,
           node id, source)] entry per improving incumbent, in

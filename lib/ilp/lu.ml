@@ -581,7 +581,7 @@ let transpose m start idx ptr steps =
   done;
   steps
 
-let refactor ?(trace = Trace.null_writer) ?(metrics = Metrics.null_shard) lu
+let refactor ?(trace = Trace.null_writer) ?metrics lu
     (a : Sparse.Csc.mat) (basis : int array) =
   check_owner lu "refactor";
   let t_start = if Trace.active trace then Mono.now () else 0. in
@@ -602,8 +602,9 @@ let refactor ?(trace = Trace.null_writer) ?(metrics = Metrics.null_shard) lu
     Trace.emit trace
       (Trace.Lu_factor
          { m; fill = lu.fill; probes = w.probes; dt = Mono.now () -. t_start });
-  if Metrics.active metrics then
-    Metrics.add metrics Metrics.C_lu_probes w.probes;
+  (match metrics with
+   | Some sh -> Metrics.add sh Metrics.C_lu_probes w.probes
+   | None -> ());
   (* Inverse permutations and transposed dependency lists. *)
   for k = 0 to m - 1 do
     lu.step_of_row.(lu.lp_row.(k)) <- k;

@@ -56,7 +56,7 @@ val factor :
     [Invalid_argument] when [a]'s row dimension differs from [m].
     When [trace] is an active writer a {!Trace.Lu_factor} event (basis
     dimension, fill, pivot-search probes, wall time) is emitted on
-    completion; when [metrics] is an active shard the probe count is
+    completion; when a [metrics] shard is given the probe count is
     added to {!Metrics.C_lu_probes}. Equivalent to {!refactor} into a
     fresh {!create}[ m]. *)
 

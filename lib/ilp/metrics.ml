@@ -1,140 +1,163 @@
 type counter =
   | C_nodes
   | C_incumbents
-  | C_certified_nodes
   | C_lp_solves
   | C_lp_pivots
   | C_lp_bound_flips
   | C_lp_dual_stalls
   | C_lp_primal_restarts
   | C_lp_cold_primal
+  | C_lp_singular_restarts
+  | C_lp_basis_installs
+  | C_lp_install_fallbacks
   | C_ftran_solves
   | C_ftran_hyper
   | C_btran_solves
   | C_btran_hyper
   | C_lu_factorizations
-  | C_lu_refactorizations
+  | C_lu_refactor_eta
+  | C_lu_refactor_numeric
+  | C_lu_refactor_residual
+  | C_lu_etas
   | C_lu_probes
+  | C_gc_compactions
   | C_prop_runs
   | C_prop_fixings
+  | C_prop_prunes
+  | C_rc_fixed
+  | C_hook_calls
+  | C_hook_give_ups
+  | C_cert_checked
+  | C_certified_nodes
+  | C_cert_refuted
+  | C_cert_uncertifiable
   | C_pool_steals
   | C_pool_handoffs
   | C_pool_hungry_polls
   | C_trace_dropped_events
 
+type sum =
+  | S_ftran_seconds
+  | S_btran_seconds
+  | S_update_seconds
+  | S_gc_minor_words
+  | S_gc_major_words
+  | S_prop_seconds
+  | S_hook_seconds
+  | S_cert_seconds
+  | S_pool_idle_seconds
+
 type gauge = G_open_nodes | G_best_bound | G_incumbent_obj | G_pool_depth | G_workers
 
 type histogram = H_factor_seconds | H_lp_seconds
 
-let counter_name = function
-  | C_nodes -> "nodes"
-  | C_incumbents -> "incumbents"
-  | C_certified_nodes -> "certified_nodes"
-  | C_lp_solves -> "lp_solves"
-  | C_lp_pivots -> "lp_pivots"
-  | C_lp_bound_flips -> "lp_bound_flips"
-  | C_lp_dual_stalls -> "lp_dual_stalls"
-  | C_lp_primal_restarts -> "lp_primal_restarts"
-  | C_lp_cold_primal -> "lp_cold_primal"
-  | C_ftran_solves -> "ftran_solves"
-  | C_ftran_hyper -> "ftran_hyper"
-  | C_btran_solves -> "btran_solves"
-  | C_btran_hyper -> "btran_hyper"
-  | C_lu_factorizations -> "lu_factorizations"
-  | C_lu_refactorizations -> "lu_refactorizations"
-  | C_lu_probes -> "lu_probes"
-  | C_prop_runs -> "prop_runs"
-  | C_prop_fixings -> "prop_fixings"
-  | C_pool_steals -> "pool_steals"
-  | C_pool_handoffs -> "pool_handoffs"
-  | C_pool_hungry_polls -> "pool_hungry_polls"
-  | C_trace_dropped_events -> "trace_dropped_events"
-
-let gauge_name = function
-  | G_open_nodes -> "open_nodes"
-  | G_best_bound -> "best_bound"
-  | G_incumbent_obj -> "incumbent_obj"
-  | G_pool_depth -> "pool_depth"
-  | G_workers -> "workers"
-
-let histogram_name = function
-  | H_factor_seconds -> "factor_seconds"
-  | H_lp_seconds -> "lp_seconds"
-
-let all_counters =
+(* Each family is one table of (constructor, name) in declaration
+   order; the [all_*] arrays and the names are read off it. A constant
+   constructor is represented by its declaration index, which is
+   therefore its position in the table — checked once at start-up. *)
+let counter_table =
   [|
-    C_nodes;
-    C_incumbents;
-    C_certified_nodes;
-    C_lp_solves;
-    C_lp_pivots;
-    C_lp_bound_flips;
-    C_lp_dual_stalls;
-    C_lp_primal_restarts;
-    C_lp_cold_primal;
-    C_ftran_solves;
-    C_ftran_hyper;
-    C_btran_solves;
-    C_btran_hyper;
-    C_lu_factorizations;
-    C_lu_refactorizations;
-    C_lu_probes;
-    C_prop_runs;
-    C_prop_fixings;
-    C_pool_steals;
-    C_pool_handoffs;
-    C_pool_hungry_polls;
-    C_trace_dropped_events;
+    (C_nodes, "nodes");
+    (C_incumbents, "incumbents");
+    (C_lp_solves, "lp_solves");
+    (C_lp_pivots, "lp_pivots");
+    (C_lp_bound_flips, "lp_bound_flips");
+    (C_lp_dual_stalls, "lp_dual_stalls");
+    (C_lp_primal_restarts, "lp_primal_restarts");
+    (C_lp_cold_primal, "lp_cold_primal");
+    (C_lp_singular_restarts, "lp_singular_restarts");
+    (C_lp_basis_installs, "lp_basis_installs");
+    (C_lp_install_fallbacks, "lp_install_fallbacks");
+    (C_ftran_solves, "ftran_solves");
+    (C_ftran_hyper, "ftran_hyper");
+    (C_btran_solves, "btran_solves");
+    (C_btran_hyper, "btran_hyper");
+    (C_lu_factorizations, "lu_factorizations");
+    (C_lu_refactor_eta, "lu_refactor_eta");
+    (C_lu_refactor_numeric, "lu_refactor_numeric");
+    (C_lu_refactor_residual, "lu_refactor_residual");
+    (C_lu_etas, "lu_etas");
+    (C_lu_probes, "lu_probes");
+    (C_gc_compactions, "gc_compactions");
+    (C_prop_runs, "prop_runs");
+    (C_prop_fixings, "prop_fixings");
+    (C_prop_prunes, "prop_prunes");
+    (C_rc_fixed, "rc_fixed");
+    (C_hook_calls, "hook_calls");
+    (C_hook_give_ups, "hook_give_ups");
+    (C_cert_checked, "cert_checked");
+    (C_certified_nodes, "certified_nodes");
+    (C_cert_refuted, "cert_refuted");
+    (C_cert_uncertifiable, "cert_uncertifiable");
+    (C_pool_steals, "pool_steals");
+    (C_pool_handoffs, "pool_handoffs");
+    (C_pool_hungry_polls, "pool_hungry_polls");
+    (C_trace_dropped_events, "trace_dropped_events");
   |]
 
-let all_gauges =
-  [| G_open_nodes; G_best_bound; G_incumbent_obj; G_pool_depth; G_workers |]
+let sum_table =
+  [|
+    (S_ftran_seconds, "ftran_seconds");
+    (S_btran_seconds, "btran_seconds");
+    (S_update_seconds, "update_seconds");
+    (S_gc_minor_words, "gc_minor_words");
+    (S_gc_major_words, "gc_major_words");
+    (S_prop_seconds, "prop_seconds");
+    (S_hook_seconds, "hook_seconds");
+    (S_cert_seconds, "cert_seconds");
+    (S_pool_idle_seconds, "pool_idle_seconds");
+  |]
 
-let all_histograms = [| H_factor_seconds; H_lp_seconds |]
+let gauge_table =
+  [|
+    (G_open_nodes, "open_nodes");
+    (G_best_bound, "best_bound");
+    (G_incumbent_obj, "incumbent_obj");
+    (G_pool_depth, "pool_depth");
+    (G_workers, "workers");
+  |]
 
-let n_counters = Array.length all_counters
-let n_gauges = Array.length all_gauges
-let n_hists = Array.length all_histograms
+let histogram_table =
+  [| (H_factor_seconds, "factor_seconds"); (H_lp_seconds, "lp_seconds") |]
 
-let counter_index = function
-  | C_nodes -> 0
-  | C_incumbents -> 1
-  | C_certified_nodes -> 2
-  | C_lp_solves -> 3
-  | C_lp_pivots -> 4
-  | C_lp_bound_flips -> 5
-  | C_lp_dual_stalls -> 6
-  | C_lp_primal_restarts -> 7
-  | C_lp_cold_primal -> 8
-  | C_ftran_solves -> 9
-  | C_ftran_hyper -> 10
-  | C_btran_solves -> 11
-  | C_btran_hyper -> 12
-  | C_lu_factorizations -> 13
-  | C_lu_refactorizations -> 14
-  | C_lu_probes -> 15
-  | C_prop_runs -> 16
-  | C_prop_fixings -> 17
-  | C_pool_steals -> 18
-  | C_pool_handoffs -> 19
-  | C_pool_hungry_polls -> 20
-  | C_trace_dropped_events -> 21
+let counter_index (c : counter) : int = Obj.magic c [@@inline]
+let sum_index (s : sum) : int = Obj.magic s [@@inline]
+let gauge_index (g : gauge) : int = Obj.magic g [@@inline]
+let histogram_index (h : histogram) : int = Obj.magic h [@@inline]
 
-let gauge_index = function
-  | G_open_nodes -> 0
-  | G_best_bound -> 1
-  | G_incumbent_obj -> 2
-  | G_pool_depth -> 3
-  | G_workers -> 4
+let () =
+  let check index table =
+    Array.iteri
+      (fun i (x, name) ->
+        if index x <> i then failwith ("Metrics: table out of order at " ^ name))
+      table
+  in
+  check counter_index counter_table;
+  check sum_index sum_table;
+  check gauge_index gauge_table;
+  check histogram_index histogram_table
 
-let histogram_index = function H_factor_seconds -> 0 | H_lp_seconds -> 1
+let all_counters = Array.map fst counter_table
+let all_sums = Array.map fst sum_table
+let all_gauges = Array.map fst gauge_table
+let all_histograms = Array.map fst histogram_table
+let counter_name c = snd counter_table.(counter_index c)
+let sum_name s = snd sum_table.(sum_index s)
+let gauge_name g = snd gauge_table.(gauge_index g)
+let histogram_name h = snd histogram_table.(histogram_index h)
 
-let of_name all name arr =
-  Array.find_opt (fun x -> String.equal (name x) arr) all
+let of_name table name =
+  Array.find_map (fun (x, n) -> if String.equal n name then Some x else None) table
 
-let counter_of_name = of_name all_counters counter_name
-let gauge_of_name = of_name all_gauges gauge_name
-let histogram_of_name = of_name all_histograms histogram_name
+let counter_of_name = of_name counter_table
+let sum_of_name = of_name sum_table
+let gauge_of_name = of_name gauge_table
+let histogram_of_name = of_name histogram_table
+
+let n_counters = Array.length counter_table
+let n_sums = Array.length sum_table
+let n_gauges = Array.length gauge_table
+let n_hists = Array.length histogram_table
 
 (* Log2 duration buckets: bucket i <= 1e-6 * 2^i seconds for
    i < n_buckets - 1 (1 us .. ~67 s), then the +Inf overflow. *)
@@ -144,113 +167,190 @@ let bucket_le i =
   if i >= n_buckets - 1 then Float.infinity else Float.ldexp 1e-6 i
 
 let bucket_of dt =
-  let i = ref 0 in
+  (* [frexp] puts dt / 1e-6 in [2^(e-1), 2^e): every bucket below e - 1
+     is exceeded, so the exact scan starts there *)
+  let e = if dt > 1e-6 then snd (Float.frexp (dt /. 1e-6)) else 0 in
+  let i = ref (Int.max 0 (Int.min (n_buckets - 1) (e - 2))) in
   while !i < n_buckets - 1 && dt > Float.ldexp 1e-6 !i do
     incr i
   done;
   !i
 
 (* One single-writer accumulation buffer. Histogram storage is
-   flattened: histogram h owns cells [h * n_buckets, ...) of [hb]. *)
-type buf = {
+   flattened: histogram h owns cells [h * n_buckets, ...) of [hb]. The
+   node-LP samples are three parallel growable arrays of [nl_n]
+   entries. *)
+type shard = {
   c : int array;  (* per-counter totals *)
+  f : float array;  (* per-sum totals *)
   hb : int array;  (* per-histogram bucket counts, flattened *)
   hs : float array;  (* per-histogram duration sums *)
   hm : float array;  (* per-histogram maxima *)
+  mutable nl_n : int;
+  mutable nl_reason : int array;  (* index into [reasons] *)
+  mutable nl_pivots : int array;
+  mutable nl_seconds : float array;
 }
 
-let make_buf () =
-  {
-    c = Array.make n_counters 0;
-    hb = Array.make (n_hists * n_buckets) 0;
-    hs = Array.make n_hists 0.;
-    hm = Array.make n_hists 0.;
-  }
-
-type shard = Null | S of buf
-
-type live = {
+type t = {
   created : float;
-  lock : Mutex.t;  (* guards [shards] and [polls] registration *)
-  mutable shards : buf list;
+  lock : Mutex.t;  (* guards [shards], [shared] and [polls] *)
+  mutable shards : shard list;
   gauges : float Atomic.t array;
-  shared : int Atomic.t array;  (* registry-level absolute counter cells *)
+  shared : int array;  (* registry-level absolute counter cells *)
   mutable polls : (unit -> unit) list;
-  main_buf : buf;
 }
-
-type t = Disabled | On of live
-
-let disabled = Disabled
 
 let create () =
-  let main_buf = make_buf () in
-  On
+  {
+    created = Mono.now ();
+    lock = Mutex.create ();
+    shards = [];
+    gauges = Array.init n_gauges (fun _ -> Atomic.make Float.nan);
+    shared = Array.make n_counters 0;
+    polls = [];
+  }
+
+let make_shard ?registry () =
+  let b =
     {
-      created = Mono.now ();
-      lock = Mutex.create ();
-      shards = [ main_buf ];
-      gauges = Array.init n_gauges (fun _ -> Atomic.make Float.nan);
-      shared = Array.init n_counters (fun _ -> Atomic.make 0);
-      polls = [];
-      main_buf;
+      c = Array.make n_counters 0;
+      f = Array.make n_sums 0.;
+      hb = Array.make (n_hists * n_buckets) 0;
+      hs = Array.make n_hists 0.;
+      hm = Array.make n_hists 0.;
+      nl_n = 0;
+      nl_reason = [||];
+      nl_pivots = [||];
+      nl_seconds = [||];
     }
+  in
+  Option.iter
+    (fun l -> Mutex.protect l.lock (fun () -> l.shards <- b :: l.shards))
+    registry;
+  b
 
-let enabled = function Disabled -> false | On _ -> true
+let add b cnt n =
+  let i = counter_index cnt in
+  b.c.(i) <- b.c.(i) + n
+[@@inline]
 
-let null_shard = Null
+let incr b cnt = add b cnt 1 [@@inline]
 
-let active = function Null -> false | S _ -> true [@@inline]
+let add_sum b s v =
+  let i = sum_index s in
+  b.f.(i) <- b.f.(i) +. v
+[@@inline]
 
-let main = function Disabled -> Null | On l -> S l.main_buf
+let count b cnt = b.c.(counter_index cnt)
 
-let make_shard = function
-  | Disabled -> Null
-  | On l ->
-    let b = make_buf () in
-    Mutex.protect l.lock (fun () -> l.shards <- b :: l.shards);
-    S b
+let observe b h dt =
+  let hi = histogram_index h in
+  let k = (hi * n_buckets) + bucket_of dt in
+  b.hb.(k) <- b.hb.(k) + 1;
+  b.hs.(hi) <- b.hs.(hi) +. dt;
+  if dt > b.hm.(hi) then b.hm.(hi) <- dt
 
-let add s cnt n =
-  match s with
-  | Null -> ()
-  | S b ->
-    let i = counter_index cnt in
-    b.c.(i) <- b.c.(i) + n
+let set_gauge l g v = Atomic.set l.gauges.(gauge_index g) v
+let set_shared l cnt v =
+  Mutex.protect l.lock (fun () -> l.shared.(counter_index cnt) <- v)
 
-let incr s cnt = add s cnt 1
+let on_snapshot l f = Mutex.protect l.lock (fun () -> l.polls <- f :: l.polls)
 
-let observe s h dt =
-  match s with
-  | Null -> ()
-  | S b ->
-    let hi = histogram_index h in
-    let k = (hi * n_buckets) + bucket_of dt in
-    b.hb.(k) <- b.hb.(k) + 1;
-    b.hs.(hi) <- b.hs.(hi) +. dt;
-    if dt > b.hm.(hi) then b.hm.(hi) <- dt
+(* ---------------- per-node LP samples ---------------- *)
 
-let set_gauge t g v =
-  match t with
-  | Disabled -> ()
-  | On l -> Atomic.set l.gauges.(gauge_index g) v
+let reasons =
+  [|
+    Trace.Branched { var = 0; frac = 0. };
+    Trace.Integral;
+    Trace.Infeasible_node;
+    Trace.Bound_pruned;
+    Trace.Hook_pruned;
+    Trace.Prop_pruned;
+    Trace.Unbounded_node;
+    Trace.Numeric;
+  |]
 
-let set_shared t cnt v =
-  match t with
-  | Disabled -> ()
-  | On l -> Atomic.set l.shared.(counter_index cnt) v
+let reason_code = function
+  | Trace.Branched _ -> 0
+  | Trace.Integral -> 1
+  | Trace.Infeasible_node -> 2
+  | Trace.Bound_pruned -> 3
+  | Trace.Hook_pruned -> 4
+  | Trace.Prop_pruned -> 5
+  | Trace.Unbounded_node -> 6
+  | Trace.Numeric -> 7
 
-let add_shared t cnt n =
-  match t with
-  | Disabled -> ()
-  | On l -> ignore (Atomic.fetch_and_add l.shared.(counter_index cnt) n)
+let node_lp b reason ~pivots ~seconds =
+  let n = b.nl_n in
+  if n = Array.length b.nl_pivots then begin
+    let cap = Int.max 16 (2 * n) in
+    let grow a z =
+      let a' = Array.make cap z in
+      Array.blit a 0 a' 0 n;
+      a'
+    in
+    b.nl_reason <- grow b.nl_reason 0;
+    b.nl_pivots <- grow b.nl_pivots 0;
+    b.nl_seconds <- grow b.nl_seconds 0.
+  end;
+  b.nl_reason.(n) <- reason_code reason;
+  b.nl_pivots.(n) <- pivots;
+  b.nl_seconds.(n) <- seconds;
+  b.nl_n <- n + 1
 
-let on_snapshot t f =
-  match t with
-  | Disabled -> ()
-  | On l -> Mutex.protect l.lock (fun () -> l.polls <- f :: l.polls)
+type node_lp_row = {
+  nl_reason : string;
+  nl_nodes : int;
+  nl_pivots : int;
+  nl_p50 : int;
+  nl_p90 : int;
+  nl_max : int;
+  nl_seconds : float;
+}
 
-let now = function Disabled -> 0. | On l -> Mono.elapsed_since l.created
+let node_lp_table shards =
+  (* one pass: per-reason pivot lists and second sums; slot
+     [Array.length reasons] is "all" *)
+  let nr = Array.length reasons in
+  let piv = Array.make (nr + 1) [] and secs = Array.make (nr + 1) 0. in
+  let note r p s =
+    piv.(r) <- p :: piv.(r);
+    secs.(r) <- secs.(r) +. s
+  in
+  List.iter
+    (fun (b : shard) ->
+      for k = 0 to b.nl_n - 1 do
+        note b.nl_reason.(k) b.nl_pivots.(k) b.nl_seconds.(k);
+        note nr b.nl_pivots.(k) b.nl_seconds.(k)
+      done)
+    shards;
+  let row r name =
+    let a = Array.of_list piv.(r) in
+    Array.sort Int.compare a;
+    let n = Array.length a in
+    let rank q =
+      a.(Int.max 0 (Int.min (n - 1) (int_of_float (Float.ceil (q *. float n)) - 1)))
+    in
+    if n = 0 then None
+    else
+      Some
+        {
+          nl_reason = name;
+          nl_nodes = n;
+          nl_pivots = Array.fold_left ( + ) 0 a;
+          nl_p50 = rank 0.5;
+          nl_p90 = rank 0.9;
+          nl_max = a.(n - 1);
+          nl_seconds = secs.(r);
+        }
+  in
+  Array.of_list
+    (List.filter_map Fun.id
+       (row nr "all"
+       :: List.init nr (fun r -> row r (Trace.reason_name reasons.(r)))))
+
+(* ---------------- snapshots ---------------- *)
 
 type hist = {
   h_count : int;
@@ -262,6 +362,7 @@ type hist = {
 type snapshot = {
   s_ts : float;
   s_counters : int array;
+  s_sums : float array;
   s_gauges : float array;
   s_hists : hist array;
 }
@@ -273,6 +374,7 @@ let empty_snapshot =
   {
     s_ts = 0.;
     s_counters = Array.make n_counters 0;
+    s_sums = Array.make n_sums 0.;
     s_gauges = Array.make n_gauges Float.nan;
     s_hists = Array.make n_hists empty_hist;
   }
@@ -283,46 +385,50 @@ let empty_snapshot =
    exact totals once the writers have joined. The bucket counts are
    the histogram's source of truth ([h_count] is their sum), so the
    count-equals-bucket-sum invariant holds even on racy reads. *)
-let snapshot t =
-  match t with
-  | Disabled -> empty_snapshot
-  | On l ->
-    List.iter (fun f -> f ()) l.polls;
-    let shards = l.shards in
-    let counters = Array.make n_counters 0 in
-    Array.iteri (fun i a -> counters.(i) <- Atomic.get a) l.shared;
-    let hb = Array.make (n_hists * n_buckets) 0 in
-    let hs = Array.make n_hists 0. and hm = Array.make n_hists 0. in
-    List.iter
-      (fun b ->
-        for i = 0 to n_counters - 1 do
-          counters.(i) <- counters.(i) + b.c.(i)
-        done;
-        for k = 0 to (n_hists * n_buckets) - 1 do
-          hb.(k) <- hb.(k) + b.hb.(k)
-        done;
-        for h = 0 to n_hists - 1 do
-          hs.(h) <- hs.(h) +. b.hs.(h);
-          if b.hm.(h) > hm.(h) then hm.(h) <- b.hm.(h)
-        done)
-      shards;
-    let hists =
-      Array.init n_hists (fun h ->
-          let buckets = Array.sub hb (h * n_buckets) n_buckets in
-          {
-            h_count = Array.fold_left ( + ) 0 buckets;
-            h_sum = hs.(h);
-            h_max = hm.(h);
-            h_buckets = buckets;
-          })
-    in
-    {
-      s_ts = Mono.elapsed_since l.created;
-      s_counters = counters;
-      s_gauges = Array.map Atomic.get l.gauges;
-      s_hists = hists;
-    }
+let merge_with ~ts ~counters ~gauges shards =
+  let sums = Array.make n_sums 0. in
+  let hb = Array.make (n_hists * n_buckets) 0 in
+  let hs = Array.make n_hists 0. and hm = Array.make n_hists 0. in
+  List.iter
+    (fun b ->
+      for i = 0 to n_counters - 1 do
+        counters.(i) <- counters.(i) + b.c.(i)
+      done;
+      for i = 0 to n_sums - 1 do
+        sums.(i) <- sums.(i) +. b.f.(i)
+      done;
+      for k = 0 to (n_hists * n_buckets) - 1 do
+        hb.(k) <- hb.(k) + b.hb.(k)
+      done;
+      for h = 0 to n_hists - 1 do
+        hs.(h) <- hs.(h) +. b.hs.(h);
+        if b.hm.(h) > hm.(h) then hm.(h) <- b.hm.(h)
+      done)
+    shards;
+  let hists =
+    Array.init n_hists (fun h ->
+        let buckets = Array.sub hb (h * n_buckets) n_buckets in
+        {
+          h_count = Array.fold_left ( + ) 0 buckets;
+          h_sum = hs.(h);
+          h_max = hm.(h);
+          h_buckets = buckets;
+        })
+  in
+  { s_ts = ts; s_counters = counters; s_sums = sums; s_gauges = gauges; s_hists = hists }
+
+let merge shards =
+  merge_with ~ts:0. ~counters:(Array.make n_counters 0)
+    ~gauges:(Array.make n_gauges Float.nan) shards
+
+let snapshot l =
+  List.iter (fun f -> f ()) l.polls;
+  merge_with ~ts:(Mono.elapsed_since l.created)
+    ~counters:(Mutex.protect l.lock (fun () -> Array.copy l.shared))
+    ~gauges:(Array.map Atomic.get l.gauges)
+    l.shards
 
 let counter_value s c = s.s_counters.(counter_index c)
+let sum_value s x = s.s_sums.(sum_index x)
 let gauge_value s g = s.s_gauges.(gauge_index g)
 let hist_value s h = s.s_hists.(histogram_index h)

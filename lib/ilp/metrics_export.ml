@@ -12,6 +12,12 @@ let snapshot_to_json (s : Metrics.snapshot) =
              Json.Num (float_of_int (Metrics.counter_value s c)) ))
          Metrics.all_counters)
   in
+  let sums =
+    Array.to_list
+      (Array.map
+         (fun x -> (Metrics.sum_name x, Json.Num (Metrics.sum_value s x)))
+         Metrics.all_sums)
+  in
   let gauges =
     Array.to_list
       (Array.map
@@ -42,6 +48,7 @@ let snapshot_to_json (s : Metrics.snapshot) =
     [
       ("ts", Json.Num s.Metrics.s_ts);
       ("counters", Json.Obj counters);
+      ("sums", Json.Obj sums);
       ("gauges", Json.Obj gauges);
       ("hists", Json.Obj hists);
     ]
@@ -59,49 +66,40 @@ let snapshot_of_json j =
     | Some (Json.Num v) -> Ok v
     | _ -> Error "snapshot: missing numeric ts"
   in
-  let counters = Array.make (Array.length Metrics.all_counters) 0 in
-  let gauges = Array.make (Array.length Metrics.all_gauges) Float.nan in
-  let hists =
-    Array.make (Array.length Metrics.all_histograms) Metrics.empty_snapshot.Metrics.s_hists.(0)
-  in
-  let* () =
-    match List.assoc_opt "counters" top with
+  let e = Metrics.empty_snapshot in
+  let counters = Array.copy e.Metrics.s_counters
+  and sums = Array.copy e.Metrics.s_sums
+  and gauges = Array.copy e.Metrics.s_gauges
+  and hists = Array.copy e.Metrics.s_hists in
+  (* One object of named cells: [decode] turns a value into the cell's
+     contents, [None] when it has the wrong shape. *)
+  let cells key of_name index arr decode expected =
+    match List.assoc_opt key top with
     | None -> Ok ()
     | Some c ->
-      let* kvs = obj_bindings "counters" c in
+      let* kvs = obj_bindings key c in
       List.fold_left
         (fun acc (k, v) ->
           let* () = acc in
-          match Metrics.counter_of_name k with
-          | None -> Error (Printf.sprintf "unknown counter %S" k)
-          | Some cnt -> (
-            match Json.int v with
-            | Some n ->
-              counters.(Metrics.counter_index cnt) <- n;
-              Ok ()
-            | None -> Error (Printf.sprintf "counter %S: expected an integer" k)))
+          match (of_name k, decode v) with
+          | None, _ -> Error (Printf.sprintf "%s: unknown name %S" key k)
+          | Some _, None -> Error (Printf.sprintf "%s %S: expected %s" key k expected)
+          | Some x, Some d ->
+            arr.(index x) <- d;
+            Ok ())
         (Ok ()) kvs
   in
   let* () =
-    match List.assoc_opt "gauges" top with
-    | None -> Ok ()
-    | Some g ->
-      let* kvs = obj_bindings "gauges" g in
-      List.fold_left
-        (fun acc (k, v) ->
-          let* () = acc in
-          match Metrics.gauge_of_name k with
-          | None -> Error (Printf.sprintf "unknown gauge %S" k)
-          | Some g -> (
-            match v with
-            | Json.Null ->
-              gauges.(Metrics.gauge_index g) <- Float.nan;
-              Ok ()
-            | Json.Num x ->
-              gauges.(Metrics.gauge_index g) <- x;
-              Ok ()
-            | _ -> Error (Printf.sprintf "gauge %S: expected number or null" k)))
-        (Ok ()) kvs
+    cells "counters" Metrics.counter_of_name Metrics.counter_index counters
+      Json.int "an integer"
+  in
+  let* () =
+    cells "sums" Metrics.sum_of_name Metrics.sum_index sums Json.num "a number"
+  in
+  let* () =
+    cells "gauges" Metrics.gauge_of_name Metrics.gauge_index gauges
+      (function Json.Null -> Some Float.nan | v -> Json.num v)
+      "number or null"
   in
   let* () =
     match List.assoc_opt "hists" top with
@@ -161,6 +159,7 @@ let snapshot_of_json j =
     {
       Metrics.s_ts = ts;
       s_counters = counters;
+      s_sums = sums;
       s_gauges = gauges;
       s_hists = hists;
     }
@@ -170,6 +169,10 @@ let monotonize (prev : Metrics.snapshot) (cur : Metrics.snapshot) =
     Array.mapi
       (fun i v -> Int.max v prev.Metrics.s_counters.(i))
       cur.Metrics.s_counters
+  and sums =
+    Array.mapi
+      (fun i v -> Float.max v prev.Metrics.s_sums.(i))
+      cur.Metrics.s_sums
   in
   let hists =
     Array.mapi
@@ -192,6 +195,7 @@ let monotonize (prev : Metrics.snapshot) (cur : Metrics.snapshot) =
     cur with
     Metrics.s_ts = Float.max cur.Metrics.s_ts prev.Metrics.s_ts;
     s_counters = counters;
+    s_sums = sums;
     s_hists = hists;
   }
 
@@ -254,6 +258,19 @@ let check snaps =
                 else Ok ())
               (Ok ()) Metrics.all_counters
       in
+      let* () =
+        match prev with
+        | None -> Ok ()
+        | Some p ->
+          Array.fold_left
+            (fun acc x ->
+              let* () = acc in
+              let v = Metrics.sum_value s x and pv = Metrics.sum_value p x in
+              if v < pv then
+                err "sum %s decreased (%g after %g)" (Metrics.sum_name x) v pv
+              else Ok ())
+            (Ok ()) Metrics.all_sums
+      in
       go (i + 1) (Some s) rest
   in
   go 1 None snaps
@@ -278,6 +295,13 @@ let prometheus (s : Metrics.snapshot) =
       line "# TYPE %s counter" n;
       line "%s %d" n (Metrics.counter_value s c))
     Metrics.all_counters;
+  Array.iter
+    (fun x ->
+      let n = prom_name "_total" (Metrics.sum_name x) in
+      line "# HELP %s Solver sum %s." n (Metrics.sum_name x);
+      line "# TYPE %s counter" n;
+      line "%s %s" n (prom_float (Metrics.sum_value s x)))
+    Metrics.all_sums;
   Array.iter
     (fun g ->
       let v = Metrics.gauge_value s g in
@@ -429,7 +453,8 @@ module Summary = struct
       (ratio_pct (c Metrics.C_btran_hyper) (c Metrics.C_btran_solves));
     Format.fprintf ppf "lu             factorizations=%d refactorizations=%d probes=%d@,"
       (c Metrics.C_lu_factorizations)
-      (c Metrics.C_lu_refactorizations)
+      (c Metrics.C_lu_refactor_eta + c Metrics.C_lu_refactor_numeric
+      + c Metrics.C_lu_refactor_residual)
       (c Metrics.C_lu_probes);
     Format.fprintf ppf "deductions     prop_runs=%d prop_fixings=%d@,"
       (c Metrics.C_prop_runs) (c Metrics.C_prop_fixings);

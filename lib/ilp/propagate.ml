@@ -169,8 +169,8 @@ type outcome =
   | Empty_domain of int
   | Conflict of string
 
-let run t ~lb ~ub ?seeds ?max_steps ?(trace = Trace.null_writer)
-    ?(metrics = Metrics.null_shard) () =
+let run t ~lb ~ub ?seeds ?max_steps ?(trace = Trace.null_writer) ?metrics
+    () =
   let nrows = Array.length t.rows in
   let max_steps =
     match max_steps with Some s -> s | None -> Int.max 256 (64 * nrows)
@@ -202,10 +202,11 @@ let run t ~lb ~ub ?seeds ?max_steps ?(trace = Trace.null_writer)
           Array.iter enqueue t.var_rows.(j))
     done;
     let fixes = List.rev_map (fun j -> (j, lb.(j), ub.(j))) !order in
-    if Metrics.active metrics then begin
-      Metrics.incr metrics Metrics.C_prop_runs;
-      Metrics.add metrics Metrics.C_prop_fixings (List.length fixes)
-    end;
+    (match metrics with
+     | Some sh ->
+       Metrics.incr sh Metrics.C_prop_runs;
+       Metrics.add sh Metrics.C_prop_fixings (List.length fixes)
+     | None -> ());
     if Trace.active trace then
       Trace.emit trace
         (Trace.Prop_run
@@ -213,7 +214,9 @@ let run t ~lb ~ub ?seeds ?max_steps ?(trace = Trace.null_writer)
     Ok { fixes; steps = !steps }
   with
   | (Empty _ | Conflict_row _) as e ->
-    if Metrics.active metrics then Metrics.incr metrics Metrics.C_prop_runs;
+    (match metrics with
+     | Some sh -> Metrics.incr sh Metrics.C_prop_runs
+     | None -> ());
     if Trace.active trace then
       Trace.emit trace
         (Trace.Prop_run { steps = !steps; fixings = 0; conflict = true });

@@ -86,6 +86,6 @@ val run :
     When [trace] is an active writer, one {!Trace.Prop_run} event is
     emitted per call — including conflicting runs, where [fixings] is
     reported as [0] (the partial tightenings are discarded by the
-    caller anyway). When [metrics] is an active shard every call bumps
+    caller anyway). When a [metrics] shard is given every call bumps
     {!Metrics.C_prop_runs} and successful runs add their fixing count
     to {!Metrics.C_prop_fixings}. *)

@@ -38,6 +38,7 @@ type stats = {
   dual_stalls : int;
   primal_restarts : int;
   cold_primal : int;
+  singular_restarts : int;
   basis_installs : int;
   install_fallbacks : int;
   minor_words : float;
@@ -45,65 +46,45 @@ type stats = {
   compactions : int;
 }
 
-let empty_stats =
+let stats_of_snapshot ?(fill = 0) s =
+  let open Metrics in
+  let c = counter_value s and f = sum_value s in
   {
-    factorizations = 0;
-    fill = 0;
-    etas = 0;
-    refactor_eta = 0;
-    refactor_numeric = 0;
-    refactor_residual = 0;
-    factor_time_s = 0.;
-    ftran_seconds = 0.;
-    btran_seconds = 0.;
-    update_seconds = 0.;
-    pivots = 0;
-    bound_flips = 0;
-    dual_stalls = 0;
-    primal_restarts = 0;
-    cold_primal = 0;
-    basis_installs = 0;
-    install_fallbacks = 0;
-    minor_words = 0.;
-    major_words = 0.;
-    compactions = 0;
-  }
-
-let add_stats a b =
-  {
-    factorizations = a.factorizations + b.factorizations;
-    fill = Int.max a.fill b.fill;
-    etas = a.etas + b.etas;
-    refactor_eta = a.refactor_eta + b.refactor_eta;
-    refactor_numeric = a.refactor_numeric + b.refactor_numeric;
-    refactor_residual = a.refactor_residual + b.refactor_residual;
-    factor_time_s = a.factor_time_s +. b.factor_time_s;
-    ftran_seconds = a.ftran_seconds +. b.ftran_seconds;
-    btran_seconds = a.btran_seconds +. b.btran_seconds;
-    update_seconds = a.update_seconds +. b.update_seconds;
-    pivots = a.pivots + b.pivots;
-    bound_flips = a.bound_flips + b.bound_flips;
-    dual_stalls = a.dual_stalls + b.dual_stalls;
-    primal_restarts = a.primal_restarts + b.primal_restarts;
-    cold_primal = a.cold_primal + b.cold_primal;
-    basis_installs = a.basis_installs + b.basis_installs;
-    install_fallbacks = a.install_fallbacks + b.install_fallbacks;
-    minor_words = a.minor_words +. b.minor_words;
-    major_words = a.major_words +. b.major_words;
-    compactions = a.compactions + b.compactions;
+    factorizations = c C_lu_factorizations;
+    fill;
+    etas = c C_lu_etas;
+    refactor_eta = c C_lu_refactor_eta;
+    refactor_numeric = c C_lu_refactor_numeric;
+    refactor_residual = c C_lu_refactor_residual;
+    factor_time_s = (hist_value s H_factor_seconds).h_sum;
+    ftran_seconds = f S_ftran_seconds;
+    btran_seconds = f S_btran_seconds;
+    update_seconds = f S_update_seconds;
+    pivots = c C_lp_pivots;
+    bound_flips = c C_lp_bound_flips;
+    dual_stalls = c C_lp_dual_stalls;
+    primal_restarts = c C_lp_primal_restarts;
+    cold_primal = c C_lp_cold_primal;
+    singular_restarts = c C_lp_singular_restarts;
+    basis_installs = c C_lp_basis_installs;
+    install_fallbacks = c C_lp_install_fallbacks;
+    minor_words = f S_gc_minor_words;
+    major_words = f S_gc_major_words;
+    compactions = c C_gc_compactions;
   }
 
 let pp_stats ppf s =
   Format.fprintf ppf
     "factorizations=%d fill=%d etas=%d refactors(eta/numeric/residual)=%d/%d/%d \
      factor=%.3fs ftran=%.3fs btran=%.3fs update=%.3fs pivots=%d flips=%d \
-     dual-stalls=%d primal-restarts=%d cold-primal=%d installs=%d \
-     install-fallbacks=%d gc(minor/major)=%.0f/%.0fw compactions=%d"
+     dual-stalls=%d primal-restarts=%d cold-primal=%d singular-restarts=%d \
+     installs=%d install-fallbacks=%d gc(minor/major)=%.0f/%.0fw \
+     compactions=%d"
     s.factorizations s.fill s.etas s.refactor_eta s.refactor_numeric
     s.refactor_residual s.factor_time_s s.ftran_seconds s.btran_seconds
     s.update_seconds s.pivots s.bound_flips s.dual_stalls s.primal_restarts
-    s.cold_primal s.basis_installs s.install_fallbacks s.minor_words
-    s.major_words s.compactions
+    s.cold_primal s.singular_restarts s.basis_installs s.install_fallbacks
+    s.minor_words s.major_words s.compactions
 
 type vstat = Basic | At_lower | At_upper | Free_zero
 
@@ -179,34 +160,13 @@ type state = {
   dvx_row : float array;  (* dual devex weights, per basis slot *)
   bp_col : int array;  (* dual ratio-test breakpoints: columns *)
   bp_ratio : float array;  (* matching |dj/alpha| ratios *)
-  mutable total_pivots : int;
-  mutable bound_flips : int;  (* bound flips without a basis change *)
-  mutable dual_stalls : int;  (* dual loops that hit the dual cap *)
-  mutable primal_restarts : int;  (* singular-basis fallbacks to phase I *)
-  mutable cold_primal : int;  (* solves that ran primal phase I/II *)
-  mutable basis_installs : int;  (* [install_basis] calls *)
-  mutable install_fallbacks : int;  (* ... that failed *)
-  mutable refactors : int;
   mutable bland : bool;  (* anti-cycling mode *)
   mutable degen_streak : int;
   mutable pivots_since_refactor : int;
-  (* statistics *)
-  mutable n_factor : int;
-  mutable last_fill : int;
-  mutable n_etas : int;
-  mutable rf_eta : int;
-  mutable rf_numeric : int;
-  mutable rf_residual : int;
-  mutable t_factor : float;
-  mutable t_ftran : float;
-  mutable t_btran : float;
-  mutable t_update : float;
+  mutable last_fill : int;  (* L+U entries of the latest sparse factorization *)
   mutable last_inf : infeasibility option;
   mutable trace : Trace.writer;
-  mutable ms : Metrics.shard;
-  mutable gc_minor : float;  (* Gc.quick_stat deltas over top-level solves *)
-  mutable gc_major : float;
-  mutable gc_compactions : int;
+  ms : Metrics.shard;  (* every tally of this engine, for its whole life *)
 }
 
 (* Tolerances. The models we target have small integer coefficients, so
@@ -244,33 +204,12 @@ let check_owner st op =
 
 let num_rows st = st.m
 let num_structural st = st.nstruct
-let total_pivots st = st.total_pivots
-let bound_flips st = st.bound_flips
-let refactorizations st = st.refactors
+let shard st = st.ms
+let fill st = st.last_fill
+let total_pivots st = Metrics.count st.ms Metrics.C_lp_pivots
+let bound_flips st = Metrics.count st.ms Metrics.C_lp_bound_flips
 
-let stats st =
-  {
-    factorizations = st.n_factor;
-    fill = st.last_fill;
-    etas = st.n_etas;
-    refactor_eta = st.rf_eta;
-    refactor_numeric = st.rf_numeric;
-    refactor_residual = st.rf_residual;
-    factor_time_s = st.t_factor;
-    ftran_seconds = st.t_ftran;
-    btran_seconds = st.t_btran;
-    update_seconds = st.t_update;
-    pivots = st.total_pivots;
-    bound_flips = st.bound_flips;
-    dual_stalls = st.dual_stalls;
-    primal_restarts = st.primal_restarts;
-    cold_primal = st.cold_primal;
-    basis_installs = st.basis_installs;
-    install_fallbacks = st.install_fallbacks;
-    minor_words = st.gc_minor;
-    major_words = st.gc_major;
-    compactions = st.gc_compactions;
-  }
+let stats st = stats_of_snapshot ~fill:st.last_fill (Metrics.merge [ st.ms ])
 
 let pp_status ppf = function
   | Optimal -> Format.fprintf ppf "optimal"
@@ -286,21 +225,8 @@ let art_col st i = st.nstruct + st.m + i
    mutually consistent across domains. *)
 let now = Mono.now
 let set_trace st w = st.trace <- w
-let set_metrics st s = st.ms <- s
 
-(* A refactorization trigger fired; the matching {!Trace.Lu_factor}
-   event follows from [Lu.factor] itself. *)
-let emit_refactor st trigger =
-  if Trace.active st.trace then begin
-    let etas =
-      match st.repr with
-      | Rsparse { lu; valid = true } -> Lu.eta_count lu
-      | Rsparse { valid = false; _ } | Rdense _ -> 0
-    in
-    Trace.emit st.trace (Trace.Lu_refactor { trigger; etas })
-  end
-
-let create ?(backend = Sparse_lu) lp =
+let create ?metrics ?(backend = Sparse_lu) lp =
   let m = Lp.num_constrs lp in
   let nstruct = Lp.num_vars lp in
   let ncols = nstruct + m + m in
@@ -393,33 +319,13 @@ let create ?(backend = Sparse_lu) lp =
     dvx_row = Array.make m 1.;
     bp_col = Array.make ncols 0;
     bp_ratio = Array.make ncols 0.;
-    total_pivots = 0;
-    bound_flips = 0;
-    dual_stalls = 0;
-    primal_restarts = 0;
-    cold_primal = 0;
-    basis_installs = 0;
-    install_fallbacks = 0;
-    refactors = 0;
     bland = false;
     degen_streak = 0;
     pivots_since_refactor = 0;
-    n_factor = 0;
     last_fill = 0;
-    n_etas = 0;
-    rf_eta = 0;
-    rf_numeric = 0;
-    rf_residual = 0;
-    t_factor = 0.;
-    t_ftran = 0.;
-    t_btran = 0.;
-    t_update = 0.;
     last_inf = None;
     trace = Trace.null_writer;
-    ms = Metrics.null_shard;
-    gc_minor = 0.;
-    gc_major = 0.;
-    gc_compactions = 0;
+    ms = Metrics.make_shard ?registry:metrics ();
   }
 
 let set_var_bounds st j ~lb ~ub =
@@ -458,21 +364,16 @@ let default_stat st j =
 
 exception Singular_basis
 
-(* Factorize (or re-invert) the current basis from scratch. Wall time
-   is accumulated into [t_factor] (reported as [stats.factor_time_s])
-   for both backends, including factorizations that end in
-   [Singular_basis]. *)
+(* Factorize (or re-invert) the current basis from scratch. Counted,
+   and its wall time observed into [H_factor_seconds] (whose sum is
+   [stats.factor_time_s]), for both backends, including factorizations
+   that end in [Singular_basis]. *)
 let fresh_factor st =
-  st.n_factor <- st.n_factor + 1;
   let t0 = now () in
   Fun.protect
     ~finally:(fun () ->
-      let dt = now () -. t0 in
-      st.t_factor <- st.t_factor +. dt;
-      if Metrics.active st.ms then begin
-        Metrics.incr st.ms Metrics.C_lu_factorizations;
-        Metrics.observe st.ms Metrics.H_factor_seconds dt
-      end)
+      Metrics.incr st.ms Metrics.C_lu_factorizations;
+      Metrics.observe st.ms Metrics.H_factor_seconds (now () -. t0))
   @@ fun () ->
   match st.repr with
   | Rdense binv ->
@@ -570,11 +471,9 @@ let ftran_col st j =
          st.wpat.(!n) <- r;
          incr n);
      st.wpat_n <- Lu.ftran_sparse lu st.w st.wpat !n);
-  st.t_ftran <- st.t_ftran +. (now () -. t0);
-  if Metrics.active st.ms then begin
-    Metrics.incr st.ms Metrics.C_ftran_solves;
-    if st.wpat_n >= 0 then Metrics.incr st.ms Metrics.C_ftran_hyper
-  end
+  Metrics.add_sum st.ms Metrics.S_ftran_seconds (now () -. t0);
+  Metrics.incr st.ms Metrics.C_ftran_solves;
+  if st.wpat_n >= 0 then Metrics.incr st.ms Metrics.C_ftran_hyper
 
 (* xb <- xb - coef * w, over w's nonzero pattern when available. *)
 let update_xb_step st coef =
@@ -603,7 +502,7 @@ let ftran_vec st v =
    | Rsparse box ->
      let lu = lu_of st box in
      Lu.ftran lu v);
-  st.t_ftran <- st.t_ftran +. (now () -. t0)
+  Metrics.add_sum st.ms Metrics.S_ftran_seconds (now () -. t0)
 
 (* xb <- Binv * (rhs - sum of nonbasic columns at their values).
    With the LU backend, a residual check on the recomputed basic
@@ -622,12 +521,12 @@ let rec compute_xb st =
      for i = 0 to st.m - 1 do
        st.xb.(i) <- Vec.dot binv.(i) st.tmp
      done;
-     st.t_ftran <- st.t_ftran +. (now () -. t0)
+     Metrics.add_sum st.ms Metrics.S_ftran_seconds (now () -. t0)
    | Rsparse box ->
      let lu = lu_of st box in
      Array.blit st.tmp 0 st.xb 0 st.m;
      Lu.ftran lu st.xb;
-     st.t_ftran <- st.t_ftran +. (now () -. t0);
+     Metrics.add_sum st.ms Metrics.S_ftran_seconds (now () -. t0);
      if Lu.eta_count lu > 0 then begin
        (* residual || B xb - tmp ||_inf against the eta-updated solve *)
        Vec.fill st.aux 0.;
@@ -642,18 +541,27 @@ let rec compute_xb st =
          if d > !res then res := d
        done;
        let scale = 1. +. Vec.nrm_inf st.tmp in
-       if !res > res_tol *. scale then begin
-         st.rf_residual <- st.rf_residual + 1;
-         emit_refactor st Trace.Rf_residual;
-         refactor st
-       end
+       if !res > res_tol *. scale then refactor st Trace.Rf_residual
      end)
 
 (* Rebuild the factorization from the current basis, then recompute xb.
-   Used as a numerical safeguard and by the periodic refresh. *)
-and refactor st =
-  st.refactors <- st.refactors + 1;
-  if Metrics.active st.ms then Metrics.incr st.ms Metrics.C_lu_refactorizations;
+   Used as a numerical safeguard and by the periodic refresh; [trigger]
+   says which, and is counted and traced (the matching
+   {!Trace.Lu_factor} event follows from [Lu.factor] itself). *)
+and refactor st trigger =
+  Metrics.incr st.ms
+    (match trigger with
+     | Trace.Rf_eta -> Metrics.C_lu_refactor_eta
+     | Trace.Rf_numeric -> Metrics.C_lu_refactor_numeric
+     | Trace.Rf_residual -> Metrics.C_lu_refactor_residual);
+  if Trace.active st.trace then begin
+    let etas =
+      match st.repr with
+      | Rsparse { lu; valid = true } -> Lu.eta_count lu
+      | Rsparse { valid = false; _ } | Rdense _ -> 0
+    in
+    Trace.emit st.trace (Trace.Lu_refactor { trigger; etas })
+  end;
   st.pivots_since_refactor <- 0;
   fresh_factor st;
   for i = 0 to st.m - 1 do
@@ -677,7 +585,7 @@ let compute_y st costs =
        st.y.(k) <- costs.(st.basis.(k))
      done;
      Lu.btran lu st.y);
-  st.t_btran <- st.t_btran +. (now () -. t0)
+  Metrics.add_sum st.ms Metrics.S_btran_seconds (now () -. t0)
 
 let reduced_cost st costs j =
   costs.(j) -. Sparse.Csc.dot_col_dense st.mat j st.y
@@ -692,7 +600,7 @@ let dual_row st r =
   match st.repr with
   | Rdense binv ->
     st.rho_n <- -1;
-    if Metrics.active st.ms then Metrics.incr st.ms Metrics.C_btran_solves;
+    Metrics.incr st.ms Metrics.C_btran_solves;
     binv.(r)
   | Rsparse box ->
     let lu = lu_of st box in
@@ -705,11 +613,9 @@ let dual_row st r =
     st.rho.(r) <- 1.;
     st.rpat.(0) <- r;
     st.rho_n <- Lu.btran_sparse lu st.rho st.rpat 1;
-    st.t_btran <- st.t_btran +. (now () -. t0);
-    if Metrics.active st.ms then begin
-      Metrics.incr st.ms Metrics.C_btran_solves;
-      if st.rho_n >= 0 then Metrics.incr st.ms Metrics.C_btran_hyper
-    end;
+    Metrics.add_sum st.ms Metrics.S_btran_seconds (now () -. t0);
+    Metrics.incr st.ms Metrics.C_btran_solves;
+    if st.rho_n >= 0 then Metrics.incr st.ms Metrics.C_btran_hyper;
     st.rho
 
 (* alpha <- rho A over every column, scanning only the rows where rho is
@@ -746,7 +652,7 @@ let build_alpha st rho =
 
 (* Apply the basis-exchange update for an entering column whose
    transformed column is in st.w, pivoting in slot r. Timed into
-   [t_update] (reported as [stats.update_seconds]). *)
+   [S_update_seconds] (reported as [stats.update_seconds]). *)
 let update_factor st r =
   match st.repr with
   | Rdense binv ->
@@ -759,7 +665,7 @@ let update_factor st r =
         if f <> 0. then Vec.axpy ~alpha:(-.f) ~x:binv.(r) ~y:binv.(i)
       end
     done;
-    st.t_update <- st.t_update +. (now () -. t0)
+    Metrics.add_sum st.ms Metrics.S_update_seconds (now () -. t0)
   | Rsparse box ->
     let lu = lu_of st box in
     let t0 = now () in
@@ -768,9 +674,9 @@ let update_factor st r =
       | () -> true
       | exception Lu.Singular -> false
     in
-    st.t_update <- st.t_update +. (now () -. t0);
+    Metrics.add_sum st.ms Metrics.S_update_seconds (now () -. t0);
     if not ok then raise Singular_basis;
-    st.n_etas <- st.n_etas + 1
+    Metrics.incr st.ms Metrics.C_lu_etas
 
 (* Has the representation accumulated enough updates to warrant a
    periodic refresh? The sparse trigger is two-sided: the eta-file
@@ -1066,17 +972,10 @@ let primal_pivot_bookkeeping st ~j ~r ~leaving ~to_upper ~entering_value ~t =
   st.stat.(j) <- Basic;
   st.stat.(leaving) <- (if to_upper then At_upper else At_lower);
   st.xb.(r) <- entering_value;
-  st.total_pivots <- st.total_pivots + 1;
+  Metrics.incr st.ms Metrics.C_lp_pivots;
   st.pivots_since_refactor <- st.pivots_since_refactor + 1;
-  let refreshed =
-    if due_refresh st then begin
-      st.rf_eta <- st.rf_eta + 1;
-      emit_refactor st Trace.Rf_eta;
-      refactor st;
-      true
-    end
-    else false
-  in
+  let refreshed = due_refresh st in
+  if refreshed then refactor st Trace.Rf_eta;
   if t <= 1e-9 then begin
     st.degen_streak <- st.degen_streak + 1;
     if st.degen_streak > degen_switch then st.bland <- true
@@ -1132,12 +1031,10 @@ let primal_loop st costs max_iters =
               | At_upper -> At_lower
               | Free_zero | Basic -> assert false);
            incr iters;
-           st.bound_flips <- st.bound_flips + 1
+           Metrics.incr st.ms Metrics.C_lp_bound_flips
          | Pivot { row = r; step = t; to_upper } ->
            if Float.abs st.w.(r) < ptol then begin
-             st.rf_numeric <- st.rf_numeric + 1;
-             emit_refactor st Trace.Rf_numeric;
-             refactor st;
+             refactor st Trace.Rf_numeric;
              refresh_dj ()
              (* retry this iteration with a clean factorization *)
            end
@@ -1205,6 +1102,7 @@ let rec primal_guarded ~max_iters ~attempt st =
     (* accumulated numerical damage: restart from the exact identity
        basis; give up gracefully if it persists *)
     Log.warn (fun f -> f "singular basis; restarting primal from scratch");
+    if attempt = 0 then Metrics.incr st.ms Metrics.C_lp_singular_restarts;
     if attempt >= 1 then
       {
         status = Iter_limit;
@@ -1268,9 +1166,7 @@ and primal_once ~max_iters st =
       let infeas =
         if infeas > 1e-6 && st.pivots_since_refactor > 0 then begin
           (* guard against drift-faked infeasibility *)
-          st.rf_numeric <- st.rf_numeric + 1;
-          emit_refactor st Trace.Rf_numeric;
-          refactor st;
+          refactor st Trace.Rf_numeric;
           let _, it = primal_loop st phase1_cost max_iters in
           iters1 := !iters1 + it;
           objective_value st phase1_cost
@@ -1457,9 +1353,7 @@ let dual_loop st max_iters =
            from a fresh factorization before trusting it. *)
         let infeasible_here () =
           if st.pivots_since_refactor > 0 then begin
-            st.rf_numeric <- st.rf_numeric + 1;
-            emit_refactor st Trace.Rf_numeric;
-            refactor st;
+            refactor st Trace.Rf_numeric;
             recompute_dj st st.cost;
             incr iters
           end
@@ -1548,14 +1442,12 @@ let dual_loop st max_iters =
               for i = 0 to st.m - 1 do
                 st.xb.(i) <- st.xb.(i) -. st.tmp.(i)
               done;
-              st.bound_flips <- st.bound_flips + !nflip
+              Metrics.add st.ms Metrics.C_lp_bound_flips !nflip
             end;
             ftran_col st j;
             let alpha_rj = st.w.(r) in
             if Float.abs alpha_rj < ptol then begin
-              st.rf_numeric <- st.rf_numeric + 1;
-              emit_refactor st Trace.Rf_numeric;
-              refactor st;
+              refactor st Trace.Rf_numeric;
               recompute_dj st st.cost;
               incr iters (* the flips stand; retry from a clean basis *)
             end
@@ -1578,12 +1470,10 @@ let dual_loop st max_iters =
               st.stat.(k) <- (if above then At_upper else At_lower);
               st.xb.(r) <- entering_value;
               incr iters;
-              st.total_pivots <- st.total_pivots + 1;
+              Metrics.incr st.ms Metrics.C_lp_pivots;
               st.pivots_since_refactor <- st.pivots_since_refactor + 1;
               if due_refresh st then begin
-                st.rf_eta <- st.rf_eta + 1;
-                emit_refactor st Trace.Rf_eta;
-                refactor st;
+                refactor st Trace.Rf_eta;
                 recompute_dj st st.cost
               end
             end
@@ -1673,22 +1563,17 @@ let install_basis_core st b =
 
 let install_basis st b =
   check_owner st "install_basis";
-  st.basis_installs <- st.basis_installs + 1;
+  Metrics.incr st.ms Metrics.C_lp_basis_installs;
   let ok = install_basis_core st b in
-  if not ok then st.install_fallbacks <- st.install_fallbacks + 1;
+  if not ok then Metrics.incr st.ms Metrics.C_lp_install_fallbacks;
   ok
-
-let count_primal_restart st =
-  st.primal_restarts <- st.primal_restarts + 1;
-  if Metrics.active st.ms then Metrics.incr st.ms Metrics.C_lp_primal_restarts
 
 (* Primal phase I/II from the slack basis, counted on every entry: a
    cold model the dual start cannot take, or a fallback from either
    dual path. Phase I never calls back into the dual loop, so the
    fallbacks below cannot cycle. *)
 let phase1_solve ~max_iters st =
-  st.cold_primal <- st.cold_primal + 1;
-  if Metrics.active st.ms then Metrics.incr st.ms Metrics.C_lp_cold_primal;
+  Metrics.incr st.ms Metrics.C_lp_cold_primal;
   primal_guarded ~max_iters ~attempt:0 st
 
 (* The dual loop under the [1000 + 30 m] cap from the basis [start]
@@ -1707,7 +1592,7 @@ let dual_solve ~what ~max_iters ~start st =
   with
   | exception Singular_basis ->
     Log.warn (fun f -> f "singular basis in %s; primal restart" what);
-    count_primal_restart st;
+    Metrics.incr st.ms Metrics.C_lp_primal_restarts;
     phase1_solve ~max_iters st
   | `Infeasible (r, above), it ->
     (* Row r of B^-1 (negated when the violation is below the lower
@@ -1722,8 +1607,7 @@ let dual_solve ~what ~max_iters ~start st =
   | `Stalled, it ->
     Log.info (fun f ->
         f "%s stalled after %d iterations (m=%d); primal restart" what it st.m);
-    st.dual_stalls <- st.dual_stalls + 1;
-    if Metrics.active st.ms then Metrics.incr st.ms Metrics.C_lp_dual_stalls;
+    Metrics.incr st.ms Metrics.C_lp_dual_stalls;
     phase1_solve ~max_iters st
   | `Primal_feasible, it1 -> (
     (* The dual loop restored primal feasibility; a primal clean-up pass
@@ -1732,7 +1616,7 @@ let dual_solve ~what ~max_iters ~start st =
     match primal_loop st st.cost (max_iters - it1) with
     | exception Singular_basis ->
       Log.warn (fun f -> f "singular basis in clean-up; primal restart");
-      count_primal_restart st;
+      Metrics.incr st.ms Metrics.C_lp_primal_restarts;
       phase1_solve ~max_iters st
     | status, it2 ->
     (match status with
@@ -1774,21 +1658,32 @@ let cold_core ~max_iters st =
         reset_to_slack_basis st ~place:(cost_side_stat st))
   else phase1_solve ~max_iters st
 
-let emit_lp_solve st kind ~pivots0 ~flips0 ~t0 (r : result) =
+(* Every top-level solve is counted and timed, and accounts its
+   [Gc.quick_stat] deltas to the engine's shard (reported in {!stats}),
+   so hot-path allocation regressions are visible from [--stats] alone.
+   [quick_stat] reads domain-local counters — no heap walk. The trace
+   event's pivots and flips are the engine counters' deltas. *)
+let top_level st kind core =
+  let g0 = Gc.quick_stat () in
+  let t0 = now () and pivots0 = total_pivots st and flips0 = bound_flips st in
+  let r = core () in
   let dt = now () -. t0 in
-  if Metrics.active st.ms then begin
-    Metrics.incr st.ms Metrics.C_lp_solves;
-    Metrics.add st.ms Metrics.C_lp_pivots (st.total_pivots - pivots0);
-    Metrics.add st.ms Metrics.C_lp_bound_flips (st.bound_flips - flips0);
-    Metrics.observe st.ms Metrics.H_lp_seconds dt
-  end;
+  let g1 = Gc.quick_stat () in
+  Metrics.incr st.ms Metrics.C_lp_solves;
+  Metrics.observe st.ms Metrics.H_lp_seconds dt;
+  Metrics.add_sum st.ms Metrics.S_gc_minor_words
+    (g1.Gc.minor_words -. g0.Gc.minor_words);
+  Metrics.add_sum st.ms Metrics.S_gc_major_words
+    (g1.Gc.major_words -. g0.Gc.major_words);
+  Metrics.add st.ms Metrics.C_gc_compactions
+    (g1.Gc.compactions - g0.Gc.compactions);
   if Trace.active st.trace then
     Trace.emit st.trace
       (Trace.Lp_solve
          {
            kind;
-           pivots = st.total_pivots - pivots0;
-           flips = st.bound_flips - flips0;
+           pivots = total_pivots st - pivots0;
+           flips = bound_flips st - flips0;
            obj = r.obj;
            primal_res = r.primal_res;
            dual_res = r.dual_res;
@@ -1796,41 +1691,12 @@ let emit_lp_solve st kind ~pivots0 ~flips0 ~t0 (r : result) =
          });
   r
 
-(* Every top-level solve accounts its [Gc.quick_stat] deltas to the
-   engine (reported in {!stats}), so hot-path allocation regressions
-   are visible from [--stats] alone. [quick_stat] reads domain-local
-   counters — no heap walk. *)
-let with_gc_accounting st core =
-  let g0 = Gc.quick_stat () in
-  let r = core () in
-  let g1 = Gc.quick_stat () in
-  st.gc_minor <- st.gc_minor +. (g1.Gc.minor_words -. g0.Gc.minor_words);
-  st.gc_major <- st.gc_major +. (g1.Gc.major_words -. g0.Gc.major_words);
-  st.gc_compactions <- st.gc_compactions + (g1.Gc.compactions - g0.Gc.compactions);
-  r
-
 let primal ?(max_iters = 200_000) st =
   check_owner st "primal";
-  with_gc_accounting st @@ fun () ->
-  if not (Trace.active st.trace || Metrics.active st.ms) then
-    cold_core ~max_iters st
-  else begin
-    let t0 = now () and pivots0 = st.total_pivots in
-    let flips0 = st.bound_flips in
-    emit_lp_solve st Trace.Lp_primal ~pivots0 ~flips0 ~t0
-      (cold_core ~max_iters st)
-  end
+  top_level st Trace.Lp_primal (fun () -> cold_core ~max_iters st)
 
 let dual_reopt ?(max_iters = 200_000) st =
   check_owner st "dual_reopt";
-  with_gc_accounting st @@ fun () ->
-  if not (Trace.active st.trace || Metrics.active st.ms) then
-    dual_reopt_core ~max_iters st
-  else begin
-    let t0 = now () and pivots0 = st.total_pivots in
-    let flips0 = st.bound_flips in
-    emit_lp_solve st Trace.Lp_dual ~pivots0 ~flips0 ~t0
-      (dual_reopt_core ~max_iters st)
-  end
+  top_level st Trace.Lp_dual (fun () -> dual_reopt_core ~max_iters st)
 
 let solve ?backend ?max_iters lp = primal ?max_iters (create ?backend lp)

@@ -144,6 +144,10 @@ type stats = {
           cost side), plus every fallback counted in [dual_stalls] and
           [primal_restarts]. [0] on the 0-1 relaxations of this
           project. *)
+  singular_restarts : int;
+      (** Primal phase I/II runs that hit a singular basis and restarted
+          from the slack basis (a second hit gives up with
+          {!Iter_limit}). *)
   basis_installs : int;  (** {!install_basis} calls. *)
   install_fallbacks : int;
       (** {!install_basis} calls that returned [false], leaving the
@@ -157,25 +161,38 @@ type stats = {
   compactions : int;  (** Heap compactions observed, same scope. *)
 }
 
-val empty_stats : stats
-(** All-zero statistics; the identity of {!add_stats}. *)
-
-val add_stats : stats -> stats -> stats
-(** Componentwise accumulation ([fill] takes the max). *)
+val stats_of_snapshot : ?fill:int -> Metrics.snapshot -> stats
+(** The engine counters of a {!Metrics} snapshot: every field but
+    [fill] (default [0]), which is a reading of a factorization, not a
+    tally, and is passed in. [factor_time_s] is the
+    [H_factor_seconds] histogram's sum. *)
 
 val pp_stats : Format.formatter -> stats -> unit
 (** One-line [key=value] rendering of the counters. *)
 
 type state
 
-val create : ?backend:backend -> Lp.t -> state
-(** Builds solver storage for the model (default backend {!Sparse_lu}).
-    Later mutations of the [Lp.t] are not observed except through
-    {!set_var_bounds}. The returned engine is owned by the calling
-    domain (see the module preamble). *)
+val create : ?metrics:Metrics.t -> ?backend:backend -> Lp.t -> state
+(** Builds solver storage for the model (default backend {!Sparse_lu})
+    and the engine's {!Metrics} shard, which holds every tally of
+    {!stats} for the engine's whole life: per-pivot [C_lp_pivots] and
+    [C_lp_bound_flips], per-solve [C_lp_solves] and the LP-time
+    histogram, the fallbacks, hyper-sparse FTRAN/BTRAN hits,
+    factorizations with the factor-time histogram, refactorizations by
+    trigger, eta updates, basis installs, solve times and allocation.
+    The shard is registered with [metrics] when given. Later mutations
+    of the [Lp.t] are not observed except through {!set_var_bounds}.
+    The returned engine is owned by the calling domain (see the module
+    preamble). *)
 
 val stats : state -> stats
-(** Cumulative statistics across all solves on this state. *)
+(** Cumulative statistics across all solves on this state: a view of
+    its shard ({!stats_of_snapshot} of [Metrics.merge [shard st]]). *)
+
+val shard : state -> Metrics.shard
+
+val fill : state -> int
+(** Stored L+U entries of the most recent sparse factorization. *)
 
 val num_rows : state -> int
 
@@ -197,18 +214,6 @@ val set_trace : state -> Trace.writer -> unit
     events from the basis kernel. The default is
     {!Trace.null_writer}: each instrumentation site then costs a single
     branch. The writer must belong to the engine's owning domain. *)
-
-val set_metrics : state -> Metrics.shard -> unit
-(** Routes engine counters to a {!Metrics} shard: per-solve
-    [C_lp_solves]/[C_lp_pivots]/[C_lp_bound_flips] (measured as the
-    same deltas as the trace events, so final-snapshot totals equal
-    the engine counters exactly), the [C_lp_dual_stalls],
-    [C_lp_primal_restarts] and [C_lp_cold_primal] fallbacks counted in
-    {!stats}, hyper-sparse FTRAN/BTRAN hit
-    counters on the pattern-capable kernels, factorization and
-    refactorization counts, and the factor-time and LP-solve-time
-    histograms. The default is {!Metrics.null_shard} (one branch per
-    site). The shard must belong to the engine's owning domain. *)
 
 val primal : ?max_iters:int -> state -> result
 (** Cold solve from a fresh slack basis, whatever the engine's current
@@ -318,9 +323,5 @@ val total_pivots : state -> int
 
 val bound_flips : state -> int
 (** Cumulative bound flips performed without a basis change. *)
-
-val refactorizations : state -> int
-(** Number of basis refactorizations, whatever the trigger (periodic,
-    numerical safeguard, or residual check). *)
 
 val pp_status : Format.formatter -> status -> unit

@@ -10,7 +10,7 @@ type result = {
 
 let run ?options ?strategy ?time_limit ?max_nodes ?num_partitions ?lint ?jobs
     ?deterministic ?rc_fixing ?propagate ?certify
-    ?(tracer = Ilp.Trace.disabled) ?(metrics = Ilp.Metrics.disabled)
+    ?(tracer = Ilp.Trace.disabled) ?metrics
     ~graph ~allocation ?capacity ?alpha ?scratch ?latency_relax () =
   let tw = Ilp.Trace.main tracer in
   let span name f =
@@ -71,7 +71,7 @@ let run ?options ?strategy ?time_limit ?max_nodes ?num_partitions ?lint ?jobs
   (* Stage 4-5: solve, extract, validate *)
   let report =
     Solver.solve ?strategy ?time_limit ?max_nodes ?lint ?jobs ?deterministic
-      ?rc_fixing ?propagate ?certify ~tracer ~metrics ?lint_options:options vars
+      ?rc_fixing ?propagate ?certify ~tracer ?metrics ?lint_options:options vars
   in
   log "solve: %s (%d nodes, %.2fs)"
     (Format.asprintf "%a" Solver.pp_outcome report.Solver.outcome)

@@ -56,7 +56,8 @@ val run :
     records structured events across the flow — estimate / formulate /
     presolve phase spans plus the full solver taxonomy — for export
     through {!Ilp.Trace_export} (see [docs/OBSERVABILITY.md]).
-    [metrics] forwards a live {!Ilp.Metrics} registry to the solve
-    stage for the sampling exporters in {!Ilp.Metrics_export}. *)
+    [metrics] forwards an {!Ilp.Metrics} registry to the solve stage
+    for the sampling exporters in {!Ilp.Metrics_export} (default: the
+    solve counts into a private one). *)
 
 val pp : Format.formatter -> result -> unit

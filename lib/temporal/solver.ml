@@ -21,7 +21,9 @@ type report = {
    node's bounds, the whole subtree is resolved either way and can be
    pruned. Results are memoized per partition map. The scheduler gives
    up at [deadline] (absolute [Ilp.Mono] time), like on an exhausted
-   backtrack budget. *)
+   backtrack budget; a call whose scheduler run gave up answers
+   [Hook_gave_up], so the search counts it (a memoized give-up answers
+   [Hook_none]). *)
 let scheduler_hook ~deadline vars =
   let spec = vars.Vars.spec in
   let g = spec.Spec.graph in
@@ -132,9 +134,10 @@ let scheduler_hook ~deadline vars =
                 in
                 `Done (Some (Solution.to_vector vars sol))
               | `Infeasible -> `Done None
-              | `Gave_up -> `Unknown
+              | `Gave_up -> `Gave_up
           in
-          Hashtbl.replace cache key r;
+          Hashtbl.replace cache key
+            (match r with `Gave_up -> `Unknown | `Done _ as d -> d);
           r
       in
       match completion with
@@ -144,6 +147,7 @@ let scheduler_hook ~deadline vars =
       | `Done None ->
         if all_y_fixed then Ilp.Branch_bound.Hook_prune
         else Ilp.Branch_bound.Hook_none
+      | `Gave_up -> Ilp.Branch_bound.Hook_gave_up
       | `Unknown -> Ilp.Branch_bound.Hook_none
     end
 
@@ -183,7 +187,7 @@ let solve ?(strategy = Branching.Paper) ?(time_limit = Float.infinity)
     ?(presolve = true) ?(lint = false) ?lint_options
     ?(jobs = 1) ?(deterministic = false)
     ?(rc_fixing = false) ?(propagate = false) ?(certify = Bb.Cert_off) ?(tracer = Ilp.Trace.disabled)
-    ?(metrics = Ilp.Metrics.disabled) vars =
+    ?metrics vars =
   let deadline = Ilp.Mono.now () +. time_limit in
   if lint then lint_or_fail ?options:lint_options vars;
   let options =
@@ -225,27 +229,10 @@ let solve ?(strategy = Branching.Paper) ?(time_limit = Float.infinity)
            relaxation (so its row indices need no mapping). *)
         let t = Ilp.Mono.now () in
         let _res, cert = Ilp.Certify.check_lp vars.Vars.lp in
-        let cert_seconds = Ilp.Mono.elapsed_since t in
+        let seconds = Ilp.Mono.elapsed_since t in
         ( Bb.Infeasible,
-          {
-            Bb.empty_stats with
-            Bb.certification =
-              {
-                Bb.cert_checked = 1;
-                cert_certified =
-                  (if cert.Ilp.Certify.verdict = Ilp.Certify.Certified then 1
-                   else 0);
-                cert_refuted =
-                  (if cert.Ilp.Certify.verdict = Ilp.Certify.Refuted then 1
-                   else 0);
-                cert_uncertifiable =
-                  (if cert.Ilp.Certify.verdict = Ilp.Certify.Uncertifiable
-                   then 1
-                   else 0);
-                cert_seconds;
-                root_certificate = Some cert;
-              };
-          } )
+          { Bb.empty_stats with Bb.certification = Bb.single_check cert ~seconds }
+        )
       | Ilp.Presolve.Infeasible _ -> (Bb.Infeasible, Bb.empty_stats)
       | Ilp.Presolve.Reduced (reduced, pstats) ->
         let outcome, stats = Bb.solve ~options reduced in

@@ -27,6 +27,17 @@ type report = {
           crossing edge. *)
 }
 
+val scheduler_hook :
+  deadline:float ->
+  Vars.t ->
+  lp_solution:float array ->
+  is_fixed:(int -> bool) ->
+  Ilp.Branch_bound.hook_result
+(** The exact-scheduler completion hook [solve] installs (see
+    [scheduler_completion] below), giving up at [deadline], an absolute
+    {!Ilp.Mono.now} time. A call whose scheduler run gave up answers
+    {!Ilp.Branch_bound.Hook_gave_up}. *)
+
 val solve :
   ?strategy:Branching.strategy ->
   ?time_limit:float ->
@@ -66,7 +77,8 @@ val solve :
     by orders of magnitude; ablated in the benchmarks. The hook's
     scheduler honours [time_limit]: it checks the clock every 4096
     backtracks and gives up once the limit, counted from the start of
-    [solve], has passed (see {!Enumerate.schedule_for_partition}).
+    [solve], has passed (see {!Enumerate.schedule_for_partition}); each
+    give-up is counted in [stats.deductions.hook_give_ups].
 
     [presolve] (default on) runs {!Ilp.Presolve} before branch and
     bound: rows drop and bounds tighten while variable indices — and the
@@ -100,10 +112,10 @@ val solve :
     solves, incumbents — for export through {!Ilp.Trace_export}; see
     [docs/OBSERVABILITY.md].
 
-    [metrics] (default {!Ilp.Metrics.disabled}) counts live solver
-    telemetry — nodes, pivots, factorizations, pool traffic, dual
-    bound and incumbent gauges — into an {!Ilp.Metrics} registry for
-    the sampling exporters in {!Ilp.Metrics_export}; same chapter of
+    [metrics] (default: a private registry) is the {!Ilp.Metrics}
+    registry the solve counts into — nodes, pivots, factorizations,
+    pool traffic, dual bound and incumbent gauges — for the sampling
+    exporters in {!Ilp.Metrics_export}; same chapter of
     [docs/OBSERVABILITY.md]. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

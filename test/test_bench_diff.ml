@@ -209,7 +209,7 @@ let test_committed_benches_self_compare () =
               (name ^ " self-diff clean") 0 r.D.r_regressions))
     [
       "BENCH_lp.json"; "BENCH_parallel.json"; "BENCH_nodes.json";
-      "BENCH_trace.json"; "BENCH_certify.json"; "BENCH_metrics.json";
+      "BENCH_trace.json"; "BENCH_certify.json";
     ]
 
 let () =

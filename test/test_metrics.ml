@@ -1,8 +1,9 @@
-(* Tests for the metrics registry and its exporters: disabled-path
-   semantics, the multi-domain shard merge (loss-free, monotone), the
-   JSONL codec round-trip, the stream validator, the Prometheus text
-   round-trip, and the acceptance pin that a final snapshot's totals
-   equal the solver's own statistics exactly (sequential and jobs=2),
+(* Tests for the metrics registry and its exporters: private shards,
+   the multi-domain shard merge (loss-free, monotone), the JSONL codec
+   round-trip, the stream validator, the Prometheus text round-trip,
+   the acceptance pin that a final snapshot's totals equal the solver's
+   own statistics exactly (sequential and jobs=2), that the statistics
+   are one store's view whether or not the caller supplies a registry,
    plus gap reconstruction from the two --json timelines. *)
 
 module M = Ilp.Metrics
@@ -12,26 +13,35 @@ module Bb = Ilp.Branch_bound
 
 (* ---------------- registry semantics ---------------- *)
 
-let test_disabled_costs_nothing () =
-  Alcotest.(check bool) "disabled" false (M.enabled M.disabled);
-  Alcotest.(check bool) "null inactive" false (M.active M.null_shard);
+let test_private_shard () =
+  (* a shard made without a registry counts, but no registry sees it *)
+  let m = M.create () in
+  let mine = M.make_shard () and theirs = M.make_shard ~registry:m () in
+  M.incr mine M.C_nodes;
+  M.add_sum mine M.S_hook_seconds 0.5;
+  M.incr theirs M.C_nodes;
+  M.incr theirs M.C_nodes;
+  Alcotest.(check int) "own cell" 1 (M.count mine M.C_nodes);
+  Alcotest.(check int) "registry sees its shard only" 2
+    (M.counter_value (M.snapshot m) M.C_nodes);
+  let s = M.merge [ mine; theirs ] in
+  Alcotest.(check int) "merge sums cells" 3 (M.counter_value s M.C_nodes);
+  Alcotest.(check (float 0.)) "merge sums sums" 0.5
+    (M.sum_value s M.S_hook_seconds);
   Alcotest.(check bool)
-    "main of disabled inactive" false
-    (M.active (M.main M.disabled));
-  (* writing through the null shard / disabled registry is a no-op *)
-  M.incr M.null_shard M.C_nodes;
-  M.observe M.null_shard M.H_lp_seconds 1.0;
-  M.set_gauge M.disabled M.G_best_bound 42.;
-  let s = M.snapshot M.disabled in
-  Alcotest.(check int) "no counts" 0 (M.counter_value s M.C_nodes);
-  Alcotest.(check bool)
-    "gauge unset" true
-    (Float.is_nan (M.gauge_value s M.G_best_bound))
+    "merge leaves gauges unset" true
+    (Float.is_nan (M.gauge_value s M.G_best_bound));
+  (* names live in one table: every name decodes to its instrument *)
+  Array.iteri
+    (fun i c ->
+      Alcotest.(check int) "index is position" i (M.counter_index c);
+      Alcotest.(check bool) "name round-trips" true
+        (M.counter_of_name (M.counter_name c) = Some c))
+    M.all_counters
 
 let test_counters_and_hists () =
   let m = M.create () in
-  let sh = M.main m in
-  Alcotest.(check bool) "active" true (M.active sh);
+  let sh = M.make_shard ~registry:m () in
   for _ = 1 to 10 do
     M.incr sh M.C_nodes
   done;
@@ -66,7 +76,7 @@ let merge_property =
     (fun (ndoms, nevents) ->
       let m = M.create () in
       let worker d () =
-        let sh = M.make_shard m in
+        let sh = M.make_shard ~registry:m () in
         for i = 0 to nevents - 1 do
           M.incr sh M.C_nodes;
           M.add sh M.C_lp_pivots 2;
@@ -102,13 +112,16 @@ let snapshot_gen =
       let* seed = int_range 1 1_000_000 in
       return
         (let m = M.create () in
-         let sh = M.main m in
+         let sh = M.make_shard ~registry:m () in
          let r = ref seed in
          let next bound =
            r := ((!r * 1103515245) + 12345) land 0x3FFFFFFF;
            !r mod bound
          in
          Array.iter (fun c -> M.add sh c (next 1000)) M.all_counters;
+         Array.iter
+           (fun x -> M.add_sum sh x (Float.of_int (next 100_000) /. 64.))
+           M.all_sums;
          Array.iter
            (fun g ->
              if next 3 > 0 then
@@ -125,6 +138,7 @@ let snapshot_gen =
 let snapshots_equal (a : M.snapshot) (b : M.snapshot) =
   let feq x y = x = y || (Float.is_nan x && Float.is_nan y) in
   a.M.s_counters = b.M.s_counters
+  && a.M.s_sums = b.M.s_sums
   && Array.for_all2 feq a.M.s_gauges b.M.s_gauges
   && Array.for_all2
        (fun (x : M.hist) (y : M.hist) ->
@@ -147,7 +161,7 @@ let jsonl_roundtrip_property =
 
 let test_validator () =
   let m = M.create () in
-  let sh = M.main m in
+  let sh = M.make_shard ~registry:m () in
   M.incr sh M.C_nodes;
   let s1 = M.snapshot m in
   M.add sh M.C_nodes 5;
@@ -163,6 +177,13 @@ let test_validator () =
   (match Export.check [ s2; s1 ] with
    | Ok () -> Alcotest.fail "regressing counters accepted"
    | Error _ -> ());
+  (* and so must a sum running backwards with every counter still *)
+  (match
+     Export.check
+       [ s2; { s2 with M.s_sums = Array.map (fun v -> v -. 1.) s2.M.s_sums } ]
+   with
+   | Ok () -> Alcotest.fail "regressing sums accepted"
+   | Error _ -> ());
   (* and monotonize repairs exactly that *)
   match Export.check [ s2; Export.monotonize s2 s1 ] with
   | Ok () -> ()
@@ -170,7 +191,7 @@ let test_validator () =
 
 let test_jsonl_file_roundtrip () =
   let m = M.create () in
-  let sh = M.main m in
+  let sh = M.make_shard ~registry:m () in
   let path = Filename.temp_file "metrics" ".jsonl" in
   let oc = open_out path in
   let prev = ref M.empty_snapshot in
@@ -197,8 +218,9 @@ let test_jsonl_file_roundtrip () =
 
 let test_prometheus_roundtrip () =
   let m = M.create () in
-  let sh = M.main m in
+  let sh = M.make_shard ~registry:m () in
   M.add sh M.C_nodes 17;
+  M.add_sum sh M.S_cert_seconds 0.25;
   M.add sh M.C_lp_pivots 123;
   M.observe sh M.H_factor_seconds 3e-5;
   M.observe sh M.H_factor_seconds 0.5;
@@ -217,6 +239,7 @@ let test_prometheus_roundtrip () =
     in
     Alcotest.(check (float 0.)) "counter" 17. (value "tpart_nodes_total");
     Alcotest.(check (float 0.)) "pivots" 123. (value "tpart_lp_pivots_total");
+    Alcotest.(check (float 0.)) "sum" 0.25 (value "tpart_cert_seconds_total");
     Alcotest.(check (float 1e-12)) "gauge" 2.25 (value "tpart_best_bound");
     Alcotest.(check (float 0.)) "hist count" 2.
       (value "tpart_factor_seconds_count");
@@ -265,10 +288,32 @@ let sample_lp () =
        Ilp.Lp.Le 1.);
   lp
 
-let check_final_snapshot_exact ~jobs () =
+(* A knapsack with a few side rows: a tree of a few hundred nodes that
+   keeps both deterministic workers busy past the seeding phase. *)
+let knapsack_lp () =
+  let lp = Ilp.Lp.create () in
+  let n = 30 in
+  let xs = Array.init n (fun _ -> Ilp.Lp.add_var lp Ilp.Lp.Binary) in
+  let w i = Float.of_int (3 + ((i * 7) mod 11)) in
+  Ilp.Lp.set_objective lp ~maximize:true
+    (Array.to_list
+       (Array.mapi (fun i x -> (w i +. Float.of_int ((i * 5) mod 4), x)) xs));
+  ignore
+    (Ilp.Lp.add_constr lp
+       (Array.to_list (Array.mapi (fun i x -> (w i, x)) xs))
+       Ilp.Lp.Le 67.);
+  for k = 0 to 3 do
+    ignore
+      (Ilp.Lp.add_constr lp
+         [ (1., xs.(k)); (1., xs.(k + 4)); (1., xs.(k + 8)) ]
+         Ilp.Lp.Le 1.)
+  done;
+  lp
+
+let check_final_snapshot_exact ~lp ~jobs () =
   let m = M.create () in
-  let options = { Bb.default_options with Bb.metrics = m; jobs } in
-  let outcome, stats = Bb.solve ~options (sample_lp ()) in
+  let options = { Bb.default_options with Bb.metrics = Some m; jobs } in
+  let outcome, stats = Bb.solve ~options lp in
   (match outcome with
    | Bb.Optimal _ -> ()
    | _ -> Alcotest.fail "sample solve not optimal");
@@ -309,17 +354,121 @@ let check_final_snapshot_exact ~jobs () =
    | _ -> ());
   (stats, outcome)
 
-let test_final_snapshot_sequential () =
-  ignore (check_final_snapshot_exact ~jobs:1 ())
+(* Every integer statistic of a solve, by name — except the incumbent
+   counts: under [deterministic] each worker prunes on its own bound,
+   but which worker's find improves the shared incumbent first is
+   timing. *)
+let int_stats (s : Bb.stats) =
+  let l = s.Bb.lp_stats and d = s.Bb.deductions and c = s.Bb.certification in
+  let open Ilp.Simplex in
+  [
+    ("nodes", s.Bb.nodes); ("pivots", s.Bb.pivots); ("max_depth", s.Bb.max_depth);
+    ("factorizations", l.factorizations); ("fill", l.fill); ("etas", l.etas);
+    ("refactor_eta", l.refactor_eta); ("refactor_numeric", l.refactor_numeric);
+    ("refactor_residual", l.refactor_residual); ("lp pivots", l.pivots);
+    ("bound_flips", l.bound_flips); ("dual_stalls", l.dual_stalls);
+    ("primal_restarts", l.primal_restarts); ("cold_primal", l.cold_primal);
+    ("singular_restarts", l.singular_restarts);
+    ("basis_installs", l.basis_installs);
+    ("install_fallbacks", l.install_fallbacks);
+    ("compactions", l.compactions); ("rc_fixed", d.Bb.rc_fixed);
+    ("prop_fixings", d.Bb.prop_fixings); ("prop_prunes", d.Bb.prop_prunes);
+    ("hook_calls", d.Bb.hook_calls); ("hook_give_ups", d.Bb.hook_give_ups);
+    ("cert_checked", c.Bb.cert_checked); ("cert_certified", c.Bb.cert_certified);
+    ("cert_refuted", c.Bb.cert_refuted);
+    ("cert_uncertifiable", c.Bb.cert_uncertifiable);
+  ]
+  @ List.concat
+      (List.mapi
+         (fun i (w : Bb.worker_stats) ->
+           let k name = Printf.sprintf "worker %d %s" i name in
+           [
+             (k "nodes", w.Bb.w_nodes); (k "steals", w.Bb.w_steals); (k "handoffs", w.Bb.w_handoffs);
+             (k "pivots", w.Bb.w_pivots);
+           ])
+         (Array.to_list s.Bb.workers))
+  @ List.concat_map
+      (fun (r : M.node_lp_row) ->
+        let k name = Printf.sprintf "node-lps %s %s" r.M.nl_reason name in
+        [
+          (k "nodes", r.M.nl_nodes); (k "pivots", r.M.nl_pivots);
+          (k "p50", r.M.nl_p50); (k "p90", r.M.nl_p90); (k "max", r.M.nl_max);
+        ])
+      (Array.to_list s.Bb.node_lps)
 
+(* The statistics are one store's view: a solve counting into the
+   caller's registry and one counting into a private registry return
+   identical integer statistics, sequentially and on two deterministic
+   workers, and the caller's final snapshot carries the same tallies. *)
+let test_one_store ~jobs () =
+  let options =
+    {
+      Bb.default_options with
+      Bb.jobs;
+      deterministic = true;
+      rc_fixing = true;
+      propagate = true;
+      certify_level = Bb.Cert_all;
+      node_hook =
+        Some
+          (fun ~lp_solution ~is_fixed:_ ->
+            (* undecided whenever the first item is fractional *)
+            if Bb.fractionality lp_solution.(0) > 1e-6 then Bb.Hook_gave_up
+            else Bb.Hook_none);
+    }
+  in
+  let m = M.create () in
+  let _, live = Bb.solve ~options:{ options with Bb.metrics = Some m } (knapsack_lp ()) in
+  let _, priv = Bb.solve ~options (knapsack_lp ()) in
+  Alcotest.(check (list (pair string int)))
+    "same integer stats" (int_stats priv) (int_stats live);
+  Alcotest.(check bool) "a real tree" true (live.Bb.nodes > 50);
+  if jobs > 1 then
+    Alcotest.(check bool)
+      "every worker ran" true
+      (Array.for_all (fun w -> w.Bb.w_nodes > 0) live.Bb.workers);
+  let s = M.snapshot m in
+  let d = live.Bb.deductions and c = live.Bb.certification in
+  List.iter
+    (fun (name, counter, v) ->
+      Alcotest.(check int) name v (M.counter_value s counter))
+    [
+      ("rc_fixed", M.C_rc_fixed, d.Bb.rc_fixed);
+      ("prop_fixings", M.C_prop_fixings, d.Bb.prop_fixings);
+      ("prop_prunes", M.C_prop_prunes, d.Bb.prop_prunes);
+      ("hook_calls", M.C_hook_calls, d.Bb.hook_calls);
+      ("hook_give_ups", M.C_hook_give_ups, d.Bb.hook_give_ups);
+      ("cert_checked", M.C_cert_checked, c.Bb.cert_checked);
+      ("basis_installs", M.C_lp_basis_installs,
+        live.Bb.lp_stats.Ilp.Simplex.basis_installs);
+      ("etas", M.C_lu_etas, live.Bb.lp_stats.Ilp.Simplex.etas);
+    ];
+  Alcotest.(check bool) "give-ups seen" true (d.Bb.hook_give_ups > 0);
+  (* the node-LP table partitions the nodes and the pivots *)
+  match Array.to_list live.Bb.node_lps with
+  | all :: reasons ->
+    Alcotest.(check string) "all row first" "all" all.M.nl_reason;
+    Alcotest.(check int) "all nodes" live.Bb.nodes all.M.nl_nodes;
+    Alcotest.(check int) "all pivots" live.Bb.pivots all.M.nl_pivots;
+    Alcotest.(check int) "reasons partition nodes" all.M.nl_nodes
+      (List.fold_left (fun a r -> a + r.M.nl_nodes) 0 reasons);
+    Alcotest.(check int) "reasons partition pivots" all.M.nl_pivots
+      (List.fold_left (fun a r -> a + r.M.nl_pivots) 0 reasons)
+  | [] -> Alcotest.fail "no node-LP rows"
+
+let test_final_snapshot_sequential () =
+  ignore (check_final_snapshot_exact ~lp:(sample_lp ()) ~jobs:1 ())
+
+(* The knapsack's tree outlasts the seeding phase, so the workers'
+   shards carry work (the sample tree ends while seeding). *)
 let test_final_snapshot_parallel () =
-  ignore (check_final_snapshot_exact ~jobs:2 ())
+  ignore (check_final_snapshot_exact ~lp:(knapsack_lp ()) ~jobs:2 ())
 
 (* ---------------- gap reconstruction ---------------- *)
 
 let test_timelines_reconstruct_gap () =
   let m = M.create () in
-  let options = { Bb.default_options with Bb.metrics = m } in
+  let options = { Bb.default_options with Bb.metrics = Some m } in
   let outcome, stats = Bb.solve ~options (sample_lp ()) in
   let obj =
     match outcome with
@@ -362,8 +511,8 @@ let () =
     [
       ( "registry",
         [
-          Alcotest.test_case "disabled costs nothing" `Quick
-            test_disabled_costs_nothing;
+          Alcotest.test_case "private shard stays out of registries" `Quick
+            test_private_shard;
           Alcotest.test_case "counters, gauges, histograms" `Quick
             test_counters_and_hists;
           QCheck_alcotest.to_alcotest merge_property;
@@ -383,6 +532,10 @@ let () =
             `Quick test_final_snapshot_sequential;
           Alcotest.test_case "final snapshot equals stats (jobs=2)" `Quick
             test_final_snapshot_parallel;
+          Alcotest.test_case "stats are one store's view (sequential)" `Quick
+            (test_one_store ~jobs:1);
+          Alcotest.test_case "stats are one store's view (jobs=2)" `Quick
+            (test_one_store ~jobs:2);
           Alcotest.test_case "timelines reconstruct the gap" `Quick
             test_timelines_reconstruct_gap;
         ] );

@@ -809,23 +809,22 @@ let test_stale_basis_reopt () =
 
 let test_dual_stall_counted () =
   (* With no iteration budget the dual loop stalls at once and falls
-     back to a primal restart: the fallback is counted in the engine
-     stats and mirrored to the metrics shard. *)
+     back to a primal restart: the fallback is counted in the engine's
+     shard, which the engine stats and the registry snapshot both read. *)
   let lp = Lp.create () in
   let x = Lp.add_var lp ~ub:4. Lp.Continuous in
   let y = Lp.add_var lp ~ub:4. Lp.Continuous in
   ignore (Lp.add_constr lp [ (1., x); (1., y) ] Lp.Le 5.);
   Lp.set_objective lp ~maximize:true [ (2., x); (1., y) ];
-  let st = Sx.create lp in
   let m = Ilp.Metrics.create () in
-  Sx.set_metrics st (Ilp.Metrics.main m);
+  let st = Sx.create ~metrics:m lp in
   ignore (Sx.primal st);
   Alcotest.(check int) "no stall yet" 0 (Sx.stats st).Sx.dual_stalls;
   Sx.set_var_bounds st (x :> int) ~lb:0. ~ub:1.;
   ignore (Sx.dual_reopt ~max_iters:0 st);
   Alcotest.(check int) "stall counted" 1 (Sx.stats st).Sx.dual_stalls;
   Alcotest.(check int) "no singular restart" 0 (Sx.stats st).Sx.primal_restarts;
-  Alcotest.(check int) "stall mirrored" 1
+  Alcotest.(check int) "stall in the registry" 1
     (Ilp.Metrics.counter_value (Ilp.Metrics.snapshot m)
        Ilp.Metrics.C_lp_dual_stalls);
   let r = Sx.dual_reopt st in
@@ -833,15 +832,49 @@ let test_dual_stall_counted () =
   check_float "obj" 6. (user_obj lp r);
   Alcotest.(check int) "still one stall" 1 (Sx.stats st).Sx.dual_stalls
 
+let test_singular_restart_counted () =
+  (* Found by a random search over near-parallel columns: the free
+     column forces primal phase I, whose pivots leave the dense
+     backend's basis numerically singular at a refresh; phase I
+     restarts once from the slack basis, and the restart is counted. *)
+  let lp = Lp.create () in
+  let x0 = Lp.add_var lp ~ub:4. Lp.Continuous in
+  let x1 =
+    Lp.add_var lp ~lb:Float.neg_infinity ~ub:Float.infinity Lp.Continuous
+  in
+  let x2 = Lp.add_var lp ~ub:3. Lp.Continuous in
+  let x3 = Lp.add_var lp ~ub:3. Lp.Continuous in
+  ignore
+    (Lp.add_constr lp
+       [ (-3., x0); (-2.998e-06, x1); (-2., x2); (-2., x3) ]
+       Lp.Eq 0.);
+  ignore
+    (Lp.add_constr lp
+       [ (-3., x0); (-300000., x1); (-3., x2); (3., x3) ]
+       Lp.Le (-2.));
+  Lp.set_objective lp ~maximize:true [ (2., x0); (2., x3) ];
+  let st = Sx.create ~backend:Sx.Dense lp in
+  ignore (Sx.primal st);
+  let s = Sx.stats st in
+  Alcotest.(check int) "took phase I" 1 s.Sx.cold_primal;
+  Alcotest.(check int) "restart counted" 1 s.Sx.singular_restarts;
+  Alcotest.(check bool) "pp shows it" true
+    (let text = Format.asprintf "%a" Sx.pp_stats s in
+     let key = " singular-restarts=1 " in
+     let n = String.length key in
+     let rec go i =
+       i + n <= String.length text && (String.sub text i n = key || go (i + 1))
+     in
+     go 0)
+
 let test_cold_dual_stall_falls_back () =
   (* A one-iteration budget stalls the cold dual loop on a degenerate
      0-1 model whose slack start violates its equality rows. The
      fallback is primal phase I, counted as a stall and as a phase-I
      solve; it never returns to the dual start. *)
   let lp = make_degen_lp 0 ~n:24 ~m:12 in
-  let st = Sx.create lp in
   let m = Ilp.Metrics.create () in
-  Sx.set_metrics st (Ilp.Metrics.main m);
+  let st = Sx.create ~metrics:m lp in
   let capped = Sx.primal ~max_iters:1 st in
   Alcotest.(check bool) "capped solve gives up" true
     (capped.Sx.status = Sx.Iter_limit);
@@ -849,7 +882,7 @@ let test_cold_dual_stall_falls_back () =
   Alcotest.(check int) "stall counted" 1 stats.Sx.dual_stalls;
   Alcotest.(check int) "phase I counted" 1 stats.Sx.cold_primal;
   Alcotest.(check int) "no singular restart" 0 stats.Sx.primal_restarts;
-  Alcotest.(check int) "phase I mirrored" 1
+  Alcotest.(check int) "phase I in the registry" 1
     (Ilp.Metrics.counter_value (Ilp.Metrics.snapshot m)
        Ilp.Metrics.C_lp_cold_primal);
   let r = Sx.primal st in
@@ -901,6 +934,8 @@ let () =
             test_dual_stall_counted;
           Alcotest.test_case "cold dual stall falls back to phase I" `Quick
             test_cold_dual_stall_falls_back;
+          Alcotest.test_case "phase-I singular restart counted" `Quick
+            test_singular_restart_counted;
         ] );
       ( "properties",
         [ qt prop_feasible_and_dominates; qt prop_warm_start_agrees;

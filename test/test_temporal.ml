@@ -664,6 +664,45 @@ let test_scheduler_deadline () =
   | `Schedule _ -> ()
   | `Infeasible | `Gave_up -> Alcotest.fail "expected a schedule"
 
+(* A completion-hook call past its deadline gives up, and the search
+   counts that give-up exactly once. The hook sees the all-in-one map
+   of [paper1_n2l4] (thousands of backtracks, so the clock is read)
+   with every y fixed. *)
+let test_hook_give_up_counted () =
+  let spec, part = paper1_n2l4 () in
+  let vars = F.build spec in
+  let lp = vars.Vars.lp in
+  let sol = Array.make (Ilp.Lp.num_vars lp) 0. in
+  Array.iteri
+    (fun t row ->
+      Array.iteri
+        (fun p (v : Ilp.Lp.var) -> if part.(t) = p + 1 then sol.((v :> int)) <- 1.)
+        row)
+    vars.Vars.y;
+  let hook = Solver.scheduler_hook ~deadline:(Ilp.Mono.now () -. 1.) vars in
+  let past_deadline () = hook ~lp_solution:sol ~is_fixed:(fun _ -> true) in
+  (match past_deadline () with
+   | Ilp.Branch_bound.Hook_gave_up -> ()
+   | _ -> Alcotest.fail "expected a give-up");
+  let calls = ref 0 in
+  let node_hook ~lp_solution:_ ~is_fixed:_ =
+    incr calls;
+    if !calls = 1 then past_deadline () else Ilp.Branch_bound.Hook_none
+  in
+  let _, stats =
+    Ilp.Branch_bound.solve
+      ~options:
+        {
+          Ilp.Branch_bound.default_options with
+          node_hook = Some node_hook;
+          max_nodes = 3;
+        }
+      lp
+  in
+  let d = stats.Ilp.Branch_bound.deductions in
+  Alcotest.(check int) "hook calls" !calls d.Ilp.Branch_bound.hook_calls;
+  Alcotest.(check int) "one give-up" 1 d.Ilp.Branch_bound.hook_give_ups
+
 (* Allocations that mix shared, pipelined multicycle and blocking
    multicycle units, so every cached table has entries to get wrong. *)
 let rand_mixed_spec seed =
@@ -862,6 +901,8 @@ let () =
             test_scheduler_order_pinned;
           Alcotest.test_case "expired deadline gives up" `Quick
             test_scheduler_deadline;
+          Alcotest.test_case "hook give-up counted" `Quick
+            test_hook_give_up_counted;
           qt prop_spec_tables_and_schedules;
         ] );
       ( "extensions",
