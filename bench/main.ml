@@ -1,16 +1,18 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation, plus ablations of the design choices called out in
-   DESIGN.md and micro-benchmarks of the solver kernels.
+   evaluation, plus an ablation of the design choices called out in
+   DESIGN.md and the static-analysis (lint) timings.
 
    Usage:
      dune exec bench/main.exe                 -- run everything
      dune exec bench/main.exe -- table3 figures
      dune exec bench/main.exe -- --quick all  (shorter time limits)
 
-   The paper's published numbers (175 MHz UltraSparc, lp_solve) are
-   printed alongside for reference; absolute run times are not expected
-   to match — the relative effects (tightening, variable selection) are
-   the reproduction target. See EXPERIMENTS.md. *)
+   Sections: table1 table2 table3 table4 figures (figure1..figure4)
+   ablation lint. The paper's published numbers (175 MHz UltraSparc,
+   lp_solve) are printed alongside for reference; absolute run times are
+   not expected to match — the relative effects (tightening, variable
+   selection) are the reproduction target. See EXPERIMENTS.md. Solver
+   performance end to end and per layer is measured by perfbench/. *)
 
 module G = Taskgraph.Graph
 module Ex = Taskgraph.Examples
@@ -46,12 +48,12 @@ type run_row = {
 }
 
 let run_spec ?(options = F.tightened_options) ?(strategy = Temporal.Branching.Paper)
-    ?(scheduler_completion = true) ?limit ?(jobs = 1) spec =
+    ?(scheduler_completion = true) ?limit spec =
   let limit = match limit with Some l -> Float.min l !time_limit | None -> !time_limit in
   let vars = F.build ~options spec in
   let t0 = Unix.gettimeofday () in
   let report =
-    Solver.solve ~strategy ~scheduler_completion ~time_limit:limit ~jobs vars
+    Solver.solve ~strategy ~scheduler_completion ~time_limit:limit vars
   in
   let seconds = Unix.gettimeofday () -. t0 in
   let feasible =
@@ -337,575 +339,6 @@ let ablation () =
     points
 
 (* ------------------------------------------------------------------ *)
-(* LP engine: cold root relaxations and full solves                     *)
-(* ------------------------------------------------------------------ *)
-
-type lp_row = {
-  lp_graph : int;
-  lp_n : int;
-  lp_l : int;
-  lp_vars : int;
-  lp_constrs : int;
-  lp_devex_s : float;
-  lp_devex_pivots : int;
-  lp_devex_flips : int;
-  lp_bucket_factor_s : float;
-  lp_bucket_factors : int;
-  lp_solve_s : float;
-  lp_solved : bool;
-  lp_result : string;
-}
-
-let lp_rows : lp_row list ref = ref []
-
-let lp_bench ~quick () =
-  section
-    "LP engine: cold root relaxation of the tightened model at the Table 4\n\
-     design points (devex pricing, bound-flipping dual ratio test, bucket\n\
-     LU) with its factorization time, and the production search (the\n\
-     model tpart solve builds) on the same cell -- docs/PERFORMANCE.md\n\
-     explains the engine";
-  let reps = if quick then 1 else 3 in
-  let budget = if quick then Float.min 30. !time_limit else !time_limit in
-  let max_iters = 200_000 in
-  let points =
-    [
-      (1, 3, (2, 2, 1), 1);
-      (2, 4, (3, 2, 2), 1);
-      (3, 3, (2, 2, 2), 1);
-      (4, 2, (2, 2, 2), 1);
-      (5, 2, (2, 2, 2), 1);
-      (6, 2, (2, 2, 2), 1);
-    ]
-  in
-  Format.printf
-    " %-6s %-3s %-3s | %-5s %-6s | %-10s %-7s %-6s | %-10s %-6s | full solve@."
-    "graph" "N" "L" "Var" "Const" "root(s)" "pivots" "flips" "factor(s)"
-    "count";
-  List.iter
-    (fun (gno, n, ams, l) ->
-      let g = Ex.paper_graph gno in
-      let spec = spec_of g ~ams ~n ~l in
-      let vars = F.build ~options:F.tightened_options spec in
-      let lp = vars.Temporal.Vars.lp in
-      let median xs =
-        let a = Array.of_list xs in
-        Array.sort compare a;
-        a.(Array.length a / 2)
-      in
-      (* cold root solves, medians over [reps]; pivots, flips and
-         factorization counts are deterministic, so the last rep's
-         counters are the counters *)
-      let pivots = ref 0 and flips = ref 0 and factors = ref 0 in
-      let runs =
-        List.init reps (fun _ ->
-            let st = Ilp.Simplex.create lp in
-            let t0 = Unix.gettimeofday () in
-            let r = Ilp.Simplex.primal ~max_iters st in
-            let dt = Unix.gettimeofday () -. t0 in
-            (match r.Ilp.Simplex.status with
-             | Ilp.Simplex.Optimal | Ilp.Simplex.Infeasible -> ()
-             | _ -> Format.printf "  (graph %d root hit the pivot budget)@." gno);
-            let s = Ilp.Simplex.stats st in
-            pivots := r.Ilp.Simplex.iterations;
-            flips := Ilp.Simplex.bound_flips st;
-            factors := s.Ilp.Simplex.factorizations;
-            (dt, s.Ilp.Simplex.factor_time_s))
-      in
-      let td = median (List.map fst runs) in
-      let factor_s = median (List.map snd runs) in
-      (* the production search on the model tpart solve builds: does
-         the Table 4 cell close inside the budget? *)
-      let vars2 = F.build ~options:F.default_options spec in
-      let t0 = Unix.gettimeofday () in
-      let report = Solver.solve ~time_limit:budget vars2 in
-      let solve_s = Unix.gettimeofday () -. t0 in
-      let solved, result =
-        match report.Solver.outcome with
-        | Solver.Feasible sol ->
-          (true, Printf.sprintf "cost %d" sol.Sol.comm_cost)
-        | Solver.Infeasible_model -> (true, "infeasible")
-        | Solver.Timed_out _ -> (false, "timeout")
-      in
-      lp_rows :=
-        {
-          lp_graph = gno; lp_n = n; lp_l = l;
-          lp_vars = Temporal.Vars.num_vars vars;
-          lp_constrs = Temporal.Vars.num_constrs vars;
-          lp_devex_s = td; lp_devex_pivots = !pivots;
-          lp_devex_flips = !flips;
-          lp_bucket_factor_s = factor_s; lp_bucket_factors = !factors;
-          lp_solve_s = solve_s; lp_solved = solved; lp_result = result;
-        }
-        :: !lp_rows;
-      Format.printf
-        " %-6d %-3d %-3d | %-5d %-6d | %-10.4f %-7d %-6d | %-10.4f %-6d | %.2fs %s@."
-        gno n l
-        (Temporal.Vars.num_vars vars)
-        (Temporal.Vars.num_constrs vars)
-        td !pivots !flips factor_s !factors solve_s result)
-    points
-
-let write_lp_json path =
-  let oc = open_out path in
-  let row r =
-    Printf.sprintf
-      "    { \"graph\": %d, \"n\": %d, \"l\": %d, \"vars\": %d, \
-       \"constrs\": %d, \"devex_root_s\": %.6f, \
-       \"devex_pivots\": %d, \"devex_flips\": %d, \
-       \"bucket_factor_time_s\": %.6f, \"bucket_factorizations\": %d, \
-       \"solve_s\": %.3f, \"solved\": %b, \"result\": %S }"
-      r.lp_graph r.lp_n r.lp_l r.lp_vars r.lp_constrs r.lp_devex_s
-      r.lp_devex_pivots r.lp_devex_flips r.lp_bucket_factor_s
-      r.lp_bucket_factors r.lp_solve_s r.lp_solved r.lp_result
-  in
-  let rows = List.rev !lp_rows in
-  Printf.fprintf oc
-    "{\n\
-    \  \"host\": {\n\
-    \    \"cores\": %d,\n\
-    \    \"ocaml\": %S,\n\
-    \    \"word_size\": %d,\n\
-    \    \"os_type\": %S,\n\
-    \    \"backend\": \"sparse_lu\"\n\
-    \  },\n\
-    \  \"lp\": [\n%s\n  ]\n}\n"
-    (Domain.recommended_domain_count ())
-    Sys.ocaml_version Sys.word_size Sys.os_type
-    (String.concat ",\n" (List.map row rows));
-  close_out oc;
-  Format.printf "@.json report written to %s@." path
-
-(* ------------------------------------------------------------------ *)
-(* Parallel branch and bound: 1/2/4/8 worker domains                    *)
-(* ------------------------------------------------------------------ *)
-
-(* Rows are accumulated here so that --json can dump them together with
-   the host description at the end of the run. *)
-type parallel_row = {
-  p_graph : int;
-  p_n : int;
-  p_l : int;
-  p_jobs : int;
-  p_seconds : float;
-  p_nodes : int;
-  p_steals : int;
-  p_handoffs : int;
-  p_solved : bool;
-  p_speedup : float;
-}
-
-let parallel_rows : parallel_row list ref = ref []
-
-(* Largest worker count the parallel section actually benched: the JSON
-   report compares it against the host's core count to self-describe
-   oversubscribed runs (see the "caveat" field in write_json). *)
-let parallel_max_jobs = ref 0
-
-let parallel ?(quick = false) () =
-  section
-    "Parallel branch and bound: worker domains vs sequential search\n\
-     (tightened model, paper branching, scheduler-completion hook OFF so\n\
-     the trees are large enough to feed the worker pool; fixed per-run\n\
-     wall-clock budget. On a single-core host the speedup column measures\n\
-     scheduling overhead, not parallelism -- see EXPERIMENTS.md)";
-  Format.printf "  host: %d core(s) recommended by the runtime@.@."
-    (Domain.recommended_domain_count ());
-  let budget = if quick then 10. else 20. in
-  let job_counts = if quick then [ 1; 2 ] else [ 1; 2; 4; 8 ] in
-  parallel_max_jobs :=
-    List.fold_left Int.max !parallel_max_jobs job_counts;
-  let points =
-    if quick then [ (1, 3, (2, 2, 1), 1) ]
-    else
-      [
-        (* one design point per paper graph, from Table 4 *)
-        (1, 3, (2, 2, 1), 1);
-        (2, 4, (3, 2, 2), 1);
-        (3, 3, (2, 2, 2), 1);
-        (4, 2, (2, 2, 2), 1);
-        (5, 2, (2, 2, 2), 1);
-        (6, 2, (2, 2, 2), 1);
-      ]
-  in
-  Format.printf " %-6s %-3s %-3s %-4s | %-10s %-7s %-8s | %-6s %-8s | %-8s | %s@."
-    "graph" "N" "L" "jobs" "runtime(s)" "nodes" "nodes/s" "steals" "handoffs"
-    "speedup" "result";
-  List.iter
-    (fun (gno, n, ams, l) ->
-      let g = Ex.paper_graph gno in
-      let run jobs =
-        let vars = F.build ~options:F.tightened_options (spec_of g ~ams ~n ~l) in
-        let t0 = Unix.gettimeofday () in
-        let report =
-          Solver.solve ~scheduler_completion:false ~time_limit:budget ~jobs vars
-        in
-        (Unix.gettimeofday () -. t0, report)
-      in
-      let base_time = ref nan and base_rate = ref nan and base_solved = ref false in
-      List.iter
-        (fun jobs ->
-          let seconds, report = run jobs in
-          let stats = report.Solver.stats in
-          let nodes = stats.Ilp.Branch_bound.nodes in
-          let sum f =
-            Array.fold_left (fun acc w -> acc + f w) 0
-              stats.Ilp.Branch_bound.workers
-          in
-          let steals = sum (fun w -> w.Ilp.Branch_bound.w_steals) in
-          let handoffs = sum (fun w -> w.Ilp.Branch_bound.w_handoffs) in
-          let solved =
-            match report.Solver.outcome with
-            | Solver.Feasible _ | Solver.Infeasible_model -> true
-            | Solver.Timed_out _ -> false
-          in
-          (* wall-clock speedup when both this run and the jobs=1 baseline
-             finished; otherwise the runs hit the same budget, so the
-             node-throughput ratio is the honest number (marked with ~) *)
-          let rate = float_of_int nodes /. seconds in
-          if jobs = 1 then begin
-            base_time := seconds;
-            base_rate := rate;
-            base_solved := solved
-          end;
-          let speedup, approx =
-            if solved && !base_solved then (!base_time /. seconds, false)
-            else (rate /. !base_rate, true)
-          in
-          parallel_rows :=
-            {
-              p_graph = gno; p_n = n; p_l = l; p_jobs = jobs;
-              p_seconds = seconds; p_nodes = nodes; p_steals = steals;
-              p_handoffs = handoffs; p_solved = solved;
-              p_speedup = speedup;
-            }
-            :: !parallel_rows;
-          Format.printf
-            " %-6d %-3d %-3d %-4d | %-10.2f %-7d %-8.0f | %-6d %-8d | %6.2f%s | %s@."
-            gno n l jobs seconds nodes rate steals handoffs speedup
-            (if approx then "~" else " ")
-            (match report.Solver.outcome with
-             | Solver.Feasible sol ->
-               Printf.sprintf "cost %d" sol.Sol.comm_cost
-             | Solver.Infeasible_model -> "infeasible"
-             | Solver.Timed_out _ -> "timeout"))
-        job_counts)
-    points
-
-(* ------------------------------------------------------------------ *)
-(* Node deductions: ablation of the in-tree deduction stack             *)
-(* ------------------------------------------------------------------ *)
-
-type nodes_row = {
-  nd_graph : int;
-  nd_n : int;
-  nd_l : int;
-  nd_config : string;
-  nd_seconds : float;
-  nd_nodes : int;
-  nd_solved : bool;
-  nd_cost : int option;
-  nd_rc_fixed : int;
-  nd_prop_fixings : int;
-}
-
-let nodes_rows : nodes_row list ref = ref []
-
-let nodes_bench ~quick () =
-  section
-    "Node deductions: reduced-cost fixing and propagation\n\
-     (production model, scheduler-completion hook OFF so the search tree\n\
-     is the object under measurement; per-run wall-clock budget. The\n\
-     'base' rows are the paper-faithful default; see docs/SOLVER.md)";
-  let budget = Float.min 60. !time_limit in
-  let points =
-    (* operating points chosen so the baseline completes inside the
-       budget: graph 1 at two Table-2/3 points, graph 2's two-partition
-       infeasibility proof, and the root refutations of graphs 3/5/6 at
-       their Table-4 points (graph 4's tree does not finish under any
-       deduction setting on this LP engine within minutes — reported in
-       EXPERIMENTS.md, not benched here) *)
-    if quick then [ (1, 2, (2, 2, 1), 3) ]
-    else
-      [
-        (1, 3, (2, 2, 1), 1);
-        (1, 2, (2, 2, 1), 3);
-        (2, 2, (3, 2, 2), 1);
-        (3, 3, (2, 2, 2), 1);
-        (5, 2, (2, 2, 2), 1);
-        (6, 2, (2, 2, 2), 1);
-      ]
-  in
-  let configs =
-    [
-      ("base", false, false);
-      ("+rcfix", true, false);
-      ("+propagate", false, true);
-      ("+rcfix+propagate", true, true);
-    ]
-  in
-  Format.printf " %-6s %-3s %-3s %-16s | %-7s %-10s | %-7s %-8s | %s@." "graph"
-    "N" "L" "config" "nodes" "runtime(s)" "rcfix" "propfix" "result";
-  let base_total = ref 0 and full_total = ref 0 in
-  List.iter
-    (fun (gno, n, ams, l) ->
-      let g = Ex.paper_graph gno in
-      List.iter
-        (fun (cname, rc, prop) ->
-          let vars = F.build (spec_of g ~ams ~n ~l) in
-          let t0 = Unix.gettimeofday () in
-          let report =
-            Solver.solve ~scheduler_completion:false ~time_limit:budget
-              ~rc_fixing:rc ~propagate:prop vars
-          in
-          let seconds = Unix.gettimeofday () -. t0 in
-          let stats = report.Solver.stats in
-          let d = stats.Ilp.Branch_bound.deductions in
-          let nodes = stats.Ilp.Branch_bound.nodes in
-          let solved, cost =
-            match report.Solver.outcome with
-            | Solver.Feasible sol -> (true, Some sol.Sol.comm_cost)
-            | Solver.Infeasible_model -> (true, None)
-            | Solver.Timed_out _ -> (false, None)
-          in
-          if cname = "base" then base_total := !base_total + nodes;
-          if rc && prop then full_total := !full_total + nodes;
-          nodes_rows :=
-            {
-              nd_graph = gno; nd_n = n; nd_l = l; nd_config = cname;
-              nd_seconds = seconds; nd_nodes = nodes; nd_solved = solved;
-              nd_cost = cost;
-              nd_rc_fixed = d.Ilp.Branch_bound.rc_fixed;
-              nd_prop_fixings = d.Ilp.Branch_bound.prop_fixings;
-            }
-            :: !nodes_rows;
-          Format.printf " %-6d %-3d %-3d %-16s | %-7d %-10.2f | %-7d %-8d | %s@."
-            gno n l cname nodes seconds d.Ilp.Branch_bound.rc_fixed
-            d.Ilp.Branch_bound.prop_fixings
-            (match report.Solver.outcome with
-             | Solver.Feasible sol -> Printf.sprintf "cost %d" sol.Sol.comm_cost
-             | Solver.Infeasible_model -> "infeasible"
-             | Solver.Timed_out _ -> "timeout"))
-        configs)
-    points;
-  if !base_total > 0 then
-    Format.printf
-      "@.total nodes: base %d, rc-fix + propagation %d (%.0f%% reduction)@."
-      !base_total !full_total
-      (100. *. (1. -. (float_of_int !full_total /. float_of_int !base_total)))
-
-let write_nodes_json path =
-  let oc = open_out path in
-  let row r =
-    Printf.sprintf
-      "    { \"graph\": %d, \"n\": %d, \"l\": %d, \"config\": %S, \
-       \"seconds\": %.3f, \"nodes\": %d, \"solved\": %b, \"cost\": %s, \
-       \"rc_fixed\": %d, \"prop_fixings\": %d }"
-      r.nd_graph r.nd_n r.nd_l r.nd_config r.nd_seconds r.nd_nodes r.nd_solved
-      (match r.nd_cost with Some c -> string_of_int c | None -> "null")
-      r.nd_rc_fixed r.nd_prop_fixings
-  in
-  Printf.fprintf oc
-    "{\n\
-    \  \"host\": {\n\
-    \    \"cores\": %d,\n\
-    \    \"ocaml\": %S,\n\
-    \    \"word_size\": %d,\n\
-    \    \"os_type\": %S,\n\
-    \    \"backend\": \"sparse_lu\"\n\
-    \  },\n\
-    \  \"nodes\": [\n%s\n  ]\n}\n"
-    (Domain.recommended_domain_count ())
-    Sys.ocaml_version Sys.word_size Sys.os_type
-    (String.concat ",\n" (List.rev_map row !nodes_rows));
-  close_out oc;
-  Format.printf "@.json report written to %s@." path
-
-(* JSON report: host description + the parallel rows, hand-rolled so the
-   bench stays free of external dependencies. *)
-let write_json path =
-  let oc = open_out path in
-  let row r =
-    Printf.sprintf
-      "    { \"graph\": %d, \"n\": %d, \"l\": %d, \"jobs\": %d, \
-       \"seconds\": %.3f, \"nodes\": %d, \"steals\": %d, \"handoffs\": %d, \
-       \"solved\": %b, \"speedup\": %.3f }"
-      r.p_graph r.p_n r.p_l r.p_jobs r.p_seconds r.p_nodes r.p_steals
-      r.p_handoffs r.p_solved r.p_speedup
-  in
-  let cores = Domain.recommended_domain_count () in
-  (* Machine-readable honesty: when the host has fewer cores than the
-     largest benched worker count, the speedup columns measure
-     scheduling overhead under oversubscription, not parallelism.
-     Downstream tooling can key off this field instead of parsing
-     prose. *)
-  let caveat =
-    if cores < !parallel_max_jobs then
-      Printf.sprintf
-        ",\n\
-        \    \"caveat\": \"host has %d core(s) but up to %d worker \
-         domains were benched; speedups measure oversubscribed \
-         scheduling overhead, not parallelism\""
-        cores !parallel_max_jobs
-    else ""
-  in
-  Printf.fprintf oc
-    "{\n\
-    \  \"host\": {\n\
-    \    \"cores\": %d,\n\
-    \    \"recommended_domain_count\": %d,\n\
-    \    \"max_jobs_benched\": %d,\n\
-    \    \"ocaml\": %S,\n\
-    \    \"word_size\": %d,\n\
-    \    \"os_type\": %S,\n\
-    \    \"backend\": \"sparse_lu\"%s\n\
-    \  },\n\
-    \  \"parallel\": [\n%s\n  ]\n}\n"
-    cores cores !parallel_max_jobs Sys.ocaml_version Sys.word_size Sys.os_type
-    caveat
-    (String.concat ",\n" (List.rev_map row !parallel_rows));
-  close_out oc;
-  Format.printf "@.json report written to %s@." path
-
-(* ------------------------------------------------------------------ *)
-(* Tracing overhead: disabled guard vs full event recording             *)
-(* ------------------------------------------------------------------ *)
-
-type trace_result = {
-  t_instance : string;
-  t_runs : int;
-  t_disabled_s : float;
-  t_enabled_s : float;
-  t_nodes : int;
-  t_events : int;
-  t_guard_ns : float;
-  t_emit_ns : float;
-}
-
-let trace_result : trace_result option ref = ref None
-
-let trace_bench ~quick () =
-  section
-    "Tracing: cost of the Ilp.Trace layer on a representative solve\n\
-     (mixer graph, N=3 L=1 C=100, sequential, deterministic tree; the\n\
-     disabled tracer executes one predictable branch per event site,\n\
-     the enabled tracer records every event into per-domain rings)";
-  let reps = if quick then 3 else 5 in
-  let spec = spec_of ~cap:100 (Ex.mixer ()) ~ams:(2, 2, 1) ~n:3 ~l:1 in
-  let solve_once tracer =
-    let vars = F.build ~options:F.tightened_options spec in
-    let t0 = Unix.gettimeofday () in
-    let report = Solver.solve ~tracer ~time_limit:!time_limit vars in
-    (Unix.gettimeofday () -. t0, report.Solver.stats.Ilp.Branch_bound.nodes)
-  in
-  let median xs =
-    let a = Array.of_list xs in
-    Array.sort compare a;
-    a.(Array.length a / 2)
-  in
-  let disabled =
-    median (List.init reps (fun _ -> fst (solve_once Ilp.Trace.disabled)))
-  in
-  let enabled_times = ref [] and nodes = ref 0 and events = ref 0 in
-  for _ = 1 to reps do
-    let tracer = Ilp.Trace.create () in
-    let s, n = solve_once tracer in
-    enabled_times := s :: !enabled_times;
-    nodes := n;
-    events := Array.length (Ilp.Trace.collect tracer)
-  done;
-  let enabled = median !enabled_times in
-  (* per-event-site micro cost: the disabled guard is one load + branch,
-     the enabled emit allocates the event and writes the ring slot *)
-  let guard_iters = 50_000_000 in
-  let guard_ns =
-    let w = Ilp.Trace.null_writer in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to guard_iters do
-      if Ilp.Trace.active (Sys.opaque_identity w) then
-        Ilp.Trace.emit w (Ilp.Trace.Span_begin "bench")
-    done;
-    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int guard_iters
-  in
-  let emit_iters = 2_000_000 in
-  let emit_ns =
-    let tracer = Ilp.Trace.create () in
-    let w = Ilp.Trace.main tracer in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to emit_iters do
-      if Ilp.Trace.active (Sys.opaque_identity w) then
-        Ilp.Trace.emit w (Ilp.Trace.Span_begin "bench")
-    done;
-    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int emit_iters
-  in
-  let overhead = 100. *. ((enabled /. disabled) -. 1.) in
-  (* the disabled tracer's share of the solve: every event site costs
-     one guard check whether or not it fires *)
-  let disabled_pct =
-    guard_ns *. float_of_int !events /. (disabled *. 1e9) *. 100.
-  in
-  Format.printf " %-22s | %-10s | %-7s | %s@." "configuration" "runtime(s)"
-    "nodes" "events";
-  Format.printf " %-22s | %-10.3f | %-7d | %s@." "tracer disabled" disabled
-    !nodes "-";
-  Format.printf " %-22s | %-10.3f | %-7d | %d@." "tracer enabled" enabled !nodes
-    !events;
-  Format.printf "@.enabled recording overhead: %+.1f%% wall-clock@." overhead;
-  Format.printf
-    "disabled guard: %.1f ns/event-site (%d fired sites -> %.4f%% of the solve)@."
-    guard_ns !events disabled_pct;
-  Format.printf "enabled emit: %.0f ns/event@." emit_ns;
-  trace_result :=
-    Some
-      {
-        t_instance = "mixer N=3 L=1 C=100";
-        t_runs = reps;
-        t_disabled_s = disabled;
-        t_enabled_s = enabled;
-        t_nodes = !nodes;
-        t_events = !events;
-        t_guard_ns = guard_ns;
-        t_emit_ns = emit_ns;
-      }
-
-let write_trace_json path =
-  match !trace_result with
-  | None -> ()
-  | Some r ->
-    let oc = open_out path in
-    Printf.fprintf oc
-      "{\n\
-      \  \"host\": {\n\
-      \    \"cores\": %d,\n\
-      \    \"ocaml\": %S,\n\
-      \    \"word_size\": %d,\n\
-      \    \"os_type\": %S,\n\
-      \    \"backend\": \"sparse_lu\"\n\
-      \  },\n\
-      \  \"trace\": {\n\
-      \    \"instance\": %S,\n\
-      \    \"runs\": %d,\n\
-      \    \"disabled_median_s\": %.4f,\n\
-      \    \"enabled_median_s\": %.4f,\n\
-      \    \"enabled_overhead_pct\": %.2f,\n\
-      \    \"nodes\": %d,\n\
-      \    \"events\": %d,\n\
-      \    \"guard_ns_per_site\": %.2f,\n\
-      \    \"emit_ns_per_event\": %.1f,\n\
-      \    \"disabled_overhead_pct\": %.4f\n\
-      \  }\n\
-       }\n"
-      (Domain.recommended_domain_count ())
-      Sys.ocaml_version Sys.word_size Sys.os_type r.t_instance r.t_runs
-      r.t_disabled_s r.t_enabled_s
-      (100. *. ((r.t_enabled_s /. r.t_disabled_s) -. 1.))
-      r.t_nodes r.t_events r.t_guard_ns r.t_emit_ns
-      (r.t_guard_ns *. float_of_int r.t_events /. (r.t_disabled_s *. 1e9)
-      *. 100.);
-    close_out oc;
-    Format.printf "@.json report written to %s@." path
-
-(* ------------------------------------------------------------------ *)
 (* Lint: static analysis + formulation audit timings                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -946,191 +379,12 @@ let lint () =
     table4_rows
 
 (* ------------------------------------------------------------------ *)
-(* Certification: exact rational re-check of the root relaxation        *)
-(* ------------------------------------------------------------------ *)
-
-type cert_row = {
-  ce_graph : int;
-  ce_n : int;
-  ce_l : int;
-  ce_seconds : float;
-  ce_cert_seconds : float;
-  ce_checked : int;
-  ce_certified : int;
-  ce_root : string;
-  ce_result : string;
-}
-
-let cert_rows : cert_row list ref = ref []
-
-let certify_bench ~quick () =
-  section
-    "Certification: exact rational re-check of the root relaxation\n\
-     (--certify=root at the Table 4 design points; the rational\n\
-     arithmetic time comes from the cert_check trace events, so the\n\
-     share is measured directly, not from run-to-run wall-clock noise;\n\
-     see docs/VERIFICATION.md)";
-  let budget = Float.min 60. !time_limit in
-  let points =
-    if quick then [ (1, 3, (2, 2, 1), 1) ]
-    else
-      [
-        (1, 3, (2, 2, 1), 1);
-        (2, 2, (3, 2, 2), 1);
-        (3, 3, (2, 2, 2), 1);
-        (4, 2, (2, 2, 2), 1);
-        (5, 2, (2, 2, 2), 1);
-        (6, 2, (2, 2, 2), 1);
-      ]
-  in
-  Format.printf " %-6s %-3s %-3s | %-10s %-11s %-8s | %-9s | %s@." "graph" "N"
-    "L" "runtime(s)" "certify(ms)" "share(%)" "result" "root certificate";
-  List.iter
-    (fun (gno, n, ams, l) ->
-      let g = Ex.paper_graph gno in
-      let vars = F.build (spec_of g ~ams ~n ~l) in
-      let tracer = Ilp.Trace.create () in
-      let t0 = Unix.gettimeofday () in
-      let report =
-        Solver.solve ~tracer ~time_limit:budget
-          ~certify:Ilp.Branch_bound.Cert_root vars
-      in
-      let seconds = Unix.gettimeofday () -. t0 in
-      let summ =
-        Ilp.Trace_export.Summary.of_records (Ilp.Trace.collect tracer)
-      in
-      let cert_s = summ.Ilp.Trace_export.Summary.cert_seconds in
-      let c = report.Solver.stats.Ilp.Branch_bound.certification in
-      let root =
-        match c.Ilp.Branch_bound.root_certificate with
-        | Some cert -> Ilp.Certify.describe cert
-        | None -> "-"
-      in
-      let result =
-        match report.Solver.outcome with
-        | Solver.Feasible sol -> Printf.sprintf "cost %d" sol.Sol.comm_cost
-        | Solver.Infeasible_model -> "infeasible"
-        | Solver.Timed_out _ -> "timeout"
-      in
-      cert_rows :=
-        {
-          ce_graph = gno; ce_n = n; ce_l = l; ce_seconds = seconds;
-          ce_cert_seconds = cert_s;
-          ce_checked = c.Ilp.Branch_bound.cert_checked;
-          ce_certified = c.Ilp.Branch_bound.cert_certified;
-          ce_root = root; ce_result = result;
-        }
-        :: !cert_rows;
-      Format.printf " %-6d %-3d %-3d | %-10.2f %-11.2f %-8.3f | %-9s | %s@."
-        gno n l seconds (cert_s *. 1e3)
-        (100. *. cert_s /. seconds)
-        result root)
-    points
-
-let write_certify_json path =
-  let oc = open_out path in
-  let row r =
-    Printf.sprintf
-      "    { \"graph\": %d, \"n\": %d, \"l\": %d, \"seconds\": %.3f, \
-       \"certify_seconds\": %.6f, \"share_pct\": %.4f, \"checked\": %d, \
-       \"certified\": %d, \"root\": %S, \"result\": %S }"
-      r.ce_graph r.ce_n r.ce_l r.ce_seconds r.ce_cert_seconds
-      (100. *. r.ce_cert_seconds /. r.ce_seconds)
-      r.ce_checked r.ce_certified r.ce_root r.ce_result
-  in
-  Printf.fprintf oc
-    "{\n\
-    \  \"host\": {\n\
-    \    \"cores\": %d,\n\
-    \    \"ocaml\": %S,\n\
-    \    \"word_size\": %d,\n\
-    \    \"os_type\": %S,\n\
-    \    \"backend\": \"sparse_lu\"\n\
-    \  },\n\
-    \  \"certify\": [\n%s\n  ]\n}\n"
-    (Domain.recommended_domain_count ())
-    Sys.ocaml_version Sys.word_size Sys.os_type
-    (String.concat ",\n" (List.rev_map row !cert_rows));
-  close_out oc;
-  Format.printf "@.json report written to %s@." path
-
-(* ------------------------------------------------------------------ *)
-(* Micro-benchmarks (Bechamel)                                          *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  section "Micro-benchmarks: solver kernels (Bechamel, monotonic clock)";
-  let open Bechamel in
-  let lp_small =
-    let spec = spec_of (Ex.diamond ()) ~ams:(1, 1, 1) ~n:2 ~l:2 in
-    (F.build spec).Temporal.Vars.lp
-  in
-  let lp_medium =
-    let spec = spec_of (Ex.paper_graph 1) ~ams:(2, 2, 1) ~n:2 ~l:1 in
-    (F.build spec).Temporal.Vars.lp
-  in
-  let spec_med = spec_of (Ex.paper_graph 1) ~ams:(2, 2, 1) ~n:2 ~l:1 in
-  let tests =
-    Test.make_grouped ~name:"kernels"
-      [
-        Test.make ~name:"simplex diamond model"
-          (Staged.stage (fun () -> ignore (Ilp.Simplex.solve lp_small)));
-        Test.make ~name:"simplex graph1 model"
-          (Staged.stage (fun () -> ignore (Ilp.Simplex.solve lp_medium)));
-        Test.make ~name:"formulation build graph1"
-          (Staged.stage (fun () -> ignore (F.build spec_med)));
-        Test.make ~name:"asap/alap graph6"
-          (Staged.stage (fun () ->
-               ignore (Hls.Schedule.compute (Ex.paper_graph 6))));
-        Test.make ~name:"list schedule graph6"
-          (Staged.stage (fun () ->
-               ignore
-                 (Hls.List_scheduler.schedule (Ex.paper_graph 6)
-                    (C.ams (2, 2, 2)))));
-        Test.make ~name:"generator 10t/72o"
-          (Staged.stage (fun () ->
-               ignore
-                 (Taskgraph.Generator.generate
-                    (Taskgraph.Generator.default ~tasks:10 ~ops:72 ~seed:42))));
-      ]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) () in
-  let raw = Benchmark.all cfg [ instance ] tests in
-  let results =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-      instance raw
-  in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols ->
-      match Analyze.OLS.estimates ols with
-      | Some [ est ] -> rows := (name, est) :: !rows
-      | Some _ | None -> ())
-    results;
-  List.iter
-    (fun (name, est) ->
-      if est >= 1e6 then Format.printf "  %-40s %10.3f ms/run@." name (est /. 1e6)
-      else Format.printf "  %-40s %10.1f ns/run@." name est)
-    (List.sort compare !rows)
-
-(* ------------------------------------------------------------------ *)
 (* Driver                                                               *)
 (* ------------------------------------------------------------------ *)
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
-  let quick = List.mem "--quick" args in
-  if quick then time_limit := 30.;
-  let rec extract_json = function
-    | "--json" :: path :: rest -> (Some path, rest)
-    | a :: rest ->
-      let p, r = extract_json rest in
-      (p, a :: r)
-    | [] -> (None, [])
-  in
-  let json_path, args = extract_json args in
+  if List.mem "--quick" args then time_limit := 30.;
   let args = List.filter (fun a -> a <> "--quick" && a <> "all") args in
   let all = args = [] in
   let want name = all || List.mem name args in
@@ -1146,37 +400,5 @@ let () =
   if want "table2" then table12 ~tighten:true ();
   if want "table4" then table4 ();
   if want "ablation" then ablation ();
-  if want "lp" then lp_bench ~quick ();
-  if want "parallel" then parallel ~quick ();
-  if want "nodes" then nodes_bench ~quick ();
-  if want "trace" then trace_bench ~quick ();
-  if want "certify" then certify_bench ~quick ();
   if want "lint" then lint ();
-  if want "micro" then micro ();
-  (* --json writes whichever report the selected sections produced: the
-     parallel scaling rows, the node-deduction ablation, and/or the
-     tracing overhead (later reports go to PATH with "_nodes"/"_trace"
-     inserted when an earlier section already claimed PATH) *)
-  Option.iter
-    (fun path ->
-      let sub tag = Filename.remove_extension path ^ tag ^ Filename.extension path in
-      let wrote_lp = !lp_rows <> [] in
-      if wrote_lp then write_lp_json path;
-      let wrote_parallel = !parallel_rows <> [] in
-      if wrote_parallel then write_json (if wrote_lp then sub "_parallel" else path);
-      let wrote_nodes = !nodes_rows <> [] in
-      if wrote_nodes then
-        write_nodes_json
-          (if wrote_lp || wrote_parallel then sub "_nodes" else path);
-      let wrote_trace = !trace_result <> None in
-      if wrote_trace then
-        write_trace_json
-          (if wrote_lp || wrote_parallel || wrote_nodes then sub "_trace"
-           else path);
-      if !cert_rows <> [] then
-        write_certify_json
-          (if wrote_lp || wrote_parallel || wrote_nodes || wrote_trace then
-             sub "_certify"
-           else path))
-    json_path;
   Format.printf "@.total bench wall-clock: %.1fs@." (Unix.gettimeofday () -. t0)

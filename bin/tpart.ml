@@ -389,28 +389,10 @@ let progress_render ~final ~time_limit (snap : Ilp.Metrics.snapshot) =
       (pv (g Ilp.Metrics.G_pool_depth))
       (pv bound) (pv inc) gap ts deadline
 
-(* Column-aligned key/value tables for --stats: widths are computed
-   from the rendered cells, so counters of any magnitude stay aligned.
-   First column left-aligned, the rest right-aligned. *)
+(* Column-aligned tables for --stats: widths are computed from the
+   rendered cells, so counters of any magnitude stay aligned. *)
 let print_table rows =
-  match rows with
-  | [] -> ()
-  | header :: _ ->
-    let width = Array.make (List.length header) 0 in
-    List.iter
-      (List.iteri (fun i c -> width.(i) <- Int.max width.(i) (String.length c)))
-      rows;
-    List.iter
-      (fun row ->
-        let cells =
-          List.mapi
-            (fun i c ->
-              if i = 0 then Printf.sprintf "%-*s" width.(i) c
-              else Printf.sprintf "%*s" width.(i) c)
-            row
-        in
-        print_string ("  " ^ String.concat "  " cells ^ "\n"))
-      rows
+  print_string (Format.asprintf "%a" Ilp.Metrics_export.pp_table rows)
 
 let print_deductions (d : Ilp.Branch_bound.deduction_stats) =
   print_string "deductions:\n";
@@ -425,45 +407,6 @@ let print_deductions (d : Ilp.Branch_bound.deduction_stats) =
       [ "hook-give-ups"; string_of_int d.Ilp.Branch_bound.hook_give_ups ];
       [ "hook-time"; Printf.sprintf "%.3fs" d.Ilp.Branch_bound.hook_seconds ];
     ]
-
-(* Per-node LP distribution: all nodes, then each close reason. *)
-let print_node_lps (rows : Ilp.Metrics.node_lp_row array) =
-  if Array.length rows > 0 then begin
-    print_string "node-lps:\n";
-    print_table
-      ([ "reason"; "nodes"; "pivots"; "p50"; "p90"; "max"; "lp-time" ]
-      :: List.map
-           (fun (r : Ilp.Metrics.node_lp_row) ->
-             Ilp.Metrics.
-               [
-                 r.nl_reason;
-                 string_of_int r.nl_nodes;
-                 string_of_int r.nl_pivots;
-                 string_of_int r.nl_p50;
-                 string_of_int r.nl_p90;
-                 string_of_int r.nl_max;
-                 Printf.sprintf "%.3fs" r.nl_seconds;
-               ])
-           (Array.to_list rows))
-  end
-
-let json_of_node_lps (rows : Ilp.Metrics.node_lp_row array) =
-  let n x = Ilp.Json.Num (float_of_int x) in
-  Ilp.Json.Arr
-    (List.map
-       (fun (r : Ilp.Metrics.node_lp_row) ->
-         Ilp.Metrics.(
-           Ilp.Json.Obj
-             [
-               ("reason", Ilp.Json.Str r.nl_reason);
-               ("nodes", n r.nl_nodes);
-               ("pivots", n r.nl_pivots);
-               ("p50", n r.nl_p50);
-               ("p90", n r.nl_p90);
-               ("max", n r.nl_max);
-               ("seconds", Ilp.Json.Num r.nl_seconds);
-             ]))
-       (Array.to_list rows))
 
 let print_workers elapsed (workers : Ilp.Branch_bound.worker_stats array) =
   if Array.length workers > 0 then begin
@@ -522,7 +465,8 @@ let json_of_result ?certification ~time_limit result =
     (Ilp.Json.to_string (Ilp.Json.Num d.Ilp.Branch_bound.prop_seconds))
     d.Ilp.Branch_bound.hook_calls d.Ilp.Branch_bound.hook_give_ups
     (Ilp.Json.to_string (Ilp.Json.Num d.Ilp.Branch_bound.hook_seconds))
-    (Ilp.Json.to_string (json_of_node_lps s.Ilp.Branch_bound.node_lps))
+    (Ilp.Json.to_string
+       (Ilp.Metrics_export.node_lps_to_json s.Ilp.Branch_bound.node_lps))
     (Ilp.Json.to_string (Temporal.Report.incumbent_timeline s))
     (Ilp.Json.to_string (Temporal.Report.bound_timeline s))
     (Ilp.Json.to_string (Ilp.Json.Num s.Ilp.Branch_bound.elapsed))
@@ -677,7 +621,9 @@ let solve_cmd =
       Format.printf "lp-stats: %a@." Ilp.Simplex.pp_stats
         stats.Ilp.Branch_bound.lp_stats;
       print_deductions stats.Ilp.Branch_bound.deductions;
-      print_node_lps stats.Ilp.Branch_bound.node_lps;
+      print_string
+        (Format.asprintf "%a" Ilp.Metrics_export.pp_node_lps
+           stats.Ilp.Branch_bound.node_lps);
       print_workers stats.Ilp.Branch_bound.elapsed
         stats.Ilp.Branch_bound.workers
     end;
@@ -1097,91 +1043,6 @@ let metrics_cmd =
        ~doc:"Inspect metrics snapshots recorded by solve --metrics.")
     [ metrics_summary_cmd; metrics_validate_cmd ]
 
-(* ---------------- bench command ---------------- *)
-
-let bench_diff_cmd =
-  let old_arg =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"OLD" ~doc:"Baseline benchmark report (JSON).")
-  in
-  let new_arg =
-    Arg.(
-      required
-      & pos 1 (some file) None
-      & info [] ~docv:"NEW" ~doc:"Candidate benchmark report (JSON).")
-  in
-  let time_threshold =
-    Arg.(
-      value
-      & opt float 1.5
-      & info [ "time-threshold" ] ~docv:"FACTOR"
-          ~doc:
-            "Flag a time-like cell as a regression when it slows down \
-             by more than $(docv)x (and by more than 50 ms absolute). \
-             Inverted for speedup cells.")
-  in
-  let count_threshold =
-    Arg.(
-      value
-      & opt float 1.1
-      & info [ "count-threshold" ] ~docv:"FACTOR"
-          ~doc:
-            "Flag an effort counter (nodes, pivots, factorizations) as \
-             a regression when it grows by more than $(docv)x.")
-  in
-  let ignore_fields =
-    Arg.(
-      value
-      & opt (list string) []
-      & info [ "ignore" ] ~docv:"FIELDS"
-          ~doc:
-            "Comma-separated field names to skip entirely (neither \
-             compared nor counted), e.g. $(b,solved,result) when \
-             diffing runs made under different time budgets.")
-  in
-  let run old_p new_p tt ct ign =
-    let load path =
-      match Temporal.Bench_diff.load_file path with
-      | Ok j -> Ok j
-      | Error e -> Error (Printf.sprintf "%s: %s" path e)
-    in
-    match (load old_p, load new_p) with
-    | Error e, _ | _, Error e ->
-      Format.eprintf "tpart bench diff: %s@." e;
-      2
-    | Ok o, Ok n -> (
-      match
-        Temporal.Bench_diff.diff ~time_threshold:tt ~count_threshold:ct
-          ~ignore:ign o n
-      with
-      | Error e ->
-        Format.eprintf "tpart bench diff: schema mismatch: %s@." e;
-        2
-      | Ok r ->
-        Format.printf "%a" Temporal.Bench_diff.pp r;
-        if r.Temporal.Bench_diff.r_regressions > 0 then 1 else 0)
-  in
-  Cmd.v
-    (Cmd.info "diff"
-       ~doc:
-         "Compare two benchmark JSON reports (the committed \
-          BENCH_*.json artifacts or fresh $(b,bench/main.exe --json) \
-          output) section by section and row by row, flagging per-cell \
-          time/node/factor changes beyond the thresholds. Exits 0 when \
-          clean, 1 on any regression, 2 when the reports share no \
-          comparable schema.")
-    Term.(
-      const run $ old_arg $ new_arg $ time_threshold $ count_threshold
-      $ ignore_fields)
-
-let bench_cmd =
-  Cmd.group
-    (Cmd.info "bench"
-       ~doc:"Compare benchmark reports across runs (regression diffing).")
-    [ bench_diff_cmd ]
-
 (* ---------------- explore command ---------------- *)
 
 let explore_cmd =
@@ -1217,4 +1078,4 @@ let () =
     (Cmd.eval'
        (Cmd.group (Cmd.info "tpart" ~doc ~version:"1.0.0")
           [ graph_cmd; estimate_cmd; solve_cmd; analyze_cmd; explore_cmd;
-            trace_cmd; metrics_cmd; bench_cmd ]))
+            trace_cmd; metrics_cmd ]))

@@ -309,22 +309,20 @@ type node_lp_row = {
   nl_seconds : float;
 }
 
-let node_lp_table shards =
-  (* one pass: per-reason pivot lists and second sums; slot
-     [Array.length reasons] is "all" *)
+(* The one distribution function behind both tables: [iter f] calls
+   [f code pivots seconds] once per sample, [code] a [reason_code]. One
+   pass builds per-reason pivot lists and second sums; slot
+   [Array.length reasons] is "all". *)
+let distribution iter =
   let nr = Array.length reasons in
   let piv = Array.make (nr + 1) [] and secs = Array.make (nr + 1) 0. in
   let note r p s =
     piv.(r) <- p :: piv.(r);
     secs.(r) <- secs.(r) +. s
   in
-  List.iter
-    (fun (b : shard) ->
-      for k = 0 to b.nl_n - 1 do
-        note b.nl_reason.(k) b.nl_pivots.(k) b.nl_seconds.(k);
-        note nr b.nl_pivots.(k) b.nl_seconds.(k)
-      done)
-    shards;
+  iter (fun r p s ->
+      note r p s;
+      note nr p s);
   let row r name =
     let a = Array.of_list piv.(r) in
     Array.sort Int.compare a;
@@ -349,6 +347,19 @@ let node_lp_table shards =
     (List.filter_map Fun.id
        (row nr "all"
        :: List.init nr (fun r -> row r (Trace.reason_name reasons.(r)))))
+
+let node_lp_rows samples =
+  distribution (fun f ->
+      List.iter (fun (reason, p, s) -> f (reason_code reason) p s) samples)
+
+let node_lp_table shards =
+  distribution (fun f ->
+      List.iter
+        (fun (b : shard) ->
+          for k = 0 to b.nl_n - 1 do
+            f b.nl_reason.(k) b.nl_pivots.(k) b.nl_seconds.(k)
+          done)
+        shards)
 
 (* ---------------- snapshots ---------------- *)
 

@@ -210,10 +210,14 @@ type node_lp_row = {
   nl_seconds : float;  (** LP wall time sum *)
 }
 
+val node_lp_rows : (Trace.close_reason * int * float) list -> node_lp_row array
+(** The distribution of [(reason, pivots, seconds)] node samples: an
+    ["all"] row, then one row per close reason that occurred, in
+    {!Trace.close_reason} declaration order. Empty when there are no
+    samples. *)
+
 val node_lp_table : shard list -> node_lp_row array
-(** The distribution of the shards' samples: an ["all"] row, then one
-    row per close reason that occurred, in {!Trace.close_reason}
-    declaration order. Empty when there are no samples. *)
+(** {!node_lp_rows} over the shards' samples. *)
 
 (** {1 Snapshots} *)
 

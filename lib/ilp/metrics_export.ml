@@ -399,6 +399,63 @@ let parse_prometheus text =
   |> Result.map List.rev
 
 (* ------------------------------------------------------------------ *)
+(* Text tables                                                         *)
+
+let pp_table ppf rows =
+  match rows with
+  | [] -> ()
+  | header :: _ ->
+    let width = Array.make (List.length header) 0 in
+    List.iter
+      (List.iteri (fun i c -> width.(i) <- Int.max width.(i) (String.length c)))
+      rows;
+    List.iter
+      (fun row ->
+        List.iteri
+          (fun i c ->
+            if i = 0 then Format.fprintf ppf "  %-*s" width.(i) c
+            else Format.fprintf ppf "  %*s" width.(i) c)
+          row;
+        Format.pp_print_string ppf "\n")
+      rows
+
+let pp_node_lps ppf (rows : Metrics.node_lp_row array) =
+  if Array.length rows > 0 then begin
+    Format.pp_print_string ppf "node-lps:\n";
+    pp_table ppf
+      ([ "reason"; "nodes"; "pivots"; "p50"; "p90"; "max"; "lp-time" ]
+      :: List.map
+           (fun (r : Metrics.node_lp_row) ->
+             [
+               r.nl_reason;
+               string_of_int r.nl_nodes;
+               string_of_int r.nl_pivots;
+               string_of_int r.nl_p50;
+               string_of_int r.nl_p90;
+               string_of_int r.nl_max;
+               Printf.sprintf "%.3fs" r.nl_seconds;
+             ])
+           (Array.to_list rows))
+  end
+
+let node_lps_to_json (rows : Metrics.node_lp_row array) =
+  let n x = Json.Num (float_of_int x) in
+  Json.Arr
+    (List.map
+       (fun (r : Metrics.node_lp_row) ->
+         Json.Obj
+           [
+             ("reason", Json.Str r.nl_reason);
+             ("nodes", n r.nl_nodes);
+             ("pivots", n r.nl_pivots);
+             ("p50", n r.nl_p50);
+             ("p90", n r.nl_p90);
+             ("max", n r.nl_max);
+             ("seconds", Json.Num r.nl_seconds);
+           ])
+       (Array.to_list rows))
+
+(* ------------------------------------------------------------------ *)
 (* Aggregate summary                                                   *)
 
 module Summary = struct
@@ -446,6 +503,12 @@ module Summary = struct
       (c Metrics.C_lp_solves) (c Metrics.C_lp_pivots)
       (rate (c Metrics.C_lp_pivots) dt)
       (c Metrics.C_lp_bound_flips);
+    Format.fprintf ppf
+      "fallbacks      dual_stalls=%d primal_restarts=%d cold_primal=%d \
+       singular_restarts=%d install_fallbacks=%d hook_give_ups=%d@,"
+      (c Metrics.C_lp_dual_stalls) (c Metrics.C_lp_primal_restarts)
+      (c Metrics.C_lp_cold_primal) (c Metrics.C_lp_singular_restarts)
+      (c Metrics.C_lp_install_fallbacks) (c Metrics.C_hook_give_ups);
     Format.fprintf ppf "hyper-sparse   ftran=%d/%d (%.1f%%) btran=%d/%d (%.1f%%)@,"
       (c Metrics.C_ftran_hyper) (c Metrics.C_ftran_solves)
       (ratio_pct (c Metrics.C_ftran_hyper) (c Metrics.C_ftran_solves))

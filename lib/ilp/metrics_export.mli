@@ -49,6 +49,24 @@ val parse_prometheus :
 (** Parses a text exposition back into [(metric, labels, value)]
     samples, enough to verify {!prometheus} round-trips. *)
 
+(** {1 Text tables} — the layout of the [tpart solve --stats] tables. *)
+
+val pp_table : Format.formatter -> string list list -> unit
+(** Rows of cells, the first row the header: every line indented by
+    two spaces, columns two spaces apart and as wide as their widest
+    cell, the first column left-aligned and the others right-aligned,
+    each line newline-terminated. *)
+
+val pp_node_lps : Format.formatter -> Metrics.node_lp_row array -> unit
+(** The per-node LP table, as [tpart solve --stats] and [tpart trace
+    summary] print it: a [node-lps:] heading, then a {!pp_table} with
+    one row per {!Metrics.node_lp_row} (reason, nodes, pivots, p50,
+    p90, max, lp-time). Prints nothing for an empty table. *)
+
+val node_lps_to_json : Metrics.node_lp_row array -> Json.t
+(** The table as a JSON array of row objects ([reason], [nodes],
+    [pivots], [p50], [p90], [max], [seconds]). *)
+
 (** {1 Aggregate summary} — what [tpart metrics summary] prints. *)
 
 module Summary : sig

@@ -774,6 +774,7 @@ module Summary = struct
     cert_verdicts : (string * int) list;
     incumbents : (float * float * int) list;
     phases : phase list;
+    node_lps : Metrics.node_lp_row array;
   }
 
   type acc = {
@@ -805,6 +806,11 @@ module Summary = struct
     (* Per-writer span stacks: (name, start ts, child time). *)
     a_spans : (int, (string * float * float) list ref) Hashtbl.t;
     a_phases : (string, float * int) Hashtbl.t;
+    (* Pivots and LP seconds of the node open on each writer: a node's
+       LP solves run on the engine of the context that opened it, which
+       emits on the same writer. *)
+    a_node_lp : (int, int * float) Hashtbl.t;
+    mutable a_node_samples : (Trace.close_reason * int * float) list;
   }
 
   let fresh () =
@@ -833,6 +839,8 @@ module Summary = struct
       a_incumbents = [];
       a_spans = Hashtbl.create 8;
       a_phases = Hashtbl.create 8;
+      a_node_lp = Hashtbl.create 8;
+      a_node_samples = [];
     }
 
   let bump tbl key by =
@@ -889,11 +897,20 @@ module Summary = struct
     | Trace.Node_open { depth; _ } ->
       acc.a_opened <- acc.a_opened + 1;
       if depth > acc.a_max_depth then acc.a_max_depth <- depth;
-      bump acc.a_depths depth 1
+      bump acc.a_depths depth 1;
+      Hashtbl.replace acc.a_node_lp r.dom (0, 0.)
     | Node_close { reason; _ } ->
       acc.a_closed <- acc.a_closed + 1;
-      bump acc.a_reasons (Trace.reason_name reason) 1
+      bump acc.a_reasons (Trace.reason_name reason) 1;
+      (match Hashtbl.find_opt acc.a_node_lp r.dom with
+       | Some (p, s) ->
+         acc.a_node_samples <- (reason, p, s) :: acc.a_node_samples;
+         Hashtbl.remove acc.a_node_lp r.dom
+       | None -> ())
     | Lp_solve { pivots; flips; dt; _ } ->
+      (match Hashtbl.find_opt acc.a_node_lp r.dom with
+       | Some (p, s) -> Hashtbl.replace acc.a_node_lp r.dom (p + pivots, s +. dt)
+       | None -> ());
       acc.a_lp_solves <- acc.a_lp_solves + 1;
       acc.a_lp_pivots <- acc.a_lp_pivots + pivots;
       acc.a_lp_flips <- acc.a_lp_flips + flips;
@@ -965,6 +982,7 @@ module Summary = struct
           (fun phase (seconds, count) a -> { phase; seconds; count } :: a)
           acc.a_phases []
         |> List.sort (fun a b -> Float.compare b.seconds a.seconds);
+      node_lps = Metrics.node_lp_rows acc.a_node_samples;
     }
 
   let of_records records =
@@ -1023,7 +1041,7 @@ module Summary = struct
         (fun { phase; seconds; count } ->
           line " %s=%.3fs/%d" phase seconds count)
         t.phases;
-    line "@."
+    line "@.%a" Metrics_export.pp_node_lps t.node_lps
 
   let to_json t =
     Json.Obj
@@ -1102,6 +1120,7 @@ module Summary = struct
                      ("count", inum count);
                    ])
                t.phases) );
+        ("node_lps", Metrics_export.node_lps_to_json t.node_lps);
       ]
 end
 

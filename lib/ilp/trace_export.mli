@@ -110,6 +110,13 @@ module Summary : sig
     phases : phase list;
         (** Self-time per span name (nested child spans subtracted),
             summed across writers, largest first. *)
+    node_lps : Metrics.node_lp_row array;
+        (** The per-node LP table of [--stats]
+            ({!Metrics.node_lp_rows}): each [Lp_solve] counts toward
+            the node open on its writer when it ran, and the node's
+            sample is taken at its close. LP seconds are the simplex
+            entry points' own times, so they read slightly below
+            [--stats]' node-timed column. *)
   }
 
   val of_records : Trace.record array -> t

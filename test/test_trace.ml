@@ -365,6 +365,46 @@ let test_parallel_trace_tracks () =
   Alcotest.(check int) "pivots exact under domains" stats.Bb.pivots
     s.Export.Summary.lp_pivots
 
+(* The trace summary's node-LP table is the [--stats] table rebuilt
+   from the event stream; only the LP-time column differs (the trace
+   times the simplex entry points, the search times the node's LP
+   phase). *)
+let test_parallel_node_lp_table () =
+  (* a three-row knapsack with pseudo-random weights: a tree of about
+     1,500 nodes, most of them on the two workers' writers *)
+  let lp = Ilp.Lp.create () in
+  let n = 24 in
+  let xs =
+    Array.init n (fun i ->
+        Ilp.Lp.add_var lp ~name:(Printf.sprintf "x%d" i) Ilp.Lp.Binary)
+  in
+  let coef k i = Float.of_int ((((i + 3) * (7 + k) * 37) mod 19) + 1) in
+  Ilp.Lp.set_objective lp ~maximize:true
+    (Array.to_list (Array.mapi (fun i x -> (coef 0 i, x)) xs));
+  for k = 1 to 3 do
+    ignore
+      (Ilp.Lp.add_constr lp ~name:(Printf.sprintf "cap%d" k)
+         (Array.to_list (Array.mapi (fun i x -> (coef k i, x)) xs))
+         Ilp.Lp.Le 61.5)
+  done;
+  let tracer = Trace.create () in
+  let options =
+    { Bb.default_options with Bb.tracer; jobs = 2; deterministic = true }
+  in
+  let _, stats = Bb.solve ~options lp in
+  let s = Export.Summary.of_records (Trace.collect tracer) in
+  let rows (t : Ilp.Metrics.node_lp_row array) =
+    Array.to_list
+      (Array.map
+         (fun (r : Ilp.Metrics.node_lp_row) ->
+           Printf.sprintf "%s %d %d %d %d %d" r.nl_reason r.nl_nodes
+             r.nl_pivots r.nl_p50 r.nl_p90 r.nl_max)
+         t)
+  in
+  Alcotest.(check bool) "a tree was searched" true (stats.Bb.nodes > 1);
+  Alcotest.(check (list string)) "rows equal --stats" (rows stats.Bb.node_lps)
+    (rows s.Export.Summary.node_lps)
+
 let () =
   Alcotest.run "trace"
     [
@@ -386,6 +426,8 @@ let () =
             test_tree_reconstruction;
           Alcotest.test_case "parallel tracks exact" `Quick
             test_parallel_trace_tracks;
+          Alcotest.test_case "parallel node-LP table" `Quick
+            test_parallel_node_lp_table;
         ] );
       ( "sinks",
         [
