@@ -304,7 +304,8 @@ let trace_out =
            writes one event object per line, any other extension \
            (canonically $(b,.json)) writes Chrome trace_event JSON \
            loadable in Perfetto / chrome://tracing with one track per \
-           solver domain. Inspect with $(b,tpart trace).")
+           solver domain. Inspect a $(b,.jsonl) trace with \
+           $(b,tpart trace).")
 
 let metrics_out =
   Arg.(
@@ -637,12 +638,9 @@ let solve_cmd =
      | Some path ->
        let records = Ilp.Trace.collect tracer in
        let oc = open_out path in
-       let sink =
-         if Filename.check_suffix path ".jsonl" then
-           Ilp.Trace_export.jsonl_sink oc
-         else Ilp.Trace_export.chrome_sink oc
-       in
-       Ilp.Trace_export.run sink records;
+       (if Filename.check_suffix path ".jsonl" then
+          Ilp.Trace_export.write_jsonl oc records
+        else Ilp.Trace_export.write_chrome oc records);
        close_out oc;
        let dropped = Ilp.Trace.dropped tracer in
        note path
@@ -896,8 +894,8 @@ let trace_file_arg =
     & pos 0 (some file) None
     & info [] ~docv:"FILE"
         ~doc:
-          "Trace recorded by $(b,tpart solve --trace): JSONL or Chrome \
-           trace_event JSON (auto-detected).")
+          "JSONL trace recorded by $(b,tpart solve --trace FILE.jsonl) \
+           (a Chrome trace_event export is not read back).")
 
 let with_trace path k =
   match Ilp.Trace_export.load path with

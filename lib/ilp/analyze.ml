@@ -359,17 +359,6 @@ let errors r = List.filter (fun d -> d.severity = Error) r.diagnostics
 
 let is_clean r = errors r = []
 
-let assert_clean lp =
-  let r = analyze lp in
-  match errors r with
-  | [] -> ()
-  | errs ->
-    let shown = List.filteri (fun i _ -> i < 3) errs in
-    invalid_arg
-      (Printf.sprintf "Analyze.assert_clean: model %s has %d error(s): %s"
-         r.model (List.length errs)
-         (String.concat "; " (List.map (fun d -> d.message) shown)))
-
 let pp_diagnostic ppf d =
   Format.fprintf ppf "%s[%s]: %s" (severity_to_string d.severity) d.code
     d.message

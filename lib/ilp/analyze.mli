@@ -109,11 +109,6 @@ val errors : report -> diagnostic list
 val is_clean : report -> bool
 (** No error-level diagnostics (warnings and infos allowed). *)
 
-val assert_clean : Lp.t -> unit
-(** Runs {!analyze} and raises [Invalid_argument] naming the first
-    error-level findings when the model is not {!is_clean}. Used as the
-    opt-in model assertion at the {!Branch_bound} entry. *)
-
 val pp_diagnostic : Format.formatter -> diagnostic -> unit
 (** [severity[code]: message]. *)
 

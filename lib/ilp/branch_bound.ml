@@ -18,12 +18,10 @@ type options = {
   time_limit : float;
   branch_rule : branch_rule option;
   integral_objective : bool;
-  int_tol : float;
   on_incumbent : (float -> float array -> unit) option;
   warm_start : bool;
   node_hook :
     (lp_solution:float array -> is_fixed:(int -> bool) -> hook_result) option;
-  check_model : bool;
   jobs : int;
   deterministic : bool;
   rc_fixing : bool;
@@ -39,11 +37,9 @@ let default_options =
     time_limit = Float.infinity;
     branch_rule = None;
     integral_objective = false;
-    int_tol = 1e-6;
     on_incumbent = None;
     warm_start = true;
     node_hook = None;
-    check_model = false;
     jobs = 1;
     deterministic = false;
     rc_fixing = false;
@@ -203,6 +199,9 @@ let fractionality v =
   let f = v -. Float.round v in
   Float.abs f
 
+(* Integrality tolerance on a relaxation value's fractionality. *)
+let int_tol = 1e-6
+
 (* A node is the list of bound fixings on the path from the root, most
    recent first. [n_bound] is the LP objective of its parent: a valid
    lower bound before the node itself is solved. [fresh] counts the
@@ -238,8 +237,7 @@ let pp_outcome ppf = function
    root certificate are only written by the driver that owns the root
    (sequential search, or the seeding phase) before any worker domain
    exists, and the certificate is only read after every domain joined.
-   Tallies live in the contexts' and engines' shards, registered with
-   [reg]. *)
+   Tallies live in the contexts' shards, registered with [reg]. *)
 type env = {
   opts : options;
   lp : Lp.t;
@@ -310,8 +308,9 @@ type ctx = {
   inc : incumbent;
   st : Simplex.state;
   push : node -> unit;
-  tw : Trace.writer;  (* this context's single-writer trace buffer *)
-  msh : Metrics.shard;  (* this context's tallies and node-LP samples *)
+  msh : Metrics.shard;
+      (* this context's one telemetry handle: its tallies, its engine's,
+         its node-LP samples and its single-writer trace buffer *)
   det : bool;
   set_root : bool;  (* this context solves the root relaxation *)
   bump : unit -> int;  (* global node counter; returns the new total *)
@@ -332,11 +331,11 @@ type ctx = {
   mutable k_root_obj : float;
 }
 
-(* Call from the domain that drives the context: the engine and both
-   buffers belong to it. *)
+(* Call from the domain that drives the context: the engine, the shard
+   and the trace writer [tw] belong to it. *)
 let make_ctx env ~inc ~push ~tw ~det ~set_root ~bump ~local_best =
-  let st = Simplex.create ~metrics:env.reg env.lp in
-  Simplex.set_trace st tw;
+  let msh = Metrics.make_shard ~registry:env.reg ~writer:tw () in
+  let st = Simplex.create ~shard:msh env.lp in
   (* The engine starts from the model's bounds; the root bounds may
      already be tightened by reduced-cost fixing (a worker built after
      the seeding phase), so the mirror and the engine start from them. *)
@@ -348,8 +347,7 @@ let make_ctx env ~inc ~push ~tw ~det ~set_root ~bump ~local_best =
     inc;
     st;
     push;
-    tw;
-    msh = Metrics.make_shard ~registry:env.reg ();
+    msh;
     det;
     set_root;
     bump;
@@ -445,11 +443,11 @@ let cutoff ctx =
   if ctx.env.opts.integral_objective then b -. 1. +. 1e-6 else b -. 1e-6
 
 let is_integral env x =
-  List.for_all (fun j -> fractionality x.(j) <= env.opts.int_tol) env.int_vars
+  List.for_all (fun j -> fractionality x.(j) <= int_tol) env.int_vars
 
 let choose_branch env x ~is_fixed =
   let fallback () =
-    let best_j = ref (-1) and best_f = ref env.opts.int_tol in
+    let best_j = ref (-1) and best_f = ref int_tol in
     List.iter
       (fun j ->
         let f = fractionality x.(j) in
@@ -486,8 +484,9 @@ let install ctx ~node_no ~source obj x ~callback =
       (Mono.elapsed_since ctx.env.t0, obj, node_no, source) :: inc.timeline;
     Metrics.incr ctx.msh C_incumbents;
     Metrics.set_gauge ctx.env.reg G_incumbent_obj obj;
-    if Trace.active ctx.tw then
-      Trace.emit ctx.tw (Trace.Incumbent { node = node_no; obj; source });
+    let tw = Metrics.writer ctx.msh in
+    if Trace.active tw then
+      Trace.emit tw (Trace.Incumbent { node = node_no; obj; source });
     if callback then
       match ctx.env.opts.on_incumbent with
       | Some f -> f obj x
@@ -635,14 +634,15 @@ let certify_node ctx ~nno res =
         f "node %d LP verdict refuted by exact check: %s" nno
           (Certify.describe cert));
   if at_root ctx then ctx.env.root_cert <- Some cert;
-  if Trace.active ctx.tw then begin
+  let tw = Metrics.writer ctx.msh in
+  if Trace.active tw then begin
     let verdict =
       match cert.Certify.verdict with
       | Certify.Certified -> Trace.Cert_certified
       | Certify.Refuted -> Trace.Cert_refuted
       | Certify.Uncertifiable -> Trace.Cert_uncertifiable
     in
-    Trace.emit ctx.tw
+    Trace.emit tw
       (Trace.Cert_check
          { node = nno; verdict; kind = Certify.kind_name cert.Certify.detail; dt })
   end
@@ -657,8 +657,9 @@ let process_node ctx node =
   let nno = ctx.bump () in
   Metrics.incr ctx.msh C_nodes;
   if node.depth > ctx.k_max_depth then ctx.k_max_depth <- node.depth;
-  if Trace.active ctx.tw then
-    Trace.emit ctx.tw
+  let tw = Metrics.writer ctx.msh in
+  if Trace.active tw then
+    Trace.emit tw
       (Trace.Node_open
          {
            id = nno;
@@ -674,8 +675,8 @@ let process_node ctx node =
     Metrics.node_lp ctx.msh reason
       ~pivots:(Simplex.total_pivots ctx.st - pivots0)
       ~seconds:!lp_seconds;
-    if Trace.active ctx.tw then
-      Trace.emit ctx.tw (Trace.Node_close { id = nno; obj; reason });
+    if Trace.active tw then
+      Trace.emit tw (Trace.Node_close { id = nno; obj; reason });
     step
   in
   (* The node's bounds: [move_to] edits the engine and the mirrored
@@ -703,7 +704,7 @@ let process_node ctx node =
       Array.blit ub 0 ctx.prop_ub 0 env.nvars;
       let out =
         Propagate.run prop ~lb:ctx.prop_lb ~ub:ctx.prop_ub ?seeds
-          ~trace:ctx.tw ~metrics:ctx.msh ()
+          ~metrics:ctx.msh ()
       in
       Metrics.add_sum ctx.msh S_prop_seconds (Mono.elapsed_since t);
       match out with
@@ -885,7 +886,7 @@ let process_node ctx node =
                  n_basis = Some b;
                }
              in
-             (if fractionality v <= opts.int_tol then begin
+             (if fractionality v <= int_tol then begin
                 (* Branching on an integral value (a rule may resolve
                    unfixed variables): children are the fixed point and
                    the complement interval(s) — floor/ceil would
@@ -951,16 +952,14 @@ let root_node =
     n_basis = None;
   }
 
-let shards ctx = [ ctx.msh; Simplex.shard ctx.st ]
-
 (* The statistics of a finished search: one snapshot of its contexts'
-   and engines' shards, taken after every worker joined. [driver] is
-   the context that solved the root; [workers] the worker contexts
-   ([None] for a worker that never ran). *)
+   shards, taken after every worker joined. [driver] is the context that
+   solved the root; [workers] the worker contexts ([None] for a worker
+   that never ran). *)
 let finish env inc outcome ~driver ~workers =
   note_bound inc env (outcome_bound outcome);
   let ctxs = driver :: List.filter_map Fun.id (Array.to_list workers) in
-  let s = Metrics.merge (List.concat_map shards ctxs) in
+  let s = Metrics.merge (List.map (fun ctx -> ctx.msh) ctxs) in
   let c = Metrics.counter_value s in
   let fold f init = List.fold_left (fun acc ctx -> f acc ctx) init ctxs in
   {
@@ -977,7 +976,7 @@ let finish env inc outcome ~driver ~workers =
     workers =
       Array.map
         (function
-          | Some w -> worker_of (Metrics.merge (shards w))
+          | Some w -> worker_of (Metrics.merge [ w.msh ])
           | None -> worker_of Metrics.empty_snapshot)
         workers;
     deductions = deductions_of s;
@@ -1324,7 +1323,6 @@ let solve_parallel env =
 
 let solve ?(options = default_options) lp =
   if options.jobs < 1 then invalid_arg "Branch_bound.solve: jobs < 1";
-  if options.check_model then Analyze.assert_clean lp;
   let env = make_env options lp (Mono.now ()) in
   Metrics.set_gauge env.reg G_workers (Float.of_int options.jobs);
   if options.jobs = 1 then solve_sequential env else solve_parallel env

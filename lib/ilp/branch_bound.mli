@@ -54,7 +54,6 @@ type options = {
   integral_objective : bool;
       (** Set when every integer solution has an integral objective
           value; enables the stronger [ceil] pruning cutoff. *)
-  int_tol : float;  (** Integrality tolerance (default [1e-6]). *)
   on_incumbent : (float -> float array -> unit) option;
       (** Called on every improving incumbent. *)
   warm_start : bool;
@@ -73,10 +72,6 @@ type options = {
           a hook must only return [Hook_prune] based on variables that
           are actually fixed, otherwise it would cut off solutions
           still reachable below. *)
-  check_model : bool;
-      (** Run {!Analyze.assert_clean} on the model before searching
-          (default off): {!solve} then raises [Invalid_argument] instead
-          of silently branching on a structurally broken model. *)
   jobs : int;
       (** Worker domains for the tree search (default [1]). [jobs = 1]
           is the sequential search: reproducible node counts and visit
@@ -148,9 +143,11 @@ type options = {
           private one). Every tally of the search — nodes, incumbents,
           LP work, deductions, hook calls, certification, pool traffic
           — is written once, into the per-domain single-writer shard of
-          the search context or simplex engine that did the work: the
-          sequential driver, the seeding phase and each worker (from
-          inside its domain) own one context and one engine each. The
+          the search context that did the work: the sequential driver,
+          the seeding phase and each worker (from inside its domain)
+          own one context each, and the context's simplex engine, LU
+          kernel and propagation runs count into its shard and emit
+          through the trace writer the shard carries. The
           solve also publishes gauges (open nodes, pool depth, best
           dual bound, incumbent objective, worker count) for a snapshot
           poller. {!stats} is a view of one snapshot of the solve's
@@ -181,7 +178,7 @@ type worker_stats = {
   w_idle : float;  (** Seconds spent blocked waiting for work. *)
   w_pivots : int;  (** Simplex pivots on this worker's engine. *)
 }
-(** A view of the worker's context and engine shards. *)
+(** A view of the worker's context shard. *)
 
 val pp_worker_stats : Format.formatter -> worker_stats -> unit
 (** One-line [key=value] rendering. *)
@@ -295,6 +292,7 @@ val solve : ?options:options -> Lp.t -> outcome * stats
 (** Solves the mixed-integer model. The [Lp.t] is not mutated. *)
 
 val fractionality : float -> float
-(** Distance of a value to the nearest integer, in [0, 0.5]. *)
+(** Distance of a value to the nearest integer, in [0, 0.5]. A value
+    is integral when its fractionality is at most [1e-6]. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -581,9 +581,11 @@ let transpose m start idx ptr steps =
   done;
   steps
 
-let refactor ?(trace = Trace.null_writer) ?metrics lu
-    (a : Sparse.Csc.mat) (basis : int array) =
+let refactor ?metrics lu (a : Sparse.Csc.mat) (basis : int array) =
   check_owner lu "refactor";
+  let trace =
+    match metrics with Some sh -> Metrics.writer sh | None -> Trace.null_writer
+  in
   let t_start = if Trace.active trace then Mono.now () else 0. in
   let m = lu.m in
   if Array.length basis <> m || a.nrows <> m then
@@ -613,9 +615,9 @@ let refactor ?(trace = Trace.null_writer) ?metrics lu
   lu.uu_steps <- transpose m lu.u_start lu.u_idx lu.uu_ptr lu.uu_steps;
   lu.lu_steps <- transpose m lu.l_start lu.l_idx lu.lu_ptr lu.lu_steps
 
-let factor ?trace ?metrics (a : Sparse.Csc.mat) (basis : int array) =
+let factor ?metrics (a : Sparse.Csc.mat) (basis : int array) =
   let lu = create (Array.length basis) in
-  refactor ?trace ?metrics lu a basis;
+  refactor ?metrics lu a basis;
   lu
 
 let ftran lu b =

@@ -40,7 +40,6 @@ exception Singular
     threshold. *)
 
 val factor :
-  ?trace:Trace.writer ->
   ?metrics:Metrics.shard ->
   Sparse.Csc.mat ->
   int array ->
@@ -54,10 +53,10 @@ val factor :
     probes) and eliminations splice in O(entries touched). Raises
     {!Singular}; raises
     [Invalid_argument] when [a]'s row dimension differs from [m].
-    When [trace] is an active writer a {!Trace.Lu_factor} event (basis
-    dimension, fill, pivot-search probes, wall time) is emitted on
-    completion; when a [metrics] shard is given the probe count is
-    added to {!Metrics.C_lu_probes}. Equivalent to {!refactor} into a
+    When a [metrics] shard is given the probe count is added to
+    {!Metrics.C_lu_probes}, and when the shard's {!Metrics.writer} is
+    active a {!Trace.Lu_factor} event (basis dimension, fill,
+    pivot-search probes, wall time) is emitted on completion. Equivalent to {!refactor} into a
     fresh {!create}[ m]. *)
 
 val create : int -> t
@@ -66,7 +65,6 @@ val create : int -> t
     and updates on it are meaningless before then. *)
 
 val refactor :
-  ?trace:Trace.writer ->
   ?metrics:Metrics.shard ->
   t ->
   Sparse.Csc.mat ->

@@ -181,6 +181,7 @@ let bucket_of dt =
    node-LP samples are three parallel growable arrays of [nl_n]
    entries. *)
 type shard = {
+  tw : Trace.writer;  (* the owning context's event writer *)
   c : int array;  (* per-counter totals *)
   f : float array;  (* per-sum totals *)
   hb : int array;  (* per-histogram bucket counts, flattened *)
@@ -211,9 +212,10 @@ let create () =
     polls = [];
   }
 
-let make_shard ?registry () =
+let make_shard ?registry ?(writer = Trace.null_writer) () =
   let b =
     {
+      tw = writer;
       c = Array.make n_counters 0;
       f = Array.make n_sums 0.;
       hb = Array.make (n_hists * n_buckets) 0;
@@ -229,6 +231,9 @@ let make_shard ?registry () =
     (fun l -> Mutex.protect l.lock (fun () -> l.shards <- b :: l.shards))
     registry;
   b
+
+let writer b = b.tw
+let shard_count l = Mutex.protect l.lock (fun () -> List.length l.shards)
 
 let add b cnt n =
   let i = counter_index cnt in

@@ -18,11 +18,16 @@
     Counters, sums and histograms accumulate in per-domain
     single-writer {e shards} (same ownership discipline as {!Trace}'s
     ring buffers: writes are plain array stores, no synchronization on
-    the hot path). Shards are always live: each {!Simplex} engine and
-    each {!Branch_bound} search context owns one for its whole life,
-    and writes every tally straight into it, unguarded:
+    the hot path). Shards are always live: each {!Branch_bound} search
+    context owns one for its whole life, and the context, its
+    {!Simplex} engine, {!Lu} kernel and {!Propagate} runs write every
+    tally straight into it, unguarded:
 
     {[ Metrics.incr sh Metrics.C_lp_pivots ]}
+
+    A shard is its context's one telemetry handle: it also carries the
+    context's {!Trace.writer} ({!writer}), through which the same
+    layers emit their events.
 
     [Simplex.stats] and [Branch_bound.stats] are views: they read the
     cells of one snapshot, so they cannot disagree with what a live
@@ -160,10 +165,19 @@ val create : unit -> t
 (** A fresh registry; its clock starts now (snapshot timestamps are
     seconds since this call). *)
 
-val make_shard : ?registry:t -> unit -> shard
+val make_shard : ?registry:t -> ?writer:Trace.writer -> unit -> shard
 (** A fresh shard, registered with [registry] when given (then
-    {!snapshot} of the registry includes it). Call it from the domain
-    that will write it. *)
+    {!snapshot} of the registry includes it), carrying [writer]
+    (default {!Trace.null_writer}) for the events of whoever writes
+    the shard. Call it from the domain that will write it; the writer
+    must belong to that domain too. *)
+
+val writer : shard -> Trace.writer
+(** The event writer the shard carries. *)
+
+val shard_count : t -> int
+(** Shards registered so far (a solve registers one per search
+    context). *)
 
 val incr : shard -> counter -> unit
 val add : shard -> counter -> int -> unit

@@ -330,74 +330,6 @@ let prometheus (s : Metrics.snapshot) =
     Metrics.all_histograms;
   Buffer.contents b
 
-let parse_prometheus text =
-  let parse_labels l =
-    (* l is the inside of {...}: k="v" pairs, comma-separated *)
-    String.split_on_char ',' l
-    |> List.filter (fun s -> String.trim s <> "")
-    |> List.map (fun kv ->
-           match String.index_opt kv '=' with
-           | None -> Error (Printf.sprintf "bad label %S" kv)
-           | Some i ->
-             let k = String.trim (String.sub kv 0 i) in
-             let v = String.trim (String.sub kv (i + 1) (String.length kv - i - 1)) in
-             let v =
-               if String.length v >= 2 && v.[0] = '"' then
-                 String.sub v 1 (String.length v - 2)
-               else v
-             in
-             Ok (k, v))
-    |> List.fold_left
-         (fun acc r ->
-           let* acc = acc in
-           let* kv = r in
-           Ok (kv :: acc))
-         (Ok [])
-    |> Result.map List.rev
-  in
-  let parse_value v =
-    match String.trim v with
-    | "+Inf" -> Ok Float.infinity
-    | "-Inf" -> Ok Float.neg_infinity
-    | "NaN" -> Ok Float.nan
-    | s -> (
-      match float_of_string_opt s with
-      | Some f -> Ok f
-      | None -> Error (Printf.sprintf "bad sample value %S" s))
-  in
-  String.split_on_char '\n' text
-  |> List.filter (fun l ->
-         let l = String.trim l in
-         l <> "" && l.[0] <> '#')
-  |> List.fold_left
-       (fun acc l ->
-         let* acc = acc in
-         let l = String.trim l in
-         let* name, labels, rest =
-           match String.index_opt l '{' with
-           | Some i -> (
-             match String.index_opt l '}' with
-             | None -> Error (Printf.sprintf "unterminated labels in %S" l)
-             | Some j ->
-               let* labels = parse_labels (String.sub l (i + 1) (j - i - 1)) in
-               Ok
-                 ( String.sub l 0 i,
-                   labels,
-                   String.sub l (j + 1) (String.length l - j - 1) ))
-           | None -> (
-             match String.index_opt l ' ' with
-             | None -> Error (Printf.sprintf "no sample value in %S" l)
-             | Some i ->
-               Ok
-                 ( String.sub l 0 i,
-                   [],
-                   String.sub l i (String.length l - i) ))
-         in
-         let* v = parse_value rest in
-         Ok ((name, labels, v) :: acc))
-       (Ok [])
-  |> Result.map List.rev
-
 (* ------------------------------------------------------------------ *)
 (* Text tables                                                         *)
 

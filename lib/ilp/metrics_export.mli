@@ -1,12 +1,12 @@
 (** Sinks and codecs for {!Metrics} snapshots.
 
     A metrics run is a {e stream} of snapshots, sampled on a cadence
-    while the solver works and once more after it returns. Like
-    {!Trace_export}, every on-disk format round-trips: the JSONL codec
-    is invertible ({!snapshot_of_json] inverts [!snapshot_to_json}),
-    the stream validator re-checks a loaded file's invariants, and the
-    Prometheus text rendering is parseable back ({!parse_prometheus})
-    for the round-trip tests. *)
+    while the solver works and once more after it returns. The JSONL
+    stream is the format read back: its codec is invertible
+    ({!snapshot_of_json} inverts {!snapshot_to_json}) and the stream
+    validator re-checks a loaded file's invariants. The Prometheus
+    text rendering ({!prometheus}) is a write-only export for
+    scrapers. *)
 
 val snapshot_to_json : Metrics.snapshot -> Json.t
 (** One snapshot as one JSON object: [ts], then [counters], [gauges]
@@ -43,11 +43,6 @@ val prometheus : Metrics.snapshot -> string
     (omitted while unset), histograms as the conventional
     [_bucket{le="..."}]/[_sum]/[_count] series, each with [# HELP] and
     [# TYPE] headers. *)
-
-val parse_prometheus :
-  string -> ((string * (string * string) list * float) list, string) result
-(** Parses a text exposition back into [(metric, labels, value)]
-    samples, enough to verify {!prometheus} round-trips. *)
 
 (** {1 Text tables} — the layout of the [tpart solve --stats] tables. *)
 

@@ -169,8 +169,10 @@ type outcome =
   | Empty_domain of int
   | Conflict of string
 
-let run t ~lb ~ub ?seeds ?max_steps ?(trace = Trace.null_writer) ?metrics
-    () =
+let run t ~lb ~ub ?seeds ?max_steps ?metrics () =
+  let trace =
+    match metrics with Some sh -> Metrics.writer sh | None -> Trace.null_writer
+  in
   let nrows = Array.length t.rows in
   let max_steps =
     match max_steps with Some s -> s | None -> Int.max 256 (64 * nrows)

@@ -70,7 +70,6 @@ val run :
   ub:float array ->
   ?seeds:int list ->
   ?max_steps:int ->
-  ?trace:Trace.writer ->
   ?metrics:Metrics.shard ->
   unit ->
   outcome
@@ -83,9 +82,9 @@ val run :
     evaluations; the bounds reached when the budget runs out are still
     valid, just not necessarily a fixpoint.
 
-    When [trace] is an active writer, one {!Trace.Prop_run} event is
-    emitted per call — including conflicting runs, where [fixings] is
-    reported as [0] (the partial tightenings are discarded by the
-    caller anyway). When a [metrics] shard is given every call bumps
+    When a [metrics] shard is given every call bumps
     {!Metrics.C_prop_runs} and successful runs add their fixing count
-    to {!Metrics.C_prop_fixings}. *)
+    to {!Metrics.C_prop_fixings}; when the shard's {!Metrics.writer} is
+    active, one {!Trace.Prop_run} event is emitted per call — including
+    conflicting runs, where [fixings] is reported as [0] (the partial
+    tightenings are discarded by the caller anyway). *)

@@ -165,8 +165,7 @@ type state = {
   mutable pivots_since_refactor : int;
   mutable last_fill : int;  (* L+U entries of the latest sparse factorization *)
   mutable last_inf : infeasibility option;
-  mutable trace : Trace.writer;
-  ms : Metrics.shard;  (* every tally of this engine, for its whole life *)
+  ms : Metrics.shard;  (* every tally of this engine, and its event writer *)
 }
 
 (* Tolerances. The models we target have small integer coefficients, so
@@ -204,7 +203,6 @@ let check_owner st op =
 
 let num_rows st = st.m
 let num_structural st = st.nstruct
-let shard st = st.ms
 let fill st = st.last_fill
 let total_pivots st = Metrics.count st.ms Metrics.C_lp_pivots
 let bound_flips st = Metrics.count st.ms Metrics.C_lp_bound_flips
@@ -224,9 +222,8 @@ let art_col st i = st.nstruct + st.m + i
    per-worker ftran/btran totals and idle accounting in Branch_bound are
    mutually consistent across domains. *)
 let now = Mono.now
-let set_trace st w = st.trace <- w
 
-let create ?metrics ?(backend = Sparse_lu) lp =
+let create ?shard ?(backend = Sparse_lu) lp =
   let m = Lp.num_constrs lp in
   let nstruct = Lp.num_vars lp in
   let ncols = nstruct + m + m in
@@ -324,8 +321,7 @@ let create ?metrics ?(backend = Sparse_lu) lp =
     pivots_since_refactor = 0;
     last_fill = 0;
     last_inf = None;
-    trace = Trace.null_writer;
-    ms = Metrics.make_shard ?registry:metrics ();
+    ms = (match shard with Some sh -> sh | None -> Metrics.make_shard ());
   }
 
 let set_var_bounds st j ~lb ~ub =
@@ -425,9 +421,7 @@ let fresh_factor st =
     done
   | Rsparse box -> (
     box.valid <- false;
-    match
-      Lu.refactor ~trace:st.trace ~metrics:st.ms box.lu st.mat st.basis
-    with
+    match Lu.refactor ~metrics:st.ms box.lu st.mat st.basis with
     | () ->
       box.valid <- true;
       st.last_fill <- Lu.fill box.lu
@@ -554,13 +548,14 @@ and refactor st trigger =
      | Trace.Rf_eta -> Metrics.C_lu_refactor_eta
      | Trace.Rf_numeric -> Metrics.C_lu_refactor_numeric
      | Trace.Rf_residual -> Metrics.C_lu_refactor_residual);
-  if Trace.active st.trace then begin
+  let tw = Metrics.writer st.ms in
+  if Trace.active tw then begin
     let etas =
       match st.repr with
       | Rsparse { lu; valid = true } -> Lu.eta_count lu
       | Rsparse { valid = false; _ } | Rdense _ -> 0
     in
-    Trace.emit st.trace (Trace.Lu_refactor { trigger; etas })
+    Trace.emit tw (Trace.Lu_refactor { trigger; etas })
   end;
   st.pivots_since_refactor <- 0;
   fresh_factor st;
@@ -1677,8 +1672,9 @@ let top_level st kind core =
     (g1.Gc.major_words -. g0.Gc.major_words);
   Metrics.add st.ms Metrics.C_gc_compactions
     (g1.Gc.compactions - g0.Gc.compactions);
-  if Trace.active st.trace then
-    Trace.emit st.trace
+  let tw = Metrics.writer st.ms in
+  if Trace.active tw then
+    Trace.emit tw
       (Trace.Lp_solve
          {
            kind;

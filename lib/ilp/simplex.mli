@@ -172,24 +172,33 @@ val pp_stats : Format.formatter -> stats -> unit
 
 type state
 
-val create : ?metrics:Metrics.t -> ?backend:backend -> Lp.t -> state
-(** Builds solver storage for the model (default backend {!Sparse_lu})
-    and the engine's {!Metrics} shard, which holds every tally of
-    {!stats} for the engine's whole life: per-pivot [C_lp_pivots] and
-    [C_lp_bound_flips], per-solve [C_lp_solves] and the LP-time
-    histogram, the fallbacks, hyper-sparse FTRAN/BTRAN hits,
-    factorizations with the factor-time histogram, refactorizations by
-    trigger, eta updates, basis installs, solve times and allocation.
-    The shard is registered with [metrics] when given. Later mutations
-    of the [Lp.t] are not observed except through {!set_var_bounds}.
-    The returned engine is owned by the calling domain (see the module
-    preamble). *)
+val create : ?shard:Metrics.shard -> ?backend:backend -> Lp.t -> state
+(** Builds solver storage for the model (default backend {!Sparse_lu}).
+    The engine counts every tally of {!stats} into [shard] for its
+    whole life: per-pivot [C_lp_pivots] and [C_lp_bound_flips],
+    per-solve [C_lp_solves] and the LP-time histogram, the fallbacks,
+    hyper-sparse FTRAN/BTRAN hits, factorizations with the factor-time
+    histogram, refactorizations by trigger, eta updates, basis
+    installs, solve times and allocation. A search context passes its
+    own shard; without one the engine makes a private, unregistered
+    shard.
+
+    The engine emits its events through the shard's {!Metrics.writer}:
+    one {!Trace.Lp_solve} per {!primal}/{!dual_reopt} call (pivots and
+    flips measured as the {!total_pivots}/{!bound_flips} deltas, so
+    summed event counters equal the engine counters exactly — internal
+    fallbacks are folded into the enclosing event), plus
+    {!Trace.Lu_factor}/{!Trace.Lu_refactor} events from the basis
+    kernel. With {!Trace.null_writer} each instrumentation site costs a
+    single branch.
+
+    Later mutations of the [Lp.t] are not observed except through
+    {!set_var_bounds}. The returned engine is owned by the calling
+    domain (see the module preamble), which must also own [shard]. *)
 
 val stats : state -> stats
 (** Cumulative statistics across all solves on this state: a view of
-    its shard ({!stats_of_snapshot} of [Metrics.merge [shard st]]). *)
-
-val shard : state -> Metrics.shard
+    its shard ({!stats_of_snapshot} of [Metrics.merge [shard]]). *)
 
 val fill : state -> int
 (** Stored L+U entries of the most recent sparse factorization. *)
@@ -204,16 +213,6 @@ val set_var_bounds : state -> int -> lb:float -> ub:float -> unit
     Raises [Invalid_argument] if [j] is out of range or [lb > ub]. *)
 
 val get_var_bounds : state -> int -> float * float
-
-val set_trace : state -> Trace.writer -> unit
-(** Routes engine telemetry to a {!Trace} writer: one
-    {!Trace.Lp_solve} event per {!primal}/{!dual_reopt} call (pivots
-    and flips measured as the {!total_pivots}/{!bound_flips} deltas, so
-    summed event counters equal the engine counters exactly — internal
-    fallbacks are folded into the enclosing event), plus {!Trace.Lu_factor}/{!Trace.Lu_refactor}
-    events from the basis kernel. The default is
-    {!Trace.null_writer}: each instrumentation site then costs a single
-    branch. The writer must belong to the engine's owning domain. *)
 
 val primal : ?max_iters:int -> state -> result
 (** Cold solve from a fresh slack basis, whatever the engine's current

@@ -144,10 +144,6 @@ let dropped = function
   | On l ->
     Array.fold_left (fun acc b -> acc + b.overwritten) 0 (snapshot_bufs l)
 
-let writer_names = function
-  | Disabled -> [||]
-  | On l -> Array.map (fun b -> b.bname) (snapshot_bufs l)
-
 type record = {
   dom : int;
   dname : string;

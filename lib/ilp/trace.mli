@@ -20,7 +20,10 @@
     constructor argument is never built). See docs/OBSERVABILITY.md for
     the event taxonomy and measured overhead.
 
-    Sinks (JSONL, Chrome [trace_event], in-memory summary) live in
+    A search context carries its writer in its {!Metrics.shard}
+    ({!Metrics.writer}), so every layer that counts into the shard
+    emits through the same buffer. The file writers (JSONL, Chrome
+    [trace_event]), the JSONL reader and the summary live in
     {!Trace_export}. *)
 
 (** {1 Event taxonomy} *)
@@ -154,9 +157,6 @@ type record = {
 val collect : t -> record array
 (** Merges every writer's buffer, sorted by [(ts, dom, seq)]. Call only
     after all writers have quiesced (e.g. worker domains joined). *)
-
-val writer_names : t -> string array
-(** Names in registration order (indexable by [record.dom]). *)
 
 val pp_event : Format.formatter -> event -> unit
 (** One-line human rendering (used by logs and tests). *)

@@ -1,12 +1,3 @@
-type sink = {
-  on_record : Trace.record -> unit;
-  on_close : unit -> unit;
-}
-
-let run s records =
-  Array.iter s.on_record records;
-  s.on_close ()
-
 (* ------------------------------------------------------------------ *)
 (* JSONL codec                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -259,33 +250,27 @@ let record_of_json j =
   | exception Bad msg -> Error msg
 
 (* ------------------------------------------------------------------ *)
-(* JSONL sink                                                          *)
+(* Writers                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let jsonl_sink oc =
+let write_jsonl oc records =
   let b = Buffer.create 256 in
-  {
-    on_record =
-      (fun r ->
-        Buffer.clear b;
-        Json.to_buffer b (record_to_json r);
-        Buffer.add_char b '\n';
-        Buffer.output_buffer oc b);
-    on_close = (fun () -> flush oc);
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Chrome trace_event sink                                             *)
-(* ------------------------------------------------------------------ *)
+  Array.iter
+    (fun r ->
+      Buffer.clear b;
+      Json.to_buffer b (record_to_json r);
+      Buffer.add_char b '\n';
+      Buffer.output_buffer oc b)
+    records;
+  flush oc
 
 let us t = t *. 1e6
 
-(* Every Trace record maps to exactly one trace_event, and the mapping
-   is invertible (see [load]): payload fields ride in [args], the
-   writer's sequence number included so merge order survives a
-   round-trip. Durationful events (LP solves, LU factorizations) become
-   "X" complete events whose [ts] is backdated by [dur] — Trace stamps
-   at completion. *)
+(* Every Trace record maps to exactly one trace_event: payload fields
+   ride in [args], the writer's sequence number included. Durationful
+   events (LP solves, LU factorizations, exact checks) become "X"
+   complete events whose [ts] is backdated by [dur] — Trace stamps at
+   completion. *)
 let chrome_event (r : Trace.record) =
   let base ?(cat = "solver") ?ts ?dur ph name args =
     let fields =
@@ -375,50 +360,44 @@ let chrome_event (r : Trace.record) =
   | Span_begin name -> base ~cat:"phase" "B" name []
   | Span_end name -> base ~cat:"phase" "E" name []
 
-let chrome_sink oc =
+let write_chrome oc records =
   let b = Buffer.create 4096 in
-  let first = ref true
-  and tids : (int, string) Hashtbl.t = Hashtbl.create 8 in
+  let first = ref true in
   let put j =
     if !first then first := false else Buffer.add_char b ',';
     Buffer.add_string b "\n  ";
     Json.to_buffer b j
   in
   Buffer.add_string b "{\"traceEvents\":[";
-  {
-    on_record =
-      (fun r ->
-        if not (Hashtbl.mem tids r.dom) then Hashtbl.add tids r.dom r.dname;
-        put (chrome_event r));
-    on_close =
-      (fun () ->
-        put
-          (Json.Obj
-             [
-               ("ph", Json.Str "M");
-               ("name", Json.Str "process_name");
-               ("pid", inum 1);
-               ("args", Json.Obj [ ("name", Json.Str "tpart solve") ]);
-             ]);
-        let tid_list =
-          List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tids [])
-        in
-        List.iter
-          (fun (tid, name) ->
-            put
-              (Json.Obj
-                 [
-                   ("ph", Json.Str "M");
-                   ("name", Json.Str "thread_name");
-                   ("pid", inum 1);
-                   ("tid", inum tid);
-                   ("args", Json.Obj [ ("name", Json.Str name) ]);
-                 ]))
-          tid_list;
-        Buffer.add_string b "\n],\"displayTimeUnit\":\"ms\"}\n";
-        Buffer.output_buffer oc b;
-        flush oc);
-  }
+  Array.iter (fun r -> put (chrome_event r)) records;
+  put
+    (Json.Obj
+       [
+         ("ph", Json.Str "M");
+         ("name", Json.Str "process_name");
+         ("pid", inum 1);
+         ("args", Json.Obj [ ("name", Json.Str "tpart solve") ]);
+       ]);
+  let tids : (int, string) Hashtbl.t = Hashtbl.create 8 in
+  Array.iter
+    (fun (r : Trace.record) ->
+      if not (Hashtbl.mem tids r.dom) then Hashtbl.add tids r.dom r.dname)
+    records;
+  List.iter
+    (fun (tid, name) ->
+      put
+        (Json.Obj
+           [
+             ("ph", Json.Str "M");
+             ("name", Json.Str "thread_name");
+             ("pid", inum 1);
+             ("tid", inum tid);
+             ("args", Json.Obj [ ("name", Json.Str name) ]);
+           ]))
+    (List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tids []));
+  Buffer.add_string b "\n],\"displayTimeUnit\":\"ms\"}\n";
+  Buffer.output_buffer oc b;
+  flush oc
 
 (* ------------------------------------------------------------------ *)
 (* Reading traces back                                                 *)
@@ -430,175 +409,32 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let load_jsonl text =
-  let lines = String.split_on_char '\n' text in
-  let records = ref [] in
-  let err = ref None in
-  List.iteri
-    (fun i line ->
-      if !err = None && String.trim line <> "" then
-        match Json.parse line with
-        | Error e -> err := Some (Printf.sprintf "line %d: %s" (i + 1) e)
-        | Ok j -> (
-          match record_of_json j with
-          | Ok r -> records := r :: !records
-          | Error e -> err := Some (Printf.sprintf "line %d: %s" (i + 1) e)))
-    lines;
-  match !err with
-  | Some e -> Error e
-  | None -> Ok (Array.of_list (List.rev !records))
-
-(* Invert [chrome_event]. Metadata events supply tid -> thread name;
-   everything else round-trips through [args]. *)
-let load_chrome j =
-  let events =
-    match Json.member "traceEvents" j with
-    | Some a -> Json.to_list a
-    | None -> []
-  in
-  let names : (int, string) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun e ->
-      if Json.member "ph" e |> Option.map Json.str = Some (Some "M") then
-        match Option.bind (Json.member "name" e) Json.str with
-        | Some "thread_name" -> (
-          match
-            ( Option.bind (Json.member "tid" e) Json.int,
-              Option.bind (Json.member "args" e) (Json.member "name") )
-          with
-          | Some tid, Some (Json.Str n) -> Hashtbl.replace names tid n
-          | _ -> ())
-        | _ -> ())
-    events;
-  let records = ref [] in
-  let err = ref None in
-  List.iteri
-    (fun i e ->
-      if !err = None then
-        try
-          let ph = req_str e "ph" in
-          if ph <> "M" then begin
-            let name = req_str e "name" in
-            let dom = req_int e "tid" in
-            let args =
-              match Json.member "args" e with
-              | Some a -> a
-              | None -> raise (Bad "missing field \"args\"")
-            in
-            let ts_us = req_num e "ts" in
-            let ts, ev =
-              match (name, ph) with
-              | "node", "B" ->
-                ( ts_us /. 1e6,
-                  Trace.Node_open
-                    {
-                      id = req_int args "id";
-                      parent = req_int args "parent";
-                      depth = req_int args "depth";
-                      bound = req_num args "bound";
-                    } )
-              | "node", "E" ->
-                ( ts_us /. 1e6,
-                  Node_close
-                    {
-                      id = req_int args "id";
-                      obj = nullable_num args "obj";
-                      reason = reason_of_json args;
-                    } )
-              | "lp_solve", "X" ->
-                let dur = req_num e "dur" in
-                ( (ts_us +. dur) /. 1e6,
-                  Lp_solve
-                    {
-                      kind = lp_kind_of_name (req_str args "kind");
-                      pivots = req_int args "pivots";
-                      flips = opt_int args "flips" ~default:0;
-                      obj = nullable_num args "obj";
-                      primal_res = req_num args "primal_res";
-                      dual_res = req_num args "dual_res";
-                      dt = dur /. 1e6;
-                    } )
-              | "lu_factor", "X" ->
-                let dur = req_num e "dur" in
-                ( (ts_us +. dur) /. 1e6,
-                  Lu_factor
-                    {
-                      m = opt_int args "m" ~default:0;
-                      fill = req_int args "fill";
-                      probes = opt_int args "probes" ~default:0;
-                      dt = dur /. 1e6;
-                    } )
-              | "lu_refactor", _ ->
-                ( ts_us /. 1e6,
-                  Lu_refactor
-                    {
-                      trigger = trigger_of_name (req_str args "trigger");
-                      etas = req_int args "etas";
-                    } )
-              | "prop_run", _ ->
-                ( ts_us /. 1e6,
-                  Prop_run
-                    {
-                      steps = req_int args "steps";
-                      fixings = req_int args "fixings";
-                      conflict = req_bool args "conflict";
-                    } )
-              | "incumbent", _ ->
-                ( ts_us /. 1e6,
-                  Incumbent
-                    {
-                      node = req_int args "node";
-                      obj = req_num args "obj";
-                      source = incumbent_source_of_json args;
-                    } )
-              | "cert_check", _ ->
-                let dur = req_num e "dur" in
-                ( (ts_us +. dur) /. 1e6,
-                  Cert_check
-                    {
-                      node = req_int args "node";
-                      verdict = cert_verdict_of_name (req_str args "verdict");
-                      kind = req_str args "kind";
-                      dt = dur /. 1e6;
-                    } )
-              | other, "B" -> (ts_us /. 1e6, Span_begin other)
-              | other, "E" -> (ts_us /. 1e6, Span_end other)
-              | other, ph ->
-                raise
-                  (Bad (Printf.sprintf "unknown event %S with ph %S" other ph))
-            in
-            let dname =
-              match Hashtbl.find_opt names dom with
-              | Some n -> n
-              | None -> Printf.sprintf "writer %d" dom
-            in
-            records :=
-              { Trace.dom; dname; seq = req_int args "seq"; ts; ev } :: !records
-          end
-        with Bad msg -> err := Some (Printf.sprintf "event %d: %s" i msg))
-    events;
-  match !err with
-  | Some e -> Error e
-  | None -> Ok (Array.of_list (List.rev !records))
-
 let load path =
   match read_file path with
   | exception Sys_error e -> Error e
-  | text ->
-    let trimmed = String.trim text in
-    let looks_chrome =
-      String.length trimmed > 0
-      && trimmed.[0] = '{'
-      &&
-      match Json.parse trimmed with
-      | Ok j -> Json.member "traceEvents" j <> None
-      | Error _ -> false
-    in
-    if looks_chrome then
-      match Json.parse trimmed with
-      | Ok j -> load_chrome j
-      | Error e -> Error e
-    else load_jsonl text
+  | text -> (
+    let lines = String.split_on_char '\n' text in
+    let records = ref [] in
+    let err = ref None in
+    List.iteri
+      (fun i line ->
+        if !err = None && String.trim line <> "" then
+          match Json.parse line with
+          | Error e ->
+            err :=
+              Some
+                (Printf.sprintf
+                   "line %d: %s (traces are read back as JSONL, one record \
+                    object per line)"
+                   (i + 1) e)
+          | Ok j -> (
+            match record_of_json j with
+            | Ok r -> records := r :: !records
+            | Error e -> err := Some (Printf.sprintf "line %d: %s" (i + 1) e)))
+      lines;
+    match !err with
+    | Some e -> Error e
+    | None -> Ok (Array.of_list (List.rev !records)))
 
 (* ------------------------------------------------------------------ *)
 (* Stream consistency checks                                           *)
@@ -1123,13 +959,3 @@ module Summary = struct
         ("node_lps", Metrics_export.node_lps_to_json t.node_lps);
       ]
 end
-
-let summary_sink () =
-  let acc = Summary.fresh () in
-  let result = ref None in
-  ( {
-      on_record = (fun r -> Summary.feed acc r);
-      on_close = (fun () -> result := Some (Summary.finish acc));
-    },
-    fun () ->
-      match !result with Some t -> t | None -> Summary.finish acc )

@@ -1,29 +1,27 @@
-(** Sinks and readers for {!Trace} event streams.
+(** Writers and the reader for {!Trace} event streams.
 
-    Three sinks hide behind one {!sink} interface:
+    Two file formats are written:
 
-    - {!jsonl_sink}: one flat JSON object per line, the canonical
-      machine-readable form (schema in docs/OBSERVABILITY.md);
-    - {!chrome_sink}: Chrome [trace_event] JSON, loadable in
+    - {!write_jsonl}: one flat JSON object per line, the canonical
+      machine-readable form (schema in docs/OBSERVABILITY.md) and the
+      only one read back ({!load}), which the [tpart trace]
+      subcommands rely on;
+    - {!write_chrome}: Chrome [trace_event] JSON, an export for
       [chrome://tracing] and Perfetto with one track (tid) per trace
-      writer/domain;
-    - {!summary_sink}: an in-memory aggregator deriving the metrics
-      report ({!Summary.t}) — time-in-phase, bound-vs-time convergence
-      series, tree-shape statistics.
+      writer/domain.
 
-    Both file formats are self-describing enough to be read back with
-    {!load}, which the [tpart trace] subcommands rely on. *)
+    {!Summary} derives the metrics report — time-in-phase,
+    bound-vs-time convergence series, tree-shape statistics — from a
+    record stream. *)
 
-type sink = {
-  on_record : Trace.record -> unit;
-  on_close : unit -> unit;  (** Flush trailers; does not close channels. *)
-}
+val write_jsonl : out_channel -> Trace.record array -> unit
+(** Writes one JSONL line per record, then flushes (the channel stays
+    open). *)
 
-val run : sink -> Trace.record array -> unit
-(** Feeds every record then [on_close]. *)
-
-val jsonl_sink : out_channel -> sink
-val chrome_sink : out_channel -> sink
+val write_chrome : out_channel -> Trace.record array -> unit
+(** Writes the records as one Chrome [trace_event] document: one event
+    per record (payload fields in [args]), then process and thread-name
+    metadata; flushes, leaving the channel open. *)
 
 (** {1 JSONL codec} *)
 
@@ -39,9 +37,8 @@ val record_of_json : Json.t -> (Trace.record, string) result
 (** {1 Reading traces back} *)
 
 val load : string -> (Trace.record array, string) result
-(** Reads a trace file, auto-detecting JSONL vs Chrome [trace_event]
-    (an object with a [traceEvents] array). Metadata events are
-    skipped; records come back in file order. *)
+(** Reads a JSONL trace file; records come back in file order. The
+    error names the first offending line. *)
 
 val check : Trace.record array -> string list
 (** Stream-consistency violations (empty when healthy): per-writer
@@ -123,7 +120,3 @@ module Summary : sig
   val pp : Format.formatter -> t -> unit
   val to_json : t -> Json.t
 end
-
-val summary_sink : unit -> sink * (unit -> Summary.t)
-(** The aggregator sink and a function yielding the report once the
-    stream is closed. *)

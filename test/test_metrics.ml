@@ -1,6 +1,6 @@
 (* Tests for the metrics registry and its exporters: private shards,
    the multi-domain shard merge (loss-free, monotone), the JSONL codec
-   round-trip, the stream validator, the Prometheus text round-trip,
+   round-trip, the stream validator, the Prometheus text exposition,
    the acceptance pin that a final snapshot's totals equal the solver's
    own statistics exactly (sequential and jobs=2), that the statistics
    are one store's view whether or not the caller supplies a registry,
@@ -216,7 +216,10 @@ let test_jsonl_file_roundtrip () =
 
 (* ---------------- Prometheus ---------------- *)
 
-let test_prometheus_roundtrip () =
+(* The exposition is a write-only export, so its text is pinned line by
+   line for a hand-built snapshot: each family is a HELP line, a TYPE
+   line and its samples; an unset gauge prints nothing. *)
+let test_prometheus_exposition () =
   let m = M.create () in
   let sh = M.make_shard ~registry:m () in
   M.add sh M.C_nodes 17;
@@ -225,43 +228,75 @@ let test_prometheus_roundtrip () =
   M.observe sh M.H_factor_seconds 3e-5;
   M.observe sh M.H_factor_seconds 0.5;
   M.set_gauge m M.G_best_bound 2.25;
-  let snap = M.snapshot m in
-  let text = Export.prometheus snap in
-  match Export.parse_prometheus text with
-  | Error e -> Alcotest.failf "parse failed: %s" e
-  | Ok samples ->
-    let value name =
-      match
-        List.find_opt (fun (n, labels, _) -> n = name && labels = []) samples
-      with
-      | Some (_, _, v) -> v
-      | None -> Alcotest.failf "missing sample %s" name
+  let lines = String.split_on_char '\n' (Export.prometheus (M.snapshot m)) in
+  (* the [n] lines starting at [first] *)
+  let block first n =
+    let rec from = function
+      | l :: rest when l = first -> l :: rest
+      | _ :: rest -> from rest
+      | [] -> Alcotest.failf "no line %S" first
     in
-    Alcotest.(check (float 0.)) "counter" 17. (value "tpart_nodes_total");
-    Alcotest.(check (float 0.)) "pivots" 123. (value "tpart_lp_pivots_total");
-    Alcotest.(check (float 0.)) "sum" 0.25 (value "tpart_cert_seconds_total");
-    Alcotest.(check (float 1e-12)) "gauge" 2.25 (value "tpart_best_bound");
-    Alcotest.(check (float 0.)) "hist count" 2.
-      (value "tpart_factor_seconds_count");
-    Alcotest.(check (float 1e-9)) "hist sum" (3e-5 +. 0.5)
-      (value "tpart_factor_seconds_sum");
-    (* the +Inf bucket carries the total count *)
-    let inf_bucket =
-      List.find_opt
-        (fun (n, labels, _) ->
-          n = "tpart_factor_seconds_bucket"
-          && List.mem_assoc "le" labels
-          && List.assoc "le" labels = "+Inf")
-        samples
-    in
-    (match inf_bucket with
-     | Some (_, _, v) -> Alcotest.(check (float 0.)) "+Inf bucket" 2. v
-     | None -> Alcotest.fail "no +Inf bucket");
-    (* unset gauges are omitted *)
-    Alcotest.(check bool)
-      "unset gauge omitted" true
-      (not
-         (List.exists (fun (n, _, _) -> n = "tpart_pool_depth") samples))
+    List.filteri (fun i _ -> i < n) (from lines)
+  in
+  let family first expected =
+    Alcotest.(check (list string)) first expected
+      (block first (List.length expected))
+  in
+  family "# HELP tpart_nodes_total Solver counter nodes."
+    [
+      "# HELP tpart_nodes_total Solver counter nodes.";
+      "# TYPE tpart_nodes_total counter";
+      "tpart_nodes_total 17";
+    ];
+  family "# HELP tpart_lp_pivots_total Solver counter lp_pivots."
+    [
+      "# HELP tpart_lp_pivots_total Solver counter lp_pivots.";
+      "# TYPE tpart_lp_pivots_total counter";
+      "tpart_lp_pivots_total 123";
+    ];
+  family "# HELP tpart_incumbents_total Solver counter incumbents."
+    [
+      "# HELP tpart_incumbents_total Solver counter incumbents.";
+      "# TYPE tpart_incumbents_total counter";
+      "tpart_incumbents_total 0";
+    ];
+  family "# HELP tpart_cert_seconds_total Solver sum cert_seconds."
+    [
+      "# HELP tpart_cert_seconds_total Solver sum cert_seconds.";
+      "# TYPE tpart_cert_seconds_total counter";
+      "tpart_cert_seconds_total 0.25";
+    ];
+  family "# HELP tpart_best_bound Solver gauge best_bound."
+    [
+      "# HELP tpart_best_bound Solver gauge best_bound.";
+      "# TYPE tpart_best_bound gauge";
+      "tpart_best_bound 2.25";
+    ];
+  Alcotest.(check bool)
+    "unset gauge omitted" false
+    (List.exists
+       (fun l -> String.length l >= 16 && String.sub l 0 16 = "tpart_pool_depth")
+       lines);
+  (* 3e-5 s lands in bucket 5 (le 32 us), 0.5 s in bucket 19 (le
+     0.524288 s); buckets are cumulative *)
+  family "# HELP tpart_factor_seconds Solver histogram factor_seconds."
+    ([
+       "# HELP tpart_factor_seconds Solver histogram factor_seconds.";
+       "# TYPE tpart_factor_seconds histogram";
+     ]
+    @ List.init M.n_buckets (fun i ->
+          Printf.sprintf "tpart_factor_seconds_bucket{le=\"%s\"} %d"
+            (if i = M.n_buckets - 1 then "+Inf"
+             else Printf.sprintf "%.17g" (Float.ldexp 1e-6 i))
+            (if i < 5 then 0 else if i < 19 then 1 else 2))
+    @ [
+        "tpart_factor_seconds_sum 0.50002999999999997";
+        "tpart_factor_seconds_count 2";
+      ]);
+  family "tpart_factor_seconds_bucket{le=\"3.1999999999999999e-05\"} 1"
+    [ "tpart_factor_seconds_bucket{le=\"3.1999999999999999e-05\"} 1" ];
+  family "tpart_factor_seconds_bucket{le=\"0.52428799999999998\"} 2"
+    [ "tpart_factor_seconds_bucket{le=\"0.52428799999999998\"} 2" ]
 
 (* ---------------- exactness against solver stats ---------------- *)
 
@@ -399,7 +434,8 @@ let int_stats (s : Bb.stats) =
 (* The statistics are one store's view: a solve counting into the
    caller's registry and one counting into a private registry return
    identical integer statistics, sequentially and on two deterministic
-   workers, and the caller's final snapshot carries the same tallies. *)
+   workers, the caller's registry holds one shard per search context,
+   and its final snapshot carries the same tallies. *)
 let test_one_store ~jobs () =
   let options =
     {
@@ -427,6 +463,12 @@ let test_one_store ~jobs () =
     Alcotest.(check bool)
       "every worker ran" true
       (Array.for_all (fun w -> w.Bb.w_nodes > 0) live.Bb.workers);
+  (* the search contexts — the driver, plus one per worker at jobs > 1
+     — each register one shard, which their engines count into *)
+  Alcotest.(check int)
+    "one shard per search context"
+    (if jobs = 1 then 1 else 1 + jobs)
+    (M.shard_count m);
   let s = M.snapshot m in
   let d = live.Bb.deductions and c = live.Bb.certification in
   List.iter
@@ -523,8 +565,8 @@ let () =
           Alcotest.test_case "stream validator" `Quick test_validator;
           Alcotest.test_case "jsonl file round-trip" `Quick
             test_jsonl_file_roundtrip;
-          Alcotest.test_case "prometheus round-trip" `Quick
-            test_prometheus_roundtrip;
+          Alcotest.test_case "prometheus exposition" `Quick
+            test_prometheus_exposition;
         ] );
       ( "solver",
         [

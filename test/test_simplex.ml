@@ -817,7 +817,7 @@ let test_dual_stall_counted () =
   ignore (Lp.add_constr lp [ (1., x); (1., y) ] Lp.Le 5.);
   Lp.set_objective lp ~maximize:true [ (2., x); (1., y) ];
   let m = Ilp.Metrics.create () in
-  let st = Sx.create ~metrics:m lp in
+  let st = Sx.create ~shard:(Ilp.Metrics.make_shard ~registry:m ()) lp in
   ignore (Sx.primal st);
   Alcotest.(check int) "no stall yet" 0 (Sx.stats st).Sx.dual_stalls;
   Sx.set_var_bounds st (x :> int) ~lb:0. ~ub:1.;
@@ -874,7 +874,7 @@ let test_cold_dual_stall_falls_back () =
      solve; it never returns to the dual start. *)
   let lp = make_degen_lp 0 ~n:24 ~m:12 in
   let m = Ilp.Metrics.create () in
-  let st = Sx.create ~metrics:m lp in
+  let st = Sx.create ~shard:(Ilp.Metrics.make_shard ~registry:m ()) lp in
   let capped = Sx.primal ~max_iters:1 st in
   Alcotest.(check bool) "capped solve gives up" true
     (capped.Sx.status = Sx.Iter_limit);

@@ -1,8 +1,9 @@
 (* Tests for the structured tracing layer: ring-buffer semantics, the
-   multi-domain merge (loss-free, per-writer monotone), the JSONL and
-   Chrome trace_event sinks (parse back to the same records), the
-   stream checker, the tree reconstruction, and the summary's exactness
-   against the solver's own statistics. *)
+   multi-domain merge (loss-free, per-writer monotone), the JSONL
+   writer (parses back to the same records), the Chrome trace_event
+   export (one well-formed event per record), the stream checker, the
+   tree reconstruction, and the summary's exactness against the
+   solver's own statistics. *)
 
 module Trace = Ilp.Trace
 module Export = Ilp.Trace_export
@@ -192,15 +193,15 @@ let test_tree_reconstruction () =
       Alcotest.(check bool) label true (contains dot label))
     nodes
 
-(* ---------------- sinks round-trip ---------------- *)
+(* ---------------- writers ---------------- *)
 
 let with_temp_file f =
   let path = Filename.temp_file "trace_test" ".out" in
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
 
-let write_with sink_of records path =
+let write_with write records path =
   let oc = open_out path in
-  Export.run (sink_of oc) records;
+  write oc records;
   close_out oc
 
 let read_all path =
@@ -228,28 +229,82 @@ let check_roundtrip records (loaded : Trace.record array) =
 let test_jsonl_roundtrip () =
   let records, _ = sample_records () in
   with_temp_file (fun path ->
-      write_with Export.jsonl_sink records path;
+      write_with Export.write_jsonl records path;
       match Export.load path with
       | Error m -> Alcotest.fail m
       | Ok loaded -> check_roundtrip records loaded)
 
-let test_chrome_roundtrip () =
-  let records, _ = sample_records () in
+let jstr k e = Option.bind (Json.member k e) Json.str
+let jint k e = Option.bind (Json.member k e) Json.int
+
+(* The Chrome document written for [records]: its non-metadata events
+   and its tid -> thread name map. *)
+let chrome_of records =
   with_temp_file (fun path ->
-      write_with Export.chrome_sink records path;
-      match Export.load path with
-      | Error m -> Alcotest.fail m
-      | Ok loaded -> check_roundtrip records loaded)
+      write_with Export.write_chrome records path;
+      match Json.parse (read_all path) with
+      | Error m -> Alcotest.fail ("chrome export is not JSON: " ^ m)
+      | Ok json ->
+        let events =
+          match Json.member "traceEvents" json with
+          | Some evs -> Json.to_list evs
+          | None -> Alcotest.fail "no traceEvents member"
+        in
+        let meta, evs = List.partition (fun e -> jstr "ph" e = Some "M") events in
+        let threads =
+          List.filter_map
+            (fun e ->
+              match (jstr "name" e, jint "tid" e) with
+              | Some "thread_name", Some tid ->
+                Option.map
+                  (fun n -> (tid, n))
+                  (Option.bind (Json.member "args" e) (jstr "name"))
+              | _ -> None)
+            meta
+        in
+        (evs, threads))
+
+(* One Chrome event per record, in record order: its track is the
+   record's writer, [args.seq] its sequence number, and its name and
+   phase follow from the event type. *)
+let test_chrome_export () =
+  let records, _ = sample_records () in
+  let evs, threads = chrome_of records in
+  Alcotest.(check int) "one event per record" (Array.length records)
+    (List.length evs);
+  List.iteri
+    (fun i e ->
+      let r = records.(i) in
+      let name, ph =
+        match r.Trace.ev with
+        | Trace.Node_open _ -> ("node", "B")
+        | Trace.Node_close _ -> ("node", "E")
+        | Trace.Lp_solve _ -> ("lp_solve", "X")
+        | Trace.Lu_factor _ -> ("lu_factor", "X")
+        | Trace.Lu_refactor _ -> ("lu_refactor", "i")
+        | Trace.Prop_run _ -> ("prop_run", "i")
+        | Trace.Incumbent _ -> ("incumbent", "i")
+        | Trace.Cert_check _ -> ("cert_check", "X")
+        | Trace.Span_begin n -> (n, "B")
+        | Trace.Span_end n -> (n, "E")
+      in
+      let what = Printf.sprintf "event %d" i in
+      Alcotest.(check (option string)) (what ^ " name") (Some name) (jstr "name" e);
+      Alcotest.(check (option string)) (what ^ " ph") (Some ph) (jstr "ph" e);
+      Alcotest.(check (option int)) (what ^ " tid") (Some r.Trace.dom) (jint "tid" e);
+      Alcotest.(check (option int))
+        (what ^ " seq") (Some r.Trace.seq)
+        (Option.bind (Json.member "args" e) (jint "seq")))
+    evs;
+  Alcotest.(check (list (pair int string)))
+    "thread names" [ (0, "main") ] threads
 
 (* The Lu_factor payload grew [m] and [probes] fields; round-trip them
-   explicitly through both codecs (the solve-based round-trips above
-   only compare pretty-printed events) and make sure the checker is
-   happy with a factorization-only stream. *)
+   explicitly through the JSONL codec (the solve-based round-trip above
+   only compares pretty-printed events), make sure the checker is happy
+   with a factorization-only stream, and check the Chrome export keeps
+   them in [args] with [dt] as the duration in microseconds. *)
 let test_lu_factor_roundtrip () =
-  (* Explicit timestamps, well above dt: the chrome codec stores the
-     event start as [ts - dt] clamped at zero, so a record stamped
-     within dt of the tracer's creation would come back with its start
-     moved and the stream out of order. *)
   let record seq ts ev = { Trace.dom = 0; dname = "main"; seq; ts; ev } in
   let records =
     [|
@@ -258,31 +313,35 @@ let test_lu_factor_roundtrip () =
       record 1 2e-3 (Trace.Lu_factor { m = 1; fill = 1; probes = 0; dt = 0. });
     |]
   in
-  List.iter
-    (fun (name, sink) ->
-      with_temp_file (fun path ->
-          write_with sink records path;
-          match Export.load path with
-          | Error m -> Alcotest.fail (name ^ ": " ^ m)
-          | Ok loaded ->
-            Alcotest.(check (list string))
-              (name ^ " stream clean") [] (Export.check loaded);
-            check_roundtrip records loaded;
-            (match loaded.(0).Trace.ev with
-             | Trace.Lu_factor { m; fill; probes; dt } ->
-               Alcotest.(check int) (name ^ " m") 37 m;
-               Alcotest.(check int) (name ^ " fill") 245 fill;
-               Alcotest.(check int) (name ^ " probes") 112 probes;
-               Alcotest.(check bool)
-                 (name ^ " dt") true
-                 (Float.abs (dt -. 3.25e-7) < 1e-9)
-             | _ -> Alcotest.fail (name ^ ": not an Lu_factor event"))))
-    [ ("jsonl", Export.jsonl_sink); ("chrome", Export.chrome_sink) ]
+  with_temp_file (fun path ->
+      write_with Export.write_jsonl records path;
+      match Export.load path with
+      | Error m -> Alcotest.fail m
+      | Ok loaded ->
+        Alcotest.(check (list string)) "stream clean" [] (Export.check loaded);
+        check_roundtrip records loaded;
+        (match loaded.(0).Trace.ev with
+         | Trace.Lu_factor { m; fill; probes; dt } ->
+           Alcotest.(check int) "m" 37 m;
+           Alcotest.(check int) "fill" 245 fill;
+           Alcotest.(check int) "probes" 112 probes;
+           Alcotest.(check bool) "dt" true (Float.abs (dt -. 3.25e-7) < 1e-9)
+         | _ -> Alcotest.fail "not an Lu_factor event"));
+  match chrome_of records with
+  | e :: _, _ ->
+    let args = Option.get (Json.member "args" e) in
+    Alcotest.(check (option int)) "chrome m" (Some 37) (jint "m" args);
+    Alcotest.(check (option int)) "chrome fill" (Some 245) (jint "fill" args);
+    Alcotest.(check (option int)) "chrome probes" (Some 112) (jint "probes" args);
+    let num k = Option.get (Option.bind (Json.member k e) Json.num) in
+    Alcotest.(check (float 1e-9)) "chrome dur" 0.325 (num "dur");
+    Alcotest.(check (float 1e-9)) "chrome start" (1e3 -. 0.325) (num "ts")
+  | [], _ -> Alcotest.fail "chrome export has no events"
 
 let test_chrome_wellformed () =
   let records, _ = sample_records () in
   with_temp_file (fun path ->
-      write_with Export.chrome_sink records path;
+      write_with Export.write_chrome records path;
       match Json.parse (read_all path) with
       | Error m -> Alcotest.fail ("chrome sink emitted invalid JSON: " ^ m)
       | Ok json ->
@@ -307,15 +366,6 @@ let test_chrome_wellformed () =
               Alcotest.(check bool) "has tid" true (get "tid" ev <> None)
             end)
           events)
-
-let test_summary_sink_matches_of_records () =
-  let records, _ = sample_records () in
-  let sink, result = Export.summary_sink () in
-  Export.run sink records;
-  let a = result () and b = Export.Summary.of_records records in
-  Alcotest.(check string) "identical reports"
-    (Json.to_string (Export.Summary.to_json b))
-    (Json.to_string (Export.Summary.to_json a))
 
 let test_checker_flags_violations () =
   let records, _ = sample_records () in
@@ -432,13 +482,12 @@ let () =
       ( "sinks",
         [
           Alcotest.test_case "jsonl round-trip" `Quick test_jsonl_roundtrip;
-          Alcotest.test_case "chrome round-trip" `Quick test_chrome_roundtrip;
+          Alcotest.test_case "chrome export carries every record" `Quick
+            test_chrome_export;
           Alcotest.test_case "lu_factor m/probes round-trip" `Quick
             test_lu_factor_roundtrip;
           Alcotest.test_case "chrome well-formed" `Quick
             test_chrome_wellformed;
-          Alcotest.test_case "summary sink consistent" `Quick
-            test_summary_sink_matches_of_records;
           Alcotest.test_case "checker flags violations" `Quick
             test_checker_flags_violations;
         ] );
