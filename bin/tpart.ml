@@ -406,6 +406,7 @@ let print_deductions (d : Ilp.Branch_bound.deduction_stats) =
       [ "prop-time"; Printf.sprintf "%.3fs" d.Ilp.Branch_bound.prop_seconds ];
       [ "hook-calls"; string_of_int d.Ilp.Branch_bound.hook_calls ];
       [ "hook-give-ups"; string_of_int d.Ilp.Branch_bound.hook_give_ups ];
+      [ "hook-pre-lp"; string_of_int d.Ilp.Branch_bound.hook_pre_lp ];
       [ "hook-time"; Printf.sprintf "%.3fs" d.Ilp.Branch_bound.hook_seconds ];
     ]
 
@@ -456,7 +457,8 @@ let json_of_result ?certification ~time_limit result =
      %d, \"nodes\": %d, \"incumbents\": %d, \"max_depth\": %d, \
      \"deductions\": {\"rc_fixed\": %d, \"prop_fixings\": %d, \
      \"prop_prunes\": %d, \"prop_seconds\": %s, \"hook_calls\": %d, \
-     \"hook_give_ups\": %d, \"hook_seconds\": %s}, \"node_lps\": %s, \
+     \"hook_give_ups\": %d, \"hook_pre_lp\": %d, \"hook_seconds\": %s}, \
+     \"node_lps\": %s, \
      \"timeline\": %s, \"bound_timeline\": %s, \"elapsed\": %s, \
      \"time_limit\": %s, \"time_limit_hit\": %b%s}"
     outcome comm r.Temporal.Solver.vars r.Temporal.Solver.constrs
@@ -465,6 +467,7 @@ let json_of_result ?certification ~time_limit result =
     d.Ilp.Branch_bound.prop_fixings d.Ilp.Branch_bound.prop_prunes
     (Ilp.Json.to_string (Ilp.Json.Num d.Ilp.Branch_bound.prop_seconds))
     d.Ilp.Branch_bound.hook_calls d.Ilp.Branch_bound.hook_give_ups
+    d.Ilp.Branch_bound.hook_pre_lp
     (Ilp.Json.to_string (Ilp.Json.Num d.Ilp.Branch_bound.hook_seconds))
     (Ilp.Json.to_string
        (Ilp.Metrics_export.node_lps_to_json s.Ilp.Branch_bound.node_lps))

@@ -27,6 +27,7 @@ type counter =
   | C_rc_fixed
   | C_hook_calls
   | C_hook_give_ups
+  | C_hook_pre_lp
   | C_cert_checked
   | C_certified_nodes
   | C_cert_refuted
@@ -85,6 +86,7 @@ let counter_table =
     (C_rc_fixed, "rc_fixed");
     (C_hook_calls, "hook_calls");
     (C_hook_give_ups, "hook_give_ups");
+    (C_hook_pre_lp, "hook_pre_lp");
     (C_cert_checked, "cert_checked");
     (C_certified_nodes, "certified_nodes");
     (C_cert_refuted, "cert_refuted");

@@ -86,6 +86,7 @@ type counter =
   | C_hook_calls  (** node-hook calls *)
   | C_hook_give_ups
       (** node-hook calls that gave up undecided (budget or deadline) *)
+  | C_hook_pre_lp  (** nodes the node hook closed before their LP *)
   | C_cert_checked  (** node LP verdicts checked exactly *)
   | C_certified_nodes  (** ... certified *)
   | C_cert_refuted  (** ... refuted *)

@@ -451,8 +451,10 @@ module Summary = struct
       (c Metrics.C_lu_refactor_eta + c Metrics.C_lu_refactor_numeric
       + c Metrics.C_lu_refactor_residual)
       (c Metrics.C_lu_probes);
-    Format.fprintf ppf "deductions     prop_runs=%d prop_fixings=%d@,"
-      (c Metrics.C_prop_runs) (c Metrics.C_prop_fixings);
+    Format.fprintf ppf
+      "deductions     prop_runs=%d prop_fixings=%d hook_pre_lp=%d@,"
+      (c Metrics.C_prop_runs) (c Metrics.C_prop_fixings)
+      (c Metrics.C_hook_pre_lp);
     Format.fprintf ppf "pool           steals=%d handoffs=%d hungry_polls=%d depth=%s@,"
       (c Metrics.C_pool_steals) (c Metrics.C_pool_handoffs)
       (c Metrics.C_pool_hungry_polls)

@@ -623,17 +623,23 @@ let build_alpha st rho =
   let stamp = st.alpha_stamp in
   let mark = st.alpha_mark and alpha = st.alpha and pat = st.alpha_pat in
   let n = ref 0 in
+  (* The row arrays are walked directly: a closure per coefficient
+     would box each one it is passed. *)
+  let rowptr = st.csr.rowptr and colind = st.csr.colind
+  and values = st.csr.values in
   let scan_row i =
     let ri = rho.(i) in
     if ri <> 0. then
-      Sparse.Csr.iter_row st.csr i (fun j a ->
-          if mark.(j) <> stamp then begin
-            mark.(j) <- stamp;
-            alpha.(j) <- ri *. a;
-            pat.(!n) <- j;
-            incr n
-          end
-          else alpha.(j) <- alpha.(j) +. (ri *. a))
+      for k = rowptr.(i) to rowptr.(i + 1) - 1 do
+        let j = colind.(k) in
+        if mark.(j) <> stamp then begin
+          mark.(j) <- stamp;
+          alpha.(j) <- ri *. values.(k);
+          pat.(!n) <- j;
+          incr n
+        end
+        else alpha.(j) <- alpha.(j) +. (ri *. values.(k))
+      done
   in
   if st.rho_n < 0 then
     for i = 0 to st.m - 1 do

@@ -163,9 +163,4 @@ module Csr = struct
     { nrows; ncols; rowptr; colind; values }
 
   let row_nnz m i = m.rowptr.(i + 1) - m.rowptr.(i)
-
-  let iter_row m i f =
-    for k = m.rowptr.(i) to m.rowptr.(i + 1) - 1 do
-      f m.colind.(k) m.values.(k)
-    done
 end

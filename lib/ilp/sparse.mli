@@ -110,8 +110,4 @@ module Csr : sig
 
   val row_nnz : mat -> int -> int
   (** Stored entries of one row. *)
-
-  val iter_row : mat -> int -> (int -> float -> unit) -> unit
-  (** [iter_row m i f] applies [f col value] over row [i]'s entries in
-      increasing column order. *)
 end

@@ -13,143 +13,141 @@ type report = {
   objective : float option;
 }
 
-(* Branch-and-bound completion hook: once every y_tp is integral in the
-   node relaxation, the objective is fully determined by the partition
-   map (eq. 14 depends only on y), and the exact backtracking scheduler
-   either completes it into a full design — an incumbent — or proves no
-   completion exists. When the y variables are furthermore FIXED by the
-   node's bounds, the whole subtree is resolved either way and can be
-   pruned. Results are memoized per partition map. The scheduler gives
-   up at [deadline] (absolute [Ilp.Mono] time), like on an exhausted
-   backtrack budget; a call whose scheduler run gave up answers
-   [Hook_gave_up], so the search counts it (a memoized give-up answers
-   [Hook_none]). *)
+(* Branch-and-bound completion hook. Eq. 14 depends only on y, so once
+   the partition map is known, the exact backtracking scheduler either
+   completes it into a full design (an incumbent) or proves that no
+   completion exists. The hook's two calls per node split the work:
+
+   - [Bounds], before the node LP: tasks whose y are all fixed form a
+     partial partition map. Its counting lower bound and its scratch
+     memory demand bound every completion in the subtree, so exceeding
+     a budget prunes the subtree long before the other tasks are
+     decided. Once every y is fixed, the scheduler's answer resolves
+     the whole subtree either way, and the node closes with no LP.
+   - [Lp_solution], after it: when the y are integral in the LP point
+     but not all fixed, the map they spell is scheduled as an
+     incumbent candidate; the subtree stays open. With every y fixed
+     the [Bounds] call has decided all it can, so the scheduler never
+     runs twice on one map at one node.
+
+   Results are memoized per partition map. The scheduler gives up at
+   [deadline] (absolute [Ilp.Mono] time), like on an exhausted backtrack
+   budget; a call whose scheduler run gave up answers [Hook_gave_up], so
+   the search counts it (a memoized give-up answers [Hook_none]). *)
 let scheduler_hook ~deadline vars =
+  let module Bb = Ilp.Branch_bound in
   let spec = vars.Vars.spec in
   let g = spec.Spec.graph in
   let nt = Taskgraph.Graph.num_tasks g in
+  let edges = Taskgraph.Graph.task_edges g in
   let cache : (int list, [ `Done of float array option | `Unknown ]) Hashtbl.t =
     Hashtbl.create 64
   in
   let tol = 1e-6 in
-  fun ~lp_solution ~is_fixed ->
-    (* Partial-map pruning: tasks whose y variables are all fixed form a
-       partial partition map; the counting lower bound and the scratch
-       memory demand of that partial map are lower bounds for every
-       completion in this subtree, so exceeding the budgets prunes the
-       subtree outright — long before the remaining tasks are decided. *)
-    let partial =
-      Array.mapi
-        (fun _t row ->
-          if Array.for_all (fun (v : Ilp.Lp.var) -> is_fixed (v :> int)) row
-          then begin
+  (* Schedule the map [part]; [thorough] when every y is fixed, so the
+     answer settles a subtree and is worth a larger backtrack budget. *)
+  let complete ~thorough part =
+    let key = Array.to_list part in
+    match Hashtbl.find_opt cache key with
+    | Some (`Done _ as r) -> r
+    | Some `Unknown when not thorough -> `Unknown
+    | Some `Unknown | None ->
+      let ok_order =
+        List.for_all (fun (t1, t2, _) -> part.(t1) <= part.(t2)) edges
+      and ok_mem = Solution.memory_peak spec part <= spec.Spec.scratch in
+      let r =
+        if not (ok_order && ok_mem) then `Done None
+        else
+          let max_backtracks = if thorough then 5_000_000 else 300_000 in
+          match
+            Enumerate.schedule_for_partition ~max_backtracks ~deadline spec
+              part
+          with
+          | `Schedule (op_step, op_fu) ->
+            let module S = Set.Make (Int) in
+            let used = Array.fold_left (fun s p -> S.add p s) S.empty part in
+            let sol =
+              {
+                Solution.partition_of = Array.copy part;
+                op_step;
+                op_fu;
+                comm_cost = Solution.comm_cost_of_partition spec part;
+                partitions_used = S.cardinal used;
+              }
+            in
+            `Done (Some (Solution.to_vector vars sol))
+          | `Infeasible -> `Done None
+          | `Gave_up -> `Gave_up
+      in
+      Hashtbl.replace cache key
+        (match r with `Gave_up -> `Unknown | `Done _ as d -> d);
+      r
+  in
+  (* Lower bounds of every completion of the partial map [partial]
+     (0 = undecided) exceed the step or the scratch-memory budget. *)
+  let partial_prunes partial =
+    (Array.exists (fun p -> p > 0) partial
+     && Enumerate.steps_lower_bound spec partial > Spec.num_steps spec)
+    ||
+    let exceeded = ref false in
+    for p = 2 to spec.Spec.num_partitions do
+      let demand =
+        List.fold_left
+          (fun acc (t1, t2, bw) ->
+            if
+              partial.(t1) > 0 && partial.(t2) > 0
+              && partial.(t1) < p
+              && p <= partial.(t2)
+            then acc + bw
+            else acc)
+          0 edges
+      in
+      if demand > spec.Spec.scratch then exceeded := true
+    done;
+    !exceeded
+  in
+  fun point ~is_fixed ->
+    let row_fixed row =
+      Array.for_all (fun (v : Ilp.Lp.var) -> is_fixed (v :> int)) row
+    in
+    match point with
+    | Bb.Bounds lb ->
+      (* a task's partition, 0 while its y are not all fixed *)
+      let partial =
+        Array.map
+          (fun row ->
             let p = ref 0 in
-            Array.iteri
-              (fun p0 (v : Ilp.Lp.var) ->
-                if lp_solution.((v :> int)) > 0.5 then p := p0 + 1)
-              row;
-            !p
-          end
-          else 0)
-        vars.Vars.y
-    in
-    let partial_prunes =
-      (Array.exists (fun p -> p > 0) partial
-       && Enumerate.steps_lower_bound spec partial > Spec.num_steps spec)
-      ||
-      (* scratch memory over the decided edges *)
-      let np = spec.Spec.num_partitions in
-      let exceeded = ref false in
-      for p = 2 to np do
-        let demand =
-          List.fold_left
-            (fun acc (t1, t2, bw) ->
-              if
-                partial.(t1) > 0 && partial.(t2) > 0
-                && partial.(t1) < p
-                && p <= partial.(t2)
-              then acc + bw
-              else acc)
-            0
-            (Taskgraph.Graph.task_edges g)
-        in
-        if demand > spec.Spec.scratch then exceeded := true
-      done;
-      !exceeded
-    in
-    if partial_prunes then Ilp.Branch_bound.Hook_prune
-    else
-    let ys_integral =
-      Array.for_all
-        (Array.for_all (fun (v : Ilp.Lp.var) ->
-             Ilp.Branch_bound.fractionality lp_solution.((v :> int)) <= tol))
-        vars.Vars.y
-    in
-    if not ys_integral then Ilp.Branch_bound.Hook_none
-    else begin
-      let part = Array.init nt (Vars.y_value vars lp_solution) in
-      let all_y_fixed =
-        Array.for_all
-          (Array.for_all (fun (v : Ilp.Lp.var) -> is_fixed (v :> int)))
+            if row_fixed row then
+              Array.iteri
+                (fun p0 (v : Ilp.Lp.var) ->
+                  if lb.((v :> int)) > 0.5 then p := p0 + 1)
+                row;
+            !p)
           vars.Vars.y
       in
-      let completion =
-        let key = Array.to_list part in
-        match Hashtbl.find_opt cache key with
-        | Some (`Done _ as r) -> r
-        | Some `Unknown when not all_y_fixed -> `Unknown
-        | Some `Unknown | None ->
-          let ok_order =
-            List.for_all
-              (fun (t1, t2, _) -> part.(t1) <= part.(t2))
-              (Taskgraph.Graph.task_edges g)
-          and ok_mem =
-            Solution.memory_peak spec part <= spec.Spec.scratch
-          in
-          let r =
-            if not (ok_order && ok_mem) then `Done None
-            else
-              (* a fixed partition map is worth a thorough search: the
-                 subtree is resolved either way *)
-              let max_backtracks =
-                if all_y_fixed then 5_000_000 else 300_000
-              in
-              match
-                Enumerate.schedule_for_partition ~max_backtracks ~deadline
-                  spec part
-              with
-              | `Schedule (op_step, op_fu) ->
-                let module S = Set.Make (Int) in
-                let used =
-                  Array.fold_left (fun s p -> S.add p s) S.empty part
-                in
-                let sol =
-                  {
-                    Solution.partition_of = Array.copy part;
-                    op_step;
-                    op_fu;
-                    comm_cost = Solution.comm_cost_of_partition spec part;
-                    partitions_used = S.cardinal used;
-                  }
-                in
-                `Done (Some (Solution.to_vector vars sol))
-              | `Infeasible -> `Done None
-              | `Gave_up -> `Gave_up
-          in
-          Hashtbl.replace cache key
-            (match r with `Gave_up -> `Unknown | `Done _ as d -> d);
-          r
+      if partial_prunes partial then Bb.Hook_prune
+      else if Array.for_all (fun p -> p > 0) partial then
+        match complete ~thorough:true partial with
+        | `Done (Some v) -> Bb.Hook_incumbent_and_prune v
+        | `Done None -> Bb.Hook_prune
+        | `Gave_up -> Bb.Hook_gave_up
+        | `Unknown -> Bb.Hook_none
+      else Bb.Hook_none
+    | Bb.Lp_solution x ->
+      let ys_integral =
+        Array.for_all
+          (Array.for_all (fun (v : Ilp.Lp.var) ->
+               Bb.fractionality x.((v :> int)) <= tol))
+          vars.Vars.y
       in
-      match completion with
-      | `Done (Some v) ->
-        if all_y_fixed then Ilp.Branch_bound.Hook_incumbent_and_prune v
-        else Ilp.Branch_bound.Hook_incumbent v
-      | `Done None ->
-        if all_y_fixed then Ilp.Branch_bound.Hook_prune
-        else Ilp.Branch_bound.Hook_none
-      | `Gave_up -> Ilp.Branch_bound.Hook_gave_up
-      | `Unknown -> Ilp.Branch_bound.Hook_none
-    end
+      if (not ys_integral) || Array.for_all row_fixed vars.Vars.y then
+        Bb.Hook_none
+      else
+        let part = Array.init nt (Vars.y_value vars x) in
+        match complete ~thorough:false part with
+        | `Done (Some v) -> Bb.Hook_incumbent v
+        | `Done None | `Unknown -> Bb.Hook_none
+        | `Gave_up -> Bb.Hook_gave_up
 
 let validate_or_fail spec sol =
   match Solution.validate spec sol with

@@ -30,13 +30,17 @@ type report = {
 val scheduler_hook :
   deadline:float ->
   Vars.t ->
-  lp_solution:float array ->
+  Ilp.Branch_bound.hook_point ->
   is_fixed:(int -> bool) ->
   Ilp.Branch_bound.hook_result
 (** The exact-scheduler completion hook [solve] installs (see
     [scheduler_completion] below), giving up at [deadline], an absolute
-    {!Ilp.Mono.now} time. A call whose scheduler run gave up answers
-    {!Ilp.Branch_bound.Hook_gave_up}. *)
+    {!Ilp.Mono.now} time. Its [Bounds] call applies the partial-map
+    bounds and, once every [y] is fixed, settles the node by the
+    scheduler's answer for that map, before the node LP; its
+    [Lp_solution] call schedules the map of an LP point whose [y] are
+    integral but not all fixed. A call whose scheduler run gave up
+    answers {!Ilp.Branch_bound.Hook_gave_up}. *)
 
 val solve :
   ?strategy:Branching.strategy ->

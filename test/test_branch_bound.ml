@@ -282,6 +282,148 @@ let test_search_tag_by_default () =
       Alcotest.(check bool) "search tag" true (src = Ilp.Trace.Src_search))
     stats.Bb.timeline
 
+(* -------- the node hook's two call points -------- *)
+
+(* LP solves recorded in [m]. *)
+let lp_solves m = Ilp.Metrics.counter_value (Ilp.Metrics.snapshot m) C_lp_solves
+
+(* A hook that settles a node on its bounds closes it with no LP solve:
+   the LP count does not move from the settling call to the next node's
+   call, and the search solves one LP per node it did not settle. Item
+   0 is in the only optimum, so pruning every node that fixes it out
+   keeps the optimum. *)
+let test_hook_settles_before_lp () =
+  let lp, vars = knapsack [| 10.; 6.; 4. |] [| 5.; 4.; 3. |] 8. in
+  let j0 = (vars.(0) : Lp.var :> int) in
+  let m = Ilp.Metrics.create () in
+  let settled_at = ref None and leaks = ref 0 in
+  let hook point ~is_fixed =
+    match point with
+    | Bb.Lp_solution _ -> Bb.Hook_none
+    | Bb.Bounds lb ->
+      (* the previous settled node ran no LP after its settling call *)
+      (match !settled_at with
+       | Some n when lp_solves m <> n -> incr leaks
+       | _ -> ());
+      settled_at := None;
+      if is_fixed j0 && lb.(j0) < 0.5 then begin
+        settled_at := Some (lp_solves m);
+        Bb.Hook_prune
+      end
+      else Bb.Hook_none
+  in
+  let options =
+    { Bb.default_options with Bb.node_hook = Some hook; metrics = Some m }
+  in
+  (match Bb.solve ~options lp with
+   | Bb.Optimal { obj; _ }, stats ->
+     check_float "optimum kept" 14. (user_obj lp obj);
+     let d = stats.Bb.deductions in
+     Alcotest.(check bool) "a node settled" true (d.Bb.hook_pre_lp > 0);
+     Alcotest.(check int) "no LP at a settled node" 0 !leaks;
+     Alcotest.(check int) "one LP per unsettled node"
+       (stats.Bb.nodes - d.Bb.hook_pre_lp) (lp_solves m)
+   | o, _ -> Alcotest.failf "unexpected %a" Bb.pp_outcome o);
+  (* a root settled on its bounds: one node, no LP at all *)
+  let m = Ilp.Metrics.create () in
+  let options =
+    {
+      Bb.default_options with
+      Bb.node_hook = Some (fun _ ~is_fixed:_ -> Bb.Hook_prune);
+      metrics = Some m;
+    }
+  in
+  match Bb.solve ~options lp with
+  | Bb.Infeasible, stats ->
+    Alcotest.(check int) "one node" 1 stats.Bb.nodes;
+    Alcotest.(check int) "settled before its LP" 1
+      stats.Bb.deductions.Bb.hook_pre_lp;
+    Alcotest.(check int) "no LP solve" 0 (lp_solves m);
+    Alcotest.(check bool)
+      "no root objective" true
+      (Float.is_nan stats.Bb.root_obj)
+  | o, _ -> Alcotest.failf "unexpected %a" Bb.pp_outcome o
+
+(* A hook that gives up on the bounds lets the node LP run, and is not
+   asked about the bounds again after it: one [Bounds] call, then one
+   [Lp_solution] call, at the only node. *)
+let test_hook_give_up_before_lp () =
+  let lp, _ =
+    knapsack
+      (Array.init 12 (fun i -> Float.of_int (7 + (i mod 5))))
+      (Array.init 12 (fun i -> Float.of_int (3 + (i mod 7))))
+      17.
+  in
+  let m = Ilp.Metrics.create () in
+  let calls = ref [] in
+  let hook point ~is_fixed:_ =
+    match point with
+    | Bb.Bounds _ ->
+      calls :=
+        Printf.sprintf "bounds after %d solve(s)" (lp_solves m) :: !calls;
+      Bb.Hook_gave_up
+    | Bb.Lp_solution _ ->
+      calls := Printf.sprintf "lp after %d solve(s)" (lp_solves m) :: !calls;
+      Bb.Hook_none
+  in
+  let options =
+    {
+      Bb.default_options with
+      Bb.node_hook = Some hook;
+      max_nodes = 1;
+      metrics = Some m;
+    }
+  in
+  let _, stats = Bb.solve ~options lp in
+  Alcotest.(check (list string))
+    "call order"
+    [ "bounds after 0 solve(s)"; "lp after 1 solve(s)" ]
+    (List.rev !calls);
+  let d = stats.Bb.deductions in
+  Alcotest.(check int) "hook calls" 2 d.Bb.hook_calls;
+  Alcotest.(check int) "one give-up" 1 d.Bb.hook_give_ups;
+  Alcotest.(check int) "nothing settled" 0 d.Bb.hook_pre_lp;
+  Alcotest.(check bool)
+    "root LP solved" true
+    (Float.is_finite stats.Bb.root_obj)
+
+(* Certification reads the LP verdict of the nodes it checks, so those
+   nodes solve their LP before the hook may settle them: a hook that
+   would settle the root on its bounds still lets a certified root
+   solve and certify its LP, and settles it after. *)
+let test_cert_root_before_hook () =
+  let lp, _ = knapsack [| 10.; 6.; 4. |] [| 5.; 4.; 3. |] 8. in
+  List.iter
+    (fun (name, certify_level) ->
+      let m = Ilp.Metrics.create () in
+      let options =
+        {
+          Bb.default_options with
+          Bb.node_hook = Some (fun _ ~is_fixed:_ -> Bb.Hook_prune);
+          certify_level;
+          metrics = Some m;
+        }
+      in
+      match Bb.solve ~options lp with
+      | Bb.Infeasible, stats ->
+        let c = stats.Bb.certification in
+        Alcotest.(check int) (name ^ ": one node") 1 stats.Bb.nodes;
+        Alcotest.(check int) (name ^ ": root LP solved") 1 (lp_solves m);
+        Alcotest.(check int) (name ^ ": root certified") 1 c.Bb.cert_certified;
+        Alcotest.(check bool)
+          (name ^ ": root certificate kept")
+          true
+          (Option.is_some c.Bb.root_certificate);
+        Alcotest.(check int)
+          (name ^ ": settled after its LP")
+          0 stats.Bb.deductions.Bb.hook_pre_lp
+      | o, _ -> Alcotest.failf "%s: unexpected %a" name Bb.pp_outcome o)
+    [
+      ("root", Bb.Cert_root);
+      ("incumbents", Bb.Cert_incumbents);
+      ("all", Bb.Cert_all);
+    ]
+
 (* -------- parallel search (jobs > 1) -------- *)
 
 (* Big enough that the search outlives the sequential seeding phase and
@@ -428,6 +570,15 @@ let () =
         [
           Alcotest.test_case "search tag by default" `Quick
             test_search_tag_by_default;
+        ] );
+      ( "hook",
+        [
+          Alcotest.test_case "settles before its LP" `Quick
+            test_hook_settles_before_lp;
+          Alcotest.test_case "give-up lets the LP run" `Quick
+            test_hook_give_up_before_lp;
+          Alcotest.test_case "certified root solves its LP first" `Quick
+            test_cert_root_before_hook;
         ] );
       ( "parallel",
         [

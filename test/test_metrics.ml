@@ -409,6 +409,7 @@ let int_stats (s : Bb.stats) =
     ("compactions", l.compactions); ("rc_fixed", d.Bb.rc_fixed);
     ("prop_fixings", d.Bb.prop_fixings); ("prop_prunes", d.Bb.prop_prunes);
     ("hook_calls", d.Bb.hook_calls); ("hook_give_ups", d.Bb.hook_give_ups);
+    ("hook_pre_lp", d.Bb.hook_pre_lp);
     ("cert_checked", c.Bb.cert_checked); ("cert_certified", c.Bb.cert_certified);
     ("cert_refuted", c.Bb.cert_refuted);
     ("cert_uncertifiable", c.Bb.cert_uncertifiable);
@@ -447,10 +448,12 @@ let test_one_store ~jobs () =
       certify_level = Bb.Cert_all;
       node_hook =
         Some
-          (fun ~lp_solution ~is_fixed:_ ->
+          (fun point ~is_fixed:_ ->
             (* undecided whenever the first item is fractional *)
-            if Bb.fractionality lp_solution.(0) > 1e-6 then Bb.Hook_gave_up
-            else Bb.Hook_none);
+            match point with
+            | Bb.Lp_solution x when Bb.fractionality x.(0) > 1e-6 ->
+              Bb.Hook_gave_up
+            | Bb.Lp_solution _ | Bb.Bounds _ -> Bb.Hook_none);
     }
   in
   let m = M.create () in
@@ -480,6 +483,7 @@ let test_one_store ~jobs () =
       ("prop_prunes", M.C_prop_prunes, d.Bb.prop_prunes);
       ("hook_calls", M.C_hook_calls, d.Bb.hook_calls);
       ("hook_give_ups", M.C_hook_give_ups, d.Bb.hook_give_ups);
+      ("hook_pre_lp", M.C_hook_pre_lp, d.Bb.hook_pre_lp);
       ("cert_checked", M.C_cert_checked, c.Bb.cert_checked);
       ("basis_installs", M.C_lp_basis_installs,
         live.Bb.lp_stats.Ilp.Simplex.basis_installs);

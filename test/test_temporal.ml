@@ -194,14 +194,15 @@ let optimal_cost_with options spec =
   | Solver.Infeasible_model -> None
   | Solver.Timed_out _ -> Alcotest.fail "unexpected timeout"
 
-let rand_small_spec seed =
+let rand_small_spec ?n seed =
   let rng = Taskgraph.Prng.create seed in
   let tasks = Taskgraph.Prng.int_in rng 2 4 in
   let ops = tasks + Taskgraph.Prng.int_in rng 0 4 in
   let g =
     Taskgraph.Generator.generate (Taskgraph.Generator.default ~tasks ~ops ~seed)
   in
-  let n = Taskgraph.Prng.int_in rng 1 3 in
+  let drawn = Taskgraph.Prng.int_in rng 1 3 in
+  let n = Option.value n ~default:drawn in
   let l = Taskgraph.Prng.int_in rng 0 2 in
   let cap = List.nth [ 45; 60; 200 ] (Taskgraph.Prng.int rng 3) in
   let ms = List.nth [ 2; 5; 100 ] (Taskgraph.Prng.int rng 3) in
@@ -282,6 +283,31 @@ let prop_ilp_matches_enumeration =
       let ilp = optimal_cost_with F.default_options spec in
       let enum = Enum.optimal_cost spec in
       ilp = enum)
+
+(* With one partition, presolve fixes every y at the root, so the
+   completion hook settles the root on its bounds: the whole solve takes
+   no LP, and the scheduler's answer is the true optimum. *)
+let prop_one_partition_settled_at_root =
+  QCheck.Test.make ~name:"N=1 specs are settled at the root without an LP"
+    ~count:40
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let spec = rand_small_spec ~n:1 seed in
+      let m = Ilp.Metrics.create () in
+      let r = Solver.solve ~metrics:m (F.build spec) in
+      let cost =
+        match r.Solver.outcome with
+        | Solver.Feasible sol -> Some sol.Sol.comm_cost
+        | Solver.Infeasible_model -> None
+        | Solver.Timed_out _ -> Alcotest.fail "unexpected timeout"
+      in
+      let s = r.Solver.stats in
+      (* presolve may refute the model before any search *)
+      s.Ilp.Branch_bound.nodes <= 1
+      && s.Ilp.Branch_bound.deductions.Ilp.Branch_bound.hook_pre_lp
+         = s.Ilp.Branch_bound.nodes
+      && Ilp.Metrics.counter_value (Ilp.Metrics.snapshot m) C_lp_solves = 0
+      && cost = Enum.optimal_cost spec)
 
 (* ---------------- Solution validation ---------------- *)
 
@@ -667,7 +693,8 @@ let test_scheduler_deadline () =
 (* A completion-hook call past its deadline gives up, and the search
    counts that give-up exactly once. The hook sees the all-in-one map
    of [paper1_n2l4] (thousands of backtracks, so the clock is read)
-   with every y fixed. *)
+   with every y fixed, on the node's bounds; its call after the LP
+   does not run the scheduler on that map again. *)
 let test_hook_give_up_counted () =
   let spec, part = paper1_n2l4 () in
   let vars = F.build spec in
@@ -680,12 +707,19 @@ let test_hook_give_up_counted () =
         row)
     vars.Vars.y;
   let hook = Solver.scheduler_hook ~deadline:(Ilp.Mono.now () -. 1.) vars in
-  let past_deadline () = hook ~lp_solution:sol ~is_fixed:(fun _ -> true) in
+  let past_deadline () =
+    hook (Ilp.Branch_bound.Bounds sol) ~is_fixed:(fun _ -> true)
+  in
   (match past_deadline () with
    | Ilp.Branch_bound.Hook_gave_up -> ()
    | _ -> Alcotest.fail "expected a give-up");
+  (* after the LP, a map whose y are all fixed is not scheduled again:
+     a second run would give up again *)
+  (match hook (Ilp.Branch_bound.Lp_solution sol) ~is_fixed:(fun _ -> true) with
+   | Ilp.Branch_bound.Hook_none -> ()
+   | _ -> Alcotest.fail "expected no second scheduler run");
   let calls = ref 0 in
-  let node_hook ~lp_solution:_ ~is_fixed:_ =
+  let node_hook _ ~is_fixed:_ =
     incr calls;
     if !calls = 1 then past_deadline () else Ilp.Branch_bound.Hook_none
   in
@@ -849,7 +883,11 @@ let () =
           qt prop_strategies_agree;
           qt prop_presolve_toggle_agrees;
         ] );
-      ("cross-validation", [ qt prop_ilp_matches_enumeration ]);
+      ( "cross-validation",
+        [
+          qt prop_ilp_matches_enumeration;
+          qt prop_one_partition_settled_at_root;
+        ] );
       ( "solution",
         [
           Alcotest.test_case "validate ok" `Quick test_validate_ok;
