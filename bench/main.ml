@@ -109,13 +109,15 @@ let table12 ~tighten () =
     (fun (gno, n, ams, l, paper1, paper2) ->
       let g = Ex.paper_graph gno in
       let options = if tighten then F.tightened_options else F.base_options in
-      (* "leave the variable selection to the solver": most-fractional,
-         no scheduler completion — the pure ILP runs of Tables 1-2 *)
+      (* "leave the variable selection to the solver": lp_solve's
+         default, NODE_FIRSTSELECT, branches on the lowest-indexed
+         fractional column, which is first-fractional; no scheduler
+         completion — the pure ILP runs of Tables 1-2 *)
       (* pure-ILP runs: these are the paper's slow configurations, so a
          modest per-row budget communicates the ">limit" shape without
          hour-long reruns *)
       let r =
-        run_spec ~options ~strategy:Temporal.Branching.Most_fractional
+        run_spec ~options ~strategy:Temporal.Branching.First_fractional
           ~scheduler_completion:false ~limit:30.
           (spec_of g ~ams ~n ~l)
       in

@@ -20,8 +20,6 @@ type result = {
   farkas : farkas option;
 }
 
-type backend = Dense | Sparse_lu
-
 type stats = {
   factorizations : int;
   fill : int;
@@ -113,17 +111,6 @@ type snapshot = {
   s_infeasibility : infeasibility option;
 }
 
-(* Basis representation: a dense explicit inverse maintained by
-   product-form row operations, or a sparse LU factorization with an
-   eta file (see {!Lu}). The LU workspace lives as long as the engine
-   and every factorization refills it in place; [valid] says whether it
-   currently holds a factorization of the basis. *)
-type lu_box = { lu : Lu.t; mutable valid : bool }
-
-type repr =
-  | Rdense of float array array  (* binv: dense m x m basis inverse *)
-  | Rsparse of lu_box
-
 type state = {
   owner : int;  (* creating domain id: all solver storage is unshared *)
   m : int;  (* rows *)
@@ -138,14 +125,19 @@ type state = {
   basis : int array;  (* slot -> basic column *)
   pos : int array;  (* column -> slot when basic, -1 otherwise *)
   stat : vstat array;
-  repr : repr;
+  (* The basis as a sparse LU factorization with an eta file (see
+     {!Lu}). The workspace lives as long as the engine and every
+     factorization refills it in place; [lu_valid] says whether it
+     currently holds a factorization of the basis. *)
+  lu : Lu.t;
+  mutable lu_valid : bool;
   xb : float array;  (* values of basic variables, per slot *)
   y : float array;  (* workspace: simplex multipliers *)
   w : float array;  (* workspace: transformed entering column *)
   wpat : int array;  (* nonzero slots of w when wpat_n >= 0 *)
   mutable wpat_n : int;  (* -1 = w is dense (no pattern available) *)
   tmp : float array;  (* workspace *)
-  aux : float array;  (* workspace (dense ftran target, residual checks) *)
+  aux : float array;  (* workspace (residual checks) *)
   rho : float array;  (* workspace: B^-1 row for dual pricing *)
   rpat : int array;  (* nonzero rows of rho when rho_n >= 0 *)
   mutable rho_n : int;  (* -1 = rho is dense *)
@@ -174,9 +166,8 @@ let ftol = 1e-7 (* primal feasibility *)
 let dtol = 1e-7 (* dual feasibility / pricing *)
 let ptol = 1e-9 (* smallest acceptable pivot *)
 let degen_switch = 60 (* degenerate pivots before switching to Bland *)
-let refactor_period = 400 (* dense: pivots between basis re-inversions *)
 
-(* Sparse refactorization cadence. A fresh factorization costs ~F
+(* Refactorization cadence. A fresh factorization costs ~F
    seconds while applying one more eta to every solve costs ~c seconds,
    so the optimal refresh interval is about sqrt(2F/c): with
    F ~ 0.012 s and c ~ 17 us on the graph-2 root that is ~40 etas (see
@@ -223,7 +214,7 @@ let art_col st i = st.nstruct + st.m + i
    mutually consistent across domains. *)
 let now = Mono.now
 
-let create ?shard ?(backend = Sparse_lu) lp =
+let create ?shard lp =
   let m = Lp.num_constrs lp in
   let nstruct = Lp.num_vars lp in
   let ncols = nstruct + m + m in
@@ -270,16 +261,6 @@ let create ?shard ?(backend = Sparse_lu) lp =
   let cost = Array.make ncols 0. in
   let obj = Lp.objective lp in
   Array.blit obj 0 cost 0 nstruct;
-  let repr =
-    match backend with
-    | Dense ->
-      Rdense
-        (Array.init m (fun i ->
-             let r = Array.make m 0. in
-             r.(i) <- 1.;
-             r))
-    | Sparse_lu -> Rsparse { lu = Lu.create m; valid = false }
-  in
   let mat = Sparse.Csc.of_columns ~nrows:m cols in
   {
     owner = (Domain.self () :> int);
@@ -295,7 +276,8 @@ let create ?shard ?(backend = Sparse_lu) lp =
     basis = Array.init m (fun i -> nstruct + i);
     pos = Array.make ncols (-1);
     stat = Array.make ncols At_lower;
-    repr;
+    lu = Lu.create m;
+    lu_valid = false;
     xb = Array.make m 0.;
     y = Array.make m 0.;
     w = Array.make m 0.;
@@ -360,10 +342,10 @@ let default_stat st j =
 
 exception Singular_basis
 
-(* Factorize (or re-invert) the current basis from scratch. Counted,
-   and its wall time observed into [H_factor_seconds] (whose sum is
-   [stats.factor_time_s]), for both backends, including factorizations
-   that end in [Singular_basis]. *)
+(* Factorize the current basis from scratch. Counted, and its wall time
+   observed into [H_factor_seconds] (whose sum is
+   [stats.factor_time_s]), including factorizations that end in
+   [Singular_basis]. *)
 let fresh_factor st =
   let t0 = now () in
   Fun.protect
@@ -371,100 +353,41 @@ let fresh_factor st =
       Metrics.incr st.ms Metrics.C_lu_factorizations;
       Metrics.observe st.ms Metrics.H_factor_seconds (now () -. t0))
   @@ fun () ->
-  match st.repr with
-  | Rdense binv ->
-    let m = st.m in
-    let a = Array.init m (fun _ -> Array.make m 0.) in
-    for i = 0 to m - 1 do
-      (* dense column i of the basis into column i of [a] *)
-      Sparse.Csc.iter_col st.mat st.basis.(i) (fun r v -> a.(r).(i) <- v);
-      let row = binv.(i) in
-      Array.fill row 0 m 0.;
-      row.(i) <- 1.
-    done;
-    (* Gauss-Jordan with partial pivoting, applying the same row
-       operations to the identity accumulated in binv. *)
-    for c = 0 to m - 1 do
-      let piv_row = ref c and piv_v = ref (Float.abs a.(c).(c)) in
-      for r = c + 1 to m - 1 do
-        let v = Float.abs a.(r).(c) in
-        if v > !piv_v then begin
-          piv_row := r;
-          piv_v := v
-        end
-      done;
-      if !piv_v < 1e-11 then raise Singular_basis;
-      if !piv_row <> c then begin
-        (* Row swaps are ordinary row operations applied to both sides of
-           [B | I]: the left side still reduces to exactly I, so neither
-           the basis ordering nor xb is affected. *)
-        let swap arr =
-          let t = arr.(c) in
-          arr.(c) <- arr.(!piv_row);
-          arr.(!piv_row) <- t
-        in
-        swap a;
-        swap binv
-      end;
-      let p = a.(c).(c) in
-      Vec.scale (1. /. p) a.(c);
-      Vec.scale (1. /. p) binv.(c);
-      for r = 0 to m - 1 do
-        if r <> c then begin
-          let f = a.(r).(c) in
-          if f <> 0. then begin
-            Vec.axpy ~alpha:(-.f) ~x:a.(c) ~y:a.(r);
-            Vec.axpy ~alpha:(-.f) ~x:binv.(c) ~y:binv.(r)
-          end
-        end
-      done
-    done
-  | Rsparse box -> (
-    box.valid <- false;
-    match Lu.refactor ~metrics:st.ms box.lu st.mat st.basis with
-    | () ->
-      box.valid <- true;
-      st.last_fill <- Lu.fill box.lu
-    | exception Lu.Singular -> raise Singular_basis)
+  st.lu_valid <- false;
+  match Lu.refactor ~metrics:st.ms st.lu st.mat st.basis with
+  | () ->
+    st.lu_valid <- true;
+    st.last_fill <- Lu.fill st.lu
+  | exception Lu.Singular -> raise Singular_basis
 
-let lu_of st box =
-  if not box.valid then fresh_factor st;
-  box.lu
+let valid_lu st =
+  if not st.lu_valid then fresh_factor st;
+  st.lu
 
 (* Zero out the previous transformed column, touching only its recorded
    nonzeros when a pattern is available. *)
 let clear_w st =
-  if st.wpat_n < 0 then Vec.fill st.w 0.
+  if st.wpat_n < 0 then Array.fill st.w 0 st.m 0.
   else
     for k = 0 to st.wpat_n - 1 do
       st.w.(st.wpat.(k)) <- 0.
     done;
   st.wpat_n <- 0
 
-(* w <- Binv * column j. Under the sparse backend the solve is
-   hyper-sparse: {!Lu.ftran_sparse} visits only the elimination steps
-   reachable from the column's nonzeros and reports the solution's slot
-   pattern in [wpat] (wpat_n = -1 when it fell through to the dense
-   kernel). *)
+(* w <- Binv * column j. The solve is hyper-sparse: {!Lu.ftran_sparse}
+   visits only the elimination steps reachable from the column's
+   nonzeros and reports the solution's slot pattern in [wpat]
+   (wpat_n = -1 when it fell through to the dense kernel). *)
 let ftran_col st j =
   let t0 = now () in
-  (match st.repr with
-   | Rdense binv ->
-     Vec.fill st.w 0.;
-     Sparse.Csc.iter_col st.mat j (fun r a ->
-         for i = 0 to st.m - 1 do
-           st.w.(i) <- st.w.(i) +. (a *. binv.(i).(r))
-         done);
-     st.wpat_n <- -1
-   | Rsparse box ->
-     let lu = lu_of st box in
-     clear_w st;
-     let n = ref 0 in
-     Sparse.Csc.iter_col st.mat j (fun r a ->
-         st.w.(r) <- a;
-         st.wpat.(!n) <- r;
-         incr n);
-     st.wpat_n <- Lu.ftran_sparse lu st.w st.wpat !n);
+  let lu = valid_lu st in
+  clear_w st;
+  let n = ref 0 in
+  Sparse.Csc.iter_col st.mat j (fun r a ->
+      st.w.(r) <- a;
+      st.wpat.(!n) <- r;
+      incr n);
+  st.wpat_n <- Lu.ftran_sparse lu st.w st.wpat !n;
   Metrics.add_sum st.ms Metrics.S_ftran_seconds (now () -. t0);
   Metrics.incr st.ms Metrics.C_ftran_solves;
   if st.wpat_n >= 0 then Metrics.incr st.ms Metrics.C_ftran_hyper
@@ -483,24 +406,17 @@ let update_xb_step st coef =
       done
   end
 
-(* Dense ftran of an arbitrary right-hand side in place (used for the
-   batched bound-flip update, whose rhs aggregates several columns). *)
+(* Full (not hyper-sparse) ftran of an arbitrary right-hand side in
+   place (used for the batched bound-flip update, whose rhs aggregates
+   several columns). *)
 let ftran_vec st v =
   let t0 = now () in
-  (match st.repr with
-   | Rdense binv ->
-     Array.blit v 0 st.aux 0 st.m;
-     for i = 0 to st.m - 1 do
-       v.(i) <- Vec.dot binv.(i) st.aux
-     done
-   | Rsparse box ->
-     let lu = lu_of st box in
-     Lu.ftran lu v);
+  Lu.ftran (valid_lu st) v;
   Metrics.add_sum st.ms Metrics.S_ftran_seconds (now () -. t0)
 
-(* xb <- Binv * (rhs - sum of nonbasic columns at their values).
-   With the LU backend, a residual check on the recomputed basic
-   solution triggers refactorization when the eta file has degraded. *)
+(* xb <- Binv * (rhs - sum of nonbasic columns at their values). A
+   residual check on the recomputed basic solution triggers
+   refactorization when the eta file has degraded. *)
 let rec compute_xb st =
   Array.blit st.rhs 0 st.tmp 0 st.m;
   for j = 0 to st.ncols - 1 do
@@ -510,33 +426,27 @@ let rec compute_xb st =
     end
   done;
   let t0 = now () in
-  (match st.repr with
-   | Rdense binv ->
-     for i = 0 to st.m - 1 do
-       st.xb.(i) <- Vec.dot binv.(i) st.tmp
-     done;
-     Metrics.add_sum st.ms Metrics.S_ftran_seconds (now () -. t0)
-   | Rsparse box ->
-     let lu = lu_of st box in
-     Array.blit st.tmp 0 st.xb 0 st.m;
-     Lu.ftran lu st.xb;
-     Metrics.add_sum st.ms Metrics.S_ftran_seconds (now () -. t0);
-     if Lu.eta_count lu > 0 then begin
-       (* residual || B xb - tmp ||_inf against the eta-updated solve *)
-       Vec.fill st.aux 0.;
-       for i = 0 to st.m - 1 do
-         if st.xb.(i) <> 0. then
-           Sparse.Csc.add_col_to_dense ~scale:st.xb.(i) st.mat st.basis.(i)
-             st.aux
-       done;
-       let res = ref 0. in
-       for i = 0 to st.m - 1 do
-         let d = Float.abs (st.aux.(i) -. st.tmp.(i)) in
-         if d > !res then res := d
-       done;
-       let scale = 1. +. Vec.nrm_inf st.tmp in
-       if !res > res_tol *. scale then refactor st Trace.Rf_residual
-     end)
+  let lu = valid_lu st in
+  Array.blit st.tmp 0 st.xb 0 st.m;
+  Lu.ftran lu st.xb;
+  Metrics.add_sum st.ms Metrics.S_ftran_seconds (now () -. t0);
+  if Lu.eta_count lu > 0 then begin
+    (* residual || B xb - tmp ||_inf against the eta-updated solve *)
+    Array.fill st.aux 0 st.m 0.;
+    for i = 0 to st.m - 1 do
+      if st.xb.(i) <> 0. then
+        Sparse.Csc.add_col_to_dense ~scale:st.xb.(i) st.mat st.basis.(i)
+          st.aux
+    done;
+    let res = ref 0. and norm = ref 0. in
+    for i = 0 to st.m - 1 do
+      let d = Float.abs (st.aux.(i) -. st.tmp.(i)) in
+      if d > !res then res := d;
+      let t = Float.abs st.tmp.(i) in
+      if t > !norm then norm := t
+    done;
+    if !res > res_tol *. (1. +. !norm) then refactor st Trace.Rf_residual
+  end
 
 (* Rebuild the factorization from the current basis, then recompute xb.
    Used as a numerical safeguard and by the periodic refresh; [trigger]
@@ -550,11 +460,7 @@ and refactor st trigger =
      | Trace.Rf_residual -> Metrics.C_lu_refactor_residual);
   let tw = Metrics.writer st.ms in
   if Trace.active tw then begin
-    let etas =
-      match st.repr with
-      | Rsparse { lu; valid = true } -> Lu.eta_count lu
-      | Rsparse { valid = false; _ } | Rdense _ -> 0
-    in
+    let etas = if st.lu_valid then Lu.eta_count st.lu else 0 in
     Trace.emit tw (Trace.Lu_refactor { trigger; etas })
   end;
   st.pivots_since_refactor <- 0;
@@ -567,51 +473,36 @@ and refactor st trigger =
 (* y <- c_B * Binv for the given cost vector (i.e. solve B^T y = c_B) *)
 let compute_y st costs =
   let t0 = now () in
-  (match st.repr with
-   | Rdense binv ->
-     Vec.fill st.y 0.;
-     for k = 0 to st.m - 1 do
-       let c = costs.(st.basis.(k)) in
-       if c <> 0. then Vec.axpy ~alpha:c ~x:binv.(k) ~y:st.y
-     done
-   | Rsparse box ->
-     let lu = lu_of st box in
-     for k = 0 to st.m - 1 do
-       st.y.(k) <- costs.(st.basis.(k))
-     done;
-     Lu.btran lu st.y);
+  let lu = valid_lu st in
+  for k = 0 to st.m - 1 do
+    st.y.(k) <- costs.(st.basis.(k))
+  done;
+  Lu.btran lu st.y;
   Metrics.add_sum st.ms Metrics.S_btran_seconds (now () -. t0)
 
 let reduced_cost st costs j =
   costs.(j) -. Sparse.Csc.dot_col_dense st.mat j st.y
 
-(* Row r of Binv (the dual pricing vector rho = e_r^T B^-1). The dense
-   backend returns its internal row without copying (rho_n = -1); the LU
-   backend runs a hyper-sparse transposed solve into [st.rho], recording
-   the row pattern in [rpat] unless the solve fell through to the dense
-   kernel. Entries of [st.rho] outside the pattern are exact zeros, so
-   the returned array is always valid as a dense vector. *)
+(* Row r of Binv (the dual pricing vector rho = e_r^T B^-1), by a
+   hyper-sparse transposed solve into [st.rho] that records the row
+   pattern in [rpat] unless the solve fell through to the dense kernel
+   (rho_n = -1). Entries of [st.rho] outside the pattern are exact
+   zeros, so the returned array is always valid as a dense vector. *)
 let dual_row st r =
-  match st.repr with
-  | Rdense binv ->
-    st.rho_n <- -1;
-    Metrics.incr st.ms Metrics.C_btran_solves;
-    binv.(r)
-  | Rsparse box ->
-    let lu = lu_of st box in
-    let t0 = now () in
-    (if st.rho_n < 0 then Vec.fill st.rho 0.
-     else
-       for k = 0 to st.rho_n - 1 do
-         st.rho.(st.rpat.(k)) <- 0.
-       done);
-    st.rho.(r) <- 1.;
-    st.rpat.(0) <- r;
-    st.rho_n <- Lu.btran_sparse lu st.rho st.rpat 1;
-    Metrics.add_sum st.ms Metrics.S_btran_seconds (now () -. t0);
-    Metrics.incr st.ms Metrics.C_btran_solves;
-    if st.rho_n >= 0 then Metrics.incr st.ms Metrics.C_btran_hyper;
-    st.rho
+  let lu = valid_lu st in
+  let t0 = now () in
+  (if st.rho_n < 0 then Array.fill st.rho 0 st.m 0.
+   else
+     for k = 0 to st.rho_n - 1 do
+       st.rho.(st.rpat.(k)) <- 0.
+     done);
+  st.rho.(r) <- 1.;
+  st.rpat.(0) <- r;
+  st.rho_n <- Lu.btran_sparse lu st.rho st.rpat 1;
+  Metrics.add_sum st.ms Metrics.S_btran_seconds (now () -. t0);
+  Metrics.incr st.ms Metrics.C_btran_solves;
+  if st.rho_n >= 0 then Metrics.incr st.ms Metrics.C_btran_hyper;
+  st.rho
 
 (* alpha <- rho A over every column, scanning only the rows where rho is
    nonzero through the CSR mirror. The result is pattern + stamp
@@ -652,46 +543,31 @@ let build_alpha st rho =
   st.alpha_n <- !n
 
 (* Apply the basis-exchange update for an entering column whose
-   transformed column is in st.w, pivoting in slot r. Timed into
-   [S_update_seconds] (reported as [stats.update_seconds]). *)
+   transformed column is in st.w, pivoting in slot r: one more eta in
+   the file. Timed into [S_update_seconds] (reported as
+   [stats.update_seconds]). *)
 let update_factor st r =
-  match st.repr with
-  | Rdense binv ->
-    let t0 = now () in
-    let piv = st.w.(r) in
-    Vec.scale (1. /. piv) binv.(r);
-    for i = 0 to st.m - 1 do
-      if i <> r then begin
-        let f = st.w.(i) in
-        if f <> 0. then Vec.axpy ~alpha:(-.f) ~x:binv.(r) ~y:binv.(i)
-      end
-    done;
-    Metrics.add_sum st.ms Metrics.S_update_seconds (now () -. t0)
-  | Rsparse box ->
-    let lu = lu_of st box in
-    let t0 = now () in
-    let ok =
-      match Lu.update lu ~w:st.w ~r with
-      | () -> true
-      | exception Lu.Singular -> false
-    in
-    Metrics.add_sum st.ms Metrics.S_update_seconds (now () -. t0);
-    if not ok then raise Singular_basis;
-    Metrics.incr st.ms Metrics.C_lu_etas
+  let lu = valid_lu st in
+  let t0 = now () in
+  let ok =
+    match Lu.update lu ~w:st.w ~r with
+    | () -> true
+    | exception Lu.Singular -> false
+  in
+  Metrics.add_sum st.ms Metrics.S_update_seconds (now () -. t0);
+  if not ok then raise Singular_basis;
+  Metrics.incr st.ms Metrics.C_lu_etas
 
-(* Has the representation accumulated enough updates to warrant a
-   periodic refresh? The sparse trigger is two-sided: the eta-file
-   length bound catches long chains of sparse etas, while the stored
-   entry count (against the factorization's own fill) catches few but
-   dense etas — dragging an eta file heavier than a fresh factorization
-   through every solve is never worth it (see [bucket_eta_limit]). *)
+(* Has the eta file grown enough to warrant a periodic refresh? The
+   trigger is two-sided: the length bound catches long chains of sparse
+   etas, while the stored entry count (against the factorization's own
+   fill) catches few but dense etas — dragging an eta file heavier than
+   a fresh factorization through every solve is never worth it (see
+   [bucket_eta_limit]). *)
 let due_refresh st =
-  match st.repr with
-  | Rdense _ -> st.pivots_since_refactor >= refactor_period
-  | Rsparse { lu; valid = true } ->
-    Lu.eta_count lu >= bucket_eta_limit
-    || Lu.eta_nnz lu > devex_eta_fill * Lu.fill lu
-  | Rsparse { valid = false; _ } -> false
+  st.lu_valid
+  && (Lu.eta_count st.lu >= bucket_eta_limit
+     || Lu.eta_nnz st.lu > devex_eta_fill * Lu.fill st.lu)
 
 let objective_value st costs =
   let acc = ref 0. in
@@ -1080,18 +956,9 @@ let reset_to_slack_basis st ~place =
     st.stat.(a) <- At_lower;
     st.pos.(a) <- -1
   done;
-  (match st.repr with
-   | Rdense binv ->
-     for i = 0 to st.m - 1 do
-       let row = binv.(i) in
-       Array.fill row 0 st.m 0.;
-       row.(i) <- 1.
-     done
-   | Rsparse box ->
-     (* the slack basis is a permutation-free identity: factor it fresh
-        (cheap: every column is a singleton) *)
-     box.valid <- false;
-     fresh_factor st);
+  (* the slack basis is a permutation-free identity: factor it fresh
+     (cheap: every column is a singleton) *)
+  fresh_factor st;
   st.bland <- false;
   st.degen_streak <- 0;
   st.pivots_since_refactor <- 0;
@@ -1427,7 +1294,7 @@ let dual_loop st max_iters =
             (* apply the passed-through flips as one batch:
                xb -= B^-1 (sum of dv_p * A_p) with a single solve *)
             if !nflip > 0 then begin
-              Vec.fill st.tmp 0.;
+              Array.fill st.tmp 0 st.m 0.;
               for t = 0 to !nflip - 1 do
                 let p = st.bp_col.(t) in
                 let dv, ns =
@@ -1549,7 +1416,7 @@ let install_basis_core st b =
     st.pivots_since_refactor <- 0;
     st.last_inf <- None;
     reset_devex_weights st;
-    (match st.repr with Rsparse box -> box.valid <- false | Rdense _ -> ());
+    st.lu_valid <- false;
     !ok
     &&
     match
@@ -1558,7 +1425,7 @@ let install_basis_core st b =
     with
     | () -> true
     | exception Singular_basis ->
-      (match st.repr with Rsparse box -> box.valid <- false | Rdense _ -> ());
+      st.lu_valid <- false;
       false
   end
 
@@ -1701,4 +1568,4 @@ let dual_reopt ?(max_iters = 200_000) st =
   check_owner st "dual_reopt";
   top_level st Trace.Lp_dual (fun () -> dual_reopt_core ~max_iters st)
 
-let solve ?backend ?max_iters lp = primal ?max_iters (create ?backend lp)
+let solve ?max_iters lp = primal ?max_iters (create lp)

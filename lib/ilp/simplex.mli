@@ -1,20 +1,14 @@
 (** Bounded-variable revised simplex solver for linear programs.
 
     Solves the LP relaxation of an {!Lp.t} (integrality markers are
-    ignored). The implementation is a revised simplex with two
-    interchangeable basis representations (see {!backend}):
+    ignored). The implementation is a revised simplex with one basis
+    representation, and its verdicts are checked exactly by {!Certify}
+    rather than against a second floating-point engine:
 
-    - the default {e sparse} backend keeps the constraint matrix in
-      compressed sparse column form ({!Sparse.Csc}) and the basis as a
-      Markowitz-pivoted LU factorization with a product-form eta file
-      ({!Lu}), refactorized when the eta file grows past a bound or a
-      residual check fails;
-    - the {e dense} backend maintains an explicit basis inverse with
-      product-form row updates, kept as the reference implementation
-      the sparse backend is tested against.
-
-    Common machinery, independent of the backend:
-
+    - the constraint matrix is kept in compressed sparse column form
+      ({!Sparse.Csc}) and the basis as a Markowitz-pivoted LU
+      factorization with a product-form eta file ({!Lu}), refactorized
+      when the eta file grows past a bound or a residual check fails;
     - variable bounds are handled implicitly (no explicit bound rows),
       which keeps the row count equal to the number of constraints;
     - a cold solve ({!primal}) starts from the slack basis with every
@@ -97,15 +91,9 @@ type result = {
           the rare infeasible verdicts reached without usable duals. *)
 }
 
-type backend =
-  | Dense  (** Explicit dense basis inverse (test reference). *)
-  | Sparse_lu  (** Sparse LU + eta file (default). *)
-
 type stats = {
   factorizations : int;  (** Fresh basis factorizations / re-inversions. *)
-  fill : int;
-      (** Stored L+U entries of the most recent sparse factorization
-          (0 under the dense backend). *)
+  fill : int;  (** Stored L+U entries of the most recent factorization. *)
   etas : int;  (** Cumulative eta-file updates appended. *)
   refactor_eta : int;  (** Refactorizations triggered by eta-file length. *)
   refactor_numeric : int;
@@ -122,8 +110,8 @@ type stats = {
   ftran_seconds : float;  (** Wall time spent in forward solves. *)
   btran_seconds : float;  (** Wall time spent in transposed solves. *)
   update_seconds : float;
-      (** Wall time spent appending basis-exchange updates (the eta
-          file under the sparse backend). *)
+      (** Wall time spent appending basis-exchange updates to the eta
+          file. *)
   pivots : int;  (** Cumulative basis-changing simplex pivots. *)
   bound_flips : int;
       (** Cumulative bound flips applied without a basis change: ratio
@@ -172,11 +160,11 @@ val pp_stats : Format.formatter -> stats -> unit
 
 type state
 
-val create : ?shard:Metrics.shard -> ?backend:backend -> Lp.t -> state
-(** Builds solver storage for the model (default backend {!Sparse_lu}).
-    The engine counts every tally of {!stats} into [shard] for its
-    whole life: per-pivot [C_lp_pivots] and [C_lp_bound_flips],
-    per-solve [C_lp_solves] and the LP-time histogram, the fallbacks,
+val create : ?shard:Metrics.shard -> Lp.t -> state
+(** Builds solver storage for the model. The engine counts every
+    tally of {!stats} into [shard] for its whole life: per-pivot
+    [C_lp_pivots] and [C_lp_bound_flips], per-solve [C_lp_solves] and
+    the LP-time histogram, the fallbacks,
     hyper-sparse FTRAN/BTRAN hits, factorizations with the factor-time
     histogram, refactorizations by trigger, eta updates, basis
     installs, solve times and allocation. A search context passes its
@@ -201,7 +189,7 @@ val stats : state -> stats
     its shard ({!stats_of_snapshot} of [Metrics.merge [shard]]). *)
 
 val fill : state -> int
-(** Stored L+U entries of the most recent sparse factorization. *)
+(** Stored L+U entries of the most recent factorization. *)
 
 val num_rows : state -> int
 
@@ -234,7 +222,7 @@ val dual_reopt : ?max_iters:int -> state -> result
     I/II from the slack basis when the dual loop stalls or the basis
     goes singular. Calling it on a fresh state is valid. *)
 
-val solve : ?backend:backend -> ?max_iters:int -> Lp.t -> result
+val solve : ?max_iters:int -> Lp.t -> result
 (** [solve lp] is [primal (create lp)]: one-shot cold solve — dual
     simplex from the slack basis when every column is boxed on its cost
     side, else phase I/II. *)

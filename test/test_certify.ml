@@ -1,14 +1,15 @@
 (* Exact certification: hand-checked verdicts, corrupted-solution
-   refutation, and randomized agreement with the dense-backend oracle.
-   The random generators mirror test_simplex's mixed-sense models. *)
+   refutation, and randomized agreement between the cold dual start and
+   a primal phase-I solve of the same model. The random generators
+   mirror test_simplex's mixed-sense models. *)
 
 module Lp = Ilp.Lp
 module Sx = Ilp.Simplex
 module C = Ilp.Certify
 module R = Ilp.Rat
 
-let solve_snap ?backend lp =
-  let st = Sx.create ?backend lp in
+let solve_snap lp =
+  let st = Sx.create lp in
   let r = Sx.primal st in
   (r, Sx.snapshot st)
 
@@ -351,9 +352,19 @@ let certified_obj c =
   | C.Exact_optimum { obj } | C.Optimal_within { obj; _ } -> Some obj
   | _ -> None
 
+(* A free zero-cost column in no row changes neither the optimum nor
+   feasibility, but it has no finite bound to start at, so a cold solve
+   of this twin runs primal phase I/II: an oracle independent of the
+   dual start that solves every boxed model. *)
+let phase1_twin lp =
+  let twin = Lp.copy lp in
+  ignore
+    (Lp.add_var twin ~lb:Float.neg_infinity ~ub:Float.infinity Lp.Continuous);
+  twin
+
 let prop_random_optima_certified =
   QCheck.Test.make
-    ~name:"random LP optima certify and agree with the dense oracle"
+    ~name:"random LP optima certify and agree with the phase-I twin"
     ~count:120
     QCheck.(int_bound 100_000)
     (fun seed ->
@@ -364,21 +375,13 @@ let prop_random_optima_certified =
         let c = C.check snap r in
         match (c.C.verdict, certified_obj c) with
         | C.Certified, Some obj ->
-            let oracle = Sx.solve ~backend:Sx.Dense lp in
-            Float.abs (R.to_float obj -. oracle.Sx.obj)
-            <= 1e-6 *. (1. +. Float.abs oracle.Sx.obj)
+            let st1 = Sx.create (phase1_twin lp) in
+            let oracle = Sx.primal st1 in
+            (Sx.stats st1).Sx.cold_primal = 1
+            && oracle.Sx.status = Sx.Optimal
+            && Float.abs (R.to_float obj -. oracle.Sx.obj)
+               <= 1e-6 *. (1. +. Float.abs oracle.Sx.obj)
         | _ -> false)
-
-let prop_dense_backend_certifies =
-  QCheck.Test.make
-    ~name:"dense-backend solves certify through the greedy pivot fallback"
-    ~count:60
-    QCheck.(int_bound 100_000)
-    (fun seed ->
-      let lp, _ = make_rand_mixed seed ~n:6 ~m:6 in
-      let r, snap = solve_snap ~backend:Sx.Dense lp in
-      if r.Sx.status <> Sx.Optimal then false
-      else (C.check snap r).C.verdict = C.Certified)
 
 let prop_corrupted_refuted =
   QCheck.Test.make ~name:"corrupted objectives are refuted" ~count:120
@@ -470,43 +473,33 @@ let make_cost_side_lp seed ~n ~m =
 
 (* Every cold verdict on such a model comes from the dual start: an
    optimum certifies exactly and an infeasible verdict certifies
-   through its [Inf_dual_row] ray. A free zero-cost column in no row
-   changes neither the optimum nor feasibility but forces primal phase
-   I/II, so the phase-I solve of that twin is an oracle independent of
-   the dual start. *)
+   through its [Inf_dual_row] ray. Both match the phase-I twin. *)
 let prop_cold_verdicts_certified =
   QCheck.Test.make
     ~name:"cold dual-start verdicts certify and match phase I" ~count:150
     QCheck.(int_bound 100_000)
     (fun seed ->
       let lp = make_cost_side_lp seed ~n:7 ~m:7 in
-      let twin = Lp.copy lp in
-      ignore
-        (Lp.add_var twin ~lb:Float.neg_infinity ~ub:Float.infinity
-           Lp.Continuous);
-      List.for_all
-        (fun backend ->
-          let st = Sx.create ~backend lp in
-          let r = Sx.primal st in
-          let snap = Sx.snapshot st in
-          let c = C.check snap r in
-          let st1 = Sx.create ~backend twin in
-          let r1 = Sx.primal st1 in
-          (Sx.stats st).Sx.cold_primal = 0
-          && (Sx.stats st1).Sx.cold_primal = 1
-          && r.Sx.status = r1.Sx.status
-          && c.C.verdict = C.Certified
-          &&
-          match r.Sx.status with
-          | Sx.Optimal ->
-            Float.abs (r.Sx.obj -. r1.Sx.obj)
-            <= 1e-6 *. (1. +. Float.abs r1.Sx.obj)
-          | Sx.Infeasible -> (
-            match snap.Sx.s_infeasibility with
-            | Some (Sx.Inf_dual_row _) -> true
-            | Some (Sx.Inf_phase1 _) | None -> false)
-          | Sx.Unbounded | Sx.Iter_limit -> false)
-        [ Sx.Dense; Sx.Sparse_lu ])
+      let st = Sx.create lp in
+      let r = Sx.primal st in
+      let snap = Sx.snapshot st in
+      let c = C.check snap r in
+      let st1 = Sx.create (phase1_twin lp) in
+      let r1 = Sx.primal st1 in
+      (Sx.stats st).Sx.cold_primal = 0
+      && (Sx.stats st1).Sx.cold_primal = 1
+      && r.Sx.status = r1.Sx.status
+      && c.C.verdict = C.Certified
+      &&
+      match r.Sx.status with
+      | Sx.Optimal ->
+        Float.abs (r.Sx.obj -. r1.Sx.obj)
+        <= 1e-6 *. (1. +. Float.abs r1.Sx.obj)
+      | Sx.Infeasible -> (
+        match snap.Sx.s_infeasibility with
+        | Some (Sx.Inf_dual_row _) -> true
+        | Some (Sx.Inf_phase1 _) | None -> false)
+      | Sx.Unbounded | Sx.Iter_limit -> false)
 
 (* Random bases over a random integer matrix: k structural slots, the
    other m - k slots slacks or artificials of distinct rows (in one
@@ -666,7 +659,6 @@ let () =
       ( "properties",
         [
           qt prop_random_optima_certified;
-          qt prop_dense_backend_certifies;
           qt prop_corrupted_refuted;
           qt prop_infeasible_farkas_certified;
           qt prop_cold_verdicts_certified;

@@ -1,33 +1,7 @@
 (* Unit and property tests for the basic ilp data structures:
-   Vec, Sparse, Lp, Lp_format, Feas_check. *)
+   Sparse, Lp, Lp_format, Feas_check. *)
 
 let check_float = Alcotest.(check (float 1e-9))
-
-(* ---------------- Vec ---------------- *)
-
-let test_vec_dot () =
-  check_float "dot" 32. (Ilp.Vec.dot [| 1.; 2.; 3. |] [| 4.; 5.; 6. |]);
-  check_float "dot empty" 0. (Ilp.Vec.dot [||] [||]);
-  Alcotest.check_raises "mismatch" (Invalid_argument "Vec.dot: length mismatch")
-    (fun () -> ignore (Ilp.Vec.dot [| 1. |] [||]))
-
-let test_vec_axpy () =
-  let y = [| 1.; 1.; 1. |] in
-  Ilp.Vec.axpy ~alpha:2. ~x:[| 1.; 2.; 3. |] ~y;
-  Alcotest.(check (array (float 1e-9))) "axpy" [| 3.; 5.; 7. |] y
-
-let test_vec_norms () =
-  check_float "inf" 3. (Ilp.Vec.nrm_inf [| 1.; -3.; 2. |]);
-  check_float "inf empty" 0. (Ilp.Vec.nrm_inf [||]);
-  check_float "nrm2" 5. (Ilp.Vec.nrm2 [| 3.; 4. |]);
-  Alcotest.(check int) "max_abs_index" 1 (Ilp.Vec.max_abs_index [| 1.; -3.; 2. |])
-
-let test_vec_scale_fill () =
-  let x = [| 1.; 2. |] in
-  Ilp.Vec.scale 3. x;
-  Alcotest.(check (array (float 1e-9))) "scale" [| 3.; 6. |] x;
-  Ilp.Vec.fill x 0.;
-  Alcotest.(check (array (float 1e-9))) "fill" [| 0.; 0. |] x
 
 (* ---------------- Sparse ---------------- *)
 
@@ -299,13 +273,6 @@ let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "ilp-base"
     [
-      ( "vec",
-        [
-          Alcotest.test_case "dot" `Quick test_vec_dot;
-          Alcotest.test_case "axpy" `Quick test_vec_axpy;
-          Alcotest.test_case "norms" `Quick test_vec_norms;
-          Alcotest.test_case "scale/fill" `Quick test_vec_scale_fill;
-        ] );
       ( "sparse",
         [
           Alcotest.test_case "of_assoc" `Quick test_sparse_of_assoc;

@@ -1,10 +1,12 @@
 (* Tests for the bounded-variable simplex: hand-checked LPs, degenerate
    and pathological cases, and randomized properties (feasibility of the
-   reported optimum, optimality versus sampled feasible points, and
-   warm-start/fresh-solve agreement). *)
+   reported optimum, optimality versus sampled feasible points, exact
+   certification of cold and warm verdicts, and warm-start/fresh-solve
+   agreement). *)
 
 module Lp = Ilp.Lp
 module Sx = Ilp.Simplex
+module C = Ilp.Certify
 
 let check_float = Alcotest.(check (float 1e-6))
 
@@ -450,59 +452,68 @@ let prop_mixed_senses =
         && user_obj lp r +. 1e-5 >= Ilp.Feas_check.objective_value lp x0
       | Sx.Unbounded | Sx.Infeasible | Sx.Iter_limit -> false)
 
-(* The dense explicit-inverse backend and the sparse LU backend must be
-   observationally identical: same status, same objective (to roundoff),
-   and both residual-clean at an optimum. *)
-let prop_dense_sparse_agree =
-  QCheck.Test.make ~name:"dense and sparse backends agree" ~count:150
+(* Does the engine's last verdict [r] certify exactly from its basis?
+   An optimum must be {!C.Certified} with an exact objective within
+   1e-9 of [r.obj], an infeasible verdict through its Farkas ray. Every
+   other status fails. *)
+let certifies st (r : Sx.result) =
+  let c = C.check (Sx.snapshot st) r in
+  c.C.verdict = C.Certified
+  &&
+  match (r.Sx.status, c.C.detail) with
+  | Sx.Optimal, (C.Exact_optimum { obj } | C.Optimal_within { obj; _ }) ->
+    Float.abs (Ilp.Rat.to_float obj -. r.Sx.obj) <= 1e-9
+  | Sx.Infeasible, C.Farkas_proof _ -> true
+  | _, _ -> false
+
+(* Re-optimizes [st] warm after a round of bound changes and checks the
+   verdict twice: exactly from its own basis, and against a cold solve
+   of the same box on a fresh engine (same status, optima within
+   [tol]). *)
+let warm_verdict_holds ~tol lp st =
+  let r = Sx.dual_reopt st in
+  certifies st r
+  &&
+  let lp2 = Lp.copy lp in
+  for j = 0 to Sx.num_structural st - 1 do
+    let lb, ub = Sx.get_var_bounds st j in
+    Lp.set_bounds lp2 (Lp.var_of_int lp2 j) ~lb ~ub
+  done;
+  let cold = Sx.solve lp2 in
+  cold.Sx.status = r.Sx.status
+  && (r.Sx.status <> Sx.Optimal || Float.abs (cold.Sx.obj -. r.Sx.obj) <= tol)
+
+let prop_cold_verdicts_certify =
+  QCheck.Test.make ~name:"cold verdicts certify exactly" ~count:150
     QCheck.(int_bound 100_000)
     (fun seed ->
       let lp, _ = make_rand_mixed seed ~n:8 ~m:9 in
-      let rd = Sx.solve ~backend:Sx.Dense lp in
-      let rs = Sx.solve ~backend:Sx.Sparse_lu lp in
-      rd.Sx.status = rs.Sx.status
-      &&
-      match rd.Sx.status with
-      | Sx.Optimal ->
-        Float.abs (rd.Sx.obj -. rs.Sx.obj) <= 1e-9
-        && rs.Sx.primal_res <= 1e-6
-        && rs.Sx.dual_res <= 1e-6
-        && rd.Sx.primal_res <= 1e-6
-        && rd.Sx.dual_res <= 1e-6
-      | Sx.Infeasible | Sx.Unbounded | Sx.Iter_limit -> true)
+      let st = Sx.create lp in
+      let r = Sx.primal st in
+      certifies st r
+      && (r.Sx.status <> Sx.Optimal
+         || (r.Sx.primal_res <= 1e-6 && r.Sx.dual_res <= 1e-6)))
 
-let prop_dense_sparse_warm_agree =
+let prop_warm_verdicts_certify =
   QCheck.Test.make
-    ~name:"dense and sparse warm starts agree through bound changes"
+    ~name:"warm verdicts certify through bound changes"
     ~count:60
     QCheck.(int_bound 100_000)
     (fun seed ->
       let { lp; _ } = make_rand_lp seed ~n:7 ~m:9 in
-      let std = Sx.create ~backend:Sx.Dense lp in
-      let sts = Sx.create ~backend:Sx.Sparse_lu lp in
-      ignore (Sx.primal std);
-      ignore (Sx.primal sts);
+      let st = Sx.create lp in
+      ignore (Sx.primal st);
       let rng = Taskgraph.Prng.create (seed + 13) in
       let ok = ref true in
       for _round = 1 to 5 do
         for j = 0 to 6 do
           if Taskgraph.Prng.bool rng 0.4 then begin
             let fix = Float.of_int (Taskgraph.Prng.int_in rng 0 3) in
-            Sx.set_var_bounds std j ~lb:fix ~ub:fix;
-            Sx.set_var_bounds sts j ~lb:fix ~ub:fix
+            Sx.set_var_bounds st j ~lb:fix ~ub:fix
           end
-          else begin
-            Sx.set_var_bounds std j ~lb:0. ~ub:5.;
-            Sx.set_var_bounds sts j ~lb:0. ~ub:5.
-          end
+          else Sx.set_var_bounds st j ~lb:0. ~ub:5.
         done;
-        let rd = Sx.dual_reopt std in
-        let rs = Sx.dual_reopt sts in
-        match (rd.Sx.status, rs.Sx.status) with
-        | Sx.Optimal, Sx.Optimal ->
-          if Float.abs (rd.Sx.obj -. rs.Sx.obj) > 1e-9 then ok := false
-        | Sx.Infeasible, Sx.Infeasible -> ()
-        | _, _ -> ok := false
+        if not (warm_verdict_holds ~tol:1e-9 lp st) then ok := false
       done;
       !ok)
 
@@ -673,49 +684,26 @@ let make_rand_01 seed ~n ~m =
     |> List.map (fun v -> (Float.of_int (Taskgraph.Prng.int_in rng (-3) 5), v)));
   lp
 
-let prop_devex_01_warm_parity =
+let prop_devex_01_warm_certify =
   QCheck.Test.make
-    ~name:"devex bound flips: dense/sparse/fresh agree on warm 0-1 models"
+    ~name:"devex bound flips: warm 0-1 verdicts certify and match cold"
     ~count:80
     QCheck.(int_bound 100_000)
     (fun seed ->
       let lp = make_rand_01 seed ~n:8 ~m:6 in
-      let std = Sx.create ~backend:Sx.Dense lp in
-      let sts = Sx.create ~backend:Sx.Sparse_lu lp in
-      ignore (Sx.primal std);
-      ignore (Sx.primal sts);
+      let st = Sx.create lp in
+      ignore (Sx.primal st);
       let rng = Taskgraph.Prng.create (seed + 41) in
       let ok = ref true in
       for _round = 1 to 4 do
         for j = 0 to 7 do
           if Taskgraph.Prng.bool rng 0.35 then begin
             let fix = Float.of_int (Taskgraph.Prng.int rng 2) in
-            Sx.set_var_bounds std j ~lb:fix ~ub:fix;
-            Sx.set_var_bounds sts j ~lb:fix ~ub:fix
+            Sx.set_var_bounds st j ~lb:fix ~ub:fix
           end
-          else begin
-            Sx.set_var_bounds std j ~lb:0. ~ub:1.;
-            Sx.set_var_bounds sts j ~lb:0. ~ub:1.
-          end
+          else Sx.set_var_bounds st j ~lb:0. ~ub:1.
         done;
-        let rd = Sx.dual_reopt std in
-        let rs = Sx.dual_reopt sts in
-        (match (rd.Sx.status, rs.Sx.status) with
-         | Sx.Optimal, Sx.Optimal ->
-           if Float.abs (rd.Sx.obj -. rs.Sx.obj) > 1e-7 then ok := false;
-           (* and both match a cold solve of the same box *)
-           let lp2 = Lp.copy lp in
-           for j = 0 to 7 do
-             let lb, ub = Sx.get_var_bounds std j in
-             Lp.set_bounds lp2 (Lp.var_of_int lp2 j) ~lb ~ub
-           done;
-           let fresh = Sx.solve lp2 in
-           if
-             fresh.Sx.status <> Sx.Optimal
-             || Float.abs (fresh.Sx.obj -. rs.Sx.obj) > 1e-7
-           then ok := false
-         | Sx.Infeasible, Sx.Infeasible -> ()
-         | _, _ -> ok := false)
+        if not (warm_verdict_holds ~tol:1e-7 lp st) then ok := false
       done;
       !ok)
 
@@ -833,31 +821,37 @@ let test_dual_stall_counted () =
   Alcotest.(check int) "still one stall" 1 (Sx.stats st).Sx.dual_stalls
 
 let test_singular_restart_counted () =
-  (* Found by a random search over near-parallel columns: the free
-     column forces primal phase I, whose pivots leave the dense
-     backend's basis numerically singular at a refresh; phase I
-     restarts once from the slack basis, and the restart is counted. *)
+  (* A badly scaled basis that only the LU's absolute pivot threshold
+     calls singular. The free column x0 forces primal phase I, which
+     ends infeasible with x2 and x0 basic on rows 1 and 2 (the other
+     slots hold unit columns). Each ratio-test pivot was well above
+     the 1e-9 pivot tolerance relative to the basis before it, and the
+     2x2 nucleus [[-3, -1e8]; [1e-12, -1e-4]] has determinant 4e-4.
+     But the refactorization that guards the infeasibility verdict
+     pivots on -1e8 first, which leaves 1e-12 + 3e-12 as the last
+     pivot, below {!Ilp.Lu}'s absolute 1e-11: [Lu.Singular]. Phase I
+     restarts once from the slack basis, the restart is counted, and
+     the second hit gives up with [Iter_limit]. *)
   let lp = Lp.create () in
-  let x0 = Lp.add_var lp ~ub:4. Lp.Continuous in
-  let x1 =
+  let x0 =
     Lp.add_var lp ~lb:Float.neg_infinity ~ub:Float.infinity Lp.Continuous
   in
-  let x2 = Lp.add_var lp ~ub:3. Lp.Continuous in
-  let x3 = Lp.add_var lp ~ub:3. Lp.Continuous in
+  let x1 = Lp.add_var lp ~ub:6. Lp.Continuous in
+  let x2 = Lp.add_var lp ~ub:2. Lp.Continuous in
+  ignore (Lp.add_constr lp [ (2., x2); (2., x1) ] Lp.Eq (-3.));
   ignore
-    (Lp.add_constr lp
-       [ (-3., x0); (-2.998e-06, x1); (-2., x2); (-2., x3) ]
-       Lp.Eq 0.);
+    (Lp.add_constr lp [ (-3., x2); (-3., x1); (-1e8, x0) ] Lp.Eq (-1.));
+  ignore (Lp.add_constr lp [ (1e-12, x2); (-1e-4, x0) ] Lp.Eq 0.);
   ignore
-    (Lp.add_constr lp
-       [ (-3., x0); (-300000., x1); (-3., x2); (3., x3) ]
-       Lp.Le (-2.));
-  Lp.set_objective lp ~maximize:true [ (2., x0); (2., x3) ];
-  let st = Sx.create ~backend:Sx.Dense lp in
-  ignore (Sx.primal st);
+    (Lp.add_constr lp [ (-2., x2); (-2., x1); (-1e8, x0) ] Lp.Ge (-2.));
+  Lp.set_objective lp ~maximize:true [ (2., x2) ];
+  let st = Sx.create lp in
+  let r = Sx.primal st in
   let s = Sx.stats st in
   Alcotest.(check int) "took phase I" 1 s.Sx.cold_primal;
   Alcotest.(check int) "restart counted" 1 s.Sx.singular_restarts;
+  Alcotest.(check bool) "second hit gives up" true
+    (r.Sx.status = Sx.Iter_limit);
   Alcotest.(check bool) "pp shows it" true
     (let text = Format.asprintf "%a" Sx.pp_stats s in
      let key = " singular-restarts=1 " in
@@ -940,8 +934,8 @@ let () =
       ( "properties",
         [ qt prop_feasible_and_dominates; qt prop_warm_start_agrees;
           qt prop_degenerate_warm_start_agrees;
-          qt prop_mixed_senses; qt prop_dense_sparse_agree;
-          qt prop_dense_sparse_warm_agree;
-          qt prop_devex_01_warm_parity; qt prop_lp_bound_below_milp;
+          qt prop_mixed_senses; qt prop_cold_verdicts_certify;
+          qt prop_warm_verdicts_certify;
+          qt prop_devex_01_warm_certify; qt prop_lp_bound_below_milp;
           qt prop_shipped_basis_reaches_optimum ] );
     ]
