@@ -302,14 +302,16 @@ type applied = {
   a_cell : (int * float * float) list;
 }
 
-(* One search context per driving domain: its own simplex engine, its
-   own push target, its own shard. [det] switches pruning to the
-   context-local bound [local_best] so node counts cannot depend on
-   cross-domain timing. *)
+(* One search context per driving domain: its own simplex engine (built
+   at the context's first LP), its own push target, its own shard.
+   [det] switches pruning to the context-local bound [local_best] so
+   node counts cannot depend on cross-domain timing. *)
 type ctx = {
   env : env;
   inc : incumbent;
-  st : Simplex.state;
+  mutable st : Simplex.state option;
+      (* [None] until the first node LP: a search that presolve or the
+         hook settles before any LP never builds an engine *)
   push : node -> unit;
   msh : Metrics.shard;
       (* this context's one telemetry handle: its tallies, its engine's,
@@ -317,8 +319,9 @@ type ctx = {
   det : bool;
   set_root : bool;  (* this context solves the root relaxation *)
   bump : unit -> int;  (* global node counter; returns the new total *)
-  cur_lb : float array;  (* mirror of the engine's bounds; only [move_to]
-                            and [refix_root] write it *)
+  cur_lb : float array;  (* the node's bounds, mirrored into the engine
+                            once it exists; only [move_to] and
+                            [refix_root] write it *)
   cur_ub : float array;
   prop_lb : float array;  (* scratch bounds node propagation runs on *)
   prop_ub : float array;
@@ -338,17 +341,13 @@ type ctx = {
    and the trace writer [tw] belong to it. *)
 let make_ctx env ~inc ~push ~tw ~det ~set_root ~bump ~local_best =
   let msh = Metrics.make_shard ~registry:env.reg ~writer:tw () in
-  let st = Simplex.create ~shard:msh env.lp in
-  (* The engine starts from the model's bounds; the root bounds may
-     already be tightened by reduced-cost fixing (a worker built after
-     the seeding phase), so the mirror and the engine start from them. *)
-  for j = 0 to env.nvars - 1 do
-    Simplex.set_var_bounds st j ~lb:env.root_lb.(j) ~ub:env.root_ub.(j)
-  done;
+  (* The root bounds may already be tightened by reduced-cost fixing (a
+     worker built after the seeding phase), so the mirror starts from
+     them. *)
   {
     env;
     inc;
-    st;
+    st = None;
     push;
     msh;
     det;
@@ -367,6 +366,25 @@ let make_ctx env ~inc ~push ~tw ~det ~set_root ~bump ~local_best =
     k_root_obj = Float.nan;
   }
 
+(* The context's engine, built on first use from the model with the
+   mirrored bounds of the node being processed. *)
+let engine ctx =
+  match ctx.st with
+  | Some st -> st
+  | None ->
+    let st = Simplex.create ~shard:ctx.msh ctx.env.lp in
+    for j = 0 to ctx.env.nvars - 1 do
+      Simplex.set_var_bounds st j ~lb:ctx.cur_lb.(j) ~ub:ctx.cur_ub.(j)
+    done;
+    ctx.st <- Some st;
+    st
+
+(* Write bound [j] into the mirror, and into the engine if it exists. *)
+let set_bounds ctx j ~lb ~ub =
+  ctx.cur_lb.(j) <- lb;
+  ctx.cur_ub.(j) <- ub;
+  Option.iter (fun st -> Simplex.set_var_bounds st j ~lb ~ub) ctx.st
+
 (* Is [ctx] processing the root node right now? *)
 let at_root ctx = ctx.set_root && Metrics.count ctx.msh C_nodes = 1
 
@@ -384,9 +402,7 @@ let move_to ctx fixes =
     | e :: rest ->
       ctx.applied <- rest;
       ctx.n_applied <- ctx.n_applied - 1;
-      ctx.cur_lb.(e.a_j) <- e.a_lo;
-      ctx.cur_ub.(e.a_j) <- e.a_hi;
-      Simplex.set_var_bounds ctx.st e.a_j ~lb:e.a_lo ~ub:e.a_hi
+      set_bounds ctx e.a_j ~lb:e.a_lo ~ub:e.a_hi
   in
   let apply_one cell =
     match cell with
@@ -396,9 +412,7 @@ let move_to ctx fixes =
         { a_j = j; a_lo = ctx.cur_lb.(j); a_hi = ctx.cur_ub.(j); a_cell = cell }
         :: ctx.applied;
       ctx.n_applied <- ctx.n_applied + 1;
-      ctx.cur_lb.(j) <- lo;
-      ctx.cur_ub.(j) <- hi;
-      Simplex.set_var_bounds ctx.st j ~lb:lo ~ub:hi
+      set_bounds ctx j ~lb:lo ~ub:hi
   in
   let rec path_len l n = match l with [] -> n | _ :: t -> path_len t (n + 1) in
   let nb = path_len fixes 0 in
@@ -609,11 +623,7 @@ let refix_root ctx =
         if !fixed <> [] then begin
           move_to ctx [];
           List.iter
-            (fun j ->
-              let lb = env.root_lb.(j) and ub = env.root_ub.(j) in
-              ctx.cur_lb.(j) <- lb;
-              ctx.cur_ub.(j) <- ub;
-              Simplex.set_var_bounds ctx.st j ~lb ~ub)
+            (fun j -> set_bounds ctx j ~lb:env.root_lb.(j) ~ub:env.root_ub.(j))
             !fixed;
           let n = List.length !fixed in
           Metrics.add ctx.msh C_rc_fixed n;
@@ -630,7 +640,7 @@ let refix_root ctx =
    from the unchecked search's. *)
 let certify_node ctx ~nno res =
   let t = Mono.now () in
-  let snap = Simplex.snapshot ctx.st in
+  let snap = Simplex.snapshot (engine ctx) in
   let cert = Certify.check snap res in
   let dt = Mono.elapsed_since t in
   count_check ctx.msh cert dt;
@@ -676,10 +686,11 @@ let process_node ctx node =
   (* Every exit path below closes the node with its reason and records
      its LP sample; [obj] is the node LP objective, [nan] when the LP
      never produced one. *)
-  let pivots0 = Simplex.total_pivots ctx.st and lp_seconds = ref 0. in
+  let pivots () = Metrics.count ctx.msh C_lp_pivots in
+  let pivots0 = pivots () and lp_seconds = ref 0. in
   let close reason ~obj step =
     Metrics.node_lp ctx.msh reason
-      ~pivots:(Simplex.total_pivots ctx.st - pivots0)
+      ~pivots:(pivots () - pivots0)
       ~seconds:!lp_seconds;
     if Trace.active tw then
       Trace.emit tw (Trace.Node_close { id = nno; obj; reason });
@@ -758,10 +769,11 @@ let process_node ctx node =
          [last_basis] physically equal to its own); a backtracked sibling
          or a stolen node reinstalls it. A failed install leaves the
          engine unspecified — fall back to a cold solve. *)
+      let st = engine ctx in
       (match (node.n_basis, ctx.last_basis) with
        | Some b, Some cur when cur == b -> ()
        | Some b, _ when opts.warm_start ->
-         if Simplex.install_basis ctx.st b then ctx.first_solve <- false
+         if Simplex.install_basis st b then ctx.first_solve <- false
          else begin
            Log.warn (fun f ->
                f "node %d: parent basis install failed; solving cold" nno);
@@ -770,8 +782,8 @@ let process_node ctx node =
        | _ -> ());
       let t_lp = Mono.now () in
       let res =
-        if ctx.first_solve || not opts.warm_start then Simplex.primal ctx.st
-        else Simplex.dual_reopt ctx.st
+        if ctx.first_solve || not opts.warm_start then Simplex.primal st
+        else Simplex.dual_reopt st
       in
       ctx.first_solve <- false;
       ctx.last_basis <- None;
@@ -779,7 +791,7 @@ let process_node ctx node =
         match res.Simplex.status with
         | Simplex.Iter_limit ->
           Log.warn (fun f -> f "node %d hit the pivot limit; restarting" nno);
-          Simplex.primal ctx.st
+          Simplex.primal st
         | _ -> res
       in
       lp_seconds := Mono.elapsed_since t_lp;
@@ -905,7 +917,7 @@ let process_node ctx node =
                   warm-starts its dual simplex from here, whichever
                   context pops it. Both children share the same physical
                   basis, so the DFS fast path can skip the install. *)
-               let b = Simplex.export_basis ctx.st in
+               let b = Simplex.export_basis st in
                ctx.last_basis <- Some b;
                let child lo hi =
                  {
@@ -1003,7 +1015,13 @@ let finish env inc outcome ~driver ~workers =
     root_obj = driver.k_root_obj;
     lp_stats =
       Simplex.stats_of_snapshot
-        ~fill:(fold (fun m ctx -> Int.max m (Simplex.fill ctx.st)) 0)
+        ~fill:
+          (fold
+             (fun m ctx ->
+               match ctx.st with
+               | Some st -> Int.max m (Simplex.fill st)
+               | None -> m)
+             0)
         s;
     workers =
       Array.map

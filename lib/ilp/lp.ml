@@ -189,6 +189,34 @@ let copy t =
     sign = t.sign;
   }
 
+let restrict t ~rows ~lb ~ub =
+  let n = t.nvars in
+  if Array.length lb <> n || Array.length ub <> n then
+    invalid_arg "Lp.restrict: bound arrays of the wrong length";
+  for v = 0 to n - 1 do
+    if lb.(v) > ub.(v) then invalid_arg "Lp.restrict: lb > ub"
+  done;
+  {
+    model_name = t.model_name;
+    lbs = Array.copy lb;
+    ubs = Array.copy ub;
+    kinds =
+      Array.init n (fun v ->
+          match t.kinds.(v) with Binary -> Integer | k -> k);
+    names = Array.sub t.names 0 n;
+    nvars = n;
+    rows =
+      Array.map
+        (fun i ->
+          if i < 0 || i >= t.nrows then
+            invalid_arg "Lp.restrict: row out of range";
+          t.rows.(i))
+        rows;
+    nrows = Array.length rows;
+    obj = Array.sub t.obj 0 n;
+    sign = t.sign;
+  }
+
 let pp_stats ppf t =
   let nint =
     let c = ref 0 in

@@ -101,5 +101,15 @@ val eval_linear : linear -> float array -> float
 val copy : t -> t
 (** Deep copy; mutating the copy leaves the original untouched. *)
 
+val restrict : t -> rows:int array -> lb:float array -> ub:float array -> t
+(** [restrict t ~rows ~lb ~ub] is a new model over [t]'s variables
+    (same indices, names, objective, sense and name) holding [t]'s rows
+    [rows] in that order, with variable bounds [lb]/[ub] (length
+    {!num_vars}; the arrays are copied) and every [Binary] variable
+    re-declared [Integer], so bounds tighter than [0, 1] stand. The
+    kept rows are shared with [t], not copied: no operation mutates a
+    row once added. Raises [Invalid_argument] on a row index out of
+    range, a bound array of the wrong length, or [lb > ub]. *)
+
 val pp_stats : Format.formatter -> t -> unit
 (** One-line [vars/constrs/integers] summary. *)

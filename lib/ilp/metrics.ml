@@ -10,6 +10,7 @@ type counter =
   | C_lp_singular_restarts
   | C_lp_basis_installs
   | C_lp_install_fallbacks
+  | C_lp_ray_infeasible
   | C_ftran_solves
   | C_ftran_hyper
   | C_btran_solves
@@ -69,6 +70,7 @@ let counter_table =
     (C_lp_singular_restarts, "lp_singular_restarts");
     (C_lp_basis_installs, "lp_basis_installs");
     (C_lp_install_fallbacks, "lp_install_fallbacks");
+    (C_lp_ray_infeasible, "lp_ray_infeasible");
     (C_ftran_solves, "ftran_solves");
     (C_ftran_hyper, "ftran_hyper");
     (C_btran_solves, "btran_solves");

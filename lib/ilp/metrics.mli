@@ -62,10 +62,13 @@ type counter =
           feasible slack start, and every dual stall or singular-basis
           fallback *)
   | C_lp_singular_restarts
-      (** primal phase I/II runs that hit a singular basis and restarted
-          from the slack basis *)
+      (** primal phase I/II runs that hit a singular basis or a phase-I
+          ray and restarted from the slack basis *)
   | C_lp_basis_installs  (** [Simplex.install_basis] calls *)
   | C_lp_install_fallbacks  (** ... that failed, leaving a cold solve *)
+  | C_lp_ray_infeasible
+      (** dual dead ends after a pivot proved infeasible by their B^-1
+          row alone, with no refactorization to confirm them *)
   | C_ftran_solves  (** pattern-capable FTRANs (entering column) *)
   | C_ftran_hyper  (** of those, solved hyper-sparsely *)
   | C_btran_solves  (** pattern-capable BTRANs (dual pricing row) *)

@@ -16,8 +16,7 @@ let tol = 1e-9
 
 exception Infeasible_row of string
 
-let presolve ?(max_passes = 10) lp0 =
-  let lp = Lp.copy lp0 in
+let presolve ?(max_passes = 10) lp =
   let n = Lp.num_vars lp in
   let prop = Propagate.of_lp lp in
   let lb = Array.init n (fun j -> Lp.var_lb lp (Lp.var_of_int lp j)) in
@@ -68,51 +67,31 @@ let presolve ?(max_passes = 10) lp0 =
         if not removed.(i) then if process_row i then continue := true
       done
     done;
-    (* write the tightened bounds back into the model copy *)
+    (* A variable keeps the model's bounds unless presolve tightened one
+       of them by more than [tol]. *)
     for j = 0 to n - 1 do
       let v = Lp.var_of_int lp j in
-      if
-        lb.(j) > Lp.var_lb lp v +. tol || ub.(j) < Lp.var_ub lp v -. tol
-      then Lp.set_bounds lp v ~lb:lb.(j) ~ub:ub.(j)
+      let lb0 = Lp.var_lb lp v and ub0 = Lp.var_ub lp v in
+      if not (lb.(j) > lb0 +. tol || ub.(j) < ub0 -. tol) then begin
+        lb.(j) <- lb0;
+        ub.(j) <- ub0
+      end
     done;
-    (* rebuild without the removed rows *)
-    let out = Lp.create ~name:(Lp.name lp) () in
-    for j = 0 to Lp.num_vars lp - 1 do
-      let v = Lp.var_of_int lp j in
-      ignore
-        (Lp.add_var out ~name:(Lp.var_name lp v) ~lb:(Lp.var_lb lp v)
-           ~ub:(Lp.var_ub lp v)
-           (match Lp.var_kind lp v with
-            | Lp.Binary ->
-              (* bounds may have been tightened below/above 0/1: keep the
-                 tightened bounds by re-declaring as Integer *)
-              Lp.Integer
-            | k -> k))
-    done;
-    (* re-apply binary bounds (Binary forces [0,1]; Integer keeps them) *)
-    for j = 0 to Lp.num_vars lp - 1 do
-      let v = Lp.var_of_int lp j in
-      Lp.set_bounds out (Lp.var_of_int out j) ~lb:(Lp.var_lb lp v)
-        ~ub:(Lp.var_ub lp v)
-    done;
-    let row_map = ref [] in
-    Lp.iter_rows lp (fun i terms sense rhs ->
-        if not removed.(i) then begin
-          row_map := i :: !row_map;
-          ignore
-            (Lp.add_constr out ~name:(Lp.row_name lp i)
-               (List.map (fun (c, v) -> (c, Lp.var_of_int out (v : Lp.var :> int))) terms)
-               sense rhs)
-        end);
-    let row_map = Array.of_list (List.rev !row_map) in
-    (* objective (minimization-oriented internal form) *)
-    let obj = Lp.objective lp in
-    let sign = Lp.obj_sign lp in
-    Lp.set_objective out
-      ~maximize:(sign < 0.)
-      (Array.to_list
-         (Array.mapi (fun j c -> (sign *. c, Lp.var_of_int out j)) obj)
-      |> List.filter (fun (c, _) -> c <> 0.));
+    (* The kept rows, shared with [lp]: presolve never edits a
+       coefficient. *)
+    let row_map =
+      let kept = Array.make (Lp.num_constrs lp - !rows_removed) 0
+      and k = ref 0 in
+      Array.iteri
+        (fun i r ->
+          if not r then begin
+            kept.(!k) <- i;
+            incr k
+          end)
+        removed;
+      kept
+    in
+    let out = Lp.restrict lp ~rows:row_map ~lb ~ub in
     let vars_fixed =
       let n = ref 0 in
       for j = 0 to Lp.num_vars out - 1 do

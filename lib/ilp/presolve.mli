@@ -37,7 +37,8 @@ type result =
           possibly fewer rows. *)
 
 val presolve : ?max_passes:int -> Lp.t -> result
-(** [presolve lp] returns a reduced copy; [lp] itself is not mutated.
-    Default [max_passes = 10]. *)
+(** [presolve lp] returns a reduced model built by {!Lp.restrict}: it
+    shares its kept rows with [lp], which is not mutated. Default
+    [max_passes = 10]. *)
 
 val pp_stats : Format.formatter -> stats -> unit

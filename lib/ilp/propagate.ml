@@ -71,19 +71,19 @@ let row t i = t.rows.(i)
 
 (* Minimum and maximum activity of [row] under the given bounds. *)
 let activity row ~lb ~ub =
+  (* a loop, not a closure, so the sums stay unboxed *)
   let lo = ref 0. and hi = ref 0. in
-  Array.iteri
-    (fun k j ->
-      let c = row.coef.(k) in
-      if c >= 0. then begin
-        lo := !lo +. (c *. lb.(j));
-        hi := !hi +. (c *. ub.(j))
-      end
-      else begin
-        lo := !lo +. (c *. ub.(j));
-        hi := !hi +. (c *. lb.(j))
-      end)
-    row.idx;
+  for k = 0 to Array.length row.idx - 1 do
+    let j = row.idx.(k) and c = row.coef.(k) in
+    if c >= 0. then begin
+      lo := !lo +. (c *. lb.(j));
+      hi := !hi +. (c *. ub.(j))
+    end
+    else begin
+      lo := !lo +. (c *. ub.(j));
+      hi := !hi +. (c *. lb.(j))
+    end
+  done;
   (!lo, !hi)
 
 exception Empty of int

@@ -27,6 +27,7 @@ type stats = {
   refactor_eta : int;
   refactor_numeric : int;
   refactor_residual : int;
+  ray_infeasible : int;
   factor_time_s : float;
   ftran_seconds : float;
   btran_seconds : float;
@@ -54,6 +55,7 @@ let stats_of_snapshot ?(fill = 0) s =
     refactor_eta = c C_lu_refactor_eta;
     refactor_numeric = c C_lu_refactor_numeric;
     refactor_residual = c C_lu_refactor_residual;
+    ray_infeasible = c C_lp_ray_infeasible;
     factor_time_s = (hist_value s H_factor_seconds).h_sum;
     ftran_seconds = f S_ftran_seconds;
     btran_seconds = f S_btran_seconds;
@@ -74,13 +76,13 @@ let stats_of_snapshot ?(fill = 0) s =
 let pp_stats ppf s =
   Format.fprintf ppf
     "factorizations=%d fill=%d etas=%d refactors(eta/numeric/residual)=%d/%d/%d \
-     factor=%.3fs ftran=%.3fs btran=%.3fs update=%.3fs pivots=%d flips=%d \
-     dual-stalls=%d primal-restarts=%d cold-primal=%d singular-restarts=%d \
+     ray-infeasible=%d factor=%.3fs ftran=%.3fs btran=%.3fs update=%.3fs \
+     pivots=%d flips=%d dual-stalls=%d primal-restarts=%d cold-primal=%d singular-restarts=%d \
      installs=%d install-fallbacks=%d gc(minor/major)=%.0f/%.0fw \
      compactions=%d"
     s.factorizations s.fill s.etas s.refactor_eta s.refactor_numeric
-    s.refactor_residual s.factor_time_s s.ftran_seconds s.btran_seconds
-    s.update_seconds s.pivots s.bound_flips s.dual_stalls s.primal_restarts
+    s.refactor_residual s.ray_infeasible s.factor_time_s s.ftran_seconds
+    s.btran_seconds s.update_seconds s.pivots s.bound_flips s.dual_stalls s.primal_restarts
     s.cold_primal s.singular_restarts s.basis_installs s.install_fallbacks
     s.minor_words s.major_words s.compactions
 
@@ -967,8 +969,9 @@ let reset_to_slack_basis st ~place =
 let rec primal_guarded ~max_iters ~attempt st =
   try primal_once ~max_iters st
   with Singular_basis ->
-    (* accumulated numerical damage: restart from the exact identity
-       basis; give up gracefully if it persists *)
+    (* accumulated numerical damage (a singular basis, or a phase-I
+       ray): restart from the exact identity basis; give up gracefully
+       if it persists *)
     Log.warn (fun f -> f "singular basis; restarting primal from scratch");
     if attempt = 0 then Metrics.incr st.ms Metrics.C_lp_singular_restarts;
     if attempt >= 1 then
@@ -1028,7 +1031,11 @@ and primal_once ~max_iters st =
     match status with
     | Iter_limit ->
       feasible := false (* treated below as iteration limit *)
-    | Unbounded -> assert false (* phase-I objective is bounded below by 0 *)
+    | Unbounded ->
+      (* The phase-I objective is bounded below by 0, so a ray is
+         numerical damage of a badly scaled basis: restart like a
+         singular one. *)
+      raise Singular_basis
     | Optimal | Infeasible ->
       let infeas = objective_value st phase1_cost in
       let infeas =
@@ -1196,6 +1203,39 @@ let rec sort_bp st lo hi =
     sort_bp st !i hi
   end
 
+(* Float Farkas check of a dual dead end on the row rho = st.rho, with
+   alpha = rho A as {!build_alpha} summed it from the raw matrix over
+   every column. Every x with Ax = rhs has alpha.x = rho.rhs. So when
+   the violation is [above] its bound and rho.rhs exceeds the box
+   maximum of alpha.x by a margin (below: falls under the box minimum),
+   no x in the box satisfies the rows, however far the LU behind rho
+   has drifted. No term is dropped: a nonzero alpha, however small, on
+   a column whose bound on the unfavourable side is infinite fails the
+   check. *)
+let ray_proves st ~above =
+  let s = if above then 1. else -1. in
+  let lhs = ref 0. and mag = ref 0. in
+  let dense = st.rho_n < 0 in
+  for k = 0 to (if dense then st.m else st.rho_n) - 1 do
+    let i = if dense then k else st.rpat.(k) in
+    let v = st.rho.(i) *. st.rhs.(i) in
+    lhs := !lhs +. v;
+    mag := !mag +. Float.abs v
+  done;
+  (* box maximum of s * alpha.x, summed until a term is unbounded *)
+  let box = ref 0. and t = ref 0 in
+  while !t < st.alpha_n && Float.is_finite !box do
+    let j = st.alpha_pat.(!t) in
+    let a = s *. st.alpha.(j) in
+    if a <> 0. then begin
+      let v = a *. if a > 0. then st.ub.(j) else st.lb.(j) in
+      box := !box +. v;
+      mag := !mag +. Float.abs v
+    end;
+    incr t
+  done;
+  Float.is_finite !box && (s *. !lhs) -. !box > ftol *. (1. +. !mag)
+
 (* The dual loop: the leaving row by dual devex weights, one
    hyper-sparse btran builds the pivot row through the CSR mirror,
    entering candidates come from the incrementally maintained dj (no
@@ -1217,15 +1257,22 @@ let dual_loop st max_iters =
       | None -> outcome := Some `Primal_feasible
       | Some (r, above) ->
         (* No eligible entering column: primal infeasible — unless
-           accumulated update error faked the dead end, so re-derive
-           from a fresh factorization before trusting it. *)
+           accumulated update error faked the dead end. A fresh
+           factorization is trusted as is; after a pivot the pivot row
+           must prove the box infeasible on its own, or the dead end is
+           re-derived from a fresh factorization. *)
         let infeasible_here () =
-          if st.pivots_since_refactor > 0 then begin
+          if st.pivots_since_refactor = 0 then
+            outcome := Some (`Infeasible (r, above))
+          else if ray_proves st ~above then begin
+            Metrics.incr st.ms Metrics.C_lp_ray_infeasible;
+            outcome := Some (`Infeasible (r, above))
+          end
+          else begin
             refactor st Trace.Rf_numeric;
             recompute_dj st st.cost;
             incr iters
           end
-          else outcome := Some (`Infeasible (r, above))
         in
         let rho = dual_row st r in
         build_alpha st rho;

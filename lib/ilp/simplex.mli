@@ -102,6 +102,13 @@ type stats = {
   refactor_residual : int;
       (** Refactorizations triggered by the basic-solution residual
           check. *)
+  ray_infeasible : int;
+      (** Dual dead ends met after a pivot since the last factorization
+          whose B^-1 row proved the box infeasible on its own (ρ·b
+          outside the box range of ρAx by a margin, every term finite),
+          so no refactorization was needed to confirm them. A dead end
+          the row cannot prove refactorizes instead, counted in
+          [refactor_numeric]. *)
   factor_time_s : float;
       (** Wall time spent in fresh basis factorizations /
           re-inversions — the cost [factorizations] counts. Together
@@ -133,9 +140,10 @@ type stats = {
           [primal_restarts]. [0] on the 0-1 relaxations of this
           project. *)
   singular_restarts : int;
-      (** Primal phase I/II runs that hit a singular basis and restarted
-          from the slack basis (a second hit gives up with
-          {!Iter_limit}). *)
+      (** Primal phase I/II runs that hit a singular basis, or a
+          phase-I ray (numerical damage: the phase-I objective is
+          bounded below), and restarted from the slack basis (a second
+          hit gives up with {!Iter_limit}). *)
   basis_installs : int;  (** {!install_basis} calls. *)
   install_fallbacks : int;
       (** {!install_basis} calls that returned [false], leaving the

@@ -344,6 +344,35 @@ let test_hook_settles_before_lp () =
       (Float.is_nan stats.Bb.root_obj)
   | o, _ -> Alcotest.failf "unexpected %a" Bb.pp_outcome o
 
+(* A root the hook settles on its bounds needs no LP engine: the search
+   factorizes nothing and installs no basis, sequentially and with two
+   workers (which never receive a node). *)
+let test_settled_root_builds_no_engine () =
+  let lp, _ = knapsack [| 10.; 6.; 4. |] [| 5.; 4.; 3. |] 8. in
+  List.iter
+    (fun jobs ->
+      let options =
+        {
+          Bb.default_options with
+          Bb.node_hook = Some (fun _ ~is_fixed:_ -> Bb.Hook_prune);
+          jobs;
+        }
+      in
+      match Bb.solve ~options lp with
+      | Bb.Infeasible, stats ->
+        let l = stats.Bb.lp_stats in
+        let what s = Printf.sprintf "%s at jobs %d" s jobs in
+        Alcotest.(check int) (what "settled root") 1
+          stats.Bb.deductions.Bb.hook_pre_lp;
+        Alcotest.(check int) (what "no factorization") 0
+          l.Ilp.Simplex.factorizations;
+        Alcotest.(check int) (what "no basis install") 0
+          l.Ilp.Simplex.basis_installs;
+        Alcotest.(check int) (what "no pivot") 0 l.Ilp.Simplex.pivots;
+        Alcotest.(check int) (what "no fill") 0 l.Ilp.Simplex.fill
+      | o, _ -> Alcotest.failf "unexpected %a" Bb.pp_outcome o)
+    [ 1; 2 ]
+
 (* A hook that gives up on the bounds lets the node LP run, and is not
    asked about the bounds again after it: one [Bounds] call, then one
    [Lp_solution] call, at the only node. *)
@@ -575,6 +604,8 @@ let () =
         [
           Alcotest.test_case "settles before its LP" `Quick
             test_hook_settles_before_lp;
+          Alcotest.test_case "settled root builds no engine" `Quick
+            test_settled_root_builds_no_engine;
           Alcotest.test_case "give-up lets the LP run" `Quick
             test_hook_give_up_before_lp;
           Alcotest.test_case "certified root solves its LP first" `Quick

@@ -400,7 +400,8 @@ let int_stats (s : Bb.stats) =
     ("nodes", s.Bb.nodes); ("pivots", s.Bb.pivots); ("max_depth", s.Bb.max_depth);
     ("factorizations", l.factorizations); ("fill", l.fill); ("etas", l.etas);
     ("refactor_eta", l.refactor_eta); ("refactor_numeric", l.refactor_numeric);
-    ("refactor_residual", l.refactor_residual); ("lp pivots", l.pivots);
+    ("refactor_residual", l.refactor_residual);
+    ("ray_infeasible", l.ray_infeasible); ("lp pivots", l.pivots);
     ("bound_flips", l.bound_flips); ("dual_stalls", l.dual_stalls);
     ("primal_restarts", l.primal_restarts); ("cold_primal", l.cold_primal);
     ("singular_restarts", l.singular_restarts);

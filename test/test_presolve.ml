@@ -187,6 +187,94 @@ let prop_presolve_never_cuts_feasible_points =
         done;
         !ok)
 
+(* Mixed-kind random models: binaries, bounded integers and
+   continuous variables, all three row senses, named rows. *)
+let make_rand_mixed seed ~n ~m =
+  let rng = Taskgraph.Prng.create (seed + 7) in
+  let lp = Lp.create ~name:"mixed" () in
+  let vars =
+    Array.init n (fun j ->
+        let name = Printf.sprintf "v%d" j in
+        match Taskgraph.Prng.int rng 3 with
+        | 0 -> Lp.add_var lp ~name Lp.Binary
+        | 1 ->
+          Lp.add_var lp ~name ~lb:(Float.of_int (Taskgraph.Prng.int_in rng (-2) 0))
+            ~ub:(Float.of_int (Taskgraph.Prng.int_in rng 1 5)) Lp.Integer
+        | _ ->
+          Lp.add_var lp ~name ~ub:(Float.of_int (Taskgraph.Prng.int_in rng 1 6))
+            Lp.Continuous)
+  in
+  for i = 1 to m do
+    let terms =
+      Array.to_list vars
+      |> List.filter_map (fun v ->
+             if Taskgraph.Prng.bool rng 0.5 then
+               Some (Float.of_int (Taskgraph.Prng.int_in rng (-3) 4), v)
+             else None)
+    in
+    if terms <> [] then begin
+      let sense =
+        match Taskgraph.Prng.int rng 3 with 0 -> Lp.Le | 1 -> Lp.Ge | _ -> Lp.Eq
+      in
+      let rhs = Float.of_int (Taskgraph.Prng.int_in rng (-2) 8) in
+      ignore (Lp.add_constr lp ~name:(Printf.sprintf "r%d" i) terms sense rhs)
+    end
+  done;
+  Lp.set_objective lp ~maximize:(Taskgraph.Prng.bool rng 0.5)
+    (Array.to_list vars
+    |> List.map (fun v -> (Float.of_int (Taskgraph.Prng.int_in rng (-5) 5), v)));
+  lp
+
+(* The reduced model is the original restricted to its kept rows: it
+   writes exactly like a model rebuilt through the public [Lp] API from
+   the rows [row_map] names (in order, with their names), the reduced
+   bounds, [Binary] re-declared [Integer] and the original objective.
+   Each reduced bound lies inside the original one, and [row_map] is
+   strictly increasing. *)
+let prop_reduced_model_is_a_restriction =
+  QCheck.Test.make ~name:"reduced model writes like a public-API rebuild"
+    ~count:200
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let lp = make_rand_mixed seed ~n:7 ~m:7 in
+      let before = Ilp.Lp_format.to_string lp in
+      match P.presolve lp with
+      | P.Infeasible _ -> Ilp.Lp_format.to_string lp = before
+      | P.Reduced (out, stats) ->
+        let n = Lp.num_vars lp in
+        let rb = Lp.create ~name:(Lp.name lp) () in
+        for j = 0 to n - 1 do
+          let v = Lp.var_of_int lp j and w = Lp.var_of_int out j in
+          ignore
+            (Lp.add_var rb ~name:(Lp.var_name lp v) ~lb:(Lp.var_lb out w)
+               ~ub:(Lp.var_ub out w)
+               (match Lp.var_kind lp v with
+                | Lp.Binary -> Lp.Integer
+                | k -> k))
+        done;
+        Array.iter
+          (fun i ->
+            let terms, sense, rhs = Lp.row lp i in
+            ignore (Lp.add_constr rb ~name:(Lp.row_name lp i) terms sense rhs))
+          stats.P.row_map;
+        let sign = Lp.obj_sign lp in
+        Lp.set_objective rb ~maximize:(sign < 0.)
+          (List.init n (fun j -> ((Lp.objective lp).(j) *. sign, Lp.var_of_int rb j)));
+        let inside j =
+          let v = Lp.var_of_int lp j in
+          Lp.var_lb out v >= Lp.var_lb lp v && Lp.var_ub out v <= Lp.var_ub lp v
+        in
+        let rec increasing k =
+          k + 1 >= Array.length stats.P.row_map
+          || (stats.P.row_map.(k) < stats.P.row_map.(k + 1) && increasing (k + 1))
+        in
+        Ilp.Lp_format.to_string out = Ilp.Lp_format.to_string rb
+        && Lp.num_constrs out = Lp.num_constrs lp - stats.P.rows_removed
+        && Array.length stats.P.row_map = Lp.num_constrs out
+        && increasing 0
+        && List.for_all inside (List.init n Fun.id)
+        && Ilp.Lp_format.to_string lp = before)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "presolve"
@@ -204,5 +292,6 @@ let () =
       ( "properties",
         [ qt prop_presolve_preserves_optimum;
           qt prop_presolve_preserves_solutions;
-          qt prop_presolve_never_cuts_feasible_points ] );
+          qt prop_presolve_never_cuts_feasible_points;
+          qt prop_reduced_model_is_a_restriction ] );
     ]

@@ -861,6 +861,121 @@ let test_singular_restart_counted () =
      in
      go 0)
 
+let test_phase1_ray_restarts () =
+  (* Found by a seeded search over 4-row models with near-parallel
+     columns (x1 and x2 agree to 8-9 digits per row), row scales up to
+     1e7 and a free column x0: phase I of this model, infeasible on its
+     face (row 0 needs x1 + x2 >= 14.67 with x1 <= 4, x2 <= 3), meets a
+     numerically unbounded ray although its objective is bounded below
+     by 0. The run ends through the singular-restart path, counted,
+     instead of an [Assert_failure] escaping {!Sx.primal}; the restart
+     meets the same ray and gives up with [Iter_limit]. *)
+  let lp = Lp.create () in
+  let x0 =
+    Lp.add_var lp ~lb:Float.neg_infinity ~ub:Float.infinity Lp.Continuous
+  in
+  let x1 = Lp.add_var lp ~ub:4. Lp.Continuous in
+  let x2 = Lp.add_var lp ~ub:3. Lp.Continuous in
+  ignore
+    (Lp.add_constr lp
+       [ (-1.2766978350010614, x2); (-1.2766978285935455, x1) ]
+       Lp.Le (-18.733612725563315));
+  ignore
+    (Lp.add_constr lp
+       [ (-26409025.951547109, x2); (-26409026.013530757, x1) ]
+       Lp.Eq (-3.));
+  ignore
+    (Lp.add_constr lp
+       [ (-16073500.691855725, x2); (-16073500.634161539, x1) ]
+       Lp.Le (-2.));
+  ignore
+    (Lp.add_constr lp
+       [ (0.0060172246545070699, x2); (0.006017224650768419, x1);
+         (-5.2906441602371183e-06, x0) ]
+       Lp.Le 0.);
+  Lp.set_objective lp
+    [ (-2.8572604903048013, x0); (-0.52569169085733236, x1);
+      (2.4833678437295088, x2) ];
+  let st = Sx.create lp in
+  let r = Sx.primal st in
+  let s = Sx.stats st in
+  Alcotest.(check int) "took phase I" 1 s.Sx.cold_primal;
+  Alcotest.(check int) "restart counted" 1 s.Sx.singular_restarts;
+  Alcotest.(check bool) "second hit gives up" true
+    (r.Sx.status = Sx.Iter_limit)
+
+(* A warm dual dead end met after a pivot, on one row
+   [x1 + x2 + eps x3 >= 1.5] over x1, x2 in [0, 1] and x3 in [0, x3_ub]:
+   the cold solve pivots once, then fixing x1 and x2 to 0 leaves the row
+   with no entering column whose coefficient passes [ptol]. With x3
+   boxed the pivot row proves the box infeasible on its own (no
+   refactorization); with x3 unbounded above its sub-[ptol] term sends
+   the box maximum to infinity, so the dead end must fall back to a
+   fresh factorization, exactly as before the ray check existed. *)
+let warm_dead_end ~x3_ub =
+  let lp = Lp.create () in
+  let x1 = Lp.add_var lp ~ub:1. Lp.Continuous in
+  let x2 = Lp.add_var lp ~ub:1. Lp.Continuous in
+  let x3 = Lp.add_var lp ~ub:x3_ub Lp.Continuous in
+  ignore (Lp.add_constr lp [ (1., x1); (1., x2); (1e-10, x3) ] Lp.Ge 1.5);
+  Lp.set_objective lp [ (1., x1); (2., x2); (1., x3) ];
+  let st = Sx.create lp in
+  let r0 = Sx.primal st in
+  Alcotest.(check bool) "cold optimal" true (r0.Sx.status = Sx.Optimal);
+  Alcotest.(check bool) "cold solve pivoted" true ((Sx.stats st).Sx.pivots > 0);
+  let before = Sx.stats st in
+  Sx.set_var_bounds st 0 ~lb:0. ~ub:0.;
+  Sx.set_var_bounds st 1 ~lb:0. ~ub:0.;
+  let r = Sx.dual_reopt st in
+  let after = Sx.stats st in
+  ( r,
+    after.Sx.ray_infeasible - before.Sx.ray_infeasible,
+    after.Sx.refactor_numeric - before.Sx.refactor_numeric,
+    st )
+
+let test_ray_proves_dead_end () =
+  let r, ray, numeric, st = warm_dead_end ~x3_ub:1. in
+  Alcotest.(check bool) "infeasible" true (r.Sx.status = Sx.Infeasible);
+  Alcotest.(check (pair int int)) "proved by the ray, no refactorization"
+    (1, 0) (ray, numeric);
+  Alcotest.(check bool) "certifies exactly" true (certifies st r)
+
+let test_unbounded_tiny_term_refactors () =
+  let _, ray, numeric, _ = warm_dead_end ~x3_ub:Float.infinity in
+  Alcotest.(check (pair int int)) "ray check fails, refactorization confirms"
+    (0, 1) (ray, numeric)
+
+(* On random 0-1 boxes driven infeasible by rounds of fixings, every
+   warm [Infeasible] verdict taken on the ray check (the engine's
+   [ray_infeasible] counter moved during the solve) certifies exactly
+   under {!C.check}; across the seeds the check fires. *)
+let test_ray_verdicts_certify () =
+  let hits = ref 0 and bad = ref [] in
+  for seed = 0 to 199 do
+    let lp = make_rand_01 seed ~n:8 ~m:8 in
+    let st = Sx.create lp in
+    ignore (Sx.primal st);
+    let rng = Taskgraph.Prng.create (seed + 97) in
+    for round = 1 to 6 do
+      for j = 0 to 7 do
+        if Taskgraph.Prng.bool rng 0.5 then begin
+          let fix = Float.of_int (Taskgraph.Prng.int rng 2) in
+          Sx.set_var_bounds st j ~lb:fix ~ub:fix
+        end
+        else Sx.set_var_bounds st j ~lb:0. ~ub:1.
+      done;
+      let ray0 = (Sx.stats st).Sx.ray_infeasible in
+      let r = Sx.dual_reopt st in
+      if (Sx.stats st).Sx.ray_infeasible > ray0 then begin
+        incr hits;
+        if not (r.Sx.status = Sx.Infeasible && certifies st r) then
+          bad := (seed, round) :: !bad
+      end
+    done
+  done;
+  Alcotest.(check (list (pair int int))) "every ray verdict certifies" [] !bad;
+  Alcotest.(check bool) "the ray check fired" true (!hits > 0)
+
 let test_cold_dual_stall_falls_back () =
   (* A one-iteration budget stalls the cold dual loop on a degenerate
      0-1 model whose slack start violates its equality rows. The
@@ -930,6 +1045,17 @@ let () =
             test_cold_dual_stall_falls_back;
           Alcotest.test_case "phase-I singular restart counted" `Quick
             test_singular_restart_counted;
+          Alcotest.test_case "phase-I ray restarts" `Quick
+            test_phase1_ray_restarts;
+        ] );
+      ( "ray-check",
+        [
+          Alcotest.test_case "ray proves a warm dead end" `Quick
+            test_ray_proves_dead_end;
+          Alcotest.test_case "sub-ptol term on an unbounded column refactors"
+            `Quick test_unbounded_tiny_term_refactors;
+          Alcotest.test_case "ray verdicts certify exactly" `Quick
+            test_ray_verdicts_certify;
         ] );
       ( "properties",
         [ qt prop_feasible_and_dominates; qt prop_warm_start_agrees;
