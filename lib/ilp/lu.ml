@@ -14,7 +14,7 @@ let drop_tol = 1e-13
    need and allocate nothing. A growth to [n] entries allocates [2n]:
    the length at least doubles, so the copies stay amortized O(1) per
    entry, while the room is sized from what is asked rather than from
-   the old length, which matters when one dense eta or basis asks for
+   the old length, which matters when one dense spike or basis asks for
    far more than the array held. *)
 let grow_int a n =
   if Array.length a >= n then a
@@ -76,15 +76,20 @@ type active = {
 type t = {
   m : int;
   owner : int;  (* id of the creating domain; every call is owner-only *)
-  (* Elimination history in pivot order, flat. Step k eliminated matrix
-     row [lp_row.(k)] and basis slot [u_q.(k)] with pivot [u_diag.(k)];
-     its below-pivot multipliers (by matrix row) are
+  (* U in position order, flat. Position k < m is elimination step k:
+     it eliminated matrix row [lp_row.(k)] and basis slot [u_q.(k)] with
+     pivot [u_diag.(k)]; its below-pivot multipliers (by matrix row) are
      [l_idx/l_val.(l_start.(k) .. l_start.(k+1)-1)], its pivot-row
      entries in later slots (by slot) [u_idx/u_val.(u_start.(k) ..
-     u_start.(k+1)-1)]. *)
-  lp_row : int array;
-  u_q : int array;
-  u_diag : float array;
+     u_start.(k+1)-1)]. Position m + e is the e-th Forrest-Tomlin update
+     (see [update]): row [lp_row.(m+e)], slot [u_q.(m+e)], diagonal
+     [u_diag.(m+e)], and its U column above the diagonal is spike [e].
+     A position whose slot left the basis since is vacated:
+     [u_diag = 0.] there, and every solve skips it. L never changes, so
+     [lp_row.(k)] for k < m is also L's pivot row of step k. *)
+  mutable lp_row : int array;
+  mutable u_q : int array;
+  mutable u_diag : float array;
   l_start : int array;
   mutable l_idx : int array;
   mutable l_val : float array;
@@ -94,40 +99,56 @@ type t = {
   mutable fill : int;  (* stored entries of L + U, diagonal included *)
   scratch : float array;
   (* Hyper-sparse solve support, rebuilt by every factorization.
-     [step_of_row]/[step_of_slot] invert [lp_row]/[u_q]; the *_users
-     arrays are the transposed dependency lists (flattened CSR-style):
-     [uu_steps.(uu_ptr.(q) .. uu_ptr.(q+1)-1)] are the steps whose U row
-     references slot [q], [lu_steps.(lu_ptr.(r) ..)] the steps whose L
-     column references matrix row [r]. They let a triangular solve visit
-     only the steps reachable from the nonzeros of its right-hand side
-     (Gilbert-Peierls reachability, ordered by a sweep over the marked
-     steps). *)
+     [step_of_row] inverts L's [lp_row]; [pos_of_row]/[pos_of_slot] give
+     the current U position of a row or slot (updates move them). The
+     *_users arrays are the transposed dependency lists (flattened
+     CSR-style): [uu_steps.(uu_ptr.(q) .. uu_ptr.(q+1)-1)] are the steps
+     whose U row references slot [q], [lu_steps.(lu_ptr.(r) ..)] the
+     steps whose L column references matrix row [r]. They let a
+     triangular solve visit only the steps reachable from the nonzeros
+     of its right-hand side (Gilbert-Peierls reachability, ordered by a
+     sweep over the marked steps). *)
   step_of_row : int array;
-  step_of_slot : int array;
+  pos_of_row : int array;
+  pos_of_slot : int array;
   uu_ptr : int array;
   mutable uu_steps : int array;
   lu_ptr : int array;
   mutable lu_steps : int array;
-  (* Sparse-solve workspaces. [sscratch] is all-zero between calls (the
-     sparse kernels restore the entries they touch); [mark]/[mark2] are
-     stamp-based visited sets so no O(m) clearing is ever needed. *)
+  (* Sparse-solve workspaces. [sscratch] (by slot) and [rscratch] (by
+     row) are all-zero between calls (the sparse kernels restore the
+     entries they touch); [mark] (by step or position) and [mark2] (by
+     row or slot) are stamp-based visited sets so no O(m) clearing is
+     ever needed. *)
   sscratch : float array;
-  mark : int array;
+  rscratch : float array;
+  mutable mark : int array;
   mark2 : int array;
   mutable stamp : int;
   buf_a : int array;
   buf_b : int array;
-  (* Product-form eta file, flat: eta e pivots in slot [eta_r.(e)] with
-     diagonal [eta_diag.(e)], and its off-pivot entries are
-     [eta_idx/eta_val.(eta_start.(e) .. eta_start.(e+1)-1)]. *)
-  mutable eta_r : int array;
-  mutable eta_diag : float array;
-  mutable eta_start : int array;
-  mutable eta_idx : int array;
-  mutable eta_val : float array;
+  (* The update file, flat. Update e stored spike [e] (the off-diagonal
+     entries of its U column, by row) in [sp_idx/sp_val.(sp_start.(e) ..
+     sp_start.(e+1)-1)] and row eta [e] in [re_idx/re_val.(re_start.(e)
+     .. re_start.(e+1)-1)]: row [lp_row.(m+e)] minus those multiples of
+     the listed rows. Spike entries of a row that moved again later are
+     zeroed in place. *)
+  mutable sp_start : int array;
+  mutable sp_idx : int array;
+  mutable sp_val : float array;
+  mutable re_start : int array;
+  mutable re_idx : int array;
+  mutable re_val : float array;
   mutable neta : int;
+  (* The spike kept by the latest FTRAN, by row, for the next
+     [update]; [spk_n < 0] when none is kept. *)
+  mutable spk_idx : int array;
+  mutable spk_val : float array;
+  mutable spk_n : int;
   act : active;
 }
+
+type update_status = Updated | Unstable
 
 let create m =
   {
@@ -145,23 +166,29 @@ let create m =
     fill = 0;
     scratch = Array.make m 0.;
     step_of_row = Array.make m 0;
-    step_of_slot = Array.make m 0;
+    pos_of_row = Array.make m 0;
+    pos_of_slot = Array.make m 0;
     uu_ptr = Array.make (m + 1) 0;
     uu_steps = [||];
     lu_ptr = Array.make (m + 1) 0;
     lu_steps = [||];
     sscratch = Array.make m 0.;
+    rscratch = Array.make m 0.;
     mark = Array.make m (-1);
     mark2 = Array.make m (-1);
     stamp = 0;
     buf_a = Array.make m 0;
     buf_b = Array.make m 0;
-    eta_r = [||];
-    eta_diag = [||];
-    eta_start = [| 0 |];
-    eta_idx = [||];
-    eta_val = [||];
+    sp_start = [| 0 |];
+    sp_idx = [||];
+    sp_val = [||];
+    re_start = [| 0 |];
+    re_idx = [||];
+    re_val = [||];
     neta = 0;
+    spk_idx = [||];
+    spk_val = [||];
+    spk_n = -1;
     act =
       {
         e_row = [||];
@@ -194,11 +221,11 @@ let create m =
 
 let size lu = lu.m
 let eta_count lu = lu.neta
-let eta_nnz lu = lu.eta_start.(lu.neta)
+let eta_nnz lu = lu.sp_start.(lu.neta) + lu.re_start.(lu.neta)
 let fill lu = lu.fill
 let pivot_order lu = Array.init lu.m (fun k -> (lu.lp_row.(k), lu.u_q.(k)))
 
-(* Ownership is structural: the workspace and the eta file are
+(* Ownership is structural: the workspace and the update file are
    unsynchronized, so any cross-domain use is a data race. The stamp
    makes the former comment-only warning an immediate error. *)
 let check_owner lu op =
@@ -591,6 +618,7 @@ let refactor ?metrics lu (a : Sparse.Csc.mat) (basis : int array) =
   if Array.length basis <> m || a.nrows <> m then
     invalid_arg "Lu.refactor: dimension mismatch";
   lu.neta <- 0;
+  lu.spk_n <- -1;
   let w = lu.act in
   load_active w a basis m;
   w.probes <- 0;
@@ -610,7 +638,8 @@ let refactor ?metrics lu (a : Sparse.Csc.mat) (basis : int array) =
   (* Inverse permutations and transposed dependency lists. *)
   for k = 0 to m - 1 do
     lu.step_of_row.(lu.lp_row.(k)) <- k;
-    lu.step_of_slot.(lu.u_q.(k)) <- k
+    lu.pos_of_row.(lu.lp_row.(k)) <- k;
+    lu.pos_of_slot.(lu.u_q.(k)) <- k
   done;
   lu.uu_steps <- transpose m lu.u_start lu.u_idx lu.uu_ptr lu.uu_steps;
   lu.lu_steps <- transpose m lu.l_start lu.l_idx lu.lu_ptr lu.lu_steps
@@ -620,10 +649,45 @@ let factor ?metrics (a : Sparse.Csc.mat) (basis : int array) =
   refactor ?metrics lu a basis;
   lu
 
+
+(* ------------------------------------------------------------------ *)
+(* Solves                                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Every solve skips vacated positions ([u_diag = 0.]). In an FTRAN,
+   the U phase runs by position from the last: an update position
+   pushes its spike column into the rows above it, an elimination step
+   pulls its U row. A BTRAN runs U^T by position from the first: an
+   elimination step pushes its U row, an update position pulls its
+   spike column. Entries zeroed by later updates take part as exact
+   zeros (the sparse kernels skip them). *)
+
+(* Keep the nonzeros of the row-indexed [b] as the spike for the next
+   {!update}: rows [rows.(0 .. n-1)], or every row when [dense]. Every
+   FTRAN keeps one: in the simplex the last FTRAN before an update is
+   the entering column's, and a stale spike fails the update's
+   stability test. *)
+let keep_spike lu b ~dense rows n =
+  let len = if dense then lu.m else n in
+  if Array.length lu.spk_idx < len then begin
+    lu.spk_idx <- grow_int lu.spk_idx len;
+    lu.spk_val <- grow_float lu.spk_val len
+  end;
+  let c = ref 0 in
+  for k = 0 to len - 1 do
+    let i = if dense then k else rows.(k) in
+    if b.(i) <> 0. then begin
+      lu.spk_idx.(!c) <- i;
+      lu.spk_val.(!c) <- b.(i);
+      incr c
+    end
+  done;
+  lu.spk_n <- !c
+
 let ftran lu b =
   check_owner lu "ftran";
   let m = lu.m in
-  let lp_row = lu.lp_row in
+  let lp_row = lu.lp_row and u_q = lu.u_q and u_diag = lu.u_diag in
   (* apply L^-1 in pivot order *)
   let ls = lu.l_start and l_idx = lu.l_idx and l_val = lu.l_val in
   for k = 0 to m - 1 do
@@ -634,62 +698,92 @@ let ftran lu b =
         b.(r) <- b.(r) -. (l_val.(n) *. t)
       done
   done;
-  (* back-substitute U: x indexed by slot, built in scratch *)
+  (* row etas, oldest first *)
+  let rs = lu.re_start and r_idx = lu.re_idx and r_val = lu.re_val in
+  for e = 0 to lu.neta - 1 do
+    let acc = ref 0. in
+    for n = rs.(e) to rs.(e + 1) - 1 do
+      acc := !acc +. (r_val.(n) *. b.(r_idx.(n)))
+    done;
+    let p = lp_row.(m + e) in
+    b.(p) <- b.(p) -. !acc
+  done;
+  keep_spike lu b ~dense:true lu.buf_a 0;
+  (* back-substitute U by position: x indexed by slot, built in scratch *)
   let x = lu.scratch in
+  let sp = lu.sp_start and sp_idx = lu.sp_idx and sp_val = lu.sp_val in
+  for k = m + lu.neta - 1 downto m do
+    let d = u_diag.(k) in
+    if d <> 0. then begin
+      let xv = b.(lp_row.(k)) /. d in
+      x.(u_q.(k)) <- xv;
+      if xv <> 0. then
+        for n = sp.(k - m) to sp.(k - m + 1) - 1 do
+          let i = sp_idx.(n) in
+          b.(i) <- b.(i) -. (sp_val.(n) *. xv)
+        done
+    end
+  done;
   let us = lu.u_start and u_idx = lu.u_idx and u_val = lu.u_val in
   for k = m - 1 downto 0 do
-    let s = ref b.(lp_row.(k)) in
-    for n = us.(k) to us.(k + 1) - 1 do
-      s := !s -. (u_val.(n) *. x.(u_idx.(n)))
-    done;
-    x.(lu.u_q.(k)) <- !s /. lu.u_diag.(k)
-  done;
-  Array.blit x 0 b 0 m;
-  (* product-form etas, oldest first *)
-  let es = lu.eta_start and e_idx = lu.eta_idx and e_val = lu.eta_val in
-  for e = 0 to lu.neta - 1 do
-    let r = lu.eta_r.(e) in
-    let t = b.(r) /. lu.eta_diag.(e) in
-    if t <> 0. then
-      for n = es.(e) to es.(e + 1) - 1 do
-        let i = e_idx.(n) in
-        b.(i) <- b.(i) -. (e_val.(n) *. t)
+    let d = u_diag.(k) in
+    if d <> 0. then begin
+      let s = ref b.(lp_row.(k)) in
+      for n = us.(k) to us.(k + 1) - 1 do
+        s := !s -. (u_val.(n) *. x.(u_idx.(n)))
       done;
-    b.(r) <- t
-  done
+      x.(u_q.(k)) <- !s /. d
+    end
+  done;
+  Array.blit x 0 b 0 m
 
 let btran lu c =
   check_owner lu "btran";
   let m = lu.m in
-  (* eta transposes, newest first: c_r <- (c_r - ((w . c) - c_r)) / w_r
-     folded as c_r - (w.c - c_r)/w_r *)
-  let es = lu.eta_start and e_idx = lu.eta_idx and e_val = lu.eta_val in
-  for e = lu.neta - 1 downto 0 do
-    let r = lu.eta_r.(e) and diag = lu.eta_diag.(e) in
-    let d = ref (diag *. c.(r)) in
-    for n = es.(e) to es.(e + 1) - 1 do
-      d := !d +. (e_val.(n) *. c.(e_idx.(n)))
-    done;
-    c.(r) <- c.(r) -. ((!d -. c.(r)) /. diag)
-  done;
-  (* forward-substitute U^T: input by slot (copied to scratch), output by
-     matrix row written back into c *)
+  let lp_row = lu.lp_row and u_q = lu.u_q and u_diag = lu.u_diag in
+  (* forward-substitute U^T by position: input by slot (copied to
+     scratch), output by matrix row written back into c; a spike's rows
+     all sit at earlier positions, so the rows it pulls are written *)
   let s = lu.scratch in
   Array.blit c 0 s 0 m;
   let us = lu.u_start and u_idx = lu.u_idx and u_val = lu.u_val in
   for k = 0 to m - 1 do
-    let t = s.(lu.u_q.(k)) /. lu.u_diag.(k) in
-    c.(lu.lp_row.(k)) <- t;
+    let d = u_diag.(k) in
+    if d <> 0. then begin
+      let t = s.(u_q.(k)) /. d in
+      c.(lp_row.(k)) <- t;
+      if t <> 0. then
+        for n = us.(k) to us.(k + 1) - 1 do
+          let i = u_idx.(n) in
+          s.(i) <- s.(i) -. (u_val.(n) *. t)
+        done
+    end
+  done;
+  let sp = lu.sp_start and sp_idx = lu.sp_idx and sp_val = lu.sp_val in
+  for k = m to m + lu.neta - 1 do
+    let d = u_diag.(k) in
+    if d <> 0. then begin
+      let acc = ref s.(u_q.(k)) in
+      for n = sp.(k - m) to sp.(k - m + 1) - 1 do
+        acc := !acc -. (sp_val.(n) *. c.(sp_idx.(n)))
+      done;
+      c.(lp_row.(k)) <- !acc /. d
+    end
+  done;
+  (* row etas transposed, newest first *)
+  let rs = lu.re_start and r_idx = lu.re_idx and r_val = lu.re_val in
+  for e = lu.neta - 1 downto 0 do
+    let t = c.(lp_row.(m + e)) in
     if t <> 0. then
-      for n = us.(k) to us.(k + 1) - 1 do
-        let i = u_idx.(n) in
-        s.(i) <- s.(i) -. (u_val.(n) *. t)
+      for n = rs.(e) to rs.(e + 1) - 1 do
+        let i = r_idx.(n) in
+        c.(i) <- c.(i) -. (r_val.(n) *. t)
       done
   done;
   (* apply the transposed elimination steps in reverse pivot order *)
   let ls = lu.l_start and l_idx = lu.l_idx and l_val = lu.l_val in
   for k = m - 1 downto 0 do
-    let p = lu.lp_row.(k) in
+    let p = lp_row.(k) in
     let acc = ref c.(p) in
     for n = ls.(k) to ls.(k + 1) - 1 do
       acc := !acc -. (l_val.(n) *. c.(l_idx.(n)))
@@ -701,15 +795,18 @@ let btran lu c =
 (* Hyper-sparse solves                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Each triangular phase visits the steps reachable from its seeds in
-   step order without a priority queue. Every dependency points one way:
-   an L column or a U^T row only reaches later steps, a U row or an L^T
-   column only earlier ones. So a phase stamps its seeds in [mark], then
-   sweeps the step range from the first seed towards the far end,
-   processing the stamped steps and stamping the steps they reach, which
-   always lie ahead of the sweep; the sweep stops at the farthest step
-   stamped so far. That visits exactly the steps, and in exactly the
-   order, that popping a heap keyed on the step would. *)
+(* Each triangular phase visits the steps (positions) reachable from its
+   seeds in order without a priority queue. Every dependency points one
+   way: an L column or a U^T row only reaches later steps, a U row, a
+   spike column or an L^T column only earlier ones. So a phase stamps
+   its seeds in [mark], then sweeps the range from the first seed
+   towards the far end, processing the stamped entries and stamping the
+   ones they reach, which always lie ahead of the sweep; the sweep stops
+   at the farthest one stamped so far. That visits exactly the steps,
+   and in exactly the order, that popping a heap keyed on the step
+   would. The row etas and the U^T spike columns pull rather than push,
+   so those phases evaluate every update, which costs the update file's
+   entry count: a few hundred at most between refactorizations. *)
 
 (* Density cutoff: below [m/8] input nonzeros the reachability sweep
    beats the dense loop comfortably; past it the bookkeeping starts to
@@ -718,16 +815,83 @@ let btran lu c =
    docs/PERFORMANCE.md. *)
 let sparse_worthwhile m n = m >= 32 && n * 8 <= m
 
+(* Forward substitution with U^T over the positions stamped [stamp] in
+   [mark], from [lo] up; [hi] is the highest elimination step stamped
+   (-1 when none is). [s] holds the slot-indexed right-hand side and
+   is all-zero again on return; [z] receives the solution by row and
+   must be zero at every row the solve does not reach. An elimination
+   step pushes its U row into [s], stamping the positions it reaches;
+   an update position pulls its spike column from [z], so every live
+   update position from [max m lo] up is evaluated. Leaves the
+   positions whose rows may hold a nonzero in [buf_b], ascending, and
+   returns their count. *)
+let ut_sweep lu s z stamp lo hi =
+  let m = lu.m in
+  let mark = lu.mark and buf_b = lu.buf_b in
+  let lp_row = lu.lp_row and u_q = lu.u_q and u_diag = lu.u_diag in
+  let pos_of_slot = lu.pos_of_slot in
+  let us = lu.u_start and u_idx = lu.u_idx and u_val = lu.u_val in
+  let nb = ref 0 in
+  let hi = ref hi in
+  let k = ref lo in
+  while !k <= !hi do
+    let kk = !k in
+    let d = u_diag.(kk) in
+    if mark.(kk) = stamp && d <> 0. then begin
+      buf_b.(!nb) <- kk;
+      incr nb;
+      let t = s.(u_q.(kk)) /. d in
+      z.(lp_row.(kk)) <- t;
+      if t <> 0. then
+        for j = us.(kk) to us.(kk + 1) - 1 do
+          let v = u_val.(j) in
+          if v <> 0. then begin
+            let i = u_idx.(j) in
+            s.(i) <- s.(i) -. (v *. t);
+            let st = pos_of_slot.(i) in
+            mark.(st) <- stamp;
+            if st > !hi then hi := st
+          end
+        done
+    end;
+    incr k
+  done;
+  for i = 0 to !nb - 1 do
+    s.(u_q.(buf_b.(i))) <- 0.
+  done;
+  let sp = lu.sp_start and sp_idx = lu.sp_idx and sp_val = lu.sp_val in
+  for kk = Int.max m lo to m + lu.neta - 1 do
+    let d = u_diag.(kk) in
+    if d <> 0. then begin
+      let q = u_q.(kk) in
+      let acc = ref s.(q) in
+      s.(q) <- 0.;
+      for j = sp.(kk - m) to sp.(kk - m + 1) - 1 do
+        acc := !acc -. (sp_val.(j) *. z.(sp_idx.(j)))
+      done;
+      if !acc <> 0. then begin
+        z.(lp_row.(kk)) <- !acc /. d;
+        buf_b.(!nb) <- kk;
+        incr nb
+      end
+    end
+  done;
+  !nb
+
 let ftran_sparse lu b pat n =
   check_owner lu "ftran_sparse";
   let m = lu.m in
-  if n = 0 then 0
+  if n = 0 then begin
+    lu.spk_n <- 0;
+    0
+  end
   else if not (sparse_worthwhile m n) then begin
     ftran lu b;
     -1
   end
   else begin
-    let mark = lu.mark and buf_a = lu.buf_a and buf_b = lu.buf_b in
+    let mark = lu.mark and mark2 = lu.mark2 in
+    let buf_a = lu.buf_a and buf_b = lu.buf_b in
     let lp_row = lu.lp_row and step_of_row = lu.step_of_row in
     (* L phase: reachable steps in increasing order. *)
     lu.stamp <- lu.stamp + 1;
@@ -758,30 +922,88 @@ let ftran_sparse lu b pat n =
       end;
       incr k
     done;
-    (* U phase: back-substitute reachable steps in decreasing order.
-       [sscratch] holds x by slot; entries of unreached steps are exactly
-       zero by the workspace invariant. *)
+    (* Row etas, oldest first. [buf_a] now lists the rows the L phase
+       reached, then every row an eta changes. *)
+    lu.stamp <- lu.stamp + 1;
+    let rstamp = lu.stamp in
+    for i = 0 to !na - 1 do
+      let r = lp_row.(buf_a.(i)) in
+      buf_a.(i) <- r;
+      mark2.(r) <- rstamp
+    done;
+    let rs = lu.re_start and r_idx = lu.re_idx and r_val = lu.re_val in
+    for e = 0 to lu.neta - 1 do
+      let acc = ref 0. in
+      for j = rs.(e) to rs.(e + 1) - 1 do
+        acc := !acc +. (r_val.(j) *. b.(r_idx.(j)))
+      done;
+      if !acc <> 0. then begin
+        let p = lp_row.(m + e) in
+        b.(p) <- b.(p) -. !acc;
+        if mark2.(p) <> rstamp then begin
+          mark2.(p) <- rstamp;
+          buf_a.(!na) <- p;
+          incr na
+        end
+      end
+    done;
+    keep_spike lu b ~dense:false buf_a !na;
+    (* U phase: back-substitute reachable positions in decreasing order.
+       [sscratch] holds x by slot; entries of unreached slots are
+       exactly zero by the workspace invariant. *)
     lu.stamp <- lu.stamp + 1;
     let stamp = lu.stamp in
+    let pos_of_row = lu.pos_of_row in
+    (* [hi] tracks the highest elimination step stamped: the update
+       positions above m are visited on their own, so the step sweep
+       never scans the gap between them and the reached steps. *)
+    let lo = ref max_int and hi = ref (-1) in
     for i = 0 to !na - 1 do
-      mark.(buf_a.(i)) <- stamp
+      let k = pos_of_row.(buf_a.(i)) in
+      mark.(k) <- stamp;
+      if k < !lo then lo := k;
+      if k > !hi && k < m then hi := k
     done;
     let x = lu.sscratch in
+    let u_q = lu.u_q and u_diag = lu.u_diag in
+    let sp = lu.sp_start and sp_idx = lu.sp_idx and sp_val = lu.sp_val in
+    let nb = ref 0 in
+    for kk = m + lu.neta - 1 downto m do
+      let d = u_diag.(kk) in
+      if mark.(kk) = stamp && d <> 0. then begin
+        buf_b.(!nb) <- kk;
+        incr nb;
+        let xv = b.(lp_row.(kk)) /. d in
+        x.(u_q.(kk)) <- xv;
+        if xv <> 0. then
+          for j = sp.(kk - m) to sp.(kk - m + 1) - 1 do
+            let v = sp_val.(j) in
+            if v <> 0. then begin
+              let i = sp_idx.(j) in
+              b.(i) <- b.(i) -. (v *. xv);
+              let s = pos_of_row.(i) in
+              mark.(s) <- stamp;
+              if s < !lo then lo := s;
+              if s > !hi && s < m then hi := s
+            end
+          done
+      end
+    done;
     let us = lu.u_start and u_idx = lu.u_idx and u_val = lu.u_val in
     let uu_ptr = lu.uu_ptr and uu_steps = lu.uu_steps in
-    let nb = ref 0 in
-    let lo = ref buf_a.(0) in
-    let k = ref buf_a.(!na - 1) in
+    let k = ref !hi in
     while !k >= !lo do
-      if mark.(!k) = stamp then begin
-        buf_b.(!nb) <- !k;
+      let kk = !k in
+      let d = u_diag.(kk) in
+      if mark.(kk) = stamp && d <> 0. then begin
+        buf_b.(!nb) <- kk;
         incr nb;
-        let s = ref b.(lp_row.(!k)) in
-        for j = us.(!k) to us.(!k + 1) - 1 do
+        let s = ref b.(lp_row.(kk)) in
+        for j = us.(kk) to us.(kk + 1) - 1 do
           s := !s -. (u_val.(j) *. x.(u_idx.(j)))
         done;
-        let q = lu.u_q.(!k) in
-        let xv = !s /. lu.u_diag.(!k) in
+        let q = u_q.(kk) in
+        let xv = !s /. d in
         x.(q) <- xv;
         if xv <> 0. then
           for j = uu_ptr.(q) to uu_ptr.(q + 1) - 1 do
@@ -792,43 +1014,19 @@ let ftran_sparse lu b pat n =
       end;
       decr k
     done;
-    (* Transfer x into b: clear the L-phase rows first, then write the
-       slot-indexed result and restore the sscratch invariant. *)
-    for i = 0 to !na - 1 do
-      b.(lp_row.(buf_a.(i))) <- 0.
-    done;
-    lu.stamp <- lu.stamp + 1;
-    let stamp = lu.stamp in
-    let mark2 = lu.mark2 in
-    let cnt = ref 0 in
+    (* Transfer x into b: clear the rows of the reached positions (every
+       row the solve touched) first, then write the slot-indexed result
+       and restore the sscratch invariant. *)
     for i = 0 to !nb - 1 do
-      let q = lu.u_q.(buf_b.(i)) in
+      b.(lp_row.(buf_b.(i))) <- 0.
+    done;
+    for i = 0 to !nb - 1 do
+      let q = u_q.(buf_b.(i)) in
       b.(q) <- x.(q);
       x.(q) <- 0.;
-      mark2.(q) <- stamp;
-      pat.(!cnt) <- q;
-      incr cnt
+      pat.(i) <- q
     done;
-    (* product-form etas, oldest first, growing the pattern as they
-       spread *)
-    let es = lu.eta_start and e_idx = lu.eta_idx and e_val = lu.eta_val in
-    for e = 0 to lu.neta - 1 do
-      let r = lu.eta_r.(e) in
-      let t = b.(r) /. lu.eta_diag.(e) in
-      if t <> 0. then begin
-        for j = es.(e) to es.(e + 1) - 1 do
-          let q = e_idx.(j) in
-          b.(q) <- b.(q) -. (e_val.(j) *. t);
-          if mark2.(q) <> stamp then begin
-            mark2.(q) <- stamp;
-            pat.(!cnt) <- q;
-            incr cnt
-          end
-        done;
-        b.(r) <- t
-      end
-    done;
-    !cnt
+    !nb
   end
 
 let btran_sparse lu c pat n =
@@ -842,94 +1040,68 @@ let btran_sparse lu c pat n =
   else begin
     let mark = lu.mark and mark2 = lu.mark2 in
     let buf_a = lu.buf_a and buf_b = lu.buf_b in
-    (* eta transposes, newest first: only etas touching the current
-       pattern can act; each can add at most its own pivot slot. *)
-    lu.stamp <- lu.stamp + 1;
-    let stamp = lu.stamp in
-    let na = ref 0 in
-    for i = 0 to n - 1 do
-      mark2.(pat.(i)) <- stamp;
-      buf_a.(!na) <- pat.(i);
-      incr na
-    done;
-    let es = lu.eta_start and e_idx = lu.eta_idx and e_val = lu.eta_val in
-    for e = lu.neta - 1 downto 0 do
-      let r = lu.eta_r.(e) in
-      let live = ref (mark2.(r) = stamp) in
-      let j = ref es.(e) in
-      let stop = es.(e + 1) in
-      while (not !live) && !j < stop do
-        if mark2.(e_idx.(!j)) = stamp then live := true;
-        incr j
-      done;
-      if !live then begin
-        let diag = lu.eta_diag.(e) in
-        let d = ref (diag *. c.(r)) in
-        for jj = es.(e) to stop - 1 do
-          d := !d +. (e_val.(jj) *. c.(e_idx.(jj)))
-        done;
-        c.(r) <- c.(r) -. ((!d -. c.(r)) /. diag);
-        if mark2.(r) <> stamp then begin
-          mark2.(r) <- stamp;
-          buf_a.(!na) <- r;
-          incr na
-        end
-      end
-    done;
+    let lp_row = lu.lp_row in
     (* U^T phase: move the slot-indexed input into sscratch and
-       forward-substitute reachable steps in increasing order, writing
-       the row-indexed intermediate back into c. *)
+       forward-substitute reachable positions in increasing order,
+       writing the row-indexed intermediate back into c. *)
     let s = lu.sscratch in
-    let step_of_slot = lu.step_of_slot in
+    let pos_of_slot = lu.pos_of_slot in
     lu.stamp <- lu.stamp + 1;
     let stamp = lu.stamp in
-    let lo = ref m and hi = ref (-1) in
-    for i = 0 to !na - 1 do
-      let q = buf_a.(i) in
+    let lo = ref max_int and hi = ref (-1) in
+    for i = 0 to n - 1 do
+      let q = pat.(i) in
       s.(q) <- c.(q);
       c.(q) <- 0.;
-      let k = step_of_slot.(q) in
+      let k = pos_of_slot.(q) in
       mark.(k) <- stamp;
       if k < !lo then lo := k;
-      if k > !hi then hi := k
+      if k > !hi && k < m then hi := k
     done;
-    let us = lu.u_start and u_idx = lu.u_idx and u_val = lu.u_val in
-    let nb = ref 0 in
-    let k = ref !lo in
-    while !k <= !hi do
-      if mark.(!k) = stamp then begin
-        buf_b.(!nb) <- !k;
-        incr nb;
-        let t = s.(lu.u_q.(!k)) /. lu.u_diag.(!k) in
-        c.(lu.lp_row.(!k)) <- t;
-        if t <> 0. then
-          for j = us.(!k) to us.(!k + 1) - 1 do
-            let i = u_idx.(j) in
-            s.(i) <- s.(i) -. (u_val.(j) *. t);
-            let st = step_of_slot.(i) in
-            mark.(st) <- stamp;
-            if st > !hi then hi := st
-          done
-      end;
-      incr k
+    let nb = ut_sweep lu s c stamp !lo !hi in
+    (* Row etas transposed, newest first. [buf_a] lists the rows U^T
+       reached, then every row an eta adds. *)
+    lu.stamp <- lu.stamp + 1;
+    let rstamp = lu.stamp in
+    let na = ref 0 in
+    for i = 0 to nb - 1 do
+      let p = lp_row.(buf_b.(i)) in
+      mark2.(p) <- rstamp;
+      buf_a.(!na) <- p;
+      incr na
     done;
-    for i = 0 to !nb - 1 do
-      s.(lu.u_q.(buf_b.(i))) <- 0.
+    let rs = lu.re_start and r_idx = lu.re_idx and r_val = lu.re_val in
+    for e = lu.neta - 1 downto 0 do
+      let t = c.(lp_row.(m + e)) in
+      if t <> 0. then
+        for j = rs.(e) to rs.(e + 1) - 1 do
+          let i = r_idx.(j) in
+          c.(i) <- c.(i) -. (r_val.(j) *. t);
+          if mark2.(i) <> rstamp then begin
+            mark2.(i) <- rstamp;
+            buf_a.(!na) <- i;
+            incr na
+          end
+        done
     done;
     (* L^T phase: reachable steps in decreasing order. *)
     lu.stamp <- lu.stamp + 1;
     let stamp = lu.stamp in
-    for i = 0 to !nb - 1 do
-      mark.(buf_b.(i)) <- stamp
+    let step_of_row = lu.step_of_row in
+    let lo = ref m and hi = ref (-1) in
+    for i = 0 to !na - 1 do
+      let k = step_of_row.(buf_a.(i)) in
+      mark.(k) <- stamp;
+      if k < !lo then lo := k;
+      if k > !hi then hi := k
     done;
     let ls = lu.l_start and l_idx = lu.l_idx and l_val = lu.l_val in
     let lu_ptr = lu.lu_ptr and lu_steps = lu.lu_steps in
     let cnt = ref 0 in
-    let lo = ref buf_b.(0) in
-    let k = ref buf_b.(!nb - 1) in
+    let k = ref !hi in
     while !k >= !lo do
       if mark.(!k) = stamp then begin
-        let p = lu.lp_row.(!k) in
+        let p = lp_row.(!k) in
         let acc = ref c.(p) in
         for j = ls.(!k) to ls.(!k + 1) - 1 do
           acc := !acc -. (l_val.(j) *. c.(l_idx.(j)))
@@ -949,36 +1121,152 @@ let btran_sparse lu c pat n =
     !cnt
   end
 
+(* ------------------------------------------------------------------ *)
+(* Forrest-Tomlin update                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Stability test of an update: its new diagonal computed from the
+   spike and the row eta, and [w.(r)] times the old diagonal from the
+   FTRAN, are the same quantity (both are the old diagonal times
+   det B' / det B); they must agree to this relative tolerance. *)
+let ft_tol = 1e-8
+
+(* Slot [r] at position [kp], of row [p], takes the spike as its U
+   column. Row p and slot r move to the new last position m + e, which
+   leaves U triangular except for row p's old entries right of kp; row
+   eta e subtracts from row p the multiples mu of the rows at positions
+   after kp that cancel them, where U^T mu = those entries over the
+   positions after kp (one sparse U^T sweep). Row p of the new column,
+   the spike less mu times its other rows, is the new diagonal; it is
+   stored as [w.(r)] times the old one, the pivot the caller's step
+   used, and the computed value only checks it. *)
 let update lu ~w ~r =
   check_owner lu "update";
-  let piv = w.(r) in
-  if Float.abs piv < abs_tol then raise Singular;
-  let m = lu.m and e = lu.neta in
-  (* One pass: append the off-pivot entries after the last eta, then
-     commit them unless the exchange is an exact identity (unit pivot,
-     no off-pivot entries), which is a no-op in every solve. *)
-  let start = lu.eta_start.(e) in
-  if Array.length lu.eta_idx < start + m then begin
-    lu.eta_idx <- grow_int lu.eta_idx (start + m);
-    lu.eta_val <- grow_float lu.eta_val (start + m)
-  end;
-  let e_idx = lu.eta_idx and e_val = lu.eta_val in
-  let top = ref start in
-  for i = 0 to m - 1 do
-    if i <> r && Float.abs w.(i) > drop_tol then begin
-      e_idx.(!top) <- i;
-      e_val.(!top) <- w.(i);
-      incr top
-    end
+  if lu.spk_n < 0 then
+    invalid_arg
+      "Lu.update: no spike kept since the last factorization or update";
+  let w_r = w.(r) in
+  if Float.abs w_r < abs_tol then raise Singular;
+  let m = lu.m in
+  let kp = lu.pos_of_slot.(r) in
+  let p = lu.lp_row.(kp) in
+  let s = lu.sscratch and z = lu.rscratch in
+  let mark = lu.mark and buf_a = lu.buf_a in
+  (* Row p's entries right of kp into s, by slot: its U row when kp is
+     an elimination step, and its entries in later spikes (whose
+     indices [buf_a] keeps, to zero them). *)
+  lu.stamp <- lu.stamp + 1;
+  let stamp = lu.stamp in
+  let lo = ref max_int and hi = ref (-1) in
+  if kp < m then
+    for j = lu.u_start.(kp) to lu.u_start.(kp + 1) - 1 do
+      let v = lu.u_val.(j) in
+      if v <> 0. then begin
+        let q = lu.u_idx.(j) in
+        s.(q) <- v;
+        let k = lu.pos_of_slot.(q) in
+        mark.(k) <- stamp;
+        if k < !lo then lo := k;
+        if k > !hi && k < m then hi := k
+      end
+    done;
+  let ndel = ref 0 in
+  let sp = lu.sp_start in
+  for k = Int.max m (kp + 1) to m + lu.neta - 1 do
+    if lu.u_diag.(k) <> 0. then
+      for j = sp.(k - m) to sp.(k - m + 1) - 1 do
+        if lu.sp_idx.(j) = p && lu.sp_val.(j) <> 0. then begin
+          s.(lu.u_q.(k)) <- lu.sp_val.(j);
+          mark.(k) <- stamp;
+          if k < !lo then lo := k;
+          buf_a.(!ndel) <- j;
+          incr ndel
+        end
+      done
   done;
-  if not (!top = start && piv = 1.) then begin
-    if Array.length lu.eta_r <= e then begin
-      lu.eta_r <- grow_int lu.eta_r (e + 1);
-      lu.eta_diag <- grow_float lu.eta_diag (e + 1);
-      lu.eta_start <- grow_int lu.eta_start (Array.length lu.eta_r + 1)
+  let nb = if !lo = max_int then 0 else ut_sweep lu s z stamp !lo !hi in
+  let buf_b = lu.buf_b in
+  let d = ref 0. in
+  for k = 0 to lu.spk_n - 1 do
+    let i = lu.spk_idx.(k) in
+    if i = p then d := !d +. lu.spk_val.(k)
+    else d := !d -. (z.(i) *. lu.spk_val.(k))
+  done;
+  let expected = w_r *. lu.u_diag.(kp) in
+  if not (Float.abs (!d -. expected) <= ft_tol *. Float.abs expected) then begin
+    for i = 0 to nb - 1 do
+      z.(lu.lp_row.(buf_b.(i))) <- 0.
+    done;
+    Unstable
+  end
+  else begin
+    let e = lu.neta in
+    let np = m + e in
+    if Array.length lu.u_diag <= np then begin
+      lu.lp_row <- grow_int lu.lp_row (np + 1);
+      lu.u_q <- grow_int lu.u_q (np + 1);
+      lu.u_diag <- grow_float lu.u_diag (np + 1);
+      lu.mark <- grow_int lu.mark (np + 1)
     end;
-    lu.eta_r.(e) <- r;
-    lu.eta_diag.(e) <- piv;
-    lu.eta_start.(e + 1) <- !top;
-    lu.neta <- e + 1
+    if Array.length lu.sp_start <= e + 1 then begin
+      lu.sp_start <- grow_int lu.sp_start (e + 2);
+      lu.re_start <- grow_int lu.re_start (e + 2)
+    end;
+    (* row eta e: row p less mu times the rows of the positions reached *)
+    let r0 = lu.re_start.(e) in
+    if Array.length lu.re_idx < r0 + nb then begin
+      lu.re_idx <- grow_int lu.re_idx (r0 + nb);
+      lu.re_val <- grow_float lu.re_val (r0 + nb)
+    end;
+    let top = ref r0 in
+    for i = 0 to nb - 1 do
+      let row = lu.lp_row.(buf_b.(i)) in
+      let mu = z.(row) in
+      z.(row) <- 0.;
+      if Float.abs mu > drop_tol then begin
+        lu.re_idx.(!top) <- row;
+        lu.re_val.(!top) <- mu;
+        incr top
+      end
+    done;
+    lu.re_start.(e + 1) <- !top;
+    (* the row eta cancels row p's entries in later spikes *)
+    for i = 0 to !ndel - 1 do
+      lu.sp_val.(buf_a.(i)) <- 0.
+    done;
+    (* slot r's old column leaves: zero it in the U rows above kp (a
+       column at an update position is its spike, vacated below) *)
+    if kp < m then
+      for j = lu.uu_ptr.(r) to lu.uu_ptr.(r + 1) - 1 do
+        let n = ref lu.u_start.(lu.uu_steps.(j)) in
+        while lu.u_idx.(!n) <> r do
+          incr n
+        done;
+        lu.u_val.(!n) <- 0.
+      done;
+    lu.u_diag.(kp) <- 0.;
+    (* the new last position: row p, slot r, the spike as its column *)
+    lu.lp_row.(np) <- p;
+    lu.u_q.(np) <- r;
+    lu.u_diag.(np) <- expected;
+    let s0 = lu.sp_start.(e) in
+    if Array.length lu.sp_idx < s0 + lu.spk_n then begin
+      lu.sp_idx <- grow_int lu.sp_idx (s0 + lu.spk_n);
+      lu.sp_val <- grow_float lu.sp_val (s0 + lu.spk_n)
+    end;
+    let top = ref s0 in
+    for k = 0 to lu.spk_n - 1 do
+      let i = lu.spk_idx.(k) and v = lu.spk_val.(k) in
+      if i <> p && Float.abs v > drop_tol then begin
+        lu.sp_idx.(!top) <- i;
+        lu.sp_val.(!top) <- v;
+        incr top
+      end
+    done;
+    lu.sp_start.(e + 1) <- !top;
+    lu.pos_of_slot.(r) <- np;
+    lu.pos_of_row.(p) <- np;
+    lu.neta <- e + 1;
+    lu.spk_n <- -1;
+    Updated
   end

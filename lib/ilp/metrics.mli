@@ -74,12 +74,12 @@ type counter =
   | C_btran_solves  (** pattern-capable BTRANs (dual pricing row) *)
   | C_btran_hyper  (** of those, solved hyper-sparsely *)
   | C_lu_factorizations  (** fresh basis factorizations *)
-  | C_lu_refactor_eta  (** refactorizations triggered by the eta file *)
+  | C_lu_refactor_eta  (** refactorizations triggered by the update count *)
   | C_lu_refactor_numeric
       (** refactorizations triggered by a tiny pivot or a suspect verdict *)
   | C_lu_refactor_residual
       (** refactorizations triggered by the basic-solution residual *)
-  | C_lu_etas  (** eta-file updates appended *)
+  | C_lu_etas  (** Forrest-Tomlin updates stored *)
   | C_lu_probes  (** candidate entries examined by the LU pivot search *)
   | C_gc_compactions  (** heap compactions inside top-level LP solves *)
   | C_prop_runs  (** per-node propagation runs *)

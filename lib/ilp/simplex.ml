@@ -127,10 +127,10 @@ type state = {
   basis : int array;  (* slot -> basic column *)
   pos : int array;  (* column -> slot when basic, -1 otherwise *)
   stat : vstat array;
-  (* The basis as a sparse LU factorization with an eta file (see
-     {!Lu}). The workspace lives as long as the engine and every
-     factorization refills it in place; [lu_valid] says whether it
-     currently holds a factorization of the basis. *)
+  (* The basis as a sparse LU factorization with Forrest-Tomlin
+     updates (see {!Lu}). The workspace lives as long as the engine and
+     every factorization refills it in place; [lu_valid] says whether
+     it currently holds a factorization of the basis. *)
   lu : Lu.t;
   mutable lu_valid : bool;
   xb : float array;  (* values of basic variables, per slot *)
@@ -168,13 +168,18 @@ let ftol = 1e-7 (* primal feasibility *)
 let dtol = 1e-7 (* dual feasibility / pricing *)
 let ptol = 1e-9 (* smallest acceptable pivot *)
 let degen_switch = 60 (* degenerate pivots before switching to Bland *)
+let alpha_tie = 1e-9 (* relative |alpha| margin that breaks a ratio tie *)
 
-(* Refactorization cadence. A fresh factorization costs ~F
-   seconds while applying one more eta to every solve costs ~c seconds,
-   so the optimal refresh interval is about sqrt(2F/c): with
-   F ~ 0.012 s and c ~ 17 us on the graph-2 root that is ~40 etas (see
-   docs/PERFORMANCE.md). The entry-count guard stops pathologically
-   dense eta files from outgrowing the factorization they patch. *)
+(* Refactorization cadence, in stored updates. A fresh factorization
+   costs ~F seconds while carrying one more update through the FTRAN
+   and BTRAN of every pivot costs ~c seconds, so the cheapest refresh
+   interval is about sqrt(2F/c). Product-form etas (c ~ 7 us on graph
+   4, N=2, L=1) put it at a few dozen; Forrest-Tomlin updates (c ~ 0.3
+   us there, F ~ 1.6 ms) put it near 100, where the cost per pivot is
+   flat enough that 40 is kept for accuracy and comparable counts (see
+   docs/PERFORMANCE.md, "Refactorization cadence"). The entry-count
+   guard stops pathologically dense updates from outgrowing the
+   factorization they patch. *)
 let bucket_eta_limit = 40
 let devex_eta_fill = 16
 let res_tol = 1e-6 (* basic-solution residual triggering refactorization *)
@@ -379,7 +384,9 @@ let clear_w st =
 (* w <- Binv * column j. The solve is hyper-sparse: {!Lu.ftran_sparse}
    visits only the elimination steps reachable from the column's
    nonzeros and reports the solution's slot pattern in [wpat]
-   (wpat_n = -1 when it fell through to the dense kernel). *)
+   (wpat_n = -1 when it fell through to the dense kernel). The solve
+   also keeps the spike a basis exchange on j needs
+   ({!update_factor}). *)
 let ftran_col st j =
   let t0 = now () in
   let lu = valid_lu st in
@@ -418,7 +425,7 @@ let ftran_vec st v =
 
 (* xb <- Binv * (rhs - sum of nonbasic columns at their values). A
    residual check on the recomputed basic solution triggers
-   refactorization when the eta file has degraded. *)
+   refactorization when the updates have degraded it. *)
 let rec compute_xb st =
   Array.blit st.rhs 0 st.tmp 0 st.m;
   for j = 0 to st.ncols - 1 do
@@ -433,7 +440,7 @@ let rec compute_xb st =
   Lu.ftran lu st.xb;
   Metrics.add_sum st.ms Metrics.S_ftran_seconds (now () -. t0);
   if Lu.eta_count lu > 0 then begin
-    (* residual || B xb - tmp ||_inf against the eta-updated solve *)
+    (* residual || B xb - tmp ||_inf against the updated solve *)
     Array.fill st.aux 0 st.m 0.;
     for i = 0 to st.m - 1 do
       if st.xb.(i) <> 0. then
@@ -545,31 +552,43 @@ let build_alpha st rho =
   st.alpha_n <- !n
 
 (* Apply the basis-exchange update for an entering column whose
-   transformed column is in st.w, pivoting in slot r: one more eta in
-   the file. Timed into [S_update_seconds] (reported as
-   [stats.update_seconds]). *)
+   transformed column is in st.w (its spike kept by {!ftran_col}),
+   pivoting in slot r: one more Forrest-Tomlin update. Timed into
+   [S_update_seconds] (reported as [stats.update_seconds]). Returns
+   [false] when the update failed its stability test: the factorization
+   then still describes the old basis, and {!due_refresh} asks the
+   caller to refactorize once the basis arrays name the new column. *)
 let update_factor st r =
   let lu = valid_lu st in
   let t0 = now () in
-  let ok =
-    match Lu.update lu ~w:st.w ~r with
-    | () -> true
-    | exception Lu.Singular -> false
+  let status =
+    try Lu.update lu ~w:st.w ~r
+    with Lu.Singular ->
+      Metrics.add_sum st.ms Metrics.S_update_seconds (now () -. t0);
+      raise Singular_basis
   in
   Metrics.add_sum st.ms Metrics.S_update_seconds (now () -. t0);
-  if not ok then raise Singular_basis;
-  Metrics.incr st.ms Metrics.C_lu_etas
+  match status with
+  | Lu.Unstable -> false
+  | Lu.Updated ->
+    Metrics.incr st.ms Metrics.C_lu_etas;
+    true
 
-(* Has the eta file grown enough to warrant a periodic refresh? The
-   trigger is two-sided: the length bound catches long chains of sparse
-   etas, while the stored entry count (against the factorization's own
-   fill) catches few but dense etas — dragging an eta file heavier than
-   a fresh factorization through every solve is never worth it (see
-   [bucket_eta_limit]). *)
-let due_refresh st =
-  st.lu_valid
-  && (Lu.eta_count st.lu >= bucket_eta_limit
-     || Lu.eta_nnz st.lu > devex_eta_fill * Lu.fill st.lu)
+(* Is a refactorization due after a basis exchange, and under which
+   trigger? An update that failed its stability test ([stable] false)
+   forces one as a numeric event. Otherwise the update count bounds the
+   file's length, and the stored entry count (against the
+   factorization's own fill) catches few but dense updates — dragging
+   an update file heavier than a fresh factorization through every
+   solve is never worth it (see [bucket_eta_limit]). *)
+let due_refresh st ~stable =
+  if not stable then Some Trace.Rf_numeric
+  else if
+    st.lu_valid
+    && (Lu.eta_count st.lu >= bucket_eta_limit
+       || Lu.eta_nnz st.lu > devex_eta_fill * Lu.fill st.lu)
+  then Some Trace.Rf_eta
+  else None
 
 let objective_value st costs =
   let acc = ref 0. in
@@ -844,7 +863,7 @@ let ratio_test st j sigma =
    [true] when the refresh refactorized (the loop must then recompute
    dj). *)
 let primal_pivot_bookkeeping st ~j ~r ~leaving ~to_upper ~entering_value ~t =
-  update_factor st r;
+  let stable = update_factor st r in
   st.basis.(r) <- j;
   st.pos.(j) <- r;
   st.pos.(leaving) <- -1;
@@ -853,8 +872,13 @@ let primal_pivot_bookkeeping st ~j ~r ~leaving ~to_upper ~entering_value ~t =
   st.xb.(r) <- entering_value;
   Metrics.incr st.ms Metrics.C_lp_pivots;
   st.pivots_since_refactor <- st.pivots_since_refactor + 1;
-  let refreshed = due_refresh st in
-  if refreshed then refactor st Trace.Rf_eta;
+  let refreshed =
+    match due_refresh st ~stable with
+    | Some trigger ->
+      refactor st trigger;
+      true
+    | None -> false
+  in
   if t <= 1e-9 then begin
     st.degen_streak <- st.degen_streak + 1;
     if st.degen_streak > degen_switch then st.bland <- true
@@ -1324,7 +1348,12 @@ let dual_loop st max_iters =
                breakpoint within dtol of rc reaches dj = 0 at the step,
                so flipping it buys no dual progress and only moves the
                primal. Flip the breakpoints strictly below the tie;
-               enter the tied one with the largest |alpha|. *)
+               enter the tied one with the largest |alpha|. A candidate
+               displaces the one in hand only when its |alpha| is
+               larger by more than [alpha_tie]: values equal up to
+               rounding keep the one in hand (first the turning
+               breakpoint), instead of letting the last bit of the LU
+               arithmetic pick the pivot. *)
             let rc = st.bp_ratio.(!turn) in
             let nflip = ref !turn in
             while !nflip > 0 && st.bp_ratio.(!nflip - 1) >= rc -. dtol do
@@ -1334,7 +1363,10 @@ let dual_loop st max_iters =
             let t = ref !nflip in
             while !t < !nbp && st.bp_ratio.(!t) <= rc +. dtol do
               let p = st.bp_col.(!t) in
-              if Float.abs st.alpha.(p) > Float.abs st.alpha.(!j) then j := p;
+              if
+                Float.abs st.alpha.(p)
+                > Float.abs st.alpha.(!j) *. (1. +. alpha_tie)
+              then j := p;
               incr t
             done;
             let j = !j in
@@ -1377,7 +1409,7 @@ let dual_loop st max_iters =
                 ~update_weights:false;
               update_dual_devex st r alpha_rj;
               update_xb_step st theta;
-              update_factor st r;
+              let stable = update_factor st r in
               st.basis.(r) <- j;
               st.pos.(j) <- r;
               st.pos.(k) <- -1;
@@ -1387,10 +1419,11 @@ let dual_loop st max_iters =
               incr iters;
               Metrics.incr st.ms Metrics.C_lp_pivots;
               st.pivots_since_refactor <- st.pivots_since_refactor + 1;
-              if due_refresh st then begin
-                refactor st Trace.Rf_eta;
+              match due_refresh st ~stable with
+              | Some trigger ->
+                refactor st trigger;
                 recompute_dj st st.cost
-              end
+              | None -> ()
             end
           end
         end
@@ -1512,9 +1545,10 @@ let dual_solve ~what ~max_iters ~start st =
   | `Infeasible (r, above), it ->
     (* Row r of B^-1 (negated when the violation is below the lower
        bound) is the Farkas ray: the violated basic value already sits
-       at its box extreme over every nonbasic choice. *)
+       at its box extreme over every nonbasic choice. The loop's last
+       pricing row is that row ([st.rho]), so no solve is repeated. *)
     st.last_inf <- Some (Inf_dual_row { row = r; above });
-    let rho = dual_row st r in
+    let rho = st.rho in
     let ray = Array.init st.m (fun i -> if above then rho.(i) else -.rho.(i)) in
     let row = farkas_witness st ray in
     let res = mk_result st Infeasible ~iterations:it in
@@ -1574,20 +1608,23 @@ let cold_core ~max_iters st =
   else phase1_solve ~max_iters st
 
 (* Every top-level solve is counted and timed, and accounts its
-   [Gc.quick_stat] deltas to the engine's shard (reported in {!stats}),
-   so hot-path allocation regressions are visible from [--stats] alone.
-   [quick_stat] reads domain-local counters — no heap walk. The trace
+   allocation to the engine's shard (reported in {!stats}), so hot-path
+   allocation regressions are visible from [--stats] alone. Minor words
+   come from [Gc.minor_words], which counts to the word; the
+   [Gc.quick_stat] minor count only advances when a minor collection
+   runs. Both read domain-local counters — no heap walk. The trace
    event's pivots and flips are the engine counters' deltas. *)
 let top_level st kind core =
   let g0 = Gc.quick_stat () in
+  let w0 = Gc.minor_words () in
   let t0 = now () and pivots0 = total_pivots st and flips0 = bound_flips st in
   let r = core () in
   let dt = now () -. t0 in
+  let w1 = Gc.minor_words () in
   let g1 = Gc.quick_stat () in
   Metrics.incr st.ms Metrics.C_lp_solves;
   Metrics.observe st.ms Metrics.H_lp_seconds dt;
-  Metrics.add_sum st.ms Metrics.S_gc_minor_words
-    (g1.Gc.minor_words -. g0.Gc.minor_words);
+  Metrics.add_sum st.ms Metrics.S_gc_minor_words (w1 -. w0);
   Metrics.add_sum st.ms Metrics.S_gc_major_words
     (g1.Gc.major_words -. g0.Gc.major_words);
   Metrics.add st.ms Metrics.C_gc_compactions

@@ -7,8 +7,9 @@
 
     - the constraint matrix is kept in compressed sparse column form
       ({!Sparse.Csc}) and the basis as a Markowitz-pivoted LU
-      factorization with a product-form eta file ({!Lu}), refactorized
-      when the eta file grows past a bound or a residual check fails;
+      factorization with Forrest-Tomlin updates ({!Lu}), refactorized
+      when the updates grow past a bound, an update fails its
+      stability test, or a residual check fails;
     - variable bounds are handled implicitly (no explicit bound rows),
       which keeps the row count equal to the number of constraints;
     - a cold solve ({!primal}) starts from the slack basis with every
@@ -94,11 +95,11 @@ type result = {
 type stats = {
   factorizations : int;  (** Fresh basis factorizations / re-inversions. *)
   fill : int;  (** Stored L+U entries of the most recent factorization. *)
-  etas : int;  (** Cumulative eta-file updates appended. *)
-  refactor_eta : int;  (** Refactorizations triggered by eta-file length. *)
+  etas : int;  (** Cumulative Forrest-Tomlin updates stored. *)
+  refactor_eta : int;  (** Refactorizations triggered by the update count. *)
   refactor_numeric : int;
-      (** Refactorizations triggered by tiny pivots or certificate
-          verification. *)
+      (** Refactorizations triggered by tiny pivots, updates that failed
+          their stability test, or certificate verification. *)
   refactor_residual : int;
       (** Refactorizations triggered by the basic-solution residual
           check. *)

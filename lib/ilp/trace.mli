@@ -88,8 +88,8 @@ type event =
           before these fields existed decode with [m = 0] and
           [probes = 0]. *)
   | Lu_refactor of { trigger : refactor_trigger; etas : int }
-      (** A refactorization was triggered; [etas] is the eta-file length
-          discarded. *)
+      (** A refactorization was triggered; [etas] is the number of
+          stored updates discarded. *)
   | Prop_run of { steps : int; fixings : int; conflict : bool }
       (** One per-node propagation run ([steps] row evaluations). *)
   | Incumbent of { node : int; obj : float; source : incumbent_source }

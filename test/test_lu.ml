@@ -1,6 +1,7 @@
 (* Tests for the sparse LU kernel: factor/solve round-trips on random,
-   singular-leaning and ill-conditioned bases, and agreement of eta-file
-   updates with fresh factorizations of the exchanged basis. *)
+   singular-leaning and ill-conditioned bases, and agreement of
+   Forrest-Tomlin updates with fresh factorizations of the exchanged
+   basis. *)
 
 module Sparse = Ilp.Sparse
 module Lu = Ilp.Lu
@@ -188,7 +189,9 @@ let test_eta_vs_fresh () =
       let w = Array.make m 0. in
       Sparse.Csc.iter_col mat entering (fun r v -> w.(r) <- v);
       Lu.ftran lu w;
-      Lu.update lu ~w ~r:k;
+      Alcotest.(check bool)
+        "update accepted" true
+        (Lu.update lu ~w ~r:k = Lu.Updated);
       basis.(k) <- entering
     done;
     Alcotest.(check int) "eta count" exchanges (Lu.eta_count lu);
@@ -214,8 +217,12 @@ let test_eta_vs_fresh () =
 let test_update_singular_pivot () =
   let a = [| [| 2.; 0. |]; [| 0.; 2. |] |] in
   let lu = Lu.factor (csc_of_dense a) (identity_basis 2) in
+  (* the entering column is a multiple of slot 0's: its pivot in slot 1
+     is zero *)
+  let w = [| 1.; 0. |] in
+  Lu.ftran lu w;
   Alcotest.check_raises "zero pivot in update" Lu.Singular (fun () ->
-      Lu.update lu ~w:[| 1.; 0. |] ~r:1)
+      ignore (Lu.update lu ~w ~r:1))
 
 let test_fill_reported () =
   let m = 10 in
@@ -341,10 +348,8 @@ let exchange rng mat lu basis =
     Lu.ftran lu w;
     let r = ref 0 in
     Array.iteri (fun i v -> if Float.abs v > Float.abs w.(!r) then r := i) w;
-    if Float.abs w.(!r) >= 1e-3 then begin
-      Lu.update lu ~w ~r:!r;
+    if Float.abs w.(!r) >= 1e-3 && Lu.update lu ~w ~r:!r = Lu.Updated then
       basis.(!r) <- j
-    end
   end
 
 (* A right-hand side with [n] nonzeros on distinct random positions,
@@ -436,6 +441,123 @@ let qcheck_sparse_dense =
     QCheck.(pair (int_range 1 1_000_000) (int_range 0 2))
     sparse_dense_prop
 
+(* Does the updated factorization solve like a fresh one? [via] and
+   [fresh] agree to 1e-9 relative to the larger magnitude. *)
+let agree via fresh =
+  let scale =
+    Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 1. fresh
+  in
+  max_abs_diff via fresh <= 1e-9 *. scale
+
+(* A long chain of Forrest-Tomlin updates on one factorization: 120
+   exchanges, three times the simplex engine's refresh limit, with
+   slots exchanged again so that later spikes replace earlier ones and
+   rows move more than once. Every ten updates, all four solves agree
+   with a fresh factorization of the exchanged basis; the sparse ones
+   take the hyper-sparse path. *)
+let test_long_update_chain () =
+  for seed = 1 to 6 do
+    let rng = Prng.create (2000 + seed) in
+    let m = 40 + Prng.int rng 40 in
+    let mat, basis = paper_like rng m [| 0.9; 0.5; 0.1 |].(seed mod 3) in
+    let lu = Lu.factor mat basis in
+    let updates = ref 0 and replaced = ref 0 in
+    let entered = Array.make m false in
+    while !updates < 120 do
+      let j = Prng.int rng (2 * m) in
+      if not (Array.mem j basis) then begin
+        let w = Array.make m 0. in
+        Sparse.Csc.iter_col mat j (fun r v -> w.(r) <- v);
+        Lu.ftran lu w;
+        let r = ref 0 in
+        Array.iteri
+          (fun i v -> if Float.abs v > Float.abs w.(!r) then r := i)
+          w;
+        if Float.abs w.(!r) >= 1e-2 then begin
+          Alcotest.(check bool) "stable update" true
+            (Lu.update lu ~w ~r:!r = Lu.Updated);
+          if entered.(!r) then incr replaced;
+          entered.(!r) <- true;
+          basis.(!r) <- j;
+          incr updates;
+          if !updates mod 10 = 0 then begin
+            let fresh = Lu.factor mat basis in
+            let solve what f ~sparse_n =
+              let v, pat = sparse_rhs rng m sparse_n in
+              let a = Array.copy v and b = Array.copy v in
+              let pat' = Array.copy pat in
+              f lu a pat;
+              f fresh b pat';
+              Alcotest.(check bool)
+                (Printf.sprintf "%s after %d updates (seed %d)" what !updates
+                   seed)
+                true (agree a b)
+            in
+            let dense = (m / 8) + 1 + Prng.int rng (m - (m / 8)) in
+            solve "ftran" ~sparse_n:dense (fun lu v _ -> Lu.ftran lu v);
+            solve "btran" ~sparse_n:dense (fun lu v _ -> Lu.btran lu v);
+            let sparse = 1 + Prng.int rng (m / 8) in
+            solve "ftran_sparse" ~sparse_n:sparse (fun lu v pat ->
+                Alcotest.(check bool) "hyper-sparse ftran" true
+                  (Lu.ftran_sparse lu v pat sparse >= 0));
+            solve "btran_sparse" ~sparse_n:sparse (fun lu v pat ->
+                Alcotest.(check bool) "hyper-sparse btran" true
+                  (Lu.btran_sparse lu v pat sparse >= 0))
+          end
+        end
+      end
+    done;
+    Alcotest.(check int) "updates stored" 120 (Lu.eta_count lu);
+    Alcotest.(check bool) "some spikes replaced" true (!replaced > 0)
+  done
+
+(* The stability test compares the new diagonal built from the kept
+   spike with the pivot [w.(r)] of the caller's FTRAN. A pivot from a
+   different column than the spike (a transformed column gone stale
+   because another FTRAN ran since) disagrees: the update is refused,
+   nothing is stored, and the solves still describe the old basis. *)
+let test_update_unstable () =
+  let a =
+    [| [| 2.; 1.; 0.; 1. |]; [| 0.; 1.; 1.; 2. |]; [| 1.; 0.; 3.; 1. |] |]
+  in
+  let mat =
+    Sparse.Csc.of_columns ~nrows:3
+      (Array.init 4 (fun j ->
+           Sparse.of_assoc
+             (List.filter_map
+                (fun i -> if a.(i).(j) <> 0. then Some (i, a.(i).(j)) else None)
+                [ 0; 1; 2 ])))
+  in
+  let basis = identity_basis 3 in
+  let lu = Lu.factor mat basis in
+  let column j =
+    let v = Array.make 3 0. in
+    Sparse.Csc.iter_col mat j (fun r x -> v.(r) <- x);
+    v
+  in
+  (* the pivot of column 1, then the spike of column 3 *)
+  let stale = column 1 in
+  Lu.ftran lu stale;
+  Lu.ftran lu (column 3);
+  Alcotest.(check bool) "pivot usable" true (Float.abs stale.(1) > 0.1);
+  Alcotest.(check bool) "unstable" true
+    (Lu.update lu ~w:stale ~r:1 = Lu.Unstable);
+  Alcotest.(check int) "nothing stored" 0 (Lu.eta_count lu);
+  let x_true = [| 0.5; -1.; 2. |] in
+  let b = apply mat basis x_true in
+  Lu.ftran lu b;
+  Alcotest.(check bool) "old basis still solved" true
+    (max_abs_diff b x_true <= 1e-12);
+  (* with the matching pivot the same exchange is accepted *)
+  let w = column 3 in
+  Lu.ftran lu w;
+  Alcotest.(check bool) "matching pivot" true
+    (Lu.update lu ~w ~r:1 = Lu.Updated);
+  Alcotest.(check bool) "a spike must be kept" true
+    (match Lu.update lu ~w ~r:1 with
+     | _ -> false
+     | exception Invalid_argument _ -> true)
+
 (* One round of everything the simplex engine asks of its workspace:
    refactor, exchanges, hyper-sparse solves. [probe] wraps each call. *)
 let workspace_round ~probe seed lu mat basis0 =
@@ -457,8 +579,9 @@ let workspace_round ~probe seed lu mat basis0 =
       let r = ref 0 in
       Array.iteri (fun i v -> if Float.abs v > Float.abs w.(!r) then r := i) w;
       if Float.abs w.(!r) >= 1e-3 then begin
-        probe `Update (fun () -> Lu.update lu ~w ~r:!r);
-        basis.(!r) <- j
+        let status = ref Lu.Unstable in
+        probe `Update (fun () -> status := Lu.update lu ~w ~r:!r);
+        if !status = Lu.Updated then basis.(!r) <- j
       end
     end;
     let rho = Array.make m 0. and pat = Array.make m 0 in
@@ -575,7 +698,7 @@ let test_owner_checked () =
         fun () ->
           let w = v () in
           w.(0) <- 1.;
-          Lu.update lu ~w ~r:0 );
+          ignore (Lu.update lu ~w ~r:0) );
     ];
   (* the owning domain still solves *)
   let b = v () in
@@ -603,6 +726,10 @@ let () =
             test_eta_vs_fresh;
           Alcotest.test_case "singular update pivot" `Quick
             test_update_singular_pivot;
+          Alcotest.test_case "120 updates vs fresh factorizations" `Quick
+            test_long_update_chain;
+          Alcotest.test_case "stability test refuses a stale pivot" `Quick
+            test_update_unstable;
         ] );
       ("pivot-search", [ QCheck_alcotest.to_alcotest qcheck_verdict ]);
       ( "hyper-sparse",

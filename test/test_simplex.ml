@@ -863,39 +863,40 @@ let test_singular_restart_counted () =
 
 let test_phase1_ray_restarts () =
   (* Found by a seeded search over 4-row models with near-parallel
-     columns (x1 and x2 agree to 8-9 digits per row), row scales up to
-     1e7 and a free column x0: phase I of this model, infeasible on its
-     face (row 0 needs x1 + x2 >= 14.67 with x1 <= 4, x2 <= 3), meets a
-     numerically unbounded ray although its objective is bounded below
-     by 0. The run ends through the singular-restart path, counted,
-     instead of an [Assert_failure] escaping {!Sx.primal}; the restart
-     meets the same ray and gives up with [Iter_limit]. *)
+     columns (x1 and x2 agree to 7-8 digits per row), row scales up to
+     1e10 and a free column x0: phase I of this model, infeasible on its
+     face (its two equality rows alone need x1 = 121, x2 = -121, with
+     x1 <= 2, x2 <= 3), meets a numerically unbounded ray although its
+     objective is bounded below by 0. The run ends through the
+     singular-restart path, counted, instead of an [Assert_failure]
+     escaping {!Sx.primal}; the restart meets the same ray and gives up
+     with [Iter_limit]. *)
   let lp = Lp.create () in
   let x0 =
     Lp.add_var lp ~lb:Float.neg_infinity ~ub:Float.infinity Lp.Continuous
   in
-  let x1 = Lp.add_var lp ~ub:4. Lp.Continuous in
+  let x1 = Lp.add_var lp ~ub:2. Lp.Continuous in
   let x2 = Lp.add_var lp ~ub:3. Lp.Continuous in
   ignore
     (Lp.add_constr lp
-       [ (-1.2766978350010614, x2); (-1.2766978285935455, x1) ]
-       Lp.Le (-18.733612725563315));
+       [ (1305332.6876236703, x2); (1305332.6183782064, x1) ]
+       Lp.Eq 17.);
   ignore
     (Lp.add_constr lp
-       [ (-26409025.951547109, x2); (-26409026.013530757, x1) ]
-       Lp.Eq (-3.));
+       [ (1813207.216649371, x2); (1813207.0422410923, x1) ]
+       Lp.Ge 15.);
   ignore
     (Lp.add_constr lp
-       [ (-16073500.691855725, x2); (-16073500.634161539, x1) ]
-       Lp.Le (-2.));
+       [ (539763.49097694259, x2); (539763.54476423387, x1) ]
+       Lp.Eq 17.);
   ignore
     (Lp.add_constr lp
-       [ (0.0060172246545070699, x2); (0.006017224650768419, x1);
-         (-5.2906441602371183e-06, x0) ]
-       Lp.Le 0.);
+       [ (9.5223325447758434e-09, x0); (-9.484807103786539e-06, x2);
+         (-9.4848076171878789e-06, x1) ]
+       Lp.Ge 0.);
   Lp.set_objective lp
-    [ (-2.8572604903048013, x0); (-0.52569169085733236, x1);
-      (2.4833678437295088, x2) ];
+    [ (-0.8199450963739614, x0); (0.28605654000540248, x1);
+      (1.7840823649172384, x2) ];
   let st = Sx.create lp in
   let r = Sx.primal st in
   let s = Sx.stats st in
@@ -975,6 +976,40 @@ let test_ray_verdicts_certify () =
   done;
   Alcotest.(check (list (pair int int))) "every ray verdict certifies" [] !bad;
   Alcotest.(check bool) "the ray check fired" true (!hits > 0)
+
+(* A cold dual dead end on one row [x1 + x2 >= 3] over x1, x2 in
+   [0, 1]: the slack start violates the row, the bound-flipping ratio
+   test exhausts both breakpoints, and the verdict comes with no pivot.
+   The pricing row that found the dead end is row 0 of B^-1, so the
+   Farkas ray is taken from it: one BTRAN for the whole solve. *)
+let test_dead_end_ray_one_btran () =
+  let lp = Lp.create () in
+  let x1 = Lp.add_var lp ~ub:1. Lp.Continuous in
+  let x2 = Lp.add_var lp ~ub:1. Lp.Continuous in
+  ignore (Lp.add_constr lp [ (1., x1); (1., x2) ] Lp.Ge 3.);
+  Lp.set_objective lp [ (1., x1); (1., x2) ];
+  let shard = Ilp.Metrics.make_shard () in
+  let st = Sx.create ~shard lp in
+  let r = Sx.primal st in
+  Alcotest.(check bool) "infeasible" true (r.Sx.status = Sx.Infeasible);
+  Alcotest.(check int) "one BTRAN" 1
+    (Ilp.Metrics.count shard Ilp.Metrics.C_btran_solves);
+  Alcotest.(check bool) "ray certifies exactly" true (certifies st r)
+
+(* A solve's allocation is counted to the word, not in whole minor
+   heaps: a tiny solve allocates far less than one minor heap, and its
+   count is still positive. *)
+let test_minor_words_counted () =
+  let lp = Lp.create () in
+  let x = Lp.add_var lp ~ub:4. Lp.Continuous in
+  let y = Lp.add_var lp ~ub:4. Lp.Continuous in
+  ignore (Lp.add_constr lp [ (1., x); (1., y) ] Lp.Ge 3.);
+  Lp.set_objective lp [ (1., x); (2., y) ];
+  let st = Sx.create lp in
+  let r = Sx.primal st in
+  Alcotest.(check bool) "optimal" true (r.Sx.status = Sx.Optimal);
+  Alcotest.(check bool) "minor words counted" true
+    ((Sx.stats st).Sx.minor_words > 0.)
 
 let test_cold_dual_stall_falls_back () =
   (* A one-iteration budget stalls the cold dual loop on a degenerate
@@ -1056,6 +1091,10 @@ let () =
             `Quick test_unbounded_tiny_term_refactors;
           Alcotest.test_case "ray verdicts certify exactly" `Quick
             test_ray_verdicts_certify;
+          Alcotest.test_case "dead-end ray reuses the pricing row" `Quick
+            test_dead_end_ray_one_btran;
+          Alcotest.test_case "minor words counted to the word" `Quick
+            test_minor_words_counted;
         ] );
       ( "properties",
         [ qt prop_feasible_and_dominates; qt prop_warm_start_agrees;
