@@ -243,25 +243,6 @@ let deterministic_flag =
            distribution, local-only pruning) at the price of weaker \
            pruning.")
 
-let rc_fix_flag =
-  Arg.(
-    value
-    & flag
-    & info [ "rc-fix" ]
-        ~doc:
-          "Reduced-cost fixing: after each certified node relaxation, \
-           fix 0-1 variables the LP duals prove cannot move in a \
-           better-than-incumbent solution.")
-
-let propagate_flag =
-  Arg.(
-    value
-    & flag
-    & info [ "propagate" ]
-        ~doc:
-          "Per-node domain propagation: cascade each branching decision \
-           through the touched rows before solving the node LP.")
-
 let solve_json_flag =
   Arg.(
     value
@@ -491,7 +472,7 @@ let json_of_result ?certification ~time_limit result =
 let solve_cmd =
   let run g a m s capacity alpha scratch latency partitions time_limit strategy
       no_tighten no_step_cuts fortet dot lp_out report_wanted lint
-      stats_wanted jobs deterministic rc_fixing propagate certify json trace
+      stats_wanted jobs deterministic certify json trace
       metrics_out prometheus_out metrics_interval progress =
     let allocation = Hls.Component.ams (a, m, s) in
     let options =
@@ -557,8 +538,8 @@ let solve_cmd =
     in
     let result =
       Temporal.Pipeline.run ~options ~strategy ~time_limit
-        ?num_partitions:partitions ~lint ~jobs ~deterministic ~rc_fixing
-        ~propagate ~certify ~tracer ?metrics ~graph:g
+        ?num_partitions:partitions ~lint ~jobs ~deterministic ~certify
+        ~tracer ?metrics ~graph:g
         ~allocation ?capacity ~alpha ~scratch ~latency_relax:latency ()
     in
     (* Stop sampling before any post-processing: the final snapshot is
@@ -707,8 +688,8 @@ let solve_cmd =
       const run $ graph_arg $ adders $ muls $ subs $ capacity $ alpha $ scratch
       $ latency $ partitions $ time_limit $ strategy $ no_tighten
       $ no_step_cuts $ fortet $ dot_out $ lp_out $ report_flag $ lint_flag
-      $ stats_flag $ jobs_arg $ deterministic_flag $ rc_fix_flag
-      $ propagate_flag $ certify_arg $ solve_json_flag $ trace_out
+      $ stats_flag $ jobs_arg $ deterministic_flag $ certify_arg
+      $ solve_json_flag $ trace_out
       $ metrics_out $ prometheus_out $ metrics_interval $ progress_flag)
 
 (* ---------------- analyze command ---------------- *)

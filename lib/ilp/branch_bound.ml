@@ -25,8 +25,6 @@ type options = {
   node_hook : (hook_point -> is_fixed:(int -> bool) -> hook_result) option;
   jobs : int;
   deterministic : bool;
-  rc_fixing : bool;
-  propagate : bool;
   certify_level : certify_level;
   tracer : Trace.t;
   metrics : Metrics.t option;
@@ -43,8 +41,6 @@ let default_options =
     node_hook = None;
     jobs = 1;
     deterministic = false;
-    rc_fixing = false;
-    propagate = false;
     certify_level = Cert_off;
     tracer = Trace.disabled;
     metrics = None;
@@ -252,7 +248,7 @@ type env = {
   t0 : float;
   deadline : float;  (* absolute [Mono] time; [infinity] when unlimited *)
   reg : Metrics.t;  (* the caller's registry, or a private one *)
-  d_prop : Propagate.t option;  (* model rows, for node propagation *)
+  d_prop : Propagate.t;  (* model rows, for node propagation *)
   mutable d_root_rc : (float * float array) option;
       (* root LP objective and reduced costs, for incumbent-driven
          re-fixing of the root bounds *)
@@ -597,39 +593,38 @@ type step =
    seeding phase), never concurrently with worker domains. *)
 let refix_root ctx =
   let env = ctx.env in
-  if env.opts.rc_fixing then
-    match env.d_root_rc with
-    | None -> ()
-    | Some (robj, dj) ->
-      let c = cutoff ctx in
-      if c < env.d_rc_cutoff -. 1e-12 then begin
-        env.d_rc_cutoff <- c;
-        let fixed = ref [] in
+  match env.d_root_rc with
+  | None -> ()
+  | Some (robj, dj) ->
+    let c = cutoff ctx in
+    if c < env.d_rc_cutoff -. 1e-12 then begin
+      env.d_rc_cutoff <- c;
+      let fixed = ref [] in
+      List.iter
+        (fun j ->
+          let lo = env.root_lb.(j) and hi = env.root_ub.(j) in
+          if hi -. lo > 1e-9 && hi -. lo <= 1. +. 1e-9 then begin
+            let d = dj.(j) in
+            if d > 1e-9 && robj +. d >= c +. 1e-9 then begin
+              env.root_ub.(j) <- lo;
+              fixed := j :: !fixed
+            end
+            else if d < -1e-9 && robj -. d >= c +. 1e-9 then begin
+              env.root_lb.(j) <- hi;
+              fixed := j :: !fixed
+            end
+          end)
+        env.int_vars;
+      if !fixed <> [] then begin
+        move_to ctx [];
         List.iter
-          (fun j ->
-            let lo = env.root_lb.(j) and hi = env.root_ub.(j) in
-            if hi -. lo > 1e-9 && hi -. lo <= 1. +. 1e-9 then begin
-              let d = dj.(j) in
-              if d > 1e-9 && robj +. d >= c +. 1e-9 then begin
-                env.root_ub.(j) <- lo;
-                fixed := j :: !fixed
-              end
-              else if d < -1e-9 && robj -. d >= c +. 1e-9 then begin
-                env.root_lb.(j) <- hi;
-                fixed := j :: !fixed
-              end
-            end)
-          env.int_vars;
-        if !fixed <> [] then begin
-          move_to ctx [];
-          List.iter
-            (fun j -> set_bounds ctx j ~lb:env.root_lb.(j) ~ub:env.root_ub.(j))
-            !fixed;
-          let n = List.length !fixed in
-          Metrics.add ctx.msh C_rc_fixed n;
-          Log.debug (fun f -> f "root reduced-cost fixing: %d variables" n)
-        end
+          (fun j -> set_bounds ctx j ~lb:env.root_lb.(j) ~ub:env.root_ub.(j))
+          !fixed;
+        let n = List.length !fixed in
+        Metrics.add ctx.msh C_rc_fixed n;
+        Log.debug (fun f -> f "root reduced-cost fixing: %d variables" n)
       end
+    end
 
 (* Certify one node's LP verdict exactly. Must run immediately after
    the solve that produced [res], before any further pivoting on
@@ -707,29 +702,26 @@ let process_node ctx node =
      scratch copies, so a conflicting run's partial writes need no
      undo; a conflict prunes the node outright. *)
   let propagation =
-    match env.d_prop with
-    | Some prop -> (
-      let seeds =
-        if node.fresh = 0 then None
-        else
-          Some
-            (List.filteri (fun i _ -> i < node.fresh) node.fixes
-            |> List.map (fun (j, _, _) -> j))
-      in
-      let t = Mono.now () in
-      Array.blit lb 0 ctx.prop_lb 0 env.nvars;
-      Array.blit ub 0 ctx.prop_ub 0 env.nvars;
-      let out =
-        Propagate.run prop ~lb:ctx.prop_lb ~ub:ctx.prop_ub ?seeds
-          ~metrics:ctx.msh ()
-      in
-      Metrics.add_sum ctx.msh S_prop_seconds (Mono.elapsed_since t);
-      match out with
-      | Propagate.Ok d -> Some d.Propagate.fixes
-      | Propagate.Empty_domain _ | Propagate.Conflict _ ->
-        Metrics.incr ctx.msh C_prop_prunes;
-        None)
-    | None -> Some []
+    let seeds =
+      if node.fresh = 0 then None
+      else
+        Some
+          (List.filteri (fun i _ -> i < node.fresh) node.fixes
+          |> List.map (fun (j, _, _) -> j))
+    in
+    let t = Mono.now () in
+    Array.blit lb 0 ctx.prop_lb 0 env.nvars;
+    Array.blit ub 0 ctx.prop_ub 0 env.nvars;
+    let out =
+      Propagate.run env.d_prop ~lb:ctx.prop_lb ~ub:ctx.prop_ub ?seeds
+        ~metrics:ctx.msh ()
+    in
+    Metrics.add_sum ctx.msh S_prop_seconds (Mono.elapsed_since t);
+    match out with
+    | Propagate.Ok d -> Some d.Propagate.fixes
+    | Propagate.Empty_domain _ | Propagate.Conflict _ ->
+      Metrics.incr ctx.msh C_prop_prunes;
+      None
   in
   match propagation with
   | None ->
@@ -870,8 +862,7 @@ let process_node ctx node =
                 whole subtree. The duals come free with the LP result. *)
              let rc_fixes =
                if
-                 opts.rc_fixing
-                 && Array.length res.Simplex.dj > 0
+                 Array.length res.Simplex.dj > 0
                  && Float.is_finite (best_seen ctx)
                then begin
                  let c = cutoff ctx in
@@ -899,7 +890,7 @@ let process_node ctx node =
              (* Save the root duals once so incumbent improvements can
                 re-fix at the root later ({!refix_root}). *)
              if
-               opts.rc_fixing && ctx.set_root && node.fixes = []
+               ctx.set_root && node.fixes = []
                && Array.length res.Simplex.dj > 0
              then env.d_root_rc <- Some (obj, Array.copy res.Simplex.dj);
              match choose_branch env x ~is_fixed with
@@ -969,7 +960,7 @@ let make_env options lp t0 =
     deadline = t0 +. options.time_limit;
     reg =
       (match options.metrics with Some r -> r | None -> Metrics.create ());
-    d_prop = (if options.propagate then Some (Propagate.of_lp lp) else None);
+    d_prop = Propagate.of_lp lp;
     d_root_rc = None;
     d_rc_cutoff = Float.infinity;
     root_cert = None;

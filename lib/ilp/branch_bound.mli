@@ -8,6 +8,20 @@
     parent's optimal basis, which stays dual feasible because dual
     feasibility of a simplex basis does not depend on variable bounds.
 
+    Every node also runs two deductions, counted in {!deduction_stats}:
+    - {e domain propagation}, before any LP pivot: the activity-based
+      bound tightening of {!Propagate}, seeded with the bound changes
+      that created the node (every row at the root). A conflict prunes
+      the node without touching the LP; deduced fixings are inherited
+      by the node's children;
+    - {e reduced-cost fixing}, after a node LP optimum once an
+      incumbent exists: an unfixed 0-1 variable whose reduced cost
+      alone would push the objective past the cutoff if it left its
+      bound is fixed there for the whole subtree. The root duals are
+      kept, so each improving incumbent re-fixes the root bounds too;
+      that happens on the sequential driver, or in the seeding phase
+      under [jobs > 1].
+
     The branching variable choice is pluggable, which is what the
     paper's Section 8 heuristic (branch on [y_tp] in topological
     priority order; then on [u_pk]) requires. *)
@@ -115,22 +129,6 @@ type options = {
           spawned, and node reduced-cost fixing and propagation read
           nothing but the node's own LP and bounds and the context's
           own cutoff. Default [false]. *)
-  rc_fixing : bool;
-      (** Reduced-cost fixing (default off). After every certified node
-          LP solve, any unfixed 0-1 variable whose reduced cost alone
-          would push the objective past the incumbent cutoff if the
-          variable left its bound is fixed at that bound for the whole
-          subtree. The root duals are kept so an improving incumbent
-          re-fixes at the root as well ({!stats} row
-          [deductions.rc_fixed]); root re-fixing happens on the
-          sequential driver (or the seeding phase under [jobs > 1]). *)
-  propagate : bool;
-      (** Per-node domain propagation (default off). Runs the
-          activity-based bound-tightening kernel of {!Propagate}
-          incrementally at every node, seeded with the bound changes
-          that created the node, before any LP pivot. A propagation
-          conflict prunes the node without touching the LP; deduced
-          fixings are inherited by the node's children. *)
   certify_level : certify_level;
       (** Exact a-posteriori certification of node LP verdicts with
           {!Certify} (default {!Cert_off}). Each selected node's final
@@ -280,8 +278,8 @@ type stats = {
           the search already finished during sequential seeding); empty
           for [jobs = 1]. *)
   deductions : deduction_stats;
-      (** Node-deduction counters (all zero when the corresponding
-          options are off) and the node hook's calls and time. *)
+      (** Node-deduction counters and the node hook's calls and
+          time. *)
   certification : certification_stats;
       (** Exact-certification counters (all zero, no certificate, when
           [certify_level = Cert_off]). *)

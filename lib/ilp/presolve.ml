@@ -30,25 +30,23 @@ let presolve ?(max_passes = 10) lp =
      Removed rows stop propagating, exactly as before the kernel was
      factored out. *)
   let process_row i =
-    let row = Propagate.row prop i in
-    let lo, hi = Propagate.activity row ~lb ~ub in
-    let rhs = row.Propagate.rhs in
-    (match row.Propagate.sense with
+    let lo, hi = Propagate.activity prop i ~lb ~ub in
+    let rhs = Propagate.rhs prop i in
+    let infeasible () = raise (Infeasible_row (Lp.row_name lp i)) in
+    (match Propagate.sense prop i with
      | Lp.Le ->
-       if lo > rhs +. 1e-7 then raise (Infeasible_row row.Propagate.name);
+       if lo > rhs +. 1e-7 then infeasible ();
        if hi <= rhs +. tol then begin
          removed.(i) <- true;
          incr rows_removed
        end
      | Lp.Ge ->
-       if hi < rhs -. 1e-7 then raise (Infeasible_row row.Propagate.name);
+       if hi < rhs -. 1e-7 then infeasible ();
        if lo >= rhs -. tol then begin
          removed.(i) <- true;
          incr rows_removed
        end
-     | Lp.Eq ->
-       if lo > rhs +. 1e-7 || hi < rhs -. 1e-7 then
-         raise (Infeasible_row row.Propagate.name));
+     | Lp.Eq -> if lo > rhs +. 1e-7 || hi < rhs -. 1e-7 then infeasible ());
     if not removed.(i) then begin
       let changed = ref false in
       Propagate.step prop i ~lb ~ub ~on_change:(fun _ ->

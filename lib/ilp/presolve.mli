@@ -12,9 +12,11 @@
       variables round inward;
     - {e singleton rows} become pure bound updates and are dropped.
 
-    Passes iterate to a fixpoint (bounded). Presolve is optional and off
-    by default in {!Branch_bound} — the paper reports raw model sizes,
-    and the benchmarks ablate the effect separately. *)
+    Passes iterate to a fixpoint (bounded). {!Branch_bound} never
+    presolves; [Temporal.Solver.solve] runs presolve before the search
+    by default, and the reported model sizes stay the paper's. Rows are
+    read through the packed store of {!Propagate}, built for the
+    original model. *)
 
 type stats = {
   rows_removed : int;

@@ -2,79 +2,82 @@
 
    This is the deduction kernel shared by {!Presolve} (root, to a
    fixpoint over every row) and {!Branch_bound} (per node, incrementally
-   over only the rows touched by a branching bound change). The row set
-   and the row->variable adjacency are built once and never mutated, so
-   a single [t] is safely shared read-only across worker domains; all
-   mutable state ([lb]/[ub] arrays, the worklist) belongs to the
-   caller. *)
+   over only the rows touched by a branching bound change). The rows and
+   the variable->rows pattern are packed once into flat arrays and never
+   mutated, so a single [t] is safely shared read-only across worker
+   domains; all mutable state ([lb]/[ub] arrays, the worklist) belongs
+   to the caller. *)
 
 let tol = 1e-9
 let ftol = 1e-7
 
-type row = {
-  idx : int array;
-  coef : float array;
-  sense : Lp.sense;
-  rhs : float;
-  name : string;
-}
-
+(* Row [i]'s terms are [col]/[coef] over [row_start.(i) ..
+   row_start.(i+1) - 1], in the model's term order (near-zero
+   coefficients dropped, duplicates kept); variable [j]'s rows are
+   [var_row] over [var_start.(j) .. var_start.(j+1) - 1], ascending,
+   once per term. Row names and integrality are read from [lp]. *)
 type t = {
-  rows : row array;
-  var_rows : int array array;
-  is_int : bool array;
-  nvars : int;
+  lp : Lp.t;
+  row_start : int array;
+  col : int array;
+  coef : float array;
+  sense : Lp.sense array;
+  rhs : float array;
+  var_start : int array;
+  var_row : int array;
 }
-
-let make_row ~name terms sense rhs =
-  let terms = List.filter (fun (c, _) -> Float.abs c > tol) terms in
-  let n = List.length terms in
-  let idx = Array.make n 0 and coef = Array.make n 0. in
-  List.iteri
-    (fun k (c, j) ->
-      idx.(k) <- j;
-      coef.(k) <- c)
-    terms;
-  { idx; coef; sense; rhs; name }
 
 let of_lp lp =
-  let nvars = Lp.num_vars lp in
-  let rows = ref [] in
-  Lp.iter_rows lp (fun i terms sense rhs ->
-      rows :=
-        make_row ~name:(Lp.row_name lp i)
-          (List.map (fun (c, v) -> (c, (v : Lp.var :> int))) terms)
-          sense rhs
-        :: !rows);
-  let rows = Array.of_list (List.rev !rows) in
-  let counts = Array.make nvars 0 in
-  Array.iter
-    (fun r -> Array.iter (fun j -> counts.(j) <- counts.(j) + 1) r.idx)
-    rows;
-  let var_rows = Array.map (fun c -> Array.make c 0) counts in
-  let fill = Array.make nvars 0 in
-  Array.iteri
-    (fun ri r ->
-      Array.iter
-        (fun j ->
-          var_rows.(j).(fill.(j)) <- ri;
-          fill.(j) <- fill.(j) + 1)
-        r.idx)
-    rows;
-  let is_int =
-    Array.init nvars (fun j -> Lp.is_integer_var lp (Lp.var_of_int lp j))
-  in
-  { rows; var_rows; is_int; nvars }
+  let nvars = Lp.num_vars lp and nrows = Lp.num_constrs lp in
+  let kept (c, _) = Float.abs c > tol in
+  let row_start = Array.make (nrows + 1) 0 in
+  let var_start = Array.make (nvars + 1) 0 in
+  Lp.iter_rows lp (fun i terms _ _ ->
+      let n = ref 0 in
+      List.iter
+        (fun ((_, (v : Lp.var)) as term) ->
+          if kept term then begin
+            incr n;
+            let j = (v :> int) in
+            var_start.(j + 1) <- var_start.(j + 1) + 1
+          end)
+        terms;
+      row_start.(i + 1) <- row_start.(i) + !n);
+  for j = 1 to nvars do
+    var_start.(j) <- var_start.(j) + var_start.(j - 1)
+  done;
+  let nnz = row_start.(nrows) in
+  let col = Array.make nnz 0 and coef = Array.make nnz 0. in
+  let sense = Array.make nrows Lp.Le and rhs = Array.make nrows 0. in
+  let var_row = Array.make nnz 0 in
+  let fill = Array.sub var_start 0 nvars in
+  Lp.iter_rows lp (fun i terms s b ->
+      sense.(i) <- s;
+      rhs.(i) <- b;
+      let k = ref row_start.(i) in
+      List.iter
+        (fun ((c, (v : Lp.var)) as term) ->
+          if kept term then begin
+            let j = (v :> int) in
+            col.(!k) <- j;
+            coef.(!k) <- c;
+            incr k;
+            var_row.(fill.(j)) <- i;
+            fill.(j) <- fill.(j) + 1
+          end)
+        terms);
+  { lp; row_start; col; coef; sense; rhs; var_start; var_row }
 
-let num_rows t = Array.length t.rows
-let row t i = t.rows.(i)
+let num_rows t = Array.length t.rhs
+let sense t i = t.sense.(i)
+let rhs t i = t.rhs.(i)
 
-(* Minimum and maximum activity of [row] under the given bounds. *)
-let activity row ~lb ~ub =
+(* Minimum and maximum activity of row [i] under the given bounds. *)
+let activity t i ~lb ~ub =
   (* a loop, not a closure, so the sums stay unboxed *)
   let lo = ref 0. and hi = ref 0. in
-  for k = 0 to Array.length row.idx - 1 do
-    let j = row.idx.(k) and c = row.coef.(k) in
+  for k = t.row_start.(i) to t.row_start.(i + 1) - 1 do
+    let j = t.col.(k) and c = t.coef.(k) in
     if c >= 0. then begin
       lo := !lo +. (c *. lb.(j));
       hi := !hi +. (c *. ub.(j))
@@ -93,9 +96,9 @@ exception Conflict_row of string
    infinite = no-op on that side), rounding inward for integers.
    Returns whether a bound actually moved. Raises [Empty j] when the
    domain closes. *)
-let tighten is_int j ~lb ~ub ~new_lb ~new_ub =
+let tighten t j ~lb ~ub ~new_lb ~new_ub =
   let new_lb, new_ub =
-    if is_int.(j) then
+    if Lp.is_integer_var t.lp (Lp.var_of_int t.lp j) then
       ( (if Float.is_finite new_lb then Float.ceil (new_lb -. 1e-6) else new_lb),
         if Float.is_finite new_ub then Float.floor (new_ub +. 1e-6) else new_ub
       )
@@ -117,47 +120,41 @@ let tighten is_int j ~lb ~ub ~new_lb ~new_ub =
    and the implied limits stay valid) and matches the historical
    presolve pass exactly. *)
 let step t ri ~lb ~ub ~on_change =
-  let row = t.rows.(ri) in
-  let lo, hi = activity row ~lb ~ub in
-  (match row.sense with
-   | Lp.Le -> if lo > row.rhs +. ftol then raise (Conflict_row row.name)
-   | Lp.Ge -> if hi < row.rhs -. ftol then raise (Conflict_row row.name)
-   | Lp.Eq ->
-     if lo > row.rhs +. ftol || hi < row.rhs -. ftol then
-       raise (Conflict_row row.name));
-  let upper = row.sense = Lp.Le || row.sense = Lp.Eq in
-  let lower = row.sense = Lp.Ge || row.sense = Lp.Eq in
-  Array.iteri
-    (fun k j ->
-      let c = row.coef.(k) in
-      (if upper then
-         let lo_rest = lo -. (if c >= 0. then c *. lb.(j) else c *. ub.(j)) in
-         if Float.is_finite lo_rest then begin
-           let limit = (row.rhs -. lo_rest) /. c in
-           let moved =
-             if c > 0. then
-               tighten t.is_int j ~lb ~ub ~new_lb:Float.neg_infinity
-                 ~new_ub:limit
-             else
-               tighten t.is_int j ~lb ~ub ~new_lb:limit ~new_ub:Float.infinity
-           in
-           if moved then on_change j
-         end);
-      if lower then begin
-        let hi_rest = hi -. (if c >= 0. then c *. ub.(j) else c *. lb.(j)) in
-        if Float.is_finite hi_rest then begin
-          let limit = (row.rhs -. hi_rest) /. c in
-          let moved =
-            if c > 0. then
-              tighten t.is_int j ~lb ~ub ~new_lb:limit ~new_ub:Float.infinity
-            else
-              tighten t.is_int j ~lb ~ub ~new_lb:Float.neg_infinity
-                ~new_ub:limit
-          in
-          if moved then on_change j
-        end
-      end)
-    row.idx
+  let lo, hi = activity t ri ~lb ~ub in
+  let rhs = t.rhs.(ri) and sense = t.sense.(ri) in
+  let conflict () = raise (Conflict_row (Lp.row_name t.lp ri)) in
+  (match sense with
+   | Lp.Le -> if lo > rhs +. ftol then conflict ()
+   | Lp.Ge -> if hi < rhs -. ftol then conflict ()
+   | Lp.Eq -> if lo > rhs +. ftol || hi < rhs -. ftol then conflict ());
+  let upper = sense = Lp.Le || sense = Lp.Eq in
+  let lower = sense = Lp.Ge || sense = Lp.Eq in
+  for k = t.row_start.(ri) to t.row_start.(ri + 1) - 1 do
+    let j = t.col.(k) and c = t.coef.(k) in
+    (if upper then
+       let lo_rest = lo -. (if c >= 0. then c *. lb.(j) else c *. ub.(j)) in
+       if Float.is_finite lo_rest then begin
+         let limit = (rhs -. lo_rest) /. c in
+         let moved =
+           if c > 0. then
+             tighten t j ~lb ~ub ~new_lb:Float.neg_infinity ~new_ub:limit
+           else tighten t j ~lb ~ub ~new_lb:limit ~new_ub:Float.infinity
+         in
+         if moved then on_change j
+       end);
+    if lower then begin
+      let hi_rest = hi -. (if c >= 0. then c *. ub.(j) else c *. lb.(j)) in
+      if Float.is_finite hi_rest then begin
+        let limit = (rhs -. hi_rest) /. c in
+        let moved =
+          if c > 0. then
+            tighten t j ~lb ~ub ~new_lb:limit ~new_ub:Float.infinity
+          else tighten t j ~lb ~ub ~new_lb:Float.neg_infinity ~new_ub:limit
+        in
+        if moved then on_change j
+      end
+    end
+  done
 
 type deductions = {
   fixes : (int * float * float) list;
@@ -173,7 +170,7 @@ let run t ~lb ~ub ?seeds ?max_steps ?metrics () =
   let trace =
     match metrics with Some sh -> Metrics.writer sh | None -> Trace.null_writer
   in
-  let nrows = Array.length t.rows in
+  let nrows = num_rows t in
   let max_steps =
     match max_steps with Some s -> s | None -> Int.max 256 (64 * nrows)
   in
@@ -185,10 +182,15 @@ let run t ~lb ~ub ?seeds ?max_steps ?metrics () =
       Queue.push ri queue
     end
   in
+  let enqueue_rows j =
+    for k = t.var_start.(j) to t.var_start.(j + 1) - 1 do
+      enqueue t.var_row.(k)
+    done
+  in
   (match seeds with
    | None -> for ri = 0 to nrows - 1 do enqueue ri done
-   | Some vs -> List.iter (fun j -> Array.iter enqueue t.var_rows.(j)) vs);
-  let changed = Array.make t.nvars false in
+   | Some vs -> List.iter enqueue_rows vs);
+  let changed = Array.make (Array.length t.var_start - 1) false in
   let order = ref [] in
   let steps = ref 0 in
   try
@@ -201,7 +203,7 @@ let run t ~lb ~ub ?seeds ?max_steps ?metrics () =
             changed.(j) <- true;
             order := j :: !order
           end;
-          Array.iter enqueue t.var_rows.(j))
+          enqueue_rows j)
     done;
     let fixes = List.rev_map (fun j -> (j, lb.(j), ub.(j))) !order in
     (match metrics with

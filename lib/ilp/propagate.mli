@@ -3,10 +3,12 @@
     The deduction kernel shared by {!Presolve} (run to a fixpoint over
     every row at the root) and {!Branch_bound} (run incrementally at
     each node, seeded with the variables whose bounds the branching
-    decision just changed). A {!t} holds the rows, the row->variable
-    adjacency, and the integrality markers — all immutable after
-    {!of_lp}, so one value is safely shared read-only across worker
-    domains. The mutable bound arrays belong to the caller.
+    decision just changed). A {!t} packs every row's terms, sense and
+    right-hand side, and the variable->rows pattern, into flat arrays;
+    row names and integrality markers are read from the model it was
+    built from. It is immutable after {!of_lp}, so one value is safely
+    shared read-only across worker domains. The mutable bound arrays
+    belong to the caller.
 
     The per-row deduction is the classic activity argument: with
     [lo <= a.x <= hi] the row's minimum/maximum activity under current
@@ -14,27 +16,25 @@
     conflict, and the residual activity of the other terms implies a
     bound on each variable, rounded inward for integer variables. *)
 
-type row = {
-  idx : int array;  (** Structural variable indices. *)
-  coef : float array;
-  sense : Lp.sense;
-  rhs : float;
-  name : string;  (** For conflict reporting. *)
-}
-
 type t
 
 val of_lp : Lp.t -> t
-(** Captures every row of the model (in row order, so conflict names
-    match {!Lp.row_name}) and builds the variable->rows adjacency
-    once. *)
+(** Packs every row of the model, in row order (so conflict names are
+    {!Lp.row_name}), with each row's terms in the model's order and
+    coefficients of magnitude at most [1e-9] dropped. [t] keeps a
+    reference to the model for its row names and integrality
+    markers. *)
 
 val num_rows : t -> int
 
-val row : t -> int -> row
+val sense : t -> int -> Lp.sense
+(** Sense of row [i]. *)
 
-val activity : row -> lb:float array -> ub:float array -> float * float
-(** Minimum and maximum activity of a row under the given bounds (the
+val rhs : t -> int -> float
+(** Right-hand side of row [i]. *)
+
+val activity : t -> int -> lb:float array -> ub:float array -> float * float
+(** Minimum and maximum activity of row [i] under the given bounds (the
     kernel {!Presolve} uses for redundancy/infeasibility checks). *)
 
 val step :

@@ -118,8 +118,8 @@ type stats = {
   ftran_seconds : float;  (** Wall time spent in forward solves. *)
   btran_seconds : float;  (** Wall time spent in transposed solves. *)
   update_seconds : float;
-      (** Wall time spent appending basis-exchange updates to the eta
-          file. *)
+      (** Wall time spent in basis-exchange updates of the factors
+          (the Forrest–Tomlin updates of {!Lu.update}). *)
   pivots : int;  (** Cumulative basis-changing simplex pivots. *)
   bound_flips : int;
       (** Cumulative bound flips applied without a basis change: ratio
@@ -150,10 +150,10 @@ type stats = {
       (** {!install_basis} calls that returned [false], leaving the
           caller to solve cold. *)
   minor_words : float;
-      (** [Gc.quick_stat] minor-heap words allocated inside
-          {!primal}/{!dual_reopt} calls on this engine — the hot path's
-          allocation budget, so regressions show up in [--stats]
-          without a profiler. *)
+      (** Minor-heap words allocated inside {!primal}/{!dual_reopt}
+          calls on this engine, a [Gc.minor_words] delta (exact to the
+          word) — the hot path's allocation budget, so regressions show
+          up in [--stats] without a profiler. *)
   major_words : float;  (** Major-heap words allocated, same scope. *)
   compactions : int;  (** Heap compactions observed, same scope. *)
 }

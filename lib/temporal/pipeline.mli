@@ -28,8 +28,6 @@ val run :
   ?lint:bool ->
   ?jobs:int ->
   ?deterministic:bool ->
-  ?rc_fixing:bool ->
-  ?propagate:bool ->
   ?certify:Ilp.Branch_bound.certify_level ->
   ?tracer:Ilp.Trace.t ->
   ?metrics:Ilp.Metrics.t ->
@@ -47,9 +45,7 @@ val run :
     bound). [lint], [jobs] and [deterministic] forward to
     {!Solver.solve}: lint analyzes and audits the formulated model,
     failing fast on error-level findings; [jobs] runs the solve stage
-    on that many worker domains. [rc_fixing] and [propagate] enable
-    the solver's node deductions (both default off). [certify]
-    turns on exact rational certification of LP verdicts (see
+    on that many worker domains. [certify] turns on exact rational certification of LP verdicts (see
     {!Solver.solve} and docs/VERIFICATION.md); when any check ran, the
     stage log gains a [certify:] line with the verdict counts.
     [tracer]

@@ -33,14 +33,21 @@ type report = {
    Results are memoized per partition map. The scheduler gives up at
    [deadline] (absolute [Ilp.Mono] time), like on an exhausted backtrack
    budget; a call whose scheduler run gave up answers [Hook_gave_up], so
-   the search counts it (a memoized give-up answers [Hook_none]). *)
+   the search counts it (a memoized give-up answers [Hook_none]). A map
+   that gave up on the small budget is retried once on the thorough one,
+   and never after that: propagation fixes every y at many nodes of one
+   subtree, and each retry of a map the scheduler cannot decide costs
+   its whole budget again. *)
 let scheduler_hook ~deadline vars =
   let module Bb = Ilp.Branch_bound in
   let spec = vars.Vars.spec in
   let g = spec.Spec.graph in
   let nt = Taskgraph.Graph.num_tasks g in
   let edges = Taskgraph.Graph.task_edges g in
-  let cache : (int list, [ `Done of float array option | `Unknown ]) Hashtbl.t =
+  let cache :
+      ( int list,
+        [ `Done of float array option | `Unknown | `Unknown_thorough ] )
+      Hashtbl.t =
     Hashtbl.create 64
   in
   let tol = 1e-6 in
@@ -50,6 +57,7 @@ let scheduler_hook ~deadline vars =
     let key = Array.to_list part in
     match Hashtbl.find_opt cache key with
     | Some (`Done _ as r) -> r
+    | Some `Unknown_thorough -> `Unknown
     | Some `Unknown when not thorough -> `Unknown
     | Some `Unknown | None ->
       let ok_order =
@@ -80,7 +88,9 @@ let scheduler_hook ~deadline vars =
           | `Gave_up -> `Gave_up
       in
       Hashtbl.replace cache key
-        (match r with `Gave_up -> `Unknown | `Done _ as d -> d);
+        (match r with
+         | `Gave_up -> if thorough then `Unknown_thorough else `Unknown
+         | `Done _ as d -> d);
       r
   in
   (* Lower bounds of every completion of the partial map [partial]
@@ -184,7 +194,7 @@ let solve ?(strategy = Branching.Paper) ?(time_limit = Float.infinity)
     ?(max_nodes = max_int) ?(validate = true) ?(scheduler_completion = true)
     ?(presolve = true) ?(lint = false) ?lint_options
     ?(jobs = 1) ?(deterministic = false)
-    ?(rc_fixing = false) ?(propagate = false) ?(certify = Bb.Cert_off) ?(tracer = Ilp.Trace.disabled)
+    ?(certify = Bb.Cert_off) ?(tracer = Ilp.Trace.disabled)
     ?metrics vars =
   let deadline = Ilp.Mono.now () +. time_limit in
   if lint then lint_or_fail ?options:lint_options vars;
@@ -200,8 +210,6 @@ let solve ?(strategy = Branching.Paper) ?(time_limit = Float.infinity)
          else None);
       jobs;
       deterministic;
-      rc_fixing;
-      propagate;
       certify_level = certify;
       tracer;
       metrics;

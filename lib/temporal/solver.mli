@@ -53,8 +53,6 @@ val solve :
   ?lint_options:Formulation.options ->
   ?jobs:int ->
   ?deterministic:bool ->
-  ?rc_fixing:bool ->
-  ?propagate:bool ->
   ?certify:Ilp.Branch_bound.certify_level ->
   ?tracer:Ilp.Trace.t ->
   ?metrics:Ilp.Metrics.t ->
@@ -96,11 +94,10 @@ val solve :
     hooks are serialized by the solver, so its internal memo table is
     never accessed concurrently. See {!Ilp.Branch_bound.options}.
 
-    [rc_fixing] and [propagate] (both default off, preserving the
-    paper-faithful search node for node) enable the solver's node
-    deductions: reduced-cost fixing and per-node domain propagation.
-    See {!Ilp.Branch_bound.options} and the "Node deductions" section
-    of [docs/SOLVER.md].
+    Every node of the search propagates its bounds and fixes
+    variables by reduced cost ({!Ilp.Branch_bound}, and the "Node
+    deductions" section of [docs/SOLVER.md]); the paper's [lp_solve]
+    search did neither, so node counts are not the paper's.
 
     [certify] (default {!Ilp.Branch_bound.Cert_off}) turns on exact
     rational certification of LP verdicts inside the search; counters

@@ -196,13 +196,12 @@ let prop_warm_equals_cold =
 
 (* -------- historical default-config behavior -------- *)
 
-(* Every configuration runs the same node path (bound deltas, parent
-   basis warm starts), so the node counts of the default search and of
-   each deduction configuration are pinned. The counts are those of the
-   single LP engine (devex pricing, bound-flipping dual ratio test,
-   bucket LU); a change here means the search or the node LPs'
-   vertices drifted. The objectives are the true optima and must never
-   change. *)
+(* The node counts of the default search (bound deltas, parent basis
+   warm starts, propagation and reduced-cost fixing at every node) are
+   pinned. The counts are those of the single LP engine (devex pricing,
+   bound-flipping dual ratio test, bucket LU); a change here means the
+   search, its deductions or the node LPs' vertices drifted. The
+   objectives are the true optima and must never change. *)
 let test_default_node_counts_frozen () =
   List.iter
     (fun (config, options, rows) ->
@@ -224,15 +223,6 @@ let test_default_node_counts_frozen () =
     [
       ( "default",
         Bb.default_options,
-        [ (21, 47, 1.); (25, 39, 10.); (33, 41, 5.); (59, 73, 20.) ] );
-      ( "rc_fixing",
-        { Bb.default_options with Bb.rc_fixing = true },
-        [ (21, 35, 1.); (25, 39, 10.); (33, 27, 5.); (59, 53, 20.) ] );
-      ( "propagate",
-        { Bb.default_options with Bb.propagate = true },
-        [ (21, 43, 1.); (25, 17, 10.); (33, 23, 5.); (59, 39, 20.) ] );
-      ( "rc_fixing+propagate",
-        { Bb.default_options with Bb.rc_fixing = true; propagate = true },
         [ (21, 25, 1.); (25, 17, 10.); (33, 17, 5.); (59, 19, 20.) ] );
     ]
 
@@ -251,17 +241,28 @@ let test_sibling_basis_installs () =
   Alcotest.(check int) "install fallbacks" 0 lps.Ilp.Simplex.install_fallbacks;
   check_float "warm optimum = cold optimum" cold warm
 
-let test_default_deductions_idle () =
-  (* with everything off, no deduction counter may move *)
+(* Propagation runs once per evaluated node, in every search context:
+   at jobs 2 the seeding phase and each worker count their own runs and
+   nodes, and the totals still agree. *)
+let test_propagation_per_node () =
   let lp = make_rand_binary 21 ~n:16 ~m:12 in
-  match Bb.solve lp with
-  | Bb.Optimal _, stats ->
-    let d = stats.Bb.deductions in
-    Alcotest.(check int) "rc fixings" 0 d.Bb.rc_fixed;
-    Alcotest.(check int) "propagation fixings" 0 d.Bb.prop_fixings;
-    Alcotest.(check int) "propagation prunes" 0 d.Bb.prop_prunes;
-    Alcotest.(check (float 0.)) "propagation time" 0. d.Bb.prop_seconds
-  | o, _ -> Alcotest.failf "unexpected %a" Bb.pp_outcome o
+  List.iter
+    (fun jobs ->
+      let m = Ilp.Metrics.create () in
+      let options = { Bb.default_options with Bb.jobs; metrics = Some m } in
+      match Bb.solve ~options lp with
+      | Bb.Optimal _, stats ->
+        let snap = Ilp.Metrics.snapshot m in
+        let runs = Ilp.Metrics.counter_value snap C_prop_runs in
+        Alcotest.(check int)
+          (Printf.sprintf "jobs %d: runs = nodes" jobs)
+          stats.Bb.nodes runs;
+        Alcotest.(check int)
+          (Printf.sprintf "jobs %d: runs = nodes counted" jobs)
+          (Ilp.Metrics.counter_value snap C_nodes)
+          runs
+      | o, _ -> Alcotest.failf "unexpected %a" Bb.pp_outcome o)
+    [ 1; 2 ]
 
 (* -------- incumbent sources -------- *)
 
@@ -592,8 +593,8 @@ let () =
             test_default_node_counts_frozen;
           Alcotest.test_case "sibling basis installs" `Quick
             test_sibling_basis_installs;
-          Alcotest.test_case "deduction counters idle by default" `Quick
-            test_default_deductions_idle;
+          Alcotest.test_case "propagation runs once per node" `Quick
+            test_propagation_per_node;
         ] );
       ( "search",
         [

@@ -444,8 +444,6 @@ let test_one_store ~jobs () =
       Bb.default_options with
       Bb.jobs;
       deterministic = true;
-      rc_fixing = true;
-      propagate = true;
       certify_level = Bb.Cert_all;
       node_hook =
         Some

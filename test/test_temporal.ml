@@ -188,8 +188,8 @@ let test_objective_vs_design_cost () =
 
 (* ---------------- Options equivalence ---------------- *)
 
-let optimal_cost_with options spec =
-  match (Solver.solve (F.build ~options spec)).Solver.outcome with
+let optimal_cost_with ?jobs options spec =
+  match (Solver.solve ?jobs (F.build ~options spec)).Solver.outcome with
   | Solver.Feasible sol -> Some sol.Sol.comm_cost
   | Solver.Infeasible_model -> None
   | Solver.Timed_out _ -> Alcotest.fail "unexpected timeout"
@@ -274,15 +274,18 @@ let prop_presolve_toggle_agrees =
 
 (* ---------------- ILP vs exhaustive enumeration ---------------- *)
 
+(* Solved sequentially and on two worker domains: the parallel search,
+   its deductions included, answers to the same independent oracle. *)
 let prop_ilp_matches_enumeration =
   QCheck.Test.make ~name:"ILP optimum equals exhaustive enumeration"
     ~count:60
     QCheck.(int_bound 100_000)
     (fun seed ->
       let spec = rand_small_spec seed in
-      let ilp = optimal_cost_with F.default_options spec in
       let enum = Enum.optimal_cost spec in
-      ilp = enum)
+      List.for_all
+        (fun jobs -> optimal_cost_with ~jobs F.default_options spec = enum)
+        [ 1; 2 ])
 
 (* With one partition, presolve fixes every y at the root, so the
    completion hook settles the root on its bounds: the whole solve takes
@@ -693,8 +696,9 @@ let test_scheduler_deadline () =
 (* A completion-hook call past its deadline gives up, and the search
    counts that give-up exactly once. The hook sees the all-in-one map
    of [paper1_n2l4] (thousands of backtracks, so the clock is read)
-   with every y fixed, on the node's bounds; its call after the LP
-   does not run the scheduler on that map again. *)
+   with every y fixed, on the node's bounds; neither its call after the
+   LP nor a later call on another node's bounds runs the scheduler on
+   that map again. *)
 let test_hook_give_up_counted () =
   let spec, part = paper1_n2l4 () in
   let vars = F.build spec in
@@ -706,11 +710,12 @@ let test_hook_give_up_counted () =
         (fun p (v : Ilp.Lp.var) -> if part.(t) = p + 1 then sol.((v :> int)) <- 1.)
         row)
     vars.Vars.y;
-  let hook = Solver.scheduler_hook ~deadline:(Ilp.Mono.now () -. 1.) vars in
   let past_deadline () =
-    hook (Ilp.Branch_bound.Bounds sol) ~is_fixed:(fun _ -> true)
+    Solver.scheduler_hook ~deadline:(Ilp.Mono.now () -. 1.) vars
   in
-  (match past_deadline () with
+  let on_bounds hook = hook (Ilp.Branch_bound.Bounds sol) ~is_fixed:(fun _ -> true) in
+  let hook = past_deadline () in
+  (match on_bounds hook with
    | Ilp.Branch_bound.Hook_gave_up -> ()
    | _ -> Alcotest.fail "expected a give-up");
   (* after the LP, a map whose y are all fixed is not scheduled again:
@@ -718,10 +723,15 @@ let test_hook_give_up_counted () =
   (match hook (Ilp.Branch_bound.Lp_solution sol) ~is_fixed:(fun _ -> true) with
    | Ilp.Branch_bound.Hook_none -> ()
    | _ -> Alcotest.fail "expected no second scheduler run");
+  (* nor on the bounds of another node with the same map *)
+  (match on_bounds hook with
+   | Ilp.Branch_bound.Hook_none -> ()
+   | _ -> Alcotest.fail "expected no thorough retry");
+  let hook = past_deadline () in
   let calls = ref 0 in
   let node_hook _ ~is_fixed:_ =
     incr calls;
-    if !calls = 1 then past_deadline () else Ilp.Branch_bound.Hook_none
+    if !calls = 1 then on_bounds hook else Ilp.Branch_bound.Hook_none
   in
   let _, stats =
     Ilp.Branch_bound.solve
