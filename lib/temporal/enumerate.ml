@@ -1,123 +1,4 @@
 module G = Taskgraph.Graph
-module C = Hls.Component
-
-(* All task->partition maps satisfying temporal order (eq. 2) and scratch
-   memory (eq. 3), with their communication costs. *)
-let assignments spec ~max_assignments =
-  let g = spec.Spec.graph in
-  let nt = G.num_tasks g in
-  let np = spec.Spec.num_partitions in
-  let order = Taskgraph.Topo.task_order g in
-  let part = Array.make nt 0 in
-  let acc = ref [] in
-  let count = ref 0 in
-  let rec go = function
-    | [] ->
-      incr count;
-      if !count > max_assignments then
-        invalid_arg "Enumerate: assignment space too large";
-      let cost = Solution.comm_cost_of_partition spec part in
-      if Solution.memory_peak spec part <= spec.Spec.scratch then
-        acc := (cost, Array.copy part) :: !acc
-    | t :: rest ->
-      let min_p =
-        List.fold_left
-          (fun m t' -> Int.max m part.(t'))
-          1 (G.task_preds g t)
-      in
-      for p = min_p to np do
-        part.(t) <- p;
-        go rest
-      done;
-      part.(t) <- 0
-  in
-  go order;
-  List.sort (fun (c1, _) (c2, _) -> compare c1 c2) !acc
-
-(* Cheap schedulability lower bound for a fixed partition map: every
-   partition needs at least as many owned control steps as (a) its
-   longest intra-partition dependency chain and (b) the best per-kind
-   serialization any capacity-feasible covering unit subset allows.
-   Subsets are enumerated exactly (the allocation is a small multiset),
-   so the joint effect of covering several kinds within the budget is
-   captured — e.g. a partition holding add, mul and sub operations at a
-   budget that only fits one unit of each serializes all three kinds.
-   The partitions own disjoint steps, so the bounds add up; exceeding
-   the step budget refutes the map without any search. *)
-let steps_lower_bound spec part =
-  let g = spec.Spec.graph in
-  let np = spec.Spec.num_partitions in
-  let budget = Float.of_int spec.Spec.capacity /. spec.Spec.alpha in
-  let groups = Spec.unit_groups spec in
-  let total = ref 0 in
-  let infeasible = ref false in
-  for p = 1 to np do
-    let ops =
-      List.concat_map
-        (fun t -> if part.(t) = p then G.task_ops g t else [])
-        (List.init (G.num_tasks g) Fun.id)
-    in
-    if ops <> [] then begin
-      let kinds = List.sort_uniq compare (List.map (G.op_kind g) ops) in
-      let count kind =
-        List.length (List.filter (fun i -> G.op_kind g i = kind) ops)
-      in
-      let counts = List.map (fun k -> (k, count k)) kinds in
-      (* enumerate sub-multisets of the unit groups; track the best
-         (smallest) per-kind serialization bound among feasible ones *)
-      let best = ref max_int in
-      let rec choose acc_fg acc_units = function
-        | [] ->
-          if Float.of_int acc_fg <= budget +. 1e-9 then begin
-            (* capable unit count per kind *)
-            let bound =
-              List.fold_left
-                (fun worst (kind, cnt) ->
-                  let units =
-                    List.fold_left
-                      (fun n (fu, taken) ->
-                        if taken > 0 && C.can_execute fu kind then n + taken
-                        else n)
-                      0 acc_units
-                  in
-                  if units = 0 then max_int
-                  else Int.max worst ((cnt + units - 1) / units))
-                0 counts
-            in
-            if bound < !best then best := bound
-          end
-        | (fu, avail) :: rest ->
-          for taken = 0 to avail do
-            if Float.of_int (acc_fg + (taken * fu.C.fg)) <= budget +. 1e-9 then
-              choose (acc_fg + (taken * fu.C.fg)) ((fu, taken) :: acc_units) rest
-          done
-      in
-      choose 0 [] groups;
-      if !best = max_int then infeasible := true
-      else begin
-        (* intra-partition critical path (optimistic unit latencies) *)
-        let in_p = Array.make (G.num_ops g) false in
-        List.iter (fun i -> in_p.(i) <- true) ops;
-        let depth = Hashtbl.create 16 in
-        let rec d i =
-          match Hashtbl.find_opt depth i with
-          | Some v -> v
-          | None ->
-            let v =
-              1
-              + List.fold_left
-                  (fun acc pr -> if in_p.(pr) then Int.max acc (d pr) else acc)
-                  0 (G.op_preds g i)
-            in
-            Hashtbl.replace depth i v;
-            v
-        in
-        let cp_bound = List.fold_left (fun acc i -> Int.max acc (d i)) 0 ops in
-        total := !total + Int.max !best cp_bound
-      end
-    end
-  done;
-  if !infeasible then max_int else !total
 
 exception Backtrack_budget
 
@@ -265,33 +146,26 @@ let try_schedule ?(max_backtracks = max_int) ?(deadline = Float.infinity) spec
   if place 0 then Some (step, fu) else None
 
 let schedule_for_partition ?max_backtracks ?deadline spec part =
-  if steps_lower_bound spec part > Spec.num_steps spec then `Infeasible
-  else
-    match try_schedule ?max_backtracks ?deadline spec part with
-    | Some (step, fu) -> `Schedule (step, fu)
-    | None -> `Infeasible
-    | exception Backtrack_budget -> `Gave_up
+  match try_schedule ?max_backtracks ?deadline spec part with
+  | Some schedule -> `Schedule schedule
+  | None -> `Infeasible
+  | exception Backtrack_budget -> `Gave_up
 
+(* The order-respecting maps that fit the scratch memory, in increasing
+   communication cost; the first one the scheduler completes is
+   optimal. The counting bound is not applied: this oracle must not
+   share the completion hook's bound. *)
 let solve ?(max_assignments = 200_000) spec =
-  let candidates = assignments spec ~max_assignments in
-  let rec go = function
-    | [] -> None
-    | (cost, part) :: rest -> (
-      match try_schedule spec part with
-      | Some (step, fu) ->
-        let module S = Set.Make (Int) in
-        let used = Array.fold_left (fun s p -> S.add p s) S.empty part in
-        Some
-          {
-            Solution.partition_of = part;
-            op_step = step;
-            op_fu = fu;
-            comm_cost = cost;
-            partitions_used = S.cardinal used;
-          }
-      | None -> go rest)
-  in
-  go candidates
+  Maps.fold ~max_assignments spec
+    (fun part acc ->
+      let cost = Solution.comm_cost_of_partition spec part in
+      if Maps.memory_peak spec part <= spec.Spec.scratch then
+        (cost, Array.copy part) :: acc
+      else acc)
+    []
+  |> List.sort (fun (c1, _) (c2, _) -> compare c1 c2)
+  |> List.find_map (fun (_, part) ->
+         Option.map (Solution.of_schedule spec part) (try_schedule spec part))
 
 let optimal_cost ?max_assignments spec =
   Option.map (fun s -> s.Solution.comm_cost) (solve ?max_assignments spec)

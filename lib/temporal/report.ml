@@ -109,16 +109,7 @@ let summary spec sol =
     end
   done;
   for p = 2 to spec.Spec.num_partitions do
-    let words =
-      List.fold_left
-        (fun acc (t1, t2, bw) ->
-          if
-            sol.Solution.partition_of.(t1) < p
-            && p <= sol.Solution.partition_of.(t2)
-          then acc + bw
-          else acc)
-        0 (G.task_edges g)
-    in
+    let words = Maps.memory_demand spec sol.Solution.partition_of p in
     if words > 0 then
       Buffer.add_string b
         (Printf.sprintf

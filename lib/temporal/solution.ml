@@ -16,40 +16,22 @@ let comm_cost_of_partition spec partition_of =
     0
     (G.task_edges spec.Spec.graph)
 
-let memory_peak spec partition_of =
-  let peak = ref 0 in
-  for p = 2 to spec.Spec.num_partitions do
-    let demand =
-      List.fold_left
-        (fun acc (t1, t2, bw) ->
-          if partition_of.(t1) < p && p <= partition_of.(t2) then acc + bw
-          else acc)
-        0
-        (G.task_edges spec.Spec.graph)
-    in
-    if demand > !peak then peak := demand
-  done;
-  !peak
-
-let extract vars sol =
-  let g = vars.Vars.spec.Spec.graph in
-  let partition_of = Array.init (G.num_tasks g) (Vars.y_value vars sol) in
-  let op_step = Array.make (G.num_ops g) 0 in
-  let op_fu = Array.make (G.num_ops g) 0 in
-  for i = 0 to G.num_ops g - 1 do
-    let j, k = Vars.x_value vars sol i in
-    op_step.(i) <- j;
-    op_fu.(i) <- k
-  done;
-  let module S = Set.Make (Int) in
-  let used = Array.fold_left (fun s p -> S.add p s) S.empty partition_of in
+let of_schedule spec partition_of (op_step, op_fu) =
   {
     partition_of;
     op_step;
     op_fu;
-    comm_cost = comm_cost_of_partition vars.Vars.spec partition_of;
-    partitions_used = S.cardinal used;
+    comm_cost = comm_cost_of_partition spec partition_of;
+    partitions_used =
+      List.length (List.sort_uniq Int.compare (Array.to_list partition_of));
   }
+
+let extract vars sol =
+  let g = vars.Vars.spec.Spec.graph in
+  let schedule = Array.init (G.num_ops g) (Vars.x_value vars sol) in
+  of_schedule vars.Vars.spec
+    (Array.init (G.num_tasks g) (Vars.y_value vars sol))
+    (Array.map fst schedule, Array.map snd schedule)
 
 let validate spec sol =
   let g = spec.Spec.graph in
@@ -70,7 +52,7 @@ let validate spec sol =
           t2 sol.partition_of.(t2))
     (G.task_edges g);
   (* (3) scratch memory at every boundary *)
-  let peak = memory_peak spec sol.partition_of in
+  let peak = Maps.memory_peak spec sol.partition_of in
   if peak > spec.Spec.scratch then
     err "memory: peak %d exceeds Ms = %d" peak spec.Spec.scratch;
   (* (6) windows, capability and completion within the schedule *)
@@ -235,7 +217,7 @@ let pp spec ppf sol =
   let insts = Spec.instances spec in
   Format.fprintf ppf "@[<v>communication cost: %d (peak memory %d / Ms %d)@,"
     sol.comm_cost
-    (memory_peak spec sol.partition_of)
+    (Maps.memory_peak spec sol.partition_of)
     spec.Spec.scratch;
   Format.fprintf ppf "partitions used: %d of %d@," sol.partitions_used
     spec.Spec.num_partitions;

@@ -21,6 +21,11 @@ type t = {
   partitions_used : int;  (** Number of non-empty partitions. *)
 }
 
+val of_schedule : Spec.t -> int array -> int array * int array -> t
+(** [of_schedule spec part (op_step, op_fu)] is the design of a map and
+    its schedule, with [comm_cost] and [partitions_used] derived from
+    [part]. The design keeps the three arrays it is given. *)
+
 val extract : Vars.t -> float array -> t
 (** Reads a solution vector of the model into a design. The vector must
     be integral on the binary variables (as returned by
@@ -30,10 +35,6 @@ val comm_cost_of_partition : Spec.t -> int array -> int
 (** Design cost ({!t}[.comm_cost]: once per crossing edge) implied by
     a task-to-partition map alone. Not eq. 14's objective, which
     charges once per spanned boundary. *)
-
-val memory_peak : Spec.t -> int array -> int
-(** Maximum scratch-memory demand over partition boundaries [2..N]
-    (left-hand side of eq. 3) for a task-to-partition map. *)
 
 val to_vector : Vars.t -> t -> float array
 (** Full model-variable assignment realizing the design: primary

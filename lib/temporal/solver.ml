@@ -19,14 +19,15 @@ type report = {
    completion exists. The hook's two calls per node split the work:
 
    - [Bounds], before the node LP: tasks whose y are all fixed form a
-     partial partition map. Its counting lower bound and its scratch
-     memory demand bound every completion in the subtree, so exceeding
-     a budget prunes the subtree long before the other tasks are
-     decided. Once every y is fixed, the scheduler's answer resolves
-     the whole subtree either way, and the node closes with no LP.
+     partial partition map. Its counting bound and its scratch memory
+     demand bound every completion in the subtree ([Maps.refuted]), so
+     exceeding a budget prunes the subtree long before the other tasks
+     are decided. Once every y is fixed, the scheduler's answer
+     resolves the whole subtree either way, and the node closes with no
+     LP.
    - [Lp_solution], after it: when the y are integral in the LP point
-     but not all fixed, the map they spell is scheduled as an
-     incumbent candidate; the subtree stays open. With every y fixed
+     but not all fixed, the map they spell is refuted or scheduled as
+     an incumbent candidate; the subtree stays open. With every y fixed
      the [Bounds] call has decided all it can, so the scheduler never
      runs twice on one map at one node.
 
@@ -41,9 +42,7 @@ type report = {
 let scheduler_hook ~deadline vars =
   let module Bb = Ilp.Branch_bound in
   let spec = vars.Vars.spec in
-  let g = spec.Spec.graph in
-  let nt = Taskgraph.Graph.num_tasks g in
-  let edges = Taskgraph.Graph.task_edges g in
+  let nt = Taskgraph.Graph.num_tasks spec.Spec.graph in
   let cache :
       ( int list,
         [ `Done of float array option | `Unknown | `Unknown_thorough ] )
@@ -52,7 +51,9 @@ let scheduler_hook ~deadline vars =
   in
   let tol = 1e-6 in
   (* Schedule the map [part]; [thorough] when every y is fixed, so the
-     answer settles a subtree and is worth a larger backtrack budget. *)
+     answer settles a subtree and is worth a larger backtrack budget.
+     Such a map comes from [Bounds], which has already tried to refute
+     it. *)
   let complete ~thorough part =
     let key = Array.to_list part in
     match Hashtbl.find_opt cache key with
@@ -60,30 +61,19 @@ let scheduler_hook ~deadline vars =
     | Some `Unknown_thorough -> `Unknown
     | Some `Unknown when not thorough -> `Unknown
     | Some `Unknown | None ->
-      let ok_order =
-        List.for_all (fun (t1, t2, _) -> part.(t1) <= part.(t2)) edges
-      and ok_mem = Solution.memory_peak spec part <= spec.Spec.scratch in
       let r =
-        if not (ok_order && ok_mem) then `Done None
+        if (not thorough) && Maps.refuted spec part then `Done None
         else
           let max_backtracks = if thorough then 5_000_000 else 300_000 in
           match
             Enumerate.schedule_for_partition ~max_backtracks ~deadline spec
               part
           with
-          | `Schedule (op_step, op_fu) ->
-            let module S = Set.Make (Int) in
-            let used = Array.fold_left (fun s p -> S.add p s) S.empty part in
-            let sol =
-              {
-                Solution.partition_of = Array.copy part;
-                op_step;
-                op_fu;
-                comm_cost = Solution.comm_cost_of_partition spec part;
-                partitions_used = S.cardinal used;
-              }
-            in
-            `Done (Some (Solution.to_vector vars sol))
+          | `Schedule schedule ->
+            `Done
+              (Some
+                 (Solution.to_vector vars
+                    (Solution.of_schedule spec part schedule)))
           | `Infeasible -> `Done None
           | `Gave_up -> `Gave_up
       in
@@ -92,29 +82,6 @@ let scheduler_hook ~deadline vars =
          | `Gave_up -> if thorough then `Unknown_thorough else `Unknown
          | `Done _ as d -> d);
       r
-  in
-  (* Lower bounds of every completion of the partial map [partial]
-     (0 = undecided) exceed the step or the scratch-memory budget. *)
-  let partial_prunes partial =
-    (Array.exists (fun p -> p > 0) partial
-     && Enumerate.steps_lower_bound spec partial > Spec.num_steps spec)
-    ||
-    let exceeded = ref false in
-    for p = 2 to spec.Spec.num_partitions do
-      let demand =
-        List.fold_left
-          (fun acc (t1, t2, bw) ->
-            if
-              partial.(t1) > 0 && partial.(t2) > 0
-              && partial.(t1) < p
-              && p <= partial.(t2)
-            then acc + bw
-            else acc)
-          0 edges
-      in
-      if demand > spec.Spec.scratch then exceeded := true
-    done;
-    !exceeded
   in
   fun point ~is_fixed ->
     let row_fixed row =
@@ -135,7 +102,7 @@ let scheduler_hook ~deadline vars =
             !p)
           vars.Vars.y
       in
-      if partial_prunes partial then Bb.Hook_prune
+      if Maps.refuted spec partial then Bb.Hook_prune
       else if Array.for_all (fun p -> p > 0) partial then
         match complete ~thorough:true partial with
         | `Done (Some v) -> Bb.Hook_incumbent_and_prune v

@@ -35,11 +35,12 @@ val scheduler_hook :
   Ilp.Branch_bound.hook_result
 (** The exact-scheduler completion hook [solve] installs (see
     [scheduler_completion] below), giving up at [deadline], an absolute
-    {!Ilp.Mono.now} time. Its [Bounds] call applies the partial-map
-    bounds and, once every [y] is fixed, settles the node by the
-    scheduler's answer for that map, before the node LP; its
-    [Lp_solution] call schedules the map of an LP point whose [y] are
-    integral but not all fixed. A call whose scheduler run gave up
+    {!Ilp.Mono.now} time. Its [Bounds] call prunes when
+    {!Maps.refuted} holds for the partial map of the fixed [y] and,
+    once every [y] is fixed, settles the node by the scheduler's answer
+    for that map, before the node LP; its [Lp_solution] call refutes or
+    schedules the map of an LP point whose [y] are integral but not all
+    fixed. A call whose scheduler run gave up
     answers {!Ilp.Branch_bound.Hook_gave_up}. *)
 
 val solve :

@@ -12,6 +12,7 @@ module F = Temporal.Formulation
 module Sol = Temporal.Solution
 module Solver = Temporal.Solver
 module Enum = Temporal.Enumerate
+module Maps = Temporal.Maps
 
 let mk ?(ams = (1, 1, 1)) ?(cap = 300) ?(ms = 100) ?(l = 1) ~n g =
   Spec.make ~graph:g ~allocation:(C.ams ams) ~capacity:cap ~scratch:ms
@@ -615,7 +616,7 @@ let test_explore_sweep_and_pareto () =
 let test_lower_bound_all_in_one () =
   (* figure1 all-in-one at C=70: only 1A+1M+1S covers -> 13 adds serialize *)
   let spec = mk ~ams:(2, 2, 1) ~cap:70 ~ms:30 ~l:0 ~n:3 (Ex.figure1 ()) in
-  let lb = Enum.steps_lower_bound spec [| 1; 1; 1; 1; 1 |] in
+  let lb = Maps.steps_lower_bound spec [| 1; 1; 1; 1; 1 |] in
   Alcotest.(check int) "13 adds" 13 lb;
   Alcotest.(check bool) "refutes L=0" true (lb > Spec.num_steps spec)
 
@@ -623,11 +624,12 @@ let test_lower_bound_uncoverable () =
   (* a partition with a mul but no affordable multiplier *)
   let spec = mk ~ams:(1, 1, 0) ~cap:30 ~ms:30 ~l:0 ~n:2 (Ex.chain 3) in
   Alcotest.(check int) "max_int" max_int
-    (Enum.steps_lower_bound spec [| 1; 1; 2 |])
+    (Maps.steps_lower_bound spec [| 1; 1; 2 |])
 
 let test_lower_bound_never_exceeds_schedulable () =
   (* soundness: whenever the exact scheduler finds a schedule, the bound
-     cannot exceed the step budget *)
+     cannot exceed the step budget; the budget keeps the scheduler from
+     searching a refuted map for long *)
   let specs =
     [ mk ~ams:(1, 1, 1) ~cap:200 ~l:2 ~n:2 (Ex.diamond ());
       mk ~ams:(2, 2, 1) ~cap:70 ~ms:30 ~l:1 ~n:3 (Ex.figure1 ()) ]
@@ -643,13 +645,89 @@ let test_lower_bound_never_exceeds_schedulable () =
           List.iteri
             (fun idx t -> if idx >= cut then part.(t) <- 2)
             order;
-          match Enum.schedule_for_partition spec part with
+          match
+            Enum.schedule_for_partition ~max_backtracks:1_000_000 spec part
+          with
           | `Schedule _ ->
             Alcotest.(check bool) "bound sound" true
-              (Enum.steps_lower_bound spec part <= Spec.num_steps spec)
+              (Maps.steps_lower_bound spec part <= Spec.num_steps spec)
           | `Infeasible | `Gave_up -> ())
         [ 0; 1; 2; nt - 1 ])
     specs
+
+(* Eq. 2 and eq. 3 on a full map, written out here apart from [Maps]
+   for the properties below to check against. *)
+let order_ok spec part =
+  List.for_all (fun (t1, t2, _) -> part.(t1) <= part.(t2))
+    (G.task_edges spec.Spec.graph)
+
+let memory_ok spec part =
+  List.for_all
+    (fun p ->
+      List.fold_left
+        (fun acc (t1, t2, bw) ->
+          if part.(t1) < p && p <= part.(t2) then acc + bw else acc)
+        0
+        (G.task_edges spec.Spec.graph)
+      <= spec.Spec.scratch)
+    (List.init (spec.Spec.num_partitions - 1) (fun p -> p + 2))
+
+(* Every full map over [nt] tasks and partitions [1..np], as lists. *)
+let all_maps ~nt ~np =
+  List.fold_left
+    (fun maps _ ->
+      List.concat_map
+        (fun m -> List.init np (fun p -> (p + 1) :: m))
+        maps)
+    [ [] ] (List.init nt Fun.id)
+
+let prop_fold_visits_ordered_maps =
+  QCheck.Test.make ~name:"Maps.fold visits each order-respecting map once"
+    ~count:60
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let spec = rand_small_spec seed in
+      let visited =
+        Maps.fold ~max_assignments:max_int spec
+          (fun part acc -> Array.to_list part :: acc)
+          []
+      in
+      let ordered =
+        List.filter
+          (fun m -> order_ok spec (Array.of_list m))
+          (all_maps
+             ~nt:(G.num_tasks spec.Spec.graph)
+             ~np:spec.Spec.num_partitions)
+      in
+      List.length (List.sort_uniq compare visited) = List.length visited
+      && List.sort compare visited = List.sort compare ordered)
+
+(* A partial map (tasks at 0 undecided) that [Maps.refuted] rejects has
+   no completion that is a design: none that respects eq. 2, fits the
+   scratch memory and has a schedule. *)
+let prop_partial_refutations_sound =
+  QCheck.Test.make ~name:"partial-map refutations are sound" ~count:200
+    QCheck.(pair (int_bound 100_000) (int_bound 100_000))
+    (fun (seed, map_seed) ->
+      let spec = rand_small_spec seed in
+      let nt = G.num_tasks spec.Spec.graph
+      and np = spec.Spec.num_partitions in
+      let rng = Taskgraph.Prng.create map_seed in
+      let partial = Array.init nt (fun _ -> Taskgraph.Prng.int_in rng 0 np) in
+      (not (Maps.refuted spec partial))
+      || List.for_all
+           (fun m ->
+             let part = Array.of_list m in
+             Array.exists2 (fun p q -> p > 0 && p <> q) partial part
+             || (not (order_ok spec part))
+             || (not (memory_ok spec part))
+             ||
+             match
+               Enum.schedule_for_partition ~max_backtracks:100_000 spec part
+             with
+             | `Schedule _ -> false
+             | `Infeasible | `Gave_up -> true)
+           (all_maps ~nt ~np))
 
 (* ---------------- exact completion scheduler ---------------- *)
 
@@ -820,31 +898,19 @@ let prop_spec_tables_and_schedules =
       let schedules_ok = ref true in
       let rec each t =
         if t = nt then begin
-          match
-            Enum.schedule_for_partition ~max_backtracks:100_000 spec part
-          with
-          | `Schedule (op_step, op_fu) ->
-            let sol =
-              {
-                Sol.partition_of = Array.copy part;
-                op_step;
-                op_fu;
-                comm_cost = Sol.comm_cost_of_partition spec part;
-                partitions_used =
-                  List.length (List.sort_uniq compare (Array.to_list part));
-              }
-            in
-            (* the scheduler sees the map alone: order and memory are
-               the caller's to check *)
-            let order_ok =
-              List.for_all (fun (t1, t2, _) -> part.(t1) <= part.(t2))
-                (G.task_edges g)
-            in
-            if
-              order_ok && Sol.memory_peak spec part <= spec.Spec.scratch
-              && Sol.validate spec sol <> Ok ()
-            then schedules_ok := false
-          | `Infeasible | `Gave_up -> ()
+          (* the scheduler sees the map alone: order, memory and the
+             counting bound are the caller's to check *)
+          if
+            order_ok spec part && memory_ok spec part
+            && Maps.steps_lower_bound spec part <= Spec.num_steps spec
+          then
+            match
+              Enum.schedule_for_partition ~max_backtracks:100_000 spec part
+            with
+            | `Schedule schedule ->
+              let sol = Sol.of_schedule spec (Array.copy part) schedule in
+              if Sol.validate spec sol <> Ok () then schedules_ok := false
+            | `Infeasible | `Gave_up -> ()
         end
         else
           for p = 1 to np do
@@ -942,6 +1008,8 @@ let () =
           Alcotest.test_case "uncoverable" `Quick test_lower_bound_uncoverable;
           Alcotest.test_case "sound vs scheduler" `Quick
             test_lower_bound_never_exceeds_schedulable;
+          qt prop_fold_visits_ordered_maps;
+          qt prop_partial_refutations_sound;
         ] );
       ( "scheduler",
         [
