@@ -12,7 +12,7 @@ let comm_cost_of_segments g segments =
   List.fold_left
     (fun acc (t1, t2, bw) ->
       match (Hashtbl.find_opt seg_of t1, Hashtbl.find_opt seg_of t2) with
-      | Some s1, Some s2 when s1 <> s2 -> acc + bw
+      | Some s1, Some s2 -> acc + (bw * abs (s2 - s1))
       | _ -> acc)
     0 (G.task_edges g)
 

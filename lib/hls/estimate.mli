@@ -19,8 +19,8 @@ type segmentation = {
   segments : Taskgraph.Graph.task_id list list;
       (** Tasks of each segment, in execution order. *)
   comm_cost : int;
-      (** Total bandwidth crossing segment boundaries (the paper's
-          objective, eq. 14, evaluated on this heuristic solution). *)
+      (** The paper's objective, eq. 14, evaluated on this heuristic
+          solution ({!comm_cost_of_segments}). *)
 }
 
 val estimate :
@@ -36,7 +36,8 @@ val num_segments : segmentation -> int
 
 val comm_cost_of_segments :
   Taskgraph.Graph.t -> Taskgraph.Graph.task_id list list -> int
-(** Objective (eq. 14) of an arbitrary segmentation: bandwidth of every
-    task edge whose endpoints lie in different segments. *)
+(** Objective (eq. 14) of an arbitrary segmentation, with the segment
+    index as the partition: each task edge's bandwidth times the number
+    of segment boundaries between its endpoints. *)
 
 val pp : Format.formatter -> segmentation -> unit

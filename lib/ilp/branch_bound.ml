@@ -19,7 +19,6 @@ type options = {
   max_nodes : int;
   time_limit : float;
   branch_rule : branch_rule option;
-  integral_objective : bool;
   on_incumbent : (float -> float array -> unit) option;
   warm_start : bool;
   node_hook : (hook_point -> is_fixed:(int -> bool) -> hook_result) option;
@@ -35,7 +34,6 @@ let default_options =
     max_nodes = max_int;
     time_limit = Float.infinity;
     branch_rule = None;
-    integral_objective = false;
     on_incumbent = None;
     warm_start = true;
     node_hook = None;
@@ -214,7 +212,7 @@ type node = {
   fresh : int;
   parent : int;
       (* processed id of the creating node (-1 for the root); ids are
-         assigned by [ctx.bump] at evaluation time, so this is only
+         assigned from [env.nodes] at evaluation time, so this is only
          meaningful for tree reconstruction from the trace *)
   n_basis : Simplex.basis option;
       (* the parent's optimal basis, which the node's dual simplex
@@ -231,12 +229,20 @@ let pp_outcome ppf = function
   | Limit_reached { best = None; bound } ->
     Format.fprintf ppf "limit reached (no incumbent, bound = %g)" bound
 
+(* What a node step reports to its driver, and (in [env.stop]) why the
+   search stopped: [Step_ok] while it runs. *)
+type step =
+  | Step_ok  (* children pushed, pruned, or incumbent installed *)
+  | Step_limit  (* node or time limit *)
+  | Step_unbounded
+  | Step_numeric  (* uncertified iteration limit: stop soundly *)
+
 (* Problem data shared by every search context. The propagation kernel
    is read-only after setup. The root reduced-cost snapshot and the
-   root certificate are only written by the driver that owns the root
-   (sequential search, or the seeding phase) before any worker domain
-   exists, and the certificate is only read after every domain joined.
-   Tallies live in the contexts' shards, registered with [reg]. *)
+   root certificate are only written by the seeding phase, which owns
+   the root, before any worker domain exists, and the certificate is
+   only read after every domain joined. Tallies live in the contexts'
+   shards, registered with [reg]. *)
 type env = {
   opts : options;
   lp : Lp.t;
@@ -247,6 +253,12 @@ type env = {
   root_ub : float array;
   t0 : float;
   deadline : float;  (* absolute [Mono] time; [infinity] when unlimited *)
+  integral_objective : bool;
+      (* every solution's objective is an integer: each variable with a
+         nonzero objective coefficient is integer, with an integral
+         coefficient *)
+  nodes : int Atomic.t;  (* nodes evaluated, over every context *)
+  stop : step Atomic.t;  (* why the search stopped; [Step_ok] while it runs *)
   reg : Metrics.t;  (* the caller's registry, or a private one *)
   d_prop : Propagate.t;  (* model rows, for node propagation *)
   mutable d_root_rc : (float * float array) option;
@@ -309,12 +321,14 @@ type ctx = {
       (* [None] until the first node LP: a search that presolve or the
          hook settles before any LP never builds an engine *)
   push : node -> unit;
+  halt : step -> unit;
+      (* records why the search stops ({!flag_stop}) and wakes whatever
+         waits on this context's driver *)
   msh : Metrics.shard;
       (* this context's one telemetry handle: its tallies, its engine's,
          its node-LP samples and its single-writer trace buffer *)
   det : bool;
   set_root : bool;  (* this context solves the root relaxation *)
-  bump : unit -> int;  (* global node counter; returns the new total *)
   cur_lb : float array;  (* the node's bounds, mirrored into the engine
                             once it exists; only [move_to] and
                             [refix_root] write it *)
@@ -335,7 +349,7 @@ type ctx = {
 
 (* Call from the domain that drives the context: the engine, the shard
    and the trace writer [tw] belong to it. *)
-let make_ctx env ~inc ~push ~tw ~det ~set_root ~bump ~local_best =
+let make_ctx env ~inc ~push ~halt ~tw ~det ~set_root ~local_best =
   let msh = Metrics.make_shard ~registry:env.reg ~writer:tw () in
   (* The root bounds may already be tightened by reduced-cost fixing (a
      worker built after the seeding phase), so the mirror starts from
@@ -345,10 +359,10 @@ let make_ctx env ~inc ~push ~tw ~det ~set_root ~bump ~local_best =
     inc;
     st = None;
     push;
+    halt;
     msh;
     det;
     set_root;
-    bump;
     cur_lb = Array.copy env.root_lb;
     cur_ub = Array.copy env.root_ub;
     prop_lb = Array.copy env.root_lb;
@@ -453,7 +467,7 @@ let note_bound inc env b =
    the subtractions below leave infinities alone). *)
 let cutoff ctx =
   let b = best_seen ctx in
-  if ctx.env.opts.integral_objective then b -. 1. +. 1e-6 else b -. 1e-6
+  if ctx.env.integral_objective then b -. 1. +. 1e-6 else b -. 1e-6
 
 let is_integral env x =
   List.for_all (fun j -> fractionality x.(j) <= int_tol) env.int_vars
@@ -485,7 +499,7 @@ let choose_branch env x ~is_fixed =
 (* Install an incumbent; must be called with [inc.user_lock] held.
    Returns whether the global best actually improved (a concurrent
    worker may have installed a better one since the caller's check). *)
-let install ctx ~node_no ~source obj x ~callback =
+let install ctx ~node_no ~source obj x =
   let inc = ctx.inc in
   let improves =
     match inc.best with None -> true | Some (b, _) -> obj < b -. 1e-9
@@ -500,20 +514,12 @@ let install ctx ~node_no ~source obj x ~callback =
     let tw = Metrics.writer ctx.msh in
     if Trace.active tw then
       Trace.emit tw (Trace.Incumbent { node = node_no; obj; source });
-    if callback then
-      match ctx.env.opts.on_incumbent with
-      | Some f -> f obj x
-      | None -> ()
+    match ctx.env.opts.on_incumbent with Some f -> f obj x | None -> ()
   end;
   improves
 
-let locked_install ?(locked = false) ctx ~node_no ~source obj x ~callback =
-  if locked then install ctx ~node_no ~source obj x ~callback
-  else
-    Mutex.protect ctx.inc.user_lock (fun () ->
-        install ctx ~node_no ~source obj x ~callback)
-
-(* Full acceptance path: feasibility-checked, fires [on_incumbent].
+(* The one acceptance path: feasibility-checked, fires [on_incumbent].
+   Returns [false] only when the feasibility guard rejected [x].
    [locked] marks calls made from inside [run_hook], which already
    holds the user lock (it is not reentrant). [source] tags where the
    candidate came from (search or hook). *)
@@ -523,31 +529,29 @@ let accept_incumbent ?(locked = false) ?(source = Trace.Src_search) ctx
     Array.fold_left ( +. ) 0.
       (Array.mapi (fun j c -> c *. x.(j)) ctx.env.objective)
   in
-  if obj < best_seen ctx -. 1e-9 then begin
+  if obj >= best_seen ctx -. 1e-9 then true
+  else if
     (* Guard against solver drift: an incumbent must satisfy the
        original rows and root bounds. *)
-    if Feas_check.is_feasible ~tol:1e-5 ctx.env.lp x then begin
-      if ctx.det && obj < ctx.local_best then ctx.local_best <- obj;
-      if locked_install ~locked ctx ~node_no ~source obj x ~callback:true
-      then
-        Log.info (fun f ->
-            f "incumbent %g at node %d depth %d (%s)" obj node_no depth
-              (Trace.incumbent_source_name source))
-    end
-    else
-      Log.warn (fun f ->
-          f "discarded numerically infeasible incumbent at node %d" node_no)
-  end
-
-(* Loose acceptance used when every integer variable is integral within
-   the branching tolerance: no feasibility re-check, no callback
-   (mirrors the historical sequential behavior exactly). *)
-let accept_loose ctx ~node_no obj x =
-  if obj < best_seen ctx -. 1e-9 then begin
+    Feas_check.is_feasible ~tol:1e-5 ctx.env.lp x
+  then begin
     if ctx.det && obj < ctx.local_best then ctx.local_best <- obj;
-    ignore
-      (locked_install ctx ~node_no ~source:Trace.Src_search obj x
-         ~callback:false)
+    let installed =
+      if locked then install ctx ~node_no ~source obj x
+      else
+        Mutex.protect ctx.inc.user_lock (fun () ->
+            install ctx ~node_no ~source obj x)
+    in
+    if installed then
+      Log.info (fun f ->
+          f "incumbent %g at node %d depth %d (%s)" obj node_no depth
+            (Trace.incumbent_source_name source));
+    true
+  end
+  else begin
+    Log.warn (fun f ->
+        f "discarded numerically infeasible incumbent at node %d" node_no);
+    false
   end
 
 (* Node hook: a problem-specific completion heuristic may inject a full
@@ -570,27 +574,24 @@ let run_hook ctx ~node_no ~depth point ~is_fixed =
           Metrics.incr ctx.msh C_hook_give_ups;
           false
         | Hook_incumbent v ->
-          accept_incumbent ~locked:true ~source:Trace.Src_hook ctx ~node_no
-            ~depth v;
+          ignore
+            (accept_incumbent ~locked:true ~source:Trace.Src_hook ctx
+               ~node_no ~depth v);
           false
         | Hook_prune -> true
         | Hook_incumbent_and_prune v ->
-          accept_incumbent ~locked:true ~source:Trace.Src_hook ctx ~node_no
-            ~depth v;
+          ignore
+            (accept_incumbent ~locked:true ~source:Trace.Src_hook ctx
+               ~node_no ~depth v);
           true)
-
-type step =
-  | Step_ok  (* children pushed, pruned, or incumbent installed *)
-  | Step_unbounded
-  | Step_numeric  (* uncertified iteration limit: stop soundly *)
 
 (* Re-run root reduced-cost fixing against an improved incumbent: pure
    arithmetic on the root duals saved by the root solve, mutating the
    root bound arrays in place. The context's applied path is undone
    first (its entries restore pre-fixing root bounds), then the fixed
-   root bounds go into the mirror and the engine. Only called from
-   single-domain drivers (the sequential search and the parallel
-   seeding phase), never concurrently with worker domains. *)
+   root bounds go into the mirror and the engine. Only called on the
+   context that solved the root, in the seeding phase, never
+   concurrently with worker domains. *)
 let refix_root ctx =
   let env = ctx.env in
   match env.d_root_rc with
@@ -665,7 +666,7 @@ let certify_node ctx ~nno res =
 let process_node ctx node =
   let env = ctx.env in
   let opts = env.opts in
-  let nno = ctx.bump () in
+  let nno = Atomic.fetch_and_add env.nodes 1 + 1 in
   Metrics.incr ctx.msh C_nodes;
   if node.depth > ctx.k_max_depth then ctx.k_max_depth <- node.depth;
   let tw = Metrics.writer ctx.msh in
@@ -680,7 +681,9 @@ let process_node ctx node =
          });
   (* Every exit path below closes the node with its reason and records
      its LP sample; [obj] is the node LP objective, [nan] when the LP
-     never produced one. *)
+     never produced one. A node the search stops on numerically stays
+     open: it goes back onto the context's stack, bounded by its own LP
+     objective when it has one, so the limit's bound covers it. *)
   let pivots () = Metrics.count ctx.msh C_lp_pivots in
   let pivots0 = pivots () and lp_seconds = ref 0. in
   let close reason ~obj step =
@@ -689,6 +692,10 @@ let process_node ctx node =
       ~seconds:!lp_seconds;
     if Trace.active tw then
       Trace.emit tw (Trace.Node_close { id = nno; obj; reason });
+    if step = Step_numeric then
+      ctx.push
+        (if Float.is_nan obj then node
+         else { node with n_bound = Float.max node.n_bound obj });
     step
   in
   (* The node's bounds: [move_to] edits the engine and the mirrored
@@ -847,8 +854,9 @@ let process_node ctx node =
            close Trace.Bound_pruned ~obj Step_ok (* dominated *)
          else begin
            let integral = is_integral env x in
-           if integral then
-             accept_incumbent ctx ~node_no:nno ~depth:node.depth x;
+           let accepted =
+             integral && accept_incumbent ctx ~node_no:nno ~depth:node.depth x
+           in
            if obj >= cutoff ctx then
              (* the fresh incumbent closed it *)
              close
@@ -894,11 +902,21 @@ let process_node ctx node =
                && Array.length res.Simplex.dj > 0
              then env.d_root_rc <- Some (obj, Array.copy res.Simplex.dj);
              match choose_branch env x ~is_fixed with
-             | None ->
-               (* All integer variables integral within a looser tolerance
-                  than is_integral used: accept as incumbent. *)
-               accept_loose ctx ~node_no:nno obj x;
+             | None when accepted ->
+               (* Only an integral point leaves no branching variable.
+                  This one passed the guard, yet its LP objective sits
+                  below the cutoff the point set (a residual-certified
+                  limit's margin): the point is the node's LP optimum,
+                  so nothing below it is better. *)
                close Trace.Integral ~obj Step_ok
+             | None ->
+               (* The feasibility guard rejected the integral point.
+                  Nothing below this node is certain: stop and report a
+                  limit, as on an uncertified iteration limit. *)
+               Log.warn (fun f ->
+                   f "node %d: integral LP point rejected; reporting limit"
+                     nno);
+               close Trace.Numeric ~obj Step_numeric
              | Some j ->
                let v = x.(j) in
                (* Current node bounds for j (deductions included). *)
@@ -945,19 +963,36 @@ let process_node ctx node =
          end)
     end
 
+(* Whether every solution's objective value is an integer: each
+   variable with a nonzero objective coefficient [obj.(j)] is integer,
+   and that coefficient is integral. *)
+let integral_objective lp obj =
+  let rec from j =
+    j = Array.length obj
+    || (obj.(j) = 0.
+        || Float.is_integer obj.(j)
+           && Lp.is_integer_var lp (Lp.var_of_int lp j))
+       && from (j + 1)
+  in
+  from 0
+
 let make_env options lp t0 =
   let n = Lp.num_vars lp in
+  let objective = Lp.objective lp in
   {
     opts = options;
     lp;
     nvars = n;
     int_vars =
       List.map (fun (v : Lp.var) -> (v :> int)) (Lp.integer_vars lp);
-    objective = Lp.objective lp;
+    objective;
     root_lb = Array.init n (fun j -> Lp.var_lb lp (Lp.var_of_int lp j));
     root_ub = Array.init n (fun j -> Lp.var_ub lp (Lp.var_of_int lp j));
     t0;
     deadline = t0 +. options.time_limit;
+    integral_objective = integral_objective lp objective;
+    nodes = Atomic.make 0;
+    stop = Atomic.make Step_ok;
     reg =
       (match options.metrics with Some r -> r | None -> Metrics.create ());
     d_prop = Propagate.of_lp lp;
@@ -1028,157 +1063,66 @@ let finish env inc outcome ~driver ~workers =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Sequential driver (jobs = 1). *)
+(* Drivers. The seeding phase runs the depth-first search on the
+   caller's domain; at [jobs = 1] it runs to the end and is the whole
+   search. At [jobs > 1] it stops once its frontier can feed the crew,
+   and the worker phase spawns one domain per worker, each with its own
+   search context and simplex engine, running depth-first on a private
+   deque and donating shallow subtrees through the shared pool when it
+   runs hungry. Deterministic mode skips the pool: seeds are dealt
+   round-robin and pruning uses only context-local bounds, so node
+   counts cannot depend on cross-domain timing. *)
 
-let solve_sequential env =
-  let opts = env.opts in
-  let tw = Trace.main opts.tracer in
-  let inc = new_incumbent () in
-  let nodes = ref 0 in
-  let stack : node list ref = ref [] in
-  let push node = stack := node :: !stack in
-  let pop () =
-    match !stack with
-    | [] -> None
-    | node :: rest ->
-      stack := rest;
-      Some node
-  in
-  (* Best lower bound among open nodes (for the Limit_reached report). *)
-  let open_bound () =
-    List.fold_left (fun acc nd -> Float.min acc nd.n_bound) Float.infinity
-      !stack
-  in
-  let ctx =
-    make_ctx env ~inc ~push ~tw ~det:false ~set_root:true
-      ~bump:(fun () ->
-        incr nodes;
-        !nodes)
-      ~local_best:Float.infinity
-  in
-  (* Open-node gauge for the metrics sampler: racy reads of the stack
-     from the snapshotting domain (immutable list spine — stale but
-     well-defined). [polling] fences the closure off once the solve
-     returns, so a later snapshot cannot clobber gauges the caller
-     publishes from the outcome. *)
-  let polling = ref true in
-  Metrics.on_snapshot env.reg (fun () ->
-      if !polling then
-        Metrics.set_gauge env.reg G_open_nodes
-          (Float.of_int (List.length !stack)));
-  push root_node;
-  if Trace.active tw then Trace.emit tw (Trace.Span_begin "search");
-  let result = ref None in
-  let unbounded = ref false in
-  let limit node =
-    (* Drain: report the incumbent and the best open bound. *)
-    let bound = Float.min (open_bound ()) node.n_bound in
-    Limit_reached { best = inc.best; bound = finitize bound }
-  in
-  while !result = None do
-    match pop () with
-    | None ->
-      result :=
-        Some
-          (match inc.best with
-           | Some (obj, x) -> Optimal { obj; x }
-           | None -> if !unbounded then Unbounded else Infeasible)
-    | Some node ->
-      refix_root ctx;
-      (* Dual-bound convergence sample: after the pop, the global lower
-         bound is the min over the remaining frontier and this node.
-         [open_bound] walks the frontier, so sample on a cadence. *)
-      if !nodes land 31 = 0 then
-        note_bound inc env (Float.min (open_bound ()) node.n_bound);
-      if !nodes >= opts.max_nodes || Mono.now () > env.deadline then
-        result := Some (limit node)
-      else if node.n_bound >= cutoff ctx then () (* pruned by bound *)
-      else (
-        match process_node ctx node with
-        | Step_ok -> ()
-        | Step_unbounded ->
-          unbounded := true;
-          result := Some Unbounded
-        | Step_numeric -> result := Some (limit node))
-  done;
-  if Trace.active tw then Trace.emit tw (Trace.Span_end "search");
-  polling := false;
-  let outcome = Option.get !result in
-  (outcome, finish env inc outcome ~driver:ctx ~workers:[||])
+(* Record why the search stops; the first reason wins. *)
+let flag_stop env code = ignore (Atomic.compare_and_set env.stop Step_ok code)
 
-(* ------------------------------------------------------------------ *)
-(* Parallel driver (jobs > 1). Phase 1 seeds a frontier sequentially on
-   the caller's domain; phase 2 spawns one domain per worker, each with
-   its own search context and simplex engine, running depth-first on a
-   private deque and donating shallow subtrees through the shared pool
-   when it runs hungry. Deterministic mode skips the pool: seeds are
-   dealt round-robin and pruning uses only context-local bounds, so
-   node counts cannot depend on cross-domain timing. *)
+let stopped env = match Atomic.get env.stop with Step_ok -> false | _ -> true
 
-let solve_parallel env =
+let min_bound acc (nd : node) = Float.min acc nd.n_bound
+
+(* The one node step of every driver: root re-fixing on the context
+   that solved the root, then the node and time limits, the bound
+   cutoff and [process_node]. Returns whether [process_node] ran and
+   the search goes on. *)
+let run_node ctx node =
+  let env = ctx.env in
+  if ctx.set_root then refix_root ctx;
+  if
+    stopped env
+    || Atomic.get env.nodes >= env.opts.max_nodes
+    || Mono.now () > env.deadline
+  then begin
+    (* the node stays open, so the limit's bound covers it *)
+    ctx.push node;
+    ctx.halt Step_limit;
+    false
+  end
+  else if node.n_bound >= cutoff ctx then false (* pruned by bound *)
+  else
+    match process_node ctx node with
+    | Step_ok -> true
+    | code ->
+      ctx.halt code;
+      false
+
+(* The worker phase of a [jobs > 1] search, from the seeding phase's
+   frontier [seeds] (top first). Returns the best bound over the nodes
+   left open and the worker contexts. *)
+let run_workers env inc seeds =
   let opts = env.opts in
   let jobs = opts.jobs in
-  let tw0 = Trace.main opts.tracer in
-  let inc = new_incumbent () in
-  let nodes = Atomic.make 0 in
-  let bump () = Atomic.fetch_and_add nodes 1 + 1 in
-  (* 0 = running; 1 = node/time limit; 2 = unbounded; 3 = numeric. *)
-  let stop_flag = Atomic.make 0 in
-  let flag_stop code = ignore (Atomic.compare_and_set stop_flag 0 code) in
-  let over_limit () =
-    Atomic.get nodes >= opts.max_nodes || Mono.now () > env.deadline
-  in
-  (* Phase 1: depth-first seeding until the frontier can feed the crew. *)
-  let seed_dq : node Pool.Deque.t = Pool.Deque.create () in
-  let seed_ctx =
-    make_ctx env ~inc
-      ~push:(fun nd -> Pool.Deque.push seed_dq nd)
-      ~tw:tw0 ~det:false ~set_root:true ~bump ~local_best:Float.infinity
-  in
-  Pool.Deque.push seed_dq root_node;
-  if Trace.active tw0 then Trace.emit tw0 (Trace.Span_begin "seed");
-  let target = 4 * jobs in
-  (* Cap the seeding phase by processed nodes, not only frontier size:
-     on instances whose tree stays narrow near the root the frontier may
-     never reach [target], and without the cap the "parallel" search
-     would run entirely inside this sequential loop. *)
-  let seed_cap = 8 * jobs in
-  while
-    Atomic.get stop_flag = 0
-    && Metrics.count seed_ctx.msh C_nodes < seed_cap
-    &&
-    let l = Pool.Deque.length seed_dq in
-    l > 0 && l < target
-  do
-    match Pool.Deque.pop seed_dq with
-    | None -> assert false
-    | Some node ->
-      refix_root seed_ctx;
-      if over_limit () then begin
-        Pool.Deque.push seed_dq node;
-        flag_stop 1
-      end
-      else if node.n_bound >= cutoff seed_ctx then ()
-      else (
-        match process_node seed_ctx node with
-        | Step_ok -> ()
-        | Step_unbounded -> flag_stop 2
-        | Step_numeric ->
-          (* subtree stays open: keep it for the bound report *)
-          Pool.Deque.push seed_dq node;
-          flag_stop 3)
-  done;
-  if Trace.active tw0 then Trace.emit tw0 (Trace.Span_end "seed");
-  let seeds = Pool.Deque.to_list seed_dq in
-  let spawn_workers = Atomic.get stop_flag = 0 && seeds <> [] in
   let pool : node Pool.t option =
-    if spawn_workers && not opts.deterministic then begin
+    if opts.deterministic then None
+    else begin
       let p = Pool.create ~workers:jobs in
       (* bottom-first, so the pool pops the deepest seed first *)
       List.iter (Pool.push p) (List.rev seeds);
       Some p
     end
-    else None
+  in
+  let halt code =
+    flag_stop env code;
+    Option.iter Pool.stop pool
   in
   let det_best0 = Atomic.get inc.best_obj in
   let failure : exn option Atomic.t = Atomic.make None in
@@ -1201,10 +1145,7 @@ let solve_parallel env =
   in
   let mirrors =
     Array.init jobs (fun wi ->
-        Atomic.make
-          (List.fold_left
-             (fun acc (nd : node) -> Float.min acc nd.n_bound)
-             Float.infinity (deal wi)))
+        Atomic.make (List.fold_left min_bound Float.infinity (deal wi)))
   in
   (* Sampler-driven observability: open-node and pool-depth gauges from
      racy deque lengths, and the global dual bound as the min of the
@@ -1229,10 +1170,7 @@ let solve_parallel env =
             Float.infinity mirrors
         in
         let b =
-          match pool with
-          | Some p ->
-            Pool.fold (fun acc (nd : node) -> Float.min acc nd.n_bound) b p
-          | None -> b
+          match pool with Some p -> Pool.fold min_bound b p | None -> b
         in
         note_bound inc env b
       end);
@@ -1244,51 +1182,31 @@ let solve_parallel env =
        buffers' single writer for the whole search. *)
     let tw = Trace.make_writer opts.tracer (Printf.sprintf "worker %d" wi) in
     let ctx =
-      make_ctx env ~inc
-        ~push:(fun nd -> Pool.Deque.push local nd)
-        ~tw ~det:opts.deterministic ~set_root:false ~bump
+      make_ctx env ~inc ~push:(Pool.Deque.push local) ~halt ~tw
+        ~det:opts.deterministic ~set_root:false
         ~local_best:
           (if opts.deterministic then det_best0 else Float.infinity)
     in
     let msh = ctx.msh in
     let handle node =
       if sampled then
-        Atomic.set mirrors.(wi)
-          (Pool.Deque.fold
-             (fun acc (nd : node) -> Float.min acc nd.n_bound)
-             node.n_bound local);
-      if Atomic.get stop_flag <> 0 then Pool.Deque.push local node
-      else if over_limit () then begin
-        flag_stop 1;
-        Option.iter Pool.stop pool;
-        Pool.Deque.push local node
-      end
-      else if node.n_bound >= cutoff ctx then ()
-      else
-        match process_node ctx node with
-        | Step_ok -> (
-          match pool with
-          | Some p when Pool.Deque.length local > 1 ->
-            Metrics.incr msh C_pool_hungry_polls;
-            if Pool.hungry p then (
-              (* donate the bottom of the deque: the shallowest,
-                 largest open subtree this worker holds *)
-              match Pool.Deque.pop_bottom local with
-              | Some nd ->
-                Pool.push p nd;
-                Metrics.incr msh C_pool_handoffs
-              | None -> ())
-          | _ -> ())
-        | Step_unbounded ->
-          flag_stop 2;
-          Option.iter Pool.stop pool
-        | Step_numeric ->
-          flag_stop 3;
-          Option.iter Pool.stop pool;
-          Pool.Deque.push local node
+        Atomic.set mirrors.(wi) (Pool.Deque.fold min_bound node.n_bound local);
+      if run_node ctx node then
+        match pool with
+        | Some p when Pool.Deque.length local > 1 ->
+          Metrics.incr msh C_pool_hungry_polls;
+          if Pool.hungry p then (
+            (* donate the bottom of the deque: the shallowest, largest
+               open subtree this worker holds *)
+            match Pool.Deque.pop_bottom local with
+            | Some nd ->
+              Pool.push p nd;
+              Metrics.incr msh C_pool_handoffs
+            | None -> ())
+        | _ -> ()
     in
     let rec drive () =
-      if Atomic.get stop_flag <> 0 then ()
+      if stopped env then ()
       else
         match Pool.Deque.pop local with
         | Some node ->
@@ -1317,53 +1235,91 @@ let solve_parallel env =
     (try drive ()
      with e ->
        ignore (Atomic.compare_and_set failure None (Some e));
-       flag_stop 3;
-       Option.iter Pool.stop pool);
+       halt Step_numeric);
     if Trace.active tw then Trace.emit tw (Trace.Span_end "worker");
-    ( ctx,
-      Pool.Deque.fold (fun acc nd -> Float.min acc nd.n_bound) Float.infinity
-        local )
+    (ctx, Pool.Deque.fold min_bound Float.infinity local)
   in
   let rets =
-    if spawn_workers then
-      Array.map Domain.join
-        (Array.init jobs (fun wi -> Domain.spawn (worker wi)))
-    else [||] (* the search ended (or hit a limit) during seeding *)
-  in
-  (match Atomic.get failure with Some e -> raise e | None -> ());
-  (* Best bound over everything still open: leftover pool items, the
-     workers' leftover private deques, and — when the workers never ran
-     — the seed frontier itself. *)
-  let open_acc = ref Float.infinity in
-  (match pool with
-   | Some p ->
-     List.iter
-       (fun (nd : node) -> open_acc := Float.min !open_acc nd.n_bound)
-       (Pool.drain p)
-   | None ->
-     if not spawn_workers then
-       open_acc :=
-         Pool.Deque.fold (fun acc nd -> Float.min acc nd.n_bound) !open_acc seed_dq);
-  Array.iter (fun (_, o) -> open_acc := Float.min !open_acc o) rets;
-  let outcome =
-    match Atomic.get stop_flag with
-    | 2 -> Unbounded
-    | 0 -> (
-      match inc.best with
-      | Some (obj, x) -> Optimal { obj; x }
-      | None -> Infeasible)
-    | _ (* 1 = limit, 3 = numeric *) ->
-      Limit_reached { best = inc.best; bound = finitize !open_acc }
+    Array.map Domain.join (Array.init jobs (fun wi -> Domain.spawn (worker wi)))
   in
   polling := false;
-  let workers =
-    if spawn_workers then Array.map (fun (w, _) -> Some w) rets
-    else Array.make jobs None
+  (match Atomic.get failure with Some e -> raise e | None -> ());
+  (* Best bound over everything still open: leftover pool items and the
+     workers' leftover private deques. *)
+  let open_bound =
+    match pool with
+    | Some p -> List.fold_left min_bound Float.infinity (Pool.drain p)
+    | None -> Float.infinity
   in
-  (outcome, finish env inc outcome ~driver:seed_ctx ~workers)
+  ( Array.fold_left (fun acc (_, o) -> Float.min acc o) open_bound rets,
+    Array.map (fun (w, _) -> Some w) rets )
 
 let solve ?(options = default_options) lp =
   if options.jobs < 1 then invalid_arg "Branch_bound.solve: jobs < 1";
   let env = make_env options lp (Mono.now ()) in
-  Metrics.set_gauge env.reg G_workers (Float.of_int options.jobs);
-  if options.jobs = 1 then solve_sequential env else solve_parallel env
+  let jobs = options.jobs in
+  Metrics.set_gauge env.reg G_workers (Float.of_int jobs);
+  let tw = Trace.main options.tracer in
+  let inc = new_incumbent () in
+  let dq : node Pool.Deque.t = Pool.Deque.create () in
+  let ctx =
+    make_ctx env ~inc ~push:(Pool.Deque.push dq) ~halt:(flag_stop env) ~tw
+      ~det:false ~set_root:true ~local_best:Float.infinity
+  in
+  (* Open-node gauge for the metrics sampler while seeding runs: a racy
+     read of the deque's length from the snapshotting domain. [seeding]
+     fences the closure off once the phase ends, so a later snapshot
+     cannot clobber gauges the worker phase or the caller publish. *)
+  let seeding = ref true in
+  Metrics.on_snapshot env.reg (fun () ->
+      if !seeding then
+        Metrics.set_gauge env.reg G_open_nodes
+          (Float.of_int (Pool.Deque.length dq)));
+  Pool.Deque.push dq root_node;
+  let span = if jobs = 1 then "search" else "seed" in
+  if Trace.active tw then Trace.emit tw (Trace.Span_begin span);
+  (* At [jobs > 1] the phase ends once the frontier reaches [target],
+     or after [cap] nodes: on instances whose tree stays narrow near the
+     root the frontier may never reach [target], and without the cap
+     the "parallel" search would run entirely inside this loop. *)
+  let target, cap =
+    if jobs = 1 then (max_int, max_int) else (4 * jobs, 8 * jobs)
+  in
+  while
+    (not (stopped env))
+    && Metrics.count ctx.msh C_nodes < cap
+    &&
+    let l = Pool.Deque.length dq in
+    l > 0 && l < target
+  do
+    match Pool.Deque.pop dq with
+    | None -> assert false
+    | Some node ->
+      (* Dual-bound convergence sample: after the pop, the global lower
+         bound is the min over the remaining frontier and this node.
+         The fold walks the frontier, so sample on a cadence. *)
+      if Atomic.get env.nodes land 31 = 0 then
+        note_bound inc env (Pool.Deque.fold min_bound node.n_bound dq);
+      ignore (run_node ctx node)
+  done;
+  if Trace.active tw then Trace.emit tw (Trace.Span_end span);
+  seeding := false;
+  let open_bound, workers =
+    if stopped env || Pool.Deque.is_empty dq then
+      (* the search ended (or hit a limit) in the seeding phase, as it
+         always does at [jobs = 1] *)
+      ( Pool.Deque.fold min_bound Float.infinity dq,
+        if jobs = 1 then [||] else Array.make jobs None )
+    else run_workers env inc (Pool.Deque.to_list dq)
+  in
+  let outcome =
+    match Atomic.get env.stop with
+    | Step_ok -> (
+      match inc.best with
+      | Some (obj, x) -> Optimal { obj; x }
+      | None -> Infeasible)
+    | Step_unbounded -> Unbounded
+    | Step_limit | Step_numeric ->
+      Limit_reached { best = inc.best; bound = finitize open_bound }
+  in
+  (outcome, finish env inc outcome ~driver:ctx ~workers)

@@ -19,8 +19,14 @@
       alone would push the objective past the cutoff if it left its
       bound is fixed there for the whole subtree. The root duals are
       kept, so each improving incumbent re-fixes the root bounds too;
-      that happens on the sequential driver, or in the seeding phase
-      under [jobs > 1].
+      that happens in the seeding phase (the whole search at
+      [jobs = 1]).
+
+    A node is pruned when its bound comes within [1e-6] of the
+    incumbent. When the model says every solution's objective is an
+    integer (each variable with a nonzero objective coefficient is
+    integer, and that coefficient is integral), it is pruned once it
+    cannot beat the incumbent by a whole unit.
 
     The branching variable choice is pluggable, which is what the
     paper's Section 8 heuristic (branch on [y_tp] in topological
@@ -80,9 +86,6 @@ type options = {
   max_nodes : int;
   time_limit : float;  (** Wall-clock seconds; [infinity] disables. *)
   branch_rule : branch_rule option;
-  integral_objective : bool;
-      (** Set when every integer solution has an integral objective
-          value; enables the stronger [ceil] pruning cutoff. *)
   on_incumbent : (float -> float array -> unit) option;
       (** Called on every improving incumbent. *)
   warm_start : bool;
@@ -104,10 +107,14 @@ type options = {
           the node its LP; the [Lp_solution] call sees the same bounds
           and should only do what needs the LP point. *)
   jobs : int;
-      (** Worker domains for the tree search (default [1]). [jobs = 1]
-          is the sequential search: reproducible node counts and visit
-          order. With [jobs > 1] the search first seeds a
-          frontier sequentially, then spawns [jobs] domains, each with
+      (** Worker domains for the tree search (default [1]). The search
+          starts with a seeding phase on the caller's domain; at
+          [jobs = 1] that phase runs to the end and is the whole
+          search, with reproducible node counts and visit order, and no
+          domain is spawned. With [jobs > 1] the seeding phase stops
+          once its frontier can feed the crew (4 nodes per worker, or
+          after 8 evaluated nodes per worker), then [jobs] domains are
+          spawned, each with
           its {e own} {!Simplex} engine (ownership is enforced, see
           {!Simplex}), running depth-first on a private deque and
           sharing work through a common pool. The incumbent is shared:
@@ -151,9 +158,10 @@ type options = {
           records node open/close events (with parent ids and close
           reasons), LP solves, LU (re)factorizations, propagation runs
           and incumbents into per-domain single-writer
-          buffers: the sequential driver and the parallel seeding phase
-          write to the tracer's ["main"] track, and each worker domain
-          registers its own ["worker i"] track from inside its domain.
+          buffers: the seeding phase writes to the tracer's ["main"]
+          track, inside a ["search"] span at [jobs = 1] and a ["seed"]
+          span otherwise, and each worker domain registers its own
+          ["worker i"] track from inside its domain.
           Collect with {!Trace.collect} after {!solve} returns and
           export through {!Trace_export}. *)
   metrics : Metrics.t option;
@@ -161,18 +169,17 @@ type options = {
           private one). Every tally of the search — nodes, incumbents,
           LP work, deductions, hook calls, certification, pool traffic
           — is written once, into the per-domain single-writer shard of
-          the search context that did the work: the sequential driver,
-          the seeding phase and each worker (from inside its domain)
-          own one context each, and the context's simplex engine, LU
-          kernel and propagation runs count into its shard and emit
-          through the trace writer the shard carries. The
-          solve also publishes gauges (open nodes, pool depth, best
-          dual bound, incumbent objective, worker count) for a snapshot
-          poller. {!stats} is a view of one snapshot of the solve's
+          the search context that did the work: the seeding phase and
+          each worker (from inside its domain) own one context each,
+          and the context's simplex engine, LU kernel and propagation
+          runs count into its shard and emit through the trace writer
+          the shard carries. The solve also publishes gauges (open
+          nodes, pool depth, best dual bound, incumbent objective,
+          worker count) for a snapshot poller. {!stats} is a view of one snapshot of the solve's
           shards taken after the workers joined, so with a registry of
           its own the caller's final {!Metrics.snapshot} equals it
           exactly. A caller's registry also drives the sampled part of
-          {!stats.bound_timeline} for [jobs > 1]. *)
+          {!stats.bound_timeline} in the worker phase. *)
 }
 
 val default_options : options
@@ -185,7 +192,10 @@ type outcome =
   | Infeasible
   | Unbounded
   | Limit_reached of { best : (float * float array) option; bound : float }
-      (** Node or time limit hit. [best] is the incumbent so far;
+      (** Node or time limit hit, or a node the search cannot settle
+          soundly: an LP iteration limit without a residual
+          certificate, or an integral LP point the incumbent
+          feasibility guard rejects. [best] is the incumbent so far;
           [bound] is a valid global lower bound. *)
 
 type worker_stats = {
@@ -207,8 +217,8 @@ type deduction_stats = {
   prop_prunes : int;  (** Nodes pruned by propagation before any pivot. *)
   prop_seconds : float;
       (** Wall-clock seconds spent in node propagation, summed over the
-          search contexts (the sequential driver, or the seeding phase
-          plus every worker when [jobs > 1]). *)
+          search contexts (the seeding phase, plus every worker when
+          [jobs > 1]). *)
   hook_calls : int;
       (** Calls of [options.node_hook] at either {!hook_point}, so up
           to two per node, summed over the search contexts like
@@ -275,8 +285,8 @@ type stats = {
           engine's. *)
   workers : worker_stats array;
       (** One row per worker domain when [jobs > 1] (all-zero rows when
-          the search already finished during sequential seeding); empty
-          for [jobs = 1]. *)
+          the search already stopped in the seeding phase); empty for
+          [jobs = 1]. *)
   deductions : deduction_stats;
       (** Node-deduction counters and the node hook's calls and
           time. *)
@@ -303,11 +313,11 @@ type stats = {
           increasing in both fields. The last entry is authoritative —
           it is the outcome's bound (the objective itself on
           {!Optimal}), so the final gap is reconstructible from the two
-          timelines. Interior entries are sampled: every 32 nodes on
-          the sequential driver; from the metrics snapshot poller when
-          [jobs > 1] (without metrics a parallel timeline holds only
-          the final entry). Empty when the search proves infeasibility
-          or unboundedness. *)
+          timelines. Interior entries are sampled: every 32 nodes in the
+          seeding phase (the whole search at [jobs = 1]), then from the
+          metrics snapshot poller in the worker phase (without metrics
+          it adds none). Empty when the search proves infeasibility or
+          unboundedness. *)
 }
 
 val empty_stats : stats

@@ -12,7 +12,7 @@ type t = {
 let comm_cost_of_partition spec partition_of =
   List.fold_left
     (fun acc (t1, t2, bw) ->
-      if partition_of.(t1) <> partition_of.(t2) then acc + bw else acc)
+      acc + (bw * abs (partition_of.(t2) - partition_of.(t1))))
     0
     (G.task_edges spec.Spec.graph)
 

@@ -32,9 +32,12 @@ val extract : Vars.t -> float array -> t
     {!Ilp.Branch_bound.solve}). *)
 
 val comm_cost_of_partition : Spec.t -> int array -> int
-(** Design cost ({!t}[.comm_cost]: once per crossing edge) implied by
-    a task-to-partition map alone. Not eq. 14's objective, which
-    charges once per spanned boundary. *)
+(** Design cost ({!t}[.comm_cost]) implied by a task-to-partition map
+    alone: each task edge's bandwidth times the number of partition
+    boundaries between its endpoints. On a map that respects eq. 2 this
+    is eq. 14's objective, [sum bw * (p(t2) - p(t1))], and it is how
+    eq. 3 counts the edge's scratch memory: once at every boundary it
+    spans. *)
 
 val to_vector : Vars.t -> t -> float array
 (** Full model-variable assignment realizing the design: primary

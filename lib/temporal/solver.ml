@@ -171,7 +171,6 @@ let solve ?(strategy = Branching.Paper) ?(time_limit = Float.infinity)
       Bb.branch_rule = Some (Branching.rule strategy vars);
       time_limit;
       max_nodes;
-      integral_objective = true;
       node_hook =
         (if scheduler_completion then Some (scheduler_hook ~deadline vars)
          else None);

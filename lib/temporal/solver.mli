@@ -2,9 +2,10 @@
 
     Thin orchestration over {!Ilp.Branch_bound} (whose search is the
     paper's depth-first, value-1-first order): installs the chosen
-    branching strategy, enables integral-objective pruning (bandwidths
-    are integers), and turns the raw solver vector into a validated
-    {!Solution.t}. *)
+    branching strategy and the completion hook, and turns the raw
+    solver vector into a validated {!Solution.t}. Eq. 14 sums integer
+    bandwidths over binary variables, so the search prunes by whole
+    units of cost. *)
 
 type outcome =
   | Feasible of Solution.t  (** Proven optimal. *)
@@ -20,11 +21,10 @@ type report = {
   constrs : int;  (** Model size: constraints ("Const" column). *)
   stats : Ilp.Branch_bound.stats;
   objective : float option;
-      (** Optimal model objective when [Feasible]: eq. 14, which
+      (** Model objective of the design found, if any: eq. 14, which
           charges an edge's bandwidth once per partition boundary it
-          spans, [sum bw * (p(t2) - p(t1))]. This can exceed the
-          design's {!Solution.t}[.comm_cost], which charges it once per
-          crossing edge. *)
+          spans, [sum bw * (p(t2) - p(t1))]. It equals the design's
+          {!Solution.t}[.comm_cost]. *)
 }
 
 val scheduler_hook :

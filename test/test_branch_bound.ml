@@ -69,6 +69,12 @@ let test_general_integer () =
     check_float "b" 4. x.((b :> int))
   | o, _ -> Alcotest.failf "unexpected %a" Bb.pp_outcome o
 
+(* The limit path, at jobs 1 on the 12-item knapsack: the incumbent,
+   the bound over the open nodes (the node the limit stopped on
+   included) and the bound timeline's last entry, per node limit. The
+   values are 7-11 and so integral: a node is pruned once it cannot
+   beat the incumbent by a whole unit, which closes the tree at its
+   17th node. *)
 let test_node_limit () =
   let lp, _ =
     knapsack
@@ -76,14 +82,61 @@ let test_node_limit () =
       (Array.init 12 (fun i -> Float.of_int (3 + (i mod 7))))
       17.
   in
-  let options = { Bb.default_options with Bb.max_nodes = 1 } in
-  match Bb.solve ~options lp with
-  | Bb.Limit_reached _, stats ->
-    Alcotest.(check bool) "few nodes" true (stats.Bb.nodes <= 1)
-  | Bb.Optimal _, _ ->
-    (* a 1-node optimum is possible only if the relaxation was integral;
-       with these weights it is not *)
-    Alcotest.fail "expected node limit"
+  List.iter
+    (fun (max_nodes, best, bound) ->
+      let options = { Bb.default_options with Bb.max_nodes } in
+      let outcome, stats = Bb.solve ~options lp in
+      let name = Printf.sprintf "max_nodes %d: %s" max_nodes in
+      let last =
+        match stats.Bb.bound_timeline with
+        | [||] -> Float.nan
+        | bt -> snd bt.(Array.length bt - 1)
+      in
+      Alcotest.(check int)
+        (name "no workers") 0
+        (Array.length stats.Bb.workers);
+      Alcotest.(check int) (name "nodes") max_nodes stats.Bb.nodes;
+      check_float (name "last bound_timeline entry") bound last;
+      match outcome with
+      | Bb.Limit_reached { best = b; bound = got } ->
+        Alcotest.(check (option (float 1e-6)))
+          (name "incumbent") best (Option.map fst b);
+        check_float (name "bound") bound got
+      | Bb.Optimal { obj; _ } when max_nodes = 17 ->
+        Alcotest.(check (option (float 1e-6))) (name "optimum") best (Some obj)
+      | o ->
+        Alcotest.failf "max_nodes %d: unexpected %a" max_nodes Bb.pp_outcome
+          o)
+    [
+      (1, None, -41.);
+      (2, None, -41.);
+      (5, Some (-36.), -41.);
+      (16, Some (-39.), -40.6);
+      (17, Some (-39.), -39.);
+    ]
+
+(* An integral LP point that breaks a row by more than the incumbent
+   guard's 1e-5 is no incumbent. At 1e12 the float spacing is 1.2e-4, so
+   the LP's y2 rounds to y1 and y1 - y2 = 3e-5 reads 0; z is integral at
+   the LP optimum, so there is nothing to branch on either. The search
+   reports a limit, never that point as an optimum, with the root LP's
+   objective as its bound. *)
+let test_rejected_integral_point () =
+  let lp = Lp.create () in
+  let y1 = Lp.add_var lp ~lb:1e12 Lp.Continuous in
+  let y2 = Lp.add_var lp Lp.Continuous in
+  let z = Lp.add_var lp Lp.Binary in
+  ignore (Lp.add_constr lp [ (1., y1); (-1., y2) ] Lp.Eq 3e-5);
+  Lp.set_objective lp [ (1., y1); (1., z) ];
+  match Bb.solve lp with
+  | Bb.Limit_reached { best = None; bound }, stats ->
+    Alcotest.(check int) "one node" 1 stats.Bb.nodes;
+    check_float "bound is the root LP objective" 1e12 bound;
+    Alcotest.(check bool) "closed as numeric" true
+      (Array.exists
+         (fun (r : Ilp.Metrics.node_lp_row) ->
+           r.Ilp.Metrics.nl_reason = "numeric" && r.Ilp.Metrics.nl_nodes = 1)
+         stats.Bb.node_lps)
   | o, _ -> Alcotest.failf "unexpected %a" Bb.pp_outcome o
 
 let test_custom_branch_rule () =
@@ -199,8 +252,9 @@ let prop_warm_equals_cold =
 (* The node counts of the default search (bound deltas, parent basis
    warm starts, propagation and reduced-cost fixing at every node) are
    pinned. The counts are those of the single LP engine (devex pricing,
-   bound-flipping dual ratio test, bucket LU); a change here means the
-   search, its deductions or the node LPs' vertices drifted. The
+   bound-flipping dual ratio test, bucket LU) with the whole-unit cutoff
+   these integral objectives earn; a change here means the search, its
+   deductions or the node LPs' vertices drifted. The
    objectives are the true optima and must never change. *)
 let test_default_node_counts_frozen () =
   List.iter
@@ -223,7 +277,7 @@ let test_default_node_counts_frozen () =
     [
       ( "default",
         Bb.default_options,
-        [ (21, 25, 1.); (25, 17, 10.); (33, 17, 5.); (59, 19, 20.) ] );
+        [ (21, 23, 1.); (25, 17, 10.); (33, 13, 5.); (59, 18, 20.) ] );
     ]
 
 (* A backtracking sequential search reinstalls the parent's basis for
@@ -581,6 +635,8 @@ let () =
           Alcotest.test_case "integrality gap" `Quick test_integrality_gap;
           Alcotest.test_case "general integer" `Quick test_general_integer;
           Alcotest.test_case "node limit" `Quick test_node_limit;
+          Alcotest.test_case "rejected integral point is no incumbent" `Quick
+            test_rejected_integral_point;
           Alcotest.test_case "custom branch rule" `Quick
             test_custom_branch_rule;
           Alcotest.test_case "incumbent callback" `Quick

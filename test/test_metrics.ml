@@ -323,8 +323,11 @@ let sample_lp () =
        Ilp.Lp.Le 1.);
   lp
 
-(* A knapsack with a few side rows: a tree of a few hundred nodes that
-   keeps both deterministic workers busy past the seeding phase. *)
+(* A knapsack with a few side rows: a tree of about a hundred nodes that
+   keeps both deterministic workers busy past the seeding phase. The
+   values are halved, so not all of them are integers and the search
+   prunes with its fine cutoff, not the whole-unit one that would
+   shrink the tree. *)
 let knapsack_lp () =
   let lp = Ilp.Lp.create () in
   let n = 30 in
@@ -332,7 +335,9 @@ let knapsack_lp () =
   let w i = Float.of_int (3 + ((i * 7) mod 11)) in
   Ilp.Lp.set_objective lp ~maximize:true
     (Array.to_list
-       (Array.mapi (fun i x -> (w i +. Float.of_int ((i * 5) mod 4), x)) xs));
+       (Array.mapi
+          (fun i x -> ((w i +. Float.of_int ((i * 5) mod 4)) /. 2., x))
+          xs));
   ignore
     (Ilp.Lp.add_constr lp
        (Array.to_list (Array.mapi (fun i x -> (w i, x)) xs))
