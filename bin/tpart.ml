@@ -945,7 +945,8 @@ let trace_validate_cmd =
        ~doc:
          "Check a trace against the event schema and the stream \
           invariants (per-writer monotone timestamps, dense sequence \
-          numbers, matched node open/close); exits 1 on any violation.")
+          numbers, matched node open/close, properly nested phase \
+          spans); exits 1 on any violation.")
     Term.(const run $ trace_file_arg)
 
 let trace_cmd =

@@ -11,7 +11,7 @@ type hook_result =
   | Hook_incumbent of float array
   | Hook_prune
   | Hook_incumbent_and_prune of float array
-  | Hook_gave_up
+  | Hook_gave_up of string
 
 type certify_level = Cert_off | Cert_root | Cert_incumbents | Cert_all
 
@@ -570,8 +570,12 @@ let run_hook ctx ~node_no ~depth point ~is_fixed =
         Metrics.add_sum ctx.msh S_hook_seconds (Mono.elapsed_since t);
         match r with
         | Hook_none -> false
-        | Hook_gave_up ->
+        | Hook_gave_up what ->
           Metrics.incr ctx.msh C_hook_give_ups;
+          Log.info (fun f -> f "hook gave up at node %d: %s" node_no what);
+          let tw = Metrics.writer ctx.msh in
+          if Trace.active tw then
+            Trace.emit tw (Trace.Hook_give_up { node = node_no; what });
           false
         | Hook_incumbent v ->
           ignore

@@ -64,11 +64,12 @@ type hook_result =
           re-verified against the model before acceptance). *)
   | Hook_prune  (** Discard this subtree: no better solution lies below. *)
   | Hook_incumbent_and_prune of float array
-  | Hook_gave_up
-      (** The hook could not decide within its budget or deadline. Acts
-          like [Hook_none], and is counted in
-          {!deduction_stats.hook_give_ups}, so a hook that degrades
-          never does so silently. *)
+  | Hook_gave_up of string
+      (** The hook could not decide within its budget or deadline; the
+          string says what it gave up on. Acts like [Hook_none], is
+          counted in {!deduction_stats.hook_give_ups}, logged at info
+          level and traced as a {!Trace.Hook_give_up} event, so a hook
+          that degrades never does so silently. *)
 
 type certify_level =
   | Cert_off  (** No exact checking (default). *)

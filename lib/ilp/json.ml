@@ -252,3 +252,26 @@ let int = function
   | _ -> None
 
 let bool = function Bool b -> Some b | _ -> None
+
+(* ------------------------------------------------------------------ *)
+(* JSONL files                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let load_lines ?hint path decode =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error e -> Error e
+  | text ->
+    let rec go n acc = function
+      | [] -> Ok (List.rev acc)
+      | line :: rest when String.trim line = "" -> go (n + 1) acc rest
+      | line :: rest -> (
+        let fail e = Error (Printf.sprintf "line %d: %s" n e) in
+        match parse line with
+        | Error e ->
+          fail (match hint with None -> e | Some h -> Printf.sprintf "%s (%s)" e h)
+        | Ok j -> (
+          match decode j with
+          | Ok x -> go (n + 1) (x :: acc) rest
+          | Error e -> fail e))
+    in
+    go 1 [] (String.split_on_char '\n' text)

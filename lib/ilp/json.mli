@@ -37,3 +37,11 @@ val str : t -> string option
 val num : t -> float option
 val int : t -> int option
 val bool : t -> bool option
+
+val load_lines :
+  ?hint:string -> string -> (t -> ('a, string) result) -> ('a list, string) result
+(** Reads a JSONL file: one document per line, decoded by [decode], in
+    file order; blank lines are skipped. An error names the first
+    offending physical line (1-based) as ["line N: …"]; [hint], in
+    parentheses, follows the message of a line that is not JSON. An
+    unreadable file gives its [Sys_error] message. *)

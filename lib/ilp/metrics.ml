@@ -192,7 +192,7 @@ type shard = {
   hs : float array;  (* per-histogram duration sums *)
   hm : float array;  (* per-histogram maxima *)
   mutable nl_n : int;
-  mutable nl_reason : int array;  (* index into [reasons] *)
+  mutable nl_reason : int array;  (* index into [Trace.close_reasons] *)
   mutable nl_pivots : int array;
   mutable nl_seconds : float array;
 }
@@ -268,28 +268,6 @@ let on_snapshot l f = Mutex.protect l.lock (fun () -> l.polls <- f :: l.polls)
 
 (* ---------------- per-node LP samples ---------------- *)
 
-let reasons =
-  [|
-    Trace.Branched { var = 0; frac = 0. };
-    Trace.Integral;
-    Trace.Infeasible_node;
-    Trace.Bound_pruned;
-    Trace.Hook_pruned;
-    Trace.Prop_pruned;
-    Trace.Unbounded_node;
-    Trace.Numeric;
-  |]
-
-let reason_code = function
-  | Trace.Branched _ -> 0
-  | Trace.Integral -> 1
-  | Trace.Infeasible_node -> 2
-  | Trace.Bound_pruned -> 3
-  | Trace.Hook_pruned -> 4
-  | Trace.Prop_pruned -> 5
-  | Trace.Unbounded_node -> 6
-  | Trace.Numeric -> 7
-
 let node_lp b reason ~pivots ~seconds =
   let n = b.nl_n in
   if n = Array.length b.nl_pivots then begin
@@ -303,7 +281,7 @@ let node_lp b reason ~pivots ~seconds =
     b.nl_pivots <- grow b.nl_pivots 0;
     b.nl_seconds <- grow b.nl_seconds 0.
   end;
-  b.nl_reason.(n) <- reason_code reason;
+  b.nl_reason.(n) <- Trace.reason_index reason;
   b.nl_pivots.(n) <- pivots;
   b.nl_seconds.(n) <- seconds;
   b.nl_n <- n + 1
@@ -319,11 +297,11 @@ type node_lp_row = {
 }
 
 (* The one distribution function behind both tables: [iter f] calls
-   [f code pivots seconds] once per sample, [code] a [reason_code]. One
-   pass builds per-reason pivot lists and second sums; slot
-   [Array.length reasons] is "all". *)
+   [f code pivots seconds] once per sample, [code] a
+   [Trace.reason_index]. One pass builds per-reason pivot lists and
+   second sums; slot [Array.length Trace.close_reasons] is "all". *)
 let distribution iter =
-  let nr = Array.length reasons in
+  let nr = Array.length Trace.close_reasons in
   let piv = Array.make (nr + 1) [] and secs = Array.make (nr + 1) 0. in
   let note r p s =
     piv.(r) <- p :: piv.(r);
@@ -355,11 +333,11 @@ let distribution iter =
   Array.of_list
     (List.filter_map Fun.id
        (row nr "all"
-       :: List.init nr (fun r -> row r (Trace.reason_name reasons.(r)))))
+       :: List.init nr (fun r -> row r (snd Trace.close_reasons.(r)))))
 
 let node_lp_rows samples =
   distribution (fun f ->
-      List.iter (fun (reason, p, s) -> f (reason_code reason) p s) samples)
+      List.iter (fun (reason, p, s) -> f (Trace.reason_index reason) p s) samples)
 
 let node_lp_table shards =
   distribution (fun f ->

@@ -203,25 +203,7 @@ let write_jsonl oc s =
   output_string oc (Json.to_string (snapshot_to_json s));
   output_char oc '\n'
 
-let load path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | exception Sys_error e -> Error e
-  | contents ->
-    let lines =
-      String.split_on_char '\n' contents
-      |> List.filter (fun l -> String.trim l <> "")
-    in
-    let rec go i acc = function
-      | [] -> Ok (List.rev acc)
-      | l :: rest -> (
-        match Json.parse l with
-        | Error e -> Error (Printf.sprintf "line %d: %s" i e)
-        | Ok j -> (
-          match snapshot_of_json j with
-          | Error e -> Error (Printf.sprintf "line %d: %s" i e)
-          | Ok s -> go (i + 1) (s :: acc) rest))
-    in
-    go 1 [] lines
+let load path = Json.load_lines path snapshot_of_json
 
 let check snaps =
   let* () = if snaps = [] then Error "empty snapshot stream" else Ok () in

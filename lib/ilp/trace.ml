@@ -31,6 +31,7 @@ type event =
   | Prop_run of { steps : int; fixings : int; conflict : bool }
   | Incumbent of { node : int; obj : float; source : incumbent_source }
   | Cert_check of { node : int; verdict : cert_verdict; kind : string; dt : float }
+  | Hook_give_up of { node : int; what : string }
   | Span_begin of string
   | Span_end of string
 
@@ -179,63 +180,106 @@ let collect t =
       out;
     out
 
-let lp_kind_name = function Lp_primal -> "primal" | Lp_dual -> "dual"
+(* Each enum's one (constructor, name) table, in declaration order:
+   the names and their inverse are both read off it. *)
+let lp_kinds = [| (Lp_primal, "primal"); (Lp_dual, "dual") |]
 
-let trigger_name = function
-  | Rf_eta -> "eta"
-  | Rf_numeric -> "numeric"
-  | Rf_residual -> "residual"
+let triggers =
+  [| (Rf_eta, "eta"); (Rf_numeric, "numeric"); (Rf_residual, "residual") |]
 
-let cert_verdict_name = function
-  | Cert_certified -> "certified"
-  | Cert_refuted -> "refuted"
-  | Cert_uncertifiable -> "uncertifiable"
+let close_reasons =
+  [|
+    (Branched { var = 0; frac = 0. }, "branched");
+    (Integral, "integral");
+    (Infeasible_node, "infeasible");
+    (Bound_pruned, "bound");
+    (Hook_pruned, "hook");
+    (Prop_pruned, "propagation");
+    (Unbounded_node, "unbounded");
+    (Numeric, "numeric");
+  |]
 
-let incumbent_source_name = function
-  | Src_search -> "search"
-  | Src_hook -> "hook"
+let cert_verdicts =
+  [|
+    (Cert_certified, "certified");
+    (Cert_refuted, "refuted");
+    (Cert_uncertifiable, "uncertifiable");
+  |]
 
-let incumbent_source_of_name = function
-  | "search" -> Some Src_search
-  | "hook" -> Some Src_hook
-  | _ -> None
+let incumbent_sources = [| (Src_search, "search"); (Src_hook, "hook") |]
 
-let reason_name = function
-  | Branched _ -> "branched"
-  | Integral -> "integral"
-  | Infeasible_node -> "infeasible"
-  | Bound_pruned -> "bound"
-  | Hook_pruned -> "hook"
-  | Prop_pruned -> "propagation"
-  | Unbounded_node -> "unbounded"
-  | Numeric -> "numeric"
+(* Position of [x] in [table]; only [Branched] carries a payload, so a
+   structural match finds every other constructor. *)
+let index table x =
+  let rec go i = if fst table.(i) = x then i else go (i + 1) in
+  go 0
 
-let pp_event ppf = function
+let reason_index = function Branched _ -> 0 | r -> index close_reasons r
+let lp_kind_name k = snd lp_kinds.(index lp_kinds k)
+let trigger_name t = snd triggers.(index triggers t)
+let reason_name r = snd close_reasons.(reason_index r)
+let cert_verdict_name v = snd cert_verdicts.(index cert_verdicts v)
+let incumbent_source_name s = snd incumbent_sources.(index incumbent_sources s)
+
+let of_name table name =
+  Array.find_map (fun (x, n) -> if String.equal n name then Some x else None) table
+
+type field =
+  | Int of int
+  | Float of float
+  | Nullable of float
+  | Str of string
+  | Bool of bool
+
+let fields = function
   | Node_open { id; parent; depth; bound } ->
-    Format.fprintf ppf "node_open id=%d parent=%d depth=%d bound=%g" id parent
-      depth bound
+    ( "node_open",
+      [
+        ("id", Int id); ("parent", Int parent); ("depth", Int depth); ("bound", Float bound);
+      ] )
   | Node_close { id; obj; reason } ->
-    Format.fprintf ppf "node_close id=%d obj=%g reason=%s" id obj
-      (reason_name reason)
+    ( "node_close",
+      [ ("id", Int id); ("obj", Nullable obj); ("reason", Str (reason_name reason)) ]
+      @
+      match reason with
+      | Branched { var; frac } -> [ ("var", Int var); ("frac", Float frac) ]
+      | _ -> [] )
   | Lp_solve { kind; pivots; flips; obj; primal_res; dual_res; dt } ->
-    Format.fprintf ppf
-      "lp_solve kind=%s pivots=%d flips=%d obj=%g primal_res=%.2e \
-       dual_res=%.2e dt=%.3es"
-      (lp_kind_name kind) pivots flips obj primal_res dual_res dt
+    ( "lp_solve",
+      [
+        ("kind", Str (lp_kind_name kind));
+        ("pivots", Int pivots);
+        ("flips", Int flips);
+        ("obj", Nullable obj);
+        ("primal_res", Float primal_res);
+        ("dual_res", Float dual_res);
+        ("dt", Float dt);
+      ] )
   | Lu_factor { m; fill; probes; dt } ->
-    Format.fprintf ppf "lu_factor m=%d fill=%d probes=%d dt=%.3es" m fill
-      probes dt
+    ( "lu_factor",
+      [ ("m", Int m); ("fill", Int fill); ("probes", Int probes); ("dt", Float dt) ]
+    )
   | Lu_refactor { trigger; etas } ->
-    Format.fprintf ppf "lu_refactor trigger=%s etas=%d" (trigger_name trigger)
-      etas
+    ("lu_refactor", [ ("trigger", Str (trigger_name trigger)); ("etas", Int etas) ])
   | Prop_run { steps; fixings; conflict } ->
-    Format.fprintf ppf "prop_run steps=%d fixings=%d conflict=%b" steps fixings
-      conflict
+    ( "prop_run",
+      [ ("steps", Int steps); ("fixings", Int fixings); ("conflict", Bool conflict) ] )
   | Incumbent { node; obj; source } ->
-    Format.fprintf ppf "incumbent node=%d obj=%g source=%s" node obj
-      (incumbent_source_name source)
+    ( "incumbent",
+      [
+        ("node", Int node);
+        ("obj", Float obj);
+        ("source", Str (incumbent_source_name source));
+      ] )
   | Cert_check { node; verdict; kind; dt } ->
-    Format.fprintf ppf "cert_check node=%d verdict=%s kind=%s dt=%.3es" node
-      (cert_verdict_name verdict) kind dt
-  | Span_begin name -> Format.fprintf ppf "span_begin %s" name
-  | Span_end name -> Format.fprintf ppf "span_end %s" name
+    ( "cert_check",
+      [
+        ("node", Int node);
+        ("verdict", Str (cert_verdict_name verdict));
+        ("kind", Str kind);
+        ("dt", Float dt);
+      ] )
+  | Hook_give_up { node; what } ->
+    ("hook_give_up", [ ("node", Int node); ("what", Str what) ])
+  | Span_begin name -> ("span_begin", [ ("name", Str name) ])
+  | Span_end name -> ("span_end", [ ("name", Str name) ])

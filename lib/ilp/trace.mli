@@ -101,6 +101,11 @@ type event =
           [kind] the certificate detail family (["exact_optimum"],
           ["farkas_proof"], …) and [dt] the seconds spent in rational
           arithmetic. *)
+  | Hook_give_up of { node : int; what : string }
+      (** The completion hook could not decide within its budget or
+          deadline at processed node [node]; [what] is the hook's own
+          description of what it gave up on (for the scheduler hook,
+          the partition map and the backtrack budget). *)
   | Span_begin of string
   | Span_end of string
       (** Named phase spans (seed / search / worker / presolve / …);
@@ -158,17 +163,45 @@ val collect : t -> record array
 (** Merges every writer's buffer, sorted by [(ts, dom, seq)]. Call only
     after all writers have quiesced (e.g. worker domains joined). *)
 
-val pp_event : Format.formatter -> event -> unit
-(** One-line human rendering (used by logs and tests). *)
+(** {1 Schema}
 
-(** {1 Canonical names} — shared by the sinks and the schema validator
-    so every rendering of a trace agrees on the vocabulary. *)
+    Each event's payload is one ordered field list ({!fields}), which
+    the JSONL writer and the Chrome [args] of {!Trace_export} both
+    read. A new field is one entry there and one line of the decoder
+    ([Trace_export.record_of_json]); a new event is one case in each,
+    and its Chrome shape. *)
+
+type field =
+  | Int of int
+  | Float of float
+  | Nullable of float  (** [nan] renders as null. *)
+  | Str of string
+  | Bool of bool
+
+val fields : event -> string * (string * field) list
+(** The event's type name ([node_open], [lp_solve], …) and its payload
+    fields in output order. *)
+
+(** {1 Canonical names}
+
+    Each enum has one [(constructor, name)] table in declaration order;
+    the [*_name] functions and the decoders' inverse ({!of_name}) both
+    read it. [close_reasons] holds [Branched] with a dummy payload. *)
+
+val lp_kinds : (lp_kind * string) array
+val triggers : (refactor_trigger * string) array
+val close_reasons : (close_reason * string) array
+val cert_verdicts : (cert_verdict * string) array
+val incumbent_sources : (incumbent_source * string) array
+
+val of_name : ('a * string) array -> string -> 'a option
+(** The constructor a table names; [None] on unknown names. *)
+
+val reason_index : close_reason -> int
+(** The reason's position in {!close_reasons}. *)
 
 val lp_kind_name : lp_kind -> string
 val trigger_name : refactor_trigger -> string
 val reason_name : close_reason -> string
 val cert_verdict_name : cert_verdict -> string
 val incumbent_source_name : incumbent_source -> string
-
-val incumbent_source_of_name : string -> incumbent_source option
-(** Inverse of {!incumbent_source_name}; [None] on unknown names. *)

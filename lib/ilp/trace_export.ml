@@ -5,90 +5,26 @@
 let num v = Json.Num v
 let inum i = Json.Num (float_of_int i)
 
+let field_json = function
+  | Trace.Int i -> inum i
+  | Float f -> num f
+  | Nullable f -> if Float.is_nan f then Json.Null else num f
+  | Str s -> Json.Str s
+  | Bool b -> Json.Bool b
+
+let payload fields = List.map (fun (k, f) -> (k, field_json f)) fields
+
 let record_to_json (r : Trace.record) =
-  let payload =
-    match r.ev with
-    | Trace.Node_open { id; parent; depth; bound } ->
-      [
-        ("type", Json.Str "node_open");
-        ("id", inum id);
-        ("parent", inum parent);
-        ("depth", inum depth);
-        ("bound", num bound);
-      ]
-    | Node_close { id; obj; reason } ->
-      let branch =
-        match reason with
-        | Branched { var; frac } -> [ ("var", inum var); ("frac", num frac) ]
-        | _ -> []
-      in
-      [
-        ("type", Json.Str "node_close");
-        ("id", inum id);
-        ("obj", if Float.is_nan obj then Json.Null else num obj);
-        ("reason", Json.Str (Trace.reason_name reason));
-      ]
-      @ branch
-    | Lp_solve { kind; pivots; flips; obj; primal_res; dual_res; dt } ->
-      [
-        ("type", Json.Str "lp_solve");
-        ("kind", Json.Str (Trace.lp_kind_name kind));
-        ("pivots", inum pivots);
-        ("flips", inum flips);
-        ("obj", if Float.is_nan obj then Json.Null else num obj);
-        ("primal_res", num primal_res);
-        ("dual_res", num dual_res);
-        ("dt", num dt);
-      ]
-    | Lu_factor { m; fill; probes; dt } ->
-      [
-        ("type", Json.Str "lu_factor");
-        ("m", inum m);
-        ("fill", inum fill);
-        ("probes", inum probes);
-        ("dt", num dt);
-      ]
-    | Lu_refactor { trigger; etas } ->
-      [
-        ("type", Json.Str "lu_refactor");
-        ("trigger", Json.Str (Trace.trigger_name trigger));
-        ("etas", inum etas);
-      ]
-    | Prop_run { steps; fixings; conflict } ->
-      [
-        ("type", Json.Str "prop_run");
-        ("steps", inum steps);
-        ("fixings", inum fixings);
-        ("conflict", Json.Bool conflict);
-      ]
-    | Incumbent { node; obj; source } ->
-      [
-        ("type", Json.Str "incumbent");
-        ("node", inum node);
-        ("obj", num obj);
-        ("source", Json.Str (Trace.incumbent_source_name source));
-      ]
-    | Cert_check { node; verdict; kind; dt } ->
-      [
-        ("type", Json.Str "cert_check");
-        ("node", inum node);
-        ("verdict", Json.Str (Trace.cert_verdict_name verdict));
-        ("kind", Json.Str kind);
-        ("dt", num dt);
-      ]
-    | Span_begin name ->
-      [ ("type", Json.Str "span_begin"); ("name", Json.Str name) ]
-    | Span_end name ->
-      [ ("type", Json.Str "span_end"); ("name", Json.Str name) ]
-  in
+  let ty, fields = Trace.fields r.ev in
   Json.Obj
     ([
        ("ts", num r.ts);
        ("dom", inum r.dom);
        ("w", Json.Str r.dname);
        ("seq", inum r.seq);
+       ("type", Json.Str ty);
      ]
-    @ payload)
+    @ payload fields)
 
 (* Field accessors that name the offending field on failure. *)
 exception Bad of string
@@ -125,51 +61,18 @@ let req_bool j k =
 let nullable_num j k =
   match Json.member k j with
   | None | Some Json.Null -> Float.nan
-  | Some v -> (
-    match Json.num v with
-    | Some f -> f
-    | None -> raise (Bad (Printf.sprintf "field %S is not a number" k)))
+  | Some _ -> req_num j k
 
-let lp_kind_of_name = function
-  | "primal" -> Trace.Lp_primal
-  | "dual" -> Trace.Lp_dual
-  | s -> raise (Bad (Printf.sprintf "unknown lp kind %S" s))
-
-let trigger_of_name = function
-  | "eta" -> Trace.Rf_eta
-  | "numeric" -> Trace.Rf_numeric
-  | "residual" -> Trace.Rf_residual
-  | s -> raise (Bad (Printf.sprintf "unknown refactor trigger %S" s))
-
-let reason_of_json j =
-  match req_str j "reason" with
-  | "branched" ->
-    Trace.Branched { var = req_int j "var"; frac = req_num j "frac" }
-  | "integral" -> Trace.Integral
-  | "infeasible" -> Trace.Infeasible_node
-  | "bound" -> Trace.Bound_pruned
-  | "hook" -> Trace.Hook_pruned
-  | "propagation" -> Trace.Prop_pruned
-  | "unbounded" -> Trace.Unbounded_node
-  | "numeric" -> Trace.Numeric
-  | s -> raise (Bad (Printf.sprintf "unknown close reason %S" s))
-
-let cert_verdict_of_name = function
-  | "certified" -> Trace.Cert_certified
-  | "refuted" -> Trace.Cert_refuted
-  | "uncertifiable" -> Trace.Cert_uncertifiable
-  | s -> raise (Bad (Printf.sprintf "unknown certification verdict %S" s))
-
-(* The [source] field postdates the incumbent schema's first release:
-   traces recorded by older builds decode as plain search incumbents. *)
-let incumbent_source_of_json j =
-  match Json.member "source" j with
-  | None | Some Json.Null -> Trace.Src_search
-  | Some _ -> (
-    let s = req_str j "source" in
-    match Trace.incumbent_source_of_name s with
-    | Some src -> src
-    | None -> raise (Bad (Printf.sprintf "unknown incumbent source %S" s)))
+(* A field holding a name from one of {!Trace}'s enum tables. *)
+let req_enum table j k =
+  let s = req_str j k in
+  match Trace.of_name table s with
+  | Some x -> x
+  | None ->
+    raise
+      (Bad
+         (Printf.sprintf "field %S: unknown name %S (expected one of %s)" k s
+            (String.concat ", " (Array.to_list (Array.map snd table)))))
 
 let event_of_json j =
   match req_str j "type" with
@@ -186,12 +89,16 @@ let event_of_json j =
       {
         id = req_int j "id";
         obj = nullable_num j "obj";
-        reason = reason_of_json j;
+        reason =
+          (match req_enum Trace.close_reasons j "reason" with
+           | Branched _ ->
+             Branched { var = req_int j "var"; frac = req_num j "frac" }
+           | r -> r);
       }
   | "lp_solve" ->
     Lp_solve
       {
-        kind = lp_kind_of_name (req_str j "kind");
+        kind = req_enum Trace.lp_kinds j "kind";
         pivots = req_int j "pivots";
         flips = opt_int j "flips" ~default:0;
         obj = nullable_num j "obj";
@@ -208,8 +115,7 @@ let event_of_json j =
         dt = req_num j "dt";
       }
   | "lu_refactor" ->
-    Lu_refactor
-      { trigger = trigger_of_name (req_str j "trigger"); etas = req_int j "etas" }
+    Lu_refactor { trigger = req_enum Trace.triggers j "trigger"; etas = req_int j "etas" }
   | "prop_run" ->
     Prop_run
       {
@@ -222,16 +128,23 @@ let event_of_json j =
       {
         node = req_int j "node";
         obj = req_num j "obj";
-        source = incumbent_source_of_json j;
+        (* [source] postdates the incumbent's first release: traces
+           recorded by older builds decode as search incumbents *)
+        source =
+          (match Json.member "source" j with
+           | None | Some Json.Null -> Trace.Src_search
+           | Some _ -> req_enum Trace.incumbent_sources j "source");
       }
   | "cert_check" ->
     Cert_check
       {
         node = req_int j "node";
-        verdict = cert_verdict_of_name (req_str j "verdict");
+        verdict = req_enum Trace.cert_verdicts j "verdict";
         kind = req_str j "kind";
         dt = req_num j "dt";
       }
+  | "hook_give_up" ->
+    Hook_give_up { node = req_int j "node"; what = req_str j "what" }
   | "span_begin" -> Span_begin (req_str j "name")
   | "span_end" -> Span_end (req_str j "name")
   | s -> raise (Bad (Printf.sprintf "unknown event type %S" s))
@@ -266,99 +179,49 @@ let write_jsonl oc records =
 
 let us t = t *. 1e6
 
-(* Every Trace record maps to exactly one trace_event: payload fields
-   ride in [args], the writer's sequence number included. Durationful
-   events (LP solves, LU factorizations, exact checks) become "X"
-   complete events whose [ts] is backdated by [dur] — Trace stamps at
-   completion. *)
+(* Every Trace record maps to exactly one trace_event whose [args] are
+   the record's sequence number and payload fields ({!Trace.fields});
+   only the Chrome shape is per event: phase, category, instant scope
+   and the name of node and phase spans. Durationful events (LP
+   solves, LU factorizations, exact checks) become "X" complete events
+   whose [ts] is backdated by their [dt] field, which becomes [dur] —
+   Trace stamps at completion. *)
 let chrome_event (r : Trace.record) =
-  let base ?(cat = "solver") ?ts ?dur ph name args =
-    let fields =
-      [
-        ("ph", Json.Str ph);
-        ("name", Json.Str name);
-        ("cat", Json.Str cat);
-        ("pid", inum 1);
-        ("tid", inum r.dom);
-        ("ts", num (Option.value ts ~default:(us r.ts)));
-      ]
-      @ (match dur with None -> [] | Some d -> [ ("dur", num d) ])
-      @ [ ("args", Json.Obj (("seq", inum r.seq) :: args)) ]
-    in
-    Json.Obj fields
+  let ty, fields = Trace.fields r.ev in
+  let ph, cat, name, scope =
+    match r.ev with
+    | Trace.Node_open _ -> ("B", "search", "node", None)
+    | Node_close _ -> ("E", "search", "node", None)
+    | Lp_solve _ | Lu_factor _ -> ("X", "lp", ty, None)
+    | Cert_check _ -> ("X", "certify", ty, None)
+    | Lu_refactor _ -> ("i", "lp", ty, Some "t")
+    | Prop_run _ -> ("i", "propagation", ty, Some "t")
+    | Incumbent _ -> ("i", "search", ty, Some "g")
+    | Hook_give_up _ -> ("i", "search", ty, Some "t")
+    | Span_begin n -> ("B", "phase", n, None)
+    | Span_end n -> ("E", "phase", n, None)
   in
-  let instant ?cat ?(scope = "t") name args =
-    match base ?cat "i" name args with
-    | Json.Obj fields -> Json.Obj (fields @ [ ("s", Json.Str scope) ])
-    | j -> j
+  let span = match r.ev with Span_begin _ | Span_end _ -> true | _ -> false in
+  let time =
+    match List.assoc_opt "dt" fields with
+    | Some (Trace.Float dt) when ph = "X" ->
+      [ ("ts", num (Float.max 0. (us (r.ts -. dt)))); ("dur", num (us dt)) ]
+    | _ -> [ ("ts", num (us r.ts)) ]
   in
-  match r.ev with
-  | Trace.Node_open { id; parent; depth; bound } ->
-    base ~cat:"search" "B" "node"
-      [
-        ("id", inum id);
-        ("parent", inum parent);
-        ("depth", inum depth);
-        ("bound", num bound);
-      ]
-  | Node_close { id; obj; reason } ->
-    let branch =
-      match reason with
-      | Branched { var; frac } -> [ ("var", inum var); ("frac", num frac) ]
-      | _ -> []
-    in
-    base ~cat:"search" "E" "node"
-      ([
-         ("id", inum id);
-         ("obj", if Float.is_nan obj then Json.Null else num obj);
-         ("reason", Json.Str (Trace.reason_name reason));
-       ]
-      @ branch)
-  | Lp_solve { kind; pivots; flips; obj; primal_res; dual_res; dt } ->
-    base ~cat:"lp"
-      ~ts:(Float.max 0. (us (r.ts -. dt)))
-      ~dur:(us dt) "X" "lp_solve"
-      [
-        ("kind", Json.Str (Trace.lp_kind_name kind));
-        ("pivots", inum pivots);
-        ("flips", inum flips);
-        ("obj", if Float.is_nan obj then Json.Null else num obj);
-        ("primal_res", num primal_res);
-        ("dual_res", num dual_res);
-      ]
-  | Lu_factor { m; fill; probes; dt } ->
-    base ~cat:"lp"
-      ~ts:(Float.max 0. (us (r.ts -. dt)))
-      ~dur:(us dt) "X" "lu_factor"
-      [ ("m", inum m); ("fill", inum fill); ("probes", inum probes) ]
-  | Lu_refactor { trigger; etas } ->
-    instant ~cat:"lp" "lu_refactor"
-      [ ("trigger", Json.Str (Trace.trigger_name trigger)); ("etas", inum etas) ]
-  | Prop_run { steps; fixings; conflict } ->
-    instant ~cat:"propagation" "prop_run"
-      [
-        ("steps", inum steps);
-        ("fixings", inum fixings);
-        ("conflict", Json.Bool conflict);
-      ]
-  | Incumbent { node; obj; source } ->
-    instant ~cat:"search" ~scope:"g" "incumbent"
-      [
-        ("node", inum node);
-        ("obj", num obj);
-        ("source", Json.Str (Trace.incumbent_source_name source));
-      ]
-  | Cert_check { node; verdict; kind; dt } ->
-    base ~cat:"certify"
-      ~ts:(Float.max 0. (us (r.ts -. dt)))
-      ~dur:(us dt) "X" "cert_check"
-      [
-        ("node", inum node);
-        ("verdict", Json.Str (Trace.cert_verdict_name verdict));
-        ("kind", Json.Str kind);
-      ]
-  | Span_begin name -> base ~cat:"phase" "B" name []
-  | Span_end name -> base ~cat:"phase" "E" name []
+  let args =
+    List.filter (fun (k, _) -> k <> "dt" && not (span && k = "name")) fields
+  in
+  Json.Obj
+    ([
+       ("ph", Json.Str ph);
+       ("name", Json.Str name);
+       ("cat", Json.Str cat);
+       ("pid", inum 1);
+       ("tid", inum r.dom);
+     ]
+    @ time
+    @ [ ("args", Json.Obj (("seq", inum r.seq) :: payload args)) ]
+    @ match scope with None -> [] | Some s -> [ ("s", Json.Str s) ])
 
 let write_chrome oc records =
   let b = Buffer.create 4096 in
@@ -403,60 +266,55 @@ let write_chrome oc records =
 (* Reading traces back                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let load path =
-  match read_file path with
-  | exception Sys_error e -> Error e
-  | text -> (
-    let lines = String.split_on_char '\n' text in
-    let records = ref [] in
-    let err = ref None in
-    List.iteri
-      (fun i line ->
-        if !err = None && String.trim line <> "" then
-          match Json.parse line with
-          | Error e ->
-            err :=
-              Some
-                (Printf.sprintf
-                   "line %d: %s (traces are read back as JSONL, one record \
-                    object per line)"
-                   (i + 1) e)
-          | Ok j -> (
-            match record_of_json j with
-            | Ok r -> records := r :: !records
-            | Error e -> err := Some (Printf.sprintf "line %d: %s" (i + 1) e)))
-      lines;
-    match !err with
-    | Some e -> Error e
-    | None -> Ok (Array.of_list (List.rev !records)))
+  Json.load_lines ~hint:"traces are read back as JSONL, one record object per line"
+    path record_of_json
+  |> Result.map Array.of_list
 
 (* ------------------------------------------------------------------ *)
 (* Stream consistency checks                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Per writer: its name, the last (ts, seq) seen, whether its first
+   retained sequence number was above 0 (its ring wrapped, so spans may
+   end whose begin was overwritten), and its open spans, innermost
+   first. *)
+type writer_state = {
+  wname : string;
+  mutable last : float * int;
+  wrapped : bool;
+  mutable spans : string list;
+}
+
 let check records =
   let problems = ref [] in
   let add fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
-  let last : (int, float * int) Hashtbl.t = Hashtbl.create 8 in
+  let writers : (int, writer_state) Hashtbl.t = Hashtbl.create 8 in
   let opened : (int, unit) Hashtbl.t = Hashtbl.create 64 in
   let closed : (int, unit) Hashtbl.t = Hashtbl.create 64 in
   Array.iter
     (fun (r : Trace.record) ->
-      (match Hashtbl.find_opt last r.dom with
-      | Some (ts, seq) ->
-        if r.ts < ts then
-          add "writer %d (%s): timestamp %.9f before %.9f at seq %d" r.dom
-            r.dname r.ts ts r.seq;
-        if r.seq <= seq then
-          add "writer %d (%s): sequence %d not above %d" r.dom r.dname r.seq seq
-      | None -> ());
-      Hashtbl.replace last r.dom (r.ts, r.seq);
+      let w =
+        match Hashtbl.find_opt writers r.dom with
+        | Some w ->
+          let ts, seq = w.last in
+          if r.ts < ts then
+            add "writer %d (%s): timestamp %.9f before %.9f at seq %d" r.dom
+              r.dname r.ts ts r.seq;
+          if r.seq <= seq then
+            add "writer %d (%s): sequence %d not above %d" r.dom r.dname r.seq seq
+          else if r.seq > seq + 1 then
+            add "writer %d (%s): sequence gap, %d after %d" r.dom r.dname r.seq
+              seq;
+          w
+        | None ->
+          let w =
+            { wname = r.dname; last = (r.ts, r.seq); wrapped = r.seq > 0; spans = [] }
+          in
+          Hashtbl.replace writers r.dom w;
+          w
+      in
+      w.last <- (r.ts, r.seq);
       match r.ev with
       | Trace.Node_open { id; _ } ->
         if Hashtbl.mem opened id then add "node %d opened twice" id;
@@ -466,12 +324,36 @@ let check records =
           add "node %d closed but never opened" id;
         if Hashtbl.mem closed id then add "node %d closed twice" id;
         Hashtbl.replace closed id ()
+      | Span_begin name -> w.spans <- name :: w.spans
+      | Span_end name -> (
+        match w.spans with
+        | top :: rest when top = name -> w.spans <- rest
+        | [] ->
+          if not w.wrapped then
+            add "writer %d (%s): span %S ended but never began" r.dom r.dname
+              name
+        | top :: _ ->
+          add "writer %d (%s): span %S ended inside span %S" r.dom r.dname name
+            top;
+          (* close it where it began, so one crossing is one problem *)
+          let rec drop = function
+            | n :: rest -> if n = name then rest else n :: drop rest
+            | [] -> []
+          in
+          w.spans <- drop w.spans)
       | _ -> ())
     records;
   Hashtbl.iter
     (fun id () ->
       if not (Hashtbl.mem closed id) then add "node %d opened but never closed" id)
     opened;
+  Hashtbl.iter
+    (fun dom w ->
+      List.iter
+        (fun name ->
+          add "writer %d (%s): span %S began but never ended" dom w.wname name)
+        w.spans)
+    writers;
   List.rev !problems
 
 (* ------------------------------------------------------------------ *)
@@ -522,16 +404,16 @@ module Tree = struct
     Hashtbl.fold (fun _ n acc -> n :: acc) nodes []
     |> List.sort (fun a b -> Int.compare a.id b.id)
 
-  let reason_color = function
-    | "branched" -> "lightblue"
-    | "integral" -> "palegreen"
-    | "bound" -> "gray85"
-    | "infeasible" -> "lightsalmon"
-    | "propagation" -> "khaki"
-    | "hook" -> "plum"
-    | "unbounded" -> "orange"
-    | "numeric" -> "tomato"
-    | _ -> "white"
+  (* fill colors, in [Trace.close_reasons] order *)
+  let reason_colors =
+    [|
+      "lightblue"; "palegreen"; "lightsalmon"; "gray85"; "plum"; "khaki"; "orange"; "tomato";
+    |]
+
+  let reason_color name =
+    match Array.find_index (fun (_, n) -> n = name) Trace.close_reasons with
+    | Some i -> reason_colors.(i)
+    | None -> "white"
 
   let to_dot nodes =
     let b = Buffer.create 4096 in
@@ -764,6 +646,7 @@ module Summary = struct
       acc.a_cert_checks <- acc.a_cert_checks + 1;
       acc.a_cert_seconds <- acc.a_cert_seconds +. dt;
       bump acc.a_cert_verdicts (Trace.cert_verdict_name verdict) 1
+    | Hook_give_up _ -> ()
     | Span_begin name ->
       let stack = span_stack acc r.dom in
       stack := (name, r.ts, 0.) :: !stack

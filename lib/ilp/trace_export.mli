@@ -20,19 +20,23 @@ val write_jsonl : out_channel -> Trace.record array -> unit
 
 val write_chrome : out_channel -> Trace.record array -> unit
 (** Writes the records as one Chrome [trace_event] document: one event
-    per record (payload fields in [args]), then process and thread-name
-    metadata; flushes, leaving the channel open. *)
+    per record, its [args] the sequence number and the {!Trace.fields}
+    payload (less [dt], which becomes the [dur] of a complete event,
+    and the [name] of a phase span, which names the event), then
+    process and thread-name metadata; flushes, leaving the channel
+    open. *)
 
 (** {1 JSONL codec} *)
 
 val record_to_json : Trace.record -> Json.t
-(** The flat JSONL object: envelope [ts]/[dom]/[w]/[seq] plus a [type]
-    discriminator and per-type payload fields. *)
+(** The flat JSONL object: envelope [ts]/[dom]/[w]/[seq], then the
+    [type] and payload fields of {!Trace.fields}. *)
 
 val record_of_json : Json.t -> (Trace.record, string) result
 (** Inverse of {!record_to_json}; the error names the missing or
-    ill-typed field — this is the event-schema validator used by
-    [tpart trace validate] and CI. *)
+    ill-typed field, or the field holding an unknown enum name — this
+    is the event-schema validator used by [tpart trace validate] and
+    CI. *)
 
 (** {1 Reading traces back} *)
 
@@ -41,9 +45,14 @@ val load : string -> (Trace.record array, string) result
     error names the first offending line. *)
 
 val check : Trace.record array -> string list
-(** Stream-consistency violations (empty when healthy): per-writer
-    timestamps must be non-decreasing and sequence numbers strictly
-    increasing, node closes must match opens. *)
+(** Stream-consistency violations (empty when healthy), one message
+    each: per writer, timestamps must be non-decreasing and sequence
+    numbers dense (each one above the last); every node must open once
+    and close once, after its open; and per writer, phase spans must
+    nest properly — each [Span_end] closes the innermost open span of
+    its name, and every span that begins ends. A writer whose ring
+    wrapped (first retained sequence number above 0) may end spans
+    whose begins were overwritten. *)
 
 (** {1 Search tree} *)
 

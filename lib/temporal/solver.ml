@@ -33,12 +33,13 @@ type report = {
 
    Results are memoized per partition map. The scheduler gives up at
    [deadline] (absolute [Ilp.Mono] time), like on an exhausted backtrack
-   budget; a call whose scheduler run gave up answers [Hook_gave_up], so
-   the search counts it (a memoized give-up answers [Hook_none]). A map
-   that gave up on the small budget is retried once on the thorough one,
-   and never after that: propagation fixes every y at many nodes of one
-   subtree, and each retry of a map the scheduler cannot decide costs
-   its whole budget again. *)
+   budget; a call whose scheduler run gave up answers [Hook_gave_up]
+   naming the map and the budget, so the search counts and traces it (a
+   memoized give-up answers [Hook_none]). A map that gave up on the
+   small budget is retried once on the thorough one, and never after
+   that: propagation fixes every y at many nodes of one subtree, and
+   each retry of a map the scheduler cannot decide costs its whole
+   budget again. *)
 let scheduler_hook ~deadline vars =
   let module Bb = Ilp.Branch_bound in
   let spec = vars.Vars.spec in
@@ -75,11 +76,15 @@ let scheduler_hook ~deadline vars =
                  (Solution.to_vector vars
                     (Solution.of_schedule spec part schedule)))
           | `Infeasible -> `Done None
-          | `Gave_up -> `Gave_up
+          | `Gave_up ->
+            `Gave_up
+              (Printf.sprintf "map %s (budget %d backtracks)"
+                 (String.concat "," (List.map string_of_int key))
+                 max_backtracks)
       in
       Hashtbl.replace cache key
         (match r with
-         | `Gave_up -> if thorough then `Unknown_thorough else `Unknown
+         | `Gave_up _ -> if thorough then `Unknown_thorough else `Unknown
          | `Done _ as d -> d);
       r
   in
@@ -107,7 +112,7 @@ let scheduler_hook ~deadline vars =
         match complete ~thorough:true partial with
         | `Done (Some v) -> Bb.Hook_incumbent_and_prune v
         | `Done None -> Bb.Hook_prune
-        | `Gave_up -> Bb.Hook_gave_up
+        | `Gave_up what -> Bb.Hook_gave_up what
         | `Unknown -> Bb.Hook_none
       else Bb.Hook_none
     | Bb.Lp_solution x ->
@@ -124,7 +129,7 @@ let scheduler_hook ~deadline vars =
         match complete ~thorough:false part with
         | `Done (Some v) -> Bb.Hook_incumbent v
         | `Done None | `Unknown -> Bb.Hook_none
-        | `Gave_up -> Bb.Hook_gave_up
+        | `Gave_up what -> Bb.Hook_gave_up what
 
 let validate_or_fail spec sol =
   match Solution.validate spec sol with

@@ -41,7 +41,10 @@ val scheduler_hook :
     for that map, before the node LP; its [Lp_solution] call refutes or
     schedules the map of an LP point whose [y] are integral but not all
     fixed. A call whose scheduler run gave up
-    answers {!Ilp.Branch_bound.Hook_gave_up}. *)
+    answers {!Ilp.Branch_bound.Hook_gave_up} with
+    ["map P1,P2,… (budget B backtracks)"]: the partition of each task
+    and the backtrack budget (300,000, or 5,000,000 once every [y] is
+    fixed). *)
 
 val solve :
   ?strategy:Branching.strategy ->

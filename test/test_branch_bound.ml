@@ -445,7 +445,7 @@ let test_hook_give_up_before_lp () =
     | Bb.Bounds _ ->
       calls :=
         Printf.sprintf "bounds after %d solve(s)" (lp_solves m) :: !calls;
-      Bb.Hook_gave_up
+      Bb.Hook_gave_up "bounds"
     | Bb.Lp_solution _ ->
       calls := Printf.sprintf "lp after %d solve(s)" (lp_solves m) :: !calls;
       Bb.Hook_none

@@ -214,6 +214,22 @@ let test_jsonl_file_roundtrip () =
      Alcotest.(check int) "final nodes" 6 (M.counter_value last M.C_nodes));
   Sys.remove path
 
+(* Load errors name the physical line: a blank line before a malformed
+   snapshot still counts. *)
+let test_load_error_line () =
+  let path = Filename.temp_file "metrics" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out path in
+      Export.write_jsonl oc M.empty_snapshot;
+      output_string oc "\n{\"ts\": 1, \"counters\": {\"nodes\": 1.5}}\n";
+      close_out oc;
+      match Export.load path with
+      | Ok _ -> Alcotest.fail "malformed snapshot accepted"
+      | Error e ->
+        Alcotest.(check string) "error" "line 3: counters \"nodes\": expected an integer" e)
+
 (* ---------------- Prometheus ---------------- *)
 
 (* The exposition is a write-only export, so its text is pinned line by
@@ -456,7 +472,7 @@ let test_one_store ~jobs () =
             (* undecided whenever the first item is fractional *)
             match point with
             | Bb.Lp_solution x when Bb.fractionality x.(0) > 1e-6 ->
-              Bb.Hook_gave_up
+              Bb.Hook_gave_up "x0 fractional"
             | Bb.Lp_solution _ | Bb.Bounds _ -> Bb.Hook_none);
     }
   in
@@ -573,6 +589,8 @@ let () =
           Alcotest.test_case "stream validator" `Quick test_validator;
           Alcotest.test_case "jsonl file round-trip" `Quick
             test_jsonl_file_roundtrip;
+          Alcotest.test_case "load errors name the physical line" `Quick
+            test_load_error_line;
           Alcotest.test_case "prometheus exposition" `Quick
             test_prometheus_exposition;
         ] );

@@ -794,7 +794,11 @@ let test_hook_give_up_counted () =
   let on_bounds hook = hook (Ilp.Branch_bound.Bounds sol) ~is_fixed:(fun _ -> true) in
   let hook = past_deadline () in
   (match on_bounds hook with
-   | Ilp.Branch_bound.Hook_gave_up -> ()
+   | Ilp.Branch_bound.Hook_gave_up what ->
+     Alcotest.(check string) "names the map and the budget"
+       (Printf.sprintf "map %s (budget 5000000 backtracks)"
+          (String.concat "," (Array.to_list (Array.map string_of_int part))))
+       what
    | _ -> Alcotest.fail "expected a give-up");
   (* after the LP, a map whose y are all fixed is not scheduled again:
      a second run would give up again *)
