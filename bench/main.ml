@@ -410,12 +410,11 @@ let lint () =
     (fun (gno, n, ams, l, _, _) ->
       let g = Ex.paper_graph gno in
       let spec = spec_of g ~ams ~n ~l in
-      let options = F.tightened_options in
-      let vars = F.build ~options spec in
+      let vars = F.build ~options:F.tightened_options spec in
       let t0 = Unix.gettimeofday () in
       let analysis = Ilp.Analyze.analyze vars.Temporal.Vars.lp in
       let t1 = Unix.gettimeofday () in
-      let audit = Temporal.Audit.audit_vars ~options vars in
+      let audit = Temporal.Audit.audit_vars vars in
       let t2 = Unix.gettimeofday () in
       let errors =
         List.length (Ilp.Analyze.errors analysis)

@@ -798,7 +798,8 @@ let analyze_cmd =
          if iis then run_iis ~json ~describe:(fun n -> n) lp
          else begin
            let report = Ilp.Analyze.analyze lp in
-           if json then print_endline (Ilp.Analyze.to_json report)
+           if json then
+             print_endline (Ilp.Json.to_string (Ilp.Analyze.to_json report))
            else Format.printf "%a@." Ilp.Analyze.pp_report report;
            if Ilp.Analyze.is_clean report then 0 else 1
          end)
@@ -845,11 +846,15 @@ let analyze_cmd =
           vars.Temporal.Vars.lp
       else begin
       let analysis = Ilp.Analyze.analyze vars.Temporal.Vars.lp in
-      let audit = Temporal.Audit.audit_vars ~options vars in
+      let audit = Temporal.Audit.audit_vars vars in
       if json then
-        Printf.printf "{\"analyze\": %s, \"audit\": %s}\n"
-          (Ilp.Analyze.to_json analysis)
-          (Temporal.Audit.to_json audit)
+        print_endline
+          (Ilp.Json.to_string
+             (Ilp.Json.Obj
+                [
+                  ("analyze", Ilp.Analyze.to_json analysis);
+                  ("audit", Temporal.Audit.to_json audit);
+                ]))
       else begin
         Format.printf "%a@." Ilp.Analyze.pp_report analysis;
         Format.printf "%a@." Temporal.Audit.pp_report audit

@@ -56,8 +56,8 @@ let instances alloc =
 
 let total_fg alloc = List.fold_left (fun acc (k, n) -> acc + (n * k.fg)) 0 alloc
 
-let ams ?(library = default_library) (a, m, s) =
-  let entry name n = if n > 0 then [ (find library name, n) ] else [] in
+let ams (a, m, s) =
+  let entry name n = if n > 0 then [ (find default_library name, n) ] else [] in
   entry "add16" a @ entry "mul16" m @ entry "sub16" s
 
 let covers alloc g =

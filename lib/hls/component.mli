@@ -60,9 +60,9 @@ val instances : allocation -> instance array
 
 val total_fg : allocation -> int
 
-val ams : ?library:library -> int * int * int -> allocation
+val ams : int * int * int -> allocation
 (** [ams (a, m, s)] is the paper's "A+M+S" shorthand: [a] adders,
-    [m] multipliers, [s] subtracters from the (default) library. *)
+    [m] multipliers, [s] subtracters from {!default_library}. *)
 
 val covers : allocation -> Taskgraph.Graph.t -> bool
 (** Whether every operation kind appearing in the graph has at least one

@@ -162,7 +162,7 @@ let check_valid ?restrict g alloc b =
           (b.finish.(i1) + 1))
     (G.op_deps g)
 
-let fu_requirements ?(library = Component.default_library) g =
+let fu_requirements g =
   let s = Schedule.compute g in
   (* concurrency per kind in the ASAP schedule *)
   let max_conc = Hashtbl.create 8 in
@@ -186,7 +186,7 @@ let fu_requirements ?(library = Component.default_library) g =
     match
       List.sort
         (fun a b -> compare a.Component.fg b.Component.fg)
-        (Component.kinds_for library op)
+        (Component.kinds_for Component.default_library op)
     with
     | [] ->
       Format.kasprintf invalid_arg

@@ -42,9 +42,8 @@ val check_valid :
     step; dependencies are strictly increasing in step. Used by tests
     and property checks. *)
 
-val fu_requirements :
-  ?library:Component.library -> Taskgraph.Graph.t -> Component.allocation
+val fu_requirements : Taskgraph.Graph.t -> Component.allocation
 (** The paper's set [F]: functional units required for the most parallel
     (ASAP) schedule — for each operation kind, the maximum number of
     simultaneously-executing operations, mapped onto the cheapest capable
-    FU kind of the library. *)
+    FU kind of {!Component.default_library}. *)

@@ -139,7 +139,9 @@ let pp_sense ppf = function
   | Lp.Ge -> Format.fprintf ppf ">="
   | Lp.Eq -> Format.fprintf ppf "="
 
-let analyze ?(cond_limit = 1e8) lp =
+let cond_limit = 1e8
+
+let analyze lp =
   let nvars = Lp.num_vars lp and nrows = Lp.num_constrs lp in
   let diags = ref [] in
   let emit severity code ?row ?var fmt =
@@ -309,11 +311,11 @@ let analyze ?(cond_limit = 1e8) lp =
    static sweep: it solves the LP relaxation once and re-checks the
    verdict in exact rational arithmetic ({!Certify}), optionally
    shrinking an infeasibility to an irreducible subsystem ({!Iis}). *)
-let certificate_diagnostics ?tol ?(iis = false) lp =
+let certificate_diagnostics ?(iis = false) lp =
   let diag ?row severity code message =
     { severity; code; message; row; var = None }
   in
-  let _res, cert = Certify.check_lp ?tol lp in
+  let _res, cert = Certify.check_lp lp in
   match (cert.Certify.verdict, cert.Certify.detail) with
   | Certify.Certified, Certify.Farkas_proof { witness_row; support; _ } ->
     let head =
@@ -323,7 +325,7 @@ let certificate_diagnostics ?tol ?(iis = false) lp =
     in
     if not iis then [ head ]
     else begin
-      match Iis.extract ?tol lp with
+      match Iis.extract lp with
       | Iis.Iis r ->
         head
         :: List.map
@@ -385,47 +387,35 @@ let pp_report ppf r =
 
 (* ---- JSON --------------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_float x =
-  if Float.is_finite x then Printf.sprintf "%.12g" x
-  else Printf.sprintf "\"%s\"" (if x > 0. then "inf" else "-inf")
-
 let to_json r =
-  let buf = Buffer.create 1024 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{\"model\":\"%s\",\"vars\":%d,\"rows\":%d," (json_escape r.model)
-    r.nvars r.nrows;
-  add "\"census\":{";
-  List.iteri
-    (fun i (cls, n) ->
-      add "%s\"%s\":%d" (if i > 0 then "," else "") (row_class_to_string cls) n)
-    r.census;
-  add "},\"coefficients\":{\"nnz\":%d,\"min_abs\":%s,\"max_abs\":%s,\"cond_ratio\":%s,\"rhs_max_abs\":%s},"
-    r.stats.nnz (json_float r.stats.min_abs) (json_float r.stats.max_abs)
-    (json_float r.stats.cond_ratio) (json_float r.stats.rhs_max_abs);
-  add "\"diagnostics\":[";
-  List.iteri
-    (fun i d ->
-      add "%s{\"severity\":\"%s\",\"code\":\"%s\",\"message\":\"%s\""
-        (if i > 0 then "," else "")
-        (severity_to_string d.severity) (json_escape d.code)
-        (json_escape d.message);
-      (match d.row with Some row -> add ",\"row\":%d" row | None -> ());
-      (match d.var with Some var -> add ",\"var\":%d" var | None -> ());
-      add "}")
-    r.diagnostics;
-  add "]}";
-  Buffer.contents buf
+  let open Json in
+  let int n = Num (Float.of_int n) in
+  let opt key = function Some n -> [ (key, int n) ] | None -> [] in
+  let diagnostic d =
+    Obj
+      ([
+         ("severity", Str (severity_to_string d.severity));
+         ("code", Str d.code);
+         ("message", Str d.message);
+       ]
+      @ opt "row" d.row @ opt "var" d.var)
+  in
+  let s = r.stats in
+  Obj
+    [
+      ("model", Str r.model);
+      ("vars", int r.nvars);
+      ("rows", int r.nrows);
+      ( "census",
+        Obj (List.map (fun (c, n) -> (row_class_to_string c, int n)) r.census) );
+      ( "coefficients",
+        Obj
+          [
+            ("nnz", int s.nnz);
+            ("min_abs", Num s.min_abs);
+            ("max_abs", Num s.max_abs);
+            ("cond_ratio", Num s.cond_ratio);
+            ("rhs_max_abs", Num s.rhs_max_abs);
+          ] );
+      ("diagnostics", Arr (List.map diagnostic r.diagnostics));
+    ]

@@ -65,10 +65,9 @@ type report = {
   stats : coeff_stats;
 }
 
-val analyze : ?cond_limit:float -> Lp.t -> report
-(** Runs every check. [cond_limit] (default [1e8]) is the
-    max/min coefficient-magnitude ratio above which a
-    numerical-conditioning warning is emitted.
+val analyze : Lp.t -> report
+(** Runs every check. A max/min coefficient-magnitude ratio above
+    [1e8] draws a numerical-conditioning warning.
 
     Error-level findings (the model should not be solved):
     crossed or NaN bounds; a binary variable whose bounds contain no
@@ -83,8 +82,7 @@ val analyze : ?cond_limit:float -> Lp.t -> report
     Info-level: parallel (dominated) rows, rows trivially redundant by
     bound arithmetic, an all-zero objective. *)
 
-val certificate_diagnostics :
-  ?tol:float -> ?iis:bool -> Lp.t -> diagnostic list
+val certificate_diagnostics : ?iis:bool -> Lp.t -> diagnostic list
 (** The certificate diagnostic family — the one check that solves
     rather than sweeps. The LP relaxation is solved once and its
     verdict re-checked in exact rational arithmetic ({!Certify}):
@@ -116,5 +114,5 @@ val pp_report : Format.formatter -> report -> unit
 (** Multi-line human-readable report: sizes, census, coefficient
     statistics and every diagnostic. *)
 
-val to_json : report -> string
-(** The report as a self-contained JSON object (no trailing newline). *)
+val to_json : report -> Json.t
+(** The report as a JSON object; print it with {!Json.to_string}. *)

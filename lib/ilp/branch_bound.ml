@@ -19,7 +19,6 @@ type options = {
   max_nodes : int;
   time_limit : float;
   branch_rule : branch_rule option;
-  on_incumbent : (float -> float array -> unit) option;
   warm_start : bool;
   node_hook : (hook_point -> is_fixed:(int -> bool) -> hook_result) option;
   jobs : int;
@@ -34,7 +33,6 @@ let default_options =
     max_nodes = max_int;
     time_limit = Float.infinity;
     branch_rule = None;
-    on_incumbent = None;
     warm_start = true;
     node_hook = None;
     jobs = 1;
@@ -269,8 +267,8 @@ type env = {
 }
 
 (* The shared incumbent. [best_obj] is read lock-free on the pruning
-   fast path; the authoritative solution and both user callbacks are
-   protected by [user_lock], which guarantees callbacks never run
+   fast path; the authoritative solution and the node hook are
+   protected by [user_lock], which guarantees the hook never runs
    concurrently and improvements are globally monotone. *)
 type incumbent = {
   best_obj : float Atomic.t;  (* [infinity] while no incumbent exists *)
@@ -513,12 +511,11 @@ let install ctx ~node_no ~source obj x =
     Metrics.set_gauge ctx.env.reg G_incumbent_obj obj;
     let tw = Metrics.writer ctx.msh in
     if Trace.active tw then
-      Trace.emit tw (Trace.Incumbent { node = node_no; obj; source });
-    match ctx.env.opts.on_incumbent with Some f -> f obj x | None -> ()
+      Trace.emit tw (Trace.Incumbent { node = node_no; obj; source })
   end;
   improves
 
-(* The one acceptance path: feasibility-checked, fires [on_incumbent].
+(* The one acceptance path: feasibility-checked, then installed.
    Returns [false] only when the feasibility guard rejected [x].
    [locked] marks calls made from inside [run_hook], which already
    holds the user lock (it is not reentrant). [source] tags where the
@@ -556,8 +553,8 @@ let accept_incumbent ?(locked = false) ?(source = Trace.Src_search) ctx
 
 (* Node hook: a problem-specific completion heuristic may inject a full
    incumbent and/or prune this subtree. The whole hook invocation runs
-   under the user lock, so hooks and incumbent callbacks are mutually
-   serialized across workers; the hook's time is taken inside the lock,
+   under the user lock, so hook calls and incumbent installs are
+   mutually serialized across workers; the hook's time is taken inside the lock,
    so waiting for it does not count. *)
 let run_hook ctx ~node_no ~depth point ~is_fixed =
   match ctx.env.opts.node_hook with

@@ -87,8 +87,6 @@ type options = {
   max_nodes : int;
   time_limit : float;  (** Wall-clock seconds; [infinity] disables. *)
   branch_rule : branch_rule option;
-  on_incumbent : (float -> float array -> unit) option;
-      (** Called on every improving incumbent. *)
   warm_start : bool;
       (** Evaluate nodes with dual re-optimization from the parent's
           optimal basis (default). When the engine is not already on

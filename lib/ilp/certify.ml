@@ -330,9 +330,11 @@ let num_cols (s : Simplex.snapshot) = s.s_mat.Sparse.Csc.ncols
 
 exception Bail of t
 
-let scale_tol tol v = tol *. (1. +. Float.abs v)
+let tol = 1e-6 (* see [check] in certify.mli *)
 
-let check_optimal ~tol (s : Simplex.snapshot) (r : Simplex.result) =
+let scale_tol v = tol *. (1. +. Float.abs v)
+
+let check_optimal (s : Simplex.snapshot) (r : Simplex.result) =
   let m = s.s_m and ncols = num_cols s in
   try
     (* exact values of the nonbasic columns, pinned by their status *)
@@ -410,7 +412,7 @@ let check_optimal ~tol (s : Simplex.snapshot) (r : Simplex.result) =
       !acc
     in
     let pf = Rat.to_float p in
-    if Float.abs (pf -. r.Simplex.obj) > scale_tol tol pf then
+    if Float.abs (pf -. r.Simplex.obj) > scale_tol pf then
       raise
         (Bail (refuted (Objective_mismatch { exact = p; reported = r.obj })));
     (* exact multipliers and the Lagrangian dual bound
@@ -447,7 +449,7 @@ let check_optimal ~tol (s : Simplex.snapshot) (r : Simplex.result) =
       certified (Exact_optimum { obj = p })
     else begin
       let gf = Rat.to_float gap in
-      if gf <= scale_tol tol pf then
+      if gf <= scale_tol pf then
         certified
           (Optimal_within { obj = p; dual_bound = !l_bound; gap = gf })
       else uncertifiable (Dual_gap { gap = gf })
@@ -459,7 +461,7 @@ let check_optimal ~tol (s : Simplex.snapshot) (r : Simplex.result) =
    the recorded witness and check y.b > max over the box of y.Ax,
    summed over the real (structural + slack) columns only. *)
 
-let check_infeasible ~tol:_ (s : Simplex.snapshot) (r : Simplex.result) =
+let check_infeasible (s : Simplex.snapshot) (r : Simplex.result) =
   let m = s.s_m in
   match s.s_infeasibility with
   | None ->
@@ -530,21 +532,21 @@ let check_infeasible ~tol:_ (s : Simplex.snapshot) (r : Simplex.result) =
 
 (* ------------------------------------------------------------------ *)
 
-let check ?(tol = 1e-6) (s : Simplex.snapshot) (r : Simplex.result) =
+let check (s : Simplex.snapshot) (r : Simplex.result) =
   match r.Simplex.status with
-  | Simplex.Optimal -> check_optimal ~tol s r
-  | Simplex.Infeasible -> check_infeasible ~tol s r
+  | Simplex.Optimal -> check_optimal s r
+  | Simplex.Infeasible -> check_infeasible s r
   | Simplex.Unbounded ->
       uncertifiable (No_certificate "unbounded verdicts are not certified")
   | Simplex.Iter_limit ->
       uncertifiable
         (No_certificate "iteration-limit results carry no optimality claim")
 
-let check_lp ?tol lp =
+let check_lp lp =
   let st = Simplex.create lp in
   let r = Simplex.primal st in
   let snap = Simplex.snapshot st in
-  (r, check ?tol snap r)
+  (r, check snap r)
 
 let map_rows f t =
   match t.detail with

@@ -73,10 +73,10 @@ type t = {
   detail : detail;
 }
 
-val check : ?tol:float -> Simplex.snapshot -> Simplex.result -> t
+val check : Simplex.snapshot -> Simplex.result -> t
 (** Certifies [result] against the basis in [snapshot]. The snapshot
     must come from the same engine, immediately after the solve that
-    produced [result]. [tol] (default [1e-6]) separates {!Certified}
+    produced [result]. A tolerance of [1e-6] separates {!Certified}
     from {!Uncertifiable} on near-zero exact residuals, and
     {!Uncertifiable} from {!Refuted} on material violations; the exact
     values in the {!detail} are unaffected by it. *)
@@ -94,7 +94,7 @@ val basis_solve :
     structural slots against the rows no slack or artificial slot
     covers) is factorized. *)
 
-val check_lp : ?tol:float -> Lp.t -> Simplex.result * t
+val check_lp : Lp.t -> Simplex.result * t
 (** One-shot: solve the LP relaxation fresh and certify the outcome.
     Used for stand-alone Farkas certificates of infeasible models. *)
 

@@ -39,18 +39,18 @@ let sub_model lp rows =
 
 (* Certified-infeasible test of a row subset. Returns the certificate
    with support mapped back to original row indices. *)
-let certified_infeasible ?tol lp rows =
+let certified_infeasible lp rows =
   let sub = sub_model lp rows in
-  let r, cert = Certify.check_lp ?tol sub in
+  let r, cert = Certify.check_lp sub in
   match (r.Simplex.status, cert.Certify.verdict, cert.Certify.detail) with
   | Simplex.Infeasible, Certify.Certified, Certify.Farkas_proof _ ->
       let back = Array.of_list rows in
       Some (Certify.map_rows (fun k -> back.(k)) cert)
   | _ -> None
 
-let extract ?tol lp =
+let extract lp =
   let solves = ref 1 in
-  let r, cert = Certify.check_lp ?tol lp in
+  let r, cert = Certify.check_lp lp in
   match r.Simplex.status with
   | Simplex.Optimal | Simplex.Unbounded -> Feasible
   | Simplex.Iter_limit -> Inconclusive "LP solve hit its iteration limit"
@@ -68,7 +68,7 @@ let extract ?tol lp =
         | Certify.Certified, Certify.Farkas_proof _ -> Some cert
         | _ ->
             incr solves;
-            certified_infeasible ?tol lp seed
+            certified_infeasible lp seed
       in
       match seed_cert with
       | None ->
@@ -84,7 +84,7 @@ let extract ?tol lp =
               let trial = List.filter (fun r' -> r' <> r) !keep in
               if trial <> [] then begin
                 incr solves;
-                match certified_infeasible ?tol lp trial with
+                match certified_infeasible lp trial with
                 | Some c ->
                     keep := trial;
                     proof := c

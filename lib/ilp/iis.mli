@@ -31,7 +31,7 @@ type outcome =
       (** Infeasibility could not be certified exactly (e.g. the float
           verdict left no witness), so no trustworthy IIS exists. *)
 
-val extract : ?tol:float -> Lp.t -> outcome
+val extract : Lp.t -> outcome
 (** [extract lp] certifies the model's LP-relaxation infeasibility and
     minimizes the conflicting row set. Integrality markers are ignored
     (the subsystems are LP relaxations); the input model is not

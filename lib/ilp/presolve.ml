@@ -14,9 +14,11 @@ let pp_stats ppf s =
 
 let tol = 1e-9
 
+let max_passes = 10
+
 exception Infeasible_row of string
 
-let presolve ?(max_passes = 10) lp =
+let presolve lp =
   let n = Lp.num_vars lp in
   let prop = Propagate.of_lp lp in
   let lb = Array.init n (fun j -> Lp.var_lb lp (Lp.var_of_int lp j)) in

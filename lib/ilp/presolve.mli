@@ -38,9 +38,9 @@ type result =
       (** Same variables (indices preserved), possibly tighter bounds,
           possibly fewer rows. *)
 
-val presolve : ?max_passes:int -> Lp.t -> result
+val presolve : Lp.t -> result
 (** [presolve lp] returns a reduced model built by {!Lp.restrict}: it
-    shares its kept rows with [lp], which is not mutated. Default
-    [max_passes = 10]. *)
+    shares its kept rows with [lp], which is not mutated. At most 10
+    passes run over the rows. *)
 
 val pp_stats : Format.formatter -> stats -> unit

@@ -166,14 +166,12 @@ type outcome =
   | Empty_domain of int
   | Conflict of string
 
-let run t ~lb ~ub ?seeds ?max_steps ?metrics () =
+let run t ~lb ~ub ?seeds ?metrics () =
   let trace =
     match metrics with Some sh -> Metrics.writer sh | None -> Trace.null_writer
   in
   let nrows = num_rows t in
-  let max_steps =
-    match max_steps with Some s -> s | None -> Int.max 256 (64 * nrows)
-  in
+  let max_steps = Int.max 256 (64 * nrows) in
   let queue = Queue.create () in
   let in_queue = Array.make nrows false in
   let enqueue ri =

@@ -69,7 +69,6 @@ val run :
   lb:float array ->
   ub:float array ->
   ?seeds:int list ->
-  ?max_steps:int ->
   ?metrics:Metrics.shard ->
   unit ->
   outcome
@@ -78,9 +77,9 @@ val run :
     over them are enqueued initially, and tightening a variable enqueues
     its rows — branch decisions cascade without touching unrelated rows.
     When [seeds] is omitted every row is enqueued (the presolve mode).
-    [max_steps] (default [max 256 (64 * num_rows)]) bounds total row
-    evaluations; the bounds reached when the budget runs out are still
-    valid, just not necessarily a fixpoint.
+    At most [max 256 (64 * num_rows)] row evaluations run; the bounds
+    reached when that budget runs out are still valid, just not
+    necessarily a fixpoint.
 
     When a [metrics] shard is given every call bumps
     {!Metrics.C_prop_runs} and successful runs add their fixing count

@@ -490,6 +490,7 @@ module Summary = struct
     cert_checks : int;
     cert_seconds : float;
     cert_verdicts : (string * int) list;
+    hook_give_ups : int;
     incumbents : (float * float * int) list;
     phases : phase list;
     node_lps : Metrics.node_lp_row array;
@@ -520,6 +521,7 @@ module Summary = struct
     mutable a_cert_checks : int;
     mutable a_cert_seconds : float;
     a_cert_verdicts : (string, int) Hashtbl.t;
+    mutable a_hook_give_ups : int;
     mutable a_incumbents : (float * float * int) list;
     (* Per-writer span stacks: (name, start ts, child time). *)
     a_spans : (int, (string * float * float) list ref) Hashtbl.t;
@@ -554,6 +556,7 @@ module Summary = struct
       a_cert_checks = 0;
       a_cert_seconds = 0.;
       a_cert_verdicts = Hashtbl.create 4;
+      a_hook_give_ups = 0;
       a_incumbents = [];
       a_spans = Hashtbl.create 8;
       a_phases = Hashtbl.create 8;
@@ -646,7 +649,7 @@ module Summary = struct
       acc.a_cert_checks <- acc.a_cert_checks + 1;
       acc.a_cert_seconds <- acc.a_cert_seconds +. dt;
       bump acc.a_cert_verdicts (Trace.cert_verdict_name verdict) 1
-    | Hook_give_up _ -> ()
+    | Hook_give_up _ -> acc.a_hook_give_ups <- acc.a_hook_give_ups + 1
     | Span_begin name ->
       let stack = span_stack acc r.dom in
       stack := (name, r.ts, 0.) :: !stack
@@ -695,6 +698,7 @@ module Summary = struct
       cert_checks = acc.a_cert_checks;
       cert_seconds = acc.a_cert_seconds;
       cert_verdicts = sorted_tbl acc.a_cert_verdicts;
+      hook_give_ups = acc.a_hook_give_ups;
       incumbents = List.rev acc.a_incumbents;
       phases =
         Hashtbl.fold
@@ -746,6 +750,8 @@ module Summary = struct
     if t.cert_checks > 0 then
       line "certification checks=%d time=%.3f s %a@." t.cert_checks
         t.cert_seconds pp_assoc t.cert_verdicts;
+    if t.hook_give_ups > 0 then
+      line "hook          give-ups=%d@." t.hook_give_ups;
     (match t.incumbents with
     | [] -> line "incumbents    none@."
     | incs ->
@@ -821,6 +827,7 @@ module Summary = struct
                 Json.Obj (List.map (fun (k, v) -> (k, inum v)) t.cert_verdicts)
               );
             ] );
+        ("hook_give_ups", inum t.hook_give_ups);
         ( "incumbents",
           Json.Arr
             (List.map

@@ -110,6 +110,11 @@ module Summary : sig
     cert_checks : int;  (** Exact certifications performed. *)
     cert_seconds : float;  (** Time spent in rational arithmetic. *)
     cert_verdicts : (string * int) list;  (** Per verdict name. *)
+    hook_give_ups : int;
+        (** {!Trace.Hook_give_up} events: node-hook calls that gave up
+            within their budget or deadline. Printed by {!pp} only when
+            positive. Hook time has no event, so only [--stats]
+            reports it. *)
     incumbents : (float * float * int) list;
         (** Convergence series: (seconds, objective, node), in time
             order. *)

@@ -424,7 +424,7 @@ let kind_to_string = function
   | Lp.Integer -> "integer"
   | Lp.Continuous -> "continuous"
 
-let audit ?(options = Formulation.default_options) spec lp =
+let audit ~options spec lp =
   let e = expectation ~options spec in
   let cens = census ~options spec in
   let findings = ref [] in
@@ -541,7 +541,7 @@ let audit ?(options = Formulation.default_options) spec lp =
     actual_rows = Lp.num_constrs lp;
   }
 
-let audit_vars ?options vars = audit ?options vars.Vars.spec vars.Vars.lp
+let audit_vars vars = audit ~options:vars.Vars.options vars.Vars.spec vars.Vars.lp
 
 let errors r = List.filter (fun f -> f.severity = A.Error) r.findings
 
@@ -573,24 +573,25 @@ let pp_report ppf r =
   Format.fprintf ppf "@]"
 
 let to_json r =
-  let buf = Buffer.create 512 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{\"vars\":{\"actual\":%d,\"expected\":%d},\"rows\":{\"actual\":%d,\"expected\":%d},"
-    r.actual_vars r.census.total_vars r.actual_rows r.census.total_rows;
-  let fam_json fams =
-    String.concat ","
-      (List.map (fun (f, n) -> Printf.sprintf "\"%s\":%d" f n) fams)
+  let open Ilp.Json in
+  let int n = Num (Float.of_int n) in
+  let counts actual expected =
+    Obj [ ("actual", int actual); ("expected", int expected) ]
   in
-  add "\"var_census\":{%s},\"row_census\":{%s}," (fam_json r.census.var_families)
-    (fam_json r.census.row_families);
-  add "\"findings\":[";
-  List.iteri
-    (fun i f ->
-      add "%s{\"severity\":\"%s\",\"code\":\"%s\",\"message\":\"%s\"}"
-        (if i > 0 then "," else "")
-        (A.severity_to_string f.severity)
-        f.code
-        (String.concat "\\\"" (String.split_on_char '"' f.message)))
-    r.findings;
-  add "]}";
-  Buffer.contents buf
+  let families fams = Obj (List.map (fun (f, n) -> (f, int n)) fams) in
+  let finding f =
+    Obj
+      [
+        ("severity", Str (A.severity_to_string f.severity));
+        ("code", Str f.code);
+        ("message", Str f.message);
+      ]
+  in
+  Obj
+    [
+      ("vars", counts r.actual_vars r.census.total_vars);
+      ("rows", counts r.actual_rows r.census.total_rows);
+      ("var_census", families r.census.var_families);
+      ("row_census", families r.census.row_families);
+      ("findings", Arr (List.map finding r.findings));
+    ]

@@ -56,14 +56,13 @@ val census : options:Formulation.options -> Spec.t -> census
     for this instance, recomputed independently from the specification
     (windows, latencies, busy spans, task/step occupancy). *)
 
-val audit : ?options:Formulation.options -> Spec.t -> Ilp.Lp.t -> report
-(** Audits a model against the invariants above. [options] defaults to
-    {!Formulation.default_options}, mirroring {!Formulation.build}.
+val audit : options:Formulation.options -> Spec.t -> Ilp.Lp.t -> report
+(** Audits a raw model against the invariants above, as if
+    {!Formulation.build} had built it from [spec] under [options].
     Findings are deterministic: family by family, names in order. *)
 
-val audit_vars : ?options:Formulation.options -> Vars.t -> report
-(** [audit] on a freshly built variable manager (spec and model come
-    from the same value). *)
+val audit_vars : Vars.t -> report
+(** [audit] on a built model, under the spec and options it records. *)
 
 val describe_row : string -> string
 (** [describe_row name] phrases a row of the formulation in the paper's
@@ -80,5 +79,5 @@ val is_clean : report -> bool
 
 val pp_report : Format.formatter -> report -> unit
 
-val to_json : report -> string
-(** The report as a JSON object (no trailing newline). *)
+val to_json : report -> Ilp.Json.t
+(** The report as a JSON object; print it with {!Ilp.Json.to_string}. *)

@@ -5,7 +5,7 @@ type point = {
   seconds : float;
 }
 
-let sweep ?options ?strategy ?(time_limit_per_point = 120.) ?(jobs = 1)
+let sweep ?(time_limit_per_point = 120.) ?(jobs = 1)
     ~graph ~allocation ?capacity ?alpha ?scratch
     ~latency_range:(l_lo, l_hi) ~partition_range:(n_lo, n_hi) () =
   if l_lo < 0 || l_hi < l_lo then invalid_arg "Explore.sweep: latency range";
@@ -26,11 +26,9 @@ let sweep ?options ?strategy ?(time_limit_per_point = 120.) ?(jobs = 1)
       Spec.make ~graph ~allocation ?capacity ?alpha ?scratch ~latency_relax:l
         ~num_partitions:n ()
     in
-    let vars = Formulation.build ?options spec in
+    let vars = Formulation.build spec in
     let t0 = Ilp.Mono.now () in
-    let report =
-      Solver.solve ?strategy ~time_limit:time_limit_per_point vars
-    in
+    let report = Solver.solve ~time_limit:time_limit_per_point vars in
     let seconds = Ilp.Mono.elapsed_since t0 in
     let outcome =
       match report.Solver.outcome with

@@ -14,8 +14,6 @@ type point = {
 }
 
 val sweep :
-  ?options:Formulation.options ->
-  ?strategy:Branching.strategy ->
   ?time_limit_per_point:float ->
   ?jobs:int ->
   graph:Taskgraph.Graph.t ->
@@ -27,8 +25,9 @@ val sweep :
   partition_range:int * int ->
   unit ->
   point list
-(** Solves every (L, N) combination in the inclusive ranges; the result
-    list is always in increasing (L, N) order. Default per-point limit:
+(** Solves every (L, N) combination in the inclusive ranges with the
+    default formulation and solver settings; the result list is always
+    in increasing (L, N) order. Default per-point limit:
     120 s. [jobs] (default 1) solves that many design points
     concurrently, one worker domain per point — each point's own tree
     search stays sequential, and the per-point time limit is unchanged.

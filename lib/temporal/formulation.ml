@@ -1,9 +1,9 @@
 module G = Taskgraph.Graph
 module Lp = Ilp.Lp
 
-type linearization = Fortet | Glover
+type linearization = Vars.linearization = Fortet | Glover
 
-type options = {
+type options = Vars.options = {
   linearization : linearization;
   tighten : bool;
   literal_cs_exclusion : bool;
@@ -33,12 +33,7 @@ let build ?(options = default_options) spec =
   let ns = Spec.num_steps spec in
   let nf = Spec.num_instances spec in
   let nt = G.num_tasks g in
-  let vars =
-    Vars.create
-      ~z_integer:(options.linearization = Fortet)
-      ~with_step_claim:(not options.literal_cs_exclusion)
-      spec
-  in
+  let vars = Vars.create ~options spec in
   let lp = vars.Vars.lp in
   let cstr ?name terms sense rhs = ignore (Lp.add_constr lp ?name terms sense rhs) in
   (* --- Temporal partitioning ------------------------------------- *)

@@ -24,32 +24,17 @@
       quartic-size pairwise form is available via
       [literal_cs_exclusion]. *)
 
-type linearization =
-  | Fortet  (** Binary product variables, eqs. 15-16. *)
-  | Glover  (** Continuous product variables, eqs. 15, 17-18 — tighter. *)
+type linearization = Vars.linearization = Fortet | Glover
 
-type options = {
+type options = Vars.options = {
   linearization : linearization;
-  tighten : bool;  (** Add the cuts of Section 6 (eqs. 28-30, 32). *)
+  tighten : bool;
   literal_cs_exclusion : bool;
-      (** Use the paper's pairwise eq. 13 instead of the compact
-          step-claim encoding. *)
   aggregate_o : bool;
-      (** Generate eq. 26 aggregated per (operation, unit) —
-          [o_tk >= sum_j x_ijk] — instead of the paper's one row per
-          (operation, step, unit). Valid because eq. 6 schedules each
-          operation exactly once; tighter and smaller. Off in the
-          paper-faithful configurations. *)
   step_cuts : bool;
-      (** Our addition beyond the paper (requires the compact
-          exclusion): valid inequalities linking the step-claim
-          variables to the partition assignment — a partition owning a
-          task owns at least the task's intra-critical-path many steps,
-          and the operations assigned to a partition cannot exceed its
-          owned steps times the (per-kind) functional-unit count. They
-          shrink the pure-feasibility search dramatically; ablated in
-          the benchmarks. *)
 }
+(** The model's options, documented at {!Vars.options}; the built
+    model records them in {!Vars.t}[.options]. *)
 
 val default_options : options
 (** Glover linearization, tightening on, compact exclusion, step cuts —

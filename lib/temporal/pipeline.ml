@@ -8,7 +8,7 @@ type result = {
   trace : string list;
 }
 
-let run ?options ?strategy ?time_limit ?max_nodes ?num_partitions ?lint ?jobs
+let run ?options ?strategy ?time_limit ?num_partitions ?lint ?jobs
     ?deterministic ?certify
     ?(tracer = Ilp.Trace.disabled) ?metrics
     ~graph ~allocation ?capacity ?alpha ?scratch ?latency_relax () =
@@ -70,8 +70,8 @@ let run ?options ?strategy ?time_limit ?max_nodes ?num_partitions ?lint ?jobs
     (Vars.num_constrs vars);
   (* Stage 4-5: solve, extract, validate *)
   let report =
-    Solver.solve ?strategy ?time_limit ?max_nodes ?lint ?jobs ?deterministic
-      ?certify ~tracer ?metrics ?lint_options:options vars
+    Solver.solve ?strategy ?time_limit ?lint ?jobs ?deterministic ?certify
+      ~tracer ?metrics vars
   in
   log "solve: %s (%d nodes, %.2fs)"
     (Format.asprintf "%a" Solver.pp_outcome report.Solver.outcome)

@@ -23,7 +23,6 @@ val run :
   ?options:Formulation.options ->
   ?strategy:Branching.strategy ->
   ?time_limit:float ->
-  ?max_nodes:int ->
   ?num_partitions:int ->
   ?lint:bool ->
   ?jobs:int ->

@@ -142,14 +142,14 @@ let validate_or_fail spec sol =
 (* Strict mode: run the generic model analysis and the formulation audit
    before spending any solve time, and refuse to proceed past
    error-level findings. Warnings are left to [tpart analyze]. *)
-let lint_or_fail ?options vars =
+let lint_or_fail vars =
   let issues = ref [] in
   let add s = issues := s :: !issues in
   let report = Ilp.Analyze.analyze vars.Vars.lp in
   List.iter
     (fun d -> add (Format.asprintf "%a" Ilp.Analyze.pp_diagnostic d))
     (Ilp.Analyze.errors report);
-  let audit = Audit.audit_vars ?options vars in
+  let audit = Audit.audit_vars vars in
   List.iter
     (fun (f : Audit.finding) -> add (Printf.sprintf "error[%s]: %s" f.code f.message))
     (Audit.errors audit);
@@ -163,19 +163,17 @@ let lint_or_fail ?options vars =
          (String.concat "\n" issues))
 
 let solve ?(strategy = Branching.Paper) ?(time_limit = Float.infinity)
-    ?(max_nodes = max_int) ?(validate = true) ?(scheduler_completion = true)
-    ?(presolve = true) ?(lint = false) ?lint_options
+    ?(scheduler_completion = true) ?(presolve = true) ?(lint = false)
     ?(jobs = 1) ?(deterministic = false)
     ?(certify = Bb.Cert_off) ?(tracer = Ilp.Trace.disabled)
     ?metrics vars =
   let deadline = Ilp.Mono.now () +. time_limit in
-  if lint then lint_or_fail ?options:lint_options vars;
+  if lint then lint_or_fail vars;
   let options =
     {
       Bb.default_options with
       Bb.branch_rule = Some (Branching.rule strategy vars);
       time_limit;
-      max_nodes;
       node_hook =
         (if scheduler_completion then Some (scheduler_hook ~deadline vars)
          else None);
@@ -234,7 +232,7 @@ let solve ?(strategy = Branching.Paper) ?(time_limit = Float.infinity)
   let spec = vars.Vars.spec in
   let mk_solution x =
     let sol = Solution.extract vars x in
-    if validate then validate_or_fail spec sol;
+    validate_or_fail spec sol;
     sol
   in
   let outcome, objective =

@@ -13,7 +13,7 @@ type outcome =
       (** No partition/schedule satisfies the constraints (the "No"
           rows of the paper's Tables 3-4). *)
   | Timed_out of Solution.t option
-      (** Node or time limit; carries the incumbent if any. *)
+      (** Time limit; carries the incumbent if any. *)
 
 type report = {
   outcome : outcome;
@@ -49,12 +49,9 @@ val scheduler_hook :
 val solve :
   ?strategy:Branching.strategy ->
   ?time_limit:float ->
-  ?max_nodes:int ->
-  ?validate:bool ->
   ?scheduler_completion:bool ->
   ?presolve:bool ->
   ?lint:bool ->
-  ?lint_options:Formulation.options ->
   ?jobs:int ->
   ?deterministic:bool ->
   ?certify:Ilp.Branch_bound.certify_level ->
@@ -62,18 +59,17 @@ val solve :
   ?metrics:Ilp.Metrics.t ->
   Vars.t ->
   report
-(** Defaults: paper branching, no limits,
-    [validate = true], [scheduler_completion = true]. When [validate] is
-    set and the extracted optimal solution fails {!Solution.validate},
-    raises [Failure] — this is the safety net wired through every test
-    and benchmark.
+(** Defaults: paper branching, no time limit,
+    [scheduler_completion = true]. Every extracted solution, optimal or
+    incumbent, is validated by {!Solution.validate}; one that fails
+    raises [Failure].
 
-    [lint] (default off) runs {!Ilp.Analyze.analyze} and {!Audit.audit}
-    on the model before solving and raises [Failure] listing every
-    error-level finding — fail fast instead of branching on a broken
-    model. [lint_options] tells the audit which {!Formulation.options}
-    the model was built with (defaults to
-    {!Formulation.default_options}).
+    [lint] (default off) runs {!Ilp.Analyze.analyze} and
+    {!Audit.audit_vars} on the model before solving and raises
+    [Failure] listing every error-level finding — fail fast instead of
+    branching on a broken model. The audit reads the
+    {!Formulation.options} the model was built with from
+    {!Vars.t}[.options].
 
     [scheduler_completion] installs the exact-scheduler node hook: once
     a node's partitioning variables are all integral, the design is

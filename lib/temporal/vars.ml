@@ -1,8 +1,19 @@
 module G = Taskgraph.Graph
 module Lp = Ilp.Lp
 
+type linearization = Fortet | Glover
+
+type options = {
+  linearization : linearization;
+  tighten : bool;
+  literal_cs_exclusion : bool;
+  aggregate_o : bool;
+  step_cuts : bool;
+}
+
 type t = {
   spec : Spec.t;
+  options : options;
   lp : Lp.t;
   y : Lp.var array array;
   x : (int * int * Lp.var) list array;
@@ -14,7 +25,7 @@ type t = {
   s : Lp.var array array option;
 }
 
-let create ~z_integer ~with_step_claim spec =
+let create ~options spec =
   let g = spec.Spec.graph in
   let nt = G.num_tasks g in
   let nf = Spec.num_instances spec in
@@ -104,11 +115,12 @@ let create ~z_integer ~with_step_claim spec =
                   Some
                     (Lp.add_var lp ~ub:1.
                        ~name:(Printf.sprintf "z_p%d_t%d_k%d" (p + 1) t k)
-                       (if z_integer then Lp.Binary else Lp.Continuous))
+                       (if options.linearization = Fortet then Lp.Binary
+                        else Lp.Continuous))
                 else None)))
   in
   let s =
-    if with_step_claim then
+    if not options.literal_cs_exclusion then
       Some
         (Array.init np (fun p ->
              Array.init ns (fun j0 ->
@@ -117,7 +129,7 @@ let create ~z_integer ~with_step_claim spec =
                    Lp.Continuous)))
     else None
   in
-  { spec; lp; y; x; w; u; o; c; z; s }
+  { spec; options; lp; y; x; w; u; o; c; z; s }
 
 let x_var t i j k =
   List.find_map

@@ -21,8 +21,38 @@
       {!Formulation}) partition [p] claims control step [j]
       (continuous). *)
 
+type linearization =
+  | Fortet  (** Binary product variables, eqs. 15-16. *)
+  | Glover  (** Continuous product variables, eqs. 15, 17-18 — tighter. *)
+
+type options = {
+  linearization : linearization;
+  tighten : bool;  (** Add the cuts of Section 6 (eqs. 28-30, 32). *)
+  literal_cs_exclusion : bool;
+      (** Use the paper's pairwise eq. 13 instead of the compact
+          step-claim encoding. *)
+  aggregate_o : bool;
+      (** Generate eq. 26 aggregated per (operation, unit) —
+          [o_tk >= sum_j x_ijk] — instead of the paper's one row per
+          (operation, step, unit). Valid because eq. 6 schedules each
+          operation exactly once; tighter and smaller. Off in the
+          paper-faithful configurations. *)
+  step_cuts : bool;
+      (** Our addition beyond the paper (requires the compact
+          exclusion): valid inequalities linking the step-claim
+          variables to the partition assignment — a partition owning a
+          task owns at least the task's intra-critical-path many steps,
+          and the operations assigned to a partition cannot exceed its
+          owned steps times the (per-kind) functional-unit count. They
+          shrink the pure-feasibility search dramatically; ablated in
+          the benchmarks. *)
+}
+(** The formulation's options; {!Formulation} re-exports them with its
+    presets. *)
+
 type t = {
   spec : Spec.t;
+  options : options;  (** The options the model was built with. *)
   lp : Ilp.Lp.t;
   y : Ilp.Lp.var array array;  (** [y.(t).(p-1)] *)
   x : (int * int * Ilp.Lp.var) list array;
@@ -36,10 +66,11 @@ type t = {
   s : Ilp.Lp.var array array option;  (** [s.(p-1).(j-1)] *)
 }
 
-val create : z_integer:bool -> with_step_claim:bool -> Spec.t -> t
-(** Builds the [Lp.t] and all variables. [z_integer] selects Fortet-style
-    binary product variables; [with_step_claim] creates the [s_pj]
-    family used by the compact control-step exclusion. *)
+val create : options:options -> Spec.t -> t
+(** Builds the [Lp.t] and all variables, no rows. Fortet's
+    linearization makes the [z] products binary; the compact
+    control-step exclusion (no [literal_cs_exclusion]) creates the
+    [s_pj] family. *)
 
 val x_var : t -> Taskgraph.Graph.op_id -> int -> int -> Ilp.Lp.var option
 (** [x_var t i j k]: the variable for operation [i] at step [j] on

@@ -116,8 +116,28 @@ let test_zero_coefficient_and_conditioning () =
   let r = A.analyze lp in
   Alcotest.(check bool) "zero coeff" true (has "zero-coefficient" r);
   Alcotest.(check bool) "conditioning" true (has "ill-conditioned" r);
-  Alcotest.(check bool) "raised limit passes" false
-    (has "ill-conditioned" (A.analyze ~cond_limit:1e10 lp))
+  (* the JSON rendering parses back to the same diagnostics *)
+  let json =
+    match Ilp.Json.parse (Ilp.Json.to_string (A.to_json r)) with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "json does not parse: %s" e
+  in
+  let field key d = Option.bind (Ilp.Json.member key d) Ilp.Json.str in
+  let diags =
+    Ilp.Json.to_list
+      (Option.value ~default:Ilp.Json.Null (Ilp.Json.member "diagnostics" json))
+  in
+  Alcotest.(check (list (option string))) "json codes"
+    (List.map Option.some (codes r))
+    (List.map (field "code") diags);
+  Alcotest.(check (list (option string))) "json messages"
+    (List.map (fun (d : A.diagnostic) -> Some d.A.message) r.A.diagnostics)
+    (List.map (field "message") diags);
+  Alcotest.(check (list (option int))) "json rows"
+    (List.map (fun (d : A.diagnostic) -> d.A.row) r.A.diagnostics)
+    (List.map
+       (fun d -> Option.bind (Ilp.Json.member "row" d) Ilp.Json.int)
+       diags)
 
 let test_classification () =
   let lp = Lp.create () in
@@ -156,14 +176,20 @@ let test_stats_and_json () =
   Alcotest.(check int) "nnz" 4 r.A.stats.A.nnz;
   Alcotest.(check (float 1e-9)) "max" 3. r.A.stats.A.max_abs;
   Alcotest.(check (float 1e-9)) "min" 1. r.A.stats.A.min_abs;
-  let j = A.to_json r in
-  let contains needle =
-    let n = String.length needle and h = String.length j in
-    let rec go i = i + n <= h && (String.sub j i n = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "json model" true (contains "\"model\":\"clean\"");
-  Alcotest.(check bool) "json empty diags" true (contains "\"diagnostics\":[]")
+  match Ilp.Json.parse (Ilp.Json.to_string (A.to_json r)) with
+  | Error e -> Alcotest.failf "json does not parse: %s" e
+  | Ok j ->
+    let get path =
+      List.fold_left (fun v k -> Option.bind v (Ilp.Json.member k)) (Some j) path
+    in
+    Alcotest.(check (option string)) "json model" (Some "clean")
+      (Option.bind (get [ "model" ]) Ilp.Json.str);
+    Alcotest.(check (option int)) "json nnz" (Some 4)
+      (Option.bind (get [ "coefficients"; "nnz" ]) Ilp.Json.int);
+    Alcotest.(check (option (float 1e-9))) "json max" (Some 3.)
+      (Option.bind (get [ "coefficients"; "max_abs" ]) Ilp.Json.num);
+    Alcotest.(check bool) "json empty diags" true
+      (get [ "diagnostics" ] = Some (Ilp.Json.Arr []))
 
 let test_formulation_models_clean () =
   (* every example graph under every formulation preset analyzes clean *)

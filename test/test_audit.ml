@@ -62,12 +62,14 @@ let test_clean_across_presets () =
           List.iter
             (fun (pname, options) ->
               let vars = F.build ~options spec in
-              let r = Audit.audit_vars ~options vars in
+              let r = Audit.audit_vars vars in
               let label what =
                 Printf.sprintf "%s n=%d %s %s" gname n pname what
               in
               Alcotest.(check (list string)) (label "errors") []
                 (finding_codes r);
+              Alcotest.(check bool) (label "options recorded") true
+                (vars.Temporal.Vars.options = options);
               Alcotest.(check int)
                 (label "var census")
                 (Temporal.Vars.num_vars vars)
@@ -105,7 +107,7 @@ let test_unexpected_tightening_rows () =
      cut29 row is unexpected and the row census disagrees *)
   let spec = spec_of (Taskgraph.Examples.diamond ()) ~n:2 in
   let vars = F.build ~options:F.tightened_options spec in
-  let r = Audit.audit_vars ~options:F.base_options vars in
+  let r = Audit.audit ~options:F.base_options spec vars.Temporal.Vars.lp in
   let codes = finding_codes r in
   Alcotest.(check bool) "unexpected-row" true (List.mem "unexpected-row" codes);
   Alcotest.(check bool) "row-census" true (List.mem "row-census" codes)
@@ -116,7 +118,7 @@ let test_linearization_kind_checked () =
   let spec = spec_of (Taskgraph.Examples.diamond ()) ~n:2 in
   let vars = F.build ~options:F.tightened_options spec in
   let fortet = { F.tightened_options with F.linearization = F.Fortet } in
-  let r = Audit.audit_vars ~options:fortet vars in
+  let r = Audit.audit ~options:fortet spec vars.Temporal.Vars.lp in
   Alcotest.(check bool) "variable-kind" true
     (List.mem "variable-kind" (finding_codes r))
 
@@ -138,18 +140,72 @@ let test_census_standalone () =
         (List.fold_left (fun a (_, n) -> a + n) 0 c.Audit.var_families))
     presets
 
+let test_solver_lint () =
+  (* [Solver.solve ~lint:true] audits under the options the model was
+     built with, so every preset passes; a model missing a row fails *)
+  let spec = spec_of (Taskgraph.Examples.chain 3) ~n:2 in
+  List.iter
+    (fun (pname, options) ->
+      let vars = F.build ~options spec in
+      match Temporal.Solver.solve ~lint:true vars with
+      | _ -> ()
+      | exception Failure msg -> Alcotest.failf "%s: %s" pname msg)
+    presets;
+  let vars = F.build spec in
+  let tampered =
+    { vars with Temporal.Vars.lp = strip_row vars.Temporal.Vars.lp "uniq_t0" }
+  in
+  match Temporal.Solver.solve ~lint:true tampered with
+  | _ -> Alcotest.fail "lint passed a model missing uniq_t0"
+  | exception Failure _ -> ()
+
+let parse_json r =
+  match Ilp.Json.parse (Ilp.Json.to_string (Audit.to_json r)) with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "audit json does not parse: %s" e
+
 let test_json_shape () =
   let spec = spec_of (Taskgraph.Examples.chain 3) ~n:2 in
   let vars = F.build spec in
-  let j = Audit.to_json (Audit.audit_vars vars) in
-  let contains needle =
-    let n = String.length needle and h = String.length j in
-    let rec go i = i + n <= h && (String.sub j i n = needle || go (i + 1)) in
-    go 0
+  let r = Audit.audit_vars vars in
+  let j = parse_json r in
+  let member k = Ilp.Json.member k j in
+  Alcotest.(check bool) "findings key" true
+    (member "findings" = Some (Ilp.Json.Arr []));
+  Alcotest.(check (option int)) "expected vars"
+    (Some r.Audit.census.Audit.total_vars)
+    (Option.bind (Option.bind (member "vars") (Ilp.Json.member "expected"))
+       Ilp.Json.int);
+  Alcotest.(check (option int)) "y family"
+    (List.assoc_opt "y" r.Audit.census.Audit.var_families)
+    (Option.bind (Option.bind (member "var_census") (Ilp.Json.member "y"))
+       Ilp.Json.int);
+  Alcotest.(check bool) "row census key" true (member "row_census" <> None)
+
+let test_json_escapes () =
+  (* a message holding a backslash, a quote and a newline survives the
+     printer and the parser unchanged *)
+  let message = "row \\ \"q\"\nnext line" in
+  let spec = spec_of (Taskgraph.Examples.chain 3) ~n:2 in
+  let census = Audit.census ~options:F.default_options spec in
+  let r =
+    {
+      Audit.findings =
+        [ { Audit.severity = Ilp.Analyze.Error; code = "missing-row"; message } ];
+      census;
+      actual_vars = 0;
+      actual_rows = 0;
+    }
   in
-  Alcotest.(check bool) "findings key" true (contains "\"findings\":[]");
-  Alcotest.(check bool) "census keys" true
-    (contains "\"var_census\"" && contains "\"row_census\"")
+  let findings =
+    Ilp.Json.to_list
+      (Option.value ~default:Ilp.Json.Null
+         (Ilp.Json.member "findings" (parse_json r)))
+  in
+  Alcotest.(check (list (option string))) "message round-trips" [ Some message ]
+    (List.map
+       (fun f -> Option.bind (Ilp.Json.member "message" f) Ilp.Json.str)
+       findings)
 
 let () =
   Alcotest.run "audit"
@@ -160,6 +216,7 @@ let () =
             test_clean_across_presets;
           Alcotest.test_case "census standalone" `Quick test_census_standalone;
           Alcotest.test_case "json" `Quick test_json_shape;
+          Alcotest.test_case "json escapes" `Quick test_json_escapes;
         ] );
       ( "mutations",
         [
@@ -168,5 +225,6 @@ let () =
             test_unexpected_tightening_rows;
           Alcotest.test_case "linearization kind" `Quick
             test_linearization_kind_checked;
+          Alcotest.test_case "solver lint" `Quick test_solver_lint;
         ] );
     ]

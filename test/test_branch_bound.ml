@@ -152,26 +152,25 @@ let test_custom_branch_rule () =
   | Bb.Optimal { obj; _ }, _ -> check_float "obj" 14. (user_obj lp obj)
   | o, _ -> Alcotest.failf "unexpected %a" Bb.pp_outcome o
 
-let test_on_incumbent_callback () =
-  let lp, _ = knapsack [| 10.; 6.; 4. |] [| 5.; 4.; 3. |] 8. in
-  let calls = ref [] in
-  let options =
-    {
-      Bb.default_options with
-      Bb.on_incumbent = Some (fun obj _ -> calls := obj :: !calls);
-    }
+(* Every improving install is one timeline entry: objectives strictly
+   decrease and the last one is the optimum. *)
+let check_timeline (stats : Bb.stats) obj =
+  let objs = Array.to_list (Array.map (fun (_, o, _, _) -> o) stats.Bb.timeline) in
+  Alcotest.(check bool) "incumbents recorded" true (objs <> []);
+  Alcotest.(check int) "one entry per incumbent" stats.Bb.incumbents
+    (List.length objs);
+  check_float "last incumbent" obj (List.nth objs (List.length objs - 1));
+  let rec decreasing = function
+    | a :: (b :: _ as rest) -> b < a -. 1e-9 && decreasing rest
+    | _ -> true
   in
-  (match Bb.solve ~options lp with
-   | Bb.Optimal { obj; _ }, _ ->
-     Alcotest.(check bool) "called" true (!calls <> []);
-     (* incumbents improve monotonically; the last equals the optimum *)
-     check_float "last incumbent" obj (List.hd !calls);
-     let rec monotone = function
-       | a :: (b :: _ as rest) -> a <= b +. 1e-9 && monotone rest
-       | _ -> true
-     in
-     Alcotest.(check bool) "monotone" true (monotone !calls)
-   | o, _ -> Alcotest.failf "unexpected %a" Bb.pp_outcome o)
+  Alcotest.(check bool) "strictly decreasing" true (decreasing objs)
+
+let test_incumbent_timeline () =
+  let lp, _ = knapsack [| 10.; 6.; 4. |] [| 5.; 4.; 3. |] 8. in
+  match Bb.solve lp with
+  | Bb.Optimal { obj; _ }, stats -> check_timeline stats obj
+  | o, _ -> Alcotest.failf "unexpected %a" Bb.pp_outcome o
 
 let test_fractionality () =
   check_float "0.5" 0.5 (Bb.fractionality 0.5);
@@ -518,6 +517,22 @@ let parallel_knapsack () =
     (Array.init 18 (fun i -> Float.of_int (2 + ((i * 5) mod 9))))
     31.
 
+(* A three-row 0-1 knapsack whose parallel search spreads its ~200
+   nodes over the workers. *)
+let multi_knapsack () =
+  let lp = Lp.create () in
+  let xs = Array.init 24 (fun _ -> Lp.add_var lp Lp.Binary) in
+  let coef k i = Float.of_int ((((i + 3) * (7 + k) * 37) mod 19) + 1) in
+  Lp.set_objective lp ~maximize:true
+    (Array.to_list (Array.mapi (fun i x -> (coef 0 i, x)) xs));
+  for k = 1 to 3 do
+    ignore
+      (Lp.add_constr lp
+         (Array.to_list (Array.mapi (fun i x -> (coef k i, x)) xs))
+         Lp.Le 61.5)
+  done;
+  lp
+
 let test_parallel_matches_sequential () =
   let lp, _ = parallel_knapsack () in
   let solve jobs =
@@ -564,36 +579,35 @@ let test_deterministic_reproducible () =
   | (o1, _), (o2, _) ->
     Alcotest.failf "unexpected %a / %a" Bb.pp_outcome o1 Bb.pp_outcome o2
 
-let test_parallel_incumbent_serialized () =
-  (* The incumbent callback must never run concurrently with itself and
-     must only see strictly improving objectives, even with 4 workers
-     racing. The reentrancy flag would trip if two domains overlapped
-     inside the callback. *)
-  let lp, _ = parallel_knapsack () in
-  let in_callback = Atomic.make false in
+let test_parallel_hook_serialized () =
+  (* The node hook must never run concurrently with itself, even with 4
+     workers racing: [Temporal.Solver.scheduler_hook]'s memo table
+     relies on it. The reentrancy flag would trip if two domains
+     overlapped inside the hook; the spin keeps each call long enough
+     for an unserialized overlap to show. *)
+  let lp = multi_knapsack () in
+  let in_hook = Atomic.make false in
   let overlaps = Atomic.make 0 in
-  let tears = Atomic.make 0 in
-  let last = ref Float.infinity (* protected by the solver's user lock *) in
-  let on_incumbent obj _x =
-    if not (Atomic.compare_and_set in_callback false true) then
+  let calls = Atomic.make 0 in
+  let node_hook _point ~is_fixed:_ =
+    if not (Atomic.compare_and_set in_hook false true) then
       Atomic.incr overlaps;
-    if obj >= !last -. 1e-9 then Atomic.incr tears;
-    last := obj;
-    Domain.cpu_relax ();
-    Atomic.set in_callback false
+    Atomic.incr calls;
+    for _ = 1 to 2000 do Domain.cpu_relax () done;
+    Atomic.set in_hook false;
+    Bb.Hook_none
   in
   let options =
-    {
-      Bb.default_options with
-      Bb.jobs = 4;
-      Bb.on_incumbent = Some on_incumbent;
-    }
+    { Bb.default_options with Bb.jobs = 4; node_hook = Some node_hook }
   in
   match Bb.solve ~options lp with
-  | Bb.Optimal _, stats ->
-    Alcotest.(check int) "no concurrent callbacks" 0 (Atomic.get overlaps);
-    Alcotest.(check int) "strictly improving sequence" 0 (Atomic.get tears);
-    Alcotest.(check bool) "incumbents seen" true (stats.Bb.incumbents >= 1)
+  | Bb.Optimal { obj; _ }, stats ->
+    Alcotest.(check int) "no concurrent hook calls" 0 (Atomic.get overlaps);
+    Alcotest.(check int) "every call counted" (Atomic.get calls)
+      stats.Bb.deductions.Bb.hook_calls;
+    Alcotest.(check bool) "workers ran nodes" true
+      (Array.exists (fun w -> w.Bb.w_nodes > 0) stats.Bb.workers);
+    check_timeline stats obj
   | o, _ -> Alcotest.failf "unexpected %a" Bb.pp_outcome o
 
 let test_parallel_node_limit () =
@@ -639,8 +653,8 @@ let () =
             test_rejected_integral_point;
           Alcotest.test_case "custom branch rule" `Quick
             test_custom_branch_rule;
-          Alcotest.test_case "incumbent callback" `Quick
-            test_on_incumbent_callback;
+          Alcotest.test_case "incumbent timeline" `Quick
+            test_incumbent_timeline;
           Alcotest.test_case "fractionality" `Quick test_fractionality;
         ] );
       ( "historical",
@@ -676,8 +690,8 @@ let () =
           Alcotest.test_case "jobs < 1 rejected" `Quick test_parallel_bad_jobs;
           Alcotest.test_case "deterministic reproducible" `Quick
             test_deterministic_reproducible;
-          Alcotest.test_case "incumbent callbacks serialized" `Quick
-            test_parallel_incumbent_serialized;
+          Alcotest.test_case "node hooks serialized" `Quick
+            test_parallel_hook_serialized;
           Alcotest.test_case "node limit" `Quick test_parallel_node_limit;
         ] );
       ( "properties",

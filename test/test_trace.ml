@@ -119,32 +119,45 @@ let contains hay needle =
 
 (* ---------------- a real traced solve to round-trip ---------------- *)
 
-(* A small knapsack-flavoured 0-1 model with a nontrivial tree. *)
+(* A small 0-1 knapsack with a side constraint whose search branches,
+   so the tree checks below see parent edges. Its node hook gives up on
+   every fractional LP point, so the stream holds give-up events. *)
 let sample_records () =
   let lp = Ilp.Lp.create () in
-  let n = 8 in
+  let n = 10 in
   let xs =
     Array.init n (fun i ->
         Ilp.Lp.add_var lp ~name:(Printf.sprintf "x%d" i) Ilp.Lp.Binary)
   in
   Ilp.Lp.set_objective lp ~maximize:true
     (Array.to_list
-       (Array.mapi (fun i x -> (Float.of_int ((i mod 4) + 1), x)) xs));
+       (Array.mapi (fun i x -> (Float.of_int (5 + (i * 7 mod 11)), x)) xs));
   ignore
     (Ilp.Lp.add_constr lp ~name:"cap"
        (Array.to_list
-          (Array.mapi (fun i x -> (Float.of_int ((i mod 3) + 1), x)) xs))
-       Ilp.Lp.Le 6.);
+          (Array.mapi (fun i x -> (Float.of_int (2 + (i * 5 mod 9)), x)) xs))
+       Ilp.Lp.Le 19.);
   ignore
     (Ilp.Lp.add_constr lp ~name:"pick"
        [ (1., xs.(0)); (1., xs.(1)); (1., xs.(2)) ]
        Ilp.Lp.Le 1.);
+  let node_hook point ~is_fixed:_ =
+    match point with
+    | Bb.Lp_solution x when Array.exists (fun v -> Bb.fractionality v > 1e-6) x
+      ->
+      Bb.Hook_gave_up "fractional point"
+    | Bb.Lp_solution _ | Bb.Bounds _ -> Bb.Hook_none
+  in
   let tracer = Trace.create () in
-  let options = { Bb.default_options with Bb.tracer } in
+  let options =
+    { Bb.default_options with Bb.tracer; node_hook = Some node_hook }
+  in
   let outcome, stats = Bb.solve ~options lp in
   (match outcome with
    | Bb.Optimal _ -> ()
    | _ -> Alcotest.fail "sample solve not optimal");
+  if stats.Bb.nodes <= 1 then
+    Alcotest.failf "sample solve closed at its root (%d node)" stats.Bb.nodes;
   (Trace.collect tracer, stats)
 
 let test_solver_trace_consistent () =
@@ -160,7 +173,11 @@ let test_solver_trace_consistent () =
   Alcotest.(check int) "incumbent count" stats.Bb.incumbents
     (List.length s.Export.Summary.incumbents);
   Alcotest.(check int) "timeline in stats too" stats.Bb.incumbents
-    (Array.length stats.Bb.timeline)
+    (Array.length stats.Bb.timeline);
+  Alcotest.(check bool) "the hook gave up" true
+    (stats.Bb.deductions.Bb.hook_give_ups > 0);
+  Alcotest.(check int) "hook give-ups match stats"
+    stats.Bb.deductions.Bb.hook_give_ups s.Export.Summary.hook_give_ups
 
 let test_tree_reconstruction () =
   let records, stats = sample_records () in
@@ -733,6 +750,9 @@ let test_hook_give_up_traced () =
   Alcotest.(check bool) "the hook gave up" true (!give_ups <> []);
   Alcotest.(check int) "one event per counted give-up"
     stats.Bb.deductions.Bb.hook_give_ups (List.length !give_ups);
+  Alcotest.(check int) "summary counts them"
+    stats.Bb.deductions.Bb.hook_give_ups
+    (Export.Summary.of_records records).Export.Summary.hook_give_ups;
   List.iter
     (fun (dom, node, what) ->
       Alcotest.(check (option int))
