@@ -129,19 +129,17 @@ let certification_of s root_certificate =
 
 let empty_certification = certification_of Metrics.empty_snapshot None
 
-(* One exact check's tallies, into the checking context's shard. *)
-let count_check sh (cert : Certify.t) dt =
-  Metrics.incr sh C_cert_checked;
-  Metrics.add_sum sh S_cert_seconds dt;
-  Metrics.incr sh
-    (match cert.verdict with
-     | Certify.Certified -> C_certified_nodes
-     | Certify.Refuted -> C_cert_refuted
-     | Certify.Uncertifiable -> C_cert_uncertifiable)
+(* An exact check's verdict as its trace event names it; it also picks
+   the verdict's counter ({!Metrics.count_check}). *)
+let trace_verdict (cert : Certify.t) =
+  match cert.verdict with
+  | Certify.Certified -> Trace.Cert_certified
+  | Certify.Refuted -> Trace.Cert_refuted
+  | Certify.Uncertifiable -> Trace.Cert_uncertifiable
 
 let single_check cert ~seconds =
   let sh = Metrics.make_shard () in
-  count_check sh cert seconds;
+  Metrics.count_check sh (trace_verdict cert) ~seconds;
   certification_of (Metrics.merge [ sh ]) (Some cert)
 
 let pp_certification ppf c =
@@ -640,24 +638,22 @@ let certify_node ctx ~nno res =
   let snap = Simplex.snapshot (engine ctx) in
   let cert = Certify.check snap res in
   let dt = Mono.elapsed_since t in
-  count_check ctx.msh cert dt;
+  Metrics.count_check ctx.msh (trace_verdict cert) ~seconds:dt;
   if cert.Certify.verdict = Certify.Refuted then
     Log.warn (fun f ->
         f "node %d LP verdict refuted by exact check: %s" nno
           (Certify.describe cert));
   if at_root ctx then ctx.env.root_cert <- Some cert;
   let tw = Metrics.writer ctx.msh in
-  if Trace.active tw then begin
-    let verdict =
-      match cert.Certify.verdict with
-      | Certify.Certified -> Trace.Cert_certified
-      | Certify.Refuted -> Trace.Cert_refuted
-      | Certify.Uncertifiable -> Trace.Cert_uncertifiable
-    in
+  if Trace.active tw then
     Trace.emit tw
       (Trace.Cert_check
-         { node = nno; verdict; kind = Certify.kind_name cert.Certify.detail; dt })
-  end
+         {
+           node = nno;
+           verdict = trace_verdict cert;
+           kind = Certify.kind_name cert.Certify.detail;
+           dt;
+         })
 
 (* Evaluate one node on [ctx]'s engine: bound setup, domain
    propagation, the hook on the node's bounds, (warm) LP solve, the

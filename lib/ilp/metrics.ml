@@ -296,20 +296,23 @@ type node_lp_row = {
   nl_seconds : float;
 }
 
-(* The one distribution function behind both tables: [iter f] calls
-   [f code pivots seconds] once per sample, [code] a
-   [Trace.reason_index]. One pass builds per-reason pivot lists and
-   second sums; slot [Array.length Trace.close_reasons] is "all". *)
-let distribution iter =
+(* The distribution of the shards' samples: one pass builds per-reason
+   pivot lists and second sums; slot [Array.length Trace.close_reasons]
+   is "all". *)
+let node_lp_table shards =
   let nr = Array.length Trace.close_reasons in
   let piv = Array.make (nr + 1) [] and secs = Array.make (nr + 1) 0. in
   let note r p s =
     piv.(r) <- p :: piv.(r);
     secs.(r) <- secs.(r) +. s
   in
-  iter (fun r p s ->
-      note r p s;
-      note nr p s);
+  List.iter
+    (fun (b : shard) ->
+      for k = 0 to b.nl_n - 1 do
+        note b.nl_reason.(k) b.nl_pivots.(k) b.nl_seconds.(k);
+        note nr b.nl_pivots.(k) b.nl_seconds.(k)
+      done)
+    shards;
   let row r name =
     let a = Array.of_list piv.(r) in
     Array.sort Int.compare a;
@@ -335,18 +338,22 @@ let distribution iter =
        (row nr "all"
        :: List.init nr (fun r -> row r (snd Trace.close_reasons.(r)))))
 
-let node_lp_rows samples =
-  distribution (fun f ->
-      List.iter (fun (reason, p, s) -> f (Trace.reason_index reason) p s) samples)
+(* ---------------- event-to-counter rules ---------------- *)
 
-let node_lp_table shards =
-  distribution (fun f ->
-      List.iter
-        (fun (b : shard) ->
-          for k = 0 to b.nl_n - 1 do
-            f b.nl_reason.(k) b.nl_pivots.(k) b.nl_seconds.(k)
-          done)
-        shards)
+let refactor_counter = function
+  | Trace.Rf_eta -> C_lu_refactor_eta
+  | Trace.Rf_numeric -> C_lu_refactor_numeric
+  | Trace.Rf_residual -> C_lu_refactor_residual
+
+let verdict_counter = function
+  | Trace.Cert_certified -> C_certified_nodes
+  | Trace.Cert_refuted -> C_cert_refuted
+  | Trace.Cert_uncertifiable -> C_cert_uncertifiable
+
+let count_check b verdict ~seconds =
+  incr b C_cert_checked;
+  add_sum b S_cert_seconds seconds;
+  incr b (verdict_counter verdict)
 
 (* ---------------- snapshots ---------------- *)
 

@@ -228,14 +228,27 @@ type node_lp_row = {
   nl_seconds : float;  (** LP wall time sum *)
 }
 
-val node_lp_rows : (Trace.close_reason * int * float) list -> node_lp_row array
-(** The distribution of [(reason, pivots, seconds)] node samples: an
-    ["all"] row, then one row per close reason that occurred, in
-    {!Trace.close_reason} declaration order. Empty when there are no
-    samples. *)
-
 val node_lp_table : shard list -> node_lp_row array
-(** {!node_lp_rows} over the shards' samples. *)
+(** The distribution of the shards' [(reason, pivots, seconds)] node
+    samples: an ["all"] row, then one row per close reason that
+    occurred, in {!Trace.close_reason} declaration order. Empty when
+    there are no samples. *)
+
+(** {1 Event-to-counter rules}
+
+    The tallies an event stands for, shared by the layer that counts
+    it live and by {!Trace_export.Summary}, which replays a trace into
+    shards. *)
+
+val refactor_counter : Trace.refactor_trigger -> counter
+(** The [C_lu_refactor_*] counter of a refactorization trigger. *)
+
+val verdict_counter : Trace.cert_verdict -> counter
+(** [C_certified_nodes], [C_cert_refuted] or [C_cert_uncertifiable]. *)
+
+val count_check : shard -> Trace.cert_verdict -> seconds:float -> unit
+(** One exact certification: [C_cert_checked], [seconds] into
+    [S_cert_seconds] and the {!verdict_counter}. *)
 
 (** {1 Snapshots} *)
 

@@ -3,30 +3,25 @@
    literals). *)
 let num_or_null v = if Float.is_finite v then Json.Num v else Json.Null
 
-let snapshot_to_json (s : Metrics.snapshot) =
-  let counters =
-    Array.to_list
-      (Array.map
+let counters_json s cs =
+  ( "counters",
+    Json.Obj
+      (List.map
          (fun c ->
            ( Metrics.counter_name c,
              Json.Num (float_of_int (Metrics.counter_value s c)) ))
-         Metrics.all_counters)
-  in
-  let sums =
-    Array.to_list
-      (Array.map
-         (fun x -> (Metrics.sum_name x, Json.Num (Metrics.sum_value s x)))
-         Metrics.all_sums)
-  in
-  let gauges =
-    Array.to_list
-      (Array.map
-         (fun g -> (Metrics.gauge_name g, num_or_null (Metrics.gauge_value s g)))
-         Metrics.all_gauges)
-  in
-  let hists =
-    Array.to_list
-      (Array.map
+         cs) )
+
+let sums_json s xs =
+  ( "sums",
+    Json.Obj
+      (List.map (fun x -> (Metrics.sum_name x, Json.Num (Metrics.sum_value s x))) xs)
+  )
+
+let hists_json s hs =
+  ( "hists",
+    Json.Obj
+      (List.map
          (fun h ->
            let v = Metrics.hist_value s h in
            ( Metrics.histogram_name h,
@@ -42,15 +37,24 @@ let snapshot_to_json (s : Metrics.snapshot) =
                            (fun n -> Json.Num (float_of_int n))
                            v.Metrics.h_buckets)) );
                ] ))
-         Metrics.all_histograms)
+         hs) )
+
+let cells_to_json s ~counters ~sums ~hists =
+  [ counters_json s counters; sums_json s sums; hists_json s hists ]
+
+let snapshot_to_json (s : Metrics.snapshot) =
+  let gauges =
+    List.map
+      (fun g -> (Metrics.gauge_name g, num_or_null (Metrics.gauge_value s g)))
+      (Array.to_list Metrics.all_gauges)
   in
   Json.Obj
     [
       ("ts", Json.Num s.Metrics.s_ts);
-      ("counters", Json.Obj counters);
-      ("sums", Json.Obj sums);
+      counters_json s (Array.to_list Metrics.all_counters);
+      sums_json s (Array.to_list Metrics.all_sums);
       ("gauges", Json.Obj gauges);
-      ("hists", Json.Obj hists);
+      hists_json s (Array.to_list Metrics.all_histograms);
     ]
 
 let ( let* ) = Result.bind

@@ -9,9 +9,18 @@
     scrapers. *)
 
 val snapshot_to_json : Metrics.snapshot -> Json.t
-(** One snapshot as one JSON object: [ts], then [counters], [gauges]
-    and [hists] keyed by instrument name. Non-finite gauges serialize
+(** One snapshot as one JSON object: [ts], then [counters], [sums],
+    [gauges] and [hists] keyed by instrument name. Non-finite gauges serialize
     as [null]. *)
+
+val cells_to_json :
+  Metrics.snapshot ->
+  counters:Metrics.counter list ->
+  sums:Metrics.sum list ->
+  hists:Metrics.histogram list ->
+  (string * Json.t) list
+(** The [counters], [sums] and [hists] members of {!snapshot_to_json},
+    restricted to the named instruments, in the given order. *)
 
 val snapshot_of_json : Json.t -> (Metrics.snapshot, string) result
 (** Inverse of {!snapshot_to_json}. Unknown instrument names are

@@ -462,11 +462,7 @@ let rec compute_xb st =
    says which, and is counted and traced (the matching
    {!Trace.Lu_factor} event follows from [Lu.factor] itself). *)
 and refactor st trigger =
-  Metrics.incr st.ms
-    (match trigger with
-     | Trace.Rf_eta -> Metrics.C_lu_refactor_eta
-     | Trace.Rf_numeric -> Metrics.C_lu_refactor_numeric
-     | Trace.Rf_residual -> Metrics.C_lu_refactor_residual);
+  Metrics.incr st.ms (Metrics.refactor_counter trigger);
   let tw = Metrics.writer st.ms in
   if Trace.active tw then begin
     let etas = if st.lu_valid then Lu.eta_count st.lu else 0 in

@@ -473,249 +473,191 @@ module Summary = struct
     dropped : int;
     duration : float;
     writers : (string * int) list;
-    nodes_opened : int;
-    nodes_closed : int;
-    close_reasons : (string * int) list;
     max_depth : int;
     depth_hist : (int * int) list;
-    lp_solves : int;
-    lp_pivots : int;
-    lp_flips : int;
-    lp_seconds : float;
-    lu_factors : int;
-    lu_refactors : (string * int) list;
-    prop_runs : int;
-    prop_fixings : int;
-    prop_conflicts : int;
-    cert_checks : int;
-    cert_seconds : float;
-    cert_verdicts : (string * int) list;
-    hook_give_ups : int;
     incumbents : (float * float * int) list;
     phases : phase list;
+    metrics : Metrics.snapshot;
     node_lps : Metrics.node_lp_row array;
   }
 
-  type acc = {
-    mutable a_events : int;
-    mutable a_duration : float;
-    a_writers : (int, string * int) Hashtbl.t;
-    (* Smallest sequence number seen per writer. Writers number their
-       events densely from 0, so a positive minimum is exactly the
-       count of events that writer's ring buffer overwrote. *)
-    a_min_seq : (int, int) Hashtbl.t;
-    mutable a_opened : int;
-    mutable a_closed : int;
-    a_reasons : (string, int) Hashtbl.t;
-    mutable a_max_depth : int;
-    a_depths : (int, int) Hashtbl.t;
-    mutable a_lp_solves : int;
-    mutable a_lp_pivots : int;
-    mutable a_lp_flips : int;
-    mutable a_lp_seconds : float;
-    mutable a_lu_factors : int;
-    a_lu_refactors : (string, int) Hashtbl.t;
-    mutable a_prop_runs : int;
-    mutable a_prop_fixings : int;
-    mutable a_prop_conflicts : int;
-    mutable a_cert_checks : int;
-    mutable a_cert_seconds : float;
-    a_cert_verdicts : (string, int) Hashtbl.t;
-    mutable a_hook_give_ups : int;
-    mutable a_incumbents : (float * float * int) list;
-    (* Per-writer span stacks: (name, start ts, child time). *)
-    a_spans : (int, (string * float * float) list ref) Hashtbl.t;
-    a_phases : (string, float * int) Hashtbl.t;
-    (* Pivots and LP seconds of the node open on each writer: a node's
-       LP solves run on the engine of the context that opened it, which
-       emits on the same writer. *)
-    a_node_lp : (int, int * float) Hashtbl.t;
-    mutable a_node_samples : (Trace.close_reason * int * float) list;
+  type instrument =
+    | Counter of Metrics.counter
+    | Sum of Metrics.sum
+    | Histogram of Metrics.histogram
+
+  let replayed =
+    Metrics.
+      [
+        Counter C_nodes;
+        Counter C_incumbents;
+        Counter C_lp_solves;
+        Counter C_lp_pivots;
+        Counter C_lp_bound_flips;
+        Counter C_lu_factorizations;
+        Counter C_lu_refactor_eta;
+        Counter C_lu_refactor_numeric;
+        Counter C_lu_refactor_residual;
+        Counter C_lu_probes;
+        Counter C_prop_runs;
+        Counter C_prop_fixings;
+        Counter C_prop_prunes;
+        Counter C_hook_give_ups;
+        Counter C_cert_checked;
+        Counter C_certified_nodes;
+        Counter C_cert_refuted;
+        Counter C_cert_uncertifiable;
+        Sum S_cert_seconds;
+        Histogram H_lp_seconds;
+      ]
+
+  (* One trace writer, replayed: the shard its events are counted into,
+     as its search context's shard counted them live. *)
+  type writer = {
+    name : string;
+    sh : Metrics.shard;
+    mutable count : int;
+    (* Smallest sequence number seen. Writers number their events
+       densely from 0, so a positive minimum is exactly the count of
+       events the writer's ring buffer overwrote. *)
+    mutable min_seq : int;
+    (* The node open on the writer: its [C_lp_pivots] baseline and the
+       seconds of its LP solves so far. A node's LP solves run on the
+       engine of the context that opened it, which emits on the same
+       writer. *)
+    mutable node : (int * float) option;
+    (* Open spans: (name, start ts, child time). *)
+    mutable spans : (string * float * float) list;
   }
 
-  let fresh () =
-    {
-      a_events = 0;
-      a_duration = 0.;
-      a_writers = Hashtbl.create 8;
-      a_min_seq = Hashtbl.create 8;
-      a_opened = 0;
-      a_closed = 0;
-      a_reasons = Hashtbl.create 8;
-      a_max_depth = 0;
-      a_depths = Hashtbl.create 32;
-      a_lp_solves = 0;
-      a_lp_pivots = 0;
-      a_lp_flips = 0;
-      a_lp_seconds = 0.;
-      a_lu_factors = 0;
-      a_lu_refactors = Hashtbl.create 4;
-      a_prop_runs = 0;
-      a_prop_fixings = 0;
-      a_prop_conflicts = 0;
-      a_cert_checks = 0;
-      a_cert_seconds = 0.;
-      a_cert_verdicts = Hashtbl.create 4;
-      a_hook_give_ups = 0;
-      a_incumbents = [];
-      a_spans = Hashtbl.create 8;
-      a_phases = Hashtbl.create 8;
-      a_node_lp = Hashtbl.create 8;
-      a_node_samples = [];
-    }
+  let sorted tbl =
+    Hashtbl.fold (fun k v a -> (k, v) :: a) tbl []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-  let bump tbl key by =
-    let v = match Hashtbl.find_opt tbl key with Some v -> v | None -> 0 in
-    Hashtbl.replace tbl key (v + by)
-
-  let span_stack acc dom =
-    match Hashtbl.find_opt acc.a_spans dom with
-    | Some s -> s
-    | None ->
-      let s = ref [] in
-      Hashtbl.add acc.a_spans dom s;
-      s
-
-  let end_span acc stack name end_ts =
-    match !stack with
-    | (n, start, child) :: rest when n = name ->
-      let dur = Float.max 0. (end_ts -. start) in
-      let self = Float.max 0. (dur -. child) in
+  let of_records records =
+    let writers = Hashtbl.create 8 and depths = Hashtbl.create 32 in
+    let phases = Hashtbl.create 8 in
+    let duration = ref 0. and max_depth = ref 0 and incumbents = ref [] in
+    let charge name seconds =
       let s, c =
-        match Hashtbl.find_opt acc.a_phases name with
-        | Some (s, c) -> (s, c)
-        | None -> (0., 0)
+        Option.value (Hashtbl.find_opt phases name) ~default:(0., 0)
       in
-      Hashtbl.replace acc.a_phases name (s +. self, c + 1);
-      (* charge the full duration to the parent as child time *)
-      (stack :=
-         match rest with
-         | (pn, ps, pc) :: tail -> (pn, ps, pc +. dur) :: tail
-         | [] -> [])
-    | _ ->
-      (* Mismatched or dangling end: count it with zero duration so it
-         still shows up rather than vanishing. *)
-      let s, c =
-        match Hashtbl.find_opt acc.a_phases name with
-        | Some (s, c) -> (s, c)
-        | None -> (0., 0)
-      in
-      Hashtbl.replace acc.a_phases name (s, c + 1)
-
-  let feed acc (r : Trace.record) =
-    acc.a_events <- acc.a_events + 1;
-    if r.ts > acc.a_duration then acc.a_duration <- r.ts;
-    (let _, n =
-       match Hashtbl.find_opt acc.a_writers r.dom with
-       | Some wn -> wn
-       | None -> (r.dname, 0)
-     in
-     Hashtbl.replace acc.a_writers r.dom (r.dname, n + 1));
-    (match Hashtbl.find_opt acc.a_min_seq r.dom with
-     | Some m when m <= r.seq -> ()
-     | _ -> Hashtbl.replace acc.a_min_seq r.dom r.seq);
-    match r.ev with
-    | Trace.Node_open { depth; _ } ->
-      acc.a_opened <- acc.a_opened + 1;
-      if depth > acc.a_max_depth then acc.a_max_depth <- depth;
-      bump acc.a_depths depth 1;
-      Hashtbl.replace acc.a_node_lp r.dom (0, 0.)
-    | Node_close { reason; _ } ->
-      acc.a_closed <- acc.a_closed + 1;
-      bump acc.a_reasons (Trace.reason_name reason) 1;
-      (match Hashtbl.find_opt acc.a_node_lp r.dom with
-       | Some (p, s) ->
-         acc.a_node_samples <- (reason, p, s) :: acc.a_node_samples;
-         Hashtbl.remove acc.a_node_lp r.dom
-       | None -> ())
-    | Lp_solve { pivots; flips; dt; _ } ->
-      (match Hashtbl.find_opt acc.a_node_lp r.dom with
-       | Some (p, s) -> Hashtbl.replace acc.a_node_lp r.dom (p + pivots, s +. dt)
-       | None -> ());
-      acc.a_lp_solves <- acc.a_lp_solves + 1;
-      acc.a_lp_pivots <- acc.a_lp_pivots + pivots;
-      acc.a_lp_flips <- acc.a_lp_flips + flips;
-      acc.a_lp_seconds <- acc.a_lp_seconds +. dt
-    | Lu_factor _ -> acc.a_lu_factors <- acc.a_lu_factors + 1
-    | Lu_refactor { trigger; _ } ->
-      bump acc.a_lu_refactors (Trace.trigger_name trigger) 1
-    | Prop_run { fixings; conflict; _ } ->
-      acc.a_prop_runs <- acc.a_prop_runs + 1;
-      acc.a_prop_fixings <- acc.a_prop_fixings + fixings;
-      if conflict then acc.a_prop_conflicts <- acc.a_prop_conflicts + 1
-    | Incumbent { node; obj; source = _ } ->
-      acc.a_incumbents <- (r.ts, obj, node) :: acc.a_incumbents
-    | Cert_check { verdict; dt; _ } ->
-      acc.a_cert_checks <- acc.a_cert_checks + 1;
-      acc.a_cert_seconds <- acc.a_cert_seconds +. dt;
-      bump acc.a_cert_verdicts (Trace.cert_verdict_name verdict) 1
-    | Hook_give_up _ -> acc.a_hook_give_ups <- acc.a_hook_give_ups + 1
-    | Span_begin name ->
-      let stack = span_stack acc r.dom in
-      stack := (name, r.ts, 0.) :: !stack
-    | Span_end name ->
-      let stack = span_stack acc r.dom in
-      end_span acc stack name r.ts
-
-  let finish acc =
+      Hashtbl.replace phases name (s +. seconds, c + 1)
+    in
+    let end_span w name end_ts =
+      match w.spans with
+      | (n, start, child) :: rest when n = name ->
+        let dur = Float.max 0. (end_ts -. start) in
+        charge name (Float.max 0. (dur -. child));
+        (* charge the full duration to the parent as child time *)
+        w.spans <-
+          (match rest with
+           | (pn, ps, pc) :: tail -> (pn, ps, pc +. dur) :: tail
+           | [] -> [])
+      | _ ->
+        (* Mismatched or dangling end: count it with zero duration so it
+           still shows up rather than vanishing. *)
+        charge name 0.
+    in
+    let writer (r : Trace.record) =
+      match Hashtbl.find_opt writers r.dom with
+      | Some w -> w
+      | None ->
+        let w =
+          {
+            name = r.dname;
+            sh = Metrics.make_shard ();
+            count = 0;
+            min_seq = r.seq;
+            node = None;
+            spans = [];
+          }
+        in
+        Hashtbl.add writers r.dom w;
+        w
+    in
+    Array.iter
+      (fun (r : Trace.record) ->
+        let w = writer r in
+        let sh = w.sh in
+        w.count <- w.count + 1;
+        w.min_seq <- Int.min w.min_seq r.seq;
+        if r.ts > !duration then duration := r.ts;
+        match r.ev with
+        | Trace.Node_open { depth; _ } ->
+          Metrics.incr sh C_nodes;
+          if depth > !max_depth then max_depth := depth;
+          Hashtbl.replace depths depth
+            (1 + Option.value (Hashtbl.find_opt depths depth) ~default:0);
+          w.node <- Some (Metrics.count sh C_lp_pivots, 0.)
+        | Node_close { reason; _ } ->
+          Option.iter
+            (fun (pivots0, seconds) ->
+              Metrics.node_lp sh reason
+                ~pivots:(Metrics.count sh C_lp_pivots - pivots0)
+                ~seconds)
+            w.node;
+          w.node <- None
+        | Lp_solve { pivots; flips; dt; _ } ->
+          Metrics.incr sh C_lp_solves;
+          Metrics.add sh C_lp_pivots pivots;
+          Metrics.add sh C_lp_bound_flips flips;
+          Metrics.observe sh H_lp_seconds dt;
+          w.node <- Option.map (fun (p, s) -> (p, s +. dt)) w.node
+        | Lu_factor { probes; _ } ->
+          Metrics.incr sh C_lu_factorizations;
+          Metrics.add sh C_lu_probes probes
+        | Lu_refactor { trigger; _ } ->
+          Metrics.incr sh (Metrics.refactor_counter trigger)
+        | Prop_run { fixings; conflict; _ } ->
+          Metrics.incr sh C_prop_runs;
+          Metrics.add sh C_prop_fixings fixings;
+          if conflict then Metrics.incr sh C_prop_prunes
+        | Incumbent { node; obj; source = _ } ->
+          Metrics.incr sh C_incumbents;
+          incumbents := (r.ts, obj, node) :: !incumbents
+        | Cert_check { verdict; dt; _ } ->
+          Metrics.count_check sh verdict ~seconds:dt
+        | Hook_give_up _ -> Metrics.incr sh C_hook_give_ups
+        | Span_begin name -> w.spans <- (name, r.ts, 0.) :: w.spans
+        | Span_end name -> end_span w name r.ts)
+      records;
+    let writers = List.map snd (sorted writers) in
     (* Close dangling spans at the trace horizon. *)
-    Hashtbl.iter
-      (fun _ stack ->
-        while !stack <> [] do
-          match !stack with
-          | (name, _, _) :: _ -> end_span acc stack name acc.a_duration
+    List.iter
+      (fun w ->
+        while w.spans <> [] do
+          match w.spans with
+          | (name, _, _) :: _ -> end_span w name !duration
           | [] -> ()
         done)
-      acc.a_spans;
-    let sorted_tbl tbl =
-      Hashtbl.fold (fun k v a -> (k, v) :: a) tbl []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-    in
+      writers;
+    let shards = List.map (fun w -> w.sh) writers in
     {
-      events = acc.a_events;
-      dropped = Hashtbl.fold (fun _ m a -> a + m) acc.a_min_seq 0;
-      duration = acc.a_duration;
-      writers =
-        Hashtbl.fold (fun dom wn a -> (dom, wn) :: a) acc.a_writers []
-        |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-        |> List.map snd;
-      nodes_opened = acc.a_opened;
-      nodes_closed = acc.a_closed;
-      close_reasons = sorted_tbl acc.a_reasons;
-      max_depth = acc.a_max_depth;
-      depth_hist =
-        Hashtbl.fold (fun d n a -> (d, n) :: a) acc.a_depths []
-        |> List.sort (fun (a, _) (b, _) -> Int.compare a b);
-      lp_solves = acc.a_lp_solves;
-      lp_pivots = acc.a_lp_pivots;
-      lp_flips = acc.a_lp_flips;
-      lp_seconds = acc.a_lp_seconds;
-      lu_factors = acc.a_lu_factors;
-      lu_refactors = sorted_tbl acc.a_lu_refactors;
-      prop_runs = acc.a_prop_runs;
-      prop_fixings = acc.a_prop_fixings;
-      prop_conflicts = acc.a_prop_conflicts;
-      cert_checks = acc.a_cert_checks;
-      cert_seconds = acc.a_cert_seconds;
-      cert_verdicts = sorted_tbl acc.a_cert_verdicts;
-      hook_give_ups = acc.a_hook_give_ups;
-      incumbents = List.rev acc.a_incumbents;
+      events = Array.length records;
+      dropped = List.fold_left (fun a w -> a + w.min_seq) 0 writers;
+      duration = !duration;
+      writers = List.map (fun w -> (w.name, w.count)) writers;
+      max_depth = !max_depth;
+      depth_hist = sorted depths;
+      incumbents = List.rev !incumbents;
       phases =
         Hashtbl.fold
           (fun phase (seconds, count) a -> { phase; seconds; count } :: a)
-          acc.a_phases []
+          phases []
         |> List.sort (fun a b -> Float.compare b.seconds a.seconds);
-      node_lps = Metrics.node_lp_rows acc.a_node_samples;
+      metrics = Metrics.merge shards;
+      node_lps = Metrics.node_lp_table shards;
     }
 
-  let of_records records =
-    let acc = fresh () in
-    Array.iter (feed acc) records;
-    finish acc
-
+  (* [name=count] pairs by name, the zero counts left out. *)
   let pp_assoc ppf l =
-    if l = [] then Format.fprintf ppf "none"
-    else
+    match
+      List.filter (fun (_, n) -> n > 0) l
+      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+    with
+    | [] -> Format.fprintf ppf "none"
+    | l ->
       List.iteri
         (fun i (k, v) ->
           if i > 0 then Format.fprintf ppf " ";
@@ -724,6 +666,16 @@ module Summary = struct
 
   let pp ppf t =
     let line fmt = Format.fprintf ppf fmt in
+    let c = Metrics.counter_value t.metrics in
+    let named table counter =
+      Array.to_list (Array.map (fun (x, name) -> (name, c (counter x))) table)
+    in
+    let reasons =
+      List.filter_map
+        (fun (r : Metrics.node_lp_row) ->
+          if r.nl_reason = "all" then None else Some (r.nl_reason, r.nl_nodes))
+        (Array.to_list t.node_lps)
+    in
     line "events        %d in %.3f s, %d writer%s (" t.events t.duration
       (List.length t.writers)
       (if List.length t.writers = 1 then "" else "s");
@@ -738,20 +690,25 @@ module Summary = struct
         "WARNING       %d events dropped (ring buffers wrapped; raise the \
          tracer capacity)@."
         t.dropped;
-    line "nodes         opened=%d closed=%d max_depth=%d@." t.nodes_opened
-      t.nodes_closed t.max_depth;
-    line "close reasons %a@." pp_assoc t.close_reasons;
-    line "lp            solves=%d pivots=%d flips=%d time=%.3f s@." t.lp_solves
-      t.lp_pivots t.lp_flips t.lp_seconds;
-    line "lu            factors=%d refactors: %a@." t.lu_factors pp_assoc
-      t.lu_refactors;
-    line "propagation   runs=%d fixings=%d conflicts=%d@." t.prop_runs
-      t.prop_fixings t.prop_conflicts;
-    if t.cert_checks > 0 then
-      line "certification checks=%d time=%.3f s %a@." t.cert_checks
-        t.cert_seconds pp_assoc t.cert_verdicts;
-    if t.hook_give_ups > 0 then
-      line "hook          give-ups=%d@." t.hook_give_ups;
+    line "nodes         opened=%d closed=%d max_depth=%d@." (c C_nodes)
+      (List.fold_left (fun a (_, n) -> a + n) 0 reasons)
+      t.max_depth;
+    line "close reasons %a@." pp_assoc reasons;
+    line "lp            solves=%d pivots=%d flips=%d time=%.3f s@."
+      (c C_lp_solves) (c C_lp_pivots) (c C_lp_bound_flips)
+      (Metrics.hist_value t.metrics H_lp_seconds).h_sum;
+    line "lu            factors=%d refactors: %a@." (c C_lu_factorizations)
+      pp_assoc
+      (named Trace.triggers Metrics.refactor_counter);
+    line "propagation   runs=%d fixings=%d conflicts=%d@." (c C_prop_runs)
+      (c C_prop_fixings) (c C_prop_prunes);
+    if c C_cert_checked > 0 then
+      line "certification checks=%d time=%.3f s %a@." (c C_cert_checked)
+        (Metrics.sum_value t.metrics S_cert_seconds)
+        pp_assoc
+        (named Trace.cert_verdicts Metrics.verdict_counter);
+    if c C_hook_give_ups > 0 then
+      line "hook          give-ups=%d@." (c C_hook_give_ups);
     (match t.incumbents with
     | [] -> line "incumbents    none@."
     | incs ->
@@ -769,83 +726,47 @@ module Summary = struct
     line "@.%a" Metrics_export.pp_node_lps t.node_lps
 
   let to_json t =
+    let only f = List.filter_map f replayed in
     Json.Obj
-      [
-        ("events", inum t.events);
-        ("dropped", inum t.dropped);
-        ("duration", num t.duration);
-        ( "writers",
-          Json.Arr
-            (List.map
-               (fun (name, n) ->
-                 Json.Obj [ ("name", Json.Str name); ("events", inum n) ])
-               t.writers) );
-        ( "nodes",
-          Json.Obj
-            [
-              ("opened", inum t.nodes_opened);
-              ("closed", inum t.nodes_closed);
-              ("max_depth", inum t.max_depth);
-              ( "close_reasons",
-                Json.Obj (List.map (fun (k, v) -> (k, inum v)) t.close_reasons)
-              );
-              ( "depth_hist",
-                Json.Arr
-                  (List.map
-                     (fun (d, n) -> Json.Arr [ inum d; inum n ])
-                     t.depth_hist) );
-            ] );
-        ( "lp",
-          Json.Obj
-            [
-              ("solves", inum t.lp_solves);
-              ("pivots", inum t.lp_pivots);
-              ("flips", inum t.lp_flips);
-              ("seconds", num t.lp_seconds);
-            ] );
-        ( "lu",
-          Json.Obj
-            [
-              ("factors", inum t.lu_factors);
-              ( "refactors",
-                Json.Obj (List.map (fun (k, v) -> (k, inum v)) t.lu_refactors)
-              );
-            ] );
-        ( "propagation",
-          Json.Obj
-            [
-              ("runs", inum t.prop_runs);
-              ("fixings", inum t.prop_fixings);
-              ("conflicts", inum t.prop_conflicts);
-            ] );
-        ( "certification",
-          Json.Obj
-            [
-              ("checks", inum t.cert_checks);
-              ("seconds", num t.cert_seconds);
-              ( "verdicts",
-                Json.Obj (List.map (fun (k, v) -> (k, inum v)) t.cert_verdicts)
-              );
-            ] );
-        ("hook_give_ups", inum t.hook_give_ups);
-        ( "incumbents",
-          Json.Arr
-            (List.map
-               (fun (ts, obj, node) ->
-                 Json.Obj
-                   [ ("ts", num ts); ("obj", num obj); ("node", inum node) ])
-               t.incumbents) );
-        ( "phases",
-          Json.Arr
-            (List.map
-               (fun { phase; seconds; count } ->
-                 Json.Obj
-                   [
-                     ("phase", Json.Str phase);
-                     ("seconds", num seconds);
-                     ("count", inum count);
-                   ])
-               t.phases) );
-        ("node_lps", Metrics_export.node_lps_to_json t.node_lps);
-      ]
+      ([
+         ("events", inum t.events);
+         ("dropped", inum t.dropped);
+         ("duration", num t.duration);
+         ( "writers",
+           Json.Arr
+             (List.map
+                (fun (name, n) ->
+                  Json.Obj [ ("name", Json.Str name); ("events", inum n) ])
+                t.writers) );
+         ("max_depth", inum t.max_depth);
+         ( "depth_hist",
+           Json.Arr
+             (List.map (fun (d, n) -> Json.Arr [ inum d; inum n ]) t.depth_hist)
+         );
+       ]
+      @ Metrics_export.cells_to_json t.metrics
+          ~counters:(only (function Counter c -> Some c | _ -> None))
+          ~sums:(only (function Sum x -> Some x | _ -> None))
+          ~hists:(only (function Histogram h -> Some h | _ -> None))
+      @ [
+          ( "incumbents",
+            Json.Arr
+              (List.map
+                 (fun (ts, obj, node) ->
+                   Json.Obj
+                     [ ("ts", num ts); ("obj", num obj); ("node", inum node) ])
+                 t.incumbents) );
+          ( "phases",
+            Json.Arr
+              (List.map
+                 (fun { phase; seconds; count } ->
+                   Json.Obj
+                     [
+                       ("phase", Json.Str phase);
+                       ("seconds", num seconds);
+                       ("count", inum count);
+                     ])
+                 t.phases) );
+          ("node_lps", Metrics_export.node_lps_to_json t.node_lps);
+        ])
 end

@@ -81,6 +81,18 @@ end
 
 (** {1 Metrics report} *)
 
+(** A trace replayed into the one counter store. Each writer's events
+    are counted into an unregistered {!Metrics} shard with the
+    instruments, and by the rules ({!Metrics.refactor_counter},
+    {!Metrics.count_check}), that its search context's shard counted
+    them with live: a [Node_open] is a node, an [Lp_solve] a solve
+    with its pivots, flips and time, a [Prop_run] conflict a
+    propagation prune, and so on. The instruments in {!replayed} then
+    equal a complete trace's solve's final snapshot (floating sums up
+    to summation order across writers). With [dropped > 0] they are
+    lower bounds. What the snapshot cannot hold, only the trace knows:
+    the writers, the depth histogram, the incumbent series and the
+    phases. *)
 module Summary : sig
   type phase = { phase : string; seconds : float; count : int }
 
@@ -93,44 +105,53 @@ module Summary : sig
             Rendered as an explicit warning by {!pp} when positive. *)
     duration : float;  (** Largest timestamp seen. *)
     writers : (string * int) list;  (** Events per writer, dom order. *)
-    nodes_opened : int;
-    nodes_closed : int;
-    close_reasons : (string * int) list;
     max_depth : int;
     depth_hist : (int * int) list;  (** (depth, nodes opened) sorted. *)
-    lp_solves : int;
-    lp_pivots : int;
-    lp_flips : int;  (** Bound flips without a basis change. *)
-    lp_seconds : float;
-    lu_factors : int;
-    lu_refactors : (string * int) list;  (** Per trigger. *)
-    prop_runs : int;
-    prop_fixings : int;
-    prop_conflicts : int;
-    cert_checks : int;  (** Exact certifications performed. *)
-    cert_seconds : float;  (** Time spent in rational arithmetic. *)
-    cert_verdicts : (string * int) list;  (** Per verdict name. *)
-    hook_give_ups : int;
-        (** {!Trace.Hook_give_up} events: node-hook calls that gave up
-            within their budget or deadline. Printed by {!pp} only when
-            positive. Hook time has no event, so only [--stats]
-            reports it. *)
     incumbents : (float * float * int) list;
         (** Convergence series: (seconds, objective, node), in time
             order. *)
     phases : phase list;
         (** Self-time per span name (nested child spans subtracted),
             summed across writers, largest first. *)
+    metrics : Metrics.snapshot;
+        (** The writers' shards merged ([s_ts = 0], gauges unset).
+            Only the {!replayed} instruments are counted. *)
     node_lps : Metrics.node_lp_row array;
         (** The per-node LP table of [--stats]
-            ({!Metrics.node_lp_rows}): each [Lp_solve] counts toward
-            the node open on its writer when it ran, and the node's
-            sample is taken at its close. LP seconds are the simplex
-            entry points' own times, so they read slightly below
-            [--stats]' node-timed column. *)
+            ({!Metrics.node_lp_table} over the writers' shards): a
+            node's pivots are its writer's [C_lp_pivots] delta from
+            its [Node_open] to its [Node_close], as the search takes
+            them live. LP seconds are the simplex entry points' own
+            times, so they read slightly below [--stats]' node-timed
+            column. A close whose open was dropped is not counted. The
+            rows also give the closed-node count and the close
+            reasons. *)
   }
 
+  type instrument =
+    | Counter of Metrics.counter
+    | Sum of Metrics.sum
+    | Histogram of Metrics.histogram
+
+  val replayed : instrument list
+  (** The instruments a trace reproduces: node, incumbent, LP, LU,
+      propagation, hook give-up and certification counts,
+      [S_cert_seconds] and [H_lp_seconds]. [C_lu_factorizations]
+      misses a factorization that ends singular, which emits no
+      event. [H_factor_seconds] is not here: a [Lu_factor] event times
+      the elimination alone, the histogram the whole fresh
+      factorization. Hook time has no event, so only [--stats] reports
+      it. *)
+
   val of_records : Trace.record array -> t
+
   val pp : Format.formatter -> t -> unit
+  (** The text report of [tpart trace summary]. *)
+
   val to_json : t -> Json.t
+  (** The report as one object: [events], [dropped], [duration],
+      [writers], [max_depth], [depth_hist], then the {!replayed}
+      instruments under the metrics codec's [counters], [sums] and
+      [hists] members ({!Metrics_export.cells_to_json}), then
+      [incumbents], [phases] and [node_lps]. *)
 end

@@ -119,10 +119,20 @@ let contains hay needle =
 
 (* ---------------- a real traced solve to round-trip ---------------- *)
 
+(* Solves [lp] with a tracer and a metrics registry of its own: the
+   outcome, the stats, the collected records and the registry's final
+   snapshot. *)
+let traced_solve options lp =
+  let tracer = Trace.create () and metrics = Ilp.Metrics.create () in
+  let outcome, stats =
+    Bb.solve ~options:{ options with Bb.tracer; metrics = Some metrics } lp
+  in
+  (outcome, stats, Trace.collect tracer, Ilp.Metrics.snapshot metrics)
+
 (* A small 0-1 knapsack with a side constraint whose search branches,
    so the tree checks below see parent edges. Its node hook gives up on
    every fractional LP point, so the stream holds give-up events. *)
-let sample_records () =
+let sample_solve ?(certify_level = Bb.Cert_off) () =
   let lp = Ilp.Lp.create () in
   let n = 10 in
   let xs =
@@ -148,36 +158,90 @@ let sample_records () =
       Bb.Hook_gave_up "fractional point"
     | Bb.Lp_solution _ | Bb.Bounds _ -> Bb.Hook_none
   in
-  let tracer = Trace.create () in
   let options =
-    { Bb.default_options with Bb.tracer; node_hook = Some node_hook }
+    { Bb.default_options with Bb.node_hook = Some node_hook; certify_level }
   in
-  let outcome, stats = Bb.solve ~options lp in
+  let outcome, stats, records, live = traced_solve options lp in
   (match outcome with
    | Bb.Optimal _ -> ()
    | _ -> Alcotest.fail "sample solve not optimal");
   if stats.Bb.nodes <= 1 then
     Alcotest.failf "sample solve closed at its root (%d node)" stats.Bb.nodes;
-  (Trace.collect tracer, stats)
+  (records, stats, live)
+
+let sample_records () =
+  let records, stats, _ = sample_solve () in
+  (records, stats)
+
+(* A three-row knapsack with pseudo-random weights: at jobs 2, a tree
+   of about 1,500 nodes, most of them on the two workers' writers. *)
+let knapsack3 () =
+  let lp = Ilp.Lp.create () in
+  let n = 24 in
+  let xs =
+    Array.init n (fun i ->
+        Ilp.Lp.add_var lp ~name:(Printf.sprintf "x%d" i) Ilp.Lp.Binary)
+  in
+  let coef k i = Float.of_int ((((i + 3) * (7 + k) * 37) mod 19) + 1) in
+  Ilp.Lp.set_objective lp ~maximize:true
+    (Array.to_list (Array.mapi (fun i x -> (coef 0 i, x)) xs));
+  for k = 1 to 3 do
+    ignore
+      (Ilp.Lp.add_constr lp ~name:(Printf.sprintf "cap%d" k)
+         (Array.to_list (Array.mapi (fun i x -> (coef k i, x)) xs))
+         Ilp.Lp.Le 61.5)
+  done;
+  lp
+
+(* The summary's exactness: every instrument it replays equals the live
+   registry's value for the same solve, counters and histogram buckets
+   exactly, float sums up to the order the writers' shards are added
+   in. *)
+let check_replay ~live records =
+  let module M = Ilp.Metrics in
+  let s = Export.Summary.of_records records in
+  let replayed = s.Export.Summary.metrics in
+  let check_sum what a b =
+    if Float.abs (a -. b) > 1e-9 *. (1. +. Float.abs a) then
+      Alcotest.failf "%s: live %.17g, replayed %.17g" what a b
+  in
+  List.iter
+    (function
+      | Export.Summary.Counter c ->
+        Alcotest.(check int) (M.counter_name c) (M.counter_value live c)
+          (M.counter_value replayed c)
+      | Export.Summary.Sum x ->
+        check_sum (M.sum_name x) (M.sum_value live x) (M.sum_value replayed x)
+      | Export.Summary.Histogram h ->
+        let name = M.histogram_name h in
+        let a = M.hist_value live h and b = M.hist_value replayed h in
+        Alcotest.(check (array int)) (name ^ " buckets") a.M.h_buckets
+          b.M.h_buckets;
+        check_sum (name ^ " sum") a.M.h_sum b.M.h_sum;
+        Alcotest.(check (float 0.)) (name ^ " max") a.M.h_max b.M.h_max)
+    Export.Summary.replayed;
+  s
 
 let test_solver_trace_consistent () =
-  let records, stats = sample_records () in
+  let records, stats, live = sample_solve () in
   Alcotest.(check (list string)) "stream clean" [] (Export.check records);
-  let s = Export.Summary.of_records records in
-  Alcotest.(check int) "nodes match stats" stats.Bb.nodes
-    s.Export.Summary.nodes_opened;
-  Alcotest.(check int) "all closed" s.Export.Summary.nodes_opened
-    s.Export.Summary.nodes_closed;
-  Alcotest.(check int) "pivots match stats" stats.Bb.pivots
-    s.Export.Summary.lp_pivots;
-  Alcotest.(check int) "incumbent count" stats.Bb.incumbents
+  let s = check_replay ~live records in
+  let all = s.Export.Summary.node_lps.(0) in
+  Alcotest.(check int) "all closed" stats.Bb.nodes all.Ilp.Metrics.nl_nodes;
+  Alcotest.(check int) "incumbent series" stats.Bb.incumbents
     (List.length s.Export.Summary.incumbents);
   Alcotest.(check int) "timeline in stats too" stats.Bb.incumbents
     (Array.length stats.Bb.timeline);
   Alcotest.(check bool) "the hook gave up" true
-    (stats.Bb.deductions.Bb.hook_give_ups > 0);
-  Alcotest.(check int) "hook give-ups match stats"
-    stats.Bb.deductions.Bb.hook_give_ups s.Export.Summary.hook_give_ups
+    (stats.Bb.deductions.Bb.hook_give_ups > 0)
+
+(* Under [Cert_all] every node LP verdict is checked exactly, so the
+   certification counters and seconds are replayed too. *)
+let test_certified_replay () =
+  let records, stats, live = sample_solve ~certify_level:Bb.Cert_all () in
+  Alcotest.(check bool) "nodes checked" true
+    (stats.Bb.certification.Bb.cert_checked > 1);
+  ignore (check_replay ~live records)
 
 let test_tree_reconstruction () =
   let records, stats = sample_records () in
@@ -648,58 +712,20 @@ let test_golden_rejects_unknown_names () =
 (* ---------------- parallel solver trace ---------------- *)
 
 let test_parallel_trace_tracks () =
-  let lp = Ilp.Lp.create () in
-  let n = 12 in
-  let xs =
-    Array.init n (fun i ->
-        Ilp.Lp.add_var lp ~name:(Printf.sprintf "x%d" i) Ilp.Lp.Binary)
-  in
-  Ilp.Lp.set_objective lp ~maximize:true
-    (Array.to_list
-       (Array.mapi (fun i x -> (Float.of_int ((i mod 5) + 1), x)) xs));
-  ignore
-    (Ilp.Lp.add_constr lp ~name:"cap"
-       (Array.to_list
-          (Array.mapi (fun i x -> (Float.of_int ((i mod 4) + 1), x)) xs))
-       Ilp.Lp.Le 9.);
-  let tracer = Trace.create () in
-  let options = { Bb.default_options with Bb.tracer; jobs = 2 } in
-  let outcome, stats = Bb.solve ~options lp in
+  let options = { Bb.default_options with Bb.jobs = 2 } in
+  let outcome, stats, records, live = traced_solve options (knapsack3 ()) in
   (match outcome with
    | Bb.Optimal _ -> ()
    | _ -> Alcotest.fail "parallel sample not optimal");
-  let records = Trace.collect tracer in
+  Alcotest.(check bool) "workers ran nodes" true
+    (Array.exists (fun w -> w.Bb.w_nodes > 0) stats.Bb.workers);
   Alcotest.(check (list string)) "stream clean" [] (Export.check records);
-  let s = Export.Summary.of_records records in
-  Alcotest.(check int) "nodes exact under domains" stats.Bb.nodes
-    s.Export.Summary.nodes_opened;
-  Alcotest.(check int) "pivots exact under domains" stats.Bb.pivots
-    s.Export.Summary.lp_pivots
+  ignore (check_replay ~live records)
 
 (* The trace summary's node-LP table is the [--stats] table rebuilt
    from the event stream; only the LP-time column differs (the trace
    times the simplex entry points, the search times the node's LP
    phase). *)
-(* A three-row knapsack with pseudo-random weights: at jobs 2, a tree
-   of about 1,500 nodes, most of them on the two workers' writers. *)
-let knapsack3 () =
-  let lp = Ilp.Lp.create () in
-  let n = 24 in
-  let xs =
-    Array.init n (fun i ->
-        Ilp.Lp.add_var lp ~name:(Printf.sprintf "x%d" i) Ilp.Lp.Binary)
-  in
-  let coef k i = Float.of_int ((((i + 3) * (7 + k) * 37) mod 19) + 1) in
-  Ilp.Lp.set_objective lp ~maximize:true
-    (Array.to_list (Array.mapi (fun i x -> (coef 0 i, x)) xs));
-  for k = 1 to 3 do
-    ignore
-      (Ilp.Lp.add_constr lp ~name:(Printf.sprintf "cap%d" k)
-         (Array.to_list (Array.mapi (fun i x -> (coef k i, x)) xs))
-         Ilp.Lp.Le 61.5)
-  done;
-  lp
-
 let test_parallel_node_lp_table () =
   let lp = knapsack3 () in
   let tracer = Trace.create () in
@@ -732,12 +758,10 @@ let test_hook_give_up_traced () =
       | _ -> Bb.Hook_none)
     | Bb.Bounds _ -> Bb.Hook_none
   in
-  let tracer = Trace.create () in
   let options =
-    { Bb.default_options with Bb.tracer; jobs = 2; deterministic = true; node_hook = Some hook }
+    { Bb.default_options with Bb.jobs = 2; deterministic = true; node_hook = Some hook }
   in
-  let _, stats = Bb.solve ~options (knapsack3 ()) in
-  let records = Trace.collect tracer in
+  let _, stats, records, live = traced_solve options (knapsack3 ()) in
   Alcotest.(check (list string)) "stream clean" [] (Export.check records);
   let opened = Hashtbl.create 64 and give_ups = ref [] in
   Array.iter
@@ -750,9 +774,7 @@ let test_hook_give_up_traced () =
   Alcotest.(check bool) "the hook gave up" true (!give_ups <> []);
   Alcotest.(check int) "one event per counted give-up"
     stats.Bb.deductions.Bb.hook_give_ups (List.length !give_ups);
-  Alcotest.(check int) "summary counts them"
-    stats.Bb.deductions.Bb.hook_give_ups
-    (Export.Summary.of_records records).Export.Summary.hook_give_ups;
+  ignore (check_replay ~live records);
   List.iter
     (fun (dom, node, what) ->
       Alcotest.(check (option int))
@@ -778,6 +800,8 @@ let () =
         [
           Alcotest.test_case "summary matches stats" `Quick
             test_solver_trace_consistent;
+          Alcotest.test_case "certified replay exact" `Quick
+            test_certified_replay;
           Alcotest.test_case "tree reconstruction" `Quick
             test_tree_reconstruction;
           Alcotest.test_case "hook give-ups traced" `Quick
