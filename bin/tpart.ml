@@ -371,59 +371,9 @@ let progress_render ~final ~time_limit (snap : Ilp.Metrics.snapshot) =
       (pv (g Ilp.Metrics.G_pool_depth))
       (pv bound) (pv inc) gap ts deadline
 
-(* Column-aligned tables for --stats: widths are computed from the
-   rendered cells, so counters of any magnitude stay aligned. *)
-let print_table rows =
-  print_string (Format.asprintf "%a" Ilp.Metrics_export.pp_table rows)
-
-let print_deductions (d : Ilp.Branch_bound.deduction_stats) =
-  print_string "deductions:\n";
-  print_table
-    [
-      [ "counter"; "total" ];
-      [ "rc-fixed"; string_of_int d.Ilp.Branch_bound.rc_fixed ];
-      [ "prop-fixings"; string_of_int d.Ilp.Branch_bound.prop_fixings ];
-      [ "prop-prunes"; string_of_int d.Ilp.Branch_bound.prop_prunes ];
-      [ "prop-time"; Printf.sprintf "%.3fs" d.Ilp.Branch_bound.prop_seconds ];
-      [ "hook-calls"; string_of_int d.Ilp.Branch_bound.hook_calls ];
-      [ "hook-give-ups"; string_of_int d.Ilp.Branch_bound.hook_give_ups ];
-      [ "hook-pre-lp"; string_of_int d.Ilp.Branch_bound.hook_pre_lp ];
-      [ "hook-time"; Printf.sprintf "%.3fs" d.Ilp.Branch_bound.hook_seconds ];
-    ]
-
-let print_workers elapsed (workers : Ilp.Branch_bound.worker_stats array) =
-  if Array.length workers > 0 then begin
-    (* Steal/handoff rates are per second of the search wall clock, and
-       idle% its share spent blocked on the work pool. *)
-    let rate n = if elapsed > 0. then Float.of_int n /. elapsed else 0. in
-    print_string "workers:\n";
-    print_table
-      ([ "id"; "nodes"; "incumbents"; "steals"; "steals/s"; "handoffs";
-         "handoffs/s"; "idle"; "idle%"; "pivots" ]
-      :: List.mapi
-           (fun i (w : Ilp.Branch_bound.worker_stats) ->
-             [
-               string_of_int i;
-               string_of_int w.Ilp.Branch_bound.w_nodes;
-               string_of_int w.Ilp.Branch_bound.w_incumbents;
-               string_of_int w.Ilp.Branch_bound.w_steals;
-               Printf.sprintf "%.1f" (rate w.Ilp.Branch_bound.w_steals);
-               string_of_int w.Ilp.Branch_bound.w_handoffs;
-               Printf.sprintf "%.1f" (rate w.Ilp.Branch_bound.w_handoffs);
-               Printf.sprintf "%.3fs" w.Ilp.Branch_bound.w_idle;
-               Printf.sprintf "%.1f"
-                 (if elapsed > 0. then
-                    100. *. w.Ilp.Branch_bound.w_idle /. elapsed
-                  else 0.);
-               string_of_int w.Ilp.Branch_bound.w_pivots;
-             ])
-           (Array.to_list workers))
-  end
-
 let json_of_result ?certification ~time_limit result =
   let r = result.Temporal.Pipeline.report in
   let s = r.Temporal.Solver.stats in
-  let d = s.Ilp.Branch_bound.deductions in
   let outcome, comm =
     match r.Temporal.Solver.outcome with
     | Temporal.Solver.Feasible sol ->
@@ -435,21 +385,17 @@ let json_of_result ?certification ~time_limit result =
   in
   Printf.sprintf
     "{\"outcome\": \"%s\", \"comm_cost\": %s, \"vars\": %d, \"constrs\": \
-     %d, \"nodes\": %d, \"incumbents\": %d, \"max_depth\": %d, \
-     \"deductions\": {\"rc_fixed\": %d, \"prop_fixings\": %d, \
-     \"prop_prunes\": %d, \"prop_seconds\": %s, \"hook_calls\": %d, \
-     \"hook_give_ups\": %d, \"hook_pre_lp\": %d, \"hook_seconds\": %s}, \
+     %d, \"nodes\": %d, \"incumbents\": %d, \"max_depth\": %d, %s, \
      \"node_lps\": %s, \
      \"timeline\": %s, \"bound_timeline\": %s, \"elapsed\": %s, \
      \"time_limit\": %s, \"time_limit_hit\": %b%s}"
     outcome comm r.Temporal.Solver.vars r.Temporal.Solver.constrs
     s.Ilp.Branch_bound.nodes s.Ilp.Branch_bound.incumbents
-    s.Ilp.Branch_bound.max_depth d.Ilp.Branch_bound.rc_fixed
-    d.Ilp.Branch_bound.prop_fixings d.Ilp.Branch_bound.prop_prunes
-    (Ilp.Json.to_string (Ilp.Json.Num d.Ilp.Branch_bound.prop_seconds))
-    d.Ilp.Branch_bound.hook_calls d.Ilp.Branch_bound.hook_give_ups
-    d.Ilp.Branch_bound.hook_pre_lp
-    (Ilp.Json.to_string (Ilp.Json.Num d.Ilp.Branch_bound.hook_seconds))
+    s.Ilp.Branch_bound.max_depth
+    (String.concat ", "
+       (List.map
+          (fun (k, v) -> Printf.sprintf "\"%s\": %s" k (Ilp.Json.to_string v))
+          (Ilp.Metrics_export.cells_to_json s.Ilp.Branch_bound.metrics)))
     (Ilp.Json.to_string
        (Ilp.Metrics_export.node_lps_to_json s.Ilp.Branch_bound.node_lps))
     (Ilp.Json.to_string (Temporal.Report.incumbent_timeline s))
@@ -583,35 +529,32 @@ let solve_cmd =
               else None)
            ~time_limit result)
     else Format.printf "%a@." Temporal.Pipeline.pp result;
-    if certifying && not json then begin
-      let c = stats.Ilp.Branch_bound.certification in
-      Format.printf "certification: %a@." Ilp.Branch_bound.pp_certification c;
-      match c.Ilp.Branch_bound.root_certificate with
-      | Some
-          {
-            Ilp.Certify.detail = Ilp.Certify.Farkas_proof { support; _ };
-            _;
-          } ->
-        List.iter
-          (fun i ->
-            Format.printf "  %s@."
-              (Temporal.Audit.describe_row (Lazy.force row_name i)))
-          support
-      | _ -> ()
-    end;
-    if stats_wanted && not json then begin
-      let stats =
-        result.Temporal.Pipeline.report.Temporal.Solver.stats
-      in
-      Format.printf "lp-stats: %a@." Ilp.Simplex.pp_stats
-        stats.Ilp.Branch_bound.lp_stats;
-      print_deductions stats.Ilp.Branch_bound.deductions;
+    (* --certify alone prints the report's certification line, with the
+       support rows of a Farkas proof; --stats prints the whole report *)
+    if (stats_wanted || certifying) && not json then
       print_string
-        (Format.asprintf "%a" Ilp.Metrics_export.pp_node_lps
-           stats.Ilp.Branch_bound.node_lps);
-      print_workers stats.Ilp.Branch_bound.elapsed
-        stats.Ilp.Branch_bound.workers
-    end;
+        (Format.asprintf "%a"
+           (Ilp.Metrics_export.pp_report
+              ?only:
+                (if stats_wanted then None
+                 else Some Ilp.Metrics_export.certification)
+              ?certified:
+                (if certifying then
+                   Some
+                     stats.Ilp.Branch_bound.certification
+                       .Ilp.Branch_bound.root_certificate
+                 else None)
+              ~describe_row:(fun i ->
+                Temporal.Audit.describe_row (Lazy.force row_name i))
+              ?node_lps:
+                (if stats_wanted then Some stats.Ilp.Branch_bound.node_lps
+                 else None)
+              ?workers:
+                (if stats_wanted then
+                   Some
+                     (stats.Ilp.Branch_bound.elapsed, stats.Ilp.Branch_bound.workers)
+                 else None))
+           stats.Ilp.Branch_bound.metrics);
     (* "wrote FILE" confirmations move to stderr under --json so the
        stdout report stays a single parseable object *)
     let note path detail =
@@ -672,12 +615,12 @@ let solve_cmd =
       (* With --certify the exit code is the aggregate verdict: any
          refutation dominates, then any unproven check; a run with no
          check at all proved nothing. *)
-      let c = stats.Ilp.Branch_bound.certification in
+      let c = Ilp.Metrics.counter_value stats.Ilp.Branch_bound.metrics in
       Ilp.Certify.exit_code
-        (if c.Ilp.Branch_bound.cert_refuted > 0 then Ilp.Certify.Refuted
+        (if c Ilp.Metrics.C_cert_refuted > 0 then Ilp.Certify.Refuted
          else if
-           c.Ilp.Branch_bound.cert_uncertifiable > 0
-           || c.Ilp.Branch_bound.cert_checked = 0
+           c Ilp.Metrics.C_cert_uncertifiable > 0
+           || c Ilp.Metrics.C_cert_checked = 0
          then Ilp.Certify.Uncertifiable
          else Ilp.Certify.Certified)
     end

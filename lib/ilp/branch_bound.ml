@@ -48,65 +48,6 @@ type outcome =
   | Unbounded
   | Limit_reached of { best : (float * float array) option; bound : float }
 
-type worker_stats = {
-  w_nodes : int;
-  w_incumbents : int;
-  w_steals : int;
-  w_handoffs : int;
-  w_idle : float;
-  w_pivots : int;
-}
-
-(* The stats records below are views of a {!Metrics} snapshot. *)
-let worker_of s =
-  let c = Metrics.counter_value s in
-  {
-    w_nodes = c C_nodes;
-    w_incumbents = c C_incumbents;
-    w_steals = c C_pool_steals;
-    w_handoffs = c C_pool_handoffs;
-    w_idle = Metrics.sum_value s S_pool_idle_seconds;
-    w_pivots = c C_lp_pivots;
-  }
-
-let pp_worker_stats ppf w =
-  Format.fprintf ppf
-    "nodes=%d incumbents=%d steals=%d handoffs=%d idle=%.3fs pivots=%d"
-    w.w_nodes w.w_incumbents w.w_steals w.w_handoffs w.w_idle w.w_pivots
-
-type deduction_stats = {
-  rc_fixed : int;
-  prop_fixings : int;
-  prop_prunes : int;
-  prop_seconds : float;
-  hook_calls : int;
-  hook_give_ups : int;
-  hook_pre_lp : int;
-  hook_seconds : float;
-}
-
-let deductions_of s =
-  let c = Metrics.counter_value s and f = Metrics.sum_value s in
-  {
-    rc_fixed = c C_rc_fixed;
-    prop_fixings = c C_prop_fixings;
-    prop_prunes = c C_prop_prunes;
-    prop_seconds = f S_prop_seconds;
-    hook_calls = c C_hook_calls;
-    hook_give_ups = c C_hook_give_ups;
-    hook_pre_lp = c C_hook_pre_lp;
-    hook_seconds = f S_hook_seconds;
-  }
-
-let empty_deductions = deductions_of Metrics.empty_snapshot
-
-let pp_deductions ppf d =
-  Format.fprintf ppf
-    "rc_fixed=%d prop_fixings=%d prop_prunes=%d prop_time=%.3fs \
-     hook_calls=%d hook_give_ups=%d hook_pre_lp=%d hook_time=%.3fs"
-    d.rc_fixed d.prop_fixings d.prop_prunes d.prop_seconds d.hook_calls
-    d.hook_give_ups d.hook_pre_lp d.hook_seconds
-
 type certification_stats = {
   cert_checked : int;
   cert_certified : int;
@@ -137,20 +78,6 @@ let trace_verdict (cert : Certify.t) =
   | Certify.Refuted -> Trace.Cert_refuted
   | Certify.Uncertifiable -> Trace.Cert_uncertifiable
 
-let single_check cert ~seconds =
-  let sh = Metrics.make_shard () in
-  Metrics.count_check sh (trace_verdict cert) ~seconds;
-  certification_of (Metrics.merge [ sh ]) (Some cert)
-
-let pp_certification ppf c =
-  Format.fprintf ppf
-    "checked=%d certified=%d refuted=%d uncertifiable=%d time=%.3fs"
-    c.cert_checked c.cert_certified c.cert_refuted c.cert_uncertifiable
-    c.cert_seconds;
-  match c.root_certificate with
-  | Some cert -> Format.fprintf ppf " root=%a" Certify.pp cert
-  | None -> ()
-
 type stats = {
   nodes : int;
   incumbents : int;
@@ -158,9 +85,9 @@ type stats = {
   max_depth : int;
   elapsed : float;
   root_obj : float;
+  metrics : Metrics.snapshot;
   lp_stats : Simplex.stats;
-  workers : worker_stats array;
-  deductions : deduction_stats;
+  workers : Metrics.snapshot array;
   certification : certification_stats;
   node_lps : Metrics.node_lp_row array;
   timeline : (float * float * int * Trace.incumbent_source) array;
@@ -179,14 +106,20 @@ let empty_stats =
     max_depth = 0;
     elapsed = 0.;
     root_obj = Float.nan;
+    metrics = Metrics.empty_snapshot;
     lp_stats = Simplex.stats_of_snapshot Metrics.empty_snapshot;
     workers = [||];
-    deductions = empty_deductions;
     certification = empty_certification;
     node_lps = [||];
     timeline = [||];
     bound_timeline = [||];
   }
+
+let single_check cert ~seconds =
+  let sh = Metrics.make_shard () in
+  Metrics.count_check sh (trace_verdict cert) ~seconds;
+  let metrics = Metrics.merge [ sh ] in
+  { empty_stats with metrics; certification = certification_of metrics (Some cert) }
 
 let fractionality v =
   let f = v -. Float.round v in
@@ -584,6 +517,21 @@ let run_hook ctx ~node_no ~depth point ~is_fixed =
                ~node_no ~depth v);
           true)
 
+(* Reduced-cost fixing: at an LP optimum of objective [obj], an unfixed
+   0-1 variable [j] (bounds [lb.(j), ub.(j)], reduced cost [dj.(j)])
+   whose reduced cost alone moves the objective past [cutoff] when it
+   leaves its bound can be fixed there. The bound it is fixed at, if
+   any. The arrays are passed whole so that no float is boxed per
+   variable. *)
+let rc_fix ~obj ~cutoff ~lb ~ub ~dj j =
+  let lo = lb.(j) and hi = ub.(j) and d = dj.(j) in
+  let span = hi -. lo in
+  if span > 1e-9 && span <= 1. +. 1e-9 then
+    if d > 1e-9 && obj +. d >= cutoff +. 1e-9 then Some lo
+    else if d < -1e-9 && obj -. d >= cutoff +. 1e-9 then Some hi
+    else None
+  else None
+
 (* Re-run root reduced-cost fixing against an improved incumbent: pure
    arithmetic on the root duals saved by the root solve, mutating the
    root bound arrays in place. The context's applied path is undone
@@ -602,18 +550,14 @@ let refix_root ctx =
       let fixed = ref [] in
       List.iter
         (fun j ->
-          let lo = env.root_lb.(j) and hi = env.root_ub.(j) in
-          if hi -. lo > 1e-9 && hi -. lo <= 1. +. 1e-9 then begin
-            let d = dj.(j) in
-            if d > 1e-9 && robj +. d >= c +. 1e-9 then begin
-              env.root_ub.(j) <- lo;
-              fixed := j :: !fixed
-            end
-            else if d < -1e-9 && robj -. d >= c +. 1e-9 then begin
-              env.root_lb.(j) <- hi;
-              fixed := j :: !fixed
-            end
-          end)
+          match
+            rc_fix ~obj:robj ~cutoff:c ~lb:env.root_lb ~ub:env.root_ub ~dj j
+          with
+          | Some v ->
+            env.root_lb.(j) <- v;
+            env.root_ub.(j) <- v;
+            fixed := j :: !fixed
+          | None -> ())
         env.int_vars;
       if !fixed <> [] then begin
         move_to ctx [];
@@ -860,28 +804,22 @@ let process_node ctx node =
                (if integral then Trace.Integral else Trace.Bound_pruned)
                ~obj Step_ok
            else begin
-             (* Reduced-cost fixing: at a certified LP optimum with
-                objective [obj], a nonbasic 0-1 variable whose reduced
-                cost alone moves the objective past the cutoff when the
-                variable leaves its bound can be fixed there for the
-                whole subtree. The duals come free with the LP result. *)
+             (* Reduced-cost fixing ({!rc_fix}) for the whole subtree;
+                the duals come free with the LP result. *)
              let rc_fixes =
                if
                  Array.length res.Simplex.dj > 0
                  && Float.is_finite (best_seen ctx)
                then begin
-                 let c = cutoff ctx in
+                 let cutoff = cutoff ctx in
                  let acc = ref [] in
                  List.iter
                    (fun j ->
-                     let span = ub.(j) -. lb.(j) in
-                     if span > 1e-9 && span <= 1. +. 1e-9 then begin
-                       let d = res.Simplex.dj.(j) in
-                       if d > 1e-9 && obj +. d >= c +. 1e-9 then
-                         acc := (j, lb.(j), lb.(j)) :: !acc
-                       else if d < -1e-9 && obj -. d >= c +. 1e-9 then
-                         acc := (j, ub.(j), ub.(j)) :: !acc
-                     end)
+                     match
+                       rc_fix ~obj ~cutoff ~lb ~ub ~dj:res.Simplex.dj j
+                     with
+                     | Some v -> acc := (j, v, v) :: !acc
+                     | None -> ())
                    env.int_vars;
                  Metrics.add ctx.msh C_rc_fixed (List.length !acc);
                  !acc
@@ -1026,9 +964,19 @@ let root_node =
 let finish env inc outcome ~driver ~workers =
   note_bound inc env (outcome_bound outcome);
   let ctxs = driver :: List.filter_map Fun.id (Array.to_list workers) in
-  let s = Metrics.merge (List.map (fun ctx -> ctx.msh) ctxs) in
-  let c = Metrics.counter_value s in
   let fold f init = List.fold_left (fun acc ctx -> f acc ctx) init ctxs in
+  let fill =
+    fold
+      (fun m ctx ->
+        match ctx.st with Some st -> Int.max m (Simplex.fill st) | None -> m)
+      0
+  in
+  (* The fill is a reading of the engines, not a shard cell: the merged
+     snapshot carries it as the gauge the registry publishes. *)
+  Metrics.set_gauge env.reg G_lu_fill (Float.of_int fill);
+  let s = Metrics.merge (List.map (fun ctx -> ctx.msh) ctxs) in
+  s.s_gauges.(Metrics.gauge_index G_lu_fill) <- Float.of_int fill;
+  let c = Metrics.counter_value s in
   {
     nodes = c C_nodes;
     incumbents = c C_incumbents;
@@ -1036,23 +984,14 @@ let finish env inc outcome ~driver ~workers =
     max_depth = fold (fun d ctx -> Int.max d ctx.k_max_depth) 0;
     elapsed = Mono.elapsed_since env.t0;
     root_obj = driver.k_root_obj;
-    lp_stats =
-      Simplex.stats_of_snapshot
-        ~fill:
-          (fold
-             (fun m ctx ->
-               match ctx.st with
-               | Some st -> Int.max m (Simplex.fill st)
-               | None -> m)
-             0)
-        s;
+    metrics = s;
+    lp_stats = Simplex.stats_of_snapshot ~fill s;
     workers =
       Array.map
         (function
-          | Some w -> worker_of (Metrics.merge [ w.msh ])
-          | None -> worker_of Metrics.empty_snapshot)
+          | Some w -> Metrics.merge [ w.msh ]
+          | None -> Metrics.empty_snapshot)
         workers;
-    deductions = deductions_of s;
     certification = certification_of s env.root_cert;
     node_lps = Metrics.node_lp_table (List.map (fun ctx -> ctx.msh) ctxs);
     timeline = Array.of_list (List.rev inc.timeline);

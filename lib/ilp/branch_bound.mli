@@ -8,7 +8,7 @@
     parent's optimal basis, which stays dual feasible because dual
     feasibility of a simplex basis does not depend on variable bounds.
 
-    Every node also runs two deductions, counted in {!deduction_stats}:
+    Every node also runs two deductions, counted in {!stats.metrics}:
     - {e domain propagation}, before any LP pivot: the activity-based
       bound tightening of {!Propagate}, seeded with the bound changes
       that created the node (every row at the root). A conflict prunes
@@ -67,7 +67,7 @@ type hook_result =
   | Hook_gave_up of string
       (** The hook could not decide within its budget or deadline; the
           string says what it gave up on. Acts like [Hook_none], is
-          counted in {!deduction_stats.hook_give_ups}, logged at info
+          counted in [Metrics.C_hook_give_ups], logged at info
           level and traced as a {!Trace.Hook_give_up} event, so a hook
           that degrades never does so silently. *)
 
@@ -174,10 +174,11 @@ type options = {
           runs count into its shard and emit through the trace writer
           the shard carries. The solve also publishes gauges (open
           nodes, pool depth, best dual bound, incumbent objective,
-          worker count) for a snapshot poller. {!stats} is a view of one snapshot of the solve's
-          shards taken after the workers joined, so with a registry of
-          its own the caller's final {!Metrics.snapshot} equals it
-          exactly. A caller's registry also drives the sampled part of
+          worker count, and the LU fill once it finishes) for a
+          snapshot poller. {!stats.metrics} is one snapshot of the
+          solve's shards taken after the workers joined, so with a
+          registry of its own the caller's final {!Metrics.snapshot}
+          equals it exactly. A caller's registry also drives the sampled part of
           {!stats.bound_timeline} in the worker phase. *)
 }
 
@@ -196,46 +197,6 @@ type outcome =
           certificate, or an integral LP point the incumbent
           feasibility guard rejects. [best] is the incumbent so far;
           [bound] is a valid global lower bound. *)
-
-type worker_stats = {
-  w_nodes : int;  (** Nodes this worker evaluated. *)
-  w_incumbents : int;  (** Improving incumbents this worker installed. *)
-  w_steals : int;  (** Nodes acquired from the shared pool. *)
-  w_handoffs : int;  (** Nodes this worker donated to the pool. *)
-  w_idle : float;  (** Seconds spent blocked waiting for work. *)
-  w_pivots : int;  (** Simplex pivots on this worker's engine. *)
-}
-(** A view of the worker's context shard. *)
-
-val pp_worker_stats : Format.formatter -> worker_stats -> unit
-(** One-line [key=value] rendering. *)
-
-type deduction_stats = {
-  rc_fixed : int;  (** Variables fixed by reduced cost (nodes + root). *)
-  prop_fixings : int;  (** Bound fixings deduced by node propagation. *)
-  prop_prunes : int;  (** Nodes pruned by propagation before any pivot. *)
-  prop_seconds : float;
-      (** Wall-clock seconds spent in node propagation, summed over the
-          search contexts (the seeding phase, plus every worker when
-          [jobs > 1]). *)
-  hook_calls : int;
-      (** Calls of [options.node_hook] at either {!hook_point}, so up
-          to two per node, summed over the search contexts like
-          [prop_seconds]. *)
-  hook_give_ups : int;  (** Of those, calls that returned {!Hook_gave_up}. *)
-  hook_pre_lp : int;
-      (** Nodes the hook's [Bounds] call closed before their LP was
-          solved: nodes that cost no LP. *)
-  hook_seconds : float;
-      (** Wall-clock seconds spent inside [options.node_hook], timed
-          under the lock that serializes hook calls (waiting for the
-          lock does not count) and summed like [prop_seconds]. *)
-}
-
-val empty_deductions : deduction_stats
-
-val pp_deductions : Format.formatter -> deduction_stats -> unit
-(** One-line [key=value] rendering. *)
 
 type certification_stats = {
   cert_checked : int;  (** Node LP verdicts certified exactly. *)
@@ -256,15 +217,6 @@ type certification_stats = {
 
 val empty_certification : certification_stats
 
-val single_check : Certify.t -> seconds:float -> certification_stats
-(** The statistics of one exact check taken outside the search (e.g.
-    of a model presolve proved infeasible), counted like the search
-    counts its own. *)
-
-val pp_certification : Format.formatter -> certification_stats -> unit
-(** One-line [key=value] rendering ([time=] in seconds) plus the root
-    verdict when kept. *)
-
 type stats = {
   nodes : int;
       (** Nodes evaluated, including those closed without an LP solve
@@ -276,22 +228,25 @@ type stats = {
   root_obj : float;
       (** Root LP relaxation value ([nan] if infeasible, or when the
           hook settled the root before its LP). *)
+  metrics : Metrics.snapshot;
+      (** Every tally of the search: the snapshot of the search
+          contexts' shards (the seeding phase's and every worker's),
+          merged after the workers joined, with the [G_lu_fill] gauge
+          set to the largest engine's fill ([s_ts = 0], the other
+          gauges unset). {!Metrics_export.pp_report} renders it. With a
+          registry of the caller's own, that registry's final
+          {!Metrics.snapshot} holds the same counters, sums and
+          histograms. *)
   lp_stats : Simplex.stats;
-      (** LP-engine counters accumulated over every node relaxation
-          (factorizations, eta updates, refactorization triggers,
-          FTRAN/BTRAN time); summed across the seeding engine and every
-          worker engine when [jobs > 1], where [fill] is the largest
-          engine's. *)
-  workers : worker_stats array;
-      (** One row per worker domain when [jobs > 1] (all-zero rows when
-          the search already stopped in the seeding phase); empty for
-          [jobs = 1]. *)
-  deductions : deduction_stats;
-      (** Node-deduction counters and the node hook's calls and
-          time. *)
+      (** The LP-engine counters of [metrics] as {!Simplex.stats}
+          ([fill] the largest engine's). *)
+  workers : Metrics.snapshot array;
+      (** One snapshot of each worker domain's shard when [jobs > 1]
+          (all-zero when the search already stopped in the seeding
+          phase); empty for [jobs = 1]. *)
   certification : certification_stats;
-      (** Exact-certification counters (all zero, no certificate, when
-          [certify_level = Cert_off]). *)
+      (** The certification counters of [metrics] (all zero when
+          [certify_level = Cert_off]) and the root certificate. *)
   node_lps : Metrics.node_lp_row array;
       (** The per-node LP distribution: for all nodes, then for each
           close reason that occurred, the node count, pivot sum,
@@ -322,6 +277,12 @@ type stats = {
 val empty_stats : stats
 (** All-zero statistics ([root_obj = nan]), for reporting searches that
     never ran (e.g. presolve proved infeasibility). *)
+
+val single_check : Certify.t -> seconds:float -> stats
+(** {!empty_stats} but for one exact check taken outside the search
+    (e.g. of a model presolve proved infeasible), counted in [metrics]
+    like the search counts its own, and kept as the root
+    certificate. *)
 
 val solve : ?options:options -> Lp.t -> outcome * stats
 (** Solves the mixed-integer model. The [Lp.t] is not mutated. *)

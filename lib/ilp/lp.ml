@@ -95,10 +95,6 @@ let set_objective t ?(maximize = false) terms =
       t.obj.(v) <- t.obj.(v) +. (t.sign *. c))
     terms
 
-let set_obj_coeff t v c =
-  check_var t v;
-  t.obj.(v) <- t.sign *. c
-
 let obj_sign t = t.sign
 
 let num_vars t = t.nvars

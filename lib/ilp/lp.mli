@@ -46,9 +46,6 @@ val set_objective : t -> ?maximize:bool -> linear -> unit
 (** Sets the objective (default: minimize). Internally everything is
     minimized; [maximize] negates coefficients and {!obj_sign}. *)
 
-val set_obj_coeff : t -> var -> float -> unit
-(** Sets a single objective coefficient (in the user's orientation). *)
-
 val obj_sign : t -> float
 (** [+1.] when minimizing, [-1.] when maximizing: a solver's internal
     minimum [z] corresponds to user objective [obj_sign t *. z]. *)

@@ -95,7 +95,3 @@ let pp ppf lp =
 
 let to_string lp = Format.asprintf "%a" pp lp
 
-let to_channel oc lp =
-  let ppf = Format.formatter_of_out_channel oc in
-  pp ppf lp;
-  Format.pp_print_flush ppf ()

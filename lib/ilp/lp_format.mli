@@ -10,6 +10,4 @@ val to_string : Lp.t -> string
     bounds differ from the default [0 <= x]. Integer and binary
     variables are listed under [General] / [Binary]. *)
 
-val to_channel : out_channel -> Lp.t -> unit
-
 val pp : Format.formatter -> Lp.t -> unit

@@ -283,8 +283,6 @@ let of_string text =
        !obj_terms);
   out
 
-let of_channel ic = of_string (really_input_string ic (in_channel_length ic))
-
 let roundtrip_equal a b =
   Lp.num_vars a = Lp.num_vars b
   && Lp.num_constrs a = Lp.num_constrs b

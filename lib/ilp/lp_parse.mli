@@ -10,8 +10,6 @@
 val of_string : string -> Lp.t
 (** Raises [Invalid_argument] with a line number on malformed input. *)
 
-val of_channel : in_channel -> Lp.t
-
 val roundtrip_equal : Lp.t -> Lp.t -> bool
 (** Structural equality useful for tests: same variables (name, kind,
     bounds), same rows (terms, sense, rhs) and same objective. *)

@@ -608,12 +608,21 @@ let transpose m start idx ptr steps =
   done;
   steps
 
+(* One interval, the whole {!refactor} call, singular or not: the
+   factorization counter, the factor-time histogram and the [Lu_factor]
+   event all read it. *)
+let record_factor sh ~t_start ~m ~fill ~probes =
+  let dt = Mono.now () -. t_start in
+  Metrics.incr sh Metrics.C_lu_factorizations;
+  Metrics.add sh Metrics.C_lu_probes probes;
+  Metrics.observe sh Metrics.H_factor_seconds dt;
+  let trace = Metrics.writer sh in
+  if Trace.active trace then
+    Trace.emit trace (Trace.Lu_factor { m; fill; probes; dt })
+
 let refactor ?metrics lu (a : Sparse.Csc.mat) (basis : int array) =
   check_owner lu "refactor";
-  let trace =
-    match metrics with Some sh -> Metrics.writer sh | None -> Trace.null_writer
-  in
-  let t_start = if Trace.active trace then Mono.now () else 0. in
+  let t_start = match metrics with Some _ -> Mono.now () | None -> 0. in
   let m = lu.m in
   if Array.length basis <> m || a.nrows <> m then
     invalid_arg "Lu.refactor: dimension mismatch";
@@ -622,27 +631,33 @@ let refactor ?metrics lu (a : Sparse.Csc.mat) (basis : int array) =
   let w = lu.act in
   load_active w a basis m;
   w.probes <- 0;
-  for step = 0 to m - 1 do
-    let e0 = find_pivot w m in
-    if e0 < 0 then raise Singular;
-    eliminate lu w step e0
-  done;
-  lu.fill <- m + lu.l_start.(m) + lu.u_start.(m);
-  if Trace.active trace then
-    Trace.emit trace
-      (Trace.Lu_factor
-         { m; fill = lu.fill; probes = w.probes; dt = Mono.now () -. t_start });
+  let singular =
+    match
+      for step = 0 to m - 1 do
+        let e0 = find_pivot w m in
+        if e0 < 0 then raise Singular;
+        eliminate lu w step e0
+      done
+    with
+    | () -> false
+    | exception Singular -> true
+  in
+  if not singular then begin
+    lu.fill <- m + lu.l_start.(m) + lu.u_start.(m);
+    (* Inverse permutations and transposed dependency lists. *)
+    for k = 0 to m - 1 do
+      lu.step_of_row.(lu.lp_row.(k)) <- k;
+      lu.pos_of_row.(lu.lp_row.(k)) <- k;
+      lu.pos_of_slot.(lu.u_q.(k)) <- k
+    done;
+    lu.uu_steps <- transpose m lu.u_start lu.u_idx lu.uu_ptr lu.uu_steps;
+    lu.lu_steps <- transpose m lu.l_start lu.l_idx lu.lu_ptr lu.lu_steps
+  end;
   (match metrics with
-   | Some sh -> Metrics.add sh Metrics.C_lu_probes w.probes
+   | Some sh ->
+     record_factor sh ~t_start ~m ~fill:(if singular then 0 else lu.fill) ~probes:w.probes
    | None -> ());
-  (* Inverse permutations and transposed dependency lists. *)
-  for k = 0 to m - 1 do
-    lu.step_of_row.(lu.lp_row.(k)) <- k;
-    lu.pos_of_row.(lu.lp_row.(k)) <- k;
-    lu.pos_of_slot.(lu.u_q.(k)) <- k
-  done;
-  lu.uu_steps <- transpose m lu.u_start lu.u_idx lu.uu_ptr lu.uu_steps;
-  lu.lu_steps <- transpose m lu.l_start lu.l_idx lu.lu_ptr lu.lu_steps
+  if singular then raise Singular
 
 let factor ?metrics (a : Sparse.Csc.mat) (basis : int array) =
   let lu = create (Array.length basis) in

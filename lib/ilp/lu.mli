@@ -69,11 +69,15 @@ val factor :
     probes) and eliminations splice in O(entries touched). Raises
     {!Singular}; raises
     [Invalid_argument] when [a]'s row dimension differs from [m].
-    When a [metrics] shard is given the probe count is added to
-    {!Metrics.C_lu_probes}, and when the shard's {!Metrics.writer} is
-    active a {!Trace.Lu_factor} event (basis dimension, fill,
-    pivot-search probes, wall time) is emitted on completion. Equivalent to {!refactor} into a
-    fresh {!create}[ m]. *)
+    When a [metrics] shard is given, every call that gets past the
+    dimension check, singular or not, is counted in
+    {!Metrics.C_lu_factorizations}, its probes in
+    {!Metrics.C_lu_probes} and the wall time of the whole call in
+    {!Metrics.H_factor_seconds}; when the shard's {!Metrics.writer} is
+    active a {!Trace.Lu_factor} event (basis dimension, fill — [0] for
+    a singular basis —, pivot-search probes, the same wall time) is
+    emitted too. Equivalent to {!refactor} into a fresh
+    {!create}[ m]. *)
 
 val create : int -> t
 (** [create m] is an empty workspace for [m x m] bases, owned by the

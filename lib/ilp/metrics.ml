@@ -49,7 +49,8 @@ type sum =
   | S_cert_seconds
   | S_pool_idle_seconds
 
-type gauge = G_open_nodes | G_best_bound | G_incumbent_obj | G_pool_depth | G_workers
+type gauge =
+  G_open_nodes | G_best_bound | G_incumbent_obj | G_pool_depth | G_workers | G_lu_fill
 
 type histogram = H_factor_seconds | H_lp_seconds
 
@@ -119,6 +120,7 @@ let gauge_table =
     (G_incumbent_obj, "incumbent_obj");
     (G_pool_depth, "pool_depth");
     (G_workers, "workers");
+    (G_lu_fill, "lu_fill");
   |]
 
 let histogram_table =

@@ -116,6 +116,10 @@ type gauge =
   | G_incumbent_obj  (** objective of the current incumbent *)
   | G_pool_depth  (** nodes queued in the shared work pool *)
   | G_workers  (** worker domains configured for the solve *)
+  | G_lu_fill
+      (** stored L+U entries of the latest fresh factorization, the
+          largest over the solve's engines; published when the search
+          finishes *)
 
 type histogram =
   | H_factor_seconds  (** wall time of one fresh basis factorization *)

@@ -3,59 +3,52 @@
    literals). *)
 let num_or_null v = if Float.is_finite v then Json.Num v else Json.Null
 
-let counters_json s cs =
-  ( "counters",
-    Json.Obj
-      (List.map
-         (fun c ->
-           ( Metrics.counter_name c,
-             Json.Num (float_of_int (Metrics.counter_value s c)) ))
-         cs) )
+type instrument =
+  | Counter of Metrics.counter
+  | Sum of Metrics.sum
+  | Gauge of Metrics.gauge
+  | Histogram of Metrics.histogram
 
-let sums_json s xs =
-  ( "sums",
-    Json.Obj
-      (List.map (fun x -> (Metrics.sum_name x, Json.Num (Metrics.sum_value s x))) xs)
-  )
+(* The [counters], [sums] and [hists] members of the instruments in
+   [only] (default: all), in declaration order. *)
+let cells ?only s =
+  let pick wrap all =
+    Array.to_list all
+    |> List.filter (fun x -> match only with None -> true | Some l -> List.mem (wrap x) l)
+  in
+  let obj name cell wrap all = (name, Json.Obj (List.map cell (pick wrap all))) in
+  let int n = Json.Num (float_of_int n) in
+  ( obj "counters"
+      (fun c -> (Metrics.counter_name c, int (Metrics.counter_value s c)))
+      (fun c -> Counter c) Metrics.all_counters,
+    obj "sums"
+      (fun x -> (Metrics.sum_name x, Json.Num (Metrics.sum_value s x)))
+      (fun x -> Sum x) Metrics.all_sums,
+    obj "hists"
+      (fun h ->
+        let v = Metrics.hist_value s h in
+        ( Metrics.histogram_name h,
+          Json.Obj
+            [
+              ("count", int v.Metrics.h_count);
+              ("sum", Json.Num v.Metrics.h_sum);
+              ("max", Json.Num v.Metrics.h_max);
+              ("buckets", Json.Arr (Array.to_list (Array.map int v.Metrics.h_buckets)));
+            ] ))
+      (fun h -> Histogram h) Metrics.all_histograms )
 
-let hists_json s hs =
-  ( "hists",
-    Json.Obj
-      (List.map
-         (fun h ->
-           let v = Metrics.hist_value s h in
-           ( Metrics.histogram_name h,
-             Json.Obj
-               [
-                 ("count", Json.Num (float_of_int v.Metrics.h_count));
-                 ("sum", Json.Num v.Metrics.h_sum);
-                 ("max", Json.Num v.Metrics.h_max);
-                 ( "buckets",
-                   Json.Arr
-                     (Array.to_list
-                        (Array.map
-                           (fun n -> Json.Num (float_of_int n))
-                           v.Metrics.h_buckets)) );
-               ] ))
-         hs) )
-
-let cells_to_json s ~counters ~sums ~hists =
-  [ counters_json s counters; sums_json s sums; hists_json s hists ]
+let cells_to_json ?only s =
+  let counters, sums, hists = cells ?only s in
+  [ counters; sums; hists ]
 
 let snapshot_to_json (s : Metrics.snapshot) =
+  let counters, sums, hists = cells s in
   let gauges =
     List.map
       (fun g -> (Metrics.gauge_name g, num_or_null (Metrics.gauge_value s g)))
       (Array.to_list Metrics.all_gauges)
   in
-  Json.Obj
-    [
-      ("ts", Json.Num s.Metrics.s_ts);
-      counters_json s (Array.to_list Metrics.all_counters);
-      sums_json s (Array.to_list Metrics.all_sums);
-      ("gauges", Json.Obj gauges);
-      hists_json s (Array.to_list Metrics.all_histograms);
-    ]
+  Json.Obj [ ("ts", Json.Num s.Metrics.s_ts); counters; sums; ("gauges", Json.Obj gauges); hists ]
 
 let ( let* ) = Result.bind
 
@@ -317,7 +310,114 @@ let prometheus (s : Metrics.snapshot) =
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
-(* Text tables                                                         *)
+(* Counter report                                                      *)
+
+(* One [key=value] of the report: the instruments it reads and how it
+   renders them. A report limited to some instruments shows the fields
+   that read nothing else. *)
+type field = { key : string; reads : instrument list; show : Metrics.snapshot -> string }
+
+let secs = Printf.sprintf "%.3fs"
+let field key reads show = { key; reads; show }
+
+let tally key c =
+  field key [ Counter c ] (fun s -> string_of_int (Metrics.counter_value s c))
+
+let timing key x = field key [ Sum x ] (fun s -> secs (Metrics.sum_value s x))
+let hist key h part = field key [ Histogram h ] (fun s -> part (Metrics.hist_value s h))
+let factor = hist "factor" Metrics.H_factor_seconds (fun v -> secs v.Metrics.h_sum)
+
+(* The [lp-stats:] line. *)
+let lp_fields =
+  Metrics.
+    [
+      tally "factorizations" C_lu_factorizations;
+      field "fill" [ Gauge G_lu_fill ] (fun s ->
+          let v = gauge_value s G_lu_fill in
+          if Float.is_finite v then Printf.sprintf "%.0f" v else "-");
+      tally "etas" C_lu_etas;
+      (let cs = [ C_lu_refactor_eta; C_lu_refactor_numeric; C_lu_refactor_residual ] in
+       field "refactors(eta/numeric/residual)"
+         (List.map (fun c -> Counter c) cs)
+         (fun s ->
+           String.concat "/" (List.map (fun c -> string_of_int (counter_value s c)) cs)));
+      tally "ray-infeasible" C_lp_ray_infeasible;
+      factor;
+      timing "ftran" S_ftran_seconds;
+      timing "btran" S_btran_seconds;
+      timing "update" S_update_seconds;
+      tally "pivots" C_lp_pivots;
+      tally "flips" C_lp_bound_flips;
+      tally "dual-stalls" C_lp_dual_stalls;
+      tally "primal-restarts" C_lp_primal_restarts;
+      tally "cold-primal" C_lp_cold_primal;
+      tally "singular-restarts" C_lp_singular_restarts;
+      tally "installs" C_lp_basis_installs;
+      tally "install-fallbacks" C_lp_install_fallbacks;
+      field "gc(minor/major)" [ Sum S_gc_minor_words; Sum S_gc_major_words ] (fun s ->
+          Printf.sprintf "%.0f/%.0fw" (sum_value s S_gc_minor_words)
+            (sum_value s S_gc_major_words));
+      tally "compactions" C_gc_compactions;
+    ]
+
+(* The [deductions:] table. *)
+let deduction_fields =
+  Metrics.
+    [
+      tally "rc-fixed" C_rc_fixed;
+      tally "prop-fixings" C_prop_fixings;
+      tally "prop-prunes" C_prop_prunes;
+      timing "prop-time" S_prop_seconds;
+      tally "hook-calls" C_hook_calls;
+      tally "hook-give-ups" C_hook_give_ups;
+      tally "hook-pre-lp" C_hook_pre_lp;
+      timing "hook-time" S_hook_seconds;
+    ]
+
+(* The [certification:] line, before the root certificate. *)
+let certification_fields =
+  Metrics.
+    [
+      tally "checked" C_cert_checked;
+      tally "certified" C_certified_nodes;
+      tally "refuted" C_cert_refuted;
+      tally "uncertifiable" C_cert_uncertifiable;
+      timing "time" S_cert_seconds;
+    ]
+
+let reads fields = List.concat_map (fun f -> f.reads) fields
+let certification = reads certification_fields
+
+(* The [counters:] table: every counter and sum the sections above leave
+   out, keyed by its codec name, and each histogram's count, sum (but
+   [factor=]'s) and maximum. *)
+let counter_fields =
+  let key name = String.map (function '_' -> '-' | ch -> ch) name in
+  let shown = reads (lp_fields @ deduction_fields @ certification_fields) in
+  let rest wrap all mk name =
+    Array.to_list all
+    |> List.filter_map (fun x ->
+           if List.mem (wrap x) shown then None else Some (mk (key (name x)) x))
+  in
+  rest (fun c -> Counter c) Metrics.all_counters tally Metrics.counter_name
+  @ rest (fun x -> Sum x) Metrics.all_sums timing Metrics.sum_name
+  @ List.concat_map
+      (fun h ->
+        let part name show = hist (key (Metrics.histogram_name h ^ "_" ^ name)) h show in
+        [ part "count" (fun v -> string_of_int v.Metrics.h_count) ]
+        @ (if List.mem (Histogram h) factor.reads then []
+           else [ part "sum" (fun v -> secs v.Metrics.h_sum) ])
+        @ [ part "max" (fun v -> Printf.sprintf "%.6fs" v.Metrics.h_max) ])
+      (Array.to_list Metrics.all_histograms)
+
+let pp_fields fields ppf s =
+  List.iteri
+    (fun i f -> Format.fprintf ppf "%s%s=%s" (if i > 0 then " " else "") f.key (f.show s))
+    fields
+
+let pp_certification ?root ppf s =
+  pp_fields certification_fields ppf s;
+  Option.iter (Format.fprintf ppf " root=%a" Certify.pp) root
 
 let pp_table ppf rows =
   match rows with
@@ -351,10 +451,65 @@ let pp_node_lps ppf (rows : Metrics.node_lp_row array) =
                string_of_int r.nl_p50;
                string_of_int r.nl_p90;
                string_of_int r.nl_max;
-               Printf.sprintf "%.3fs" r.nl_seconds;
+               secs r.nl_seconds;
              ])
            (Array.to_list rows))
   end
+
+(* Steal/handoff rates are per second of the search wall clock, and
+   idle% its share spent blocked on the work pool. *)
+let pp_workers ppf (elapsed, workers) =
+  if Array.length workers > 0 then begin
+    let per_s v = if elapsed > 0. then v /. elapsed else 0. in
+    Format.pp_print_string ppf "workers:\n";
+    pp_table ppf
+      ([ "id"; "nodes"; "incumbents"; "steals"; "steals/s"; "handoffs";
+         "handoffs/s"; "idle"; "idle%"; "pivots" ]
+      :: List.mapi
+           (fun i w ->
+             let c x = Metrics.counter_value w x in
+             let idle = Metrics.sum_value w Metrics.S_pool_idle_seconds in
+             [
+               string_of_int i;
+               string_of_int (c Metrics.C_nodes);
+               string_of_int (c Metrics.C_incumbents);
+               string_of_int (c Metrics.C_pool_steals);
+               Printf.sprintf "%.1f" (per_s (float_of_int (c Metrics.C_pool_steals)));
+               string_of_int (c Metrics.C_pool_handoffs);
+               Printf.sprintf "%.1f" (per_s (float_of_int (c Metrics.C_pool_handoffs)));
+               secs idle;
+               Printf.sprintf "%.1f" (100. *. per_s idle);
+               string_of_int (c Metrics.C_lp_pivots);
+             ])
+           (Array.to_list workers))
+  end
+
+let pp_report ?only ?certified ?describe_row ?node_lps ?workers ppf s =
+  let fields l =
+    match only with
+    | None -> l
+    | Some only -> List.filter (fun f -> List.for_all (fun i -> List.mem i only) f.reads) l
+  in
+  let section title l pp =
+    match fields l with [] -> () | fs -> Format.fprintf ppf "%s:%a" title pp fs
+  in
+  let root = Option.join certified in
+  if certified <> None || Metrics.counter_value s Metrics.C_cert_checked > 0 then
+    section "certification" certification_fields (fun ppf _ ->
+        Format.fprintf ppf " %a\n" (pp_certification ?root) s;
+        match (root, describe_row) with
+        | Some { Certify.detail = Certify.Farkas_proof { support; _ }; _ }, Some name ->
+          List.iter (fun i -> Format.fprintf ppf "  %s\n" (name i)) support
+        | _ -> ());
+  section "lp-stats" lp_fields (fun ppf fs -> Format.fprintf ppf " %a\n" (pp_fields fs) s);
+  let table ppf fs =
+    Format.pp_print_string ppf "\n";
+    pp_table ppf ([ "counter"; "total" ] :: List.map (fun f -> [ f.key; f.show s ]) fs)
+  in
+  section "deductions" deduction_fields table;
+  section "counters" counter_fields table;
+  Option.iter (pp_node_lps ppf) node_lps;
+  Option.iter (pp_workers ppf) workers
 
 let node_lps_to_json (rows : Metrics.node_lp_row array) =
   let n x = Json.Num (float_of_int x) in
@@ -394,71 +549,30 @@ module Summary = struct
           final;
         }
 
-  let rate n dt = if dt > 0. then float_of_int n /. dt else 0.
-
-  let ratio_pct a b =
-    if b = 0 then 0. else 100. *. float_of_int a /. float_of_int b
-
+  (* What only a snapshot stream knows: its length and window, the
+     gauges (the LU fill is in the report's [lp-stats:] line) and rates
+     per second of the run; the counters follow in the report's
+     layout. *)
   let pp ppf t =
     let s = t.final in
-    let c x = Metrics.counter_value s x in
-    let g x = Metrics.gauge_value s x in
-    let fin v = if Float.is_finite v then Printf.sprintf "%g" v else "-" in
     let dt = s.Metrics.s_ts in
-    Format.fprintf ppf "@[<v>";
-    Format.fprintf ppf "snapshots      %d over %.3fs (last at %.3fs)@,"
+    let rate c =
+      let n = float_of_int (Metrics.counter_value s c) in
+      if dt > 0. then n /. dt else 0.
+    in
+    Format.fprintf ppf "snapshots      %d over %.3fs (last at %.3fs)\n"
       t.snapshots t.duration dt;
-    Format.fprintf ppf "search         nodes=%d (%.1f/s) incumbents=%d certified=%d@,"
-      (c Metrics.C_nodes)
-      (rate (c Metrics.C_nodes) dt)
-      (c Metrics.C_incumbents) (c Metrics.C_certified_nodes);
-    Format.fprintf ppf "bounds         best_bound=%s incumbent=%s open=%s workers=%s@,"
-      (fin (g Metrics.G_best_bound))
-      (fin (g Metrics.G_incumbent_obj))
-      (fin (g Metrics.G_open_nodes))
-      (fin (g Metrics.G_workers));
-    Format.fprintf ppf "lp             solves=%d pivots=%d (%.1f/s) flips=%d@,"
-      (c Metrics.C_lp_solves) (c Metrics.C_lp_pivots)
-      (rate (c Metrics.C_lp_pivots) dt)
-      (c Metrics.C_lp_bound_flips);
-    Format.fprintf ppf
-      "fallbacks      dual_stalls=%d primal_restarts=%d cold_primal=%d \
-       singular_restarts=%d install_fallbacks=%d hook_give_ups=%d@,"
-      (c Metrics.C_lp_dual_stalls) (c Metrics.C_lp_primal_restarts)
-      (c Metrics.C_lp_cold_primal) (c Metrics.C_lp_singular_restarts)
-      (c Metrics.C_lp_install_fallbacks) (c Metrics.C_hook_give_ups);
-    Format.fprintf ppf "hyper-sparse   ftran=%d/%d (%.1f%%) btran=%d/%d (%.1f%%)@,"
-      (c Metrics.C_ftran_hyper) (c Metrics.C_ftran_solves)
-      (ratio_pct (c Metrics.C_ftran_hyper) (c Metrics.C_ftran_solves))
-      (c Metrics.C_btran_hyper) (c Metrics.C_btran_solves)
-      (ratio_pct (c Metrics.C_btran_hyper) (c Metrics.C_btran_solves));
-    Format.fprintf ppf "lu             factorizations=%d refactorizations=%d probes=%d@,"
-      (c Metrics.C_lu_factorizations)
-      (c Metrics.C_lu_refactor_eta + c Metrics.C_lu_refactor_numeric
-      + c Metrics.C_lu_refactor_residual)
-      (c Metrics.C_lu_probes);
-    Format.fprintf ppf
-      "deductions     prop_runs=%d prop_fixings=%d hook_pre_lp=%d@,"
-      (c Metrics.C_prop_runs) (c Metrics.C_prop_fixings)
-      (c Metrics.C_hook_pre_lp);
-    Format.fprintf ppf "pool           steals=%d handoffs=%d hungry_polls=%d depth=%s@,"
-      (c Metrics.C_pool_steals) (c Metrics.C_pool_handoffs)
-      (c Metrics.C_pool_hungry_polls)
-      (fin (g Metrics.G_pool_depth));
+    Format.fprintf ppf "gauges        ";
     Array.iter
-      (fun h ->
-        let v = Metrics.hist_value s h in
-        Format.fprintf ppf "%-14s count=%d sum=%.3fs max=%.3fs mean=%.6fs@,"
-          (Metrics.histogram_name h) v.Metrics.h_count v.Metrics.h_sum
-          v.Metrics.h_max
-          (if v.Metrics.h_count = 0 then 0.
-           else v.Metrics.h_sum /. float_of_int v.Metrics.h_count))
-      Metrics.all_histograms;
-    (let dropped = c Metrics.C_trace_dropped_events in
-     if dropped > 0 then
-       Format.fprintf ppf
-         "WARNING: %d trace events dropped (ring buffers wrapped)@," dropped);
-    Format.fprintf ppf "@]"
+      (fun g ->
+        if g <> Metrics.G_lu_fill then
+          let v = Metrics.gauge_value s g in
+          Format.fprintf ppf " %s=%s" (Metrics.gauge_name g)
+            (if Float.is_finite v then Printf.sprintf "%g" v else "-"))
+      Metrics.all_gauges;
+    Format.fprintf ppf "\nrates          nodes=%.1f/s pivots=%.1f/s\n"
+      (rate Metrics.C_nodes) (rate Metrics.C_lp_pivots);
+    pp_report ppf s
 
   let to_json t =
     Json.Obj

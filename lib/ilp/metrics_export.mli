@@ -13,15 +13,6 @@ val snapshot_to_json : Metrics.snapshot -> Json.t
     [gauges] and [hists] keyed by instrument name. Non-finite gauges serialize
     as [null]. *)
 
-val cells_to_json :
-  Metrics.snapshot ->
-  counters:Metrics.counter list ->
-  sums:Metrics.sum list ->
-  hists:Metrics.histogram list ->
-  (string * Json.t) list
-(** The [counters], [sums] and [hists] members of {!snapshot_to_json},
-    restricted to the named instruments, in the given order. *)
-
 val snapshot_of_json : Json.t -> (Metrics.snapshot, string) result
 (** Inverse of {!snapshot_to_json}. Unknown instrument names are
     errors; missing ones decode as zero/unset so streams survive
@@ -53,22 +44,62 @@ val prometheus : Metrics.snapshot -> string
     [_bucket{le="..."}]/[_sum]/[_count] series, each with [# HELP] and
     [# TYPE] headers. *)
 
-(** {1 Text tables} — the layout of the [tpart solve --stats] tables. *)
+(** {1 Counter report}
 
-val pp_table : Format.formatter -> string list list -> unit
-(** Rows of cells, the first row the header: every line indented by
-    two spaces, columns two spaces apart and as wide as their widest
-    cell, the first column left-aligned and the others right-aligned,
-    each line newline-terminated. *)
+    The one layout of a solve's counters, shared by [tpart solve
+    --stats], [--certify] and [--json], [tpart metrics summary] and
+    [tpart trace summary]. It names every counter, sum and histogram of
+    a snapshot exactly once. *)
 
-val pp_node_lps : Format.formatter -> Metrics.node_lp_row array -> unit
-(** The per-node LP table, as [tpart solve --stats] and [tpart trace
-    summary] print it: a [node-lps:] heading, then a {!pp_table} with
-    one row per {!Metrics.node_lp_row} (reason, nodes, pivots, p50,
-    p90, max, lp-time). Prints nothing for an empty table. *)
+type instrument =
+  | Counter of Metrics.counter
+  | Sum of Metrics.sum
+  | Gauge of Metrics.gauge
+  | Histogram of Metrics.histogram
+
+val certification : instrument list
+(** The instruments of the [certification:] line. *)
+
+val pp_certification : ?root:Certify.t -> Format.formatter -> Metrics.snapshot -> unit
+(** The certification counts and time as [key=value] pairs
+    ([checked=1 certified=1 refuted=0 uncertifiable=0 time=0.002s]),
+    then [root=] and the root certificate when given. *)
+
+val pp_report :
+  ?only:instrument list ->
+  ?certified:Certify.t option ->
+  ?describe_row:(int -> string) ->
+  ?node_lps:Metrics.node_lp_row array ->
+  ?workers:float * Metrics.snapshot array ->
+  Format.formatter ->
+  Metrics.snapshot ->
+  unit
+(** The text report, newline-terminated sections (docs/OBSERVABILITY.md
+    lists every key): a [certification:] line when a check ran or
+    [certified] is given, for a certified solve with its root
+    certificate if one was kept ({!pp_certification}, then the support
+    rows of a Farkas proof through [describe_row]); the [lp-stats:] line of
+    LP-engine [key=value] pairs, its [fill] the [G_lu_fill] gauge and
+    its [factor] the factor-time histogram's sum; a [deductions:]
+    table (two-space indent and gaps, columns as wide as their widest
+    cell) of propagation, reduced-cost fixing and hook counts and
+    times; a [counters:] table of every other counter and sum, keyed by
+    its metric name with [-] for [_], and each histogram's [-count],
+    [-sum] and [-max]; a [node-lps:] table of [node_lps] (reason,
+    nodes, pivots, p50, p90, max, lp-time); and, given the
+    search's wall-clock seconds and one snapshot per worker domain, a
+    [workers:] table (nodes, incumbents, steals and handoffs with their
+    rates, idle time and its share, pivots). With [only], a field shows
+    when every instrument it reads is listed, and a section with no
+    field left is skipped. *)
+
+val cells_to_json : ?only:instrument list -> Metrics.snapshot -> (string * Json.t) list
+(** The report as JSON: the [counters], [sums] and [hists] members of
+    {!snapshot_to_json}, restricted to [only] (default: all), in
+    declaration order. *)
 
 val node_lps_to_json : Metrics.node_lp_row array -> Json.t
-(** The table as a JSON array of row objects ([reason], [nodes],
+(** The per-node LP table as a JSON array of row objects ([reason], [nodes],
     [pivots], [p50], [p90], [max], [seconds]). *)
 
 (** {1 Aggregate summary} — what [tpart metrics summary] prints. *)
@@ -81,7 +112,12 @@ module Summary : sig
   }
 
   val of_snapshots : Metrics.snapshot list -> (t, string) result
+
   val pp : Format.formatter -> t -> unit
+  (** What only a stream knows — its snapshot count and window, every
+      gauge but the LU fill, node and pivot rates per second — then the
+      final snapshot's {!pp_report}. *)
+
   val to_json : t -> Json.t
 end
 

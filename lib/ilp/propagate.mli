@@ -25,8 +25,6 @@ val of_lp : Lp.t -> t
     reference to the model for its row names and integrality
     markers. *)
 
-val num_rows : t -> int
-
 val sense : t -> int -> Lp.sense
 (** Sense of row [i]. *)
 
@@ -77,7 +75,7 @@ val run :
     over them are enqueued initially, and tightening a variable enqueues
     its rows — branch decisions cascade without touching unrelated rows.
     When [seeds] is omitted every row is enqueued (the presolve mode).
-    At most [max 256 (64 * num_rows)] row evaluations run; the bounds
+    At most [max 256 (64 * rows)] row evaluations run; the bounds
     reached when that budget runs out are still valid, just not
     necessarily a fixpoint.
 

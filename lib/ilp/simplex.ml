@@ -73,19 +73,6 @@ let stats_of_snapshot ?(fill = 0) s =
     compactions = c C_gc_compactions;
   }
 
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "factorizations=%d fill=%d etas=%d refactors(eta/numeric/residual)=%d/%d/%d \
-     ray-infeasible=%d factor=%.3fs ftran=%.3fs btran=%.3fs update=%.3fs \
-     pivots=%d flips=%d dual-stalls=%d primal-restarts=%d cold-primal=%d singular-restarts=%d \
-     installs=%d install-fallbacks=%d gc(minor/major)=%.0f/%.0fw \
-     compactions=%d"
-    s.factorizations s.fill s.etas s.refactor_eta s.refactor_numeric
-    s.refactor_residual s.ray_infeasible s.factor_time_s s.ftran_seconds
-    s.btran_seconds s.update_seconds s.pivots s.bound_flips s.dual_stalls s.primal_restarts
-    s.cold_primal s.singular_restarts s.basis_installs s.install_fallbacks
-    s.minor_words s.major_words s.compactions
-
 type vstat = Basic | At_lower | At_upper | Free_zero
 
 (* How the last Infeasible verdict was reached — enough context for
@@ -199,7 +186,6 @@ let check_owner st op =
          op st.owner
          (Domain.self () :> int))
 
-let num_rows st = st.m
 let num_structural st = st.nstruct
 let fill st = st.last_fill
 let total_pivots st = Metrics.count st.ms Metrics.C_lp_pivots
@@ -349,17 +335,10 @@ let default_stat st j =
 
 exception Singular_basis
 
-(* Factorize the current basis from scratch. Counted, and its wall time
-   observed into [H_factor_seconds] (whose sum is
-   [stats.factor_time_s]), including factorizations that end in
-   [Singular_basis]. *)
+(* Factorize the current basis from scratch. {!Lu.refactor} counts it
+   and observes its wall time into [H_factor_seconds] (whose sum is
+   [stats.factor_time_s]), also when it ends in [Singular_basis]. *)
 let fresh_factor st =
-  let t0 = now () in
-  Fun.protect
-    ~finally:(fun () ->
-      Metrics.incr st.ms Metrics.C_lu_factorizations;
-      Metrics.observe st.ms Metrics.H_factor_seconds (now () -. t0))
-  @@ fun () ->
   st.lu_valid <- false;
   match Lu.refactor ~metrics:st.ms st.lu st.mat st.basis with
   | () ->

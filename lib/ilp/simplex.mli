@@ -49,7 +49,7 @@ type status =
 
 type farkas = {
   ray : float array;
-      (** Dual ray [y] of length {!num_rows} witnessing primal
+      (** Dual ray [y], one entry per row, witnessing primal
           infeasibility: [y.b > max] over the variable box of [y.Ax]
           (columns include slacks). Floating point — {!Certify} re-derives
           and checks the certificate exactly from a {!snapshot}. *)
@@ -164,9 +164,6 @@ val stats_of_snapshot : ?fill:int -> Metrics.snapshot -> stats
     tally, and is passed in. [factor_time_s] is the
     [H_factor_seconds] histogram's sum. *)
 
-val pp_stats : Format.formatter -> stats -> unit
-(** One-line [key=value] rendering of the counters. *)
-
 type state
 
 val create : ?shard:Metrics.shard -> Lp.t -> state
@@ -199,8 +196,6 @@ val stats : state -> stats
 
 val fill : state -> int
 (** Stored L+U entries of the most recent factorization. *)
-
-val num_rows : state -> int
 
 val num_structural : state -> int
 

@@ -65,9 +65,6 @@ let fold f v init =
 
 let to_list v = fold (fun i x acc -> (i, x) :: acc) v [] |> List.rev
 
-let map_values f v =
-  of_assoc (List.map (fun (i, x) -> (i, f x)) (to_list v))
-
 let pp ppf v =
   Format.fprintf ppf "{";
   Array.iteri

@@ -41,10 +41,6 @@ val fold : (int -> float -> 'a -> 'a) -> t -> 'a -> 'a
 val to_list : t -> (int * float) list
 (** Stored (index, value) pairs in increasing index order. *)
 
-val map_values : (float -> float) -> t -> t
-(** [map_values f v] applies [f] to every stored coefficient, re-merging
-    and re-filtering the result as {!of_assoc} does. *)
-
 val pp : Format.formatter -> t -> unit
 (** Prints as [{i:v; i:v; ...}]. *)
 

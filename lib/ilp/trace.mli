@@ -80,8 +80,10 @@ type event =
       dt : float;  (** Seconds spent inside the simplex entry point. *)
     }
   | Lu_factor of { m : int; fill : int; probes : int; dt : float }
-      (** A fresh sparse LU factorization completed. [m] is the basis
-          dimension, [fill] the stored entries of L + U, [probes] the
+      (** A fresh sparse LU factorization ended. [m] is the basis
+          dimension, [fill] the stored entries of L + U ([0] when the
+          basis proved singular), [dt] the wall time of the whole
+          {!Lu.refactor} call, [probes] the
           number of threshold-passing candidates the Markowitz pivot
           search evaluated over the whole factorization (the cost the
           bucket search bounds — see {!Lu.factor}). Streams written
@@ -200,8 +202,5 @@ val of_name : ('a * string) array -> string -> 'a option
 val reason_index : close_reason -> int
 (** The reason's position in {!close_reasons}. *)
 
-val lp_kind_name : lp_kind -> string
-val trigger_name : refactor_trigger -> string
 val reason_name : close_reason -> string
-val cert_verdict_name : cert_verdict -> string
 val incumbent_source_name : incumbent_source -> string

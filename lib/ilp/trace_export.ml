@@ -481,13 +481,8 @@ module Summary = struct
     node_lps : Metrics.node_lp_row array;
   }
 
-  type instrument =
-    | Counter of Metrics.counter
-    | Sum of Metrics.sum
-    | Histogram of Metrics.histogram
-
   let replayed =
-    Metrics.
+    Metrics_export.
       [
         Counter C_nodes;
         Counter C_incumbents;
@@ -508,6 +503,7 @@ module Summary = struct
         Counter C_cert_refuted;
         Counter C_cert_uncertifiable;
         Sum S_cert_seconds;
+        Histogram H_factor_seconds;
         Histogram H_lp_seconds;
       ]
 
@@ -604,9 +600,10 @@ module Summary = struct
           Metrics.add sh C_lp_bound_flips flips;
           Metrics.observe sh H_lp_seconds dt;
           w.node <- Option.map (fun (p, s) -> (p, s +. dt)) w.node
-        | Lu_factor { probes; _ } ->
+        | Lu_factor { probes; dt; _ } ->
           Metrics.incr sh C_lu_factorizations;
-          Metrics.add sh C_lu_probes probes
+          Metrics.add sh C_lu_probes probes;
+          Metrics.observe sh H_factor_seconds dt
         | Lu_refactor { trigger; _ } ->
           Metrics.incr sh (Metrics.refactor_counter trigger)
         | Prop_run { fixings; conflict; _ } ->
@@ -650,32 +647,8 @@ module Summary = struct
       node_lps = Metrics.node_lp_table shards;
     }
 
-  (* [name=count] pairs by name, the zero counts left out. *)
-  let pp_assoc ppf l =
-    match
-      List.filter (fun (_, n) -> n > 0) l
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-    with
-    | [] -> Format.fprintf ppf "none"
-    | l ->
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Format.fprintf ppf " ";
-          Format.fprintf ppf "%s=%d" k v)
-        l
-
   let pp ppf t =
     let line fmt = Format.fprintf ppf fmt in
-    let c = Metrics.counter_value t.metrics in
-    let named table counter =
-      Array.to_list (Array.map (fun (x, name) -> (name, c (counter x))) table)
-    in
-    let reasons =
-      List.filter_map
-        (fun (r : Metrics.node_lp_row) ->
-          if r.nl_reason = "all" then None else Some (r.nl_reason, r.nl_nodes))
-        (Array.to_list t.node_lps)
-    in
     line "events        %d in %.3f s, %d writer%s (" t.events t.duration
       (List.length t.writers)
       (if List.length t.writers = 1 then "" else "s");
@@ -684,37 +657,31 @@ module Summary = struct
         if i > 0 then line ", ";
         line "%s: %d" name n)
       t.writers;
-    line ")@.";
+    line ")\n";
     if t.dropped > 0 then
       line
         "WARNING       %d events dropped (ring buffers wrapped; raise the \
-         tracer capacity)@."
+         tracer capacity)\n"
         t.dropped;
-    line "nodes         opened=%d closed=%d max_depth=%d@." (c C_nodes)
-      (List.fold_left (fun a (_, n) -> a + n) 0 reasons)
-      t.max_depth;
-    line "close reasons %a@." pp_assoc reasons;
-    line "lp            solves=%d pivots=%d flips=%d time=%.3f s@."
-      (c C_lp_solves) (c C_lp_pivots) (c C_lp_bound_flips)
-      (Metrics.hist_value t.metrics H_lp_seconds).h_sum;
-    line "lu            factors=%d refactors: %a@." (c C_lu_factorizations)
-      pp_assoc
-      (named Trace.triggers Metrics.refactor_counter);
-    line "propagation   runs=%d fixings=%d conflicts=%d@." (c C_prop_runs)
-      (c C_prop_fixings) (c C_prop_prunes);
-    if c C_cert_checked > 0 then
-      line "certification checks=%d time=%.3f s %a@." (c C_cert_checked)
-        (Metrics.sum_value t.metrics S_cert_seconds)
-        pp_assoc
-        (named Trace.cert_verdicts Metrics.verdict_counter);
-    if c C_hook_give_ups > 0 then
-      line "hook          give-ups=%d@." (c C_hook_give_ups);
+    line "depth         max=%d\n" t.max_depth;
+    (* close reasons by name, from the node-LP table *)
+    (match
+       List.filter_map
+         (fun (r : Metrics.node_lp_row) ->
+           if r.nl_reason = "all" then None else Some (r.nl_reason, r.nl_nodes))
+         (Array.to_list t.node_lps)
+     with
+     | [] -> line "close reasons none\n"
+     | rows ->
+       line "close reasons";
+       List.iter (fun (k, n) -> line " %s=%d" k n) (List.sort compare rows);
+       line "\n");
     (match t.incumbents with
-    | [] -> line "incumbents    none@."
+    | [] -> line "incumbents    none\n"
     | incs ->
       let ts0, obj0, n0 = List.hd incs in
       let ts1, obj1, n1 = List.nth incs (List.length incs - 1) in
-      line "incumbents    %d (first %.6g @%.3fs node %d, best %.6g @%.3fs node %d)@."
+      line "incumbents    %d (first %.6g @@%.3fs node %d, best %.6g @@%.3fs node %d)\n"
         (List.length incs) obj0 ts0 n0 obj1 ts1 n1);
     line "phases       ";
     if t.phases = [] then line " none"
@@ -723,10 +690,10 @@ module Summary = struct
         (fun { phase; seconds; count } ->
           line " %s=%.3fs/%d" phase seconds count)
         t.phases;
-    line "@.%a" Metrics_export.pp_node_lps t.node_lps
+    line "\n";
+    Metrics_export.pp_report ~only:replayed ~node_lps:t.node_lps ppf t.metrics
 
   let to_json t =
-    let only f = List.filter_map f replayed in
     Json.Obj
       ([
          ("events", inum t.events);
@@ -744,10 +711,7 @@ module Summary = struct
              (List.map (fun (d, n) -> Json.Arr [ inum d; inum n ]) t.depth_hist)
          );
        ]
-      @ Metrics_export.cells_to_json t.metrics
-          ~counters:(only (function Counter c -> Some c | _ -> None))
-          ~sums:(only (function Sum x -> Some x | _ -> None))
-          ~hists:(only (function Histogram h -> Some h | _ -> None))
+      @ Metrics_export.cells_to_json ~only:replayed t.metrics
       @ [
           ( "incumbents",
             Json.Arr

@@ -128,25 +128,23 @@ module Summary : sig
             reasons. *)
   }
 
-  type instrument =
-    | Counter of Metrics.counter
-    | Sum of Metrics.sum
-    | Histogram of Metrics.histogram
-
-  val replayed : instrument list
+  val replayed : Metrics_export.instrument list
   (** The instruments a trace reproduces: node, incumbent, LP, LU,
       propagation, hook give-up and certification counts,
-      [S_cert_seconds] and [H_lp_seconds]. [C_lu_factorizations]
-      misses a factorization that ends singular, which emits no
-      event. [H_factor_seconds] is not here: a [Lu_factor] event times
-      the elimination alone, the histogram the whole fresh
-      factorization. Hook time has no event, so only [--stats] reports
-      it. *)
+      [S_cert_seconds], [H_factor_seconds] (a [Lu_factor] event's [dt]
+      is the time the histogram observes, singular attempts included)
+      and [H_lp_seconds]. Hook time has no event, so only [--stats]
+      reports it. *)
 
   val of_records : Trace.record array -> t
 
   val pp : Format.formatter -> t -> unit
-  (** The text report of [tpart trace summary]. *)
+  (** The text report of [tpart trace summary]: what only the trace
+      knows (events per writer, dropped events, the largest depth, the
+      close reasons, incumbents and phases), then
+      {!Metrics_export.pp_report} of [metrics] limited to {!replayed},
+      with the [node_lps] table, so its rows read like [tpart solve
+      --stats] rows. *)
 
   val to_json : t -> Json.t
   (** The report as one object: [events], [dropped], [duration],

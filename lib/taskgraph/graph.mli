@@ -12,8 +12,6 @@
 
 type op_kind = Add | Sub | Mul | Div | Cmp
 
-val pp_op_kind : Format.formatter -> op_kind -> unit
-
 val op_kind_to_string : op_kind -> string
 
 val all_op_kinds : op_kind list

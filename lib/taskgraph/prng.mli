@@ -9,9 +9,6 @@ type t
 val create : int -> t
 (** [create seed] builds a generator from a seed. *)
 
-val next_int64 : t -> int64
-(** Next raw 64-bit value. *)
-
 val int : t -> int -> int
 (** [int t n] is uniform in [0, n-1]. Raises [Invalid_argument] when
     [n <= 0]. *)

@@ -49,8 +49,3 @@ let rule strategy vars =
     in
     fun ~lp_solution ~is_fixed:_ ->
       List.find_opt (fun j -> frac lp_solution.(j) > tol) ints
-
-let pp_strategy ppf = function
-  | Paper -> Format.pp_print_string ppf "paper"
-  | Most_fractional -> Format.pp_print_string ppf "most-fractional"
-  | First_fractional -> Format.pp_print_string ppf "first-fractional"

@@ -21,5 +21,3 @@ val rule : strategy -> Vars.t -> Ilp.Branch_bound.branch_rule
 (** Builds the branch rule for a model. [Most_fractional] returns the
     always-fallback rule; [Paper] scans [y] in priority order then [u];
     [First_fractional] scans variables in creation order. *)
-
-val pp_strategy : Format.formatter -> strategy -> unit

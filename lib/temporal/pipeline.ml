@@ -77,10 +77,14 @@ let run ?options ?strategy ?time_limit ?num_partitions ?lint ?jobs
     (Format.asprintf "%a" Solver.pp_outcome report.Solver.outcome)
     report.Solver.stats.Ilp.Branch_bound.nodes
     report.Solver.stats.Ilp.Branch_bound.elapsed;
-  (let c = report.Solver.stats.Ilp.Branch_bound.certification in
-   if c.Ilp.Branch_bound.cert_checked > 0 then
+  (let s = report.Solver.stats in
+   let m = s.Ilp.Branch_bound.metrics in
+   if Ilp.Metrics.counter_value m Ilp.Metrics.C_cert_checked > 0 then
      log "certify: %s"
-       (Format.asprintf "%a" Ilp.Branch_bound.pp_certification c));
+       (Format.asprintf "%a"
+          (Ilp.Metrics_export.pp_certification
+             ?root:s.Ilp.Branch_bound.certification.Ilp.Branch_bound.root_certificate)
+          m));
   { spec; estimated_n; heuristic; report; trace = List.rev !trace }
 
 let pp ppf r =

@@ -124,19 +124,12 @@ let summary spec sol =
 let full spec sol = summary spec sol ^ gantt spec sol
 
 let certification ?row_name (stats : Ilp.Branch_bound.stats) : Ilp.Json.t =
-  let c = stats.Ilp.Branch_bound.certification in
-  let num n = Ilp.Json.Num (Float.of_int n) in
   Ilp.Json.Obj
-    ([
-       ("checked", num c.Ilp.Branch_bound.cert_checked);
-       ("certified", num c.Ilp.Branch_bound.cert_certified);
-       ("refuted", num c.Ilp.Branch_bound.cert_refuted);
-       ("uncertifiable", num c.Ilp.Branch_bound.cert_uncertifiable);
-     ]
-    @
-    match c.Ilp.Branch_bound.root_certificate with
-    | Some cert -> [ ("root", Ilp.Certify.to_json ?row_name cert) ]
-    | None -> [])
+    (match
+       stats.Ilp.Branch_bound.certification.Ilp.Branch_bound.root_certificate
+     with
+     | Some cert -> [ ("root", Ilp.Certify.to_json ?row_name cert) ]
+     | None -> [])
 
 let incumbent_timeline (stats : Ilp.Branch_bound.stats) : Ilp.Json.t =
   Ilp.Json.Arr

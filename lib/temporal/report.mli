@@ -22,10 +22,10 @@ val full : Spec.t -> Solution.t -> string
 (** {!summary} followed by {!gantt}. *)
 
 val certification : ?row_name:(int -> string) -> Ilp.Branch_bound.stats -> Ilp.Json.t
-(** The solver's exact-certification summary as a JSON object —
-    verdict counters plus, when kept, the root certificate rendered
-    through {!Ilp.Certify.to_json} (rows named via [row_name]) —
-    embedded in [tpart solve --certify --json] reports. Schema in
+(** The root certificate, when kept, as a JSON object [{"root": …}]
+    rendered through {!Ilp.Certify.to_json} (rows named via
+    [row_name]), embedded in [tpart solve --certify --json] reports
+    beside the verdict counters of [stats.metrics]. Schema in
     docs/VERIFICATION.md. *)
 
 val incumbent_timeline : Ilp.Branch_bound.stats -> Ilp.Json.t

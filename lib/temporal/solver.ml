@@ -205,9 +205,7 @@ let solve ?(strategy = Branching.Paper) ?(time_limit = Float.infinity)
         let t = Ilp.Mono.now () in
         let _res, cert = Ilp.Certify.check_lp vars.Vars.lp in
         let seconds = Ilp.Mono.elapsed_since t in
-        ( Bb.Infeasible,
-          { Bb.empty_stats with Bb.certification = Bb.single_check cert ~seconds }
-        )
+        (Bb.Infeasible, Bb.single_check cert ~seconds)
       | Ilp.Presolve.Infeasible _ -> (Bb.Infeasible, Bb.empty_stats)
       | Ilp.Presolve.Reduced (reduced, pstats) ->
         let outcome, stats = Bb.solve ~options reduced in

@@ -80,7 +80,7 @@ val solve :
     scheduler honours [time_limit]: it checks the clock every 4096
     backtracks and gives up once the limit, counted from the start of
     [solve], has passed (see {!Enumerate.schedule_for_partition}); each
-    give-up is counted in [stats.deductions.hook_give_ups].
+    give-up is counted in [stats.metrics] ([C_hook_give_ups]).
 
     [presolve] (default on) runs {!Ilp.Presolve} before branch and
     bound: rows drop and bounds tighten while variable indices — and the
@@ -100,8 +100,9 @@ val solve :
     search did neither, so node counts are not the paper's.
 
     [certify] (default {!Ilp.Branch_bound.Cert_off}) turns on exact
-    rational certification of LP verdicts inside the search; counters
-    and the root certificate land in [stats.certification]. Root
+    rational certification of LP verdicts inside the search; the
+    counters land in [stats.metrics] and the root certificate in
+    [stats.certification]. Root
     certificates are reported in the {e original} formulation's row
     coordinates: reduced-model rows are translated back through the
     presolve row map, and when presolve itself proves infeasibility a

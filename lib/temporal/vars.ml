@@ -131,11 +131,6 @@ let create ~options spec =
   in
   { spec; options; lp; y; x; w; u; o; c; z; s }
 
-let x_var t i j k =
-  List.find_map
-    (fun (j', k', v) -> if j = j' && k = k' then Some v else None)
-    t.x.(i)
-
 let w_var t p t1 t2 =
   match Hashtbl.find_opt t.w (p, t1, t2) with
   | Some v -> v

@@ -72,10 +72,6 @@ val create : options:options -> Spec.t -> t
     control-step exclusion (no [literal_cs_exclusion]) creates the
     [s_pj] family. *)
 
-val x_var : t -> Taskgraph.Graph.op_id -> int -> int -> Ilp.Lp.var option
-(** [x_var t i j k]: the variable for operation [i] at step [j] on
-    instance [k], if it exists. *)
-
 val w_var : t -> int -> int -> int -> Ilp.Lp.var
 (** [w_var t p t1 t2]; raises [Not_found] on a non-edge or [p < 2]. *)
 

@@ -372,11 +372,11 @@ let test_hook_settles_before_lp () =
   (match Bb.solve ~options lp with
    | Bb.Optimal { obj; _ }, stats ->
      check_float "optimum kept" 14. (user_obj lp obj);
-     let d = stats.Bb.deductions in
-     Alcotest.(check bool) "a node settled" true (d.Bb.hook_pre_lp > 0);
+     let pre_lp = Ilp.Metrics.counter_value stats.Bb.metrics C_hook_pre_lp in
+     Alcotest.(check bool) "a node settled" true (pre_lp > 0);
      Alcotest.(check int) "no LP at a settled node" 0 !leaks;
      Alcotest.(check int) "one LP per unsettled node"
-       (stats.Bb.nodes - d.Bb.hook_pre_lp) (lp_solves m)
+       (stats.Bb.nodes - pre_lp) (lp_solves m)
    | o, _ -> Alcotest.failf "unexpected %a" Bb.pp_outcome o);
   (* a root settled on its bounds: one node, no LP at all *)
   let m = Ilp.Metrics.create () in
@@ -391,7 +391,7 @@ let test_hook_settles_before_lp () =
   | Bb.Infeasible, stats ->
     Alcotest.(check int) "one node" 1 stats.Bb.nodes;
     Alcotest.(check int) "settled before its LP" 1
-      stats.Bb.deductions.Bb.hook_pre_lp;
+      (Ilp.Metrics.counter_value stats.Bb.metrics Ilp.Metrics.C_hook_pre_lp);
     Alcotest.(check int) "no LP solve" 0 (lp_solves m);
     Alcotest.(check bool)
       "no root objective" true
@@ -417,7 +417,7 @@ let test_settled_root_builds_no_engine () =
         let l = stats.Bb.lp_stats in
         let what s = Printf.sprintf "%s at jobs %d" s jobs in
         Alcotest.(check int) (what "settled root") 1
-          stats.Bb.deductions.Bb.hook_pre_lp;
+          (Ilp.Metrics.counter_value stats.Bb.metrics Ilp.Metrics.C_hook_pre_lp);
         Alcotest.(check int) (what "no factorization") 0
           l.Ilp.Simplex.factorizations;
         Alcotest.(check int) (what "no basis install") 0
@@ -462,10 +462,10 @@ let test_hook_give_up_before_lp () =
     "call order"
     [ "bounds after 0 solve(s)"; "lp after 1 solve(s)" ]
     (List.rev !calls);
-  let d = stats.Bb.deductions in
-  Alcotest.(check int) "hook calls" 2 d.Bb.hook_calls;
-  Alcotest.(check int) "one give-up" 1 d.Bb.hook_give_ups;
-  Alcotest.(check int) "nothing settled" 0 d.Bb.hook_pre_lp;
+  let d = Ilp.Metrics.counter_value stats.Bb.metrics in
+  Alcotest.(check int) "hook calls" 2 (d C_hook_calls);
+  Alcotest.(check int) "one give-up" 1 (d C_hook_give_ups);
+  Alcotest.(check int) "nothing settled" 0 (d C_hook_pre_lp);
   Alcotest.(check bool)
     "root LP solved" true
     (Float.is_finite stats.Bb.root_obj)
@@ -499,7 +499,7 @@ let test_cert_root_before_hook () =
           (Option.is_some c.Bb.root_certificate);
         Alcotest.(check int)
           (name ^ ": settled after its LP")
-          0 stats.Bb.deductions.Bb.hook_pre_lp
+          0 (Ilp.Metrics.counter_value stats.Bb.metrics Ilp.Metrics.C_hook_pre_lp)
       | o, _ -> Alcotest.failf "%s: unexpected %a" name Bb.pp_outcome o)
     [
       ("root", Bb.Cert_root);
@@ -528,7 +528,7 @@ let multi_knapsack () =
 
 let workers_ran stats =
   Alcotest.(check bool) "workers ran nodes" true
-    (Array.exists (fun w -> w.Bb.w_nodes > 0) stats.Bb.workers)
+    (Array.exists (fun w -> Ilp.Metrics.counter_value w Ilp.Metrics.C_nodes > 0) stats.Bb.workers)
 
 let test_parallel_matches_sequential () =
   let lp = multi_knapsack () in
@@ -603,7 +603,7 @@ let test_parallel_hook_serialized () =
   | Bb.Optimal { obj; _ }, stats ->
     Alcotest.(check int) "no concurrent hook calls" 0 (Atomic.get overlaps);
     Alcotest.(check int) "every call counted" (Atomic.get calls)
-      stats.Bb.deductions.Bb.hook_calls;
+      (Ilp.Metrics.counter_value stats.Bb.metrics Ilp.Metrics.C_hook_calls);
     workers_ran stats;
     check_timeline stats obj
   | o, _ -> Alcotest.failf "unexpected %a" Bb.pp_outcome o

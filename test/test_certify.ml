@@ -238,7 +238,7 @@ let test_certify_does_not_steer () =
   let obj, off = run Bb.Cert_off in
   Alcotest.(check bool)
     "the hook settles nodes before their LP" true
-    (off.Bb.deductions.Bb.hook_pre_lp > 0);
+    ((Ilp.Metrics.counter_value off.Bb.metrics Ilp.Metrics.C_hook_pre_lp) > 0);
   let common name (obj', st) =
     let c = st.Bb.certification in
     Alcotest.(check (option (float 0.))) (name ^ " objective") obj obj';

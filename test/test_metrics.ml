@@ -415,34 +415,24 @@ let check_final_snapshot_exact ~lp ~jobs () =
    but which worker's find improves the shared incumbent first is
    timing. *)
 let int_stats (s : Bb.stats) =
-  let l = s.Bb.lp_stats and d = s.Bb.deductions and c = s.Bb.certification in
-  let open Ilp.Simplex in
   [
     ("nodes", s.Bb.nodes); ("pivots", s.Bb.pivots); ("max_depth", s.Bb.max_depth);
-    ("factorizations", l.factorizations); ("fill", l.fill); ("etas", l.etas);
-    ("refactor_eta", l.refactor_eta); ("refactor_numeric", l.refactor_numeric);
-    ("refactor_residual", l.refactor_residual);
-    ("ray_infeasible", l.ray_infeasible); ("lp pivots", l.pivots);
-    ("bound_flips", l.bound_flips); ("dual_stalls", l.dual_stalls);
-    ("primal_restarts", l.primal_restarts); ("cold_primal", l.cold_primal);
-    ("singular_restarts", l.singular_restarts);
-    ("basis_installs", l.basis_installs);
-    ("install_fallbacks", l.install_fallbacks);
-    ("compactions", l.compactions); ("rc_fixed", d.Bb.rc_fixed);
-    ("prop_fixings", d.Bb.prop_fixings); ("prop_prunes", d.Bb.prop_prunes);
-    ("hook_calls", d.Bb.hook_calls); ("hook_give_ups", d.Bb.hook_give_ups);
-    ("hook_pre_lp", d.Bb.hook_pre_lp);
-    ("cert_checked", c.Bb.cert_checked); ("cert_certified", c.Bb.cert_certified);
-    ("cert_refuted", c.Bb.cert_refuted);
-    ("cert_uncertifiable", c.Bb.cert_uncertifiable);
+    ("fill", s.Bb.lp_stats.Ilp.Simplex.fill);
   ]
+  @ List.filter_map
+      (fun c ->
+        (* hungry polls time the workers' waits *)
+        if c = M.C_incumbents || c = M.C_pool_hungry_polls then None
+        else Some (M.counter_name c, M.counter_value s.Bb.metrics c))
+      (Array.to_list M.all_counters)
   @ List.concat
       (List.mapi
-         (fun i (w : Bb.worker_stats) ->
+         (fun i w ->
            let k name = Printf.sprintf "worker %d %s" i name in
+           let c = M.counter_value w in
            [
-             (k "nodes", w.Bb.w_nodes); (k "steals", w.Bb.w_steals); (k "handoffs", w.Bb.w_handoffs);
-             (k "pivots", w.Bb.w_pivots);
+             (k "nodes", c M.C_nodes); (k "steals", c M.C_pool_steals);
+             (k "handoffs", c M.C_pool_handoffs); (k "pivots", c M.C_lp_pivots);
            ])
          (Array.to_list s.Bb.workers))
   @ List.concat_map
@@ -485,7 +475,7 @@ let test_one_store ~jobs () =
   if jobs > 1 then
     Alcotest.(check bool)
       "every worker ran" true
-      (Array.for_all (fun w -> w.Bb.w_nodes > 0) live.Bb.workers);
+      (Array.for_all (fun w -> M.counter_value w M.C_nodes > 0) live.Bb.workers);
   (* the search contexts — the driver, plus one per worker at jobs > 1
      — each register one shard, which their engines count into *)
   Alcotest.(check int)
@@ -493,23 +483,14 @@ let test_one_store ~jobs () =
     (if jobs = 1 then 1 else 1 + jobs)
     (M.shard_count m);
   let s = M.snapshot m in
-  let d = live.Bb.deductions and c = live.Bb.certification in
-  List.iter
-    (fun (name, counter, v) ->
-      Alcotest.(check int) name v (M.counter_value s counter))
-    [
-      ("rc_fixed", M.C_rc_fixed, d.Bb.rc_fixed);
-      ("prop_fixings", M.C_prop_fixings, d.Bb.prop_fixings);
-      ("prop_prunes", M.C_prop_prunes, d.Bb.prop_prunes);
-      ("hook_calls", M.C_hook_calls, d.Bb.hook_calls);
-      ("hook_give_ups", M.C_hook_give_ups, d.Bb.hook_give_ups);
-      ("hook_pre_lp", M.C_hook_pre_lp, d.Bb.hook_pre_lp);
-      ("cert_checked", M.C_cert_checked, c.Bb.cert_checked);
-      ("basis_installs", M.C_lp_basis_installs,
-        live.Bb.lp_stats.Ilp.Simplex.basis_installs);
-      ("etas", M.C_lu_etas, live.Bb.lp_stats.Ilp.Simplex.etas);
-    ];
-  Alcotest.(check bool) "give-ups seen" true (d.Bb.hook_give_ups > 0);
+  Array.iter
+    (fun counter ->
+      Alcotest.(check int) (M.counter_name counter)
+        (M.counter_value live.Bb.metrics counter)
+        (M.counter_value s counter))
+    M.all_counters;
+  Alcotest.(check bool) "give-ups seen" true
+    (M.counter_value live.Bb.metrics M.C_hook_give_ups > 0);
   (* the node-LP table partitions the nodes and the pivots *)
   match Array.to_list live.Bb.node_lps with
   | all :: reasons ->
@@ -572,6 +553,124 @@ let test_timelines_reconstruct_gap () =
     Alcotest.(check bool) "bounds increase" true (b1 > b0)
   done
 
+(* ---------------- the counter report ---------------- *)
+
+(* A snapshot in which every counter, sum and histogram cell holds its
+   own value: counters from 101, sums from 201, histogram counts, sums
+   and maxima from 301, 401 and 501, and the LU fill 777. *)
+let distinct_snapshot () =
+  let e = M.empty_snapshot in
+  let gauges = Array.copy e.M.s_gauges in
+  gauges.(M.gauge_index M.G_lu_fill) <- 777.;
+  {
+    e with
+    M.s_counters = Array.init (Array.length M.all_counters) (fun i -> 101 + i);
+    s_sums = Array.init (Array.length M.all_sums) (fun i -> float_of_int (201 + i));
+    s_gauges = gauges;
+    s_hists =
+      Array.init (Array.length M.all_histograms) (fun h ->
+          let buckets = Array.make M.n_buckets 0 in
+          buckets.(0) <- 301 + h;
+          {
+            M.h_count = 301 + h;
+            h_sum = float_of_int (401 + h);
+            h_max = float_of_int (501 + h);
+            h_buckets = buckets;
+          });
+  }
+
+(* The values of the instruments, one entry per rendered cell. *)
+let values s instruments =
+  List.concat_map
+    (function
+      | Export.Counter c -> [ float_of_int (M.counter_value s c) ]
+      | Export.Sum x -> [ M.sum_value s x ]
+      | Export.Gauge g -> [ M.gauge_value s g ]
+      | Export.Histogram h ->
+        let v = M.hist_value s h in
+        [ float_of_int v.M.h_count; v.M.h_sum; v.M.h_max ])
+    instruments
+  |> List.sort Float.compare
+
+(* Every number the text prints (a run of digits and dots), in order
+   of size. *)
+let numbers text =
+  let acc = ref [] and b = Buffer.create 16 in
+  let flush () =
+    if Buffer.length b > 0 then begin
+      acc := float_of_string (Buffer.contents b) :: !acc;
+      Buffer.clear b
+    end
+  in
+  String.iter
+    (fun ch ->
+      match ch with
+      | '0' .. '9' | '.' -> Buffer.add_char b ch
+      | _ -> flush ())
+    text;
+  flush ();
+  List.sort Float.compare !acc
+
+let every_instrument =
+  List.map (fun c -> Export.Counter c) (Array.to_list M.all_counters)
+  @ List.map (fun x -> Export.Sum x) (Array.to_list M.all_sums)
+  @ [ Export.Gauge M.G_lu_fill ]
+  @ List.map (fun h -> Export.Histogram h) (Array.to_list M.all_histograms)
+
+(* The text report prints every counter, sum and histogram cell of a
+   snapshot (and the LU fill) exactly once, and nothing else; limited
+   to the instruments a trace replays, it prints exactly theirs. *)
+let test_report_covers_each_once () =
+  let s = distinct_snapshot () in
+  let render ?only () =
+    Format.asprintf "%a" (fun ppf -> Export.pp_report ?only ppf) s
+  in
+  Alcotest.(check (list (float 0.)))
+    "every value once" (values s every_instrument) (numbers (render ()));
+  let replayed = Ilp.Trace_export.Summary.replayed in
+  Alcotest.(check (list (float 0.)))
+    "replayed values once" (values s replayed)
+    (numbers (render ~only:replayed ()))
+
+(* A certified solve prints its certification line even when no check
+   ran (a time limit hit before the root LP); any other report prints it
+   only when a check ran. *)
+let test_report_certification_line () =
+  let render ?certified s =
+    Format.asprintf "%a"
+      (fun ppf -> Export.pp_report ~only:Export.certification ?certified ppf)
+      s
+  in
+  let line = "certification: checked=0 certified=0 refuted=0 uncertifiable=0 time=0.000s\n" in
+  Alcotest.(check string) "certified, no check" line (render ~certified:None M.empty_snapshot);
+  Alcotest.(check string) "not certified" "" (render M.empty_snapshot);
+  let s = distinct_snapshot () in
+  Alcotest.(check bool) "a check ran" true
+    (String.starts_with ~prefix:"certification: checked=" (render s))
+
+(* The JSON report names every counter, sum and histogram once, with
+   its value. *)
+let test_report_json_names_each_once () =
+  let s = distinct_snapshot () in
+  let members = Export.cells_to_json s in
+  let keys member =
+    match List.assoc_opt member members with
+    | Some (Json.Obj kvs) -> List.map fst kvs
+    | _ -> Alcotest.failf "no %s object" member
+  in
+  let names f all = List.map f (Array.to_list all) in
+  Alcotest.(check (list string))
+    "counters" (names M.counter_name M.all_counters) (keys "counters");
+  Alcotest.(check (list string)) "sums" (names M.sum_name M.all_sums) (keys "sums");
+  Alcotest.(check (list string))
+    "hists" (names M.histogram_name M.all_histograms) (keys "hists");
+  match Export.snapshot_of_json (Json.Obj (("ts", Json.Num 0.) :: members)) with
+  | Ok back ->
+    Alcotest.(check (list (float 0.)))
+      "values decode" (values s every_instrument)
+      (values { back with M.s_gauges = s.M.s_gauges } every_instrument)
+  | Error e -> Alcotest.fail e
+
 let () =
   Alcotest.run "metrics"
     [
@@ -606,5 +705,14 @@ let () =
             (test_one_store ~jobs:2);
           Alcotest.test_case "timelines reconstruct the gap" `Quick
             test_timelines_reconstruct_gap;
+        ] );
+      ( "report",
+        [
+          Alcotest.test_case "text prints each value once" `Quick
+            test_report_covers_each_once;
+          Alcotest.test_case "certification line" `Quick
+            test_report_certification_line;
+          Alcotest.test_case "json names each instrument once" `Quick
+            test_report_json_names_each_once;
         ] );
     ]

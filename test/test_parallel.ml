@@ -97,12 +97,12 @@ let test_deterministic_mode_with_deductions () =
   Alcotest.(check int) "reproducible node count"
     a.Solver.stats.Ilp.Branch_bound.nodes
     b.Solver.stats.Ilp.Branch_bound.nodes;
-  let d1 = a.Solver.stats.Ilp.Branch_bound.deductions
-  and d2 = b.Solver.stats.Ilp.Branch_bound.deductions in
+  let d1 = Ilp.Metrics.counter_value a.Solver.stats.Ilp.Branch_bound.metrics
+  and d2 = Ilp.Metrics.counter_value b.Solver.stats.Ilp.Branch_bound.metrics in
   Alcotest.(check int) "reproducible propagation fixings"
-    d1.Ilp.Branch_bound.prop_fixings d2.Ilp.Branch_bound.prop_fixings;
-  Alcotest.(check int) "reproducible rc fixings" d1.Ilp.Branch_bound.rc_fixed
-    d2.Ilp.Branch_bound.rc_fixed;
+    (d1 C_prop_fixings) (d2 C_prop_fixings);
+  Alcotest.(check int) "reproducible rc fixings" (d1 C_rc_fixed)
+    (d2 C_rc_fixed);
   Alcotest.(check string) "enumerated verdict"
     (pp_verdict (enumerated spec))
     (pp_verdict (objective_of a))
@@ -147,7 +147,7 @@ let test_worker_stats_shape () =
     (Array.length stats.Ilp.Branch_bound.workers);
   let worker_nodes =
     Array.fold_left
-      (fun acc w -> acc + w.Ilp.Branch_bound.w_nodes)
+      (fun acc w -> acc + Ilp.Metrics.counter_value w C_nodes)
       0 stats.Ilp.Branch_bound.workers
   in
   Alcotest.(check bool) "worker nodes bounded by total" true

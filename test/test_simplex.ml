@@ -845,15 +845,20 @@ let test_singular_restart_counted () =
   ignore
     (Lp.add_constr lp [ (-2., x2); (-2., x1); (-1e8, x0) ] Lp.Ge (-2.));
   Lp.set_objective lp ~maximize:true [ (2., x2) ];
-  let st = Sx.create lp in
+  let shard = Ilp.Metrics.make_shard () in
+  let st = Sx.create ~shard lp in
   let r = Sx.primal st in
   let s = Sx.stats st in
   Alcotest.(check int) "took phase I" 1 s.Sx.cold_primal;
   Alcotest.(check int) "restart counted" 1 s.Sx.singular_restarts;
   Alcotest.(check bool) "second hit gives up" true
     (r.Sx.status = Sx.Iter_limit);
-  Alcotest.(check bool) "pp shows it" true
-    (let text = Format.asprintf "%a" Sx.pp_stats s in
+  Alcotest.(check bool) "the report shows it" true
+    (let text =
+       Format.asprintf "%a"
+         (fun ppf -> Ilp.Metrics_export.pp_report ppf)
+         (Ilp.Metrics.merge [ shard ])
+     in
      let key = " singular-restarts=1 " in
      let n = String.length key in
      let rec go i =

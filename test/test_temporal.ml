@@ -307,7 +307,7 @@ let prop_one_partition_settled_at_root =
       let s = r.Solver.stats in
       (* presolve may refute the model before any search *)
       s.Ilp.Branch_bound.nodes <= 1
-      && s.Ilp.Branch_bound.deductions.Ilp.Branch_bound.hook_pre_lp
+      && (Ilp.Metrics.counter_value s.Ilp.Branch_bound.metrics Ilp.Metrics.C_hook_pre_lp)
          = s.Ilp.Branch_bound.nodes
       && Ilp.Metrics.counter_value (Ilp.Metrics.snapshot m) C_lp_solves = 0
       && cost = Enum.optimal_cost spec)
@@ -824,9 +824,9 @@ let test_hook_give_up_counted () =
         }
       lp
   in
-  let d = stats.Ilp.Branch_bound.deductions in
-  Alcotest.(check int) "hook calls" !calls d.Ilp.Branch_bound.hook_calls;
-  Alcotest.(check int) "one give-up" 1 d.Ilp.Branch_bound.hook_give_ups
+  let d = Ilp.Metrics.counter_value stats.Ilp.Branch_bound.metrics in
+  Alcotest.(check int) "hook calls" !calls (d C_hook_calls);
+  Alcotest.(check int) "one give-up" 1 (d C_hook_give_ups)
 
 (* Allocations that mix shared, pipelined multicycle and blocking
    multicycle units, so every cached table has entries to get wrong. *)

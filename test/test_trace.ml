@@ -207,18 +207,19 @@ let check_replay ~live records =
   in
   List.iter
     (function
-      | Export.Summary.Counter c ->
+      | Ilp.Metrics_export.Counter c ->
         Alcotest.(check int) (M.counter_name c) (M.counter_value live c)
           (M.counter_value replayed c)
-      | Export.Summary.Sum x ->
+      | Ilp.Metrics_export.Sum x ->
         check_sum (M.sum_name x) (M.sum_value live x) (M.sum_value replayed x)
-      | Export.Summary.Histogram h ->
+      | Ilp.Metrics_export.Histogram h ->
         let name = M.histogram_name h in
         let a = M.hist_value live h and b = M.hist_value replayed h in
         Alcotest.(check (array int)) (name ^ " buckets") a.M.h_buckets
           b.M.h_buckets;
         check_sum (name ^ " sum") a.M.h_sum b.M.h_sum;
-        Alcotest.(check (float 0.)) (name ^ " max") a.M.h_max b.M.h_max)
+        Alcotest.(check (float 0.)) (name ^ " max") a.M.h_max b.M.h_max
+      | Ilp.Metrics_export.Gauge g -> Alcotest.failf "gauge %s replayed" (M.gauge_name g))
     Export.Summary.replayed;
   s
 
@@ -233,7 +234,7 @@ let test_solver_trace_consistent () =
   Alcotest.(check int) "timeline in stats too" stats.Bb.incumbents
     (Array.length stats.Bb.timeline);
   Alcotest.(check bool) "the hook gave up" true
-    (stats.Bb.deductions.Bb.hook_give_ups > 0)
+    (Ilp.Metrics.counter_value stats.Bb.metrics Ilp.Metrics.C_hook_give_ups > 0)
 
 (* Under [Cert_all] every node LP verdict is checked exactly, so the
    certification counters and seconds are replayed too. *)
@@ -718,7 +719,7 @@ let test_parallel_trace_tracks () =
    | Bb.Optimal _ -> ()
    | _ -> Alcotest.fail "parallel sample not optimal");
   Alcotest.(check bool) "workers ran nodes" true
-    (Array.exists (fun w -> w.Bb.w_nodes > 0) stats.Bb.workers);
+    (Array.exists (fun w -> Ilp.Metrics.counter_value w Ilp.Metrics.C_nodes > 0) stats.Bb.workers);
   Alcotest.(check (list string)) "stream clean" [] (Export.check records);
   ignore (check_replay ~live records)
 
@@ -773,7 +774,7 @@ let test_hook_give_up_traced () =
     records;
   Alcotest.(check bool) "the hook gave up" true (!give_ups <> []);
   Alcotest.(check int) "one event per counted give-up"
-    stats.Bb.deductions.Bb.hook_give_ups (List.length !give_ups);
+    (Ilp.Metrics.counter_value stats.Bb.metrics Ilp.Metrics.C_hook_give_ups) (List.length !give_ups);
   ignore (check_replay ~live records);
   List.iter
     (fun (dom, node, what) ->
