@@ -42,6 +42,8 @@ type sum =
   | S_ftran_seconds
   | S_btran_seconds
   | S_update_seconds
+  | S_chuzr_seconds
+  | S_price_seconds
   | S_gc_minor_words
   | S_gc_major_words
   | S_prop_seconds
@@ -105,6 +107,8 @@ let sum_table =
     (S_ftran_seconds, "ftran_seconds");
     (S_btran_seconds, "btran_seconds");
     (S_update_seconds, "update_seconds");
+    (S_chuzr_seconds, "chuzr_seconds");
+    (S_price_seconds, "price_seconds");
     (S_gc_minor_words, "gc_minor_words");
     (S_gc_major_words, "gc_major_words");
     (S_prop_seconds, "prop_seconds");

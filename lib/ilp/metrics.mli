@@ -103,6 +103,10 @@ type sum =
   | S_ftran_seconds  (** wall time in forward solves *)
   | S_btran_seconds  (** wall time in transposed solves *)
   | S_update_seconds  (** wall time appending basis-exchange updates *)
+  | S_chuzr_seconds
+      (** wall time choosing the dual simplex's leaving row (CHUZR) *)
+  | S_price_seconds
+      (** wall time building simplex pivot rows [rho A] (PRICE) *)
   | S_gc_minor_words  (** minor-heap words allocated in top-level LP solves *)
   | S_gc_major_words  (** major-heap words, same scope *)
   | S_prop_seconds  (** wall time in node propagation *)

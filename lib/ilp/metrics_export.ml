@@ -346,6 +346,8 @@ let lp_fields =
       timing "ftran" S_ftran_seconds;
       timing "btran" S_btran_seconds;
       timing "update" S_update_seconds;
+      timing "chuzr" S_chuzr_seconds;
+      timing "price" S_price_seconds;
       tally "pivots" C_lp_pivots;
       tally "flips" C_lp_bound_flips;
       tally "dual-stalls" C_lp_dual_stalls;

@@ -333,41 +333,87 @@ let abs a = if a.sgn < 0 then { a with sgn = 1 } else a
 let is_zero a = a.sgn = 0
 let sign a = a.sgn
 
+(* The multi-limb operations. *)
+module Limbs = struct
+  let add a b =
+    if a.sgn = 0 then b
+    else if b.sgn = 0 then a
+    else begin
+      (* a.num/a.den + b.num/b.den over the common denominator *)
+      let na = nat_mul a.num b.den and nb = nat_mul b.num a.den in
+      let den = nat_mul a.den b.den in
+      if a.sgn = b.sgn then make a.sgn (nat_add na nb) den
+      else begin
+        match nat_cmp na nb with
+        | 0 -> zero
+        | c when c > 0 -> make a.sgn (nat_sub na nb) den
+        | _ -> make b.sgn (nat_sub nb na) den
+      end
+    end
+
+  let mul a b =
+    if a.sgn = 0 || b.sgn = 0 then zero
+    else make (a.sgn * b.sgn) (nat_mul a.num b.num) (nat_mul a.den b.den)
+
+  let div a b =
+    if b.sgn = 0 then raise Division_by_zero;
+    if a.sgn = 0 then zero
+    else make (a.sgn * b.sgn) (nat_mul a.num b.den) (nat_mul a.den b.num)
+
+  let compare a b =
+    if a.sgn <> b.sgn then Int.compare a.sgn b.sgn
+    else if a.sgn = 0 then 0
+    else begin
+      (* same sign: compare cross products *)
+      let c = nat_cmp (nat_mul a.num b.den) (nat_mul b.num a.den) in
+      if a.sgn > 0 then c else -c
+    end
+end
+
+(* The native path, for two nonzero operands whose numerators and
+   denominators all fit one limb (< 2^30): a product of two stays below
+   2^60 and a sum of two products below 2^61, inside a native int, and
+   the native gcd reduces the result to the same normalized value the
+   multi-limb path builds. Certification's data mostly lives here. *)
+let one_limb a b =
+  Array.length a.num = 1 && Array.length a.den = 1
+  && Array.length b.num = 1 && Array.length b.den = 1
+
+(* sgn * p / q in lowest terms, from native p >= 0 and q > 0 *)
+let of_native sgn p q =
+  if p = 0 then zero
+  else begin
+    let g = int_gcd p q in
+    { sgn; num = nat_of_int (p / g); den = nat_of_int (q / g) }
+  end
+
 let add a b =
   if a.sgn = 0 then b
   else if b.sgn = 0 then a
-  else begin
-    (* a.num/a.den + b.num/b.den over the common denominator *)
-    let na = nat_mul a.num b.den and nb = nat_mul b.num a.den in
-    let den = nat_mul a.den b.den in
-    if a.sgn = b.sgn then make a.sgn (nat_add na nb) den
-    else begin
-      match nat_cmp na nb with
-      | 0 -> zero
-      | c when c > 0 -> make a.sgn (nat_sub na nb) den
-      | _ -> make b.sgn (nat_sub nb na) den
-    end
+  else if one_limb a b then begin
+    let s = (a.sgn * a.num.(0) * b.den.(0)) + (b.sgn * b.num.(0) * a.den.(0)) in
+    of_native (Int.compare s 0) (Int.abs s) (a.den.(0) * b.den.(0))
   end
+  else Limbs.add a b
 
 let sub a b = add a (neg b)
 
 let mul a b =
-  if a.sgn = 0 || b.sgn = 0 then zero
-  else make (a.sgn * b.sgn) (nat_mul a.num b.num) (nat_mul a.den b.den)
+  if a.sgn <> 0 && b.sgn <> 0 && one_limb a b then
+    of_native (a.sgn * b.sgn) (a.num.(0) * b.num.(0)) (a.den.(0) * b.den.(0))
+  else Limbs.mul a b
 
 let div a b =
-  if b.sgn = 0 then raise Division_by_zero;
-  if a.sgn = 0 then zero
-  else make (a.sgn * b.sgn) (nat_mul a.num b.den) (nat_mul a.den b.num)
+  if a.sgn <> 0 && b.sgn <> 0 && one_limb a b then
+    of_native (a.sgn * b.sgn) (a.num.(0) * b.den.(0)) (a.den.(0) * b.num.(0))
+  else Limbs.div a b
 
 let compare a b =
-  if a.sgn <> b.sgn then Int.compare a.sgn b.sgn
-  else if a.sgn = 0 then 0
-  else begin
-    (* same sign: compare cross products *)
-    let c = nat_cmp (nat_mul a.num b.den) (nat_mul b.num a.den) in
+  if a.sgn = b.sgn && a.sgn <> 0 && one_limb a b then begin
+    let c = Int.compare (a.num.(0) * b.den.(0)) (b.num.(0) * a.den.(0)) in
     if a.sgn > 0 then c else -c
   end
+  else Limbs.compare a b
 
 let equal a b = compare a b = 0
 let min a b = if compare a b <= 0 then a else b

@@ -54,6 +54,17 @@ val to_float : t -> float
 (** Nearest-double approximation (not guaranteed correctly rounded in
     the last ulp for values needing more than 100 significant bits). *)
 
+(** The multi-limb arithmetic alone. {!add}, {!mul}, {!div} and
+    {!compare} take a native-int path when every numerator and
+    denominator of their operands fits one 30-bit limb, and fall back
+    to these otherwise; both paths return the same normalized value. *)
+module Limbs : sig
+  val add : t -> t -> t
+  val mul : t -> t -> t
+  val div : t -> t -> t
+  val compare : t -> t -> int
+end
+
 val to_string : t -> string
 (** ["p/q"] in lowest terms, or just ["p"] when the denominator is 1. *)
 

@@ -130,7 +130,9 @@ type state = {
   rho : float array;  (* workspace: B^-1 row for dual pricing *)
   rpat : int array;  (* nonzero rows of rho when rho_n >= 0 *)
   mutable rho_n : int;  (* -1 = rho is dense *)
-  (* pivot row alpha = rho A over all columns, stamp-validated sparse *)
+  (* pivot row alpha = rho A, stamp-validated sparse: over the active
+     (nonbasic, not fixed) columns, or over every column for
+     [ray_proves] *)
   alpha : float array;
   alpha_pat : int array;
   alpha_mark : int array;
@@ -139,6 +141,15 @@ type state = {
   dj : float array;  (* reduced costs, maintained incrementally (devex) *)
   dvx_w : float array;  (* devex reference weights *)
   dvx_row : float array;  (* dual devex weights, per basis slot *)
+  (* Inside the dual loop: the bounds of each slot's basic column, and
+     the primal-infeasibility list. Every slot whose basic value is more
+     than [ftol] outside its bounds is listed (and marked); a listed
+     slot may since have become feasible. *)
+  slot_lb : float array;
+  slot_ub : float array;
+  inf_list : int array;
+  inf_mark : bool array;
+  mutable inf_n : int;
   bp_col : int array;  (* dual ratio-test breakpoints: columns *)
   bp_ratio : float array;  (* matching |dj/alpha| ratios *)
   mutable bland : bool;  (* anti-cycling mode *)
@@ -211,10 +222,12 @@ let create ?shard lp =
   let m = Lp.num_constrs lp in
   let nstruct = Lp.num_vars lp in
   let ncols = nstruct + m + m in
-  (* Accumulate structural columns from the rows. *)
+  (* Accumulate structural columns from the rows, and each slack's
+     bounds from its row's sense; artificials keep [0, 0] until phase I
+     opens them. *)
   let col_entries = Array.make nstruct [] in
   let rhs = Array.make m 0. in
-  let slack_lb = Array.make m 0. and slack_ub = Array.make m 0. in
+  let lb = Array.make ncols 0. and ub = Array.make ncols 0. in
   Lp.iter_rows lp (fun i terms sense b ->
       rhs.(i) <- b;
       List.iter
@@ -223,15 +236,9 @@ let create ?shard lp =
           col_entries.(v) <- (i, c) :: col_entries.(v))
         terms;
       match sense with
-      | Lp.Le ->
-        slack_lb.(i) <- 0.;
-        slack_ub.(i) <- Float.infinity
-      | Lp.Ge ->
-        slack_lb.(i) <- Float.neg_infinity;
-        slack_ub.(i) <- 0.
-      | Lp.Eq ->
-        slack_lb.(i) <- 0.;
-        slack_ub.(i) <- 0.);
+      | Lp.Le -> ub.(nstruct + i) <- Float.infinity
+      | Lp.Ge -> lb.(nstruct + i) <- Float.neg_infinity
+      | Lp.Eq -> ());
   let cols = Array.make ncols Sparse.empty in
   for j = 0 to nstruct - 1 do
     cols.(j) <- Sparse.of_assoc col_entries.(j)
@@ -240,16 +247,10 @@ let create ?shard lp =
     cols.(nstruct + i) <- Sparse.of_assoc [ (i, 1.) ];
     cols.(nstruct + m + i) <- Sparse.of_assoc [ (i, 1.) ]
   done;
-  let lb = Array.make ncols 0. and ub = Array.make ncols 0. in
   for j = 0 to nstruct - 1 do
     let v = Lp.var_of_int lp j in
     lb.(j) <- Lp.var_lb lp v;
     ub.(j) <- Lp.var_ub lp v
-  done;
-  for i = 0 to m - 1 do
-    lb.(nstruct + i) <- slack_lb.(i);
-    ub.(nstruct + i) <- slack_ub.(i)
-    (* artificials keep [0, 0] until phase I opens them *)
   done;
   let cost = Array.make ncols 0. in
   let obj = Lp.objective lp in
@@ -289,6 +290,11 @@ let create ?shard lp =
     dj = Array.make ncols 0.;
     dvx_w = Array.make ncols 1.;
     dvx_row = Array.make m 1.;
+    slot_lb = Array.make m 0.;
+    slot_ub = Array.make m 0.;
+    inf_list = Array.make m 0;
+    inf_mark = Array.make m false;
+    inf_n = 0;
     bp_col = Array.make ncols 0;
     bp_ratio = Array.make ncols 0.;
     bland = false;
@@ -488,15 +494,22 @@ let dual_row st r =
   if st.rho_n >= 0 then Metrics.incr st.ms Metrics.C_btran_hyper;
   st.rho
 
-(* alpha <- rho A over every column, scanning only the rows where rho is
-   nonzero through the CSR mirror. The result is pattern + stamp
-   validated: alpha.(j) is meaningful iff alpha_mark.(j) = alpha_stamp.
-   The stamp (rather than zero-testing) makes exact cancellations safe:
-   a column can never enter the pattern twice. *)
-let build_alpha st rho =
+(* alpha <- rho A, scanning only the rows where rho is nonzero through
+   the CSR mirror: over the active columns (nonbasic and not fixed, the
+   only ones pricing, the ratio test and the dj update read) unless
+   [all]. The result is pattern + stamp validated: alpha.(j) is
+   meaningful iff alpha_mark.(j) = alpha_stamp; a column found inactive
+   is marked -alpha_stamp, so it is judged once per build. The stamp
+   (rather than zero-testing) makes exact cancellations safe: a column
+   can never enter the pattern twice. A skipped column changes no sum
+   and no order of the others. Timed into [S_price_seconds]. *)
+let build_alpha ~all st rho =
+  let t0 = now () in
   st.alpha_stamp <- st.alpha_stamp + 1;
   let stamp = st.alpha_stamp in
+  let skip = -stamp in
   let mark = st.alpha_mark and alpha = st.alpha and pat = st.alpha_pat in
+  let stat = st.stat and lb = st.lb and ub = st.ub in
   let n = ref 0 in
   (* The row arrays are walked directly: a closure per coefficient
      would box each one it is passed. *)
@@ -507,13 +520,17 @@ let build_alpha st rho =
     if ri <> 0. then
       for k = rowptr.(i) to rowptr.(i + 1) - 1 do
         let j = colind.(k) in
-        if mark.(j) <> stamp then begin
-          mark.(j) <- stamp;
-          alpha.(j) <- ri *. values.(k);
-          pat.(!n) <- j;
-          incr n
-        end
-        else alpha.(j) <- alpha.(j) +. (ri *. values.(k))
+        let mj = mark.(j) in
+        if mj = stamp then alpha.(j) <- alpha.(j) +. (ri *. values.(k))
+        else if mj <> skip then
+          if all || (stat.(j) <> Basic && not (ub.(j) -. lb.(j) <= 1e-12))
+          then begin
+            mark.(j) <- stamp;
+            alpha.(j) <- ri *. values.(k);
+            pat.(!n) <- j;
+            incr n
+          end
+          else mark.(j) <- skip
       done
   in
   if st.rho_n < 0 then
@@ -524,7 +541,8 @@ let build_alpha st rho =
     for k = 0 to st.rho_n - 1 do
       scan_row st.rpat.(k)
     done;
-  st.alpha_n <- !n
+  st.alpha_n <- !n;
+  Metrics.add_sum st.ms Metrics.S_price_seconds (now () -. t0)
 
 (* Apply the basis-exchange update for an entering column whose
    transformed column is in st.w (its spike kept by {!ftran_col}),
@@ -749,18 +767,21 @@ let price_bland st =
   !best
 
 (* One-pivot update of dj and the devex weights, from the pivot row
-   alpha = rho A (already built for the leaving slot). Must be called
-   BEFORE the entering/leaving statuses flip: it skips basic columns
-   and patches the entering column [q] and leaving column [k]
-   explicitly. [alpha_rq] is the pivot element (w.(r), the freshest
-   value available). Returns nothing; the caller updates xb itself. *)
+   alpha = rho A (already built over the active columns for the leaving
+   slot). Must be called BEFORE the entering/leaving statuses flip: the
+   row holds no basic column, and the entering column [q] and leaving
+   column [k] are patched explicitly. Fixed columns keep stale dj and
+   weights: nothing reads them while their bounds stay fixed, and every
+   loop recomputes dj on entry. [alpha_rq] is the pivot element (w.(r),
+   the freshest value available). Returns nothing; the caller updates xb
+   itself. *)
 let update_dj_devex st ~q ~leaving:k ~alpha_rq ~update_weights =
   let theta_d = st.dj.(q) /. alpha_rq in
   let wq = st.dvx_w.(q) in
   let wq_ratio = wq /. (alpha_rq *. alpha_rq) in
   for t = 0 to st.alpha_n - 1 do
     let p = st.alpha_pat.(t) in
-    if p <> q && st.stat.(p) <> Basic then begin
+    if p <> q then begin
       let a = st.alpha.(p) in
       if theta_d <> 0. then st.dj.(p) <- st.dj.(p) -. (theta_d *. a);
       if update_weights then begin
@@ -921,7 +942,7 @@ let primal_loop st costs max_iters =
              let leaving = st.basis.(r) in
              (* pivot row of the outgoing basis, for the dj update *)
              let rho = dual_row st r in
-             build_alpha st rho;
+             build_alpha ~all:false st rho;
              update_dj_devex st ~q:j ~leaving ~alpha_rq:st.w.(r)
                ~update_weights:true;
              update_xb_step st (sigma *. t);
@@ -1106,26 +1127,101 @@ let revalidate_nonbasic st =
     end
   done
 
+(* The dual loop's infeasibility list (Hall & McKinnon 2005). Inside
+   the loop no bound changes and the basis changes by the loop's own
+   pivots alone, so the slot bounds are read off the basis at entry and
+   follow slot r at each pivot, and a pivot moves xb on w's pattern
+   only. *)
+
+(* Is slot i's basic value, now [v], infeasible? The test holds for
+   every slot {!devex_violated_row} could choose (and for NaN ones it
+   could not, which it drops). *)
+let[@inline] slot_infeasible st i v =
+  v -. st.slot_ub.(i) > ftol || st.slot_lb.(i) -. v > ftol
+
+let list_slot st i =
+  st.inf_mark.(i) <- true;
+  st.inf_list.(st.inf_n) <- i;
+  st.inf_n <- st.inf_n + 1
+
+(* List slot i if it is infeasible and not listed yet. *)
+let note_slot st i =
+  if slot_infeasible st i st.xb.(i) && not st.inf_mark.(i) then list_slot st i
+
+(* The list from scratch, after xb moved on every slot. *)
+let rebuild_infeasible st =
+  for t = 0 to st.inf_n - 1 do
+    st.inf_mark.(st.inf_list.(t)) <- false
+  done;
+  st.inf_n <- 0;
+  for i = 0 to st.m - 1 do
+    note_slot st i
+  done
+
+(* Slot bounds and list at dual-loop entry. *)
+let start_infeasible st =
+  for i = 0 to st.m - 1 do
+    let k = st.basis.(i) in
+    st.slot_lb.(i) <- st.lb.(k);
+    st.slot_ub.(i) <- st.ub.(k)
+  done;
+  rebuild_infeasible st
+
+(* {!update_xb_step} for a dual pivot, listing each slot it moves that
+   it leaves infeasible. *)
+let dual_xb_step st theta =
+  if theta <> 0. then
+    if st.wpat_n < 0 then begin
+      update_xb_step st theta;
+      rebuild_infeasible st
+    end
+    else begin
+      let xb = st.xb and w = st.w and wpat = st.wpat and mark = st.inf_mark in
+      for k = 0 to st.wpat_n - 1 do
+        let i = wpat.(k) in
+        let v = xb.(i) -. (theta *. w.(i)) in
+        xb.(i) <- v;
+        if slot_infeasible st i v && not mark.(i) then list_slot st i
+      done
+    end
+
 (* Dual devex row choice: the slot maximizing infeasibility^2 / weight,
    where the weights track the squared norms of the B^-1 rows relative
    to the reference basis the dual loop started from (Forrest &
    Goldfarb 1992). Dantzig's largest violation favours rows whose B^-1
-   row is long, i.e. steps that move the duals little. *)
+   row is long, i.e. steps that move the duals little. Only the slots
+   of the infeasibility list are scored, and those it finds feasible
+   leave it. Timed into [S_chuzr_seconds]. *)
 let devex_violated_row st =
-  let best = ref None and best_v = ref 0. in
-  for i = 0 to st.m - 1 do
-    let k = st.basis.(i) in
-    let above = st.xb.(i) -. st.ub.(k) and below = st.lb.(k) -. st.xb.(i) in
+  let t0 = now () in
+  let best = ref (-1) and best_v = ref 0. and best_above = ref false in
+  (* The listed slots in list order, dropping those now feasible; exact
+     score ties go to the lowest slot, as a scan of every row in slot
+     order would choose. *)
+  let t = ref 0 in
+  while !t < st.inf_n do
+    let i = st.inf_list.(!t) in
+    let above = st.xb.(i) -. st.slot_ub.(i)
+    and below = st.slot_lb.(i) -. st.xb.(i) in
     let v = Float.max above below in
     if v > ftol then begin
       let score = v *. v /. st.dvx_row.(i) in
-      if score > !best_v then begin
-        best := Some (i, above > below);
-        best_v := score
-      end
+      if score > !best_v || (score = !best_v && !best >= 0 && i < !best)
+      then begin
+        best := i;
+        best_v := score;
+        best_above := above > below
+      end;
+      incr t
+    end
+    else begin
+      st.inf_mark.(i) <- false;
+      st.inf_n <- st.inf_n - 1;
+      st.inf_list.(!t) <- st.inf_list.(st.inf_n)
     end
   done;
-  !best
+  Metrics.add_sum st.ms Metrics.S_chuzr_seconds (now () -. t0);
+  if !best < 0 then None else Some (!best, !best_above)
 
 (* Dual devex update for a pivot on slot r with transformed entering
    column w (alpha_r = w.(r)): every other slot's weight grows to at
@@ -1151,8 +1247,9 @@ let update_dual_devex st r alpha_r =
 
 (* Is nonbasic column j an eligible entering candidate for repairing a
    basic value that is [above] its bound, given its pivot-row
-   coefficient? *)
-let dual_eligible st j alpha above =
+   coefficient? Inlined: a call boxes [alpha], once per column of every
+   pivot row. *)
+let[@inline] dual_eligible st j alpha above =
   if above then
     match st.stat.(j) with
     | At_lower -> alpha > ptol
@@ -1203,8 +1300,10 @@ let rec sort_bp st lo hi =
   end
 
 (* Float Farkas check of a dual dead end on the row rho = st.rho, with
-   alpha = rho A as {!build_alpha} summed it from the raw matrix over
-   every column. Every x with Ax = rhs has alpha.x = rho.rhs. So when
+   alpha = rho A rebuilt by {!build_alpha} from the raw matrix over
+   every column, basic and fixed ones included (the loop's own pivot
+   row holds the active columns only). Every x with Ax = rhs has
+   alpha.x = rho.rhs. So when
    the violation is [above] its bound and rho.rhs exceeds the box
    maximum of alpha.x by a margin (below: falls under the box minimum),
    no x in the box satisfies the rows, however far the LU behind rho
@@ -1212,6 +1311,7 @@ let rec sort_bp st lo hi =
    a column whose bound on the unfavourable side is infinite fails the
    check. *)
 let ray_proves st ~above =
+  build_alpha ~all:true st st.rho;
   let s = if above then 1. else -1. in
   let lhs = ref 0. and mag = ref 0. in
   let dense = st.rho_n < 0 in
@@ -1235,9 +1335,10 @@ let ray_proves st ~above =
   done;
   Float.is_finite !box && (s *. !lhs) -. !box > ftol *. (1. +. !mag)
 
-(* The dual loop: the leaving row by dual devex weights, one
-   hyper-sparse btran builds the pivot row through the CSR mirror,
-   entering candidates come from the incrementally maintained dj (no
+(* The dual loop: the leaving row by dual devex weights over the
+   infeasibility list, one hyper-sparse btran builds the pivot row over
+   the active columns through the CSR mirror, entering candidates come
+   from the incrementally maintained dj (no
    per-column dot products), and the ratio test is bound-flipping:
    breakpoints are walked in ratio order and every boxed candidate whose
    flip leaves the row still infeasible jumps to its other bound without
@@ -1247,8 +1348,15 @@ let ray_proves st ~above =
 let dual_loop st max_iters =
   let iters = ref 0 in
   let outcome = ref None in
+  (* a refactorization recomputes xb, dj and so the list *)
+  let refresh trigger =
+    refactor st trigger;
+    recompute_dj st st.cost;
+    rebuild_infeasible st
+  in
   recompute_dj st st.cost;
   Array.fill st.dvx_row 0 st.m 1.;
+  start_infeasible st;
   while !outcome = None do
     if !iters >= max_iters then outcome := Some `Stalled
     else
@@ -1268,24 +1376,22 @@ let dual_loop st max_iters =
             outcome := Some (`Infeasible (r, above))
           end
           else begin
-            refactor st Trace.Rf_numeric;
-            recompute_dj st st.cost;
+            refresh Trace.Rf_numeric;
             incr iters
           end
         in
         let rho = dual_row st r in
-        build_alpha st rho;
-        (* collect the eligible breakpoints with their dual ratios *)
+        build_alpha ~all:false st rho;
+        (* collect the eligible breakpoints with their dual ratios (the
+           row holds active columns only) *)
         let nbp = ref 0 in
         for t = 0 to st.alpha_n - 1 do
           let j = st.alpha_pat.(t) in
-          if st.stat.(j) <> Basic && not (is_fixed st j) then begin
-            let alpha = st.alpha.(j) in
-            if dual_eligible st j alpha above then begin
-              st.bp_col.(!nbp) <- j;
-              st.bp_ratio.(!nbp) <- Float.abs (st.dj.(j) /. alpha);
-              incr nbp
-            end
+          let alpha = st.alpha.(j) in
+          if dual_eligible st j alpha above then begin
+            st.bp_col.(!nbp) <- j;
+            st.bp_ratio.(!nbp) <- Float.abs (st.dj.(j) /. alpha);
+            incr nbp
           end
         done;
         if !nbp = 0 then infeasible_here ()
@@ -1364,13 +1470,13 @@ let dual_loop st max_iters =
               for i = 0 to st.m - 1 do
                 st.xb.(i) <- st.xb.(i) -. st.tmp.(i)
               done;
+              rebuild_infeasible st;
               Metrics.add st.ms Metrics.C_lp_bound_flips !nflip
             end;
             ftran_col st j;
             let alpha_rj = st.w.(r) in
             if Float.abs alpha_rj < ptol then begin
-              refactor st Trace.Rf_numeric;
-              recompute_dj st st.cost;
+              refresh Trace.Rf_numeric;
               incr iters (* the flips stand; retry from a clean basis *)
             end
             else begin
@@ -1383,7 +1489,7 @@ let dual_loop st max_iters =
               update_dj_devex st ~q:j ~leaving:k ~alpha_rq:alpha_rj
                 ~update_weights:false;
               update_dual_devex st r alpha_rj;
-              update_xb_step st theta;
+              dual_xb_step st theta;
               let stable = update_factor st r in
               st.basis.(r) <- j;
               st.pos.(j) <- r;
@@ -1391,13 +1497,14 @@ let dual_loop st max_iters =
               st.stat.(j) <- Basic;
               st.stat.(k) <- (if above then At_upper else At_lower);
               st.xb.(r) <- entering_value;
+              st.slot_lb.(r) <- st.lb.(j);
+              st.slot_ub.(r) <- st.ub.(j);
+              note_slot st r;
               incr iters;
               Metrics.incr st.ms Metrics.C_lp_pivots;
               st.pivots_since_refactor <- st.pivots_since_refactor + 1;
               match due_refresh st ~stable with
-              | Some trigger ->
-                refactor st trigger;
-                recompute_dj st st.cost
+              | Some trigger -> refresh trigger
               | None -> ()
             end
           end

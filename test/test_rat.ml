@@ -194,6 +194,40 @@ let prop_gcd_paths_agree =
       R.to_string (R.of_ints p q) = expected
       && R.to_string scaled = expected)
 
+(* Numerators and denominators on both sides of one limb: small values,
+   2^30 - 1 (the largest one-limb value, whose products approach 2^60),
+   2^30 and just past it (two limbs), and random one-limb values. *)
+let limb_edge_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        int_range 1 7;
+        oneofl [ (1 lsl 30) - 1; (1 lsl 30) - 2; 1 lsl 30; (1 lsl 30) + 1 ];
+        int_range ((1 lsl 30) - 64) ((1 lsl 30) + 64);
+        int_range 1 ((1 lsl 30) - 1);
+      ])
+
+let edge_rat_gen =
+  QCheck.Gen.(
+    let* p = limb_edge_gen and* q = limb_edge_gen and* s = int_range (-1) 1 in
+    return (R.of_ints (s * p) q))
+
+let prop_native_path_agrees =
+  QCheck.Test.make
+    ~name:"native-int add/mul/div/compare equal the multi-limb path"
+    ~count:1000
+    (QCheck.make
+       ~print:(fun (a, b) -> R.to_string a ^ ", " ^ R.to_string b)
+       QCheck.Gen.(pair edge_rat_gen edge_rat_gen))
+    (fun (a, b) ->
+      let same x y = R.to_string x = R.to_string y in
+      same (R.add a b) (R.Limbs.add a b)
+      && same (R.sub a b) (R.Limbs.add a (R.neg b))
+      && same (R.mul a b) (R.Limbs.mul a b)
+      && (R.is_zero b || same (R.div a b) (R.Limbs.div a b))
+      && R.compare a b = R.Limbs.compare a b
+      && R.compare b a = R.Limbs.compare b a)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "rat"
@@ -215,5 +249,6 @@ let () =
           qt prop_compare_consistent;
           qt prop_of_float_fields;
           qt prop_gcd_paths_agree;
+          qt prop_native_path_agrees;
         ] );
     ]

@@ -1041,6 +1041,146 @@ let test_cold_dual_stall_falls_back () =
   Alcotest.(check (pair int int)) "uncapped solve takes the dual start"
     (1, 1) (stats.Sx.dual_stalls, stats.Sx.cold_primal)
 
+(* -------- engine build and dual-loop upkeep -------- *)
+
+(* The engine's matrix, column by column: a row's terms on one variable
+   are summed from its last term back to its first, and a sum of
+   magnitude at most 1e-13 (an explicit 0, a 1e-14, a cancellation) is
+   no entry. The columns below are written out by hand. *)
+let test_engine_matrix () =
+  let lp = Lp.create () in
+  let x = Lp.add_var lp ~ub:1. Lp.Continuous in
+  let y = Lp.add_var lp ~ub:1. Lp.Continuous in
+  let z = Lp.add_var lp ~ub:1. Lp.Continuous in
+  ignore
+    (Lp.add_constr lp [ (0.1, x); (3., y); (0.2, x); (0., z); (0.3, x) ] Lp.Le 1.);
+  ignore (Lp.add_constr lp [ (1e-14, x); (1., y); (-2., z) ] Lp.Ge 0.);
+  ignore (Lp.add_constr lp [ (1., y); (2., x); (-1., y) ] Lp.Eq 1.);
+  let s = Sx.snapshot (Sx.create lp) in
+  let col j =
+    let l = ref [] in
+    Ilp.Sparse.Csc.iter_col s.Sx.s_mat j (fun i v -> l := (i, v) :: !l);
+    List.rev !l
+  in
+  let exact = Alcotest.(list (pair int (float 0.))) in
+  (* (0.3 + 0.2) + 0.1 = 0.6; the other order gives 0.6000000000000001 *)
+  Alcotest.check exact "x" [ (0, 0.6); (2, 2.) ] (col 0);
+  Alcotest.check exact "y" [ (0, 3.); (1, 1.) ] (col 1);
+  Alcotest.check exact "z" [ (1, -2.) ] (col 2);
+  for i = 0 to 2 do
+    Alcotest.check exact "slack" [ (i, 1.) ] (col (3 + i));
+    Alcotest.check exact "artificial" [ (i, 1.) ] (col (6 + i))
+  done;
+  Alcotest.(check int) "entries" 11 (Ilp.Sparse.Csc.nnz s.Sx.s_mat)
+
+(* Bounded LPs with rows of every sense (an equality row's slack is a
+   fixed column, which pivot-row pricing skips) and boxes with negative
+   lower bounds, anchored at an integer point [x0] of the box so that
+   the model is feasible. Each round tightens some boxes, fixes some
+   columns (mostly at x0) and re-optimizes warm, keeping the previous
+   rounds' bounds, so the dual loop starts from every kind of leftover
+   basis; the infeasibility list and the active-column pivot rows must
+   reach what a fresh solve on the same bounds reaches. *)
+let make_rand_boxed seed ~n ~m =
+  let rng = Taskgraph.Prng.create ((seed * 3) + 2) in
+  let lp = Lp.create () in
+  let x0 = Array.make n 0. in
+  let vars =
+    Array.init n (fun j ->
+        let lb = -Taskgraph.Prng.int rng 3
+        and ub = Taskgraph.Prng.int_in rng 1 5 in
+        x0.(j) <- Float.of_int (Taskgraph.Prng.int_in rng lb ub);
+        Lp.add_var lp ~lb:(Float.of_int lb) ~ub:(Float.of_int ub) Lp.Continuous)
+  in
+  for _ = 1 to m do
+    let terms =
+      Array.to_list vars
+      |> List.filter_map (fun v ->
+             if Taskgraph.Prng.bool rng 0.4 then
+               Some (Float.of_int (Taskgraph.Prng.int_in rng (-3) 3), v)
+             else None)
+      |> List.filter (fun (c, _) -> c <> 0.)
+    in
+    if terms <> [] then begin
+      let act =
+        List.fold_left
+          (fun acc (c, v) -> acc +. (c *. x0.((v : Lp.var :> int))))
+          0. terms
+      in
+      let slack = Float.of_int (Taskgraph.Prng.int rng 3) in
+      match Taskgraph.Prng.int rng 3 with
+      | 0 -> ignore (Lp.add_constr lp terms Lp.Le (act +. slack))
+      | 1 -> ignore (Lp.add_constr lp terms Lp.Ge (act -. slack))
+      | _ -> ignore (Lp.add_constr lp terms Lp.Eq act)
+    end
+  done;
+  Lp.set_objective lp
+    (Array.to_list vars
+    |> List.map (fun v -> (Float.of_int (Taskgraph.Prng.int_in rng (-4) 4), v)));
+  (lp, x0)
+
+let prop_reopt_tightened_matches_fresh =
+  QCheck.Test.make
+    ~name:"dual_reopt under tightenings and fixings matches a fresh primal"
+    ~count:100
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let n = 30 and m = 60 in
+      let lp, x0 = make_rand_boxed seed ~n ~m in
+      let st = Sx.create lp in
+      ignore (Sx.primal st);
+      let rng = Taskgraph.Prng.create (seed + 101) in
+      let ok = ref true in
+      for _round = 1 to 6 do
+        (* one round in four first loosens every box back to the model's *)
+        if Taskgraph.Prng.int rng 4 = 0 then
+          for j = 0 to n - 1 do
+            let v = Lp.var_of_int lp j in
+            Sx.set_var_bounds st j ~lb:(Lp.var_lb lp v) ~ub:(Lp.var_ub lp v)
+          done;
+        for j = 0 to n - 1 do
+          let lb, ub = Sx.get_var_bounds st j in
+          (* mostly moves that keep x0 in the box; one in thirty fixes a
+             column at a random point, which may cut x0 off *)
+          match Taskgraph.Prng.int rng 30 with
+          | 0 | 1 | 2 | 3 | 4 | 5 | 6 | 7 | 8 ->
+            (* tighten one side by a whole step, x0 kept inside *)
+            let inside = lb <= x0.(j) && x0.(j) <= ub in
+            if inside && lb +. 1. <= x0.(j) then
+              Sx.set_var_bounds st j ~lb:(lb +. 1.) ~ub
+            else if inside && ub -. 1. >= x0.(j) then
+              Sx.set_var_bounds st j ~lb ~ub:(ub -. 1.)
+          | 9 | 10 | 11 | 12 | 13 | 14 ->
+            if lb <= x0.(j) && x0.(j) <= ub then
+              Sx.set_var_bounds st j ~lb:x0.(j) ~ub:x0.(j)
+          | 15 ->
+            let v =
+              Float.of_int
+                (Taskgraph.Prng.int_in rng (int_of_float lb) (int_of_float ub))
+            in
+            Sx.set_var_bounds st j ~lb:v ~ub:v
+          | _ -> ()
+        done;
+        let warm = Sx.dual_reopt st in
+        let lp2 = Lp.copy lp in
+        for j = 0 to n - 1 do
+          let lb, ub = Sx.get_var_bounds st j in
+          Lp.set_bounds lp2 (Lp.var_of_int lp2 j) ~lb ~ub
+        done;
+        let fresh = Sx.primal (Sx.create lp2) in
+        let agree =
+          match (warm.Sx.status, fresh.Sx.status) with
+          | Sx.Optimal, Sx.Optimal ->
+            Float.abs (warm.Sx.obj -. fresh.Sx.obj)
+            <= 1e-6 *. (1. +. Float.abs fresh.Sx.obj)
+            && warm.Sx.primal_res <= 1e-6
+          | Sx.Infeasible, Sx.Infeasible -> true
+          | _, _ -> false
+        in
+        if not agree then ok := false
+      done;
+      !ok)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "simplex"
@@ -1107,5 +1247,9 @@ let () =
           qt prop_mixed_senses; qt prop_cold_verdicts_certify;
           qt prop_warm_verdicts_certify;
           qt prop_devex_01_warm_certify; qt prop_lp_bound_below_milp;
-          qt prop_shipped_basis_reaches_optimum ] );
+          qt prop_shipped_basis_reaches_optimum;
+          qt prop_reopt_tightened_matches_fresh ] );
+      ( "engine",
+        [ Alcotest.test_case "matrix sums duplicates, drops zeros" `Quick
+            test_engine_matrix ] );
     ]
